@@ -19,7 +19,6 @@ from .master import (
     evolve,
     expected_count,
     marginal,
-    ssa_estimate,
 )
 from .division import (
     HistoryBranch,
@@ -27,7 +26,6 @@ from .division import (
     divide_step,
     history_label_semantics_check,
     merge_branches,
-    run,
     run_merged,
     run_tree,
 )

@@ -17,7 +17,7 @@ the certified error.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import mpmath as mp
 import numpy as np
@@ -54,21 +54,6 @@ class PolynomialPiece:
     def evaluate(self, x):
         u = (2.0 * np.asarray(x) - self.lower - self.upper) / (self.upper - self.lower)
         return _cheb.chebval(u, np.array(self.coefficients))
-
-    def power_coefficients(self) -> list[float]:
-        """Coefficients of ``sum beta_k * t**k`` with ``t = x - lower``."""
-        in_u = _cheb.cheb2poly(np.array(self.coefficients))
-        width = self.upper - self.lower
-        # u = (2/width) t - 1
-        shift = np.polynomial.polynomial.Polynomial([-1.0, 2.0 / width])
-        poly = np.polynomial.polynomial.Polynomial([0.0])
-        basis = np.polynomial.polynomial.Polynomial([1.0])
-        for q in in_u:
-            poly = poly + q * basis
-            basis = basis * shift
-        coeffs = list(poly.coef)
-        coeffs += [0.0] * (len(in_u) - len(coeffs))
-        return coeffs
 
 
 @dataclass(frozen=True)
@@ -263,16 +248,3 @@ def choose_config(
         ),
     )
     return best
-
-
-def export_table_csv(
-    rows: Sequence[tuple[float, int, int, float]], path: str
-) -> None:
-    """CSV export with columns (eps, d, M, max_error)."""
-    import csv
-
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["eps", "d", "M", "max_error"])
-        for eps, d, m, err in rows:
-            writer.writerow([repr(eps), d, m, repr(err)])

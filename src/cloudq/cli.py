@@ -39,6 +39,8 @@ EXIT_STEP_SIZE = 3
 EXIT_RESOURCE_LIMIT = 4
 EXIT_MISMATCH = 5
 
+_ARCSINE_TABLE_HEADER = ["eps", "d", "M", "max_error"]
+
 COMMANDS = ("solve", "simulate", "emulate", "arcsine-fit", "estimate", "reproduce-tables")
 
 
@@ -246,7 +248,15 @@ def _cmd_simulate(config: RunConfig) -> int:
     )
     if config.mode == "tree":
         branches = division.run_tree(table, config.steps)
-        division.write_branches(branches, _out_path(config, "branches.csv"))
+        master.write_csv(
+            _out_path(config, "branches.csv"),
+            ["history", "state_id", "probability"],
+            (
+                ("|".join(str(h) for h in branch.history),
+                 master.state_id(branch.state), branch.prob)
+                for branch in sorted(branches, key=lambda b: b.history)
+            ),
+        )
         merged = division.merge_branches(branches, config.steps)
     else:
         merged = division.run_merged(table, config.steps)
@@ -277,7 +287,12 @@ def _cmd_emulate(config: RunConfig) -> int:
     report = fixedpoint.estimate_eps_calculation(
         config.n_eps, table, samples=config.samples, include_gap=config.include_gap
     )
-    fixedpoint.export_sweep_csv([report], _out_path(config, "sweep.csv"))
+    master.write_csv(
+        _out_path(config, "sweep.csv"),
+        ["n_eps", "eps_arcsin", "max_error", "mean_error", "samples"],
+        [(report.width, report.eps_arcsin, report.max_error, report.mean_error,
+          report.samples)],
+    )
     print(
         f"n_eps={report.width} eps_arcsin={report.eps_arcsin:g} "
         f"max_error={report.max_error:.3e} mean_error={report.mean_error:.3e}"
@@ -291,7 +306,7 @@ def _cmd_arcsine_fit(config: RunConfig) -> int:
     print(f"d={config.degree} eps={config.eps:g}: M={pp.piece_count} "
           f"(max grid error {pp.max_recorded_error():.3e}, verified {verified:.3e})")
     rows = [(config.eps, config.degree, pp.piece_count, pp.max_recorded_error())]
-    arcsine.export_table_csv(rows, _out_path(config, "arcsine_table.csv"))
+    master.write_csv(_out_path(config, "arcsine_table.csv"), _ARCSINE_TABLE_HEADER, rows)
     if config.n_eps:
         quantized = fixedpoint.quantize_arcsine(pp, config.n_eps)
         payload = {
@@ -318,21 +333,12 @@ def _cmd_estimate(config: RunConfig) -> int:
     case = _case_from_config(config)
     report = resources.estimate_case(case, bin_index=config.bin_index)
     if config.format == "csv":
-        path = _out_path(config, "resources.csv")
-        with open(path, "w", newline="") as handle:
-            import csv as _csv
-
-            writer = _csv.writer(handle, lineterminator="\n")
-            writer.writerow(["case", "eps_max", "t_count", "t_depth", "logical_qubits"])
-            writer.writerow(
-                [
-                    config.preset or "custom",
-                    repr(report.eps_max),
-                    report.total.t_count,
-                    report.total.t_depth,
-                    report.qubits.total,
-                ]
-            )
+        master.write_csv(
+            _out_path(config, "resources.csv"),
+            ["case", "eps_max", "t_count", "t_depth", "logical_qubits"],
+            [(config.preset or "custom", report.eps_max, report.total.t_count,
+              report.total.t_depth, report.qubits.total)],
+        )
     else:
         _emit_json(report.to_json_dict(), config.out)
     return EXIT_OK
@@ -396,7 +402,9 @@ def _cmd_reproduce_tables(config: RunConfig) -> int:
         lines.append(f"PASS arcsine exact matches {exact}/{asserted}")
     print("\n".join(lines))
     if config.out:
-        arcsine.export_table_csv(table_rows, _out_path(config, "arcsine_table.csv"))
+        master.write_csv(
+            _out_path(config, "arcsine_table.csv"), _ARCSINE_TABLE_HEADER, table_rows
+        )
         Path(_out_path(config, "table_diff.txt")).write_text("\n".join(lines) + "\n")
     return EXIT_OK if failures == 0 else EXIT_MISMATCH
 

@@ -11,19 +11,17 @@ squared-amplitude bookkeeping is an exact functional model.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, log2
 from typing import Sequence
 
-from .master import ProbabilityTable, StepSizeError, expected_count
+from .master import ProbabilityTable, step_rates
 from .states import (
     MassDistribution,
     StateSpaceError,
     TransitionTable,
     apply_transition,
-    transition_rate,
+    qubits_for_bin,
 )
 
 SEQUENTIAL_TOL = 1e-12
@@ -49,16 +47,11 @@ def _split_weights(table: TransitionTable, state: MassDistribution):
     product that label ``h`` receives and ``hold`` is the no-transition
     remainder ``s_1``.  The sequential chain divides by the remaining
     fraction and multiplies back, so each weight must reproduce the
-    direct rate ``r_h`` up to 1e-12; a mismatch raises.
+    direct rate ``r_h`` up to 1e-12; a mismatch raises.  Rates come from
+    :func:`master.step_rates`, which raises ``StepSizeError`` first.
     """
     n_labels = table.num_labels
-    rates = [transition_rate(table, state, h) for h in range(1, n_labels + 1)]
-    total = sum(rates)
-    if total > 1:
-        raise StepSizeError(
-            f"sum of transition probabilities {total} > 1 for state "
-            f"{state.counts}; reduce dt"
-        )
+    rates, total = step_rates(table, state)
     weights = [0 * total] * n_labels
     remaining = 1 + 0 * total  # keeps Fraction inputs exact
     for label in range(n_labels, 0, -1):
@@ -164,26 +157,6 @@ def run_merged(
         children = divide_step(pieces, table, 1)
         current = merge_branches(children, step)
     return current
-
-
-def run(
-    table: TransitionTable,
-    steps: int,
-    mode: str = "merged",
-    initial: MassDistribution | None = None,
-    branch_cap: int = 500_000,
-):
-    """Dispatch to :func:`run_tree` or :func:`run_merged`."""
-    if mode == "tree":
-        return run_tree(table, steps, initial, branch_cap)
-    if mode == "merged":
-        return run_merged(table, steps, initial)
-    raise StateSpaceError(f"unknown mode {mode!r}")
-
-
-def qubits_for_bin(n_bins: int, bin_index: int) -> int:
-    """Register width for bin ``bin_index``: ceil(log2(floor(N/i) + 1))."""
-    return ceil(log2(n_bins // bin_index + 1))
 
 
 def amplitude_expectation(source, bin_index: int):
@@ -293,18 +266,3 @@ def history_label_semantics_check(
     return LabelSemanticsReport(
         steps=steps, branches_checked=checked, ok=mismatches == 0, mismatches=mismatches
     )
-
-
-def write_branches(branches: Sequence[HistoryBranch], path: str) -> None:
-    """CSV export with columns (history, state_id, probability)."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["history", "state_id", "probability"])
-        for branch in sorted(branches, key=lambda b: b.history):
-            writer.writerow(
-                [
-                    "|".join(str(h) for h in branch.history),
-                    "|".join(str(c) for c in branch.state.counts),
-                    repr(branch.prob),
-                ]
-            )

@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 import mpmath as mp
 
@@ -96,10 +95,6 @@ def fp_encode(x, width: int, mode: str = "real") -> FixedPointValue:
         raise FixedPointRangeError(f"{x} outside the real-mode range [0, 2)")
     bits = int(exact * (1 << (width - 1)))  # floor for non-negative values
     return FixedPointValue(bits, width, "real")
-
-
-def fp_decode(v: FixedPointValue) -> float:
-    return v.value
 
 
 def _require(a: FixedPointValue, b: FixedPointValue) -> None:
@@ -600,22 +595,3 @@ def estimate_eps_calculation(
         mean_error=total / samples,
         samples=samples,
     )
-
-
-def export_sweep_csv(reports: Sequence[EpsSweepReport], path: str) -> None:
-    """CSV export with columns (n_eps, eps_arcsin, max_error, mean_error, samples)."""
-    import csv
-
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["n_eps", "eps_arcsin", "max_error", "mean_error", "samples"])
-        for report in reports:
-            writer.writerow(
-                [
-                    report.width,
-                    repr(report.eps_arcsin),
-                    repr(report.max_error),
-                    repr(report.mean_error),
-                    report.samples,
-                ]
-            )

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -20,8 +20,8 @@ from .states import (
     MassDistribution,
     StateSpaceError,
     TransitionTable,
-    apply_transition,
-    transition_rate,
+    apply_pair,
+    propensities,
 )
 
 PROB_TOL = 1e-12
@@ -77,19 +77,21 @@ class SsaConfig:
             raise StateSpaceError(f"need t_end >= 0, got {self.t_end}")
 
 
-def _check_step_size(table: TransitionTable, states: Iterable[MassDistribution]) -> None:
-    worst_state, worst = None, 0.0
-    for state in states:
-        total = sum(
-            transition_rate(table, state, h) for h in range(1, table.num_labels + 1)
-        )
-        if total > worst:
-            worst_state, worst = state, total
-    if worst > 1:
+def step_rates(table: TransitionTable, state: MassDistribution):
+    """Per-step probabilities ``r_h`` of ``state`` and their sum.
+
+    Returns ``(rates, total)`` with ``rates[h-1] = r_h``.  Raises
+    :class:`StepSizeError` when ``total = sum_h r_h > 1``: the explicit
+    update would then move more probability than the state holds.
+    """
+    rates = [rate * table.dt for rate in propensities(table, state.counts)]
+    total = sum(rates)
+    if total > 1:
         raise StepSizeError(
-            f"sum of transition probabilities {worst} > 1 for state "
-            f"{worst_state.counts}; reduce dt"
+            f"sum of transition probabilities {total} > 1 for state "
+            f"{state.counts}; reduce dt"
         )
+    return rates, total
 
 
 def euler_step(p: ProbabilityTable, table: TransitionTable) -> ProbabilityTable:
@@ -97,22 +99,20 @@ def euler_step(p: ProbabilityTable, table: TransitionTable) -> ProbabilityTable:
 
     Probability is moved flow-by-flow, which is algebraically identical to
     the gain/loss form of the update and conserves the total exactly up to
-    rounding.  Raises :class:`StepSizeError` when any populated state has
-    ``sum_h r_h > 1``.
+    rounding.  Populated states are visited in ascending counts order, and
+    :class:`StepSizeError` names the first of them with ``sum_h r_h > 1``.
     """
-    support = sorted(p.entries, key=lambda s: s.counts)
-    _check_step_size(table, (s for s in support if p.entries[s] != 0))
-    new = {state: prob for state, prob in p.entries.items()}
-    for state in support:
+    new = dict(p.entries)
+    for state in sorted(p.entries, key=lambda s: s.counts):
         prob = p.entries[state]
         if prob == 0:
             continue
-        for label in range(1, table.num_labels + 1):
-            rate = transition_rate(table, state, label)
+        rates, _ = step_rates(table, state)
+        for (i, j), rate in zip(table.pairs, rates):
             if rate == 0:
                 continue
             flow = prob * rate
-            target = apply_transition(table, state, label)
+            target = apply_pair(state, i, j)
             new[state] -= flow
             new[target] = new.get(target, 0 * flow) + flow
     return ProbabilityTable(new, step=p.step + 1)
@@ -164,19 +164,6 @@ def mass_expectation(p: ProbabilityTable):
     return sum(state.mass() * prob for state, prob in p.entries.items())
 
 
-def _propensities(table: TransitionTable, counts: list[int]) -> np.ndarray:
-    """Continuous-time rates ``r_h / dt`` for the current counts."""
-    values = np.empty(table.num_labels)
-    for idx, (i, j) in enumerate(table.pairs):
-        kernel = table.kernel_values[idx]
-        if i == j:
-            n = counts[i - 1]
-            values[idx] = kernel * n * (n - 1) / 2 if n >= 2 else 0.0
-        else:
-            values[idx] = kernel * counts[i - 1] * counts[j - 1]
-    return values
-
-
 def ssa_trajectory(
     table: TransitionTable,
     t_end: float,
@@ -185,10 +172,9 @@ def ssa_trajectory(
 ) -> MassDistribution:
     """One exact Gillespie trajectory, returning the state at ``t_end``."""
     state = initial or MassDistribution.monodisperse(table.num_bins)
-    counts = list(state.counts)
     t = 0.0
     while True:
-        props = _propensities(table, counts)
+        props = np.array(propensities(table, state.counts), dtype=float)
         total = props.sum()
         if total <= 0:
             break
@@ -196,14 +182,8 @@ def ssa_trajectory(
         if t > t_end:
             break
         label = int(np.searchsorted(np.cumsum(props) / total, rng.uniform()))
-        i, j = table.pairs[label]
-        if i == j:
-            counts[i - 1] -= 2
-        else:
-            counts[i - 1] -= 1
-            counts[j - 1] -= 1
-        counts[i + j - 1] += 1
-    return MassDistribution(tuple(counts))
+        state = apply_pair(state, *table.pairs[label])
+    return state
 
 
 def ssa_population_estimate(
@@ -230,29 +210,20 @@ def ssa_population_estimate(
     return [(float(m), float(s)) for m, s in zip(means, stderrs)]
 
 
-def ssa_estimate(
-    table: TransitionTable,
-    cfg: SsaConfig,
-    bin_index: int,
-    initial: MassDistribution | None = None,
-) -> tuple[float, float]:
-    """Mean droplet count of ``bin_index`` at ``t_end`` with standard error."""
-    return ssa_population_estimate(table, cfg, initial)[bin_index - 1]
+def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write ``header`` and ``rows`` as CSV with LF line endings.
 
-
-def write_expected_series(
-    series: Sequence[ProbabilityTable], path: str
-) -> None:
-    """CSV export with columns (step, bin, expected_count)."""
+    ``int`` and ``str`` cells are written as they are; every other cell
+    (floats, Fractions, numpy scalars) is written as its ``repr``, so
+    floats round-trip exactly.
+    """
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["step", "bin", "expected_count"])
-        for table in series:
-            n_bins = next(iter(table.entries)).num_bins
-            for bin_index in range(1, n_bins + 1):
-                writer.writerow(
-                    [table.step, bin_index, repr(expected_count(table, bin_index))]
-                )
+        writer.writerow(header)
+        writer.writerows(
+            [cell if isinstance(cell, (int, str)) else repr(cell) for cell in row]
+            for row in rows
+        )
 
 
 def state_id(state: MassDistribution) -> str:
@@ -260,13 +231,25 @@ def state_id(state: MassDistribution) -> str:
     return "|".join(str(c) for c in state.counts)
 
 
+def write_expected_series(
+    series: Sequence[ProbabilityTable], path: str
+) -> None:
+    """CSV export with columns (step, bin, expected_count)."""
+    rows = (
+        (table.step, bin_index, expected_count(table, bin_index))
+        for table in series
+        for bin_index in range(1, next(iter(table.entries)).num_bins + 1)
+    )
+    write_csv(path, ["step", "bin", "expected_count"], rows)
+
+
 def write_probability_series(
     series: Sequence[ProbabilityTable], path: str
 ) -> None:
     """CSV export with columns (step, state_id, probability)."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["step", "state_id", "probability"])
-        for table in series:
-            for state in table.states():
-                writer.writerow([table.step, state_id(state), repr(table.entries[state])])
+    rows = (
+        (table.step, state_id(state), table.entries[state])
+        for table in series
+        for state in table.states()
+    )
+    write_csv(path, ["step", "state_id", "probability"], rows)

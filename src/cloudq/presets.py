@@ -77,9 +77,3 @@ ARCSINE_NOISE_ROW: tuple[float, int] = (1e-15, 9)
 
 ARCSINE_EXACT_MINIMUM = 10  # of the 13 asserted rows
 ARCSINE_PIECE_SLACK = 2
-
-
-def asserted_arcsine_rows() -> list[tuple[float, int, int]]:
-    return [
-        row for row in PIECEWISE_ARCSINE_TABLE if (row[0], row[1]) != ARCSINE_NOISE_ROW
-    ]

@@ -11,10 +11,10 @@ are evaluated in floats and ceiled.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
-from .states import label_pair_count
+from .states import label_pair_count, label_pairs, qubits_for_bin
 
 
 class ResourceModelError(ValueError):
@@ -176,11 +176,6 @@ class EstimationCase:
         if self.eps_calculation is not None:
             return self.eps_calculation
         return 2.0 ** (-self.n_eps + 1) + self.arcsine_eps
-
-
-def qubits_for_bin(n_bins: int, bin_index: int) -> int:
-    """``ceil(log2(floor(N/i) + 1))`` qubits for bin ``bin_index``."""
-    return _ceil_log2(n_bins // bin_index + 1)
 
 
 def history_label_qubits(n_bins: int) -> int:
@@ -482,13 +477,7 @@ def estimate_case(case: EstimationCase, bin_index: int = 1) -> ResourceReport:
     uadd = gate_cost_uadd(case)
     division = up + usin + uq + ur
     shift_total = GateCost.ZERO
-    table_pairs = [
-        (i, j)
-        for i in range(1, case.n_bins + 1)
-        for j in range(i, case.n_bins + 1)
-        if i + j <= case.n_bins
-    ]
-    for pair in table_pairs:
+    for pair in label_pairs(case.n_bins):
         shift_total = shift_total + gate_cost_ushift(case, pair)
     step = division.times(pair_count) + uadd.times(pair_count - 1) + shift_total
     evolution = step.times(case.time_steps)

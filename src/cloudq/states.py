@@ -152,10 +152,6 @@ class TransitionTable:
         except ValueError:
             raise LabelError(f"pair ({i},{j}) is not a valid collision") from None
 
-    def kernel_of(self, label: int) -> float:
-        self.pair_of(label)
-        return self.kernel_values[label - 1]
-
 
 def label_pair_count(n_bins: int) -> int:
     """Closed-form pair count: ``N^2/4`` for even ``N``, ``(N^2-1)/4`` odd."""
@@ -164,22 +160,61 @@ def label_pair_count(n_bins: int) -> int:
     return (n_bins * n_bins - 1) // 4
 
 
+def label_pairs(n_bins: int) -> tuple[tuple[int, int], ...]:
+    """Collision pairs ``(i, j)``, ``i <= j``, ``i + j <= N``, in label order."""
+    return tuple(
+        (i, j)
+        for i in range(1, n_bins + 1)
+        for j in range(i, n_bins + 1)
+        if i + j <= n_bins
+    )
+
+
+def qubits_for_bin(n_bins: int, bin_index: int) -> int:
+    """Register width for bin ``bin_index``: ``ceil(log2(floor(N/i) + 1))``."""
+    return math.ceil(math.log2(n_bins // bin_index + 1))
+
+
 def build_transition_table(n_bins: int, kernel: KernelSpec, dt) -> TransitionTable:
     """Enumerate collision pairs for ``n_bins`` and attach kernel values."""
     if n_bins < 2:
         raise EmptyTableError(f"no collisions possible for N = {n_bins}")
     if not dt > 0:
         raise StateSpaceError(f"time step must be positive, got {dt}")
-    pairs = tuple(
-        (i, j)
-        for i in range(1, n_bins + 1)
-        for j in range(i, n_bins + 1)
-        if i + j <= n_bins
-    )
+    pairs = label_pairs(n_bins)
     if len(pairs) != label_pair_count(n_bins):
         raise StateSpaceError("pair enumeration disagrees with the closed form")
     values = tuple(kernel.rate(i, j) for i, j in pairs)
     return TransitionTable(num_bins=n_bins, dt=dt, pairs=pairs, kernel_values=values)
+
+
+def _pair_propensity(kernel, counts: Sequence[int], i: int, j: int):
+    """``r_h / dt`` of pair ``(i, j)``: ``K n_i n_j``, or ``K n_i (n_i-1) / 2``
+    for equal bins; exactly zero whenever the source bins are under-populated.
+    """
+    if i == j:
+        n = counts[i - 1]
+        if n < 2:
+            return 0
+        return kernel * n * (n - 1) / 2
+    ni = counts[i - 1]
+    nj = counts[j - 1]
+    if ni < 1 or nj < 1:
+        return 0
+    return kernel * ni * nj
+
+
+def propensities(table: TransitionTable, counts: Sequence[int]) -> list:
+    """Continuous-time rates ``r_h / dt`` for every label, label order.
+
+    The one place the transition rule is written: the solver, the division
+    model and the Gillespie sampler all read their rates from here.  Values
+    keep the kernel's number type, so rational tables stay exact.
+    """
+    return [
+        _pair_propensity(kernel, counts, i, j)
+        for (i, j), kernel in zip(table.pairs, table.kernel_values)
+    ]
 
 
 def transition_rate(table: TransitionTable, state: MassDistribution, label: int):
@@ -189,24 +224,12 @@ def transition_rate(table: TransitionTable, state: MassDistribution, label: int)
     for equal bins; zero whenever the source bins are under-populated.
     """
     i, j = table.pair_of(label)
-    kernel = table.kernel_values[label - 1]
-    if i == j:
-        n = state.counts[i - 1]
-        if n < 2:
-            return 0 * table.dt
-        return kernel * n * (n - 1) * table.dt / 2
-    ni = state.counts[i - 1]
-    nj = state.counts[j - 1]
-    if ni < 1 or nj < 1:
-        return 0 * table.dt
-    return kernel * ni * nj * table.dt
+    return _pair_propensity(table.kernel_values[label - 1], state.counts, i, j) * table.dt
 
 
 def total_transition_rate(table: TransitionTable, state: MassDistribution):
     """``sum_h r_h(state)``; must stay <= 1 for a valid explicit step."""
-    return sum(
-        transition_rate(table, state, h) for h in range(1, table.num_labels + 1)
-    )
+    return sum(rate * table.dt for rate in propensities(table, state.counts))
 
 
 def apply_pair(state: MassDistribution, i: int, j: int) -> MassDistribution:
@@ -295,8 +318,3 @@ def enumerate_states(
         states.append(MassDistribution(tuple(counts)))
     states.sort(key=lambda s: s.counts)
     return states
-
-
-def reachable_pairs(table: TransitionTable) -> Sequence[tuple[int, int]]:
-    """Alias for the stored pair list, label order."""
-    return table.pairs

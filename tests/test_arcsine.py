@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 
 from cloudq.arcsine import (
@@ -8,7 +7,6 @@ from cloudq.arcsine import (
     FitError,
     chebyshev_fit,
     choose_config,
-    export_table_csv,
     linf_error,
     min_pieces,
     reference_error,
@@ -105,22 +103,3 @@ def test_choose_config_examples():
     assert choose_config(1e-13, 46, rows=[(1e-13, 7, 7)]) == (7, 7)
     with pytest.raises(FitError):
         choose_config(3e-7, 42)
-
-
-def test_export_table_csv(tmp_path):
-    path = tmp_path / "table.csv"
-    export_table_csv([(1e-12, 5, 15, 8.8e-13)], str(path))
-    lines = path.read_text().splitlines()
-    assert lines[0] == "eps,d,M,max_error"
-    assert lines[1].startswith("1e-12,5,15,")
-
-
-def test_power_coefficients_reproduce_piece():
-    pp = min_pieces(5, 1e-12)
-    piece = pp.pieces[3]
-    beta = piece.power_coefficients()
-    xs = np.linspace(piece.lower, piece.upper, 257)
-    horner = np.zeros_like(xs)
-    for coeff in reversed(beta):
-        horner = horner * (xs - piece.lower) + coeff
-    assert np.max(np.abs(horner - piece.evaluate(xs))) < 1e-14

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from cloudq import division, fixedpoint, states
 from cloudq.cli import (
     EXIT_CONFIG,
     EXIT_MISMATCH,
@@ -130,6 +131,46 @@ def test_emulate_command(tmp_path, capsys):
     assert code == EXIT_OK
     lines = (tmp_path / "sweep.csv").read_text().splitlines()
     assert lines[0].startswith("n_eps,")
+
+
+def test_simulate_tree_writes_branches(tmp_path):
+    code = main(
+        ["simulate", "--N", "2", "--M", "2", "--dt", "0.1", "--mode", "tree",
+         "--out", str(tmp_path)]
+    )
+    assert code == EXIT_OK
+    table = states.build_transition_table(2, states.KernelSpec(), 0.1)
+    branches = division.run_tree(table, 2)
+    first = min(branches, key=lambda b: b.history)
+    lines = (tmp_path / "branches.csv").read_text().splitlines()
+    assert lines[0] == "history,state_id,probability"
+    assert lines[1] == f"0|0,2|0,{first.prob!r}"
+    assert len(lines) == 1 + len(branches)
+
+
+def test_arcsine_fit_writes_table(tmp_path):
+    code = main(["arcsine-fit", "--d", "7", "--eps", "1e-13", "--out", str(tmp_path)])
+    assert code == EXIT_OK
+    lines = (tmp_path / "arcsine_table.csv").read_text().splitlines()
+    assert lines[0] == "eps,d,M,max_error"
+    eps, d, m, max_error = lines[1].split(",")
+    assert (eps, d, m) == ("1e-13", "7", "7")
+    assert 0 < float(max_error) < 1e-13
+
+
+def test_emulate_writes_sweep(tmp_path):
+    code = main(
+        ["emulate", "--n-eps", "42", "--d", "5", "--eps", "1e-12",
+         "--samples", "100", "--out", str(tmp_path)]
+    )
+    assert code == EXIT_OK
+    table = fixedpoint.build_quantized_arcsine(5, 1e-12, 42, extended=True)
+    report = fixedpoint.estimate_eps_calculation(42, table, samples=100)
+    lines = (tmp_path / "sweep.csv").read_text().splitlines()
+    assert lines[0] == "n_eps,eps_arcsin,max_error,mean_error,samples"
+    assert lines[1] == (
+        f"42,{report.eps_arcsin!r},{report.max_error!r},{report.mean_error!r},100"
+    )
 
 
 def test_missing_required_flags():

@@ -11,7 +11,6 @@ from cloudq.division import (
     divide_step,
     history_label_semantics_check,
     merge_branches,
-    run,
     run_merged,
     run_tree,
 )
@@ -94,7 +93,7 @@ def test_divide_step_size_error():
 
 def test_run_zero_steps():
     table = _table(3)
-    branches = run(table, 0, mode="tree")
+    branches = run_tree(table, 0)
     assert len(branches) == 1
     assert branches[0].history == ()
     assert branches[0].prob == 1
@@ -208,15 +207,3 @@ def test_merged_equivalence_property(n, steps, k0dt):
         ProbabilityTable.point_mass(MassDistribution.monodisperse(n)), table, steps
     )
     assert _max_entry_diff(merged, reference) <= 1e-12
-
-
-def test_write_branches(tmp_path):
-    table = _table(2, k0=1.0, dt=0.1)
-    from cloudq.division import write_branches
-
-    branches = run_tree(table, 2)
-    path = tmp_path / "branches.csv"
-    write_branches(branches, str(path))
-    lines = path.read_text().splitlines()
-    assert lines[0] == "history,state_id,probability"
-    assert len(lines) == 1 + len(branches)

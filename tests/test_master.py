@@ -12,11 +12,18 @@ from cloudq.master import (
     expected_count,
     marginal,
     mass_expectation,
-    ssa_estimate,
+    ssa_population_estimate,
     write_expected_series,
     write_probability_series,
 )
-from cloudq.states import KernelSpec, MassDistribution, StateSpaceError, build_transition_table
+from cloudq.division import HistoryBranch, divide_step
+from cloudq.states import (
+    KernelSpec,
+    MassDistribution,
+    StateSpaceError,
+    build_transition_table,
+    total_transition_rate,
+)
 
 
 def _mono_table(n, k0=1.0, dt=0.1):
@@ -64,6 +71,28 @@ def test_step_size_error_reports_state():
     with pytest.raises(StepSizeError) as err:
         euler_step(p0, table)
     assert "(4, 0, 0, 0)" in str(err.value)
+
+
+def test_step_size_error_names_first_state_in_counts_order():
+    # N=4, K=1, dt=0.4: sum_h r_h is 1.2 for (2,1,0,0) and 2.4 for
+    # (4,0,0,0), so the first over-limit state in counts order is not the
+    # worst one; (1,0,1,0) stays within the limit
+    table = build_transition_table(4, KernelSpec(k0=1.0), 0.4)
+    first, worst = MassDistribution((2, 1, 0, 0)), MassDistribution((4, 0, 0, 0))
+    assert 1 < total_transition_rate(table, first) < total_transition_rate(table, worst)
+    p = ProbabilityTable(
+        {worst: 0.5, MassDistribution((1, 0, 1, 0)): 0.25, first: 0.25}
+    )
+    with pytest.raises(StepSizeError) as err:
+        euler_step(p, table)
+    message = str(err.value)
+    assert message == (
+        f"sum of transition probabilities {total_transition_rate(table, first)} > 1 "
+        "for state (2, 1, 0, 0); reduce dt"
+    )
+    with pytest.raises(StepSizeError) as branch_err:
+        divide_step([HistoryBranch((), first, 1.0)], table, 1)
+    assert str(branch_err.value) == message
 
 
 def test_evolve_identity_and_closed_form():
@@ -145,14 +174,15 @@ def test_first_order_convergence():
 
 def test_ssa_frozen_kernel():
     table = build_transition_table(4, KernelSpec(k0=0.0), 0.1)
-    mean, stderr = ssa_estimate(table, SsaConfig(n_runs=64, seed=7, t_end=2.0), 1)
+    mean, stderr = ssa_population_estimate(table, SsaConfig(n_runs=64, seed=7, t_end=2.0))[0]
     assert mean == 4.0
     assert stderr == 0.0
 
 
 def test_ssa_two_state_analytic():
     table = build_transition_table(2, KernelSpec(k0=1.0), 0.01)
-    mean, stderr = ssa_estimate(table, SsaConfig(n_runs=10_000, seed=11, t_end=1.0), 2)
+    cfg = SsaConfig(n_runs=10_000, seed=11, t_end=1.0)
+    mean, stderr = ssa_population_estimate(table, cfg)[1]
     expected = 1 - math.exp(-1)
     assert abs(mean - expected) <= 3 * stderr
 
@@ -160,13 +190,13 @@ def test_ssa_two_state_analytic():
 def test_ssa_deterministic_under_seed():
     table = build_transition_table(5, KernelSpec(k0=1.0), 0.01)
     cfg = SsaConfig(n_runs=50, seed=123, t_end=0.5)
-    assert ssa_estimate(table, cfg, 2) == ssa_estimate(table, cfg, 2)
+    assert ssa_population_estimate(table, cfg)[1] == ssa_population_estimate(table, cfg)[1]
 
 
 def test_ssa_needs_two_runs():
     table = build_transition_table(2, KernelSpec(k0=1.0), 0.01)
     with pytest.raises(StateSpaceError):
-        ssa_estimate(table, SsaConfig(n_runs=1, seed=1, t_end=1.0), 1)
+        ssa_population_estimate(table, SsaConfig(n_runs=1, seed=1, t_end=1.0))
 
 
 def test_csv_exports(tmp_path):

@@ -19,10 +19,10 @@ from cloudq.resources import (
     history_label_qubits,
     oracle_iterations,
     primitive_cost,
-    qubits_for_bin,
     register_counts,
     scaling_report,
 )
+from cloudq.states import qubits_for_bin
 
 CASE1 = PRESET_CASES["paper-case-1"]
 

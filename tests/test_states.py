@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,7 @@ from cloudq.states import (
     label_pair_count,
     partition_count_asymptotic,
     partition_count_exact,
+    propensities,
     total_transition_rate,
     transition_rate,
 )
@@ -183,3 +185,20 @@ def test_total_rate_nonnegative(n, kind, k0):
     table = build_transition_table(n, KernelSpec(kind, k0), 0.001)
     for state in (MassDistribution.monodisperse(n), MassDistribution.absorbed(n)):
         assert total_transition_rate(table, state) >= 0
+
+
+@pytest.mark.parametrize("kind", ["constant", "sum", "product"])
+@pytest.mark.parametrize(
+    "k0, dt", [(0.7, 0.013), (Fraction(7, 10), Fraction(13, 1000))], ids=["float", "fraction"]
+)
+def test_one_transition_rule(kind, k0, dt):
+    # the solver and division read r_h = propensity * dt, the SSA reads the
+    # propensities themselves: all three must agree with transition_rate
+    for n in range(2, 13):
+        table = build_transition_table(n, KernelSpec(kind, k0), dt)
+        for state in enumerate_states(n):
+            props = propensities(table, state.counts)
+            rates = [transition_rate(table, state, h) for h in range(1, table.num_labels + 1)]
+            assert [p * dt for p in props] == rates
+            assert all(type(p * dt) is type(r) for p, r in zip(props, rates))
+            assert total_transition_rate(table, state) == sum(rates)
