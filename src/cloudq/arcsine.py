@@ -28,6 +28,7 @@ DEFAULT_FIT_POINTS = 2001
 DEFAULT_ERROR_GRID = 4096
 MAX_BISECTIONS = 64
 VERIFY_DPS = 45  # working precision (digits) of the arcsine reference
+VERIFY_EXTRA_ORDER = 40  # reference series terms beyond the fit's degree
 
 
 class FitError(ValueError):
@@ -119,8 +120,6 @@ def min_pieces(
     degree: int,
     eps: float,
     domain: tuple[float, float] = (0.0, 0.5),
-    grid: int = DEFAULT_ERROR_GRID,
-    fit_points: int = DEFAULT_FIT_POINTS,
     max_pieces: int = 4096,
 ) -> PiecewisePolynomial:
     """Greedy left-to-right assembly of the minimum piece count.
@@ -144,8 +143,8 @@ def min_pieces(
             )
         b = hi
         for _ in range(MAX_BISECTIONS):
-            coeffs = chebyshev_fit(a, b, degree, fit_points)
-            err = linf_error(coeffs, a, b, grid)
+            coeffs = chebyshev_fit(a, b, degree)
+            err = linf_error(coeffs, a, b)
             if err < eps:
                 break
             b = (a + b) / 2
@@ -185,13 +184,7 @@ def _truth_series(a: float, b: float, order: int) -> list[mp.mpf]:
     return series
 
 
-def reference_error(
-    coefficients: Sequence[float],
-    a: float,
-    b: float,
-    grid: int,
-    extra_order: int = 40,
-) -> float:
+def reference_error(coefficients: Sequence[float], a: float, b: float, grid: int) -> float:
     """Grid max of |poly - arcsin| against the extended-precision reference.
 
     The polynomial minus a high-order arcsine Chebyshev series is itself a
@@ -200,7 +193,7 @@ def reference_error(
     because the nearest arcsine singularity is far outside ``[a, b]``.
     """
     with mp.workdps(VERIFY_DPS):
-        order = len(coefficients) - 1 + extra_order
+        order = len(coefficients) - 1 + VERIFY_EXTRA_ORDER
         truth = _truth_series(a, b, order)
         diff = np.array(
             [

@@ -13,10 +13,8 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -42,6 +40,9 @@ EXIT_MISMATCH = 5
 _ARCSINE_TABLE_HEADER = ["eps", "d", "M", "max_error"]
 
 COMMANDS = ("solve", "simulate", "emulate", "arcsine-fit", "estimate", "reproduce-tables")
+KERNELS = ("constant", "sum", "product")
+MODES = ("merged", "tree")
+FORMATS = ("json", "csv")
 
 
 class ConfigError(ValueError):
@@ -80,16 +81,6 @@ class RunConfig:
 _CONFIG_KEYS = {f.name for f in dataclasses.fields(RunConfig)}
 
 
-def worker_count() -> int:
-    """Worker cap from CLOUDQ_THREADS, defaulting to a small pool."""
-    raw = os.environ.get("CLOUDQ_THREADS", "")
-    try:
-        cap = int(raw) if raw else 4
-    except ValueError as exc:
-        raise ConfigError(f"CLOUDQ_THREADS must be an integer, got {raw!r}") from exc
-    return max(1, min(cap, os.cpu_count() or 1))
-
-
 def parse_config(argv: list[str] | None = None) -> RunConfig:
     """Build a validated RunConfig from CLI flags or a JSON file."""
     parser = argparse.ArgumentParser(prog="cloudq", description=__doc__)
@@ -99,7 +90,7 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
     parser.add_argument("--N", dest="n_bins", type=int)
     parser.add_argument("--M", dest="steps", type=int)
     parser.add_argument("--dt", type=float)
-    parser.add_argument("--kernel", choices=("constant", "sum", "product"))
+    parser.add_argument("--kernel", choices=KERNELS)
     parser.add_argument("--k0", type=float)
     parser.add_argument("--n-eps", dest="n_eps", type=int)
     parser.add_argument("--d", dest="degree", type=int)
@@ -111,14 +102,14 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
     parser.add_argument("--delta", type=float)
     parser.add_argument("--samples", type=int)
     parser.add_argument("--include-gap", dest="include_gap", action="store_true", default=None)
-    parser.add_argument("--mode", choices=("merged", "tree"))
+    parser.add_argument("--mode", choices=MODES)
     parser.add_argument("--check-master", dest="check_master", action="store_true", default=None)
     parser.add_argument("--bin", dest="bin_index", type=int)
     parser.add_argument("--t-end", dest="t_end", type=float)
     parser.add_argument("--n-runs", dest="n_runs", type=int)
     parser.add_argument("--seed", type=int)
     parser.add_argument("--out", type=str)
-    parser.add_argument("--format", choices=("json", "csv"))
+    parser.add_argument("--format", choices=FORMATS)
     ns = parser.parse_args(argv)
 
     merged: dict = {"command": ns.command}
@@ -146,7 +137,7 @@ def _validate(config: RunConfig) -> None:
     if config.command not in COMMANDS:
         raise ConfigError(f"unknown command {config.command!r}")
     if config.command in ("solve", "simulate"):
-        if config.preset is None and config.n_bins is None:
+        if config.n_bins is None:
             raise ConfigError("solve/simulate need --N (number of bins)")
         if config.steps is None:
             raise ConfigError("solve/simulate need --M (number of steps)")
@@ -162,8 +153,9 @@ def _validate(config: RunConfig) -> None:
         missing = [name for name in required if getattr(config, name) is None]
         if missing:
             raise ConfigError(f"estimate needs a preset or explicit {missing}")
-    if config.format not in ("json", "csv"):
-        raise ConfigError(f"unknown format {config.format!r}")
+    for name, choices in (("kernel", KERNELS), ("mode", MODES), ("format", FORMATS)):
+        if getattr(config, name) not in choices:
+            raise ConfigError(f"unknown {name} {getattr(config, name)!r}")
 
 
 def _case_from_config(config: RunConfig) -> resources.EstimationCase:
@@ -190,8 +182,12 @@ def _case_from_config(config: RunConfig) -> resources.EstimationCase:
     )
 
 
-def _kernel_from_config(config: RunConfig) -> states.KernelSpec:
-    return states.KernelSpec(kind=config.kernel, k0=config.k0)
+def _table_from_config(config: RunConfig) -> states.TransitionTable:
+    return states.build_transition_table(
+        config.n_bins,
+        states.KernelSpec(kind=config.kernel, k0=config.k0),
+        0.01 if config.dt is None else config.dt,
+    )
 
 
 def _emit_json(payload: dict, out: str | None) -> None:
@@ -215,9 +211,7 @@ def _out_path(config: RunConfig, suffix: str) -> str:
 
 
 def _cmd_solve(config: RunConfig) -> int:
-    table = states.build_transition_table(
-        config.n_bins, _kernel_from_config(config), config.dt or 0.01
-    )
+    table = _table_from_config(config)
     start = master.ProbabilityTable.point_mass(
         states.MassDistribution.monodisperse(config.n_bins)
     )
@@ -243,9 +237,7 @@ def _cmd_solve(config: RunConfig) -> int:
 
 
 def _cmd_simulate(config: RunConfig) -> int:
-    table = states.build_transition_table(
-        config.n_bins, _kernel_from_config(config), config.dt or 0.01
-    )
+    table = _table_from_config(config)
     if config.mode == "tree":
         branches = division.run_tree(table, config.steps)
         master.write_csv(
@@ -373,12 +365,10 @@ def _cmd_reproduce_tables(config: RunConfig) -> int:
                 f"{'PASS' if ok else 'FAIL'} {name} {label}: {got:.3g} vs {want:.3g} "
                 f"(band +/-{band:.0%})"
             )
-    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        results = list(pool.map(_arcsine_row, PIECEWISE_ARCSINE_TABLE))
     exact = 0
     asserted = 0
     table_rows = []
-    for eps, degree, expected, got, err in results:
+    for eps, degree, expected, got, err in map(_arcsine_row, PIECEWISE_ARCSINE_TABLE):
         noise_row = (eps, degree) == ARCSINE_NOISE_ROW
         table_rows.append((eps, degree, got, err))
         if noise_row:
@@ -432,6 +422,9 @@ def run(config: RunConfig) -> int:
     except (states.ResourceLimitError, division.BranchCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE_LIMIT
+    except states.StateSpaceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 def main(argv: list[str] | None = None) -> int:

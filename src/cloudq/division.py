@@ -159,7 +159,7 @@ def run_merged(
     return current
 
 
-def amplitude_expectation(source, bin_index: int):
+def amplitude_expectation(distribution: ProbabilityTable, bin_index: int):
     """Expected count read out through the amplitude-encoding identity.
 
     Mirrors the readout gate: the marked-state probability is
@@ -167,19 +167,13 @@ def amplitude_expectation(source, bin_index: int):
     expectation is ``d`` times that.  Algebraically equal to an ordinary
     expectation; kept separate to exercise the readout path.
     """
-    if isinstance(source, ProbabilityTable):
-        entries = source.entries.items()
-    else:
-        entries = ((b.state, b.prob) for b in source)
-    first = True
-    total = 0.0
-    for state, prob in entries:
-        if first:
-            d = 2 ** qubits_for_bin(state.num_bins, bin_index)
-            first = False
-        total += (state.counts[bin_index - 1] / d) * prob
-    if first:
+    entries = distribution.entries
+    if not entries:
         raise StateSpaceError("empty distribution")
+    d = 2 ** qubits_for_bin(next(iter(entries)).num_bins, bin_index)
+    total = 0.0
+    for state, prob in entries.items():
+        total += (state.counts[bin_index - 1] / d) * prob
     return d * total
 
 
@@ -193,76 +187,49 @@ class LabelSemanticsReport:
     mismatches: int
 
 
+def _history_register(n_labels: int, fired: int) -> int:
+    """Register after one step's divisions ``h = H..1``: the one that fires
+    (``fired``, 0 for none) sets it to 1, and every division but the last
+    then increments a register >= 1."""
+    register = 0
+    for division in range(n_labels, 0, -1):
+        if division == fired:
+            register = 1
+        if division > 1 and register >= 1:
+            register += 1
+    return register
+
+
 def history_label_semantics_check(
     table: TransitionTable,
     steps: int,
     initial: MassDistribution | None = None,
-    branch_cap: int = 500_000,
 ) -> LabelSemanticsReport:
-    """Replay the per-step register protocol and check recorded labels.
+    """Check the history-register encoding on :func:`run_tree`'s histories.
 
-    Within a step the divisions run ``h = H..1``; a branch that fires at
-    division ``h`` sets its register to 1, every register >= 1 is then
-    incremented once per remaining division (there is no increment after
-    the last one), so the final register must equal ``h``.  Also replays
-    each branch's history from the initial state to confirm state
-    consistency.
+    Every branch emits at least one child, so the children of step ``t``
+    are the distinct length-``t`` prefixes of the final histories.  For
+    each, the register protocol must end at the child's label (0 for the
+    hold child); it follows the step schedule ``resources.estimate_case``
+    charges, one ``U_add`` after every division but the last.
+    ``branches_checked`` counts the children over all steps.  Each final
+    history is also replayed from the initial state.
     """
     start = initial or MassDistribution.monodisperse(table.num_bins)
-    branches = [(start, Fraction(1), ())]  # (state, prob, history)
+    branches = run_tree(table, steps, start)
+    registers = [_history_register(table.num_labels, h) for h in range(table.num_labels + 1)]
     mismatches = 0
     checked = 0
-    for _ in range(steps):
-        next_branches = []
-        for state, prob, history in branches:
-            if len(next_branches) > branch_cap:
-                raise BranchCapError("register replay exceeded the branch cap")
-            weights, hold = _split_weights(table, state)
-            n_labels = table.num_labels
-            # pieces: (register, fired_label, weight); register None = |0>
-            pieces = [(0, None, Fraction(1))]
-            for division in range(n_labels, 0, -1):
-                updated = []
-                for register, fired, weight in pieces:
-                    if register == 0 and weights[division - 1] != 0:
-                        share = weights[division - 1]
-                        updated.append((1, division, weight * share))
-                        rest = weight - share
-                        if rest > 0:
-                            updated.append((0, None, rest))
-                    else:
-                        updated.append((register, fired, weight))
-                if division > 1:  # no increment after the final division
-                    updated = [
-                        (reg + 1 if reg >= 1 else reg, fired, weight)
-                        for reg, fired, weight in updated
-                    ]
-                pieces = updated
-            for register, fired, weight in pieces:
-                checked += 1
-                if fired is None:
-                    if register != 0:
-                        mismatches += 1
-                    next_branches.append((state, prob * weight, history + (0,)))
-                else:
-                    if register != fired:
-                        mismatches += 1
-                    next_branches.append(
-                        (
-                            apply_transition(table, state, fired),
-                            prob * weight,
-                            history + (fired,),
-                        )
-                    )
-        branches = next_branches
-    # replay consistency: state equals initial state plus its history
-    for state, _, history in branches:
+    for t in range(1, steps + 1):
+        for prefix in {branch.history[:t] for branch in branches}:
+            checked += 1
+            mismatches += registers[prefix[-1]] != prefix[-1]
+    for branch in branches:
         replay = start
-        for label in history:
+        for label in branch.history:
             if label:
                 replay = apply_transition(table, replay, label)
-        if replay != state:
-            mismatches += 1
+        mismatches += replay != branch.state
     return LabelSemanticsReport(
         steps=steps, branches_checked=checked, ok=mismatches == 0, mismatches=mismatches
     )

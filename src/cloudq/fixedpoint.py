@@ -31,6 +31,7 @@ import mpmath as mp
 from .arcsine import PiecewisePolynomial, min_pieces
 
 EXTENSION_DOMAIN = (0.5, 0.875)
+SWEEP_MAX_COUNT = 40  # largest bin count the error sweep draws
 
 
 class FixedPointError(ValueError):
@@ -547,7 +548,7 @@ def _lattice_point(k: int) -> tuple[float, ...]:
 
 
 def sweep_inputs(
-    samples: int, max_count: int = 40, include_gap: bool = False
+    samples: int, include_gap: bool = False
 ) -> list[tuple[int, int, float, float]]:
     """Deterministic quasi-random pipeline inputs ``(n_i, n_j, kdt, s)``.
 
@@ -559,8 +560,8 @@ def sweep_inputs(
     points = []
     for k in range(samples):
         u1, u2, u3, u4 = _lattice_point(k)
-        n_i = 1 + int(u1 * max_count)
-        n_j = 1 + int(u2 * max_count)
+        n_i = 1 + int(u1 * SWEEP_MAX_COUNT)
+        n_j = 1 + int(u2 * SWEEP_MAX_COUNT)
         if include_gap:
             modified = u3 * 0.999
         elif u3 < 0.5:

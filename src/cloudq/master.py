@@ -46,14 +46,6 @@ class ProbabilityTable:
     def total(self):
         return sum(self.entries.values())
 
-    def validate(self, tol: float = PROB_TOL) -> None:
-        for state, prob in self.entries.items():
-            if prob < -tol or prob > 1 + tol:
-                raise StateSpaceError(f"probability {prob} of {state.counts} outside [0,1]")
-        drift = abs(self.total() - 1)
-        if drift > tol:
-            raise StateSpaceError(f"total probability off by {drift}")
-
     def states(self) -> list[MassDistribution]:
         return sorted(self.entries, key=lambda s: s.counts)
 

@@ -312,15 +312,13 @@ def gate_cost_ushift(
     case: EstimationCase,
     pair: tuple[int, int],
     warnings: list[str] | None = None,
-    equal_pair_toffolis: int = 2,
 ) -> GateCost:
     """Label-controlled mass update for one collision pair.
 
     Distinct bins decrement two counters and increment the sum bin; equal
-    bins decrement one counter twice.  The equal-pair variant is written
-    with two label Toffolis in the summary cost listing but one in the
-    gate walkthrough; both are supported and the default follows the
-    summary listing.
+    bins decrement one counter twice.  Both variants pay two label
+    Toffolis, as in the summary cost listing; the gate walkthrough draws
+    the equal-pair variant with one.
     """
     i, j = pair
     q_h = history_label_qubits(case.n_bins)
@@ -333,7 +331,7 @@ def gate_cost_ushift(
             + primitive_cost("cSUB", n=qubits_for_bin(case.n_bins, j), warnings=warnings)
         )
     return (
-        toffoli.times(equal_pair_toffolis)
+        toffoli.times(2)
         + primitive_cost("cADD", n=qubits_for_bin(case.n_bins, 2 * i), warnings=warnings)
         + primitive_cost("cSUB", n=qubits_for_bin(case.n_bins, i), warnings=warnings)
     )
@@ -472,13 +470,13 @@ def estimate_case(case: EstimationCase, bin_index: int = 1) -> ResourceReport:
     pair_count = label_pair_count(case.n_bins)
     up = gate_cost_up(case, warnings)
     usin = gate_cost_usin(case)
-    uq = gate_cost_uq(case)
-    ur = gate_cost_ur(case)
-    uadd = gate_cost_uadd(case)
+    uq = gate_cost_uq(case, warnings)
+    ur = gate_cost_ur(case, warnings)
+    uadd = gate_cost_uadd(case, warnings)
     division = up + usin + uq + ur
     shift_total = GateCost.ZERO
     for pair in label_pairs(case.n_bins):
-        shift_total = shift_total + gate_cost_ushift(case, pair)
+        shift_total = shift_total + gate_cost_ushift(case, pair, warnings)
     step = division.times(pair_count) + uadd.times(pair_count - 1) + shift_total
     evolution = step.times(case.time_steps)
     readout = gate_cost_uc(case, bin_index)
@@ -506,7 +504,7 @@ def estimate_case(case: EstimationCase, bin_index: int = 1) -> ResourceReport:
         total=total,
         qubits=qubits,
         eps_max=error_budget(case, n_oracle=calls),
-        warnings=tuple(warnings),
+        warnings=tuple(dict.fromkeys(warnings)),
     )
 
 

@@ -145,12 +145,12 @@ class TransitionTable:
         return self.pairs[label - 1]
 
     def label_of(self, i: int, j: int) -> int:
+        """Inverse of :meth:`pair_of`; each first bin ``k < i`` has ``N+1-2k`` pairs."""
         if i > j:
             i, j = j, i
-        try:
-            return self.pairs.index((i, j)) + 1
-        except ValueError:
-            raise LabelError(f"pair ({i},{j}) is not a valid collision") from None
+        if i < 1 or i + j > self.num_bins:
+            raise LabelError(f"pair ({i},{j}) is not a valid collision")
+        return (i - 1) * (self.num_bins + 1 - i) + (j - i) + 1
 
 
 def label_pair_count(n_bins: int) -> int:

@@ -12,7 +12,6 @@ from cloudq.cli import (
     main,
     parse_config,
     run,
-    worker_count,
 )
 from cloudq.presets import PRESET_CASES
 from cloudq.resources import EstimationCase
@@ -199,11 +198,25 @@ def test_estimate_explicit_parameters(tmp_path):
     assert abs(payload["t_count"]["total"] / 4.9e14 - 1) <= 0.15
 
 
-def test_worker_count_env(monkeypatch):
-    monkeypatch.setenv("CLOUDQ_THREADS", "2")
-    assert worker_count() == 2
-    monkeypatch.setenv("CLOUDQ_THREADS", "zebra")
-    with pytest.raises(ConfigError):
-        worker_count()
-    monkeypatch.delenv("CLOUDQ_THREADS")
-    assert worker_count() >= 1
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        pytest.param(["simulate", "--preset", "paper-case-1", "--M", "3"], None,
+                     id="simulate-preset-without-N"),
+        pytest.param(["solve", "--preset", "paper-case-1", "--M", "3"], None,
+                     id="solve-preset-without-N"),
+        pytest.param(["solve", "--N", "3", "--M", "2", "--dt", "0"], None, id="dt-zero"),
+        pytest.param(["simulate", "--N", "1", "--M", "2"], None, id="one-bin"),
+        pytest.param(["solve"], {"n_bins": 3, "steps": 2, "kernel": "table"},
+                     id="table-kernel"),
+        pytest.param(["solve"], {"n_bins": 3, "steps": 2, "k0": -1.0}, id="negative-k0"),
+        pytest.param(["simulate"], {"n_bins": 3, "steps": 2, "mode": "bogus"},
+                     id="unknown-mode"),
+    ],
+)
+def test_bad_inputs_exit_config(tmp_path, argv, config):
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        argv = argv + ["--config", str(path)]
+    assert main(argv + ["--out", str(tmp_path)]) == EXIT_CONFIG

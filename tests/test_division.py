@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from cloudq.division import (
     BranchCapError,
     HistoryBranch,
+    _history_register,
     amplitude_expectation,
     divide_step,
     history_label_semantics_check,
@@ -23,6 +24,7 @@ from cloudq.master import (
 from cloudq.states import (
     KernelSpec,
     MassDistribution,
+    StateSpaceError,
     build_transition_table,
     transition_rate,
 )
@@ -141,6 +143,11 @@ def test_amplitude_expectation_equals_expected_count():
         )
 
 
+def test_amplitude_expectation_empty_distribution():
+    with pytest.raises(StateSpaceError, match="empty distribution"):
+        amplitude_expectation(ProbabilityTable({}), 1)
+
+
 def test_amplitude_readout_two_state_slice():
     # after one 0.1-step, bin 2 holds probability 0.1; with d = 2**q_2 = 2
     # the marked-state probability is 0.05 and the readout returns 0.1
@@ -179,6 +186,20 @@ def test_history_labels_two_steps_replay():
     table = _table(4, k0=0.9, dt=0.02)
     report = history_label_semantics_check(table, 2)
     assert report.ok
+
+
+def test_history_register_ends_at_fired_label():
+    for n_labels in range(1, 101):
+        assert _history_register(n_labels, 0) == 0
+        for fired in range(1, n_labels + 1):
+            assert _history_register(n_labels, fired) == fired
+
+
+def test_history_labels_count_every_emitted_child():
+    table = build_transition_table(5, KernelSpec(k0=Fraction(1)), Fraction(1, 50))
+    report = history_label_semantics_check(table, 3)
+    assert report.ok
+    assert report.branches_checked == sum(len(run_tree(table, t)) for t in (1, 2, 3))
 
 
 def test_tree_states_replay_consistency():

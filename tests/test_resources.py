@@ -112,9 +112,24 @@ def test_ushift_variants():
         + (8 * q(2) - 4)
     )
     assert unequal.t_count == expected
-    equal_two = gate_cost_ushift(CASE1, (5, 5))
-    equal_one = gate_cost_ushift(CASE1, (5, 5), equal_pair_toffolis=1)
-    assert equal_two.t_count - equal_one.t_count == 4 * 9 - 8
+    equal = gate_cost_ushift(CASE1, (5, 5))
+    assert equal.t_count == 2 * (4 * 9 - 8) + (8 * q(10) - 4) + (8 * q(5) - 4)
+
+
+def test_estimate_case_reports_every_gate_clamp_once():
+    # N = 3 has a 2-qubit history register, so U_add's ADD_CONST and the
+    # U_add/U_shift Toffolis hit their clamps; U_P, U_Q and U_R share one note
+    case = EstimationCase(
+        n_bins=3, time_steps=10, n_eps=20, degree=5, pieces=15,
+        eps_rotation=1e-13, eps_estimation=9.9e-3, eps_c=1e-8, delta=0.01,
+    )
+    warnings = estimate_case(case).warnings
+    for message in (
+        "ADD_CONST: formula gave (0, 0), clamped at 0",
+        "Toffoli: formula gave (0, 0), clamped at 0",
+        "MUL_CONST_INT_UI(4,20): closed form gives -360, using adder-sum value 216",
+    ):
+        assert warnings.count(message) == 1
 
 
 def test_register_counts_case1():

@@ -109,6 +109,10 @@ def test_label_bijection():
         for label in range(1, table.num_labels + 1):
             i, j = table.pair_of(label)
             assert table.label_of(i, j) == label
+            assert table.label_of(j, i) == label
+        for i, j in ((0, 1), (1, n), (n, n)):
+            with pytest.raises(LabelError):
+                table.label_of(i, j)
         with pytest.raises(LabelError):
             table.pair_of(0)
         with pytest.raises(LabelError):
