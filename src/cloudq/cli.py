@@ -141,6 +141,8 @@ def _validate(config: RunConfig) -> None:
             raise ConfigError("solve/simulate need --N (number of bins)")
         if config.steps is None:
             raise ConfigError("solve/simulate need --M (number of steps)")
+    if config.steps is not None and config.steps < 0:
+        raise ConfigError(f"--M must be >= 0, got {config.steps}")
     if config.command == "arcsine-fit":
         if config.degree is None or config.eps is None:
             raise ConfigError("arcsine-fit needs --d and --eps")
@@ -153,6 +155,10 @@ def _validate(config: RunConfig) -> None:
         missing = [name for name in required if getattr(config, name) is None]
         if missing:
             raise ConfigError(f"estimate needs a preset or explicit {missing}")
+    if config.command == "estimate":
+        n_bins = PRESET_CASES[config.preset].n_bins if config.n_bins is None else config.n_bins
+        if not 1 <= config.bin_index <= n_bins:
+            raise ConfigError(f"--bin must lie in 1..{n_bins}, got {config.bin_index}")
     for name, choices in (("kernel", KERNELS), ("mode", MODES), ("format", FORMATS)):
         if getattr(config, name) not in choices:
             raise ConfigError(f"unknown {name} {getattr(config, name)!r}")
@@ -271,8 +277,8 @@ def _cmd_simulate(config: RunConfig) -> int:
 
 
 def _cmd_emulate(config: RunConfig) -> int:
-    degree = config.degree or 5
-    eps = config.eps or 1e-12
+    degree = 5 if config.degree is None else config.degree
+    eps = 1e-12 if config.eps is None else config.eps
     table = fixedpoint.build_quantized_arcsine(
         degree, eps, config.n_eps, extended=True
     )

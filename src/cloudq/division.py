@@ -15,7 +15,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .master import ProbabilityTable, step_rates
+import numpy as np
+
+from .master import ProbabilityTable
 from .states import (
     MassDistribution,
     StateSpaceError,
@@ -23,8 +25,6 @@ from .states import (
     apply_transition,
     qubits_for_bin,
 )
-
-SEQUENTIAL_TOL = 1e-12
 
 
 class BranchCapError(StateSpaceError):
@@ -40,37 +40,6 @@ class HistoryBranch:
     prob: float
 
 
-def _split_weights(table: TransitionTable, state: MassDistribution):
-    """Per-label split of one unit of probability for ``state``.
-
-    Returns ``(weights, hold)`` where ``weights[h-1]`` is the sequential
-    product that label ``h`` receives and ``hold`` is the no-transition
-    remainder ``s_1``.  The sequential chain divides by the remaining
-    fraction and multiplies back, so each weight must reproduce the
-    direct rate ``r_h`` up to 1e-12; a mismatch raises.  Rates come from
-    :func:`master.step_rates`, which raises ``StepSizeError`` first.
-    """
-    n_labels = table.num_labels
-    rates, total = step_rates(table, state)
-    weights = [0 * total] * n_labels
-    remaining = 1 + 0 * total  # keeps Fraction inputs exact
-    for label in range(n_labels, 0, -1):
-        s_next = remaining
-        if s_next <= 0:
-            break
-        modified = rates[label - 1] / s_next
-        if modified > 1:
-            modified = 1 + 0 * total
-        weights[label - 1] = modified * s_next
-        remaining = (1 - modified) * s_next
-    for label in range(1, n_labels + 1):
-        if abs(weights[label - 1] - rates[label - 1]) > SEQUENTIAL_TOL:
-            raise StateSpaceError(
-                f"sequential division drifted from direct rate at label {label}"
-            )
-    return weights, remaining
-
-
 def divide_step(
     branches: Sequence[HistoryBranch], table: TransitionTable, step: int
 ) -> list[HistoryBranch]:
@@ -78,31 +47,34 @@ def divide_step(
 
     ``step`` is the 1-based time step; incoming histories must have
     length ``step - 1``.  Children with exactly zero probability are not
-    emitted.
+    emitted.  Each branch's state must pass the step-size check, then the
+    sequential-drift check: every split weight must reproduce its direct
+    rate ``r_h`` to ``SEQUENTIAL_TOL``.
     """
+    op = table.operator
     out: list[HistoryBranch] = []
     for branch in branches:
         if len(branch.history) != step - 1:
             raise StateSpaceError(
                 f"branch history length {len(branch.history)} != step-1 = {step - 1}"
             )
-        weights, hold = _split_weights(table, branch.state)
-        for label, weight in enumerate(weights, start=1):
+        row = op.checked(op.index(branch.state), sequential=True)
+        for label, target, weight in zip(row.labels, row.targets, row.weights):
             if weight == 0:
                 continue
             out.append(
                 HistoryBranch(
                     history=branch.history + (label,),
-                    state=apply_transition(table, branch.state, label),
+                    state=op.states[target],
                     prob=branch.prob * weight,
                 )
             )
-        if hold > 0:
+        if row.hold > 0:
             out.append(
                 HistoryBranch(
                     history=branch.history + (0,),
                     state=branch.state,
-                    prob=branch.prob * hold,
+                    prob=branch.prob * row.hold,
                 )
             )
     return out
@@ -123,10 +95,10 @@ def run_tree(
     branch_cap: int = 500_000,
 ) -> list[HistoryBranch]:
     """Full history tree after ``steps`` divisions."""
+    if steps < 0:
+        raise StateSpaceError(f"need steps >= 0, got {steps}")
     state = initial or MassDistribution.monodisperse(table.num_bins)
-    # a Fraction seed keeps exact-rational tables exact; float tables are
-    # unaffected since Fraction * float is a float
-    branches = [HistoryBranch(history=(), state=state, prob=Fraction(1))]
+    branches = [HistoryBranch(history=(), state=state, prob=_unit(table))]
     for step in range(1, steps + 1):
         if len(branches) * (table.num_labels + 1) > branch_cap:
             raise BranchCapError(
@@ -147,8 +119,12 @@ def run_merged(
     Valid because histories are orthogonal labels on non-negative
     probabilities: merging after each step commutes with the division.
     """
+    if steps < 0:
+        raise StateSpaceError(f"need steps >= 0, got {steps}")
     state = initial or MassDistribution.monodisperse(table.num_bins)
-    current = ProbabilityTable({state: Fraction(1)}, step=0)
+    if table.operator.is_float and steps:
+        return _merged_float(table, steps, state)
+    current = ProbabilityTable({state: _unit(table)}, step=0)
     for step in range(1, steps + 1):
         pieces = [
             HistoryBranch(history=(), state=s, prob=p)
@@ -157,6 +133,54 @@ def run_merged(
         children = divide_step(pieces, table, 1)
         current = merge_branches(children, step)
     return current
+
+
+def _unit(table: TransitionTable):
+    """Probability one in the table's number type: rational tables stay exact."""
+    return 1.0 if table.operator.is_float else Fraction(1)
+
+
+def _merged_float(
+    table: TransitionTable, steps: int, state: MassDistribution
+) -> ProbabilityTable:
+    """:func:`run_merged` on flat arrays, one ``np.bincount`` per step.
+
+    Each state sums its hold child first, then its inflows in ascending
+    label order: the order :func:`merge_branches` sorts children into, so
+    the sums agree bit for bit with the branch path.
+    """
+    op = table.operator
+    start = op.index(state)
+    prog = op.program([start], [start], steps)
+    size = len(prog.ids)
+    emits = prog.weight != 0
+    by_label = np.argsort(prog.label[emits], kind="stable")
+    src = prog.src[emits][by_label]
+    dst = prog.dst[emits][by_label]
+    weight = prog.weight[emits][by_label]
+    holds = prog.hold > 0
+    faulty = prog.over | prog.drift
+    prob = np.zeros(size)
+    prob[prog.where[start]] = 1.0
+    present = np.zeros(size, dtype=bool)
+    present[prog.where[start]] = True
+    for _ in range(steps):
+        fault = np.flatnonzero(present & faulty)
+        if fault.size:
+            op.checked(prog.ids[fault[0]], sequential=True)
+        holders = np.flatnonzero(present & holds)
+        moving = present[src]
+        targets = np.concatenate([holders, dst[moving]])
+        children = np.concatenate(
+            [prob[holders] * prog.hold[holders], prob[src[moving]] * weight[moving]]
+        )
+        prob = np.bincount(targets, children, minlength=size)
+        present = np.zeros(size, dtype=bool)
+        present[targets] = True
+    kept = np.flatnonzero(present)
+    return ProbabilityTable(
+        dict(zip([prog.states[i] for i in kept], prob[kept].tolist())), step=steps
+    )
 
 
 def amplitude_expectation(distribution: ProbabilityTable, bin_index: int):

@@ -16,19 +16,10 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .states import (
-    MassDistribution,
-    StateSpaceError,
-    TransitionTable,
-    apply_pair,
-    propensities,
-)
+from .states import MassDistribution, StateSpaceError, TransitionTable
+from .states import StepSizeError  # noqa: F401  (callers catch master.StepSizeError)
 
 PROB_TOL = 1e-12
-
-
-class StepSizeError(StateSpaceError):
-    """The explicit update would move more probability than a state holds."""
 
 
 @dataclass(frozen=True)
@@ -69,21 +60,81 @@ class SsaConfig:
             raise StateSpaceError(f"need t_end >= 0, got {self.t_end}")
 
 
-def step_rates(table: TransitionTable, state: MassDistribution):
-    """Per-step probabilities ``r_h`` of ``state`` and their sum.
+def _float_steps(
+    p0: ProbabilityTable, table: TransitionTable, steps: int, keep_all: bool
+) -> list[ProbabilityTable]:
+    """``steps`` explicit updates on flat arrays; the tables after each step
+    (``keep_all``) or after the last.
 
-    Returns ``(rates, total)`` with ``rates[h-1] = r_h``.  Raises
-    :class:`StepSizeError` when ``total = sum_h r_h > 1``: the explicit
-    update would then move more probability than the state holds.
+    One ``np.bincount`` per step adds, for every state, its old value,
+    then its own outflows in label order, then its inflows in ascending
+    (source, label) order: the order :func:`_exact_step` applies them, so
+    the sums agree bit for bit.  Entries keep the insertion order of the
+    dict path: the old keys, then new targets in the order first reached.
     """
-    rates = [rate * table.dt for rate in propensities(table, state.counts)]
-    total = sum(rates)
-    if total > 1:
-        raise StepSizeError(
-            f"sum of transition probabilities {total} > 1 for state "
-            f"{state.counts}; reduce dt"
-        )
-    return rates, total
+    op = table.operator
+    keys = [op.index(s) for s in p0.entries]
+    live = [k for k, v in zip(keys, p0.entries.values()) if v != 0]
+    prog = op.program(keys, live, steps)
+    size = len(prog.ids)
+    order = [prog.where[k] for k in keys]
+    present = np.zeros(size, dtype=bool)
+    present[order] = True
+    prob = np.zeros(size)
+    prob[order] = list(p0.entries.values())
+    terms = np.concatenate([np.arange(size), prog.src, prog.dst])
+    out = []
+    for step in range(p0.step + 1, p0.step + steps + 1):
+        live = prob != 0
+        over = np.flatnonzero(live & prog.over)
+        if over.size:
+            op.checked(prog.ids[over[0]])
+        flow = prob[prog.src] * prog.rate
+        fresh = prog.dst[live[prog.src] & ~present[prog.dst]]
+        if fresh.size:
+            _, first = np.unique(fresh, return_index=True)
+            fresh = fresh[np.sort(first)]
+            order.extend(fresh.tolist())
+            present[fresh] = True
+        prob = np.bincount(terms, np.concatenate([prob, -flow, flow]), minlength=size)
+        if keep_all or step == p0.step + steps:
+            out.append(ProbabilityTable(
+                dict(zip([prog.states[i] for i in order], prob[order].tolist())), step=step
+            ))
+    return out
+
+
+def _exact_step(p: ProbabilityTable, table: TransitionTable) -> ProbabilityTable:
+    """One explicit update in the entries' own number type (rationals stay
+    exact): probability moves flow by flow, populated states in ascending
+    counts order."""
+    op = table.operator
+    new = dict(p.entries)
+    for state in sorted(p.entries, key=lambda s: s.counts):
+        prob = p.entries[state]
+        if prob == 0:
+            continue
+        row = op.checked(op.index(state))
+        for target, rate in zip(row.targets, row.rates):
+            flow = prob * rate
+            target = op.states[target]
+            new[state] -= flow
+            new[target] = new.get(target, 0 * flow) + flow
+    return ProbabilityTable(new, step=p.step + 1)
+
+
+def _updates(
+    p0: ProbabilityTable, table: TransitionTable, steps: int, keep_all: bool
+) -> list[ProbabilityTable]:
+    """Tables after each of ``steps`` updates (``keep_all``) or after the
+    last: on flat arrays for a float table with float probabilities, flow
+    by flow otherwise."""
+    if table.operator.is_float and all(type(v) is float for v in p0.entries.values()):
+        return _float_steps(p0, table, steps, keep_all)
+    series = [p0]
+    for _ in range(steps):
+        series.append(_exact_step(series[-1], table))
+    return series[1:] if keep_all else series[-1:]
 
 
 def euler_step(p: ProbabilityTable, table: TransitionTable) -> ProbabilityTable:
@@ -91,43 +142,26 @@ def euler_step(p: ProbabilityTable, table: TransitionTable) -> ProbabilityTable:
 
     Probability is moved flow-by-flow, which is algebraically identical to
     the gain/loss form of the update and conserves the total exactly up to
-    rounding.  Populated states are visited in ascending counts order, and
-    :class:`StepSizeError` names the first of them with ``sum_h r_h > 1``.
+    rounding.  :class:`StepSizeError` names the first populated state, in
+    ascending counts order, with ``sum_h r_h > 1``.
     """
-    new = dict(p.entries)
-    for state in sorted(p.entries, key=lambda s: s.counts):
-        prob = p.entries[state]
-        if prob == 0:
-            continue
-        rates, _ = step_rates(table, state)
-        for (i, j), rate in zip(table.pairs, rates):
-            if rate == 0:
-                continue
-            flow = prob * rate
-            target = apply_pair(state, i, j)
-            new[state] -= flow
-            new[target] = new.get(target, 0 * flow) + flow
-    return ProbabilityTable(new, step=p.step + 1)
+    return _updates(p, table, 1, keep_all=False)[0]
 
 
 def evolve(p0: ProbabilityTable, table: TransitionTable, steps: int) -> ProbabilityTable:
     """``steps``-fold composition of :func:`euler_step`."""
     if steps < 0:
         raise StateSpaceError(f"need steps >= 0, got {steps}")
-    p = p0
-    for _ in range(steps):
-        p = euler_step(p, table)
-    return p
+    return _updates(p0, table, steps, keep_all=False)[0] if steps else p0
 
 
 def evolve_series(
     p0: ProbabilityTable, table: TransitionTable, steps: int
 ) -> list[ProbabilityTable]:
     """All intermediate tables from step 0 to ``steps`` inclusive."""
-    series = [p0]
-    for _ in range(steps):
-        series.append(euler_step(series[-1], table))
-    return series
+    if steps < 0:
+        raise StateSpaceError(f"need steps >= 0, got {steps}")
+    return [p0] + _updates(p0, table, steps, keep_all=True)
 
 
 def marginal(p: ProbabilityTable, bin_index: int, value: int):
@@ -143,12 +177,22 @@ def marginal(p: ProbabilityTable, bin_index: int, value: int):
 
 def expected_count(p: ProbabilityTable, bin_index: int):
     """Expected droplet count of bin ``bin_index``."""
+    if p.entries:
+        n_bins = next(iter(p.entries)).num_bins
+        if not 1 <= bin_index <= n_bins:
+            raise StateSpaceError(f"bin {bin_index} outside [1, {n_bins}]")
     total = 0.0
     for state, prob in p.entries.items():
-        if not 1 <= bin_index <= state.num_bins:
-            raise StateSpaceError(f"bin {bin_index} outside [1, {state.num_bins}]")
         total += state.counts[bin_index - 1] * prob
     return total
+
+
+def _expected_counts(p: ProbabilityTable) -> list:
+    """:func:`expected_count` of every bin in one pass over the entries."""
+    totals = [0.0] * next(iter(p.entries)).num_bins
+    for state, prob in p.entries.items():
+        totals = [total + count * prob for total, count in zip(totals, state.counts)]
+    return totals
 
 
 def mass_expectation(p: ProbabilityTable):
@@ -163,19 +207,18 @@ def ssa_trajectory(
     initial: MassDistribution | None = None,
 ) -> MassDistribution:
     """One exact Gillespie trajectory, returning the state at ``t_end``."""
-    state = initial or MassDistribution.monodisperse(table.num_bins)
+    op = table.operator
+    k = op.index(initial or MassDistribution.monodisperse(table.num_bins))
     t = 0.0
     while True:
-        props = np.array(propensities(table, state.counts), dtype=float)
-        total = props.sum()
-        if total <= 0:
+        row = op.row(k)
+        if row.event_rate <= 0:
             break
-        t += rng.exponential(1.0 / total)
+        t += rng.exponential(1.0 / row.event_rate)
         if t > t_end:
             break
-        label = int(np.searchsorted(np.cumsum(props) / total, rng.uniform()))
-        state = apply_pair(state, *table.pairs[label])
-    return state
+        k = row.targets[int(np.searchsorted(row.event_cdf, rng.uniform()))]
+    return op.states[k]
 
 
 def ssa_population_estimate(
@@ -220,7 +263,7 @@ def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> Non
 
 def state_id(state: MassDistribution) -> str:
     """Stable textual key for CSV output, e.g. ``2|0|1``."""
-    return "|".join(str(c) for c in state.counts)
+    return "|".join(map(str, state.counts))
 
 
 def write_expected_series(
@@ -228,9 +271,9 @@ def write_expected_series(
 ) -> None:
     """CSV export with columns (step, bin, expected_count)."""
     rows = (
-        (table.step, bin_index, expected_count(table, bin_index))
+        (table.step, bin_index, value)
         for table in series
-        for bin_index in range(1, next(iter(table.entries)).num_bins + 1)
+        for bin_index, value in enumerate(_expected_counts(table), start=1)
     )
     write_csv(path, ["step", "bin", "expected_count"], rows)
 

@@ -12,10 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterator, Sequence
+from functools import cached_property, lru_cache
+from typing import Iterator, NamedTuple, Sequence
+
+import numpy as np
 
 DEFAULT_ENUMERATION_CAP = 60
+SEQUENTIAL_TOL = 1e-12
 
 
 class StateSpaceError(ValueError):
@@ -36,6 +39,10 @@ class InfeasibleTransitionError(StateSpaceError):
 
 class EmptyTableError(StateSpaceError):
     """No collisions are possible (``N < 2``)."""
+
+
+class StepSizeError(StateSpaceError):
+    """The explicit update would move more probability than a state holds."""
 
 
 @dataclass(frozen=True)
@@ -152,6 +159,11 @@ class TransitionTable:
             raise LabelError(f"pair ({i},{j}) is not a valid collision")
         return (i - 1) * (self.num_bins + 1 - i) + (j - i) + 1
 
+    @cached_property
+    def operator(self) -> "TransitionOperator":
+        """The compiled transition operator; built once, lives with the table."""
+        return TransitionOperator(self)
+
 
 def label_pair_count(n_bins: int) -> int:
     """Closed-form pair count: ``N^2/4`` for even ``N``, ``(N^2-1)/4`` odd."""
@@ -256,6 +268,214 @@ def apply_transition(table: TransitionTable, state: MassDistribution, label: int
     """Post-collision state for transition ``label``."""
     i, j = table.pair_of(label)
     return apply_pair(state, i, j)
+
+
+class OperatorRow(NamedTuple):
+    """One compiled state: its transitions with ``r_h != 0``, in label order.
+
+    ``targets`` are operator indices of the post-collision states.
+    ``weights`` and ``hold`` are the division model's sequential split
+    (labels visited ``H..1``, label ``h`` claiming ``r_h / s_{h+1}`` of
+    what is unclaimed) and its remainder ``s_1``; ``drift`` is the first
+    label whose weight strays from ``r_h`` by more than ``SEQUENTIAL_TOL``
+    (0 if none).  ``event_rate`` (``sum_h r_h / dt``) and ``event_cdf``
+    (the cumulative label distribution at ``labels``) are what the
+    Gillespie sampler draws from; both are computed on the length-``H``
+    float propensity vector.
+    """
+
+    labels: tuple[int, ...]
+    targets: tuple[int, ...]
+    rates: tuple
+    total: object
+    weights: tuple
+    hold: object
+    drift: int
+    event_rate: float
+    event_cdf: np.ndarray
+
+
+class StepProgram(NamedTuple):
+    """Flat arrays for a float run over the states it can reach.
+
+    ``ids`` are operator indices in ascending counts order and ``where``
+    maps them to positions.  Edges (``src`` and ``dst`` positions,
+    ``label``, ``rate``, ``weight``) come in ascending source, then label
+    order.  ``hold``, ``over`` (``sum_h r_h > 1``) and ``drift`` are per
+    position and read zero for states the run never steps from.
+    """
+
+    ids: list[int]
+    states: list[MassDistribution]
+    where: dict[int, int]
+    src: np.ndarray
+    dst: np.ndarray
+    label: np.ndarray
+    rate: np.ndarray
+    weight: np.ndarray
+    hold: np.ndarray
+    over: np.ndarray
+    drift: np.ndarray
+
+
+class TransitionOperator:
+    """Sparse transition rows of one table, compiled per state on first use.
+
+    A state gets an index when first seen, as a start state or as the
+    target of a compiled row; its row is compiled when a run first needs
+    its outflows.  Only the support a run can reach is ever built, never
+    the whole state space.  The float solver and division model read the
+    flat arrays of :meth:`program`; the exact-rational paths, the history
+    tree and the Gillespie sampler read :meth:`row` directly.
+    """
+
+    def __init__(self, table: TransitionTable) -> None:
+        self.num_bins = table.num_bins
+        self.num_labels = table.num_labels
+        # float paths apply only when every r_h is a Python float
+        self.is_float = type(table.dt) is float and all(
+            type(k) is float for k in table.kernel_values
+        )
+        self.states: list[MassDistribution] = []
+        self._dt = table.dt
+        self._kernel = table.kernel_values
+        self._first_label = {i: h for h, (i, j) in enumerate(table.pairs, start=1) if i == j}
+        self._rows: list[OperatorRow | None] = []
+        self._index: dict[tuple[int, ...], int] = {}
+
+    def index(self, state: MassDistribution) -> int:
+        """Operator index of ``state``, assigned on first sight."""
+        if state.num_bins != self.num_bins:
+            raise StateSpaceError(f"state {state.counts} does not have {self.num_bins} bins")
+        found = self._index.get(state.counts)
+        if found is None:
+            found = self._index[state.counts] = len(self.states)
+            self.states.append(state)
+            self._rows.append(None)
+        return found
+
+    def _index_counts(self, counts: tuple[int, ...]) -> int:
+        found = self._index.get(counts)
+        return self.index(MassDistribution(counts)) if found is None else found
+
+    def row(self, k: int) -> OperatorRow:
+        """Row of state ``k``, compiled on first use."""
+        row = self._rows[k]
+        if row is None:
+            row = self._rows[k] = self._compile(self.states[k].counts)
+        return row
+
+    def _compile(self, counts: tuple[int, ...]) -> OperatorRow:
+        occupied = [b for b, c in enumerate(counts, start=1) if c]
+        labels, targets, props, rates = [], [], [], []
+        for first, i in enumerate(occupied):
+            for j in occupied[first:]:
+                if i + j > self.num_bins:
+                    break
+                label = self._first_label[i] + j - i
+                prop = _pair_propensity(self._kernel[label - 1], counts, i, j)
+                rate = prop * self._dt
+                if rate != 0:
+                    after = list(counts)
+                    after[i - 1] -= 1
+                    after[j - 1] -= 1
+                    after[i + j - 1] += 1
+                    labels.append(label)
+                    targets.append(self._index_counts(tuple(after)))
+                    props.append(prop)
+                    rates.append(rate)
+        total = sum(rates, 0 * self._dt)
+        # sequential split, labels H..1; a zero-rate label leaves s unchanged
+        weights = [0 * total] * len(rates)
+        remaining = 1 + 0 * total  # keeps Fraction inputs exact
+        for pos in range(len(rates) - 1, -1, -1):
+            s_next = remaining
+            if s_next <= 0:
+                break
+            modified = rates[pos] / s_next
+            if modified > 1:
+                modified = 1 + 0 * total
+            weights[pos] = modified * s_next
+            remaining = (1 - modified) * s_next
+        drift = next(
+            (h for h, w, r in zip(labels, weights, rates) if abs(w - r) > SEQUENTIAL_TOL), 0
+        )
+        dense = np.zeros(self.num_labels)
+        stored = np.array(labels, dtype=np.intp) - 1
+        dense[stored] = props
+        event_rate = dense.sum()
+        cdf = (np.cumsum(dense) / event_rate)[stored] if labels else dense[stored]
+        return OperatorRow(
+            tuple(labels), tuple(targets), tuple(rates), total,
+            tuple(weights), remaining, drift, event_rate, cdf,
+        )
+
+    def checked(self, k: int, sequential: bool = False) -> OperatorRow:
+        """Row ``k`` after the step-size check and, for the division model
+        (``sequential``), the sequential-drift check."""
+        row = self.row(k)
+        if row.total > 1:
+            raise StepSizeError(
+                f"sum of transition probabilities {row.total} > 1 for state "
+                f"{self.states[k].counts}; reduce dt"
+            )
+        if sequential and row.drift:
+            raise StateSpaceError(
+                f"sequential division drifted from direct rate at label {row.drift}"
+            )
+        return row
+
+    def reach(self, sources: Sequence[int], steps: int) -> tuple[list[int], int]:
+        """States within ``steps`` transitions of ``sources``, breadth first.
+
+        Returns the indices and how many of them, a prefix, lie within
+        ``steps - 1`` transitions: exactly those rows get compiled.
+        """
+        seen = dict.fromkeys(sources)
+        frontier = list(seen)
+        n_stepping = 0
+        for _ in range(steps):
+            if not frontier:
+                break
+            n_stepping = len(seen)
+            nxt = []
+            for k in frontier:
+                for target in self.row(k).targets:
+                    if target not in seen:
+                        seen[target] = None
+                        nxt.append(target)
+            frontier = nxt
+        return list(seen), n_stepping
+
+    def program(self, keys: Sequence[int], sources: Sequence[int], steps: int) -> StepProgram:
+        """Flat arrays for ``steps`` float steps from ``sources``, over the
+        reachable states plus ``keys``."""
+        reached, n_stepping = self.reach(sources, steps)
+        stepping = set(reached[:n_stepping])
+        ids = sorted(set(keys).union(reached), key=lambda k: self.states[k].counts)
+        where = {k: pos for pos, k in enumerate(ids)}
+        src, dst, label, rate, weight = [], [], [], [], []
+        hold = np.zeros(len(ids))
+        over = np.zeros(len(ids), dtype=bool)
+        drift = np.zeros(len(ids), dtype=bool)
+        for pos, k in enumerate(ids):
+            if k not in stepping:
+                continue
+            row = self._rows[k]
+            src.extend([pos] * len(row.labels))
+            dst.extend(where[t] for t in row.targets)
+            label.extend(row.labels)
+            rate.extend(row.rates)
+            weight.extend(row.weights)
+            hold[pos] = row.hold
+            over[pos] = row.total > 1
+            drift[pos] = row.drift != 0
+        return StepProgram(
+            ids, [self.states[k] for k in ids], where,
+            np.array(src, dtype=np.intp), np.array(dst, dtype=np.intp),
+            np.array(label, dtype=np.intp), np.array(rate, dtype=float),
+            np.array(weight, dtype=float), hold, over, drift,
+        )
 
 
 @lru_cache(maxsize=None)

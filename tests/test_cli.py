@@ -147,6 +147,16 @@ def test_simulate_tree_writes_branches(tmp_path):
     assert len(lines) == 1 + len(branches)
 
 
+@pytest.mark.parametrize("mode, name", [("merged", None), ("tree", "branches.csv")])
+def test_simulate_zero_steps_writes_float_one(tmp_path, mode, name):
+    code = main(["simulate", "--N", "4", "--M", "0", "--mode", mode, "--out", str(tmp_path)])
+    assert code == EXIT_OK
+    lines = (tmp_path / "division_probabilities.csv").read_text().splitlines()
+    assert lines[1:] == ["0,4|0|0|0,1.0"]
+    if name is not None:
+        assert (tmp_path / name).read_text().splitlines()[1:] == [",4|0|0|0,1.0"]
+
+
 def test_arcsine_fit_writes_table(tmp_path):
     code = main(["arcsine-fit", "--d", "7", "--eps", "1e-13", "--out", str(tmp_path)])
     assert code == EXIT_OK
@@ -212,6 +222,16 @@ def test_estimate_explicit_parameters(tmp_path):
         pytest.param(["solve"], {"n_bins": 3, "steps": 2, "k0": -1.0}, id="negative-k0"),
         pytest.param(["simulate"], {"n_bins": 3, "steps": 2, "mode": "bogus"},
                      id="unknown-mode"),
+        pytest.param(["solve", "--N", "4", "--M", "-2"], None, id="solve-negative-M"),
+        pytest.param(["simulate", "--N", "4", "--M", "-3"], None, id="simulate-negative-M"),
+        pytest.param(["estimate", "--preset", "paper-case-2", "--bin", "0"], None,
+                     id="estimate-bin-zero"),
+        pytest.param(["estimate", "--preset", "paper-case-2", "--bin", "127"], None,
+                     id="estimate-bin-past-N"),
+        pytest.param(["emulate", "--n-eps", "24", "--eps", "0", "--d", "5", "--samples", "20"],
+                     None, id="emulate-eps-zero"),
+        pytest.param(["emulate", "--n-eps", "24", "--eps", "1e-12", "--d", "0", "--samples", "20"],
+                     None, id="emulate-degree-zero"),
     ],
 )
 def test_bad_inputs_exit_config(tmp_path, argv, config):

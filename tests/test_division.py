@@ -26,6 +26,8 @@ from cloudq.states import (
     MassDistribution,
     StateSpaceError,
     build_transition_table,
+    enumerate_states,
+    total_transition_rate,
     transition_rate,
 )
 
@@ -228,3 +230,72 @@ def test_merged_equivalence_property(n, steps, k0dt):
         ProbabilityTable.point_mass(MassDistribution.monodisperse(n)), table, steps
     )
     assert _max_entry_diff(merged, reference) <= 1e-12
+
+
+def _dyadic_tables(n, kind):
+    # k0 and dt are powers of two, so every rate is exact in both number types
+    unit = build_transition_table(n, KernelSpec(kind, 1.0), 1.0)
+    worst = max(total_transition_rate(unit, s) for s in enumerate_states(n))
+    shift = 1
+    while worst / 2 / 2**shift > 0.5:
+        shift += 1
+    return (
+        build_transition_table(n, KernelSpec(kind, 0.5), 2.0**-shift),
+        build_transition_table(n, KernelSpec(kind, Fraction(1, 2)), Fraction(1, 2**shift)),
+    )
+
+
+def _agree(approx: ProbabilityTable, exact: ProbabilityTable) -> None:
+    assert set(approx.entries) == set(exact.entries)
+    assert all(type(v) is float for v in approx.entries.values())
+    assert all(type(v) is Fraction for v in exact.entries.values())
+    for state, prob in exact.entries.items():
+        assert abs(approx.entries[state] - prob) <= 1e-12
+
+
+@pytest.mark.parametrize("kind", ["constant", "sum", "product"])
+def test_float_and_fraction_executors_agree(kind):
+    for n in range(2, 11):
+        float_table, exact_table = _dyadic_tables(n, kind)
+        start = MassDistribution.monodisperse(n)
+        _agree(
+            evolve(ProbabilityTable.point_mass(start), float_table, 6),
+            evolve(ProbabilityTable({start: Fraction(1)}), exact_table, 6),
+        )
+        _agree(run_merged(float_table, 6), run_merged(exact_table, 6))
+        _agree(
+            merge_branches(run_tree(float_table, 2), 2),
+            merge_branches(run_tree(exact_table, 2), 2),
+        )
+
+
+def test_merged_arrays_match_branch_merge():
+    # the flat-array merged run must equal dividing and merging branch by
+    # branch, bit for bit: same keys, same order, same sums
+    for n, kind, k0, dt, steps in [
+        (5, "constant", 0.9, 0.02, 7), (8, "sum", 0.37, 0.004, 6),
+        (11, "product", 1.3, 0.0007, 5), (13, "sum", 1.1, 0.0011, 4),
+    ]:
+        table = build_transition_table(n, KernelSpec(kind, k0), dt)
+        current = ProbabilityTable({MassDistribution.monodisperse(n): 1.0})
+        for step in range(1, steps + 1):
+            pieces = [HistoryBranch((), s, p) for s, p in current.entries.items()]
+            current = merge_branches(divide_step(pieces, table, 1), step)
+        merged = run_merged(table, steps)
+        assert list(merged.entries.items()) == list(current.entries.items())
+        assert merged.step == current.step
+
+
+def test_negative_steps_rejected():
+    table = _table(3)
+    for run in (run_merged, run_tree):
+        with pytest.raises(StateSpaceError, match="steps >= 0"):
+            run(table, -1)
+
+
+def test_zero_steps_keep_the_table_number_type():
+    float_table, exact_table = _dyadic_tables(4, "constant")
+    assert run_merged(float_table, 0).entries == {MassDistribution.monodisperse(4): 1.0}
+    assert type(run_tree(float_table, 0)[0].prob) is float
+    assert type(run_merged(exact_table, 0).entries[MassDistribution.monodisperse(4)]) is Fraction
+    assert type(run_tree(exact_table, 0)[0].prob) is Fraction

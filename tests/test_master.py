@@ -4,6 +4,7 @@ import pytest
 
 from cloudq.master import (
     ProbabilityTable,
+    _exact_step,
     SsaConfig,
     StepSizeError,
     euler_step,
@@ -212,3 +213,66 @@ def test_csv_exports(tmp_path):
     plines = probs_path.read_text().splitlines()
     assert plines[0] == "step,state_id,probability"
     assert any(line.startswith("2,1|1|0,") for line in plines)
+
+
+def test_flat_steps_match_flow_loop():
+    # the flat-array series must equal the flow-by-flow loop bit for bit:
+    # same keys in the same insertion order, same values
+    for n, kind, k0, dt, steps in [
+        (5, "constant", 0.9, 0.02, 9), (9, "sum", 0.37, 0.003, 8),
+        (12, "product", 1.3, 0.0004, 6), (14, "sum", 1.1, 0.0011, 5),
+    ]:
+        table = build_transition_table(n, KernelSpec(kind, k0), dt)
+        counts = [0] * n
+        counts[0], counts[n - 4] = 3, 1
+        mixed = MassDistribution(tuple(counts))
+        p0 = ProbabilityTable(
+            {mixed: 0.25, MassDistribution.absorbed(n): 0.0,
+             MassDistribution.monodisperse(n): 0.75}
+        )
+        series = evolve_series(p0, table, steps)
+        reference = [p0]
+        for _ in range(steps):
+            reference.append(_exact_step(reference[-1], table))
+        assert [list(p.entries.items()) for p in series] == [
+            list(p.entries.items()) for p in reference
+        ]
+        assert [p.step for p in series] == list(range(steps + 1))
+        assert evolve(p0, table, steps).entries == reference[-1].entries
+
+
+def test_series_compiles_only_the_states_it_holds():
+    # p(60) = 966,467 states; three steps from the monodisperse state reach a
+    # handful, and only those stepped from have compiled rows
+    table = build_transition_table(60, KernelSpec(), 1e-5)
+    series = evolve_series(ProbabilityTable.point_mass(MassDistribution.monodisperse(60)), table, 3)
+    op = table.operator
+    compiled = {s for s, row in zip(op.states, op._rows) if row is not None}
+    assert compiled == set(series[2].entries)
+    assert set(op.states) == set(series[3].entries)
+    assert len(series[3].entries) < 20
+
+
+def test_negative_steps_rejected():
+    table, p0 = _mono_table(3)
+    for run in (evolve, evolve_series):
+        with pytest.raises(StateSpaceError, match="steps >= 0"):
+            run(p0, table, -1)
+
+
+def test_ssa_estimates_pinned():
+    # values recorded from the per-event propensity computation that the
+    # compiled rows replaced; a fixed seed must keep every trajectory
+    table = build_transition_table(8, KernelSpec("sum", 0.5), 0.01)
+    cfg = SsaConfig(n_runs=40, seed=2026, t_end=0.2)
+    assert ssa_population_estimate(table, cfg) == [
+        (2.8, 0.26360420991930217), (1.05, 0.1384437310486346),
+        (0.35, 0.07637626158259733), (0.175, 0.060843430844447585),
+        (0.15, 0.05717718748968655), (0.1, 0.04803844614152611), (0.0, 0.0), (0.0, 0.0),
+    ]
+    assert ssa_population_estimate(table, cfg, MassDistribution((2, 1, 0, 1, 0, 0, 0, 0))) == [
+        (0.875, 0.10853039276555738), (0.425, 0.08687966921597319),
+        (0.175, 0.060843430844447585), (0.3, 0.0816496580927726),
+        (0.275, 0.07149950690165272), (0.1, 0.04803844614152611),
+        (0.225, 0.06686668711812967), (0.125, 0.05295740910852021),
+    ]
