@@ -71,9 +71,6 @@ class RunConfig:
     mode: str = "merged"
     check_master: bool = False
     bin_index: int = 1
-    t_end: float | None = None
-    n_runs: int = 1000
-    seed: int = 0
     out: str | None = None
     format: str = "json"
 
@@ -105,9 +102,6 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
     parser.add_argument("--mode", choices=MODES)
     parser.add_argument("--check-master", dest="check_master", action="store_true", default=None)
     parser.add_argument("--bin", dest="bin_index", type=int)
-    parser.add_argument("--t-end", dest="t_end", type=float)
-    parser.add_argument("--n-runs", dest="n_runs", type=int)
-    parser.add_argument("--seed", type=int)
     parser.add_argument("--out", type=str)
     parser.add_argument("--format", choices=FORMATS)
     ns = parser.parse_args(argv)

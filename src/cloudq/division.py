@@ -12,7 +12,6 @@ squared-amplitude bookkeeping is an exact functional model.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -59,24 +58,13 @@ def divide_step(
                 f"branch history length {len(branch.history)} != step-1 = {step - 1}"
             )
         row = op.checked(op.index(branch.state), sequential=True)
-        for label, target, weight in zip(row.labels, row.targets, row.weights):
-            if weight == 0:
-                continue
-            out.append(
-                HistoryBranch(
-                    history=branch.history + (label,),
-                    state=op.states[target],
-                    prob=branch.prob * weight,
-                )
-            )
+        out.extend(
+            HistoryBranch(branch.history + (label,), op.states[target], branch.prob * weight)
+            for label, target, weight in zip(row.labels, row.targets, row.weights)
+            if weight != 0
+        )
         if row.hold > 0:
-            out.append(
-                HistoryBranch(
-                    history=branch.history + (0,),
-                    state=branch.state,
-                    prob=branch.prob * row.hold,
-                )
-            )
+            out.append(HistoryBranch(branch.history + (0,), branch.state, branch.prob * row.hold))
     return out
 
 
@@ -98,7 +86,7 @@ def run_tree(
     if steps < 0:
         raise StateSpaceError(f"need steps >= 0, got {steps}")
     state = initial or MassDistribution.monodisperse(table.num_bins)
-    branches = [HistoryBranch(history=(), state=state, prob=_unit(table))]
+    branches = [HistoryBranch(history=(), state=state, prob=table.operator.one)]
     for step in range(1, steps + 1):
         if len(branches) * (table.num_labels + 1) > branch_cap:
             raise BranchCapError(
@@ -118,39 +106,15 @@ def run_merged(
 
     Valid because histories are orthogonal labels on non-negative
     probabilities: merging after each step commutes with the division.
+    Each step is one accumulation on the table's step program: every
+    state sums its hold child first, then its inflows in ascending label
+    order, the order :func:`merge_branches` sorts children into, so the
+    sums agree bit for bit with dividing and merging branch by branch.
     """
     if steps < 0:
         raise StateSpaceError(f"need steps >= 0, got {steps}")
-    state = initial or MassDistribution.monodisperse(table.num_bins)
-    if table.operator.is_float and steps:
-        return _merged_float(table, steps, state)
-    current = ProbabilityTable({state: _unit(table)}, step=0)
-    for step in range(1, steps + 1):
-        pieces = [
-            HistoryBranch(history=(), state=s, prob=p)
-            for s, p in sorted(current.entries.items(), key=lambda kv: kv[0].counts)
-        ]
-        children = divide_step(pieces, table, 1)
-        current = merge_branches(children, step)
-    return current
-
-
-def _unit(table: TransitionTable):
-    """Probability one in the table's number type: rational tables stay exact."""
-    return 1.0 if table.operator.is_float else Fraction(1)
-
-
-def _merged_float(
-    table: TransitionTable, steps: int, state: MassDistribution
-) -> ProbabilityTable:
-    """:func:`run_merged` on flat arrays, one ``np.bincount`` per step.
-
-    Each state sums its hold child first, then its inflows in ascending
-    label order: the order :func:`merge_branches` sorts children into, so
-    the sums agree bit for bit with the branch path.
-    """
     op = table.operator
-    start = op.index(state)
+    start = op.index(initial or MassDistribution.monodisperse(table.num_bins))
     prog = op.program([start], [start], steps)
     size = len(prog.ids)
     emits = prog.weight != 0
@@ -160,8 +124,7 @@ def _merged_float(
     weight = prog.weight[emits][by_label]
     holds = prog.hold > 0
     faulty = prog.over | prog.drift
-    prob = np.zeros(size)
-    prob[prog.where[start]] = 1.0
+    prob = prog.vector([prog.where[start]], [op.one])
     present = np.zeros(size, dtype=bool)
     present[prog.where[start]] = True
     for _ in range(steps):
@@ -174,7 +137,7 @@ def _merged_float(
         children = np.concatenate(
             [prob[holders] * prog.hold[holders], prob[src[moving]] * weight[moving]]
         )
-        prob = np.bincount(targets, children, minlength=size)
+        prob = prog.accumulate(targets, children)
         present = np.zeros(size, dtype=bool)
         present[targets] = True
     kept = np.flatnonzero(present)

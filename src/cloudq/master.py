@@ -60,17 +60,19 @@ class SsaConfig:
             raise StateSpaceError(f"need t_end >= 0, got {self.t_end}")
 
 
-def _float_steps(
+def _steps(
     p0: ProbabilityTable, table: TransitionTable, steps: int, keep_all: bool
 ) -> list[ProbabilityTable]:
-    """``steps`` explicit updates on flat arrays; the tables after each step
-    (``keep_all``) or after the last.
+    """``steps`` explicit updates on the table's step program; the tables
+    after each step (``keep_all``) or after the last.
 
-    One ``np.bincount`` per step adds, for every state, its old value,
-    then its own outflows in label order, then its inflows in ascending
-    (source, label) order: the order :func:`_exact_step` applies them, so
-    the sums agree bit for bit.  Entries keep the insertion order of the
-    dict path: the old keys, then new targets in the order first reached.
+    Only populated states move probability.  Each step accumulates, for
+    every state, its old value, then its own outflows in label order, then
+    its inflows in ascending (source, label) order.  A collision always
+    lowers the counts vector, so this is the order of moving probability
+    flow by flow through the populated states in ascending counts order.
+    Entries keep their insertion order: the old keys, then new targets in
+    the order first reached.
     """
     op = table.operator
     keys = [op.index(s) for s in p0.entries]
@@ -80,23 +82,23 @@ def _float_steps(
     order = [prog.where[k] for k in keys]
     present = np.zeros(size, dtype=bool)
     present[order] = True
-    prob = np.zeros(size)
-    prob[order] = list(p0.entries.values())
-    terms = np.concatenate([np.arange(size), prog.src, prog.dst])
+    prob = prog.vector(order, list(p0.entries.values()))
+    stay = np.arange(size)
     out = []
     for step in range(p0.step + 1, p0.step + steps + 1):
         live = prob != 0
         over = np.flatnonzero(live & prog.over)
         if over.size:
             op.checked(prog.ids[over[0]])
-        flow = prob[prog.src] * prog.rate
-        fresh = prog.dst[live[prog.src] & ~present[prog.dst]]
-        if fresh.size:
-            _, first = np.unique(fresh, return_index=True)
-            fresh = fresh[np.sort(first)]
-            order.extend(fresh.tolist())
-            present[fresh] = True
-        prob = np.bincount(terms, np.concatenate([prob, -flow, flow]), minlength=size)
+        moving = live[prog.src]
+        src, dst = prog.src[moving], prog.dst[moving]
+        flow = prob[src] * prog.rate[moving]
+        fresh = list(dict.fromkeys(dst[~present[dst]].tolist()))
+        order.extend(fresh)
+        present[fresh] = True
+        prob = prog.accumulate(
+            np.concatenate([stay, src, dst]), np.concatenate([prob, -flow, flow])
+        )
         if keep_all or step == p0.step + steps:
             out.append(ProbabilityTable(
                 dict(zip([prog.states[i] for i in order], prob[order].tolist())), step=step
@@ -104,55 +106,23 @@ def _float_steps(
     return out
 
 
-def _exact_step(p: ProbabilityTable, table: TransitionTable) -> ProbabilityTable:
-    """One explicit update in the entries' own number type (rationals stay
-    exact): probability moves flow by flow, populated states in ascending
-    counts order."""
-    op = table.operator
-    new = dict(p.entries)
-    for state in sorted(p.entries, key=lambda s: s.counts):
-        prob = p.entries[state]
-        if prob == 0:
-            continue
-        row = op.checked(op.index(state))
-        for target, rate in zip(row.targets, row.rates):
-            flow = prob * rate
-            target = op.states[target]
-            new[state] -= flow
-            new[target] = new.get(target, 0 * flow) + flow
-    return ProbabilityTable(new, step=p.step + 1)
-
-
-def _updates(
-    p0: ProbabilityTable, table: TransitionTable, steps: int, keep_all: bool
-) -> list[ProbabilityTable]:
-    """Tables after each of ``steps`` updates (``keep_all``) or after the
-    last: on flat arrays for a float table with float probabilities, flow
-    by flow otherwise."""
-    if table.operator.is_float and all(type(v) is float for v in p0.entries.values()):
-        return _float_steps(p0, table, steps, keep_all)
-    series = [p0]
-    for _ in range(steps):
-        series.append(_exact_step(series[-1], table))
-    return series[1:] if keep_all else series[-1:]
-
-
 def euler_step(p: ProbabilityTable, table: TransitionTable) -> ProbabilityTable:
     """One explicit update of the discretized master equation.
 
-    Probability is moved flow-by-flow, which is algebraically identical to
-    the gain/loss form of the update and conserves the total exactly up to
-    rounding.  :class:`StepSizeError` names the first populated state, in
+    Every populated state loses ``r_h * P`` to each post-collision state,
+    which is algebraically identical to the gain/loss form of the update
+    and conserves the total exactly up to rounding; rational tables stay
+    exact.  :class:`StepSizeError` names the first populated state, in
     ascending counts order, with ``sum_h r_h > 1``.
     """
-    return _updates(p, table, 1, keep_all=False)[0]
+    return _steps(p, table, 1, keep_all=False)[0]
 
 
 def evolve(p0: ProbabilityTable, table: TransitionTable, steps: int) -> ProbabilityTable:
     """``steps``-fold composition of :func:`euler_step`."""
     if steps < 0:
         raise StateSpaceError(f"need steps >= 0, got {steps}")
-    return _updates(p0, table, steps, keep_all=False)[0] if steps else p0
+    return _steps(p0, table, steps, keep_all=False)[0] if steps else p0
 
 
 def evolve_series(
@@ -161,7 +131,7 @@ def evolve_series(
     """All intermediate tables from step 0 to ``steps`` inclusive."""
     if steps < 0:
         raise StateSpaceError(f"need steps >= 0, got {steps}")
-    return [p0] + _updates(p0, table, steps, keep_all=True)
+    return [p0] + _steps(p0, table, steps, keep_all=True)
 
 
 def marginal(p: ProbabilityTable, bin_index: int, value: int):
@@ -282,8 +252,9 @@ def write_probability_series(
     series: Sequence[ProbabilityTable], path: str
 ) -> None:
     """CSV export with columns (step, state_id, probability)."""
+    ids = {state: state_id(state) for state in set().union(*(t.entries for t in series))}
     rows = (
-        (table.step, state_id(state), table.entries[state])
+        (table.step, ids[state], table.entries[state])
         for table in series
         for state in table.states()
     )

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Iterator, NamedTuple, Sequence
 
@@ -216,19 +217,6 @@ def _pair_propensity(kernel, counts: Sequence[int], i: int, j: int):
     return kernel * ni * nj
 
 
-def propensities(table: TransitionTable, counts: Sequence[int]) -> list:
-    """Continuous-time rates ``r_h / dt`` for every label, label order.
-
-    The one place the transition rule is written: the solver, the division
-    model and the Gillespie sampler all read their rates from here.  Values
-    keep the kernel's number type, so rational tables stay exact.
-    """
-    return [
-        _pair_propensity(kernel, counts, i, j)
-        for (i, j), kernel in zip(table.pairs, table.kernel_values)
-    ]
-
-
 def transition_rate(table: TransitionTable, state: MassDistribution, label: int):
     """Per-step transition probability ``r_h`` of ``state`` under ``label``.
 
@@ -241,7 +229,10 @@ def transition_rate(table: TransitionTable, state: MassDistribution, label: int)
 
 def total_transition_rate(table: TransitionTable, state: MassDistribution):
     """``sum_h r_h(state)``; must stay <= 1 for a valid explicit step."""
-    return sum(rate * table.dt for rate in propensities(table, state.counts))
+    return sum(
+        _pair_propensity(kernel, state.counts, i, j) * table.dt
+        for (i, j), kernel in zip(table.pairs, table.kernel_values)
+    )
 
 
 def apply_pair(state: MassDistribution, i: int, j: int) -> MassDistribution:
@@ -296,13 +287,16 @@ class OperatorRow(NamedTuple):
 
 
 class StepProgram(NamedTuple):
-    """Flat arrays for a float run over the states it can reach.
+    """Flat arrays for a run's steps over the states it can reach.
 
     ``ids`` are operator indices in ascending counts order and ``where``
     maps them to positions.  Edges (``src`` and ``dst`` positions,
     ``label``, ``rate``, ``weight``) come in ascending source, then label
     order.  ``hold``, ``over`` (``sum_h r_h > 1``) and ``drift`` are per
     position and read zero for states the run never steps from.
+    ``rate``, ``weight`` and ``hold`` hold the table's number type:
+    float64 on a float table, Python numbers (``dtype=object``) otherwise,
+    so rational tables stay exact.
     """
 
     ids: list[int]
@@ -317,6 +311,35 @@ class StepProgram(NamedTuple):
     over: np.ndarray
     drift: np.ndarray
 
+    def vector(self, positions: Sequence[int], values: Sequence) -> np.ndarray:
+        """``values`` at ``positions`` and zero elsewhere.
+
+        Float64 when the program and every value are floats; Python
+        numbers otherwise, so each entry follows Python's own arithmetic
+        (an ``int`` or ``Fraction`` no step touches stays one).
+        """
+        values = np.array(values, dtype=object)
+        exact = self.rate.dtype == object or any(type(v) is not float for v in values)
+        out = np.zeros(len(self.ids), dtype=object if exact else float)
+        out[positions] = values
+        return out
+
+    def accumulate(self, index: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """``out[t] += v`` for every ``(t, v)`` in input order, per position;
+        zero where no value lands.
+
+        ``bincount`` on float64 values; a Python loop on Python numbers,
+        which starts each position at its first value and so keeps that
+        value's type.  Its sums are exact for rationals and, for floats,
+        taken in the order ``bincount`` takes them.
+        """
+        if values.dtype != object:
+            return np.bincount(index, values, minlength=len(self.ids))
+        out = [None] * len(self.ids)
+        for t, v in zip(index.tolist(), values.tolist()):
+            out[t] = v if out[t] is None else out[t] + v
+        return np.array([0 if v is None else v for v in out], dtype=object)
+
 
 class TransitionOperator:
     """Sparse transition rows of one table, compiled per state on first use.
@@ -324,18 +347,19 @@ class TransitionOperator:
     A state gets an index when first seen, as a start state or as the
     target of a compiled row; its row is compiled when a run first needs
     its outflows.  Only the support a run can reach is ever built, never
-    the whole state space.  The float solver and division model read the
-    flat arrays of :meth:`program`; the exact-rational paths, the history
-    tree and the Gillespie sampler read :meth:`row` directly.
+    the whole state space.  The solver and the merged division model,
+    float or rational, step on the flat arrays of :meth:`program`; the
+    history tree and the Gillespie sampler read :meth:`row` directly.
     """
 
     def __init__(self, table: TransitionTable) -> None:
         self.num_bins = table.num_bins
         self.num_labels = table.num_labels
-        # float paths apply only when every r_h is a Python float
+        # programs run on float64 only when every r_h is a Python float
         self.is_float = type(table.dt) is float and all(
             type(k) is float for k in table.kernel_values
         )
+        self.one = 1.0 if self.is_float else Fraction(1)  # keeps rationals exact
         self.states: list[MassDistribution] = []
         self._dt = table.dt
         self._kernel = table.kernel_values
@@ -448,14 +472,15 @@ class TransitionOperator:
         return list(seen), n_stepping
 
     def program(self, keys: Sequence[int], sources: Sequence[int], steps: int) -> StepProgram:
-        """Flat arrays for ``steps`` float steps from ``sources``, over the
+        """Flat arrays for ``steps`` steps from ``sources``, over the
         reachable states plus ``keys``."""
         reached, n_stepping = self.reach(sources, steps)
         stepping = set(reached[:n_stepping])
         ids = sorted(set(keys).union(reached), key=lambda k: self.states[k].counts)
         where = {k: pos for pos, k in enumerate(ids)}
+        number = float if self.is_float else object
         src, dst, label, rate, weight = [], [], [], [], []
-        hold = np.zeros(len(ids))
+        hold = np.zeros(len(ids), dtype=number)
         over = np.zeros(len(ids), dtype=bool)
         drift = np.zeros(len(ids), dtype=bool)
         for pos, k in enumerate(ids):
@@ -473,8 +498,8 @@ class TransitionOperator:
         return StepProgram(
             ids, [self.states[k] for k in ids], where,
             np.array(src, dtype=np.intp), np.array(dst, dtype=np.intp),
-            np.array(label, dtype=np.intp), np.array(rate, dtype=float),
-            np.array(weight, dtype=float), hold, over, drift,
+            np.array(label, dtype=np.intp), np.array(rate, dtype=number),
+            np.array(weight, dtype=number), hold, over, drift,
         )
 
 

@@ -232,6 +232,14 @@ def test_estimate_explicit_parameters(tmp_path):
                      None, id="emulate-eps-zero"),
         pytest.param(["emulate", "--n-eps", "24", "--eps", "1e-12", "--d", "0", "--samples", "20"],
                      None, id="emulate-degree-zero"),
+        *(
+            pytest.param(["solve", "--N", "3", "--M", "2", flag, value], None, id=f"flag-{flag[2:]}")
+            for flag, value in (("--t-end", "1.0"), ("--n-runs", "10"), ("--seed", "1"))
+        ),
+        *(
+            pytest.param(["solve"], {"n_bins": 3, "steps": 2, key: value}, id=f"key-{key}")
+            for key, value in (("t_end", 1.0), ("n_runs", 10), ("seed", 1))
+        ),
     ],
 )
 def test_bad_inputs_exit_config(tmp_path, argv, config):
@@ -239,4 +247,8 @@ def test_bad_inputs_exit_config(tmp_path, argv, config):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(config))
         argv = argv + ["--config", str(path)]
-    assert main(argv + ["--out", str(tmp_path)]) == EXIT_CONFIG
+    try:
+        code = main(argv + ["--out", str(tmp_path)])
+    except SystemExit as exc:  # argparse exits on an unknown flag itself
+        code = exc.code
+    assert code == EXIT_CONFIG

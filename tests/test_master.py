@@ -1,10 +1,10 @@
 import math
+from fractions import Fraction
 
 import pytest
 
 from cloudq.master import (
     ProbabilityTable,
-    _exact_step,
     SsaConfig,
     StepSizeError,
     euler_step,
@@ -17,12 +17,13 @@ from cloudq.master import (
     write_expected_series,
     write_probability_series,
 )
-from cloudq.division import HistoryBranch, divide_step
+from cloudq.division import HistoryBranch, divide_step, merge_branches, run_tree
 from cloudq.states import (
     KernelSpec,
     MassDistribution,
     StateSpaceError,
     build_transition_table,
+    enumerate_states,
     total_transition_rate,
 )
 
@@ -215,30 +216,65 @@ def test_csv_exports(tmp_path):
     assert any(line.startswith("2,1|1|0,") for line in plines)
 
 
-def test_flat_steps_match_flow_loop():
-    # the flat-array series must equal the flow-by-flow loop bit for bit:
-    # same keys in the same insertion order, same values
-    for n, kind, k0, dt, steps in [
-        (5, "constant", 0.9, 0.02, 9), (9, "sum", 0.37, 0.003, 8),
-        (12, "product", 1.3, 0.0004, 6), (14, "sum", 1.1, 0.0011, 5),
-    ]:
-        table = build_transition_table(n, KernelSpec(kind, k0), dt)
-        counts = [0] * n
-        counts[0], counts[n - 4] = 3, 1
-        mixed = MassDistribution(tuple(counts))
-        p0 = ProbabilityTable(
-            {mixed: 0.25, MassDistribution.absorbed(n): 0.0,
-             MassDistribution.monodisperse(n): 0.75}
-        )
-        series = evolve_series(p0, table, steps)
-        reference = [p0]
-        for _ in range(steps):
-            reference.append(_exact_step(reference[-1], table))
-        assert [list(p.entries.items()) for p in series] == [
-            list(p.entries.items()) for p in reference
-        ]
-        assert [p.step for p in series] == list(range(steps + 1))
-        assert evolve(p0, table, steps).entries == reference[-1].entries
+def _exact_table(n, kind):
+    # dt at 9/10 of the largest sum_h r_h over every state, so no step is too big
+    k0 = Fraction(3, 4)
+    unit = build_transition_table(n, KernelSpec(kind, k0), Fraction(1))
+    worst = max(total_transition_rate(unit, s) for s in enumerate_states(n))
+    return build_transition_table(n, KernelSpec(kind, k0), Fraction(9, 10) / worst)
+
+
+@pytest.mark.parametrize("kind", ["constant", "sum", "product"])
+def test_fraction_solver_matches_tree_marginal(kind):
+    # in Q the sequential split weights equal r_h exactly, so the history
+    # tree summed over histories is the solver's distribution, computed
+    # branch by branch without the step program
+    for n in range(2, 9):
+        table = _exact_table(n, kind)
+        mixed = MassDistribution((n - 2, 1) + (0,) * (n - 2))
+        for start in (MassDistribution.monodisperse(n), mixed):
+            for steps in (1, 2, 3):
+                solver = evolve(ProbabilityTable({start: Fraction(1)}), table, steps)
+                tree = merge_branches(run_tree(table, steps, start), steps)
+                assert all(type(v) is Fraction for v in solver.entries.values())
+                for state in set(solver.entries) | set(tree.entries):
+                    assert solver.entries.get(state, Fraction(0)) == tree.entries.get(
+                        state, Fraction(0)
+                    )
+
+
+def test_float_series_pinned():
+    # keys, insertion order and values recorded from the flow-by-flow loop
+    # that the step program replaced; the zero-probability key stays in
+    # place and is first reached at step 3
+    n = 6
+    table = build_transition_table(n, KernelSpec("sum", 0.37), 0.02)
+    p0 = ProbabilityTable(
+        {MassDistribution((3, 0, 1, 0, 0, 0)): 0.25, MassDistribution.absorbed(n): 0.0,
+         MassDistribution.monodisperse(n): 0.75}
+    )
+    series = evolve_series(p0, table, 3)
+    assert [[(s.counts, repr(v)) for s, v in p.entries.items()] for p in series[1:]] == [
+        [((3, 0, 1, 0, 0, 0), "0.2167"), ((0, 0, 0, 0, 0, 1), "0.0"),
+         ((6, 0, 0, 0, 0, 0), "0.5835"), ((1, 1, 1, 0, 0, 0), "0.011099999999999999"),
+         ((2, 0, 0, 1, 0, 0), "0.022199999999999998"),
+         ((4, 1, 0, 0, 0, 0), "0.16649999999999998")],
+        [((3, 0, 1, 0, 0, 0), "0.20262076"), ((0, 0, 0, 0, 0, 1), "0.0"),
+         ((6, 0, 0, 0, 0, 0), "0.453963"), ((1, 1, 1, 0, 0, 0), "0.019735799999999998"),
+         ((2, 0, 0, 1, 0, 0), "0.039471599999999996"), ((4, 1, 0, 0, 0, 0), "0.2664666"),
+         ((0, 0, 2, 0, 0, 0), "0.00024641999999999996"), ((0, 1, 0, 1, 0, 0), "0.00065712"),
+         ((1, 0, 0, 0, 1, 0), "0.0020535"), ((2, 2, 0, 0, 0, 0), "0.014785199999999997")],
+        [((3, 0, 1, 0, 0, 0), "0.19929390884800002"),
+         ((0, 0, 0, 0, 0, 1), "0.000131292576"), ((6, 0, 0, 0, 0, 0), "0.353183214"),
+         ((1, 1, 1, 0, 0, 0), "0.028292548464"), ((2, 0, 0, 1, 0, 0), "0.05439688732799999"),
+         ((4, 1, 0, 0, 0, 0), "0.31992191783999996"),
+         ((0, 0, 2, 0, 0, 0), "0.0006736137119999999"),
+         ((0, 1, 0, 1, 0, 0), "0.001796303232"), ((1, 0, 0, 0, 1, 0), "0.0056134476"),
+         ((2, 2, 0, 0, 0, 0), "0.036478045439999995"),
+         ((0, 3, 0, 0, 0, 0), "0.00021882095999999995")],
+    ]
+    assert [p.step for p in series] == [0, 1, 2, 3]
+    assert list(evolve(p0, table, 3).entries.items()) == list(series[3].entries.items())
 
 
 def test_series_compiles_only_the_states_it_holds():

@@ -21,7 +21,6 @@ from cloudq.states import (
     label_pair_count,
     partition_count_asymptotic,
     partition_count_exact,
-    propensities,
     total_transition_rate,
     transition_rate,
 )
@@ -196,13 +195,19 @@ def test_total_rate_nonnegative(n, kind, k0):
     "k0, dt", [(0.7, 0.013), (Fraction(7, 10), Fraction(13, 1000))], ids=["float", "fraction"]
 )
 def test_one_transition_rule(kind, k0, dt):
-    # the solver and division read r_h = propensity * dt, the SSA reads the
-    # propensities themselves: all three must agree with transition_rate
+    # the compiled rows the solver, division and SSA read must hold exactly
+    # the nonzero rates of transition_rate, in label order and number type,
+    # their sum, and the post-collision states of apply_transition
     for n in range(2, 13):
         table = build_transition_table(n, KernelSpec(kind, k0), dt)
+        op = table.operator
         for state in enumerate_states(n):
-            props = propensities(table, state.counts)
-            rates = [transition_rate(table, state, h) for h in range(1, table.num_labels + 1)]
-            assert [p * dt for p in props] == rates
-            assert all(type(p * dt) is type(r) for p, r in zip(props, rates))
-            assert total_transition_rate(table, state) == sum(rates)
+            row = op.row(op.index(state))
+            rates = {h: transition_rate(table, state, h) for h in range(1, table.num_labels + 1)}
+            nonzero = [h for h, rate in rates.items() if rate != 0]
+            assert row.labels == tuple(nonzero)
+            assert row.rates == tuple(rates[h] for h in nonzero)
+            assert all(type(r) is type(rates[h]) for h, r in zip(row.labels, row.rates))
+            assert row.total == total_transition_rate(table, state)
+            for label, target in zip(row.labels, row.targets):
+                assert op.states[target] == apply_transition(table, state, label)
