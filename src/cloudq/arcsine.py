@@ -17,6 +17,7 @@ the certified error.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import mpmath as mp
@@ -36,7 +37,9 @@ class FitError(ValueError):
 
 
 class DegreeTooLowError(FitError):
-    """A subdomain failed to converge after the bisection limit."""
+    """The degree cannot reach ``eps``: a subdomain failed to converge after
+    the bisection limit, the piece budget ran out, or ``eps`` lies below
+    the double-precision floor."""
 
 
 @dataclass(frozen=True)
@@ -127,13 +130,23 @@ def min_pieces(
     Each subdomain's right endpoint is bisected toward its left edge until
     the fit error drops below ``eps``; more than :data:`MAX_BISECTIONS`
     halvings of a single subdomain, or a piece budget past ``max_pieces``,
-    raises :class:`DegreeTooLowError`.
+    raises :class:`DegreeTooLowError`.  So does an ``eps`` at or below half
+    an ulp of ``arcsin(hi)``, before any fit: no grid measurement in
+    double precision can certify it.
     """
     if eps <= 0:
         raise FitError(f"need eps > 0, got {eps}")
     lo, hi = domain
     if not 0 <= lo < hi:
         raise FitError(f"invalid domain {domain}")
+    # the grid error is measured against float64 arcsin, whose rounding
+    # alone reaches half an ulp of arcsin(hi)
+    floor = float(np.spacing(np.arcsin(hi))) / 2
+    if eps <= floor:
+        raise DegreeTooLowError(
+            f"eps={eps} is at or below the double-precision floor {floor:.3g} "
+            f"of the grid error on {domain}"
+        )
     pieces: list[PolynomialPiece] = []
     a = lo
     while a < hi:
@@ -165,18 +178,34 @@ def min_pieces(
     )
 
 
+@lru_cache(maxsize=1)
+def _cosine_table(n: int, order: int, prec: int) -> tuple[tuple[mp.mpf, ...], ...]:
+    """``cos(pi j (2k+1) / 2n)`` for ``j <= order``, ``k < n`` at binary
+    precision ``prec``; row 1 holds the Chebyshev nodes.  Every piece of a
+    fit shares one table, and only the latest is kept."""
+    with mp.workprec(prec):
+        return tuple(
+            tuple(mp.cos(mp.pi * j * (2 * k + 1) / (2 * n)) for k in range(n))
+            for j in range(order + 1)
+        )
+
+
 def _truth_series(a: float, b: float, order: int) -> list[mp.mpf]:
-    """Chebyshev series of arcsine on [a, b] to ``order`` in mpmath."""
+    """Chebyshev series of arcsine on [a, b] to ``order`` in mpmath.
+
+    The cosine table depends only on ``(n, order)`` and the working
+    precision, so it is built once and reused by every piece; each
+    coefficient is the same ``fsum`` of ``values[k] * row[k]`` in ``k``
+    order.
+    """
     a_, b_ = mp.mpf(a), mp.mpf(b)
     mid, rad = (a_ + b_) / 2, (b_ - a_) / 2
     n = 2 * order + 8
-    nodes = [mp.cos(mp.pi * (2 * k + 1) / (2 * n)) for k in range(n)]
-    values = [mp.asin(mid + rad * u) for u in nodes]
+    table = _cosine_table(n, order, mp.mp.prec)
+    values = [mp.asin(mid + rad * u) for u in table[1]]
     series = []
-    for j in range(order + 1):
-        acc = mp.fsum(
-            values[k] * mp.cos(mp.pi * j * (2 * k + 1) / (2 * n)) for k in range(n)
-        )
+    for j, row in enumerate(table):
+        acc = mp.fsum(values[k] * row[k] for k in range(n))
         coeff = 2 * acc / n
         if j == 0:
             coeff /= 2

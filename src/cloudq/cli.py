@@ -433,6 +433,8 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except SystemExit as exc:  # argparse: 2 on a bad flag or choice, 0 on --help
+        return exc.code
     return run(config)
 
 

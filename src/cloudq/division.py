@@ -115,6 +115,8 @@ def run_merged(
         raise StateSpaceError(f"need steps >= 0, got {steps}")
     op = table.operator
     start = op.index(initial or MassDistribution.monodisperse(table.num_bins))
+    if steps:  # the first step's check, before the closure is compiled
+        op.checked(start, sequential=True)
     prog = op.program([start], [start], steps)
     size = len(prog.ids)
     emits = prog.weight != 0

@@ -77,6 +77,9 @@ def _steps(
     op = table.operator
     keys = [op.index(s) for s in p0.entries]
     live = [k for k, v in zip(keys, p0.entries.values()) if v != 0]
+    if steps:  # the first step's check, before the closure is compiled
+        for k in sorted(live, key=lambda k: op.states[k].counts):
+            op.checked(k)
     prog = op.program(keys, live, steps)
     size = len(prog.ids)
     order = [prog.where[k] for k in keys]

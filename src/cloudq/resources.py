@@ -11,6 +11,7 @@ are evaluated in floats and ceiled.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -462,9 +463,11 @@ def estimate_case(case: EstimationCase, bin_index: int = 1) -> ResourceReport:
 
     One time step runs the four division gates once per label, the
     history increment once per label but the last, and one mass shift per
-    pair; the evolution repeats the step ``M`` times; each oracle call
-    contains the evolution and readout twice (forward and inverse); one
-    unamplified preparation is added on top of the amplified schedule.
+    pair (:func:`gate_cost_ushift`, summed by register width: one cost per
+    width times how often it occurs); the evolution repeats the step ``M``
+    times; each oracle call contains the evolution and readout twice
+    (forward and inverse); one unamplified preparation is added on top of
+    the amplified schedule.
     """
     warnings: list[str] = []
     pair_count = label_pair_count(case.n_bins)
@@ -474,9 +477,22 @@ def estimate_case(case: EstimationCase, bin_index: int = 1) -> ResourceReport:
     ur = gate_cost_ur(case, warnings)
     uadd = gate_cost_uadd(case, warnings)
     division = up + usin + uq + ur
-    shift_total = GateCost.ZERO
-    for pair in label_pairs(case.n_bins):
-        shift_total = shift_total + gate_cost_ushift(case, pair, warnings)
+    # U_shift summed by register width: each pair pays two label Toffolis,
+    # a cADD on bin i+j and a cSUB on bin i, plus one on bin j when i != j
+    widths = [0] + [qubits_for_bin(case.n_bins, b) for b in range(1, case.n_bins + 1)]
+    c_add: Counter[int] = Counter()
+    c_sub: Counter[int] = Counter()
+    for i, j in label_pairs(case.n_bins):
+        c_add[widths[i + j]] += 1
+        c_sub[widths[i]] += 1
+        if i != j:
+            c_sub[widths[j]] += 1
+    shift_total = primitive_cost(
+        "Toffoli", n=history_label_qubits(case.n_bins), warnings=warnings
+    ).times(2 * pair_count)
+    for op, counts in (("cADD", c_add), ("cSUB", c_sub)):
+        for width, count in counts.items():
+            shift_total = shift_total + primitive_cost(op, n=width, warnings=warnings).times(count)
     step = division.times(pair_count) + uadd.times(pair_count - 1) + shift_total
     evolution = step.times(case.time_steps)
     readout = gate_cost_uc(case, bin_index)

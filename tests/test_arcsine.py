@@ -1,6 +1,10 @@
 import math
 
+import mpmath as mp
+import numpy as np
 import pytest
+
+from cloudq import arcsine
 
 from cloudq.arcsine import (
     DegreeTooLowError,
@@ -61,7 +65,7 @@ def test_monotonicity_in_degree_and_eps():
 
 def test_degree_too_low():
     # below the double-precision measurement floor no subdomain converges
-    with pytest.raises(DegreeTooLowError):
+    with pytest.raises(DegreeTooLowError, match=r"eps=1e-17 .* double-precision floor 5\.55e-17"):
         min_pieces(1, 1e-17)
     # a reachable eps that would need an absurd number of linear pieces
     with pytest.raises(DegreeTooLowError):
@@ -103,3 +107,45 @@ def test_choose_config_examples():
     assert choose_config(1e-13, 46, rows=[(1e-13, 7, 7)]) == (7, 7)
     with pytest.raises(FitError):
         choose_config(3e-7, 42)
+
+
+def _per_piece_series(a, b, order):
+    """The truth series with every cosine computed per piece, as before
+    the shared table."""
+    a_, b_ = mp.mpf(a), mp.mpf(b)
+    mid, rad = (a_ + b_) / 2, (b_ - a_) / 2
+    n = 2 * order + 8
+    nodes = [mp.cos(mp.pi * (2 * k + 1) / (2 * n)) for k in range(n)]
+    values = [mp.asin(mid + rad * u) for u in nodes]
+    series = []
+    for j in range(order + 1):
+        acc = mp.fsum(
+            values[k] * mp.cos(mp.pi * j * (2 * k + 1) / (2 * n)) for k in range(n)
+        )
+        coeff = 2 * acc / n
+        if j == 0:
+            coeff /= 2
+        series.append(coeff)
+    return series
+
+
+@pytest.mark.parametrize("degree, a, b", [(4, 0.25, 0.3125), (8, 0.375, 0.5)])
+def test_shared_cosine_table_is_bit_identical(degree, a, b):
+    coeffs = tuple(float(c) for c in chebyshev_fit(a, b, degree))
+    order = degree + arcsine.VERIFY_EXTRA_ORDER
+    with mp.workdps(arcsine.VERIFY_DPS):
+        expected = _per_piece_series(a, b, order)
+        for _ in range(2):  # built, then reused
+            assert arcsine._truth_series(a, b, order) == expected
+        padded = [mp.mpf(c) for c in coeffs] + [mp.mpf(0)] * (order + 1 - len(coeffs))
+        diff = np.array([float(c - t) for c, t in zip(padded, expected)])
+    u = np.linspace(-1.0, 1.0, 257)
+    expected_error = float(np.max(np.abs(np.polynomial.chebyshev.chebval(u, diff))))
+    assert reference_error(coeffs, a, b, 257) == expected_error
+    assert arcsine._cosine_table.cache_info().currsize == 1
+
+
+def test_verify_pinned():
+    # values recorded with the per-piece cosine series
+    assert verify(min_pieces(5, 1e-12), 10) == 8.857503545428922e-13
+    assert verify(min_pieces(8, 1e-15), 10) == 8.050598901662439e-16

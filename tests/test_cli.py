@@ -247,8 +247,10 @@ def test_bad_inputs_exit_config(tmp_path, argv, config):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(config))
         argv = argv + ["--config", str(path)]
-    try:
-        code = main(argv + ["--out", str(tmp_path)])
-    except SystemExit as exc:  # argparse exits on an unknown flag itself
-        code = exc.code
-    assert code == EXIT_CONFIG
+    assert main(argv + ["--out", str(tmp_path)]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"]])
+def test_help_exits_ok(capsys, argv):
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out.startswith("usage: cloudq")

@@ -293,6 +293,16 @@ def test_negative_steps_rejected():
             run(table, -1)
 
 
+def test_step_size_checked_before_the_closure_compiles():
+    table = _table(30, k0=1.0, dt=1.0)
+    start = MassDistribution.monodisperse(30)
+    with pytest.raises(StepSizeError, match=r"\(30, 0,"):
+        run_merged(table, 200)
+    op = table.operator
+    assert [s for s, row in zip(op.states, op._rows) if row is not None] == [start]
+    assert run_merged(table, 0).entries == {start: 1.0}
+
+
 def test_zero_steps_keep_the_table_number_type():
     float_table, exact_table = _dyadic_tables(4, "constant")
     assert run_merged(float_table, 0).entries == {MassDistribution.monodisperse(4): 1.0}

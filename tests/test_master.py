@@ -289,6 +289,23 @@ def test_series_compiles_only_the_states_it_holds():
     assert len(series[3].entries) < 20
 
 
+def test_step_size_checked_before_the_closure_compiles():
+    # 30 droplets at dt = 1 are over the limit from the start; the check
+    # must come before the rows of 200 steps' reach are compiled
+    table, p0 = _mono_table(30, k0=1.0, dt=1.0)
+    for run in (evolve, evolve_series):
+        with pytest.raises(StepSizeError, match=r"\(30, 0,"):
+            run(p0, table, 200)
+    op = table.operator
+    assert [s for s, row in zip(op.states, op._rows) if row is not None] == [p0.states()[0]]
+    assert evolve(p0, table, 0) is p0 and evolve_series(p0, table, 0) == [p0]
+    # a zero-probability key over the limit moves nothing and is not checked
+    table = build_transition_table(4, KernelSpec(k0=1.0), 0.4)
+    start = MassDistribution((1, 0, 1, 0))
+    p = ProbabilityTable({MassDistribution((4, 0, 0, 0)): 0.0, start: 1.0})
+    assert evolve(p, table, 1).entries[start] == 1 - total_transition_rate(table, start)
+
+
 def test_negative_steps_rejected():
     table, p0 = _mono_table(3)
     for run in (evolve, evolve_series):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -22,7 +23,7 @@ from cloudq.resources import (
     register_counts,
     scaling_report,
 )
-from cloudq.states import qubits_for_bin
+from cloudq.states import label_pairs, qubits_for_bin
 
 CASE1 = PRESET_CASES["paper-case-1"]
 
@@ -241,3 +242,18 @@ def test_scaling_report_over_presets():
     assert 1.8 <= report.loglog_slope <= 2.4
     with pytest.raises(ResourceModelError):
         scaling_report([CASE1])
+
+
+def test_ushift_total_sums_the_pair_formula():
+    for n_bins in [*range(2, 61), 400]:
+        case = dataclasses.replace(CASE1, n_bins=n_bins)
+        report = estimate_case(case)
+        # the warnings in the order the gates are costed, one U_shift per pair
+        warnings: list[str] = []
+        for gate in (gate_cost_up, gate_cost_uq, gate_cost_ur, gate_cost_uadd):
+            gate(case, warnings)
+        shift_total = GateCost.ZERO
+        for pair in label_pairs(n_bins):
+            shift_total = shift_total + gate_cost_ushift(case, pair, warnings)
+        assert report.per_gate["U_shift_total"] == shift_total, n_bins
+        assert report.warnings[:-1] == tuple(dict.fromkeys(warnings)), n_bins
