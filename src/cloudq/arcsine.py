@@ -25,7 +25,7 @@ import numpy as np
 
 _cheb = np.polynomial.chebyshev
 
-DEFAULT_FIT_POINTS = 2001
+FIT_POINTS = 2001
 DEFAULT_ERROR_GRID = 4096
 MAX_BISECTIONS = 64
 VERIFY_DPS = 45  # working precision (digits) of the arcsine reference
@@ -88,9 +88,7 @@ class PiecewisePolynomial:
         return max(piece.max_error for piece in self.pieces)
 
 
-def chebyshev_fit(
-    a: float, b: float, degree: int, fit_points: int = DEFAULT_FIT_POINTS
-) -> np.ndarray:
+def chebyshev_fit(a: float, b: float, degree: int) -> np.ndarray:
     """Near-minimax degree-``degree`` fit of arcsine on ``[a, b]``.
 
     Least squares in the Chebyshev basis over a uniform grid; returns the
@@ -102,7 +100,7 @@ def chebyshev_fit(
         raise FitError(f"need degree >= 1, got {degree}")
     if a == b:
         return np.array([float(np.arcsin(a))] + [0.0] * degree)
-    xs = np.linspace(a, b, fit_points)
+    xs = np.linspace(a, b, FIT_POINTS)
     u = (2 * xs - a - b) / (b - a)
     return _cheb.chebfit(u, np.arcsin(xs), degree)
 

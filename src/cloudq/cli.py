@@ -17,6 +17,7 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, NamedTuple, get_args, get_type_hints
 
 from . import arcsine, division, fixedpoint, master, resources, states
 from .presets import (
@@ -39,154 +40,132 @@ EXIT_MISMATCH = 5
 
 _ARCSINE_TABLE_HEADER = ["eps", "d", "M", "max_error"]
 
-COMMANDS = ("solve", "simulate", "emulate", "arcsine-fit", "estimate", "reproduce-tables")
-KERNELS = ("constant", "sum", "product")
-MODES = ("merged", "tree")
-FORMATS = ("json", "csv")
-
 
 class ConfigError(ValueError):
     """Malformed or inconsistent run configuration."""
 
 
+def _option(flag: str, default=None, choices: tuple | None = None):
+    """A ``RunConfig`` option: its flag, default and allowed values."""
+    return dataclasses.field(default=default, metadata={"flag": flag, "choices": choices})
+
+
 @dataclass
 class RunConfig:
+    """One run's settings.  Each option is declared here once; its type is
+    the annotation, and :func:`parse_config` generates the flags from it."""
+
     command: str
-    preset: str | None = None
-    n_bins: int | None = None
-    steps: int | None = None
-    dt: float | None = None
-    kernel: str = "constant"
-    k0: float = 1.0
-    n_eps: int | None = None
-    degree: int | None = None
-    pieces: int | None = None
-    eps: float | None = None
-    eps_rotation: float | None = None
-    eps_estimation: float | None = None
-    eps_c: float | None = None
-    delta: float = 0.01
-    samples: int = 10000
-    include_gap: bool = False
-    mode: str = "merged"
-    check_master: bool = False
-    bin_index: int = 1
-    out: str | None = None
-    format: str = "json"
+    preset: str | None = _option("--preset", choices=tuple(sorted(PRESET_CASES)))
+    n_bins: int | None = _option("--N")
+    steps: int | None = _option("--M")
+    dt: float = _option("--dt", 0.01)
+    kernel: str = _option("--kernel", "constant", ("constant", "sum", "product"))
+    k0: float = _option("--k0", 1.0)
+    n_eps: int | None = _option("--n-eps")
+    degree: int | None = _option("--d")
+    pieces: int | None = _option("--M-eps")
+    eps: float | None = _option("--eps")
+    eps_rotation: float | None = _option("--eps-rotation")
+    eps_estimation: float | None = _option("--eps-estimation")
+    eps_c: float | None = _option("--eps-c")
+    delta: float | None = _option("--delta")
+    samples: int = _option("--samples", 10000)
+    include_gap: bool = _option("--include-gap", False)
+    mode: str = _option("--mode", "merged", ("merged", "tree"))
+    check_master: bool = _option("--check-master", False)
+    bin_index: int = _option("--bin", 1)
+    out: str | None = _option("--out")
+    format: str = _option("--format", "json", ("json", "csv"))
 
 
-_CONFIG_KEYS = {f.name for f in dataclasses.fields(RunConfig)}
+_OPTIONS = {f.name: f.metadata for f in dataclasses.fields(RunConfig) if f.metadata}
+_TYPES = {  # the annotation without its ``None``
+    name: next(t for t in get_args(hint) or (hint,) if t is not type(None))
+    for name, hint in get_type_hints(RunConfig).items()
+}
+
+
+def _checked(name: str, value):
+    """``value`` as option ``name`` holds it: a flag's or a config file's.
+
+    A JSON integer in the float range is taken for a float option;
+    anything else must have the option's type (a JSON bool is not an int)
+    and lie in its choices.
+    """
+    kind = _TYPES[name]
+    if kind is float and type(value) is int and abs(value) <= sys.float_info.max:
+        value = float(value)
+    if type(value) is not kind:
+        flag = _OPTIONS[name]["flag"]
+        raise ConfigError(f"{name} ({flag}) must be {kind.__name__}, got {value!r}")
+    choices = _OPTIONS[name]["choices"]
+    if choices is not None and value not in choices:
+        raise ConfigError(f"unknown {name} {value!r}")
+    return value
 
 
 def parse_config(argv: list[str] | None = None) -> RunConfig:
-    """Build a validated RunConfig from CLI flags or a JSON file."""
+    """Build a validated RunConfig from CLI flags and a JSON file.
+
+    Flags override file keys, and a ``null`` key counts as not given.
+    Both go through :func:`_checked`; options still unset take the
+    command's own default, then the field's.
+    """
     parser = argparse.ArgumentParser(prog="cloudq", description=__doc__)
-    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("command", choices=_COMMANDS)
     parser.add_argument("--config", type=Path, help="JSON file with RunConfig keys")
-    parser.add_argument("--preset", choices=sorted(PRESET_CASES))
-    parser.add_argument("--N", dest="n_bins", type=int)
-    parser.add_argument("--M", dest="steps", type=int)
-    parser.add_argument("--dt", type=float)
-    parser.add_argument("--kernel", choices=KERNELS)
-    parser.add_argument("--k0", type=float)
-    parser.add_argument("--n-eps", dest="n_eps", type=int)
-    parser.add_argument("--d", dest="degree", type=int)
-    parser.add_argument("--M-eps", dest="pieces", type=int)
-    parser.add_argument("--eps", type=float)
-    parser.add_argument("--eps-rotation", dest="eps_rotation", type=float)
-    parser.add_argument("--eps-estimation", dest="eps_estimation", type=float)
-    parser.add_argument("--eps-c", dest="eps_c", type=float)
-    parser.add_argument("--delta", type=float)
-    parser.add_argument("--samples", type=int)
-    parser.add_argument("--include-gap", dest="include_gap", action="store_true", default=None)
-    parser.add_argument("--mode", choices=MODES)
-    parser.add_argument("--check-master", dest="check_master", action="store_true", default=None)
-    parser.add_argument("--bin", dest="bin_index", type=int)
-    parser.add_argument("--out", type=str)
-    parser.add_argument("--format", choices=FORMATS)
+    for name, option in _OPTIONS.items():
+        if _TYPES[name] is bool:
+            parser.add_argument(option["flag"], dest=name, action="store_true", default=None)
+        else:
+            parser.add_argument(option["flag"], dest=name, type=_TYPES[name],
+                                choices=option["choices"])
     ns = parser.parse_args(argv)
 
-    merged: dict = {"command": ns.command}
+    given: dict = {}
     if ns.config is not None:
         try:
-            raw = json.loads(ns.config.read_text())
+            given = json.loads(ns.config.read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {ns.config}: {exc}") from exc
-        if not isinstance(raw, dict):
+        if not isinstance(given, dict):
             raise ConfigError("config file must hold a JSON object")
-        unknown = set(raw) - _CONFIG_KEYS
+        unknown = set(given) - {"command", *_OPTIONS}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        merged.update(raw)
-    for key, value in vars(ns).items():
-        if key in ("config",) or value is None:
-            continue
-        merged[key] = value
-    config = RunConfig(**merged)
-    _validate(config)
+    given.update((name, value) for name, value in vars(ns).items() if value is not None)
+    values = {name: _checked(name, given[name]) for name in _OPTIONS if given.get(name) is not None}
+    command = _COMMANDS[ns.command]
+    config = RunConfig(ns.command, **{**command.defaults, **values})
+    missing = [name for name in command.needs if getattr(config, name) is None]
+    if missing and not (command.preset_fills and config.preset is not None):
+        raise ConfigError(
+            f"{config.command} needs {'a preset or ' if command.preset_fills else ''}"
+            + ", ".join(f"{_OPTIONS[name]['flag']} ({name})" for name in missing)
+        )
+    if config.steps is not None and config.steps < 0:
+        raise ConfigError(f"--M must be >= 0, got {config.steps}")
     return config
 
 
-def _validate(config: RunConfig) -> None:
-    if config.command not in COMMANDS:
-        raise ConfigError(f"unknown command {config.command!r}")
-    if config.command in ("solve", "simulate"):
-        if config.n_bins is None:
-            raise ConfigError("solve/simulate need --N (number of bins)")
-        if config.steps is None:
-            raise ConfigError("solve/simulate need --M (number of steps)")
-    if config.steps is not None and config.steps < 0:
-        raise ConfigError(f"--M must be >= 0, got {config.steps}")
-    if config.command == "arcsine-fit":
-        if config.degree is None or config.eps is None:
-            raise ConfigError("arcsine-fit needs --d and --eps")
-    if config.command == "emulate":
-        if config.n_eps is None:
-            raise ConfigError("emulate needs --n-eps")
-    if config.command == "estimate" and config.preset is None:
-        required = ("n_bins", "steps", "n_eps", "degree", "pieces",
-                    "eps_rotation", "eps_estimation", "eps_c")
-        missing = [name for name in required if getattr(config, name) is None]
-        if missing:
-            raise ConfigError(f"estimate needs a preset or explicit {missing}")
-    if config.command == "estimate":
-        n_bins = PRESET_CASES[config.preset].n_bins if config.n_bins is None else config.n_bins
-        if not 1 <= config.bin_index <= n_bins:
-            raise ConfigError(f"--bin must lie in 1..{n_bins}, got {config.bin_index}")
-    for name, choices in (("kernel", KERNELS), ("mode", MODES), ("format", FORMATS)):
-        if getattr(config, name) not in choices:
-            raise ConfigError(f"unknown {name} {getattr(config, name)!r}")
-
-
 def _case_from_config(config: RunConfig) -> resources.EstimationCase:
-    if config.preset is not None:
-        base = PRESET_CASES[config.preset]
-        overrides = {}
-        for attr, field_name in (
-            ("n_bins", "n_bins"), ("steps", "time_steps"), ("n_eps", "n_eps"),
-            ("degree", "degree"), ("pieces", "pieces"),
-            ("eps_rotation", "eps_rotation"), ("eps_estimation", "eps_estimation"),
-            ("eps_c", "eps_c"),
-        ):
-            value = getattr(config, attr)
-            if value is not None:
-                overrides[field_name] = value
-        if config.delta != 0.01:
-            overrides["delta"] = config.delta
-        return dataclasses.replace(base, **overrides) if overrides else base
-    return resources.EstimationCase(
-        n_bins=config.n_bins, time_steps=config.steps, n_eps=config.n_eps,
-        degree=config.degree, pieces=config.pieces,
-        eps_rotation=config.eps_rotation, eps_estimation=config.eps_estimation,
-        eps_c=config.eps_c, delta=config.delta,
-    )
+    """The preset's case, or none, with every given option laid over it.
+
+    ``RunConfig`` has no ``eps_arcsin`` or ``eps_calculation``: those keep
+    the preset's value or the case default.
+    """
+    fields = dataclasses.asdict(PRESET_CASES[config.preset]) if config.preset else {}
+    for field in dataclasses.fields(resources.EstimationCase):
+        value = getattr(config, "steps" if field.name == "time_steps" else field.name, None)
+        if value is not None:
+            fields[field.name] = value
+    return resources.EstimationCase(**fields)
 
 
 def _table_from_config(config: RunConfig) -> states.TransitionTable:
     return states.build_transition_table(
-        config.n_bins,
-        states.KernelSpec(kind=config.kernel, k0=config.k0),
-        0.01 if config.dt is None else config.dt,
+        config.n_bins, states.KernelSpec(kind=config.kernel, k0=config.k0), config.dt
     )
 
 
@@ -271,11 +250,7 @@ def _cmd_simulate(config: RunConfig) -> int:
 
 
 def _cmd_emulate(config: RunConfig) -> int:
-    degree = 5 if config.degree is None else config.degree
-    eps = 1e-12 if config.eps is None else config.eps
-    table = fixedpoint.build_quantized_arcsine(
-        degree, eps, config.n_eps, extended=True
-    )
+    table = fixedpoint.build_quantized_arcsine(config.degree, config.eps, config.n_eps)
     report = fixedpoint.estimate_eps_calculation(
         config.n_eps, table, samples=config.samples, include_gap=config.include_gap
     )
@@ -323,6 +298,8 @@ def _cmd_arcsine_fit(config: RunConfig) -> int:
 
 def _cmd_estimate(config: RunConfig) -> int:
     case = _case_from_config(config)
+    if not 1 <= config.bin_index <= case.n_bins:
+        raise ConfigError(f"--bin must lie in 1..{case.n_bins}, got {config.bin_index}")
     report = resources.estimate_case(case, bin_index=config.bin_index)
     if config.format == "csv":
         master.write_csv(
@@ -336,30 +313,19 @@ def _cmd_estimate(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _within(value: float, target: float, band: float) -> bool:
-    return abs(value / target - 1) <= band
-
-
-def _arcsine_row(row: tuple[float, int, int]) -> tuple[float, int, int, int, float]:
-    eps, degree, expected = row
-    pp = arcsine.min_pieces(degree, eps)
-    return eps, degree, expected, pp.piece_count, pp.max_recorded_error()
-
-
 def _cmd_reproduce_tables(config: RunConfig) -> int:
     failures = 0
     lines = []
     for name, case in PRESET_CASES.items():
         report = resources.estimate_case(case)
-        eps_max, t_count, t_depth, qubits = EXPECTED_RESOURCES[name]
-        cells = [
-            ("eps_max", report.eps_max, eps_max, RESOURCE_BANDS["eps_max"]),
-            ("t_count", float(report.total.t_count), t_count, RESOURCE_BANDS["t_count"]),
-            ("t_depth", float(report.total.t_depth), t_depth, RESOURCE_BANDS["t_depth"]),
-            ("logical_qubits", float(report.qubits.total), qubits, RESOURCE_BANDS["logical_qubits"]),
-        ]
-        for label, got, want, band in cells:
-            ok = _within(got, want, band)
+        cells = zip(
+            ("eps_max", "t_count", "t_depth", "logical_qubits"),
+            (report.eps_max, report.total.t_count, report.total.t_depth, report.qubits.total),
+            EXPECTED_RESOURCES[name],
+        )
+        for label, got, want in cells:
+            band = RESOURCE_BANDS[label]
+            ok = abs(got / want - 1) <= band
             failures += not ok
             lines.append(
                 f"{'PASS' if ok else 'FAIL'} {name} {label}: {got:.3g} vs {want:.3g} "
@@ -368,10 +334,11 @@ def _cmd_reproduce_tables(config: RunConfig) -> int:
     exact = 0
     asserted = 0
     table_rows = []
-    for eps, degree, expected, got, err in map(_arcsine_row, PIECEWISE_ARCSINE_TABLE):
-        noise_row = (eps, degree) == ARCSINE_NOISE_ROW
-        table_rows.append((eps, degree, got, err))
-        if noise_row:
+    for eps, degree, expected in PIECEWISE_ARCSINE_TABLE:
+        pp = arcsine.min_pieces(degree, eps)
+        got = pp.piece_count
+        table_rows.append((eps, degree, got, pp.max_recorded_error()))
+        if (eps, degree) == ARCSINE_NOISE_ROW:
             lines.append(
                 f"INFO arcsine d={degree} eps={eps:g}: M={got} vs {expected} "
                 "(noise-floor row, not asserted)"
@@ -399,20 +366,36 @@ def _cmd_reproduce_tables(config: RunConfig) -> int:
     return EXIT_OK if failures == 0 else EXIT_MISMATCH
 
 
-_DISPATCH = {
-    "solve": _cmd_solve,
-    "simulate": _cmd_simulate,
-    "emulate": _cmd_emulate,
-    "arcsine-fit": _cmd_arcsine_fit,
-    "estimate": _cmd_estimate,
-    "reproduce-tables": _cmd_reproduce_tables,
+class _Command(NamedTuple):
+    """A command's entry point, the options it needs and its own defaults.
+
+    ``preset_fills``: a ``--preset`` supplies every needed option.
+    """
+
+    run: Callable[[RunConfig], int]
+    needs: tuple[str, ...] = ()
+    defaults: dict = {}
+    preset_fills: bool = False
+
+
+_COMMANDS = {
+    "solve": _Command(_cmd_solve, ("n_bins", "steps")),
+    "simulate": _Command(_cmd_simulate, ("n_bins", "steps")),
+    "emulate": _Command(_cmd_emulate, ("n_eps",), {"degree": 5, "eps": 1e-12}),
+    "arcsine-fit": _Command(_cmd_arcsine_fit, ("degree", "eps")),
+    "estimate": _Command(
+        _cmd_estimate,
+        ("n_bins", "steps", "n_eps", "degree", "pieces", "eps_rotation", "eps_estimation", "eps_c"),
+        preset_fills=True,
+    ),
+    "reproduce-tables": _Command(_cmd_reproduce_tables),
 }
 
 
 def run(config: RunConfig) -> int:
     """Dispatch a validated configuration; returns the exit status."""
     try:
-        return _DISPATCH[config.command](config)
+        return _COMMANDS[config.command].run(config)
     except (ConfigError, resources.ResourceModelError, arcsine.FitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -201,24 +201,30 @@ def history_label_semantics_check(
     each, the register protocol must end at the child's label (0 for the
     hold child); it follows the step schedule ``resources.estimate_case``
     charges, one ``U_add`` after every division but the last.
-    ``branches_checked`` counts the children over all steps.  Each final
-    history is also replayed from the initial state.
+    ``branches_checked`` counts the children over all steps.  Each prefix
+    is also replayed once, from its parent's replay with
+    :func:`~cloudq.states.apply_transition`, and every final replay must
+    equal its branch's state.  The histories are walked in sorted order,
+    depth first, so only the current history's prefixes are held.
     """
     start = initial or MassDistribution.monodisperse(table.num_bins)
     branches = run_tree(table, steps, start)
     registers = [_history_register(table.num_labels, h) for h in range(table.num_labels + 1)]
     mismatches = 0
     checked = 0
-    for t in range(1, steps + 1):
-        for prefix in {branch.history[:t] for branch in branches}:
+    path = [start]  # replays of the previous history's prefixes, by length
+    previous: tuple[int, ...] = ()
+    for branch in sorted(branches, key=lambda b: b.history):
+        shared = 0
+        while shared < len(previous) and previous[shared] == branch.history[shared]:
+            shared += 1
+        del path[shared + 1:]
+        for label in branch.history[shared:]:
+            path.append(apply_transition(table, path[-1], label) if label else path[-1])
             checked += 1
-            mismatches += registers[prefix[-1]] != prefix[-1]
-    for branch in branches:
-        replay = start
-        for label in branch.history:
-            if label:
-                replay = apply_transition(table, replay, label)
-        mismatches += replay != branch.state
+            mismatches += registers[label] != label
+        mismatches += path[-1] != branch.state
+        previous = branch.history
     return LabelSemanticsReport(
         steps=steps, branches_checked=checked, ok=mismatches == 0, mismatches=mismatches
     )

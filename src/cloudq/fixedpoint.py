@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath as mp
 
@@ -272,51 +273,28 @@ class QuantizedArcsine:
         return self.pieces[-1].upper_bits
 
 
-_CHEB_POWER_CACHE: dict[int, list[list[int]]] = {}
-
-
-def _cheb_power_rows(order: int) -> list[list[int]]:
-    """Integer power-basis coefficients of T_0..T_order."""
-    rows = _CHEB_POWER_CACHE.get(order)
-    if rows is not None:
-        return rows
-    rows = [[1], [0, 1]]
-    while len(rows) <= order:
-        prev2, prev1 = rows[-2], rows[-1]
-        nxt = [0] + [2 * c for c in prev1]
-        for idx, c in enumerate(prev2):
-            nxt[idx] -= c
-        rows.append(nxt)
-    _CHEB_POWER_CACHE[order] = rows
-    return rows
-
-
 def _exact_power_coeffs(piece) -> list[Fraction]:
     """Exact coefficients ``beta_k`` of ``sum beta_k (x - lower)**k``.
 
-    The float Chebyshev coefficients are exact binary rationals, so the
-    basis change is carried out in Fraction arithmetic and introduces no
-    rounding at all.
+    With ``t = x - lower`` the Chebyshev variable is ``u = slope * t - 1``,
+    and ``T_k(u)`` is built as a polynomial in ``t`` by the three-term
+    recurrence ``T_{k+1} = 2 u T_k - T_{k-1}``.  The float coefficients are
+    exact binary rationals, so the Fraction arithmetic rounds nothing.
     """
-    degree = len(piece.coefficients) - 1
-    rows = _cheb_power_rows(degree)
-    in_u = [Fraction(0)] * (degree + 1)
-    for k, c in enumerate(piece.coefficients):
-        ck = Fraction(c)
-        for j, t in enumerate(rows[k]):
-            in_u[j] += ck * t
-    # substitute u = (2/width) * t - 1 and expand
     slope = Fraction(2) / (Fraction(piece.upper) - Fraction(piece.lower))
-    beta = [Fraction(0)] * (degree + 1)
-    basis = [Fraction(1)]  # ((2/w) t - 1)**j, ascending in t
-    for j in range(degree + 1):
-        for idx, c in enumerate(basis):
-            beta[idx] += in_u[j] * c
-        new = [Fraction(0)] * (len(basis) + 1)
-        for idx, c in enumerate(basis):
-            new[idx] -= c
-            new[idx + 1] += c * slope
-        basis = new
+    beta = [Fraction(0)] * len(piece.coefficients)
+    prev: list[Fraction] = []
+    cur = [Fraction(1)]  # T_k(slope * t - 1), ascending in t
+    for k, c in enumerate(piece.coefficients):
+        for j, a in enumerate(cur):
+            beta[j] += Fraction(c) * a
+        scale = 1 if k == 0 else 2  # T_1 = u T_0
+        nxt = [-scale * a for a in cur] + [Fraction(0)]
+        for j, a in enumerate(cur):
+            nxt[j + 1] += scale * slope * a
+        for j, a in enumerate(prev):
+            nxt[j] -= a
+        prev, cur = cur, nxt
     return beta
 
 
@@ -376,10 +354,8 @@ def quantize_arcsine(
     )
 
 
-def build_quantized_arcsine(
-    degree: int, eps: float, width: int, extended: bool = True
-) -> QuantizedArcsine:
-    """Fit and quantize arcsine pieces, optionally past the 0.5 edge.
+def build_quantized_arcsine(degree: int, eps: float, width: int) -> QuantizedArcsine:
+    """Fit and quantize arcsine pieces on ``[0, 0.5]`` and past its edge.
 
     The circuit's complement branch feeds ``sqrt(1 - r')`` into the
     arcsine, which exceeds the stated 0.5 domain edge whenever
@@ -387,8 +363,7 @@ def build_quantized_arcsine(
     emulator can report the incurred error instead of failing.
     """
     core = min_pieces(degree, eps)
-    ext = min_pieces(degree, eps, domain=EXTENSION_DOMAIN) if extended else None
-    return quantize_arcsine(core, width, ext)
+    return quantize_arcsine(core, width, min_pieces(degree, eps, domain=EXTENSION_DOMAIN))
 
 
 def fp_arcsin_pp(a: FixedPointValue, table: QuantizedArcsine) -> FixedPointValue:
@@ -434,16 +409,10 @@ def fp_arcsin_pp(a: FixedPointValue, table: QuantizedArcsine) -> FixedPointValue
     return FixedPointValue(theta, width, "real")
 
 
-_PI_HALF_CACHE: dict[int, int] = {}
-
-
+@lru_cache(maxsize=None)
 def _pi_half_bits(width: int) -> int:
-    bits = _PI_HALF_CACHE.get(width)
-    if bits is None:
-        with mp.workdps(width + 20):
-            bits = int(mp.floor(mp.pi / 2 * (1 << (width - 1))))
-        _PI_HALF_CACHE[width] = bits
-    return bits
+    with mp.workdps(width + 20):
+        return int(mp.floor(mp.pi / 2 * (1 << (width - 1))))
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 from .states import label_pair_count, label_pairs, qubits_for_bin
@@ -406,15 +406,7 @@ class ResourceReport:
         return {
             "schema_version": 1,
             "case": {
-                "n_bins": case.n_bins,
-                "time_steps": case.time_steps,
-                "n_eps": case.n_eps,
-                "degree": case.degree,
-                "pieces": case.pieces,
-                "eps_rotation": case.eps_rotation,
-                "eps_estimation": case.eps_estimation,
-                "eps_c": case.eps_c,
-                "delta": case.delta,
+                **asdict(case),
                 "eps_arcsin": case.arcsine_eps,
                 "eps_calculation": case.calculation_eps,
             },

@@ -245,7 +245,7 @@ def test_fixedpoint_pipeline_error():
     pi_half = ulp
     bound = eps + roots + horner + pi_half
     arcsine_bound = eps + horner
-    table = fixedpoint.build_quantized_arcsine(degree, eps, n_eps, extended=True)
+    table = fixedpoint.build_quantized_arcsine(degree, eps, n_eps)
     report = fixedpoint.estimate_eps_calculation(n_eps, table, samples=10_000)
     arcsine_worst = 0.0
     for n_i, n_j, kdt, s in fixedpoint.sweep_inputs(10_000):
@@ -267,10 +267,10 @@ def test_fixedpoint_pipeline_error():
 
 def test_fixedpoint_width_scaling():
     narrow = fixedpoint.estimate_eps_calculation(
-        20, fixedpoint.build_quantized_arcsine(5, 1e-12, 20, extended=True), samples=2000
+        20, fixedpoint.build_quantized_arcsine(5, 1e-12, 20), samples=2000
     )
     wide = fixedpoint.estimate_eps_calculation(
-        30, fixedpoint.build_quantized_arcsine(5, 1e-12, 30, extended=True), samples=2000
+        30, fixedpoint.build_quantized_arcsine(5, 1e-12, 30), samples=2000
     )
     ratio = narrow.max_error / wide.max_error
     ok = ratio >= 2**5

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -9,6 +10,7 @@ from cloudq.cli import (
     EXIT_OK,
     EXIT_STEP_SIZE,
     ConfigError,
+    RunConfig,
     main,
     parse_config,
     run,
@@ -173,7 +175,7 @@ def test_emulate_writes_sweep(tmp_path):
          "--samples", "100", "--out", str(tmp_path)]
     )
     assert code == EXIT_OK
-    table = fixedpoint.build_quantized_arcsine(5, 1e-12, 42, extended=True)
+    table = fixedpoint.build_quantized_arcsine(5, 1e-12, 42)
     report = fixedpoint.estimate_eps_calculation(42, table, samples=100)
     lines = (tmp_path / "sweep.csv").read_text().splitlines()
     assert lines[0] == "n_eps,eps_arcsin,max_error,mean_error,samples"
@@ -240,14 +242,62 @@ def test_estimate_explicit_parameters(tmp_path):
             pytest.param(["solve"], {"n_bins": 3, "steps": 2, key: value}, id=f"key-{key}")
             for key, value in (("t_end", 1.0), ("n_runs", 10), ("seed", 1))
         ),
+        # config-file values get the flags' type and choice checks
+        *(
+            pytest.param([command], {**base, key: value}, id=f"file-{key}")
+            for command, base, key, value in (
+                ("estimate", {}, "preset", "bogus"),
+                ("solve", {"steps": 2}, "n_bins", "4"),
+                ("solve", {"n_bins": 3}, "steps", 2.5),
+                ("solve", {"n_bins": 3, "steps": 2}, "dt", "0.01"),
+                ("emulate", {"n_eps": 24}, "samples", "10"),
+                ("estimate", {"preset": "paper-case-1"}, "bin_index", "2"),
+                ("emulate", {"n_eps": 24, "samples": 10}, "include_gap", "no"),
+                ("simulate", {"n_bins": 3, "steps": 2}, "check_master", "no"),
+            )
+        ),
+        pytest.param(["solve"], {"n_bins": 3, "steps": 2, "dt": 10**400}, id="file-dt-past-float"),
     ],
 )
-def test_bad_inputs_exit_config(tmp_path, argv, config):
+def test_bad_inputs_exit_config(tmp_path, capsys, request, argv, config):
     if config is not None:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(config))
         argv = argv + ["--config", str(path)]
     assert main(argv + ["--out", str(tmp_path)]) == EXIT_CONFIG
+    case_id = request.node.callspec.id
+    if case_id.startswith("file-"):
+        assert case_id.split("-")[1] in capsys.readouterr().err
+
+
+def _setting(option):
+    """One non-default setting of ``option``: flag arguments, JSON value, parsed value."""
+    flag = option.metadata["flag"]
+    if option.metadata["choices"]:
+        value = option.metadata["choices"][-1]
+        return [flag, value], value, value
+    kind = option.type.split(" |")[0]
+    if kind == "bool":
+        return [flag], True, True
+    if kind == "float":
+        return [flag, "2"], 2, 2.0  # a JSON integer is taken for a float option
+    if kind == "int":
+        return [flag, "3"], 3, 3
+    return [flag, "x.csv"], "x.csv", "x.csv"
+
+
+@pytest.mark.parametrize(
+    "option", [f for f in dataclasses.fields(RunConfig) if f.metadata], ids=lambda f: f.name
+)
+def test_flag_and_config_key_agree(tmp_path, option):
+    args, value, parsed = _setting(option)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({option.name: value}))
+    from_flag = parse_config(["reproduce-tables", *args])
+    from_file = parse_config(["reproduce-tables", "--config", str(path)])
+    assert from_flag == from_file
+    got = getattr(from_file, option.name)
+    assert got == parsed and type(got) is type(parsed)
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"]])

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cloudq.arcsine import min_pieces
 from cloudq.fixedpoint import (
     CarryOutError,
     DivisionByZeroError,
@@ -24,6 +25,7 @@ from cloudq.fixedpoint import (
     fp_mul_ui,
     fp_sqrt,
     fp_sub,
+    quantize_arcsine,
 )
 
 WIDTH = 42
@@ -45,7 +47,7 @@ def _pipeline_bound(eps):
 
 @pytest.fixture(scope="module")
 def arcsine_table():
-    return build_quantized_arcsine(5, 1e-12, WIDTH, extended=True)
+    return build_quantized_arcsine(5, 1e-12, WIDTH)
 
 
 def test_encode_examples():
@@ -238,7 +240,7 @@ def test_sweep_regression_width_42(arcsine_table):
 def test_sweep_width_scaling():
     reports = {}
     for width in (20, 30):
-        table = build_quantized_arcsine(5, 1e-12, width, extended=True)
+        table = build_quantized_arcsine(5, 1e-12, width)
         reports[width] = estimate_eps_calculation(width, table, samples=1500)
     assert reports[20].max_error / reports[30].max_error >= 2**5
 
@@ -248,7 +250,7 @@ def test_sweep_arcsine_error_floor():
     # register steps fall well below it
     reports = {}
     for width in (50, 60):
-        table = build_quantized_arcsine(5, 1e-12, width, extended=True)
+        table = build_quantized_arcsine(5, 1e-12, width)
         reports[width] = estimate_eps_calculation(width, table, samples=1500)
     assert 3e-13 <= reports[50].max_error <= 1.5e-12
     assert 3e-13 <= reports[60].max_error <= 1.5e-12
@@ -256,7 +258,7 @@ def test_sweep_arcsine_error_floor():
 
 
 def test_sweep_gap_needs_extension():
-    core_only = build_quantized_arcsine(5, 1e-12, WIDTH, extended=False)
+    core_only = quantize_arcsine(min_pieces(5, 1e-12), WIDTH)
     with pytest.raises(FixedPointError):
         estimate_eps_calculation(WIDTH, core_only, samples=10, include_gap=True)
 
