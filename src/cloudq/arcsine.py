@@ -22,6 +22,7 @@ from typing import Sequence
 
 import mpmath as mp
 import numpy as np
+from mpmath import libmp
 
 _cheb = np.polynomial.chebyshev
 
@@ -177,15 +178,48 @@ def min_pieces(
 
 
 @lru_cache(maxsize=1)
-def _cosine_table(n: int, order: int, prec: int) -> tuple[tuple[mp.mpf, ...], ...]:
+def _cosine_table(n: int, order: int, prec: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """``cos(pi j (2k+1) / 2n)`` for ``j <= order``, ``k < n`` at binary
-    precision ``prec``; row 1 holds the Chebyshev nodes.  Every piece of a
-    fit shares one table, and only the latest is kept."""
-    with mp.workprec(prec):
-        return tuple(
-            tuple(mp.cos(mp.pi * j * (2 * k + 1) / (2 * n)) for k in range(n))
-            for j in range(order + 1)
-        )
+    precision ``prec``, each as a signed mantissa and an exponent; row 1
+    holds the Chebyshev nodes.  The ``libmp`` calls are the ones
+    ``mp.cos(mp.pi * j * (2k+1) / (2n))`` makes, so the bits are the same.
+    Every piece of a fit shares one table, and only the latest is kept."""
+    rnd = libmp.round_nearest
+    pi, den = libmp.mpf_pi(prec, rnd), libmp.from_int(2 * n)
+
+    def entry(j: int, k: int) -> tuple[int, int]:
+        arg = libmp.mpf_mul_int(libmp.mpf_mul_int(pi, j, prec, rnd), 2 * k + 1, prec, rnd)
+        return _signed(libmp.mpf_cos(libmp.mpf_div(arg, den, prec, rnd), prec, rnd))
+
+    return tuple(tuple(entry(j, k) for k in range(n)) for j in range(order + 1))
+
+
+def _signed(x: tuple) -> tuple[int, int]:
+    """A raw ``mpf`` as (signed mantissa, exponent)."""
+    sign, man, exp, _ = x
+    return (-man if sign else man, exp)
+
+
+def _fsum_products(xs: Sequence[tuple[int, int]], ys: Sequence[tuple[int, int]], prec: int):
+    """``mp.fsum(x * y for x, y in zip(xs, ys))`` at precision ``prec`` on
+    normalized ``(signed mantissa, exponent)`` pairs, as a raw ``mpf``.
+    Each exact product is rounded to ``prec`` bits, nearest with ties to
+    even, and stripped of trailing zeros, as ``mpf.__mul__`` does; the terms
+    go to ``libmp.mpf_sum`` with their true bit counts, as in ``mp.fsum``."""
+    terms = []
+    for (x_man, x_exp), (y_man, y_exp) in zip(xs, ys):
+        man = x_man * y_man
+        if not man:
+            continue
+        sign, man = man < 0, abs(man)
+        exp, shift = x_exp + y_exp, man.bit_length() - prec
+        if shift > 0:
+            half = man >> (shift - 1)  # up past half, or at half to an even result
+            man = (half >> 1) + bool(half & 1 and (half & 2 or man & ((1 << (shift - 1)) - 1)))
+            zeros = (man & -man).bit_length() - 1
+            man, exp = man >> zeros, exp + shift + zeros
+        terms.append((sign, man, exp, man.bit_length()))
+    return libmp.mpf_sum(terms, prec, libmp.round_nearest)
 
 
 def _truth_series(a: float, b: float, order: int) -> list[mp.mpf]:
@@ -193,18 +227,18 @@ def _truth_series(a: float, b: float, order: int) -> list[mp.mpf]:
 
     The cosine table depends only on ``(n, order)`` and the working
     precision, so it is built once and reused by every piece; each
-    coefficient is the same ``fsum`` of ``values[k] * row[k]`` in ``k``
-    order.
+    coefficient is :func:`_fsum_products` of ``values[k] * row[k]`` in
+    ``k`` order, the same bits as ``mp.fsum`` of the ``mpf`` products.
     """
     a_, b_ = mp.mpf(a), mp.mpf(b)
     mid, rad = (a_ + b_) / 2, (b_ - a_) / 2
     n = 2 * order + 8
-    table = _cosine_table(n, order, mp.mp.prec)
-    values = [mp.asin(mid + rad * u) for u in table[1]]
+    prec = mp.mp.prec
+    table = _cosine_table(n, order, prec)
+    values = [_signed(mp.asin(mid + rad * mp.mpf(node))._mpf_) for node in table[1]]
     series = []
     for j, row in enumerate(table):
-        acc = mp.fsum(values[k] * row[k] for k in range(n))
-        coeff = 2 * acc / n
+        coeff = 2 * mp.make_mpf(_fsum_products(values, row, prec)) / n
         if j == 0:
             coeff /= 2
         series.append(coeff)

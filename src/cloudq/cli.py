@@ -179,24 +179,34 @@ def _emit_json(payload: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _out_path(config: RunConfig, suffix: str) -> str:
+def _out_paths(config: RunConfig, *names: str) -> list[str]:
+    """Where each output goes: into the ``--out`` directory, or to ``--out``
+    itself if it has a suffix and there is one output.  Creates missing
+    directories; call it before any work, so a refused ``--out`` writes nothing."""
     if config.out is None:
-        return suffix
+        return list(names)
     path = Path(config.out)
-    if path.suffix:  # explicit file
-        return str(path)
-    path.mkdir(parents=True, exist_ok=True)
-    return str(path / suffix)
+    if path.suffix and len(names) > 1:
+        raise ConfigError(
+            f"--out {config.out} names one file, but {config.command} writes "
+            f"{len(names)} ({', '.join(names)}); give a directory"
+        )
+    (path.parent if path.suffix else path).mkdir(parents=True, exist_ok=True)
+    return [str(path)] if path.suffix else [str(path / name) for name in names]
 
 
 def _cmd_solve(config: RunConfig) -> int:
     table = _table_from_config(config)
+    paths = _out_paths(
+        config, "expected_counts.csv", "probabilities.csv",
+        *(["solve.json"] if config.format == "json" and config.out else []),
+    )
     start = master.ProbabilityTable.point_mass(
         states.MassDistribution.monodisperse(config.n_bins)
     )
     series = master.evolve_series(start, table, config.steps)
-    master.write_expected_series(series, _out_path(config, "expected_counts.csv"))
-    master.write_probability_series(series, _out_path(config, "probabilities.csv"))
+    master.write_expected_series(series, paths[0])
+    master.write_probability_series(series, paths[1])
     final = series[-1]
     if config.format == "json":
         _emit_json(
@@ -210,17 +220,20 @@ def _cmd_solve(config: RunConfig) -> int:
                     master.expected_count(final, i) for i in range(1, config.n_bins + 1)
                 ],
             },
-            _out_path(config, "solve.json") if config.out else None,
+            paths[2] if config.out else None,
         )
     return EXIT_OK
 
 
 def _cmd_simulate(config: RunConfig) -> int:
     table = _table_from_config(config)
+    paths = _out_paths(
+        config, "division_probabilities.csv", *(["branches.csv"] if config.mode == "tree" else [])
+    )
     if config.mode == "tree":
         branches = division.run_tree(table, config.steps)
         master.write_csv(
-            _out_path(config, "branches.csv"),
+            paths[1],
             ["history", "state_id", "probability"],
             (
                 ("|".join(str(h) for h in branch.history),
@@ -231,7 +244,7 @@ def _cmd_simulate(config: RunConfig) -> int:
         merged = division.merge_branches(branches, config.steps)
     else:
         merged = division.run_merged(table, config.steps)
-    master.write_probability_series([merged], _out_path(config, "division_probabilities.csv"))
+    master.write_probability_series([merged], paths[0])
     if config.check_master:
         start = master.ProbabilityTable.point_mass(
             states.MassDistribution.monodisperse(config.n_bins)
@@ -250,12 +263,13 @@ def _cmd_simulate(config: RunConfig) -> int:
 
 
 def _cmd_emulate(config: RunConfig) -> int:
+    [path] = _out_paths(config, "sweep.csv")
     table = fixedpoint.build_quantized_arcsine(config.degree, config.eps, config.n_eps)
     report = fixedpoint.estimate_eps_calculation(
         config.n_eps, table, samples=config.samples, include_gap=config.include_gap
     )
     master.write_csv(
-        _out_path(config, "sweep.csv"),
+        path,
         ["n_eps", "eps_arcsin", "max_error", "mean_error", "samples"],
         [(report.width, report.eps_arcsin, report.max_error, report.mean_error,
           report.samples)],
@@ -268,12 +282,15 @@ def _cmd_emulate(config: RunConfig) -> int:
 
 
 def _cmd_arcsine_fit(config: RunConfig) -> int:
+    paths = _out_paths(
+        config, "arcsine_table.csv", *(["arcsine_coefficients.json"] if config.n_eps else [])
+    )
     pp = arcsine.min_pieces(config.degree, config.eps)
     verified = arcsine.verify(pp, grid_factor=2)
     print(f"d={config.degree} eps={config.eps:g}: M={pp.piece_count} "
           f"(max grid error {pp.max_recorded_error():.3e}, verified {verified:.3e})")
     rows = [(config.eps, config.degree, pp.piece_count, pp.max_recorded_error())]
-    master.write_csv(_out_path(config, "arcsine_table.csv"), _ARCSINE_TABLE_HEADER, rows)
+    master.write_csv(paths[0], _ARCSINE_TABLE_HEADER, rows)
     if config.n_eps:
         quantized = fixedpoint.quantize_arcsine(pp, config.n_eps)
         payload = {
@@ -292,7 +309,7 @@ def _cmd_arcsine_fit(config: RunConfig) -> int:
             ],
             "width": config.n_eps,
         }
-        _emit_json(payload, _out_path(config, "arcsine_coefficients.json"))
+        _emit_json(payload, paths[1])
     return EXIT_OK
 
 
@@ -300,20 +317,22 @@ def _cmd_estimate(config: RunConfig) -> int:
     case = _case_from_config(config)
     if not 1 <= config.bin_index <= case.n_bins:
         raise ConfigError(f"--bin must lie in 1..{case.n_bins}, got {config.bin_index}")
+    [path] = _out_paths(config, f"resources.{config.format}")
     report = resources.estimate_case(case, bin_index=config.bin_index)
     if config.format == "csv":
         master.write_csv(
-            _out_path(config, "resources.csv"),
+            path,
             ["case", "eps_max", "t_count", "t_depth", "logical_qubits"],
             [(config.preset or "custom", report.eps_max, report.total.t_count,
               report.total.t_depth, report.qubits.total)],
         )
     else:
-        _emit_json(report.to_json_dict(), config.out)
+        _emit_json(report.to_json_dict(), path if config.out else None)
     return EXIT_OK
 
 
 def _cmd_reproduce_tables(config: RunConfig) -> int:
+    table_path, diff_path = _out_paths(config, "arcsine_table.csv", "table_diff.txt")
     failures = 0
     lines = []
     for name, case in PRESET_CASES.items():
@@ -359,10 +378,8 @@ def _cmd_reproduce_tables(config: RunConfig) -> int:
         lines.append(f"PASS arcsine exact matches {exact}/{asserted}")
     print("\n".join(lines))
     if config.out:
-        master.write_csv(
-            _out_path(config, "arcsine_table.csv"), _ARCSINE_TABLE_HEADER, table_rows
-        )
-        Path(_out_path(config, "table_diff.txt")).write_text("\n".join(lines) + "\n")
+        master.write_csv(table_path, _ARCSINE_TABLE_HEADER, table_rows)
+        Path(diff_path).write_text("\n".join(lines) + "\n")
     return EXIT_OK if failures == 0 else EXIT_MISMATCH
 
 

@@ -23,7 +23,8 @@ piecewise arcsine, ending with ``theta ~ arcsin(sqrt(r/s))``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from bisect import bisect_left
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -92,10 +93,11 @@ def fp_encode(x, width: int, mode: str = "real") -> FixedPointValue:
         if not 0 <= bits < (1 << width):
             raise FixedPointRangeError(f"{x} outside [0, 2**{width})")
         return FixedPointValue(bits, width, "integer")
-    exact = Fraction(x)
-    if exact < 0 or exact >= 2:
+    # exactly num/den, as Fraction(x) reads a float (NaN and inf raise alike)
+    num, den = (x if isinstance(x, float) else Fraction(x)).as_integer_ratio()
+    if num < 0 or num >= 2 * den:
         raise FixedPointRangeError(f"{x} outside the real-mode range [0, 2)")
-    bits = int(exact * (1 << (width - 1)))  # floor for non-negative values
+    bits = (num << (width - 1)) // den  # floor for non-negative values
     return FixedPointValue(bits, width, "real")
 
 
@@ -184,21 +186,6 @@ def fp_mul_const_int_ui(
     return FixedPointValue(bits, const_width, "real")
 
 
-def _sqrt_bits(radicand: int, out_bits: int) -> int:
-    """Digit-by-digit square root: floor(sqrt(radicand)), restoring form."""
-    result = 0
-    remainder = 0
-    for k in reversed(range(out_bits)):
-        remainder = (remainder << 2) | ((radicand >> (2 * k)) & 3)
-        trial = (result << 2) | 1
-        if trial <= remainder:
-            remainder -= trial
-            result = (result << 1) | 1
-        else:
-            result <<= 1
-    return result
-
-
 def fp_sqrt(a: FixedPointValue) -> FixedPointValue:
     """Square root of a real value in [0, 1], truncated at the last bit."""
     if a.mode != "real":
@@ -206,22 +193,10 @@ def fp_sqrt(a: FixedPointValue) -> FixedPointValue:
     one = 1 << (a.width - 1)
     if a.bits > one:
         raise FixedPointRangeError("fp_sqrt operand must lie in [0, 1]")
-    # result/2**(w-1) ~ sqrt(bits/2**(w-1)), so take isqrt(bits << (w-1))
-    bits = _sqrt_bits(a.bits << (a.width - 1), a.width)
+    # result/2**(w-1) ~ sqrt(bits/2**(w-1)), so take isqrt(bits << (w-1)); the
+    # radicand is below 2**(2w), so the circuit's w-digit square root agrees
+    bits = math.isqrt(a.bits << (a.width - 1))
     return FixedPointValue(bits, a.width, "real")
-
-
-def _div_bits(num: int, den: int, width: int) -> int:
-    """Restoring long division: one integer bit then width-1 fraction bits."""
-    quotient = 0
-    remainder = num
-    for _ in range(width):
-        quotient <<= 1
-        if remainder >= den:
-            remainder -= den
-            quotient |= 1
-        remainder <<= 1
-    return quotient
 
 
 def fp_div(a: FixedPointValue, b: FixedPointValue) -> FixedPointValue:
@@ -233,7 +208,9 @@ def fp_div(a: FixedPointValue, b: FixedPointValue) -> FixedPointValue:
         raise DivisionByZeroError("division by zero")
     if a.bits > b.bits:
         raise FixedPointRangeError("fp_div needs a <= b so the quotient fits [0, 1]")
-    bits = _div_bits(a.bits, b.bits, a.width)
+    # for a <= b the circuit's restoring division (one integer bit, then
+    # w-1 fraction bits) yields exactly this floor
+    bits = (a.bits << (a.width - 1)) // b.bits
     return FixedPointValue(bits, a.width, "real")
 
 
@@ -267,10 +244,19 @@ class QuantizedArcsine:
     source_eps: float
     core_piece_count: int
     extension_piece_count: int = 0
+    # the pieces' upper edges, non-decreasing, for the bisect in piece_for
+    upper_bits: tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "upper_bits", tuple(p.upper_bits for p in self.pieces))
 
     @property
     def domain_end_bits(self) -> int:
         return self.pieces[-1].upper_bits
+
+    def piece_for(self, bits: int) -> QuantizedPiece:
+        """The first piece whose upper edge is at or above ``bits``."""
+        return self.pieces[bisect_left(self.upper_bits, bits)]
 
 
 def _exact_power_coeffs(piece) -> list[Fraction]:
@@ -384,7 +370,7 @@ def fp_arcsin_pp(a: FixedPointValue, table: QuantizedArcsine) -> FixedPointValue
         raise FixedPointRangeError(
             f"arcsine input {a.value} outside the quantized domain"
         )
-    piece = next(p for p in table.pieces if a.bits <= p.upper_bits)
+    piece = table.piece_for(a.bits)
     width = table.width
     one = 1 << (width - 1)
     u_bits = (a.bits - piece.lower_bits) << piece.t_shift  # exact shift
@@ -482,7 +468,7 @@ def emulate_up_pipeline(
         theta = FixedPointValue(_pi_half_bits(width) - arcsin_out.bits, width, "real")
     else:
         theta = arcsin_out
-    modified = float(r_fp.exact / s_fp.exact)
+    modified = r_fp.bits / s_fp.bits  # float(r/s): int true division rounds correctly
     reference = math.asin(math.sqrt(modified))
     error = abs(theta.value - reference)
     trace = PipelineTrace(

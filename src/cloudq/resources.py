@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
-from .states import label_pair_count, label_pairs, qubits_for_bin
+from .states import label_pair_count, qubits_for_bin
 
 
 class ResourceModelError(ValueError):
@@ -469,16 +469,18 @@ def estimate_case(case: EstimationCase, bin_index: int = 1) -> ResourceReport:
     ur = gate_cost_ur(case, warnings)
     uadd = gate_cost_uadd(case, warnings)
     division = up + usin + uq + ur
-    # U_shift summed by register width: each pair pays two label Toffolis,
-    # a cADD on bin i+j and a cSUB on bin i, plus one on bin j when i != j
-    widths = [0] + [qubits_for_bin(case.n_bins, b) for b in range(1, case.n_bins + 1)]
+    # U_shift by register width: per pair two label Toffolis, a cADD on bin
+    # i+j, a cSUB on bin i and one on j if i != j.  Bin b is the sum of b//2
+    # pairs, the first of N-2b+1 and the unequal second of min(b-1, N-b)
+    n = case.n_bins
     c_add: Counter[int] = Counter()
     c_sub: Counter[int] = Counter()
-    for i, j in label_pairs(case.n_bins):
-        c_add[widths[i + j]] += 1
-        c_sub[widths[i]] += 1
-        if i != j:
-            c_sub[widths[j]] += 1
+    for b in range(1, n + 1):
+        width = qubits_for_bin(n, b)
+        if b >= 2:
+            c_add[width] += b // 2
+        if b < n:
+            c_sub[width] += max(n - 2 * b + 1, 0) + max(min(b - 1, n - b), 0)
     shift_total = primitive_cost(
         "Toffoli", n=history_label_qubits(case.n_bins), warnings=warnings
     ).times(2 * pair_count)

@@ -1,4 +1,5 @@
 import math
+import random
 
 import mpmath as mp
 import numpy as np
@@ -149,3 +150,68 @@ def test_verify_pinned():
     # values recorded with the per-piece cosine series
     assert verify(min_pieces(5, 1e-12), 10) == 8.857503545428922e-13
     assert verify(min_pieces(8, 1e-15), 10) == 8.050598901662439e-16
+
+
+def _man_exp(x):
+    sign, man, exp, _ = x._mpf_
+    return (-man if sign else man, exp)
+
+
+@pytest.mark.parametrize("prec", [8, 16, 153])
+def test_cosine_table_matches_mp_cos(prec):
+    n, order = 10, 4
+    with mp.workprec(prec):
+        expected = [
+            [_man_exp(mp.cos(mp.pi * j * (2 * k + 1) / (2 * n))) for k in range(n)]
+            for j in range(order + 1)
+        ]
+    assert [list(row) for row in arcsine._cosine_table(n, order, prec)] == expected
+
+
+def _cancelling_sums(prec):
+    """Products whose sum mpf_sum's drop limit decides: a lone term ``shift``
+    bits below a cancelling pair, across the shifts where that limit
+    (``2 * prec`` bits) falls, in both orders.  Every product rounds and
+    sheds a trailing zero, so the drop tests see the rounded terms'
+    exponents and bit counts."""
+    odd = (1 << prec) - 1  # odd * odd rounds to 2**prec - 2
+    with mp.workprec(prec):
+        for shift in range(prec - 2, 5 * prec):
+            lone = (mp.ldexp(odd, -shift), mp.mpf(odd))
+            pair = [(mp.mpf(odd), mp.mpf(odd)), (mp.mpf(-odd), mp.mpf(odd))]
+            yield [lone, *pair]
+            yield [pair[0], lone, pair[1]]
+
+
+def _random_sums(prec):
+    """Mixed signs, zero terms, and exponents close together or up to
+    ``6 * prec`` apart."""
+    rng = random.Random(prec)
+    with mp.workprec(prec):
+        for trial in range(300):
+            spread = 3 * prec if trial % 3 == 0 else 4
+            yield [
+                tuple(
+                    mp.ldexp(rng.choice([-1, 1]) * rng.getrandbits(prec) * (rng.random() > 0.1),
+                             rng.randint(-spread, spread))
+                    for _ in range(2)
+                )
+                for _ in range(rng.randint(1, 12))
+            ]
+
+
+@pytest.mark.parametrize("prec", [8, 16, 153])
+def test_fsum_products_matches_mpf_products(prec):
+    # the comparand is the mpf product loop _truth_series used to run
+    ties = 0
+    for pairs in [*_random_sums(prec), *_cancelling_sums(prec)]:
+        with mp.workprec(prec):
+            expected = mp.fsum(x * y for x, y in pairs)
+        xs = [_man_exp(x) for x, _ in pairs]
+        ys = [_man_exp(y) for _, y in pairs]
+        assert arcsine._fsum_products(xs, ys, prec) == expected._mpf_
+        for (x, _), (y, _) in zip(xs, ys):
+            shift = abs(x * y).bit_length() - prec
+            ties += shift > 0 and abs(x * y) % (1 << shift) == 1 << (shift - 1)
+    if prec < 153:
+        assert ties > 0  # rounding ties were exercised

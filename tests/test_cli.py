@@ -270,6 +270,39 @@ def test_bad_inputs_exit_config(tmp_path, capsys, request, argv, config):
         assert case_id.split("-")[1] in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["solve", "--N", "3", "--M", "2"], id="solve"),
+        pytest.param(["solve", "--N", "3", "--M", "2", "--format", "csv"], id="solve-csv"),
+        pytest.param(["simulate", "--N", "3", "--M", "2", "--mode", "tree"], id="simulate-tree"),
+        pytest.param(["arcsine-fit", "--d", "7", "--eps", "1e-13", "--n-eps", "42"],
+                     id="arcsine-fit-coefficients"),
+        pytest.param(["reproduce-tables"], id="reproduce-tables"),
+    ],
+)
+def test_out_file_for_several_outputs_exits_config(tmp_path, capsys, argv):
+    assert main(argv + ["--out", str(tmp_path / "r.csv")]) == EXIT_CONFIG
+    assert "--out" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []  # refused before anything is written
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        pytest.param(["estimate", "--preset", "paper-case-1", "--format", "csv"], "r.csv",
+                     id="estimate-csv"),
+        pytest.param(["estimate", "--preset", "paper-case-1"], "r.json", id="estimate-json"),
+        pytest.param(["simulate", "--N", "3", "--M", "2"], "r.csv", id="simulate-merged"),
+        pytest.param(["emulate", "--n-eps", "24", "--samples", "20"], "r.csv", id="emulate"),
+    ],
+)
+def test_out_file_creates_missing_directories(tmp_path, argv, name):
+    out = tmp_path / "missing" / "deeper" / name
+    assert main(argv + ["--out", str(out)]) == EXIT_OK
+    assert [p.name for p in out.parent.iterdir()] == [name]
+
+
 def _setting(option):
     """One non-default setting of ``option``: flag arguments, JSON value, parsed value."""
     flag = option.metadata["flag"]

@@ -1,4 +1,6 @@
 import math
+import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -26,6 +28,7 @@ from cloudq.fixedpoint import (
     fp_sqrt,
     fp_sub,
     quantize_arcsine,
+    sweep_inputs,
 )
 
 WIDTH = 42
@@ -267,3 +270,116 @@ def test_sweep_deterministic(arcsine_table):
     a = estimate_eps_calculation(WIDTH, arcsine_table, samples=500)
     b = estimate_eps_calculation(WIDTH, arcsine_table, samples=500)
     assert a == b
+
+
+def _restoring_sqrt(radicand, out_bits):
+    """The circuit's digit-by-digit square root, restoring form."""
+    result = 0
+    remainder = 0
+    for k in reversed(range(out_bits)):
+        remainder = (remainder << 2) | ((radicand >> (2 * k)) & 3)
+        trial = (result << 2) | 1
+        if trial <= remainder:
+            remainder -= trial
+            result = (result << 1) | 1
+        else:
+            result <<= 1
+    return result
+
+
+def _restoring_div(num, den, width):
+    """The circuit's restoring long division: one integer bit, then width-1
+    fraction bits."""
+    quotient = 0
+    remainder = num
+    for _ in range(width):
+        quotient <<= 1
+        if remainder >= den:
+            remainder -= den
+            quotient |= 1
+        remainder <<= 1
+    return quotient
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 8, 42, 64])
+def test_sqrt_matches_restoring_loop(width):
+    rng = random.Random(width)
+    # isqrt equals the w-digit loop for every radicand below 2**(2w)
+    radicands = [rng.randrange(1 << (2 * width)) for _ in range(300)]
+    for root in [0, 1, 2, rng.randrange(1 << width), (1 << width) - 1]:
+        radicands += [root * root - 1, root * root, root * root + 1]
+    for radicand in radicands:
+        if 0 <= radicand < 1 << (2 * width):
+            assert math.isqrt(radicand) == _restoring_sqrt(radicand, width)
+    one = 1 << (width - 1)
+    for bits in [0, 1, one - 1, one] + [rng.randint(0, one) for _ in range(200)]:
+        root = fp_sqrt(FixedPointValue(bits, width))
+        assert root.bits == _restoring_sqrt(bits << (width - 1), width)
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 8, 42, 64])
+def test_div_matches_restoring_loop(width):
+    rng = random.Random(width)
+    top = (1 << width) - 1
+    pairs = [(top, top), (0, 1), (1, 1), (top - 1, top), (1, top)]
+    for _ in range(300):
+        den = rng.randint(1, top)
+        pairs += [(rng.randint(0, den), den), (den, den)]
+    for num, den in pairs:
+        quotient = fp_div(FixedPointValue(num, width), FixedPointValue(den, width))
+        assert quotient.bits == _restoring_div(num, den, width)
+
+
+def test_piece_lookup_matches_linear_scan(arcsine_table):
+    # two domains: the core pieces on [0, 1/2], then the extension past it
+    assert arcsine_table.extension_piece_count > 0
+    for piece in arcsine_table.pieces:
+        for bits in (piece.lower_bits, piece.upper_bits - 1, piece.upper_bits,
+                     piece.upper_bits + 1):
+            if 0 <= bits <= arcsine_table.domain_end_bits:
+                first = next(p for p in arcsine_table.pieces if bits <= p.upper_bits)
+                assert arcsine_table.piece_for(bits) is first
+
+
+def _fraction_encode(x, width):
+    """Real-mode encoding through Fraction arithmetic, as fp_encode did."""
+    exact = Fraction(x)
+    if exact < 0 or exact >= 2:
+        raise FixedPointRangeError(f"{x} outside the real-mode range [0, 2)")
+    return int(exact * (1 << (width - 1)))
+
+
+@pytest.mark.parametrize("width", [1, 2, 24, 42, 53, 64, 1100])
+def test_encode_float_matches_fraction_path(width):
+    rng = random.Random(width)
+    values = [rng.uniform(0.0, 2.0) for _ in range(300)]
+    values += [rng.random() * 2.0 ** -rng.randint(0, 1080) for _ in range(100)]
+    values += [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 0.5, 1.0,
+               math.nextafter(2.0, 0.0), Fraction(1, 3), Fraction(7, 4), 0, 1]
+    for x in values:
+        assert fp_encode(x, width).bits == _fraction_encode(x, width)
+    for x in (2.0, 3.5, -5e-324, -0.5, float("nan"), float("inf"), float("-inf"),
+              Fraction(2), Fraction(-1, 3), 2, -1):
+        with pytest.raises(Exception) as expected:
+            _fraction_encode(x, width)
+        with pytest.raises(expected.type, match=re.escape(str(expected.value))):
+            fp_encode(x, width)
+
+
+@pytest.mark.parametrize("width", [WIDTH, 60])
+def test_pipeline_error_matches_fraction_ratio(arcsine_table, width):
+    # past 53 bits the registers are no longer exact floats
+    table = arcsine_table if width == WIDTH else build_quantized_arcsine(5, 1e-12, width)
+    for n_i, n_j, kdt, s in sweep_inputs(300, include_gap=True):
+        result = emulate_up_pipeline(n_i, n_j, kdt, s, width, table)
+        ratio = float(result.trace.r.exact / result.trace.s_next.exact)
+        assert result.error == abs(result.theta.value - math.asin(math.sqrt(ratio)))
+
+
+def test_sweep_pinned(arcsine_table):
+    # values recorded with the Fraction encode, the bit-serial square root
+    # and division, the linear piece scan and the Fraction ratio
+    plain = estimate_eps_calculation(WIDTH, arcsine_table, samples=2000)
+    gap = estimate_eps_calculation(WIDTH, arcsine_table, samples=2000, include_gap=True)
+    assert (plain.max_error, plain.mean_error) == (1.7690848785889557e-12, 7.875726338452127e-13)
+    assert (gap.max_error, gap.mean_error) == (1.7172929744901921e-12, 6.539877944744532e-13)
