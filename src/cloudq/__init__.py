@@ -18,7 +18,6 @@ from .master import (
     euler_step,
     evolve,
     expected_count,
-    marginal,
 )
 from .division import (
     HistoryBranch,
@@ -36,14 +35,11 @@ from .fixedpoint import (
     build_quantized_arcsine,
     emulate_up_pipeline,
     estimate_eps_calculation,
-    fp_add,
     fp_arcsin_pp,
-    fp_compare,
     fp_div,
     fp_encode,
     fp_mul_const_int_ui,
     fp_mul_int,
-    fp_mul_ui,
     fp_sqrt,
     fp_sub,
 )

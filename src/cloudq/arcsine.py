@@ -56,10 +56,6 @@ class PolynomialPiece:
     coefficients: tuple[float, ...]
     max_error: float
 
-    def evaluate(self, x):
-        u = (2.0 * np.asarray(x) - self.lower - self.upper) / (self.upper - self.lower)
-        return _cheb.chebval(u, np.array(self.coefficients))
-
 
 @dataclass(frozen=True)
 class PiecewisePolynomial:
@@ -73,17 +69,6 @@ class PiecewisePolynomial:
     @property
     def piece_count(self) -> int:
         return len(self.pieces)
-
-    def piece_for(self, x: float) -> PolynomialPiece:
-        if not self.domain[0] <= x <= self.domain[1]:
-            raise FitError(f"{x} outside domain {self.domain}")
-        for piece in self.pieces:
-            if x <= piece.upper:
-                return piece
-        return self.pieces[-1]
-
-    def evaluate(self, x: float) -> float:
-        return float(self.piece_for(x).evaluate(x))
 
     def max_recorded_error(self) -> float:
         return max(piece.max_error for piece in self.pieces)

@@ -413,7 +413,9 @@ def run(config: RunConfig) -> int:
     """Dispatch a validated configuration; returns the exit status."""
     try:
         return _COMMANDS[config.command].run(config)
-    except (ConfigError, resources.ResourceModelError, arcsine.FitError) as exc:
+    except (
+        ConfigError, resources.ResourceModelError, arcsine.FitError, fixedpoint.FixedPointError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except master.StepSizeError as exc:

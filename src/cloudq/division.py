@@ -111,28 +111,20 @@ def run_merged(
     order, the order :func:`merge_branches` sorts children into, so the
     sums agree bit for bit with dividing and merging branch by branch.
     """
-    if steps < 0:
-        raise StateSpaceError(f"need steps >= 0, got {steps}")
     op = table.operator
     start = op.index(initial or MassDistribution.monodisperse(table.num_bins))
-    if steps:  # the first step's check, before the closure is compiled
-        op.checked(start, sequential=True)
-    prog = op.program([start], [start], steps)
-    size = len(prog.ids)
+    prog = op.program([start], [start], steps, sequential=True)
+    size = len(prog.states)
     emits = prog.weight != 0
     by_label = np.argsort(prog.label[emits], kind="stable")
     src = prog.src[emits][by_label]
     dst = prog.dst[emits][by_label]
     weight = prog.weight[emits][by_label]
     holds = prog.hold > 0
-    faulty = prog.over | prog.drift
     prob = prog.vector([prog.where[start]], [op.one])
     present = np.zeros(size, dtype=bool)
     present[prog.where[start]] = True
     for _ in range(steps):
-        fault = np.flatnonzero(present & faulty)
-        if fault.size:
-            op.checked(prog.ids[fault[0]], sequential=True)
         holders = np.flatnonzero(present & holds)
         moving = present[src]
         targets = np.concatenate([holders, dst[moving]])
@@ -159,7 +151,10 @@ def amplitude_expectation(distribution: ProbabilityTable, bin_index: int):
     entries = distribution.entries
     if not entries:
         raise StateSpaceError("empty distribution")
-    d = 2 ** qubits_for_bin(next(iter(entries)).num_bins, bin_index)
+    n_bins = next(iter(entries)).num_bins
+    if not 1 <= bin_index <= n_bins:
+        raise StateSpaceError(f"bin {bin_index} outside [1, {n_bins}]")
+    d = 2 ** qubits_for_bin(n_bins, bin_index)
     total = 0.0
     for state, prob in entries.items():
         total += (state.counts[bin_index - 1] / d) * prob

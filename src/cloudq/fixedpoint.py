@@ -6,10 +6,6 @@ is a plain unsigned integer.  Every operation truncates toward zero, the
 cheapest convention for the corresponding reversible circuits, so no
 result ever exceeds its exact real value.
 
-Multiplies come in two forms, each matching what ``resources`` charges.
-``fp_mul_ui`` (``MUL_UI``, 4n^2 T) is the chain of controlled adders of
-decreasing width: each partial product loses its bits below the register
-resolution, so one multiply may drop up to one step per set control bit.
 The Horner steps of ``fp_arcsin_pp`` (``ARCSIN``, about n full-width
 controlled adders per step) keep every partial-product bit, so each
 product is formed in full and truncated once.
@@ -80,9 +76,6 @@ class FixedPointValue:
     def value(self) -> float:
         return float(self.exact)
 
-    def ulp(self) -> Fraction:
-        return Fraction(1) if self.mode == "integer" else Fraction(1, 1 << (self.width - 1))
-
 
 def fp_encode(x, width: int, mode: str = "real") -> FixedPointValue:
     """Truncate ``x`` toward zero onto an ``width``-bit register."""
@@ -108,15 +101,6 @@ def _require(a: FixedPointValue, b: FixedPointValue) -> None:
         )
 
 
-def fp_add(a: FixedPointValue, b: FixedPointValue) -> FixedPointValue:
-    """Ripple addition; a carry past the top bit raises."""
-    _require(a, b)
-    bits = a.bits + b.bits
-    if bits >= (1 << a.width):
-        raise CarryOutError(f"addition carry-out at width {a.width}")
-    return FixedPointValue(bits, a.width, a.mode)
-
-
 def fp_sub(a: FixedPointValue, b: FixedPointValue) -> FixedPointValue:
     """Ripple subtraction; borrows below zero raise."""
     _require(a, b)
@@ -126,44 +110,11 @@ def fp_sub(a: FixedPointValue, b: FixedPointValue) -> FixedPointValue:
     return FixedPointValue(bits, a.width, a.mode)
 
 
-def fp_compare(a: FixedPointValue, b: FixedPointValue) -> bool:
-    """``a >= b`` on matching registers."""
-    _require(a, b)
-    return a.bits >= b.bits
-
-
 def fp_mul_int(a: FixedPointValue, b: FixedPointValue) -> FixedPointValue:
     """Integer product on an ``n+m``-bit result register (exact)."""
     if a.mode != "integer" or b.mode != "integer":
         raise FixedPointError("fp_mul_int needs integer-mode operands")
     return FixedPointValue(a.bits * b.bits, a.width + b.width, "integer")
-
-
-def _mul_real_bits(control_bits: int, operand_bits: int, width: int) -> int:
-    """Shift-and-add product of two real-mode words, truncating partials.
-
-    Each set bit ``i`` of the control word adds the operand shifted so
-    that bits falling below the register resolution are dropped, exactly
-    as the chained controlled adders of decreasing width (the 4n^2 T that
-    ``MUL_UI`` charges) do.
-    """
-    acc = 0
-    for i in range(width):
-        if (control_bits >> i) & 1:
-            acc += operand_bits >> (width - 1 - i)
-    return acc
-
-
-def fp_mul_ui(a: FixedPointValue, b: FixedPointValue) -> FixedPointValue:
-    """Real product with both operands and the product in [0, 1]."""
-    _require(a, b)
-    if a.mode != "real":
-        raise FixedPointError("fp_mul_ui needs real-mode operands")
-    one = 1 << (a.width - 1)
-    if a.bits > one or b.bits > one:
-        raise FixedPointRangeError("fp_mul_ui operands must lie in [0, 1]")
-    bits = _mul_real_bits(a.bits, b.bits, a.width)
-    return FixedPointValue(bits, a.width, "real")
 
 
 def fp_mul_const_int_ui(
@@ -242,7 +193,6 @@ class QuantizedArcsine:
     degree: int
     pieces: tuple[QuantizedPiece, ...]
     source_eps: float
-    core_piece_count: int
     extension_piece_count: int = 0
     # the pieces' upper edges, non-decreasing, for the bisect in piece_for
     upper_bits: tuple[int, ...] = field(init=False, repr=False, compare=False)
@@ -305,9 +255,7 @@ def _quantize_piece(piece, width: int) -> QuantizedPiece:
     if not biased_constant and scaled[0] < 0:
         raise FixedPointError("negative constant term cannot be stored directly")
     consts = [int((Fraction(1) + b) * one) for b in scaled]
-    if biased_constant:
-        consts[0] = int((Fraction(1) + scaled[0]) * one)
-    else:
+    if not biased_constant:
         consts[0] = int(scaled[0] * one)
     return QuantizedPiece(
         lower_bits=fp_encode(piece.lower, width).bits,
@@ -335,7 +283,6 @@ def quantize_arcsine(
         degree=pp.degree,
         pieces=tuple(pieces),
         source_eps=pp.eps,
-        core_piece_count=pp.piece_count,
         extension_piece_count=0 if extension is None else extension.piece_count,
     )
 
@@ -361,8 +308,7 @@ def fp_arcsin_pp(a: FixedPointValue, table: QuantizedArcsine) -> FixedPointValue
     variable; the offset is removed at the constant term.  Each Horner
     product ``acc * u`` is formed at full width and truncated once, as the
     full-width adders charged by the ``ARCSIN`` cost do, so it errs by less
-    than one register step (``fp_mul_ui`` keeps the cheaper per-partial
-    truncation that ``MUL_UI`` pays for).
+    than one register step.
     """
     if a.mode != "real" or a.width != table.width:
         raise FixedPointError("operand does not match the quantized table")

@@ -76,12 +76,8 @@ def _steps(
     """
     op = table.operator
     keys = [op.index(s) for s in p0.entries]
-    live = [k for k, v in zip(keys, p0.entries.values()) if v != 0]
-    if steps:  # the first step's check, before the closure is compiled
-        for k in sorted(live, key=lambda k: op.states[k].counts):
-            op.checked(k)
-    prog = op.program(keys, live, steps)
-    size = len(prog.ids)
+    prog = op.program(keys, [k for k, v in zip(keys, p0.entries.values()) if v != 0], steps)
+    size = len(prog.states)
     order = [prog.where[k] for k in keys]
     present = np.zeros(size, dtype=bool)
     present[order] = True
@@ -89,11 +85,7 @@ def _steps(
     stay = np.arange(size)
     out = []
     for step in range(p0.step + 1, p0.step + steps + 1):
-        live = prob != 0
-        over = np.flatnonzero(live & prog.over)
-        if over.size:
-            op.checked(prog.ids[over[0]])
-        moving = live[prog.src]
+        moving = (prob != 0)[prog.src]
         src, dst = prog.src[moving], prog.dst[moving]
         flow = prob[src] * prog.rate[moving]
         fresh = list(dict.fromkeys(dst[~present[dst]].tolist()))
@@ -123,8 +115,6 @@ def euler_step(p: ProbabilityTable, table: TransitionTable) -> ProbabilityTable:
 
 def evolve(p0: ProbabilityTable, table: TransitionTable, steps: int) -> ProbabilityTable:
     """``steps``-fold composition of :func:`euler_step`."""
-    if steps < 0:
-        raise StateSpaceError(f"need steps >= 0, got {steps}")
     return _steps(p0, table, steps, keep_all=False)[0] if steps else p0
 
 
@@ -132,20 +122,7 @@ def evolve_series(
     p0: ProbabilityTable, table: TransitionTable, steps: int
 ) -> list[ProbabilityTable]:
     """All intermediate tables from step 0 to ``steps`` inclusive."""
-    if steps < 0:
-        raise StateSpaceError(f"need steps >= 0, got {steps}")
     return [p0] + _steps(p0, table, steps, keep_all=True)
-
-
-def marginal(p: ProbabilityTable, bin_index: int, value: int):
-    """Probability that bin ``bin_index`` holds exactly ``value`` droplets."""
-    total = 0.0
-    for state, prob in p.entries.items():
-        if not 1 <= bin_index <= state.num_bins:
-            raise StateSpaceError(f"bin {bin_index} outside [1, {state.num_bins}]")
-        if state.counts[bin_index - 1] == value:
-            total += prob
-    return total
 
 
 def expected_count(p: ProbabilityTable, bin_index: int):
@@ -158,14 +135,6 @@ def expected_count(p: ProbabilityTable, bin_index: int):
     for state, prob in p.entries.items():
         total += state.counts[bin_index - 1] * prob
     return total
-
-
-def _expected_counts(p: ProbabilityTable) -> list:
-    """:func:`expected_count` of every bin in one pass over the entries."""
-    totals = [0.0] * next(iter(p.entries)).num_bins
-    for state, prob in p.entries.items():
-        totals = [total + count * prob for total, count in zip(totals, state.counts)]
-    return totals
 
 
 def mass_expectation(p: ProbabilityTable):
@@ -244,9 +213,9 @@ def write_expected_series(
 ) -> None:
     """CSV export with columns (step, bin, expected_count)."""
     rows = (
-        (table.step, bin_index, value)
+        (table.step, bin_index, expected_count(table, bin_index))
         for table in series
-        for bin_index, value in enumerate(_expected_counts(table), start=1)
+        for bin_index in range(1, next(iter(table.entries)).num_bins + 1)
     )
     write_csv(path, ["step", "bin", "expected_count"], rows)
 

@@ -46,20 +46,11 @@ class GateCost:
             self.t_count * repetitions, self.t_depth * repetitions, self.ancilla
         )
 
-    ZERO: "GateCost" = None  # set below
-
-
-GateCost.ZERO = GateCost(0, 0, 0)
-
 
 def _clamped(t: int, depth: int, ancilla: int, label: str, warnings: list[str] | None) -> GateCost:
     if (t <= 0 or depth <= 0) and warnings is not None:
         warnings.append(f"{label}: formula gave ({t}, {depth}), clamped at 0")
     return GateCost(max(t, 0), max(depth, 0), max(ancilla, 0))
-
-
-def _ceil_log2(x: float) -> int:
-    return math.ceil(math.log2(x))
 
 
 def primitive_cost(
@@ -180,7 +171,7 @@ class EstimationCase:
 
 
 def history_label_qubits(n_bins: int) -> int:
-    return _ceil_log2(label_pair_count(n_bins) + 1)
+    return math.ceil(math.log2(label_pair_count(n_bins) + 1))
 
 
 @dataclass(frozen=True)

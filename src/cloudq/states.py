@@ -73,12 +73,6 @@ class MassDistribution:
     def mass(self) -> int:
         return sum((i + 1) * c for i, c in enumerate(self.counts))
 
-    def count(self, bin_index: int) -> int:
-        """Droplet count of 1-based bin ``bin_index``."""
-        if not 1 <= bin_index <= self.num_bins:
-            raise StateSpaceError(f"bin {bin_index} outside [1, {self.num_bins}]")
-        return self.counts[bin_index - 1]
-
     @classmethod
     def monodisperse(cls, n_bins: int) -> "MassDistribution":
         """All mass in the first bin: ``(N, 0, ..., 0)``."""
@@ -289,17 +283,15 @@ class OperatorRow(NamedTuple):
 class StepProgram(NamedTuple):
     """Flat arrays for a run's steps over the states it can reach.
 
-    ``ids`` are operator indices in ascending counts order and ``where``
-    maps them to positions.  Edges (``src`` and ``dst`` positions,
+    ``states`` are in ascending counts order and ``where`` maps operator
+    indices to their positions.  Edges (``src`` and ``dst`` positions,
     ``label``, ``rate``, ``weight``) come in ascending source, then label
-    order.  ``hold``, ``over`` (``sum_h r_h > 1``) and ``drift`` are per
-    position and read zero for states the run never steps from.
-    ``rate``, ``weight`` and ``hold`` hold the table's number type:
-    float64 on a float table, Python numbers (``dtype=object``) otherwise,
-    so rational tables stay exact.
+    order.  ``hold`` is per position and reads zero for states the run
+    never steps from.  ``rate``, ``weight`` and ``hold`` hold the table's
+    number type: float64 on a float table, Python numbers
+    (``dtype=object``) otherwise, so rational tables stay exact.
     """
 
-    ids: list[int]
     states: list[MassDistribution]
     where: dict[int, int]
     src: np.ndarray
@@ -308,8 +300,6 @@ class StepProgram(NamedTuple):
     rate: np.ndarray
     weight: np.ndarray
     hold: np.ndarray
-    over: np.ndarray
-    drift: np.ndarray
 
     def vector(self, positions: Sequence[int], values: Sequence) -> np.ndarray:
         """``values`` at ``positions`` and zero elsewhere.
@@ -320,7 +310,7 @@ class StepProgram(NamedTuple):
         """
         values = np.array(values, dtype=object)
         exact = self.rate.dtype == object or any(type(v) is not float for v in values)
-        out = np.zeros(len(self.ids), dtype=object if exact else float)
+        out = np.zeros(len(self.states), dtype=object if exact else float)
         out[positions] = values
         return out
 
@@ -334,8 +324,8 @@ class StepProgram(NamedTuple):
         taken in the order ``bincount`` takes them.
         """
         if values.dtype != object:
-            return np.bincount(index, values, minlength=len(self.ids))
-        out = [None] * len(self.ids)
+            return np.bincount(index, values, minlength=len(self.states))
+        out = [None] * len(self.states)
         for t, v in zip(index.tolist(), values.tolist()):
             out[t] = v if out[t] is None else out[t] + v
         return np.array([0 if v is None else v for v in out], dtype=object)
@@ -449,40 +439,39 @@ class TransitionOperator:
             )
         return row
 
-    def reach(self, sources: Sequence[int], steps: int) -> tuple[list[int], int]:
-        """States within ``steps`` transitions of ``sources``, breadth first.
+    def program(
+        self, keys: Sequence[int], sources: Sequence[int], steps: int, sequential: bool = False
+    ) -> StepProgram:
+        """Flat arrays for ``steps`` steps from ``sources``, over the states
+        they reach plus ``keys``; where the solver's and the merged
+        division model's runs are checked.
 
-        Returns the indices and how many of them, a prefix, lie within
-        ``steps - 1`` transitions: exactly those rows get compiled.
+        The closure is built breadth first, and each level that will step
+        is :meth:`checked` (``sequential`` for the division model) in
+        ascending counts order before it is expanded.  A state at depth
+        ``d`` first steps at step ``d + 1``, so a run fails on the state
+        its executor would meet first, without compiling deeper rows.
         """
-        seen = dict.fromkeys(sources)
-        frontier = list(seen)
-        n_stepping = 0
+        if steps < 0:
+            raise StateSpaceError(f"need steps >= 0, got {steps}")
+        reached = set(sources)
+        level, stepping = list(reached), set()
         for _ in range(steps):
-            if not frontier:
+            if not level:
                 break
-            n_stepping = len(seen)
+            stepping.update(level)
             nxt = []
-            for k in frontier:
-                for target in self.row(k).targets:
-                    if target not in seen:
-                        seen[target] = None
+            for k in sorted(level, key=lambda k: self.states[k].counts):
+                for target in self.checked(k, sequential).targets:
+                    if target not in reached:
+                        reached.add(target)
                         nxt.append(target)
-            frontier = nxt
-        return list(seen), n_stepping
-
-    def program(self, keys: Sequence[int], sources: Sequence[int], steps: int) -> StepProgram:
-        """Flat arrays for ``steps`` steps from ``sources``, over the
-        reachable states plus ``keys``."""
-        reached, n_stepping = self.reach(sources, steps)
-        stepping = set(reached[:n_stepping])
-        ids = sorted(set(keys).union(reached), key=lambda k: self.states[k].counts)
+            level = nxt
+        ids = sorted(reached.union(keys), key=lambda k: self.states[k].counts)
         where = {k: pos for pos, k in enumerate(ids)}
         number = float if self.is_float else object
         src, dst, label, rate, weight = [], [], [], [], []
         hold = np.zeros(len(ids), dtype=number)
-        over = np.zeros(len(ids), dtype=bool)
-        drift = np.zeros(len(ids), dtype=bool)
         for pos, k in enumerate(ids):
             if k not in stepping:
                 continue
@@ -493,13 +482,11 @@ class TransitionOperator:
             rate.extend(row.rates)
             weight.extend(row.weights)
             hold[pos] = row.hold
-            over[pos] = row.total > 1
-            drift[pos] = row.drift != 0
         return StepProgram(
-            ids, [self.states[k] for k in ids], where,
+            [self.states[k] for k in ids], where,
             np.array(src, dtype=np.intp), np.array(dst, dtype=np.intp),
             np.array(label, dtype=np.intp), np.array(rate, dtype=number),
-            np.array(weight, dtype=number), hold, over, drift,
+            np.array(weight, dtype=number), hold,
         )
 
 

@@ -82,14 +82,6 @@ def test_invalid_inputs():
         chebyshev_fit(0.0, 0.5, 0)
 
 
-def test_evaluate_and_piece_lookup():
-    pp = min_pieces(5, 1e-12)
-    for x in (0.0, 0.1234, 0.25, 0.4999, 0.5):
-        assert pp.evaluate(x) == pytest.approx(math.asin(x), abs=2e-12)
-    with pytest.raises(FitError):
-        pp.piece_for(0.6)
-
-
 def test_verification_pass_meets_eps():
     pp = min_pieces(6, 1e-13)
     assert verify(pp, grid_factor=2) <= 1.05 * pp.eps

@@ -184,6 +184,20 @@ def test_emulate_writes_sweep(tmp_path):
     )
 
 
+def test_emulate_overflow_exits_config(tmp_path, capsys):
+    # a gap sample of the (1e-13, d=7) fit lands in an extension piece whose
+    # biased constant pushes the 46-bit arcsine result past the register
+    table = fixedpoint.build_quantized_arcsine(7, 1e-13, 46)
+    with pytest.raises(fixedpoint.CarryOutError, match="arcsine result overflow"):
+        fixedpoint.estimate_eps_calculation(46, table, samples=100, include_gap=True)
+    code = main(
+        ["emulate", "--d", "7", "--eps", "1e-13", "--n-eps", "46", "--samples", "100",
+         "--include-gap", "--out", str(tmp_path)]
+    )
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err == "error: arcsine result overflow\n"
+
+
 def test_missing_required_flags():
     assert main(["arcsine-fit"]) == EXIT_CONFIG
 

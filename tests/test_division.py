@@ -150,6 +150,13 @@ def test_amplitude_expectation_empty_distribution():
         amplitude_expectation(ProbabilityTable({}), 1)
 
 
+@pytest.mark.parametrize("bin_index", [0, 8, -1])
+def test_amplitude_expectation_checks_its_bin(bin_index):
+    p0 = ProbabilityTable.point_mass(MassDistribution.monodisperse(7))
+    with pytest.raises(StateSpaceError, match=rf"^bin {bin_index} outside \[1, 7\]$"):
+        amplitude_expectation(p0, bin_index)
+
+
 def test_amplitude_readout_two_state_slice():
     # after one 0.1-step, bin 2 holds probability 0.1; with d = 2**q_2 = 2
     # the marked-state probability is 0.05 and the readout returns 0.1
@@ -301,6 +308,25 @@ def test_step_size_checked_before_the_closure_compiles():
     op = table.operator
     assert [s for s, row in zip(op.states, op._rows) if row is not None] == [start]
     assert run_merged(table, 0).entries == {start: 1.0}
+
+
+def test_step_size_checked_level_by_level_as_the_closure_compiles():
+    # K(i, j) = (ij)^2 at N = 6, dt = 1/15: the start (6, 0, ...) sits exactly
+    # at sum_h r_h = 1, and its one successor (4, 1, 0, 0, 0, 0) is over it
+    kernel = KernelSpec("table", table=tuple(
+        tuple(float((i * j) ** 2) for j in range(1, 7)) for i in range(1, 7)
+    ))
+    table = build_transition_table(6, kernel, 1 / 15)
+    over = MassDistribution((4, 1, 0, 0, 0, 0))
+    assert total_transition_rate(table, MassDistribution.monodisperse(6)) == 1
+    with pytest.raises(StepSizeError) as err:
+        run_merged(table, 5)
+    assert str(err.value) == (
+        f"sum of transition probabilities {total_transition_rate(table, over)} > 1 "
+        "for state (4, 1, 0, 0, 0, 0); reduce dt"
+    )
+    # the start's row and the failing row; nothing deeper is compiled
+    assert sum(row is not None for row in table.operator._rows) == 2
 
 
 def test_zero_steps_keep_the_table_number_type():

@@ -11,7 +11,6 @@ from cloudq.master import (
     evolve,
     evolve_series,
     expected_count,
-    marginal,
     mass_expectation,
     ssa_population_estimate,
     write_expected_series,
@@ -111,24 +110,6 @@ def test_absorbing_limit():
     table, p0 = _mono_table(5, k0=1.0, dt=0.02)
     p = evolve(p0, table, 600)
     assert p.entries[MassDistribution.absorbed(5)] > 0.99
-
-
-def test_marginal_examples():
-    p = ProbabilityTable(
-        {MassDistribution((2, 0)): 0.9, MassDistribution((0, 1)): 0.1}
-    )
-    assert marginal(p, 1, 2) == pytest.approx(0.9)
-    for bin_index in (1, 2):
-        total = sum(marginal(p, bin_index, v) for v in range(0, 3))
-        assert total == pytest.approx(1.0, abs=1e-15)
-    with pytest.raises(StateSpaceError):
-        marginal(p, 3, 0)
-
-    table, p0 = _mono_table(3, k0=1.0, dt=0.05)
-    p2 = evolve(p0, table, 2)
-    assert marginal(p2, 1, 1) == pytest.approx(
-        p2.entries[MassDistribution((1, 1, 0))], abs=1e-15
-    )
 
 
 def test_expected_count_examples():
@@ -304,6 +285,31 @@ def test_step_size_checked_before_the_closure_compiles():
     start = MassDistribution((1, 0, 1, 0))
     p = ProbabilityTable({MassDistribution((4, 0, 0, 0)): 0.0, start: 1.0})
     assert evolve(p, table, 1).entries[start] == 1 - total_transition_rate(table, start)
+
+
+def _rising_table():
+    # K(i, j) = (ij)^2 at N = 6, dt = 1/15: the start (6, 0, ...) sits exactly
+    # at sum_h r_h = 1, and its one successor (4, 1, 0, 0, 0, 0) is over it
+    kernel = KernelSpec("table", table=tuple(
+        tuple(float((i * j) ** 2) for j in range(1, 7)) for i in range(1, 7)
+    ))
+    return build_transition_table(6, kernel, 1 / 15)
+
+
+def test_step_size_checked_level_by_level_as_the_closure_compiles():
+    p0 = ProbabilityTable.point_mass(MassDistribution.monodisperse(6))
+    for run in (evolve, evolve_series):
+        table = _rising_table()
+        over = MassDistribution((4, 1, 0, 0, 0, 0))
+        assert total_transition_rate(table, p0.states()[0]) == 1
+        with pytest.raises(StepSizeError) as err:
+            run(p0, table, 5)
+        assert str(err.value) == (
+            f"sum of transition probabilities {total_transition_rate(table, over)} > 1 "
+            "for state (4, 1, 0, 0, 0, 0); reduce dt"
+        )
+        # the start's row and the failing row; nothing deeper is compiled
+        assert sum(row is not None for row in table.operator._rows) == 2
 
 
 def test_negative_steps_rejected():

@@ -252,7 +252,7 @@ def test_ushift_total_sums_the_pair_formula():
         warnings: list[str] = []
         for gate in (gate_cost_up, gate_cost_uq, gate_cost_ur, gate_cost_uadd):
             gate(case, warnings)
-        shift_total = GateCost.ZERO
+        shift_total = GateCost(0, 0, 0)
         for pair in label_pairs(n_bins):
             shift_total = shift_total + gate_cost_ushift(case, pair, warnings)
         assert report.per_gate["U_shift_total"] == shift_total, n_bins
