@@ -18,6 +18,7 @@ from .master import (
     euler_step,
     evolve,
     expected_count,
+    expected_counts,
 )
 from .division import (
     HistoryBranch,

@@ -216,9 +216,7 @@ def _cmd_solve(config: RunConfig) -> int:
                 "steps": config.steps,
                 "dt": table.dt,
                 "total_probability": final.total(),
-                "expected_counts": [
-                    master.expected_count(final, i) for i in range(1, config.n_bins + 1)
-                ],
+                "expected_counts": master.expected_counts(final),
             },
             paths[2] if config.out else None,
         )

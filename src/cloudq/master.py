@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from itertools import chain, count, islice, repeat
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -82,18 +83,28 @@ def _steps(
     present = np.zeros(size, dtype=bool)
     present[order] = True
     prob = prog.vector(order, list(p0.entries.values()))
+    exact = prob.dtype == object
     stay = np.arange(size)
+    terms = None if exact else np.concatenate([stay, prog.src, prog.dst])
     out = []
     for step in range(p0.step + 1, p0.step + steps + 1):
-        moving = (prob != 0)[prog.src]
-        src, dst = prog.src[moving], prog.dst[moving]
-        flow = prob[src] * prog.rate[moving]
-        fresh = list(dict.fromkeys(dst[~present[dst]].tolist()))
-        order.extend(fresh)
-        present[fresh] = True
-        prob = prog.accumulate(
-            np.concatenate([stay, src, dst]), np.concatenate([prob, -flow, flow])
-        )
+        if exact or len(order) < size:
+            moving = (prob != 0)[prog.src]
+            dst = prog.dst[moving]
+            fresh = list(dict.fromkeys(dst[~present[dst]].tolist()))
+            order.extend(fresh)
+            present[fresh] = True
+        if exact:
+            src = prog.src[moving]
+            flow = prob[src] * prog.rate[moving]
+            prob = prog.accumulate(
+                np.concatenate([stay, src, dst]), np.concatenate([prob, -flow, flow])
+            )
+        else:
+            # an empty state's flows are +-0.0, and a bincount sum starts at
+            # +0.0, so adding them leaves every bit as the moving flows alone
+            flow = prob[prog.src] * prog.rate
+            prob = prog.accumulate(terms, np.concatenate([prob, -flow, flow]))
         if keep_all or step == p0.step + steps:
             out.append(ProbabilityTable(
                 dict(zip([prog.states[i] for i in order], prob[order].tolist())), step=step
@@ -125,16 +136,40 @@ def evolve_series(
     return [p0] + _steps(p0, table, steps, keep_all=True)
 
 
-def expected_count(p: ProbabilityTable, bin_index: int):
-    """Expected droplet count of bin ``bin_index``."""
-    if p.entries:
-        n_bins = next(iter(p.entries)).num_bins
+def expected_counts(p: ProbabilityTable, bins: Sequence[int] | None = None) -> list:
+    """Expected droplet count of each bin in ``bins`` (every bin by default).
+
+    Each is ``sum count * P`` taken state by state in entry order from
+    ``0.0``.  For several bins of a table of Python floats one sequential
+    ``cumsum`` down the counts matrix computes them at once with the same
+    bits (``+ 0.0`` turns a ``-0.0`` sum into the loop's ``0.0``); a
+    single bin, or any other table, is summed by the loop, bin by bin.
+    """
+    if not p.entries:
+        raise StateSpaceError("empty distribution")
+    n_bins = next(iter(p.entries)).num_bins
+    bins = range(1, n_bins + 1) if bins is None else bins
+    for bin_index in bins:
         if not 1 <= bin_index <= n_bins:
             raise StateSpaceError(f"bin {bin_index} outside [1, {n_bins}]")
-    total = 0.0
-    for state, prob in p.entries.items():
-        total += state.counts[bin_index - 1] * prob
-    return total
+    probs = list(p.entries.values())
+    if len(bins) > 1 and set(map(type, probs)) == {float}:
+        counts = np.fromiter(
+            chain.from_iterable([s.counts for s in p.entries]), np.int64, len(probs) * n_bins
+        ).reshape(len(probs), n_bins)[:, np.array(bins, dtype=np.intp) - 1]
+        return (np.cumsum(counts * np.array(probs)[:, None], axis=0)[-1] + 0.0).tolist()
+    totals = []
+    for bin_index in bins:
+        total = 0.0
+        for state, prob in p.entries.items():
+            total += state.counts[bin_index - 1] * prob
+        totals.append(total)
+    return totals
+
+
+def expected_count(p: ProbabilityTable, bin_index: int):
+    """Expected droplet count of bin ``bin_index``."""
+    return expected_counts(p, [bin_index])[0]
 
 
 def mass_expectation(p: ProbabilityTable):
@@ -153,13 +188,13 @@ def ssa_trajectory(
     k = op.index(initial or MassDistribution.monodisperse(table.num_bins))
     t = 0.0
     while True:
-        row = op.row(k)
-        if row.event_rate <= 0:
+        event_rate, event_cdf = op.events(k)
+        if event_rate <= 0:
             break
-        t += rng.exponential(1.0 / row.event_rate)
+        t += rng.exponential(1.0 / event_rate)
         if t > t_end:
             break
-        k = row.targets[int(np.searchsorted(row.event_cdf, rng.uniform()))]
+        k = op.row(k).targets[int(np.searchsorted(event_cdf, rng.uniform()))]
     return op.states[k]
 
 
@@ -187,20 +222,53 @@ def ssa_population_estimate(
     return [(float(m), float(s)) for m, s in zip(means, stderrs)]
 
 
+_CSV_CHUNK = 256  # rows transposed and written at once; more only adds peak memory
+_CSV_QUOTED = (",", '"', "\n", "\r")  # csv may quote a cell holding one
+
+
+def _csv_lines(chunk: list[tuple]) -> str | None:
+    """``chunk`` as CSV lines, built one column at a time; None if its rows
+    differ in length, have one cell, or hold a cell ``csv`` would quote."""
+    if len(set(map(len, chunk))) != 1 or len(chunk[0]) < 2:
+        return None
+    columns = []
+    for column in zip(*chunk):
+        if set(map(type, column)) <= {int, float}:
+            # a list's repr is its items' reprs joined by ", ", and no int
+            # or float repr holds ", " or a quoted character
+            columns.append(repr(list(column))[1:-1].split(", "))
+            continue
+        cells = [c if isinstance(c, str) else str(c) if isinstance(c, int) else repr(c)
+                 for c in column]
+        text = "".join(cells)
+        if any(char in text for char in _CSV_QUOTED):
+            return None
+        columns.append(cells)
+    return "\n".join(map(",".join, zip(*columns))) + "\n"
+
+
 def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     """Write ``header`` and ``rows`` as CSV with LF line endings.
 
     ``int`` and ``str`` cells are written as they are; every other cell
     (floats, Fractions, numpy scalars) is written as its ``repr``, so
-    floats round-trip exactly.
+    floats round-trip exactly.  Rows are written ``_CSV_CHUNK`` at a time,
+    a column at a time; a chunk :func:`_csv_lines` cannot build goes
+    through ``csv.writer`` cell by cell, which writes the same bytes.
     """
+    rows = iter(rows)
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows(
-            [cell if isinstance(cell, (int, str)) else repr(cell) for cell in row]
-            for row in rows
-        )
+        while chunk := list(map(tuple, islice(rows, _CSV_CHUNK))):
+            lines = _csv_lines(chunk)
+            if lines is None:
+                writer.writerows(
+                    [cell if isinstance(cell, (int, str)) else repr(cell) for cell in row]
+                    for row in chunk
+                )
+            else:
+                handle.write(lines)
 
 
 def state_id(state: MassDistribution) -> str:
@@ -212,10 +280,8 @@ def write_expected_series(
     series: Sequence[ProbabilityTable], path: str
 ) -> None:
     """CSV export with columns (step, bin, expected_count)."""
-    rows = (
-        (table.step, bin_index, expected_count(table, bin_index))
-        for table in series
-        for bin_index in range(1, next(iter(table.entries)).num_bins + 1)
+    rows = chain.from_iterable(
+        zip(repeat(table.step), count(1), expected_counts(table)) for table in series
     )
     write_csv(path, ["step", "bin", "expected_count"], rows)
 
@@ -223,11 +289,25 @@ def write_expected_series(
 def write_probability_series(
     series: Sequence[ProbabilityTable], path: str
 ) -> None:
-    """CSV export with columns (step, state_id, probability)."""
-    ids = {state: state_id(state) for state in set().union(*(t.entries for t in series))}
-    rows = (
-        (table.step, ids[state], table.entries[state])
-        for table in series
-        for state in table.states()
-    )
+    """CSV export with columns (step, state_id, probability); each table's
+    states in ascending counts order."""
+    ids: dict[tuple[int, ...], str] = {}  # state_id of the state with these counts
+    digits: list[str] = []  # str(c) by c; no count exceeds its state's bin count
+
+    def table_rows(table: ProbabilityTable) -> Iterable[tuple]:
+        keys = [s.counts for s in table.entries]
+        fresh = set(keys).difference(ids)
+        if fresh:
+            digits.extend(map(str, range(len(digits), max(map(len, fresh)) + 1)))
+            for key in fresh:
+                ids[key] = "|".join(map(digits.__getitem__, key))
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        probs = list(table.entries.values())
+        return zip(
+            repeat(table.step),
+            map(ids.__getitem__, map(keys.__getitem__, order)),
+            map(probs.__getitem__, order),
+        )
+
+    rows = chain.from_iterable(map(table_rows, series))
     write_csv(path, ["step", "state_id", "probability"], rows)

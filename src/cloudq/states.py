@@ -11,6 +11,7 @@ reserved for "no collision in this step".
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -71,7 +72,7 @@ class MassDistribution:
         return len(self.counts)
 
     def mass(self) -> int:
-        return sum((i + 1) * c for i, c in enumerate(self.counts))
+        return sum(map(operator.mul, range(1, len(self.counts) + 1), self.counts))
 
     @classmethod
     def monodisperse(cls, n_bins: int) -> "MassDistribution":
@@ -263,10 +264,8 @@ class OperatorRow(NamedTuple):
     (labels visited ``H..1``, label ``h`` claiming ``r_h / s_{h+1}`` of
     what is unclaimed) and its remainder ``s_1``; ``drift`` is the first
     label whose weight strays from ``r_h`` by more than ``SEQUENTIAL_TOL``
-    (0 if none).  ``event_rate`` (``sum_h r_h / dt``) and ``event_cdf``
-    (the cumulative label distribution at ``labels``) are what the
-    Gillespie sampler draws from; both are computed on the length-``H``
-    float propensity vector.
+    (0 if none).  The Gillespie sampler's view of the row is
+    :meth:`TransitionOperator.events`.
     """
 
     labels: tuple[int, ...]
@@ -276,8 +275,6 @@ class OperatorRow(NamedTuple):
     weights: tuple
     hold: object
     drift: int
-    event_rate: float
-    event_cdf: np.ndarray
 
 
 class StepProgram(NamedTuple):
@@ -339,7 +336,8 @@ class TransitionOperator:
     its outflows.  Only the support a run can reach is ever built, never
     the whole state space.  The solver and the merged division model,
     float or rational, step on the flat arrays of :meth:`program`; the
-    history tree and the Gillespie sampler read :meth:`row` directly.
+    history tree reads :meth:`row` directly, and the Gillespie sampler
+    :meth:`events`.
     """
 
     def __init__(self, table: TransitionTable) -> None:
@@ -353,9 +351,11 @@ class TransitionOperator:
         self.states: list[MassDistribution] = []
         self._dt = table.dt
         self._kernel = table.kernel_values
+        self._pairs = table.pairs
         self._first_label = {i: h for h, (i, j) in enumerate(table.pairs, start=1) if i == j}
         self._rows: list[OperatorRow | None] = []
         self._index: dict[tuple[int, ...], int] = {}
+        self._events: dict[int, tuple[float, np.ndarray]] = {}
 
     def index(self, state: MassDistribution) -> int:
         """Operator index of ``state``, assigned on first sight."""
@@ -381,14 +381,13 @@ class TransitionOperator:
 
     def _compile(self, counts: tuple[int, ...]) -> OperatorRow:
         occupied = [b for b, c in enumerate(counts, start=1) if c]
-        labels, targets, props, rates = [], [], [], []
+        labels, targets, rates = [], [], []
         for first, i in enumerate(occupied):
             for j in occupied[first:]:
                 if i + j > self.num_bins:
                     break
                 label = self._first_label[i] + j - i
-                prop = _pair_propensity(self._kernel[label - 1], counts, i, j)
-                rate = prop * self._dt
+                rate = _pair_propensity(self._kernel[label - 1], counts, i, j) * self._dt
                 if rate != 0:
                     after = list(counts)
                     after[i - 1] -= 1
@@ -396,7 +395,6 @@ class TransitionOperator:
                     after[i + j - 1] += 1
                     labels.append(label)
                     targets.append(self._index_counts(tuple(after)))
-                    props.append(prop)
                     rates.append(rate)
         total = sum(rates, 0 * self._dt)
         # sequential split, labels H..1; a zero-rate label leaves s unchanged
@@ -414,15 +412,27 @@ class TransitionOperator:
         drift = next(
             (h for h, w, r in zip(labels, weights, rates) if abs(w - r) > SEQUENTIAL_TOL), 0
         )
-        dense = np.zeros(self.num_labels)
-        stored = np.array(labels, dtype=np.intp) - 1
-        dense[stored] = props
-        event_rate = dense.sum()
-        cdf = (np.cumsum(dense) / event_rate)[stored] if labels else dense[stored]
         return OperatorRow(
-            tuple(labels), tuple(targets), tuple(rates), total,
-            tuple(weights), remaining, drift, event_rate, cdf,
+            tuple(labels), tuple(targets), tuple(rates), total, tuple(weights), remaining, drift,
         )
+
+    def events(self, k: int) -> tuple[float, np.ndarray]:
+        """What the Gillespie sampler draws from in state ``k``: the event
+        rate ``sum_h r_h / dt`` and the cumulative label distribution at
+        the row's labels, both on the length-``H`` float propensity vector.
+        Built on the first visit and kept."""
+        found = self._events.get(k)
+        if found is None:
+            labels, counts = self.row(k).labels, self.states[k].counts
+            dense = np.zeros(self.num_labels)
+            stored = np.array(labels, dtype=np.intp) - 1
+            dense[stored] = [
+                _pair_propensity(self._kernel[h - 1], counts, *self._pairs[h - 1]) for h in labels
+            ]
+            event_rate = dense.sum()
+            cdf = (np.cumsum(dense) / event_rate)[stored] if labels else dense[stored]
+            found = self._events[k] = (event_rate, cdf)
+        return found
 
     def checked(self, k: int, sequential: bool = False) -> OperatorRow:
         """Row ``k`` after the step-size check and, for the division model
@@ -477,7 +487,7 @@ class TransitionOperator:
                 continue
             row = self._rows[k]
             src.extend([pos] * len(row.labels))
-            dst.extend(where[t] for t in row.targets)
+            dst.extend(map(where.__getitem__, row.targets))
             label.extend(row.labels)
             rate.extend(row.rates)
             weight.extend(row.weights)

@@ -1,8 +1,16 @@
+import csv
 import math
+import os
+import tempfile
 from fractions import Fraction
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cloudq import master
 from cloudq.master import (
     ProbabilityTable,
     SsaConfig,
@@ -11,8 +19,10 @@ from cloudq.master import (
     evolve,
     evolve_series,
     expected_count,
+    expected_counts,
     mass_expectation,
     ssa_population_estimate,
+    write_csv,
     write_expected_series,
     write_probability_series,
 )
@@ -335,3 +345,116 @@ def test_ssa_estimates_pinned():
         (0.275, 0.07149950690165272), (0.1, 0.04803844614152611),
         (0.225, 0.06686668711812967), (0.125, 0.05295740910852021),
     ]
+
+
+def _per_cell_csv(path, header, rows):
+    # write_csv as it was: every row through csv.writer, one cell at a time
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(
+            [cell if isinstance(cell, (int, str)) else repr(cell) for cell in row] for row in rows
+        )
+
+
+def _same_csv_bytes(header, rows, chunk=master._CSV_CHUNK):
+    with tempfile.TemporaryDirectory() as tmp:
+        got, want = os.path.join(tmp, "got.csv"), os.path.join(tmp, "want.csv")
+        with mock.patch.object(master, "_CSV_CHUNK", chunk):
+            write_csv(got, header, iter(rows))
+        _per_cell_csv(want, header, rows)
+        with open(got, "rb") as a, open(want, "rb") as b:
+            return a.read() == b.read()
+
+
+_FLOATS = st.floats(allow_subnormal=True) | st.sampled_from(
+    [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, math.inf, -math.inf, math.nan]
+)
+_TEXT = st.text(
+    alphabet=st.sampled_from(["a", "|", "0", ".", " ", ",", '"', "\n", "\r"]), max_size=4
+)
+_CELLS = {
+    "float": _FLOATS,
+    "int": st.integers(-(10**20), 10**20),
+    "str": _TEXT,
+    "fraction": st.fractions(max_denominator=1000),
+    "numpy": _FLOATS.map(np.float64) | st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    "bool": st.booleans(),
+}
+_CELLS["mixed"] = st.one_of(*_CELLS.values())
+
+
+@st.composite
+def _csv_rows(draw):
+    kinds = draw(st.lists(st.sampled_from(sorted(_CELLS)), min_size=1, max_size=4))
+    rows = draw(st.lists(st.tuples(*(_CELLS[k] for k in kinds)), max_size=30))
+    if draw(st.booleans()):  # ragged: cut some rows short, as lists
+        rows = [list(r[: draw(st.integers(0, len(r)))]) if draw(st.booleans()) else r
+                for r in rows]
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(_csv_rows(), st.sampled_from([1, 2, 3, 7, master._CSV_CHUNK]))
+def test_write_csv_matches_per_cell_writer(rows, chunk):
+    # floats, -0.0, inf, nan and subnormals; Fractions (quoted); numpy
+    # scalars and bools; strings with , " \n \r and empty ones; ragged rows
+    assert _same_csv_bytes(["a", "b"], rows, chunk)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [("",), ("",), ("x",)],
+        [("", ""), ("", "")],
+        [(1, 0.5), (2,), (3, 0.25, "x")],
+        [(1, Fraction(1, 3)), (2, Fraction(-2))],
+        [(i, i / 7, f"{i}|0") for i in range(5000)],
+        [(i, i / 7, "a,b" if i == 3000 else "c") for i in range(5000)],
+        [(i, -0.0) if i % 2 else (i,) for i in range(4500)],
+    ],
+    ids=["one-empty-column", "empty-cells", "ragged", "fraction", "long", "long-quoted",
+         "long-ragged"],
+)
+def test_write_csv_edge_cases(rows):
+    assert _same_csv_bytes(["a", "b", "c"], rows)
+
+
+def _loop_expected(p, bin_index):
+    # expected_count as it was: one Python sum per bin, in entry order
+    total = 0.0
+    for state, prob in p.entries.items():
+        total += state.counts[bin_index - 1] * prob
+    return total
+
+
+@pytest.mark.parametrize(
+    "probs",
+    [(-0.0, -0.0, -0.0), (-0.0, 0.0, -0.0), (-5e-324, 1.0, -1e-300), (0.5, -1e-17, 0.5)],
+    ids=["negative-zeros", "mixed-zeros", "tiny-negative", "cancel"],
+)
+def test_expected_counts_keep_the_loops_bits(probs, tmp_path):
+    # a column summing to -0.0 must read 0.0, as the loop's 0.0 start gives
+    keys = [MassDistribution((3, 0, 0)), MassDistribution((1, 1, 0)), MassDistribution((0, 0, 1))]
+    series = [ProbabilityTable(dict(zip(keys, probs)), step=0),
+              ProbabilityTable(dict(zip(keys[::-1], probs)), step=1)]
+    want = [[_loop_expected(p, b) for b in (1, 2, 3)] for p in series]
+    for got in ([expected_counts(p) for p in series],
+                [[expected_count(p, b) for b in (1, 2, 3)] for p in series]):
+        assert list(map(repr, got)) == list(map(repr, want))
+    path = tmp_path / "expected.csv"
+    write_expected_series(series, str(path))
+    _per_cell_csv(tmp_path / "loop.csv", ["step", "bin", "expected_count"],
+                  [(p.step, b, want[i][b - 1]) for i, p in enumerate(series) for b in (1, 2, 3)])
+    assert path.read_bytes() == (tmp_path / "loop.csv").read_bytes()
+
+
+def test_expected_counts_need_a_state():
+    with pytest.raises(StateSpaceError, match="^empty distribution$"):
+        expected_count(ProbabilityTable({}), 99)
+
+
+def test_expected_series_needs_a_state(tmp_path):
+    p0 = ProbabilityTable.point_mass(MassDistribution.monodisperse(3))
+    with pytest.raises(StateSpaceError, match="^empty distribution$"):
+        write_expected_series([p0, ProbabilityTable({})], str(tmp_path / "e.csv"))
