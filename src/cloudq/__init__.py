@@ -15,7 +15,6 @@ from .states import (
 from .master import (
     ProbabilityTable,
     SsaConfig,
-    euler_step,
     evolve,
     expected_count,
     expected_counts,
@@ -29,7 +28,7 @@ from .division import (
     run_merged,
     run_tree,
 )
-from .arcsine import PiecewisePolynomial, chebyshev_fit, choose_config, linf_error, min_pieces, verify
+from .arcsine import PiecewisePolynomial, chebyshev_fit, linf_error, min_pieces, verify
 from .fixedpoint import (
     FixedPointValue,
     QuantizedArcsine,
@@ -55,6 +54,6 @@ from .resources import (
     register_counts,
     scaling_report,
 )
-from .presets import EXPECTED_RESOURCES, PIECEWISE_ARCSINE_TABLE, PRESET_CASES
+from .presets import EXPECTED_RESOURCES, PIECEWISE_ARCSINE_TABLE, PRESET_CASES, choose_config
 
 __version__ = "0.1.0"

@@ -259,31 +259,3 @@ def verify(pp: PiecewisePolynomial, grid_factor: int = 10) -> float:
         )
         for piece in pp.pieces
     )
-
-
-def choose_config(
-    eps: float,
-    n_bits: int,
-    rows: Sequence[tuple[float, int, int]] | None = None,
-) -> tuple[int, int]:
-    """Pick the ``(degree, pieces)`` row minimizing the arcsine gate cost.
-
-    Candidates default to the bundled piece-count table rows matching
-    ``eps``; ties break toward the smaller degree.
-    """
-    from .presets import PIECEWISE_ARCSINE_TABLE
-    from .resources import primitive_cost
-
-    if rows is None:
-        rows = PIECEWISE_ARCSINE_TABLE
-    candidates = [(d, m) for e, d, m in rows if e == eps]
-    if not candidates:
-        raise FitError(f"no table rows for eps={eps}")
-    best = min(
-        candidates,
-        key=lambda dm: (
-            primitive_cost("ARCSIN", n=n_bits, degree=dm[0], pieces=dm[1]).t_count,
-            dm[0],
-        ),
-    )
-    return best

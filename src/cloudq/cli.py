@@ -152,8 +152,8 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
 def _case_from_config(config: RunConfig) -> resources.EstimationCase:
     """The preset's case, or none, with every given option laid over it.
 
-    ``RunConfig`` has no ``eps_arcsin`` or ``eps_calculation``: those keep
-    the preset's value or the case default.
+    ``RunConfig`` has no ``eps_calculation``: it keeps the preset's value
+    or the case default.
     """
     fields = dataclasses.asdict(PRESET_CASES[config.preset]) if config.preset else {}
     for field in dataclasses.fields(resources.EstimationCase):

@@ -97,12 +97,9 @@ def run_tree(
     return branches
 
 
-def run_merged(
-    table: TransitionTable,
-    steps: int,
-    initial: MassDistribution | None = None,
-) -> ProbabilityTable:
-    """State distribution after ``steps`` divisions, histories summed out.
+def run_merged(table: TransitionTable, steps: int) -> ProbabilityTable:
+    """State distribution after ``steps`` divisions from the monodisperse
+    state, histories summed out.
 
     Valid because histories are orthogonal labels on non-negative
     probabilities: merging after each step commutes with the division.
@@ -112,7 +109,7 @@ def run_merged(
     sums agree bit for bit with dividing and merging branch by branch.
     """
     op = table.operator
-    start = op.index(initial or MassDistribution.monodisperse(table.num_bins))
+    start = op.index(MassDistribution.monodisperse(table.num_bins))
     prog = op.program([start], [start], steps, sequential=True)
     size = len(prog.states)
     emits = prog.weight != 0

@@ -112,20 +112,15 @@ def _steps(
     return out
 
 
-def euler_step(p: ProbabilityTable, table: TransitionTable) -> ProbabilityTable:
-    """One explicit update of the discretized master equation.
+def evolve(p0: ProbabilityTable, table: TransitionTable, steps: int) -> ProbabilityTable:
+    """``steps`` explicit updates of the discretized master equation.
 
     Every populated state loses ``r_h * P`` to each post-collision state,
     which is algebraically identical to the gain/loss form of the update
     and conserves the total exactly up to rounding; rational tables stay
-    exact.  :class:`StepSizeError` names the first populated state, in
+    exact.  :class:`StepSizeError` names the first state to step, in
     ascending counts order, with ``sum_h r_h > 1``.
     """
-    return _steps(p, table, 1, keep_all=False)[0]
-
-
-def evolve(p0: ProbabilityTable, table: TransitionTable, steps: int) -> ProbabilityTable:
-    """``steps``-fold composition of :func:`euler_step`."""
     return _steps(p0, table, steps, keep_all=False)[0] if steps else p0
 
 
@@ -140,10 +135,11 @@ def expected_counts(p: ProbabilityTable, bins: Sequence[int] | None = None) -> l
     """Expected droplet count of each bin in ``bins`` (every bin by default).
 
     Each is ``sum count * P`` taken state by state in entry order from
-    ``0.0``.  For several bins of a table of Python floats one sequential
-    ``cumsum`` down the counts matrix computes them at once with the same
-    bits (``+ 0.0`` turns a ``-0.0`` sum into the loop's ``0.0``); a
-    single bin, or any other table, is summed by the loop, bin by bin.
+    ``0.0``: one sequential ``cumsum`` down the counts matrix, whose first
+    row, ``0 * 0.0``, is that ``0.0`` (it turns a ``-0.0`` sum into
+    ``0.0``).  Float64 when every probability is a Python float; Python
+    numbers otherwise, so other tables sum as Python does (``0.0 +
+    Fraction`` is a float).
     """
     if not p.entries:
         raise StateSpaceError("empty distribution")
@@ -152,19 +148,14 @@ def expected_counts(p: ProbabilityTable, bins: Sequence[int] | None = None) -> l
     for bin_index in bins:
         if not 1 <= bin_index <= n_bins:
             raise StateSpaceError(f"bin {bin_index} outside [1, {n_bins}]")
-    probs = list(p.entries.values())
-    if len(bins) > 1 and set(map(type, probs)) == {float}:
-        counts = np.fromiter(
-            chain.from_iterable([s.counts for s in p.entries]), np.int64, len(probs) * n_bins
-        ).reshape(len(probs), n_bins)[:, np.array(bins, dtype=np.intp) - 1]
-        return (np.cumsum(counts * np.array(probs)[:, None], axis=0)[-1] + 0.0).tolist()
-    totals = []
-    for bin_index in bins:
-        total = 0.0
-        for state, prob in p.entries.items():
-            total += state.counts[bin_index - 1] * prob
-        totals.append(total)
-    return totals
+    probs = [0.0, *p.entries.values()]
+    number = float if set(map(type, probs)) == {float} else object
+    counts = np.fromiter(
+        chain(repeat(0, n_bins), chain.from_iterable([s.counts for s in p.entries])),
+        np.int64, len(probs) * n_bins,
+    ).reshape(len(probs), n_bins)[:, np.array(bins, dtype=np.intp) - 1]
+    terms = counts.astype(number) * np.array(probs, dtype=number)[:, None]
+    return np.cumsum(terms, axis=0)[-1].tolist()
 
 
 def expected_count(p: ProbabilityTable, bin_index: int):
@@ -292,15 +283,11 @@ def write_probability_series(
     """CSV export with columns (step, state_id, probability); each table's
     states in ascending counts order."""
     ids: dict[tuple[int, ...], str] = {}  # state_id of the state with these counts
-    digits: list[str] = []  # str(c) by c; no count exceeds its state's bin count
 
     def table_rows(table: ProbabilityTable) -> Iterable[tuple]:
         keys = [s.counts for s in table.entries]
-        fresh = set(keys).difference(ids)
-        if fresh:
-            digits.extend(map(str, range(len(digits), max(map(len, fresh)) + 1)))
-            for key in fresh:
-                ids[key] = "|".join(map(digits.__getitem__, key))
+        for key in set(keys).difference(ids):
+            ids[key] = "|".join(map(str, key))
         order = sorted(range(len(keys)), key=keys.__getitem__)
         probs = list(table.entries.values())
         return zip(

@@ -132,11 +132,10 @@ def primitive_cost(
 class EstimationCase:
     """Problem size and precision parameters of one resource estimate.
 
-    ``eps_arcsin`` defaults to ``eps_rotation``: the piecewise-arcsine
-    target is the same knob that sets the rotation synthesis error in
-    the reference parameter sets.  ``eps_calculation`` defaults to the
-    register truncation step plus the arcsine approximation error and can
-    be overridden with a value measured by the fixed-point emulator.
+    ``eps_rotation`` is also the piecewise-arcsine target, as in the
+    reference parameter sets.  ``eps_calculation`` defaults to the
+    register truncation step plus that arcsine approximation error and
+    can be overridden with a value measured by the fixed-point emulator.
     """
 
     n_bins: int
@@ -148,7 +147,6 @@ class EstimationCase:
     eps_estimation: float
     eps_c: float
     delta: float = 0.01
-    eps_arcsin: float | None = None
     eps_calculation: float | None = None
 
     def __post_init__(self) -> None:
@@ -160,14 +158,10 @@ class EstimationCase:
                 raise ResourceModelError(f"{name} must lie in (0, 1), got {value}")
 
     @property
-    def arcsine_eps(self) -> float:
-        return self.eps_arcsin if self.eps_arcsin is not None else self.eps_rotation
-
-    @property
     def calculation_eps(self) -> float:
         if self.eps_calculation is not None:
             return self.eps_calculation
-        return 2.0 ** (-self.n_eps + 1) + self.arcsine_eps
+        return 2.0 ** (-self.n_eps + 1) + self.eps_rotation
 
 
 def history_label_qubits(n_bins: int) -> int:
@@ -398,7 +392,7 @@ class ResourceReport:
             "schema_version": 1,
             "case": {
                 **asdict(case),
-                "eps_arcsin": case.arcsine_eps,
+                "eps_arcsin": case.eps_rotation,
                 "eps_calculation": case.calculation_eps,
             },
             "t_count": {

@@ -14,7 +14,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -146,14 +146,6 @@ class TransitionTable:
         if not 1 <= label <= self.num_labels:
             raise LabelError(f"label {label} outside [1, {self.num_labels}]")
         return self.pairs[label - 1]
-
-    def label_of(self, i: int, j: int) -> int:
-        """Inverse of :meth:`pair_of`; each first bin ``k < i`` has ``N+1-2k`` pairs."""
-        if i > j:
-            i, j = j, i
-        if i < 1 or i + j > self.num_bins:
-            raise LabelError(f"pair ({i},{j}) is not a valid collision")
-        return (i - 1) * (self.num_bins + 1 - i) + (j - i) + 1
 
     @cached_property
     def operator(self) -> "TransitionOperator":
@@ -500,22 +492,15 @@ class TransitionOperator:
         )
 
 
-@lru_cache(maxsize=None)
-def _partitions_at_most(n: int, largest: int) -> int:
-    if n == 0:
-        return 1
-    if largest == 0:
-        return 0
-    if largest > n:
-        largest = n
-    return _partitions_at_most(n - largest, largest) + _partitions_at_most(n, largest - 1)
-
-
 def partition_count_exact(n: int) -> int:
-    """Number of integer partitions ``p(n)`` via the bounded-part recurrence."""
+    """Number of integer partitions ``p(n)``, counted one part size at a time."""
     if n < 1:
         raise StateSpaceError(f"need n >= 1, got {n}")
-    return _partitions_at_most(n, n)
+    counts = [1] + [0] * n  # partitions of each total into the part sizes so far
+    for part in range(1, n + 1):
+        for total in range(part, n + 1):
+            counts[total] += counts[total - part]
+    return counts[n]
 
 
 def partition_count_asymptotic(n: int) -> float:

@@ -56,7 +56,7 @@ def test_error_budget_reproduction():
     failures = []
     for name, case in PRESET_CASES.items():
         expected = EXPECTED_RESOURCES[name][0]
-        got = resources.error_budget(case)  # 2**(-n_eps+1) + eps_arcsin default
+        got = resources.error_budget(case)  # 2**(-n_eps+1) + eps_rotation
         if abs(got / expected - 1) > RESOURCE_BANDS["eps_max"]:
             failures.append(f"{name}: {got:.3e} vs {expected:.3e}")
     _report("error-budget", not failures, "5 cases within +-20%")
@@ -191,7 +191,7 @@ def test_conservation_suite():
         )
         dt = float(rng.uniform(0.1, 0.95)) / max_rate if max_rate > 0 else 0.1
         table = states.build_transition_table(n, kernel, dt)
-        stepped = master.euler_step(p, table)
+        stepped = master.evolve(p, table, 1)
         worst_prob = max(worst_prob, abs(stepped.total() - 1))
         worst_mass = max(worst_mass, abs(master.mass_expectation(stepped) - n))
     elapsed = time.monotonic() - start

@@ -11,12 +11,12 @@ from cloudq.arcsine import (
     DegreeTooLowError,
     FitError,
     chebyshev_fit,
-    choose_config,
     linf_error,
     min_pieces,
     reference_error,
     verify,
 )
+from cloudq.presets import choose_config
 
 
 def test_fit_nearly_linear_region():

@@ -1,4 +1,4 @@
-"""Golden outputs of the float solver path.
+"""Golden outputs of the float solver path and of the resource report.
 
 The ``reference`` benchmark's job shape (solver series, merged division,
 the three CSVs, a Gillespie batch and the sampler's tables) over
@@ -6,6 +6,8 @@ N = 2..20, three kernels and two step sizes, plus one rational corpus.
 The digests were recorded with the per-cell CSV writer, the masked float
 step and the sampler tables built with each row, so these tests show that
 the column-batched writer and the full-edge step write the same bytes.
+The ``estimate`` digests pin each preset's JSON report, less its
+``generated_at`` line, and one CSV report.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from cloudq.cli import main
 from cloudq.division import run_merged
 from cloudq.master import (
     ProbabilityTable,
@@ -233,3 +236,23 @@ def test_float_step_matches_masked_step(kind, n):
         repr(list(t.entries.items())) for t in want
     ]
     assert [t.step for t in got] == [t.step for t in want]
+
+
+# sha256 of each ``estimate`` report, without its ``generated_at`` line
+ESTIMATE_PINNED = {
+    ("paper-case-1", "json"): "af77fe788fcb449bf267488e50634d10f231ea12588528ede37805450fea80cb",
+    ("paper-case-2", "json"): "e8ac2cfce0bf5785c090e2921d9669c6399b21e154420f56a33cfbe567218a69",
+    ("paper-case-3", "json"): "8bb981ff32068880f4c6108772fdb738ab3a4a624df9c031f4f447bb6200fe29",
+    ("paper-case-4", "json"): "50a3fcb8401cc3d9f46212c68a8a488e0f93a3ccf1aeda22234d4cda4b82d6e8",
+    ("paper-case-5", "json"): "adf7df7f476859484bc7503e0601385c3fef244d415663b60353514304a3cbcf",
+    ("paper-case-1", "csv"): "1cc67332f0efe99d794b778fd7b174ba57a67c534f89e6c039fbf1a2a8cc5421",
+}
+
+
+@pytest.mark.parametrize("preset, fmt", sorted(ESTIMATE_PINNED))
+def test_estimate_report_matches_pinned_digest(preset, fmt, tmp_path):
+    path = tmp_path / f"resources.{fmt}"
+    assert main(["estimate", "--preset", preset, "--format", fmt, "--out", str(path)]) == 0
+    lines = path.read_bytes().splitlines(keepends=True)
+    kept = b"".join(line for line in lines if b'"generated_at"' not in line)
+    assert hashlib.sha256(kept).hexdigest() == ESTIMATE_PINNED[preset, fmt]

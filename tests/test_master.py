@@ -15,7 +15,6 @@ from cloudq.master import (
     ProbabilityTable,
     SsaConfig,
     StepSizeError,
-    euler_step,
     evolve,
     evolve_series,
     expected_count,
@@ -45,7 +44,7 @@ def _mono_table(n, k0=1.0, dt=0.1):
 
 def test_euler_step_two_state_chain():
     table, p0 = _mono_table(2, k0=1.0, dt=0.1)
-    p1 = euler_step(p0, table)
+    p1 = evolve(p0, table, 1)
     assert p1.entries[MassDistribution((2, 0))] == pytest.approx(0.9, abs=1e-15)
     assert p1.entries[MassDistribution((0, 1))] == pytest.approx(0.1, abs=1e-15)
     assert p1.step == 1
@@ -54,7 +53,7 @@ def test_euler_step_two_state_chain():
 def test_absorbing_state_fixed_point():
     table, _ = _mono_table(4, dt=0.05)
     absorbed = ProbabilityTable.point_mass(MassDistribution.absorbed(4))
-    stepped = euler_step(absorbed, table)
+    stepped = evolve(absorbed, table, 1)
     assert stepped.entries[MassDistribution.absorbed(4)] == 1.0
 
 
@@ -71,7 +70,7 @@ N3_TWO_STEP = {
 
 def test_euler_two_steps_n3_matches_hand_expansion():
     table, p0 = _mono_table(3, k0=1.0, dt=0.05)
-    p2 = euler_step(euler_step(p0, table), table)
+    p2 = evolve(evolve(p0, table, 1), table, 1)
     assert set(s.counts for s in p2.entries) == set(N3_TWO_STEP)
     for state, prob in p2.entries.items():
         assert prob == pytest.approx(N3_TWO_STEP[state.counts], abs=1e-15)
@@ -80,7 +79,7 @@ def test_euler_two_steps_n3_matches_hand_expansion():
 def test_step_size_error_reports_state():
     table, p0 = _mono_table(4, k0=1.0, dt=1.0)  # 6*K*dt > 1 for (4,0,0,0)
     with pytest.raises(StepSizeError) as err:
-        euler_step(p0, table)
+        evolve(p0, table, 1)
     assert "(4, 0, 0, 0)" in str(err.value)
 
 
@@ -95,7 +94,7 @@ def test_step_size_error_names_first_state_in_counts_order():
         {worst: 0.5, MassDistribution((1, 0, 1, 0)): 0.25, first: 0.25}
     )
     with pytest.raises(StepSizeError) as err:
-        euler_step(p, table)
+        evolve(p, table, 1)
     message = str(err.value)
     assert message == (
         f"sum of transition probabilities {total_transition_rate(table, first)} > 1 "
@@ -126,7 +125,7 @@ def test_expected_count_examples():
     table, p0 = _mono_table(6)
     assert expected_count(p0, 1) == 6
     table2, p02 = _mono_table(2, k0=1.0, dt=0.1)
-    p1 = euler_step(p02, table2)
+    p1 = evolve(p02, table2, 1)
     assert expected_count(p1, 1) == pytest.approx(2 * 0.9, abs=1e-14)
 
 
@@ -134,7 +133,7 @@ def test_mass_identity_along_trajectory():
     table, p0 = _mono_table(6, k0=0.8, dt=0.02)
     p = p0
     for _ in range(50):
-        p = euler_step(p, table)
+        p = evolve(p, table, 1)
         assert mass_expectation(p) == pytest.approx(6.0, abs=1e-9)
         assert abs(p.total() - 1) <= 1e-12
 
@@ -145,7 +144,7 @@ def test_monotone_absorption():
     last = 0.0
     p = p0
     for _ in range(200):
-        p = euler_step(p, table)
+        p = evolve(p, table, 1)
         current = p.entries.get(absorbed, 0.0)
         assert current >= last - 1e-15
         last = current
@@ -430,11 +429,13 @@ def _loop_expected(p, bin_index):
 
 @pytest.mark.parametrize(
     "probs",
-    [(-0.0, -0.0, -0.0), (-0.0, 0.0, -0.0), (-5e-324, 1.0, -1e-300), (0.5, -1e-17, 0.5)],
-    ids=["negative-zeros", "mixed-zeros", "tiny-negative", "cancel"],
+    [(-0.0, -0.0, -0.0), (-0.0, 0.0, -0.0), (-5e-324, 1.0, -1e-300), (0.5, -1e-17, 0.5),
+     (Fraction(1, 3), Fraction(-1, 7), Fraction(17, 21)), (0, 1, 0)],
+    ids=["negative-zeros", "mixed-zeros", "tiny-negative", "cancel", "fractions", "ints"],
 )
 def test_expected_counts_keep_the_loops_bits(probs, tmp_path):
-    # a column summing to -0.0 must read 0.0, as the loop's 0.0 start gives
+    # a column summing to -0.0 must read 0.0, as the loop's 0.0 start gives;
+    # a Fraction or int table reads floats, as 0.0 + Fraction and 0.0 + int are
     keys = [MassDistribution((3, 0, 0)), MassDistribution((1, 1, 0)), MassDistribution((0, 0, 1))]
     series = [ProbabilityTable(dict(zip(keys, probs)), step=0),
               ProbabilityTable(dict(zip(keys[::-1], probs)), step=1)]

@@ -70,6 +70,16 @@ def test_partition_count_exact():
     assert partition_count_exact(40) == 37338
 
 
+def test_partition_count_exact_needs_no_deep_stack():
+    assert partition_count_exact(1000) == 24061467864032622473692149727991
+
+
+def test_enumerate_cap_far_past_it_names_the_count():
+    with pytest.raises(ResourceLimitError) as err:
+        enumerate_states(1200)
+    assert f"would enumerate {partition_count_exact(1200)} states" in str(err.value)
+
+
 @pytest.mark.parametrize("n", range(1, 31))
 def test_enumeration_matches_partition_count(n):
     assert len(enumerate_states(n)) == partition_count_exact(n)
@@ -107,11 +117,8 @@ def test_label_bijection():
         table = build_transition_table(n, KernelSpec(), 0.1)
         for label in range(1, table.num_labels + 1):
             i, j = table.pair_of(label)
-            assert table.label_of(i, j) == label
-            assert table.label_of(j, i) == label
-        for i, j in ((0, 1), (1, n), (n, n)):
-            with pytest.raises(LabelError):
-                table.label_of(i, j)
+            # each first bin k < i has N+1-2k pairs
+            assert (i - 1) * (n + 1 - i) + (j - i) + 1 == label
         with pytest.raises(LabelError):
             table.pair_of(0)
         with pytest.raises(LabelError):
@@ -125,7 +132,7 @@ def test_transition_rate_examples():
 
     table3 = build_transition_table(3, KernelSpec(k0=1.0), 0.1)
     state3 = MassDistribution((1, 1, 0))
-    assert transition_rate(table3, state3, table3.label_of(1, 2)) == pytest.approx(0.1)
+    assert transition_rate(table3, state3, table3.pairs.index((1, 2)) + 1) == pytest.approx(0.1)
 
     empty_first = MassDistribution((0, 1))
     assert transition_rate(table, empty_first, 1) == 0
