@@ -12,6 +12,7 @@ squared-amplitude bookkeeping is an exact functional model.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Sequence
 
 import numpy as np
@@ -30,6 +31,9 @@ class BranchCapError(StateSpaceError):
     """Tree mode would exceed the branch cap; use merged mode instead."""
 
 
+_BRANCH_CAP = 500_000
+
+
 @dataclass(frozen=True)
 class HistoryBranch:
     """A single transition history with its state and probability."""
@@ -37,6 +41,23 @@ class HistoryBranch:
     history: tuple[int, ...]
     state: MassDistribution
     prob: float
+
+
+def _children(op, k: int) -> list[tuple]:
+    """Checked row ``k``'s emitted children ``(label, target, weight)``: the
+    labels with nonzero weight in label order, then the hold child if any."""
+    row = op.checked(k, sequential=True)
+    out = list(compress(zip(row.labels, row.targets, row.weights), row.weights))
+    if row.hold > 0:
+        out.append((0, k, row.hold))
+    return out
+
+
+def _check_cap(branches: int, table: TransitionTable, step: int, branch_cap: int) -> None:
+    if branches * (table.num_labels + 1) > branch_cap:
+        raise BranchCapError(
+            f"tree would exceed {branch_cap} branches at step {step}; use merged mode"
+        )
 
 
 def divide_step(
@@ -57,14 +78,10 @@ def divide_step(
             raise StateSpaceError(
                 f"branch history length {len(branch.history)} != step-1 = {step - 1}"
             )
-        row = op.checked(op.index(branch.state), sequential=True)
-        out.extend(
+        out.extend([
             HistoryBranch(branch.history + (label,), op.states[target], branch.prob * weight)
-            for label, target, weight in zip(row.labels, row.targets, row.weights)
-            if weight != 0
-        )
-        if row.hold > 0:
-            out.append(HistoryBranch(branch.history + (0,), branch.state, branch.prob * row.hold))
+            for label, target, weight in _children(op, op.index(branch.state))
+        ])
     return out
 
 
@@ -72,7 +89,8 @@ def merge_branches(branches: Sequence[HistoryBranch], step: int) -> ProbabilityT
     """Aggregate branch probabilities by state in deterministic order."""
     merged: dict[MassDistribution, float] = {}
     for branch in sorted(branches, key=lambda b: (b.state.counts, b.history)):
-        merged[branch.state] = merged.get(branch.state, 0 * branch.prob) + branch.prob
+        total = merged.get(branch.state)
+        merged[branch.state] = (0 * branch.prob if total is None else total) + branch.prob
     return ProbabilityTable(merged, step=step)
 
 
@@ -80,7 +98,7 @@ def run_tree(
     table: TransitionTable,
     steps: int,
     initial: MassDistribution | None = None,
-    branch_cap: int = 500_000,
+    branch_cap: int = _BRANCH_CAP,
 ) -> list[HistoryBranch]:
     """Full history tree after ``steps`` divisions."""
     if steps < 0:
@@ -88,11 +106,7 @@ def run_tree(
     state = initial or MassDistribution.monodisperse(table.num_bins)
     branches = [HistoryBranch(history=(), state=state, prob=table.operator.one)]
     for step in range(1, steps + 1):
-        if len(branches) * (table.num_labels + 1) > branch_cap:
-            raise BranchCapError(
-                f"tree would exceed {branch_cap} branches at step {step}; "
-                "use merged mode"
-            )
+        _check_cap(len(branches), table, step, branch_cap)
         branches = divide_step(branches, table, step)
     return branches
 
@@ -186,37 +200,38 @@ def history_label_semantics_check(
     steps: int,
     initial: MassDistribution | None = None,
 ) -> LabelSemanticsReport:
-    """Check the history-register encoding on :func:`run_tree`'s histories.
+    """Check the history-register encoding on every history :func:`run_tree`
+    would emit, with its checks and branch cap.
 
-    Every branch emits at least one child, so the children of step ``t``
-    are the distinct length-``t`` prefixes of the final histories.  For
-    each, the register protocol must end at the child's label (0 for the
-    hold child); it follows the step schedule ``resources.estimate_case``
-    charges, one ``U_add`` after every division but the last.
-    ``branches_checked`` counts the children over all steps.  Each prefix
-    is also replayed once, from its parent's replay with
-    :func:`~cloudq.states.apply_transition`, and every final replay must
-    equal its branch's state.  The histories are walked in sorted order,
-    depth first, so only the current history's prefixes are held.
+    For every child of steps ``1..steps``, the register protocol must end
+    at the child's label (0 for the hold child); it follows the step
+    schedule ``resources.estimate_case`` charges, one ``U_add`` after every
+    division but the last.  ``branches_checked`` counts those children.
+    Each history is also replayed with :func:`~cloudq.states.apply_transition`,
+    and every final replay must equal the history's state.  The operator's
+    rows are walked level by level, one entry per (state, replay) counting
+    the histories that reach it: they share their future, so each entry is
+    replayed once and counted with that multiplicity.
     """
+    if steps < 0:
+        raise StateSpaceError(f"need steps >= 0, got {steps}")
+    op = table.operator
     start = initial or MassDistribution.monodisperse(table.num_bins)
-    branches = run_tree(table, steps, start)
     registers = [_history_register(table.num_labels, h) for h in range(table.num_labels + 1)]
-    mismatches = 0
-    checked = 0
-    path = [start]  # replays of the previous history's prefixes, by length
-    previous: tuple[int, ...] = ()
-    for branch in sorted(branches, key=lambda b: b.history):
-        shared = 0
-        while shared < len(previous) and previous[shared] == branch.history[shared]:
-            shared += 1
-        del path[shared + 1:]
-        for label in branch.history[shared:]:
-            path.append(apply_transition(table, path[-1], label) if label else path[-1])
-            checked += 1
-            mismatches += registers[label] != label
-        mismatches += path[-1] != branch.state
-        previous = branch.history
+    level = {(start, start): 1}  # (state, replay) -> histories, in run_tree's order
+    checked = mismatches = 0
+    for step in range(1, steps + 1):
+        _check_cap(sum(level.values()), table, step, _BRANCH_CAP)
+        nxt = {}
+        for (state, replay), count in level.items():
+            for label, target, _ in _children(op, op.index(state)):
+                after = apply_transition(table, replay, label) if label else replay
+                key = (op.states[target], after)
+                nxt[key] = nxt.get(key, 0) + count
+                checked += count
+                mismatches += count * (registers[label] != label)
+        level = nxt
+    mismatches += sum(count for (state, replay), count in level.items() if replay != state)
     return LabelSemanticsReport(
         steps=steps, branches_checked=checked, ok=mismatches == 0, mismatches=mismatches
     )

@@ -262,9 +262,13 @@ def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> Non
                 handle.write(lines)
 
 
+def _counts_text(counts: tuple[int, ...]) -> str:
+    return "|".join(["%d"] * len(counts)) % counts
+
+
 def state_id(state: MassDistribution) -> str:
     """Stable textual key for CSV output, e.g. ``2|0|1``."""
-    return "|".join(map(str, state.counts))
+    return _counts_text(state.counts)
 
 
 def write_expected_series(
@@ -287,7 +291,7 @@ def write_probability_series(
     def table_rows(table: ProbabilityTable) -> Iterable[tuple]:
         keys = [s.counts for s in table.entries]
         for key in set(keys).difference(ids):
-            ids[key] = "|".join(map(str, key))
+            ids[key] = _counts_text(key)
         order = sorted(range(len(keys)), key=keys.__getitem__)
         probs = list(table.entries.values())
         return zip(

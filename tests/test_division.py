@@ -1,12 +1,15 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cloudq import division
 from cloudq.division import (
     BranchCapError,
     HistoryBranch,
+    LabelSemanticsReport,
     _history_register,
     amplitude_expectation,
     divide_step,
@@ -22,7 +25,9 @@ from cloudq.master import (
     expected_count,
 )
 from cloudq.states import (
+    InfeasibleTransitionError,
     KernelSpec,
+    LabelError,
     MassDistribution,
     StateSpaceError,
     build_transition_table,
@@ -335,3 +340,180 @@ def test_zero_steps_keep_the_table_number_type():
     assert type(run_tree(float_table, 0)[0].prob) is float
     assert type(run_merged(exact_table, 0).entries[MassDistribution.monodisperse(4)]) is Fraction
     assert type(run_tree(exact_table, 0)[0].prob) is Fraction
+
+
+# The register replay as it stood before it kept multiplicities: a full
+# history tree read off the operator's rows as run_tree builds it (its
+# probabilities left out, since the replay never read them), walked depth
+# first in sorted history order, each prefix replayed once by a local copy
+# of the post-collision rule.  history_label_semantics_check must give the
+# same report, or raise the same error.
+
+
+def _old_collide(table, state, label):
+    if not 1 <= label <= table.num_labels:
+        raise LabelError(f"label {label} outside [1, {table.num_labels}]")
+    i, j = table.pairs[label - 1]
+    counts = list(state.counts)
+    if i == j:
+        if counts[i - 1] < 2:
+            raise InfeasibleTransitionError(f"bin {i} holds {counts[i - 1]} droplets, need 2")
+        counts[i - 1] -= 2
+    else:
+        if counts[i - 1] < 1 or counts[j - 1] < 1:
+            raise InfeasibleTransitionError(
+                f"bins ({i},{j}) hold ({counts[i - 1]},{counts[j - 1]}), need one each"
+            )
+        counts[i - 1] -= 1
+        counts[j - 1] -= 1
+    counts[i + j - 1] += 1
+    return MassDistribution(tuple(counts))
+
+
+def _old_tree(table, steps, start, branch_cap=500_000):
+    if steps < 0:
+        raise StateSpaceError(f"need steps >= 0, got {steps}")
+    op = table.operator
+    branches = [((), start)]
+    for step in range(1, steps + 1):
+        if len(branches) * (table.num_labels + 1) > branch_cap:
+            raise BranchCapError(
+                f"tree would exceed {branch_cap} branches at step {step}; use merged mode"
+            )
+        children = []
+        for history, state in branches:
+            row = op.checked(op.index(state), sequential=True)
+            children.extend(
+                (history + (label,), op.states[target])
+                for label, target, weight in zip(row.labels, row.targets, row.weights)
+                if weight != 0
+            )
+            if row.hold > 0:
+                children.append((history + (0,), state))
+        branches = children
+    return branches
+
+
+def _old_semantics_check(table, steps, initial=None):
+    start = initial or MassDistribution.monodisperse(table.num_bins)
+    branches = _old_tree(table, steps, start)
+    registers = [_history_register(table.num_labels, h) for h in range(table.num_labels + 1)]
+    mismatches = checked = 0
+    path = [start]
+    previous = ()
+    for history, state in sorted(branches, key=lambda b: b[0]):
+        shared = 0
+        while shared < len(previous) and previous[shared] == history[shared]:
+            shared += 1
+        del path[shared + 1:]
+        for label in history[shared:]:
+            path.append(_old_collide(table, path[-1], label) if label else path[-1])
+            checked += 1
+            mismatches += registers[label] != label
+        mismatches += path[-1] != state
+        previous = history
+    return LabelSemanticsReport(steps, checked, mismatches == 0, mismatches)
+
+
+def _outcome(check, table, steps, initial=None):
+    try:
+        return check(table, steps, initial)
+    except StateSpaceError as err:
+        return err
+
+
+@pytest.mark.parametrize("kind", ["constant", "sum", "product"])
+def test_semantics_walk_matches_the_history_replay(kind):
+    for n in range(2, 10):
+        for table in _dyadic_tables(n, kind):
+            for steps in range(5):
+                report = history_label_semantics_check(table, steps)
+                assert report == _old_semantics_check(table, steps)
+                assert report.ok
+
+
+def test_semantics_walk_matches_the_history_replay_from_every_start():
+    table = _table(4, k0=0.9, dt=0.02)
+    for state in enumerate_states(4):
+        for steps in range(5):
+            assert history_label_semantics_check(table, steps, initial=state) == (
+                _old_semantics_check(table, steps, initial=state)
+            )
+
+
+def _corrupted_tables(n, kind, steps):
+    # one table per row the run compiles with two or more targets, that
+    # row's first and last targets swapped
+    for pick in itertools.count():
+        table = _dyadic_tables(n, kind)[pick % 2]
+        op = table.operator
+        start = op.index(MassDistribution.monodisperse(n))
+        op.program([start], [start], steps, sequential=True)
+        rows = [k for k, row in enumerate(op._rows) if row is not None and len(row.targets) > 1]
+        if pick == len(rows):
+            return
+        row = op._rows[rows[pick]]
+        targets = (row.targets[-1],) + row.targets[1:-1] + (row.targets[0],)
+        op._rows[rows[pick]] = row._replace(targets=targets)
+        yield table
+
+
+def test_semantics_walk_matches_the_history_replay_on_corrupted_rows():
+    outcomes = []
+    for n, kind, steps in [
+        (5, "constant", 4), (6, "sum", 4), (7, "sum", 3), (8, "product", 4),
+        (9, "product", 3), (6, "product", 5),
+    ]:
+        for table in _corrupted_tables(n, kind, steps):
+            want = _outcome(_old_semantics_check, table, steps)
+            got = _outcome(history_label_semantics_check, table, steps)
+            if isinstance(want, LabelSemanticsReport):
+                assert got == want
+            else:
+                assert type(got) is type(want)
+            outcomes.append(want)
+    # every mutant is caught, by a mismatch or by a replay that cannot
+    # apply the label the corrupted tree recorded
+    assert len(outcomes) == 25
+    assert not any(isinstance(o, LabelSemanticsReport) and o.ok for o in outcomes)
+    assert any(isinstance(o, LabelSemanticsReport) for o in outcomes)
+    assert any(isinstance(o, InfeasibleTransitionError) for o in outcomes)
+
+
+def test_semantics_walk_keeps_the_error_messages():
+    cases = [(_table(3), -1, None), (_table(4, dt=0.5), 2, None)]
+    # K(i, j) = (ij)^2 at N = 8: each start sits exactly at sum_h r_h = 1 and
+    # two to four of its successors go over it, so the message names the
+    # first of them in tree order
+    kernel = KernelSpec("table", table=tuple(
+        tuple(Fraction((i * j) ** 2) for j in range(1, 9)) for i in range(1, 9)
+    ))
+    unit = build_transition_table(8, kernel, Fraction(1))
+    for counts in [(1, 2, 1, 0, 0, 0, 0, 0), (2, 3, 0, 0, 0, 0, 0, 0), (6, 1, 0, 0, 0, 0, 0, 0)]:
+        start = MassDistribution(counts)
+        dt = 1 / total_transition_rate(unit, start)
+        cases.append((build_transition_table(8, kernel, dt), 3, start))
+    drifted = _table(5, dt=0.01)
+    op = drifted.operator
+    row = op.row(op.index(MassDistribution((3, 1, 0, 0, 0))))
+    op._rows[op.index(MassDistribution((3, 1, 0, 0, 0)))] = row._replace(drift=row.labels[1])
+    cases.append((drifted, 3, None))
+    cases.append((build_transition_table(30, KernelSpec(k0=1.0), 0.0005), 12, None))
+    raised = set()
+    for table, steps, initial in cases:
+        want = _outcome(_old_semantics_check, table, steps, initial)
+        got = _outcome(history_label_semantics_check, table, steps, initial)
+        assert isinstance(want, StateSpaceError)
+        assert (type(got), str(got)) == (type(want), str(want))
+        raised.add(type(want))
+    assert raised == {StateSpaceError, StepSizeError, BranchCapError}
+
+
+def test_semantics_walk_builds_no_probability_tree(monkeypatch):
+    def no_tree(*args, **kwargs):
+        raise AssertionError("the register replay built a probability tree")
+
+    monkeypatch.setattr(division, "run_tree", no_tree)
+    table = build_transition_table(8, KernelSpec(k0=Fraction(1)), Fraction(1, 50))
+    report = history_label_semantics_check(table, 4)
+    assert report.ok and report.branches_checked > 0
