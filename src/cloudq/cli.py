@@ -182,7 +182,8 @@ def _emit_json(payload: dict, out: str | None) -> None:
 def _out_paths(config: RunConfig, *names: str) -> list[str]:
     """Where each output goes: into the ``--out`` directory, or to ``--out``
     itself if it has a suffix and there is one output.  Creates missing
-    directories; call it before any work, so a refused ``--out`` writes nothing."""
+    directories; call it after the input checks and before any long work, so
+    neither a refused input nor a refused ``--out`` writes anything."""
     if config.out is None:
         return list(names)
     path = Path(config.out)
@@ -295,16 +296,7 @@ def _cmd_arcsine_fit(config: RunConfig) -> int:
             "command": "arcsine-fit",
             "degree": config.degree,
             "eps": config.eps,
-            "pieces": [
-                {
-                    "lower_bits": p.lower_bits,
-                    "upper_bits": p.upper_bits,
-                    "t_shift": p.t_shift,
-                    "biased_constant": p.biased_constant,
-                    "consts": list(p.consts),
-                }
-                for p in quantized.pieces
-            ],
+            "pieces": [dataclasses.asdict(p) for p in quantized.pieces],
             "width": config.n_eps,
         }
         _emit_json(payload, paths[1])
@@ -312,11 +304,8 @@ def _cmd_arcsine_fit(config: RunConfig) -> int:
 
 
 def _cmd_estimate(config: RunConfig) -> int:
-    case = _case_from_config(config)
-    if not 1 <= config.bin_index <= case.n_bins:
-        raise ConfigError(f"--bin must lie in 1..{case.n_bins}, got {config.bin_index}")
+    report = resources.estimate_case(_case_from_config(config), bin_index=config.bin_index)
     [path] = _out_paths(config, f"resources.{config.format}")
-    report = resources.estimate_case(case, bin_index=config.bin_index)
     if config.format == "csv":
         master.write_csv(
             path,

@@ -142,7 +142,8 @@ def run_merged(table: TransitionTable, steps: int) -> ProbabilityTable:
         children = np.concatenate(
             [prob[holders] * prog.hold[holders], prob[src[moving]] * weight[moving]]
         )
-        prob = prog.accumulate(targets, children)
+        prob = np.zeros(size, dtype=children.dtype)
+        np.add.at(prob, targets, children)
         present = np.zeros(size, dtype=bool)
         present[targets] = True
     kept = np.flatnonzero(present)

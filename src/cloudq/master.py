@@ -67,11 +67,12 @@ def _steps(
     """``steps`` explicit updates on the table's step program; the tables
     after each step (``keep_all``) or after the last.
 
-    Only populated states move probability.  Each step accumulates, for
-    every state, its old value, then its own outflows in label order, then
-    its inflows in ascending (source, label) order.  A collision always
-    lowers the counts vector, so this is the order of moving probability
-    flow by flow through the populated states in ascending counts order.
+    Only populated states move probability.  Each step sums from zero, in
+    one ``np.add.at``, for every state its old value, then its own
+    outflows in label order, then its inflows in ascending (source, label)
+    order.  A collision always lowers the counts vector, so this is the
+    order of moving probability flow by flow through the populated states
+    in ascending counts order.
     Entries keep their insertion order: the old keys, then new targets in
     the order first reached.
     """
@@ -97,14 +98,15 @@ def _steps(
         if exact:
             src = prog.src[moving]
             flow = prob[src] * prog.rate[moving]
-            prob = prog.accumulate(
-                np.concatenate([stay, src, dst]), np.concatenate([prob, -flow, flow])
-            )
+            index = np.concatenate([stay, src, dst])
         else:
-            # an empty state's flows are +-0.0, and a bincount sum starts at
-            # +0.0, so adding them leaves every bit as the moving flows alone
+            # an empty state's flows are +-0.0, and each sum starts at +0.0,
+            # so adding them leaves every bit as the moving flows alone
             flow = prob[prog.src] * prog.rate
-            prob = prog.accumulate(terms, np.concatenate([prob, -flow, flow]))
+            index = terms
+        values = np.concatenate([prob, -flow, flow])
+        prob = np.zeros(size, dtype=values.dtype)
+        np.add.at(prob, index, values)
         if keep_all or step == p0.step + steps:
             out.append(ProbabilityTable(
                 dict(zip([prog.states[i] for i in order], prob[order].tolist())), step=step

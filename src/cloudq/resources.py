@@ -325,6 +325,8 @@ def gate_cost_ushift(
 
 def gate_cost_uc(case: EstimationCase, bin_index: int = 1) -> GateCost:
     """Amplitude-encoding readout rotations for one bin."""
+    if not 1 <= bin_index <= case.n_bins:
+        raise ResourceModelError(f"bin must lie in 1..{case.n_bins}, got {bin_index}")
     max_count = case.n_bins // bin_index
     t = math.ceil(1.15 * max_count * math.log2(max_count / case.eps_c))
     # No published depth separation; the rotations run back to back.
@@ -347,20 +349,14 @@ def oracle_iterations(eps_estimation: float, delta: float) -> int:
     return count
 
 
-def error_budget(
-    case: EstimationCase,
-    eps_calculation: float | None = None,
-    n_oracle: int | None = None,
-) -> float:
-    """Total-error upper bound across the whole schedule."""
-    if eps_calculation is None:
-        eps_calculation = case.calculation_eps
-    if n_oracle is None:
-        n_oracle = oracle_iterations(case.eps_estimation, case.delta)
+def error_budget(case: EstimationCase) -> float:
+    """Total-error upper bound across the whole schedule; a measured
+    calculation error goes in as ``case.eps_calculation``."""
+    n_oracle = oracle_iterations(case.eps_estimation, case.delta)
     pair_count = label_pair_count(case.n_bins)
     return (
         2 * n_oracle * case.time_steps * pair_count
-        * (eps_calculation + case.eps_rotation)
+        * (case.calculation_eps + case.eps_rotation)
         + 2 * n_oracle * case.eps_c
         + case.eps_estimation
     )
@@ -384,9 +380,6 @@ class ResourceReport:
     warnings: tuple[str, ...]
 
     def to_json_dict(self) -> dict:
-        def cost(c: GateCost) -> dict:
-            return {"t_count": c.t_count, "t_depth": c.t_depth, "ancilla": c.ancilla}
-
         case = self.case
         return {
             "schema_version": 1,
@@ -403,7 +396,7 @@ class ResourceReport:
                     "time_steps": case.time_steps,
                     "amplitude_estimation": self.oracle_calls,
                 },
-                "per_gate": {name: cost(c)["t_count"] for name, c in self.per_gate.items()},
+                "per_gate": {name: c.t_count for name, c in self.per_gate.items()},
                 "per_step": self.step.t_count,
                 "per_evolution": self.evolution.t_count,
                 "per_oracle": self.oracle.t_count,
@@ -498,7 +491,7 @@ def estimate_case(case: EstimationCase, bin_index: int = 1) -> ResourceReport:
         oracle_calls=calls,
         total=total,
         qubits=qubits,
-        eps_max=error_budget(case, n_oracle=calls),
+        eps_max=error_budget(case),
         warnings=tuple(dict.fromkeys(warnings)),
     )
 

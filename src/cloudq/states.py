@@ -11,6 +11,7 @@ reserved for "no collision in this step".
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -51,8 +52,9 @@ class StepSizeError(StateSpaceError):
 class MassDistribution:
     """Occupation vector with conserved total mass.
 
-    ``counts[i - 1]`` is the droplet count of bin ``i``; the vector length
-    fixes ``N`` and the mass identity ``sum(i * n_i) == N`` is enforced.
+    ``counts[i - 1]`` is the droplet count of bin ``i``, an integer; the
+    vector length fixes ``N`` and the mass identity ``sum(i * n_i) == N``
+    is enforced.
     """
 
     counts: tuple[int, ...]
@@ -60,12 +62,13 @@ class MassDistribution:
     def __post_init__(self) -> None:
         if not self.counts:
             raise StateSpaceError("occupation vector must not be empty")
+        mass = self.mass()
+        if not isinstance(mass, numbers.Integral):  # a float or Fraction count makes it one
+            raise StateSpaceError(f"non-integer occupation in {self.counts}")
         if any(c < 0 for c in self.counts):
             raise StateSpaceError(f"negative occupation in {self.counts}")
-        if self.mass() != len(self.counts):
-            raise StateSpaceError(
-                f"mass {self.mass()} != N {len(self.counts)} for {self.counts}"
-            )
+        if mass != len(self.counts):
+            raise StateSpaceError(f"mass {mass} != N {len(self.counts)} for {self.counts}")
 
     @property
     def num_bins(self) -> int:
@@ -215,11 +218,10 @@ def transition_rate(table: TransitionTable, state: MassDistribution, label: int)
 
 
 def total_transition_rate(table: TransitionTable, state: MassDistribution):
-    """``sum_h r_h(state)``; must stay <= 1 for a valid explicit step."""
-    return sum(
-        _pair_propensity(kernel, state.counts, i, j) * table.dt
-        for (i, j), kernel in zip(table.pairs, table.kernel_values)
-    )
+    """``sum_h r_h(state)``, read off the state's operator row (compiled
+    on first use); must stay <= 1 for a valid explicit step."""
+    op = table.operator
+    return op.row(op.index(state)).total
 
 
 def apply_pair(state: MassDistribution, i: int, j: int) -> MassDistribution:
@@ -302,22 +304,6 @@ class StepProgram(NamedTuple):
         out = np.zeros(len(self.states), dtype=object if exact else float)
         out[positions] = values
         return out
-
-    def accumulate(self, index: np.ndarray, values: np.ndarray) -> np.ndarray:
-        """``out[t] += v`` for every ``(t, v)`` in input order, per position;
-        zero where no value lands.
-
-        ``bincount`` on float64 values; a Python loop on Python numbers,
-        which starts each position at its first value and so keeps that
-        value's type.  Its sums are exact for rationals and, for floats,
-        taken in the order ``bincount`` takes them.
-        """
-        if values.dtype != object:
-            return np.bincount(index, values, minlength=len(self.states))
-        out = [None] * len(self.states)
-        for t, v in zip(index.tolist(), values.tolist()):
-            out[t] = v if out[t] is None else out[t] + v
-        return np.array([0 if v is None else v for v in out], dtype=object)
 
 
 class TransitionOperator:

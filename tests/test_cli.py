@@ -284,6 +284,18 @@ def test_bad_inputs_exit_config(tmp_path, capsys, request, argv, config):
         assert case_id.split("-")[1] in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("bin_index", ["0", "41", "-1"])
+def test_estimate_bad_bin_exits_config_and_writes_nothing(tmp_path, capsys, bin_index, fmt):
+    # the report is computed before --out is created, so its bin check
+    # refuses the run with nothing on disk
+    out = tmp_path / "new" / "dir"
+    argv = ["estimate", "--preset", "paper-case-1", "--bin", bin_index, "--format", fmt]
+    assert main(argv + ["--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: bin must lie in 1..40, got {bin_index}\n"
+    assert not (tmp_path / "new").exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [

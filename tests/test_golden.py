@@ -7,7 +7,8 @@ The digests were recorded with the per-cell CSV writer, the masked float
 step and the sampler tables built with each row, so these tests show that
 the column-batched writer and the full-edge step write the same bytes.
 The ``estimate`` digests pin each preset's JSON report, less its
-``generated_at`` line, and one CSV report.
+``generated_at`` line, and one CSV report; the ``arcsine-fit`` digests
+pin one quantized coefficient file the same way, and its table.
 """
 
 from __future__ import annotations
@@ -256,3 +257,20 @@ def test_estimate_report_matches_pinned_digest(preset, fmt, tmp_path):
     lines = path.read_bytes().splitlines(keepends=True)
     kept = b"".join(line for line in lines if b'"generated_at"' not in line)
     assert hashlib.sha256(kept).hexdigest() == ESTIMATE_PINNED[preset, fmt]
+
+
+# sha256 of ``arcsine-fit --d 7 --eps 1e-13 --n-eps 42`` outputs, without
+# the ``generated_at`` line
+ARCSINE_FIT_PINNED = {
+    "arcsine_coefficients.json": "f462e52317004c26ad4025438f99cafeca59b09749edaf0e6f358e486a43dd48",
+    "arcsine_table.csv": "39e6d449f7b26f9562d43797b5a4219c76318217401f388e739aafc68a07db2b",
+}
+
+
+def test_arcsine_fit_matches_pinned_digest(tmp_path):
+    argv = ["arcsine-fit", "--d", "7", "--eps", "1e-13", "--n-eps", "42", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    for name, digest in ARCSINE_FIT_PINNED.items():
+        lines = (tmp_path / name).read_bytes().splitlines(keepends=True)
+        kept = b"".join(line for line in lines if b'"generated_at"' not in line)
+        assert hashlib.sha256(kept).hexdigest() == digest, name

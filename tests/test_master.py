@@ -459,3 +459,76 @@ def test_expected_series_needs_a_state(tmp_path):
     p0 = ProbabilityTable.point_mass(MassDistribution.monodisperse(3))
     with pytest.raises(StateSpaceError, match="^empty distribution$"):
         write_expected_series([p0, ProbabilityTable({})], str(tmp_path / "e.csv"))
+
+
+# The accumulation as it stood before both executors took one np.add.at
+# into a zeroed array: bincount on float64, and on Python numbers a loop
+# that starts each position at its first value.
+def _old_accumulate(size, index, values):
+    if values.dtype != object:
+        return np.bincount(index, values, minlength=size)
+    out = [None] * size
+    for t, v in zip(index.tolist(), values.tolist()):
+        out[t] = v if out[t] is None else out[t] + v
+    return np.array([0 if v is None else v for v in out], dtype=object)
+
+
+def _add_at(size, index, values):
+    # what master._steps and division.run_merged do each step
+    out = np.zeros(size, dtype=values.dtype)
+    np.add.at(out, index, values)
+    return out
+
+
+@st.composite
+def _terms(draw, number):
+    size = draw(st.integers(min_value=1, max_value=12))
+    # at least one term, as every step has (bincount gives int64 on none)
+    index = draw(st.lists(st.integers(min_value=0, max_value=size - 1), min_size=1, max_size=40))
+    values = draw(st.lists(number, min_size=len(index), max_size=len(index)))
+    return size, np.array(index, dtype=np.intp), values
+
+
+_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, math.inf, -math.inf, math.nan]),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@settings(max_examples=300, deadline=None)
+@given(_terms(_FLOATS))
+def test_add_at_keeps_the_bincount_bits(terms):
+    size, index, values = terms
+    values = np.array(values, dtype=float)
+    got, want = _add_at(size, index, values), _old_accumulate(size, index, values)
+    assert got.dtype == want.dtype == np.float64
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_terms(st.one_of(st.integers(min_value=-10**20, max_value=10**20), st.fractions())))
+def test_add_at_keeps_the_loops_numbers(terms):
+    # 0 + Fraction is that Fraction and 0 + int is that int
+    size, index, values = terms
+    values = np.array(values, dtype=object)
+    got, want = _add_at(size, index, values), _old_accumulate(size, index, values)
+    assert got.dtype == want.dtype == object
+    assert [(type(v), repr(v)) for v in got.tolist()] == [(type(v), repr(v)) for v in want.tolist()]
+
+
+@pytest.mark.parametrize(
+    "dt, one", [(0.01, 1.0), (0.01, 1), (Fraction(1, 100), Fraction(1))],
+    ids=["float", "int-start", "fraction"],
+)
+def test_unreached_negative_zero_start_reads_positive_zero(dt, one):
+    # each step sums from zero, so a -0.0 entry no flow reaches reads 0.0
+    # after a step on Python numbers (int start, Fraction table), as on float64;
+    # the first-value loop kept the -0.0 there
+    n = 6
+    start, far = MassDistribution.monodisperse(n), MassDistribution.absorbed(n)
+    p0 = ProbabilityTable({start: one, far: -0.0})
+    p1 = evolve(p0, build_transition_table(n, KernelSpec(), dt), 1)
+    assert list(p1.entries) == [start, far, MassDistribution((4, 1, 0, 0, 0, 0))]
+    assert repr(p1.entries[far]) == "0.0"

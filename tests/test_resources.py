@@ -96,6 +96,15 @@ def test_uc_bin1_case1():
     assert cost.t_count == math.ceil(raw) == 1468
 
 
+@pytest.mark.parametrize("bin_index", [0, 41, -1])
+def test_uc_checks_its_bin(bin_index):
+    # bin 0 divided by zero, and bins past N or below 1 took the log of N // bin <= 0
+    with pytest.raises(ResourceModelError, match=rf"^bin must lie in 1\.\.40, got {bin_index}$"):
+        gate_cost_uc(CASE1, bin_index)
+    with pytest.raises(ResourceModelError, match="^bin must lie in"):
+        estimate_case(CASE1, bin_index=bin_index)
+
+
 def test_up_composition_case1():
     total = gate_cost_up(CASE1).t_count
     assert total == 144 + 1584 + 320 + 2 * 332 + 2 * 14752 + 30492 + 95000
@@ -165,22 +174,19 @@ def test_oracle_iterations():
 
 def test_error_budget_case1():
     # with the calculation error pinned at the register truncation step
-    value = error_budget(CASE1, eps_calculation=2.0**-41)
+    value = error_budget(dataclasses.replace(CASE1, eps_calculation=2.0**-41))
     assert abs(value / 1.0e-2 - 1) <= 0.20
     only_estimation = error_budget(
         EstimationCase(
             n_bins=40, time_steps=2000, n_eps=42, degree=5, pieces=15,
             eps_rotation=1e-18, eps_estimation=9.9e-3, eps_c=1e-18,
             eps_calculation=0.0,
-        ),
-        eps_calculation=0.0,
+        )
     )
     assert only_estimation == pytest.approx(9.9e-3, rel=1e-6)
 
 
 def test_error_budget_linear_in_steps():
-    import dataclasses
-
     base = error_budget(CASE1) - CASE1.eps_estimation - 2 * 1010 * CASE1.eps_c
     doubled_case = dataclasses.replace(CASE1, time_steps=4000)
     doubled = (

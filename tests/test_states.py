@@ -37,6 +37,16 @@ def test_mass_distribution_invariants():
         MassDistribution(())
 
 
+@pytest.mark.parametrize(
+    "counts", [(1.5, 0.25), (2.0, 0), (Fraction(2), 0)],
+    ids=["fractional-mass-two", "float-two", "fraction-two"],
+)
+def test_mass_distribution_rejects_non_integer_counts(counts):
+    # (1.5, 0.25) has mass 1.5 + 2 * 0.25 = 2 = N, so only the type check refuses it
+    with pytest.raises(StateSpaceError, match="^non-integer occupation in "):
+        MassDistribution(counts)
+
+
 def test_enumerate_states_n2():
     states = enumerate_states(2)
     assert {s.counts for s in states} == {(2, 0), (0, 1)}
@@ -215,6 +225,9 @@ def test_one_transition_rule(kind, k0, dt):
             assert row.labels == tuple(nonzero)
             assert row.rates == tuple(rates[h] for h in nonzero)
             assert all(type(r) is type(rates[h]) for h, r in zip(row.labels, row.rates))
-            assert row.total == total_transition_rate(table, state)
+            # the per-pair formula summed over every label, zero rates included
+            total = sum(rates.values())
+            assert row.total == total and repr(row.total) == repr(total)
+            assert repr(total_transition_rate(table, state)) == repr(total)
             for label, target in zip(row.labels, row.targets):
                 assert op.states[target] == apply_transition(table, state, label)
