@@ -8,14 +8,17 @@ subdomain is then frozen and construction continues from its right edge.
 The per-candidate fit is a least-squares Chebyshev-basis polynomial over
 a dense uniform grid with the error measured in double precision, which
 is what the reference piece-count table was produced with (a noise floor
-near 1e-15 is part of that data).  A separate verification pass
-re-measures every assembled piece against an extended-precision arcsine
-(difference of Chebyshev series), so construction speed never compromises
-the certified error.
+near 1e-15 is part of that data).  A candidate that a certified lower
+bound already dooms is halved without a fit.  A separate verification
+pass re-measures every assembled piece against an extended-precision
+arcsine (difference of Chebyshev series), so construction speed never
+compromises the certified error; it evaluates the dense grid only for the
+pieces whose coefficient bound can still raise the maximum.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -31,6 +34,7 @@ DEFAULT_ERROR_GRID = 4096
 MAX_BISECTIONS = 64
 VERIFY_DPS = 45  # working precision (digits) of the arcsine reference
 VERIFY_EXTRA_ORDER = 40  # reference series terms beyond the fit's degree
+_UNIT = 2.0**-53  # unit roundoff of float64
 
 
 class FitError(ValueError):
@@ -80,8 +84,8 @@ def chebyshev_fit(a: float, b: float, degree: int) -> np.ndarray:
     Least squares in the Chebyshev basis over a uniform grid; returns the
     basis coefficients.  A degenerate interval yields the exact constant.
     """
-    if not 0 <= a <= b:
-        raise FitError(f"invalid subdomain [{a}, {b}]")
+    if not 0 <= a <= b <= 1:
+        raise FitError(f"invalid domain [{a}, {b}]")
     if degree < 1:
         raise FitError(f"need degree >= 1, got {degree}")
     if a == b:
@@ -103,6 +107,49 @@ def linf_error(
     return float(np.max(np.abs(values - np.arcsin(xs))))
 
 
+def _fit_is_doomed(a: float, b: float, degree: int, eps: float) -> bool:
+    """Whether every degree-``d`` fit on ``[a, b]`` certainly has
+    ``linf_error >= eps``, so :func:`min_pieces` may halve ``b`` unfitted.
+
+    De la Vallee Poussin: with ``w_k = 1 / prod_{m != k} (u_k - u_m)`` at
+    the ``d + 2`` grid points nearest the extrema of ``T_{d+1}``, every
+    degree-``d`` polynomial errs there by at least ``L = |sum w_k f_k| /
+    sum |w_k|`` (``f`` shifted by ``f_0``, as ``sum w_k = 0``).  Doomed
+    means ``L`` beyond ``eps`` plus the rounding slack that the README
+    derives.  That derivation needs distinct, evenly spread points with
+    finite weights and no underflow, so a narrower candidate never dooms.
+    """
+    grid = DEFAULT_ERROR_GRID
+    if not b - a >= max(16 * (grid - 1) * math.ulp(b), 2.0**-900) or 2 * degree**2 >= grid - 1:
+        return False
+    index = [
+        round((1 - math.cos(k * math.pi / (degree + 1))) / 2 * (grid - 1))
+        for k in range(degree + 2)
+    ]
+    points = np.linspace(a, b, grid)[index].tolist()
+    u = [(2 * x - a - b) / (b - a) for x in points]  # the same operations as linf_error
+    weights = []
+    for k, u_k in enumerate(u):
+        product = 1.0
+        for m, u_m in enumerate(u):
+            if m != k:
+                product *= u_k - u_m
+        weights.append(1 / product)
+    f_0 = math.asin(points[0])
+    shifted = [math.asin(x) - f_0 for x in points]
+    bound = abs(sum(w * g for w, g in zip(weights, shifted))) / sum(map(abs, weights))
+    asin_b = math.asin(b)
+    fit_norm = 1.01 * (asin_b + eps) / (1 - 2 * degree**2 / (grid - 1))
+    slack = (
+        8 * (degree + 2) * _UNIT * max(map(abs, shifted))  # L's own rounding
+        + 8 * math.ulp(asin_b)  # math.asin here against np.arcsin there
+        + 2 * _UNIT * eps  # linf_error's subtraction
+        # chebval's Clenshaw rounding of a fit that would pass
+        + 6 * (degree + 1) ** 2 * (1 + math.sqrt(2 * degree)) * _UNIT * fit_norm
+    )
+    return bound > eps + slack
+
+
 def min_pieces(
     degree: int,
     eps: float,
@@ -112,16 +159,18 @@ def min_pieces(
     """Greedy left-to-right assembly of the minimum piece count.
 
     Each subdomain's right endpoint is bisected toward its left edge until
-    the fit error drops below ``eps``; more than :data:`MAX_BISECTIONS`
-    halvings of a single subdomain, or a piece budget past ``max_pieces``,
-    raises :class:`DegreeTooLowError`.  So does an ``eps`` at or below half
-    an ulp of ``arcsin(hi)``, before any fit: no grid measurement in
-    double precision can certify it.
+    the fit error drops below ``eps``; a candidate that
+    :func:`_fit_is_doomed` rejects is halved without a fit, and still
+    counts as a halving.  More than :data:`MAX_BISECTIONS` halvings of a
+    single subdomain, or a piece budget past ``max_pieces``, raises
+    :class:`DegreeTooLowError`.  So does an ``eps`` at or below half an ulp
+    of ``arcsin(hi)``, before any fit: no grid measurement in double
+    precision can certify it.  The domain must lie in ``[0, 1]``.
     """
     if eps <= 0:
         raise FitError(f"need eps > 0, got {eps}")
     lo, hi = domain
-    if not 0 <= lo < hi:
+    if not 0 <= lo < hi <= 1:
         raise FitError(f"invalid domain {domain}")
     # the grid error is measured against float64 arcsin, whose rounding
     # alone reaches half an ulp of arcsin(hi)
@@ -140,6 +189,9 @@ def min_pieces(
             )
         b = hi
         for _ in range(MAX_BISECTIONS):
+            if _fit_is_doomed(a, b, degree, eps):
+                b = (a + b) / 2
+                continue
             coeffs = chebyshev_fit(a, b, degree)
             err = linf_error(coeffs, a, b)
             if err < eps:
@@ -238,24 +290,60 @@ def reference_error(coefficients: Sequence[float], a: float, b: float, grid: int
     evaluates to ~1e-18 absolute accuracy; the series tail is negligible
     because the nearest arcsine singularity is far outside ``[a, b]``.
     """
+    return _grid_max(_diff_series(coefficients, a, b), grid)
+
+
+def _diff_series(coefficients: Sequence[float], a: float, b: float) -> np.ndarray:
+    """The polynomial minus the 45-digit arcsine series on ``[a, b]``, as
+    float Chebyshev coefficients in ``u``."""
     with mp.workdps(VERIFY_DPS):
         order = len(coefficients) - 1 + VERIFY_EXTRA_ORDER
         truth = _truth_series(a, b, order)
-        diff = np.array(
+        return np.array(
             [
                 float((mp.mpf(coefficients[j]) if j < len(coefficients) else mp.mpf(0)) - truth[j])
                 for j in range(order + 1)
             ]
         )
+
+
+def _grid_max(diff: np.ndarray, grid: int) -> float:
     u = np.linspace(-1.0, 1.0, grid)
     return float(np.max(np.abs(_cheb.chebval(u, diff))))
 
 
+def _series_bound(diff: np.ndarray) -> float:
+    """``sum |diff_j| (1 + 8 n^2 u)``, at least ``_grid_max(diff, grid)``
+    on every grid: ``|T_j| <= 1``, and ``8 n^2 u`` covers chebval's
+    Clenshaw rounding and this sum's own (README).  ``nan`` stays ``nan``.
+    """
+    n = len(diff)
+    return math.fsum(map(abs, diff.tolist())) * (1 + 8 * n * n * _UNIT)
+
+
 def verify(pp: PiecewisePolynomial, grid_factor: int = 10) -> float:
-    """Worst per-piece error on a ``grid_factor`` x denser verified grid."""
-    return max(
-        reference_error(
-            piece.coefficients, piece.lower, piece.upper, grid_factor * DEFAULT_ERROR_GRID
-        )
-        for piece in pp.pieces
-    )
+    """Worst per-piece error on a ``grid_factor`` x denser verified grid
+    (``-inf`` for no pieces).
+
+    The dense grids run in descending order of :func:`_series_bound` and
+    stop at the first finite bound no larger than the maximum so far.  A
+    piece whose reference error is ``nan`` raises :class:`FitError`.
+    """
+    grid = grid_factor * DEFAULT_ERROR_GRID
+    series = []
+    for index, piece in enumerate(pp.pieces):
+        diff = _diff_series(piece.coefficients, piece.lower, piece.upper)
+        bound = _series_bound(diff)
+        series.append((math.inf if math.isnan(bound) else bound, index, diff))
+    worst = -math.inf
+    for bound, index, diff in sorted(series, key=lambda entry: -entry[0]):
+        if bound <= worst < math.inf:
+            break
+        error = _grid_max(diff, grid)
+        if math.isnan(error):
+            piece = pp.pieces[index]
+            raise FitError(
+                f"piece {index} on [{piece.lower}, {piece.upper}] has a nan reference error"
+            )
+        worst = max(worst, error)
+    return worst

@@ -209,29 +209,42 @@ class QuantizedArcsine:
         return self.pieces[bisect_left(self.upper_bits, bits)]
 
 
-def _exact_power_coeffs(piece) -> list[Fraction]:
-    """Exact coefficients ``beta_k`` of ``sum beta_k (x - lower)**k``.
+@lru_cache(maxsize=None)
+def _shifted_chebyshev(count: int) -> tuple[tuple[int, ...], ...]:
+    """Integer coefficients of ``T_k(s - 1)``, ascending in ``s``, for
+    ``k < count``, by ``T_{k+1} = 2 (s - 1) T_k - T_{k-1}``."""
+    rows = [(1,), (-1, 1)]
+    while len(rows) < count:
+        nxt = [0] * (len(rows[-1]) + 1)
+        for j, a in enumerate(rows[-1]):
+            nxt[j] -= 2 * a
+            nxt[j + 1] += 2 * a
+        for j, a in enumerate(rows[-2]):
+            nxt[j] -= a
+        rows.append(tuple(nxt))
+    return tuple(rows[:count])
 
-    With ``t = x - lower`` the Chebyshev variable is ``u = slope * t - 1``,
-    and ``T_k(u)`` is built as a polynomial in ``t`` by the three-term
-    recurrence ``T_{k+1} = 2 u T_k - T_{k-1}``.  The float coefficients are
-    exact binary rationals, so the Fraction arithmetic rounds nothing.
+
+def _exact_power_coeffs(piece) -> list[Fraction]:
+    """Exact coefficients ``beta_j`` of ``sum beta_j (x - lower)**j``.
+
+    With ``t = x - lower`` and ``slope = 2 / (upper - lower) = p / q``, the
+    Chebyshev variable is ``u = s - 1`` with ``s = slope * t``, so
+    ``beta_j = slope**j * sum_k c_k tau_kj`` for the integer coefficients
+    ``tau_kj`` of ``T_k(s - 1)``.  The float coefficients are dyadic,
+    ``c_k = m_k / 2**E``, so the sum is an integer ``acc_j`` and
+    ``beta_j = acc_j p**j / (2**E q**j)`` rounds nothing.
     """
     slope = Fraction(2) / (Fraction(piece.upper) - Fraction(piece.lower))
-    beta = [Fraction(0)] * len(piece.coefficients)
-    prev: list[Fraction] = []
-    cur = [Fraction(1)]  # T_k(slope * t - 1), ascending in t
-    for k, c in enumerate(piece.coefficients):
-        for j, a in enumerate(cur):
-            beta[j] += Fraction(c) * a
-        scale = 1 if k == 0 else 2  # T_1 = u T_0
-        nxt = [-scale * a for a in cur] + [Fraction(0)]
-        for j, a in enumerate(cur):
-            nxt[j + 1] += scale * slope * a
-        for j, a in enumerate(prev):
-            nxt[j] -= a
-        prev, cur = cur, nxt
-    return beta
+    ratios = [c.as_integer_ratio() for c in piece.coefficients]
+    exponent = max(den.bit_length() - 1 for _, den in ratios)
+    acc = [0] * len(ratios)
+    for (num, den), row in zip(ratios, _shifted_chebyshev(len(ratios))):
+        mantissa = num << (exponent - den.bit_length() + 1)
+        for j, tau in enumerate(row):
+            acc[j] += mantissa * tau
+    p, q = slope.numerator, slope.denominator
+    return [Fraction(a * p**j, q**j << exponent) for j, a in enumerate(acc)]
 
 
 def _quantize_piece(piece, width: int) -> QuantizedPiece:

@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import random
+import time
 
 import mpmath as mp
 import numpy as np
@@ -80,6 +82,27 @@ def test_invalid_inputs():
         chebyshev_fit(0.4, 0.2, 5)
     with pytest.raises(FitError):
         chebyshev_fit(0.0, 0.5, 0)
+
+
+@pytest.mark.parametrize("domain", [(0.0, 1.5), (0.9, 2.0)])
+def test_domain_past_one_is_refused_fast(domain):
+    # arcsin is nan past 1, and nan errors used to bisect toward 1 forever
+    start = time.monotonic()
+    with pytest.raises(FitError, match=r"invalid domain"):
+        min_pieces(5, 1e-12, domain=domain)
+    with pytest.raises(FitError, match=r"invalid domain \[0\.9, 1\.5\]"):
+        chebyshev_fit(0.9, 1.5, 5)
+    assert time.monotonic() - start < 1.0
+
+
+@pytest.mark.parametrize("position", [0, 1])
+def test_verify_refuses_a_nan_piece_anywhere(position):
+    pp = min_pieces(5, 1e-12)
+    piece = pp.pieces[position]
+    broken = dataclasses.replace(piece, coefficients=(math.nan,) + piece.coefficients[1:])
+    pieces = pp.pieces[:position] + (broken,) + pp.pieces[position + 1:]
+    with pytest.raises(FitError, match=rf"piece {position} on \[{piece.lower}, {piece.upper}\] .* nan"):
+        verify(dataclasses.replace(pp, pieces=pieces), grid_factor=1)
 
 
 def test_verification_pass_meets_eps():

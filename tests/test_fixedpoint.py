@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cloudq.arcsine import min_pieces
+from cloudq import fixedpoint
+from cloudq.arcsine import PolynomialPiece, min_pieces
 from cloudq.fixedpoint import (
     DivisionByZeroError,
     FixedPointError,
@@ -349,3 +350,49 @@ def test_sweep_pinned(arcsine_table):
     gap = estimate_eps_calculation(WIDTH, arcsine_table, samples=2000, include_gap=True)
     assert (plain.max_error, plain.mean_error) == (1.7690848785889557e-12, 7.875726338452127e-13)
     assert (gap.max_error, gap.mean_error) == (1.7172929744901921e-12, 6.539877944744532e-13)
+
+
+def _fraction_power_coeffs(piece):
+    """The Fraction recurrence ``_exact_power_coeffs`` used to run: each
+    ``T_k(slope * t - 1)`` built as a Fraction polynomial in ``t``."""
+    slope = Fraction(2) / (Fraction(piece.upper) - Fraction(piece.lower))
+    beta = [Fraction(0)] * len(piece.coefficients)
+    prev = []
+    cur = [Fraction(1)]
+    for k, c in enumerate(piece.coefficients):
+        for j, a in enumerate(cur):
+            beta[j] += Fraction(c) * a
+        scale = 1 if k == 0 else 2
+        nxt = [-scale * a for a in cur] + [Fraction(0)]
+        for j, a in enumerate(cur):
+            nxt[j + 1] += scale * slope * a
+        for j, a in enumerate(prev):
+            nxt[j] -= a
+        prev, cur = cur, nxt
+    return beta
+
+
+@pytest.mark.parametrize("degree, eps", [(1, 1e-6), (4, 1e-12), (6, 1e-13), (9, 1e-15)])
+def test_integer_power_coeffs_match_fraction_recurrence(degree, eps):
+    domains = [(0.0, 0.5), fixedpoint.EXTENSION_DOMAIN] if degree < 9 else [(0.0, 0.5)]
+    for domain in domains:
+        for piece in min_pieces(degree, eps, domain=domain).pieces:
+            assert fixedpoint._exact_power_coeffs(piece) == _fraction_power_coeffs(piece)
+
+
+_COEFFICIENT = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False, min_value=-1e6, max_value=1e6),
+    st.floats(allow_nan=False, allow_infinity=False, min_value=-1e-300, max_value=1e-300),
+)
+
+
+@settings(max_examples=200)
+@given(
+    st.lists(_COEFFICIENT, min_size=1, max_size=12),
+    st.floats(min_value=0.0, max_value=0.99),
+    st.floats(min_value=1e-12, max_value=1.0),
+)
+def test_integer_power_coeffs_match_on_any_dyadic_piece(coefficients, lower, width):
+    upper = lower + width
+    piece = PolynomialPiece(lower, upper, tuple(coefficients), 0.0)
+    assert fixedpoint._exact_power_coeffs(piece) == _fraction_power_coeffs(piece)

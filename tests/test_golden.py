@@ -8,17 +8,34 @@ step and the sampler tables built with each row, so these tests show that
 the column-batched writer and the full-edge step write the same bytes.
 The ``estimate`` digests pin each preset's JSON report, less its
 ``generated_at`` line, and one CSV report; the ``arcsine-fit`` digests
-pin one quantized coefficient file the same way, and its table.
+pin one quantized coefficient file the same way, and its table.  The
+arcsine corpus pins every table row's core and extension fit (or its
+``DegreeTooLowError``), its 45-digit ``verify`` value and its quantized
+coefficients at the ``circuit`` benchmark's width, recorded before fits
+were skipped on a lower bound and grids on an upper bound; two property
+tests check that those bounds are sound.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from cloudq import arcsine
+from cloudq.arcsine import (
+    DegreeTooLowError,
+    chebyshev_fit,
+    linf_error,
+    min_pieces,
+    reference_error,
+    verify,
+)
 from cloudq.cli import main
 from cloudq.division import run_merged
 from cloudq.master import (
@@ -29,6 +46,8 @@ from cloudq.master import (
     write_expected_series,
     write_probability_series,
 )
+from cloudq.fixedpoint import EXTENSION_DOMAIN, quantize_arcsine
+from cloudq.presets import PIECEWISE_ARCSINE_TABLE
 from cloudq.states import (
     KernelSpec,
     MassDistribution,
@@ -274,3 +293,178 @@ def test_arcsine_fit_matches_pinned_digest(tmp_path):
         lines = (tmp_path / name).read_bytes().splitlines(keepends=True)
         kept = b"".join(line for line in lines if b'"generated_at"' not in line)
         assert hashlib.sha256(kept).hexdigest() == digest, name
+
+
+# sha256 of ``repr(core) + "\\n" + repr(extension)`` per table row, the
+# extension being its DegreeTooLowError where the fit fails, and of
+# ``repr(quantize_arcsine(core, width, extension))`` at ``CIRCUIT_WIDTH``
+ARCSINE_CORPUS_PINNED = {
+    (1e-12, 4): (
+        "52da32f939cc543d4ff266c2172e4865d457f365cba57cfd49b85250afde07eb",
+        "865f7f3fd979222e16b03d988eab96e4b63e85e6d61bd0fb43537e43da721383",
+    ),
+    (1e-12, 5): (
+        "78ad3a72fc7b80d8690b012a8673e8a4bec0038ca4924636fc79dc54c69c6af4",
+        "806ce9a7a892872d74e7c7f94339c0b90d46d2aeb8ca4f8a5e9ab8fb5b4a4b61",
+    ),
+    (1e-12, 6): (
+        "7c01fc7721d9aa5bfe90ec7618eed65f75422500521185e2a75a028cb94f19cc",
+        "7bf88730601c74b8ea7b26b0afafb7244fba151b14b69223a30fc1623d408aef",
+    ),
+    (1e-13, 5): (
+        "1f735b50ac2bb53a5d73ee8ece0c82405dc1be26b4827d3766dec998f7e49f16",
+        "ca2b143451a929faeb7c271a6369541aea514be48583e18e1fd6a8bb93885921",
+    ),
+    (1e-13, 6): (
+        "5ab32c3d6302e28ceeac2af611382a0d81d6dbfa2f821fc42c93c5439431a4a8",
+        "5480711b9d5a0b8df718054f7a10bc89732d2075a713468e430d873c230c25ad",
+    ),
+    (1e-13, 7): (
+        "ee081e3dcdafa06417d7e746207d0afc394bb2401300a2dfd584f45fe1e503f9",
+        "f7f5484be6282b49c654f5dc7285de74e2c1237c8bcea5715563fe1351dda9c8",
+    ),
+    (1e-14, 5): (
+        "9e4e1de050d59c4787d593de69e030d5f594ba43f7027ad567a194dff592554d",
+        "b4a68dbdc35cb451523e74b85b6ac8de56fed9754c4ef1e76b0cedd8a6940ad6",
+    ),
+    (1e-14, 6): (
+        "de43ac69e4a0f67850985b29bb16390deed7cf163dfe43a18d2e917117aff111",
+        "2d66f7f8cb23f5814d14b47c510a6d04ab518e314f569708d977680d847b3df1",
+    ),
+    (1e-14, 7): (
+        "07e4b9c9115ec65aae6865956ce1920b6ce6f53873f060799274cb8057b86eed",
+        "796917470c8ad22dd2894bc61d1b66e51c263f30762259ce3e37da342ed9e087",
+    ),
+    (1e-14, 8): (
+        "47a55cf8fed6c934c966b946c152dbf0ff6f94b52b5e385a862dc9c33cd2bff2",
+        "80f6a846dfce18ce29de632c17350a26a76923d84449c2de0b949b296257e69f",
+    ),
+    (1e-15, 6): (
+        "a1762038786ddb11a5ff2eeb57d27a92d0c44282595e1c8ad67bf4a08a36ed39",
+        "539f741d60a3f81d07ebab437e028413b86f59025eca86697c533f82cea331d8",
+    ),
+    (1e-15, 7): (
+        "cb7185be098ecd66a4132fa09e73dcd39d3972db52e9288c279f43deb4d9d5b2",
+        "93d3490c1237ea8cdce9bd79280b5024b4afeec703bd7ba746afdd19a835248e",
+    ),
+    (1e-15, 8): (
+        "dfeee5098059dce6fef6289f1fc2abc294c1f7ff4248ede5c74edf018bf2bdc7",
+        "78000f8ad04a040e95ae5147fe0a3d0a67dd515ae2922246e0f7a0f16cc5c9f5",
+    ),
+    (1e-15, 9): (  # the noise row: its extension fit raises
+        "ce4428d847d08f3af62390fbf53291ea0eede7bd4456a026931dabf4f823f0d0",
+        None,
+    ),
+}
+
+# verify(core, 10) per table row
+VERIFY_PINNED = {
+    (1e-12, 4): 9.138226868963041e-13,
+    (1e-12, 5): 8.857503545428922e-13,
+    (1e-12, 6): 9.186215148195562e-13,
+    (1e-13, 5): 8.066289096644044e-14,
+    (1e-13, 6): 9.640851588812168e-14,
+    (1e-13, 7): 8.851770014700929e-14,
+    (1e-14, 5): 9.709782821710498e-15,
+    (1e-14, 6): 8.951471674652889e-15,
+    (1e-14, 7): 9.549372948465781e-15,
+    (1e-14, 8): 7.517550645342931e-15,
+    (1e-15, 6): 8.53529116582642e-16,
+    (1e-15, 7): 9.2230679671393e-16,
+    (1e-15, 8): 8.050598901662439e-16,
+    (1e-15, 9): 6.761573204524859e-16,
+}
+
+# register width per arcsine target, as in the ``circuit`` benchmark
+CIRCUIT_WIDTH = {1e-12: 42, 1e-13: 46, 1e-14: 49, 1e-15: 49}
+ARCSINE_ROWS = [(eps, degree) for eps, degree, _ in PIECEWISE_ARCSINE_TABLE]
+ROW_IDS = [f"{eps:g}-d{degree}" for eps, degree in ARCSINE_ROWS]
+
+
+@pytest.fixture(scope="module")
+def arcsine_fits():
+    fits = {}
+    for eps, degree in ARCSINE_ROWS:
+        try:
+            extension = min_pieces(degree, eps, domain=EXTENSION_DOMAIN)
+        except DegreeTooLowError as exc:
+            extension = exc
+        fits[eps, degree] = min_pieces(degree, eps), extension
+    return fits
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("row", ARCSINE_ROWS, ids=ROW_IDS)
+def test_arcsine_fits_match_pinned_digests(arcsine_fits, row):
+    core, extension = arcsine_fits[row]
+    fit_digest, quantized_digest = ARCSINE_CORPUS_PINNED[row]
+    assert _sha(repr(core) + "\n" + repr(extension)) == fit_digest
+    if quantized_digest is None:
+        assert isinstance(extension, DegreeTooLowError)
+        return
+    quantized = quantize_arcsine(core, CIRCUIT_WIDTH[row[0]], extension)
+    assert _sha(repr(quantized)) == quantized_digest
+
+
+@pytest.mark.parametrize("row", ARCSINE_ROWS, ids=ROW_IDS)
+def test_verify_matches_pinned_values(arcsine_fits, row):
+    assert verify(arcsine_fits[row][0], 10) == VERIFY_PINNED[row]
+
+
+_ULPS = st.integers(min_value=1, max_value=1 << 22)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    a=st.floats(min_value=0.0, max_value=0.99),
+    width=st.one_of(st.floats(min_value=1e-9, max_value=1.0), _ULPS),
+    degree=st.integers(min_value=1, max_value=9),
+    log2_ratio=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=3.0)),
+)
+def test_lower_bound_dooms_only_failing_fits(a, width, degree, log2_ratio):
+    # widths as an integer count ulps of a: near-degenerate candidates
+    b = min(1.0, a + width * math.ulp(a) if isinstance(width, int) else a + width)
+    assume(a < b)
+    err = linf_error(chebyshev_fit(a, b, degree), a, b)
+    # eps just above the fit's own error (``0.0`` gives the next float up)
+    # is the tightest case a sound bound must not doom
+    eps = max(math.nextafter(err, math.inf), err * 2.0**log2_ratio)
+    assert not arcsine._fit_is_doomed(a, b, degree, eps)
+    tighter = err / 2.0**log2_ratio
+    if tighter > 0 and arcsine._fit_is_doomed(a, b, degree, tighter):
+        assert err >= tighter
+
+
+def test_lower_bound_dooms_wide_candidates_and_never_degenerate_ones():
+    assert arcsine._fit_is_doomed(0.0, 0.5, 5, 1e-12)
+    assert arcsine._fit_is_doomed(0.5, 0.875, 9, 1e-15)
+    a = 0.3
+    for ulps in (0, 1, 2, 7, 4095, 4096, 65535):
+        b = a + ulps * math.ulp(a)
+        assert not arcsine._fit_is_doomed(a, b, 5, 1e-300)
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    a=st.floats(min_value=0.0, max_value=0.8),
+    width=st.floats(min_value=0.01, max_value=0.1),
+    degree=st.integers(min_value=4, max_value=6),
+    eps_exponent=st.integers(min_value=-13, max_value=-9),
+    noise=st.one_of(st.just(0.0), st.floats(min_value=-1e-9, max_value=1e-9)),
+)
+def test_verify_skips_only_bounded_pieces(a, width, degree, eps_exponent, noise):
+    pp = min_pieces(degree, 10.0**eps_exponent, domain=(a, a + width))
+    # a perturbed constant moves the maximum to another piece
+    first = pp.pieces[0]
+    nudged = (first.coefficients[0] + noise,) + first.coefficients[1:]
+    pieces = (arcsine.PolynomialPiece(first.lower, first.upper, nudged, first.max_error),)
+    pp = arcsine.PiecewisePolynomial(pieces + pp.pieces[1:], degree, pp.eps, pp.domain)
+    errors = []
+    for piece in pp.pieces:
+        diff = arcsine._diff_series(piece.coefficients, piece.lower, piece.upper)
+        errors.append(reference_error(piece.coefficients, piece.lower, piece.upper, 4096))
+        assert errors[-1] <= arcsine._series_bound(diff)
+    assert verify(pp, grid_factor=1) == max(errors)
