@@ -295,7 +295,7 @@ def test_arcsine_fit_matches_pinned_digest(tmp_path):
         assert hashlib.sha256(kept).hexdigest() == digest, name
 
 
-# sha256 of ``repr(core) + "\\n" + repr(extension)`` per table row, the
+# sha256 of ``repr(core) + "\n" + repr(extension)`` per table row, the
 # extension being its DegreeTooLowError where the fit fails, and of
 # ``repr(quantize_arcsine(core, width, extension))`` at ``CIRCUIT_WIDTH``
 ARCSINE_CORPUS_PINNED = {
@@ -457,7 +457,7 @@ def test_lower_bound_dooms_wide_candidates_and_never_degenerate_ones():
 )
 def test_verify_skips_only_bounded_pieces(a, width, degree, eps_exponent, noise):
     pp = min_pieces(degree, 10.0**eps_exponent, domain=(a, a + width))
-    # a perturbed constant moves the maximum to another piece
+    # a nudged constant can move the maximum to the first piece
     first = pp.pieces[0]
     nudged = (first.coefficients[0] + noise,) + first.coefficients[1:]
     pieces = (arcsine.PolynomialPiece(first.lower, first.upper, nudged, first.max_error),)
