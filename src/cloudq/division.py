@@ -117,35 +117,25 @@ def run_merged(table: TransitionTable, steps: int) -> ProbabilityTable:
 
     Valid because histories are orthogonal labels on non-negative
     probabilities: merging after each step commutes with the division.
-    Each step is one accumulation on the table's step program: every
-    state sums its hold child first, then its inflows in ascending label
-    order, the order :func:`merge_branches` sorts children into, so the
-    sums agree bit for bit with dividing and merging branch by branch.
+    Each step is one :meth:`~cloudq.states.StepProgram.step` from the
+    states the last step reached: every state sums its hold child first,
+    then its inflows in ascending label order, the order
+    :func:`merge_branches` sorts children into, so the sums agree bit for
+    bit with dividing and merging branch by branch.
     """
     op = table.operator
     start = op.index(MassDistribution.monodisperse(table.num_bins))
     prog = op.program([start], [start], steps, sequential=True)
     size = len(prog.states)
-    emits = prog.weight != 0
-    by_label = np.argsort(prog.label[emits], kind="stable")
-    src = prog.src[emits][by_label]
-    dst = prog.dst[emits][by_label]
-    weight = prog.weight[emits][by_label]
-    holds = prog.hold > 0
     prob = prog.vector([prog.where[start]], [op.one])
     present = np.zeros(size, dtype=bool)
     present[prog.where[start]] = True
     for _ in range(steps):
-        holders = np.flatnonzero(present & holds)
-        moving = present[src]
-        targets = np.concatenate([holders, dst[moving]])
-        children = np.concatenate(
-            [prob[holders] * prog.hold[holders], prob[src[moving]] * weight[moving]]
-        )
-        prob = np.zeros(size, dtype=children.dtype)
-        np.add.at(prob, targets, children)
+        nxt = np.zeros(size, dtype=prob.dtype)
+        rows = prog.step(prob, present, nxt)
+        prob = nxt
         present = np.zeros(size, dtype=bool)
-        present[targets] = True
+        present[rows] = True
     kept = np.flatnonzero(present)
     return ProbabilityTable(
         dict(zip([prog.states[i] for i in kept], prob[kept].tolist())), step=steps

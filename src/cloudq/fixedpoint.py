@@ -495,6 +495,8 @@ def estimate_eps_calculation(
     include_gap: bool = False,
 ) -> EpsSweepReport:
     """Max and mean pipeline error over the deterministic input sweep."""
+    if samples < 1:
+        raise FixedPointError(f"need samples >= 1, got {samples}")
     if include_gap and table.extension_piece_count == 0:
         raise FixedPointError("sweeping the gap needs extension pieces")
     worst = 0.0

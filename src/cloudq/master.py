@@ -67,12 +67,12 @@ def _steps(
     """``steps`` explicit updates on the table's step program; the tables
     after each step (``keep_all``) or after the last.
 
-    Only populated states move probability.  Each step sums from zero, in
-    one ``np.add.at``, for every state its old value, then its own
-    outflows in label order, then its inflows in ascending (source, label)
-    order.  A collision always lowers the counts vector, so this is the
-    order of moving probability flow by flow through the populated states
-    in ascending counts order.
+    Each step sums from zero, for every state, its old value, then the
+    terms :meth:`~cloudq.states.StepProgram.step` adds from the populated
+    states: its own outflows in label order, then its inflows in ascending
+    (source, label) order.  A collision always lowers the counts vector,
+    so this is the order of moving probability flow by flow through the
+    populated states in ascending counts order.
     Entries keep their insertion order: the old keys, then new targets in
     the order first reached.
     """
@@ -84,29 +84,15 @@ def _steps(
     present = np.zeros(size, dtype=bool)
     present[order] = True
     prob = prog.vector(order, list(p0.entries.values()))
-    exact = prob.dtype == object
-    stay = np.arange(size)
-    terms = None if exact else np.concatenate([stay, prog.src, prog.dst])
     out = []
     for step in range(p0.step + 1, p0.step + steps + 1):
-        if exact or len(order) < size:
-            moving = (prob != 0)[prog.src]
-            dst = prog.dst[moving]
-            fresh = list(dict.fromkeys(dst[~present[dst]].tolist()))
+        nxt = np.zeros(size, dtype=prob.dtype) + prob
+        rows = prog.step(prob, prob != 0, nxt)
+        prob = nxt
+        if len(order) < size:
+            fresh = list(dict.fromkeys(rows[~present[rows]].tolist()))
             order.extend(fresh)
             present[fresh] = True
-        if exact:
-            src = prog.src[moving]
-            flow = prob[src] * prog.rate[moving]
-            index = np.concatenate([stay, src, dst])
-        else:
-            # an empty state's flows are +-0.0, and each sum starts at +0.0,
-            # so adding them leaves every bit as the moving flows alone
-            flow = prob[prog.src] * prog.rate
-            index = terms
-        values = np.concatenate([prob, -flow, flow])
-        prob = np.zeros(size, dtype=values.dtype)
-        np.add.at(prob, index, values)
         if keep_all or step == p0.step + steps:
             out.append(ProbabilityTable(
                 dict(zip([prog.states[i] for i in order], prob[order].tolist())), step=step

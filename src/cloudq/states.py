@@ -182,8 +182,8 @@ def build_transition_table(n_bins: int, kernel: KernelSpec, dt) -> TransitionTab
     """Enumerate collision pairs for ``n_bins`` and attach kernel values."""
     if n_bins < 2:
         raise EmptyTableError(f"no collisions possible for N = {n_bins}")
-    if not dt > 0:
-        raise StateSpaceError(f"time step must be positive, got {dt}")
+    if not 0 < dt < math.inf:  # not isfinite, which overflows on a huge int or Fraction
+        raise StateSpaceError(f"time step must be positive and finite, got {dt}")
     pairs = label_pairs(n_bins)
     if len(pairs) != label_pair_count(n_bins):
         raise StateSpaceError("pair enumeration disagrees with the closed form")
@@ -272,25 +272,26 @@ class OperatorRow(NamedTuple):
 
 
 class StepProgram(NamedTuple):
-    """Flat arrays for a run's steps over the states it can reach.
+    """A run's step as a sparse map over the states it can reach.
 
     ``states`` are in ascending counts order and ``where`` maps operator
-    indices to their positions.  Edges (``src`` and ``dst`` positions,
-    ``label``, ``rate``, ``weight``) come in ascending source, then label
-    order.  ``hold`` is per position and reads zero for states the run
-    never steps from.  ``rate``, ``weight`` and ``hold`` hold the table's
-    number type: float64 on a float table, Python numbers
-    (``dtype=object``) otherwise, so rational tables stay exact.
+    indices to their positions.  One step adds ``prob[col] * coef`` into
+    ``row``, term by term, in stored order, so each position's sum runs
+    in that order: for the solver, every outflow ``(src, src, -r_h)``,
+    then every inflow ``(dst, src, r_h)``, each in ascending (source,
+    label) order; for the division model, every hold child ``(k, k,
+    s_1)`` with ``s_1 > 0`` in position order, then every emitted inflow
+    ``(dst, src, weight)`` with ``weight != 0``, stably sorted by label.
+    ``coef`` holds the table's number type: float64 on a float table,
+    Python numbers (``dtype=object``) otherwise, so rational tables stay
+    exact.
     """
 
     states: list[MassDistribution]
     where: dict[int, int]
-    src: np.ndarray
-    dst: np.ndarray
-    label: np.ndarray
-    rate: np.ndarray
-    weight: np.ndarray
-    hold: np.ndarray
+    row: np.ndarray
+    col: np.ndarray
+    coef: np.ndarray
 
     def vector(self, positions: Sequence[int], values: Sequence) -> np.ndarray:
         """``values`` at ``positions`` and zero elsewhere.
@@ -300,10 +301,26 @@ class StepProgram(NamedTuple):
         (an ``int`` or ``Fraction`` no step touches stays one).
         """
         values = np.array(values, dtype=object)
-        exact = self.rate.dtype == object or any(type(v) is not float for v in values)
+        exact = self.coef.dtype == object or any(type(v) is not float for v in values)
         out = np.zeros(len(self.states), dtype=object if exact else float)
         out[positions] = values
         return out
+
+    def step(self, prob: np.ndarray, live: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Add ``prob[col] * coef`` into ``out``, which holds no ``-0.0``,
+        for every term whose ``col`` is ``live``, in stored order; the rows
+        that received a term, in that order.  With most terms live, the
+        dead terms' products are set to ``0`` rather than copied out: a zero
+        leaves any sum but ``-0.0`` as it was, value and type."""
+        row, col, coef = self.row, self.col, self.coef
+        keep = None if live.all() else live[col]
+        if keep is not None and 2 * np.count_nonzero(keep) < len(keep):
+            row, col, coef, keep = row[keep], col[keep], coef[keep], None
+        values = prob[col] * coef
+        if keep is not None:
+            values[~keep] = 0
+        np.add.at(out, row, values)
+        return row if keep is None else row[keep]
 
 
 class TransitionOperator:
@@ -313,7 +330,7 @@ class TransitionOperator:
     target of a compiled row; its row is compiled when a run first needs
     its outflows.  Only the support a run can reach is ever built, never
     the whole state space.  The solver and the merged division model,
-    float or rational, step on the flat arrays of :meth:`program`; the
+    float or rational, step on the one map :meth:`program` builds; the
     history tree reads :meth:`row` directly, and the Gillespie sampler
     :meth:`events`.
     """
@@ -430,9 +447,9 @@ class TransitionOperator:
     def program(
         self, keys: Sequence[int], sources: Sequence[int], steps: int, sequential: bool = False
     ) -> StepProgram:
-        """Flat arrays for ``steps`` steps from ``sources``, over the states
-        they reach plus ``keys``; where the solver's and the merged
-        division model's runs are checked.
+        """The step map for ``steps`` steps from ``sources``, over the
+        states they reach plus ``keys``, for the solver or, ``sequential``,
+        the division model; where both runs are checked.
 
         The closure is built breadth first, and each level that will step
         is :meth:`checked` (``sequential`` for the division model) in
@@ -458,23 +475,26 @@ class TransitionOperator:
         ids = sorted(reached.union(keys), key=lambda k: self.states[k].counts)
         where = {k: pos for pos, k in enumerate(ids)}
         number = float if self.is_float else object
-        src, dst, label, rate, weight = [], [], [], [], []
-        hold = np.zeros(len(ids), dtype=number)
-        for pos, k in enumerate(ids):
-            if k not in stepping:
-                continue
-            row = self._rows[k]
-            src.extend([pos] * len(row.labels))
-            dst.extend(map(where.__getitem__, row.targets))
-            label.extend(row.labels)
-            rate.extend(row.rates)
-            weight.extend(row.weights)
-            hold[pos] = row.hold
+        rows = [(pos, self._rows[k]) for pos, k in enumerate(ids) if k in stepping]
+        stepping_at = np.array([pos for pos, _ in rows], dtype=np.intp)
+        src = np.repeat(stepping_at, [len(row.labels) for _, row in rows])
+        dst = np.array([where[t] for _, row in rows for t in row.targets], dtype=np.intp)
+        states = [self.states[k] for k in ids]
+        if not sequential:
+            rate = np.array([r for _, row in rows for r in row.rates], dtype=number)
+            return StepProgram(
+                states, where, np.concatenate([src, dst]), np.concatenate([src, src]),
+                np.concatenate([-rate, rate]),
+            )
+        hold = np.array([row.hold for _, row in rows], dtype=number)
+        holders = stepping_at[hold > 0]
+        weight = np.array([w for _, row in rows for w in row.weights], dtype=number)
+        label = np.array([h for _, row in rows for h in row.labels], dtype=np.intp)
+        emits = np.flatnonzero(weight != 0)
+        emits = emits[np.argsort(label[emits], kind="stable")]
         return StepProgram(
-            [self.states[k] for k in ids], where,
-            np.array(src, dtype=np.intp), np.array(dst, dtype=np.intp),
-            np.array(label, dtype=np.intp), np.array(rate, dtype=number),
-            np.array(weight, dtype=number), hold,
+            states, where, np.concatenate([holders, dst[emits]]),
+            np.concatenate([holders, src[emits]]), np.concatenate([hold[hold > 0], weight[emits]]),
         )
 
 

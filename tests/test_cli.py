@@ -184,6 +184,20 @@ def test_emulate_writes_sweep(tmp_path):
     )
 
 
+@pytest.mark.parametrize("samples", [0, -3])
+def test_emulate_without_samples_exits_config(tmp_path, capsys, samples):
+    table = fixedpoint.build_quantized_arcsine(5, 1e-12, 24)
+    with pytest.raises(fixedpoint.FixedPointError, match=f"^need samples >= 1, got {samples}$"):
+        fixedpoint.estimate_eps_calculation(24, table, samples=samples)
+    code = main(
+        ["emulate", "--n-eps", "24", "--d", "5", "--eps", "1e-12",
+         "--samples", str(samples), "--out", str(tmp_path)]
+    )
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: need samples >= 1, got {samples}\n"
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 def test_emulate_overflow_exits_config(tmp_path, capsys):
     # a gap sample of the (1e-13, d=7) fit lands in an extension piece whose
     # biased constant pushes the 46-bit arcsine result past the register
@@ -224,6 +238,10 @@ def test_estimate_explicit_parameters(tmp_path):
     assert abs(payload["t_count"]["total"] / 4.9e14 - 1) <= 0.15
 
 
+# the whole message of the cases below that pin one
+BAD_INPUT_ERRORS = {"dt-inf": "time step must be positive and finite, got inf"}
+
+
 @pytest.mark.parametrize(
     "argv, config",
     [
@@ -232,6 +250,7 @@ def test_estimate_explicit_parameters(tmp_path):
         pytest.param(["solve", "--preset", "paper-case-1", "--M", "3"], None,
                      id="solve-preset-without-N"),
         pytest.param(["solve", "--N", "3", "--M", "2", "--dt", "0"], None, id="dt-zero"),
+        pytest.param(["solve", "--N", "4", "--M", "2", "--dt", "inf"], None, id="dt-inf"),
         pytest.param(["simulate", "--N", "1", "--M", "2"], None, id="one-bin"),
         pytest.param(["solve"], {"n_bins": 3, "steps": 2, "kernel": "table"},
                      id="table-kernel"),
@@ -280,8 +299,11 @@ def test_bad_inputs_exit_config(tmp_path, capsys, request, argv, config):
         argv = argv + ["--config", str(path)]
     assert main(argv + ["--out", str(tmp_path)]) == EXIT_CONFIG
     case_id = request.node.callspec.id
+    err = capsys.readouterr().err
     if case_id.startswith("file-"):
-        assert case_id.split("-")[1] in capsys.readouterr().err
+        assert case_id.split("-")[1] in err
+    if case_id in BAD_INPUT_ERRORS:
+        assert err == f"error: {BAD_INPUT_ERRORS[case_id]}\n"
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])

@@ -215,8 +215,21 @@ def _masked_steps(p0, table, steps):
     # accumulate only the moving flows
     op = table.operator
     keys = [op.index(s) for s in p0.entries]
-    prog = op.program(keys, [k for k, v in zip(keys, p0.entries.values()) if v != 0], steps)
+    sources = [k for k, v in zip(keys, p0.entries.values()) if v != 0]
+    prog = op.program(keys, sources, steps)
     size = len(prog.states)
+    # the edges of the states within steps - 1 collisions of a source, read
+    # off the operator's rows in ascending (position, label) order, not
+    # off the program's step map
+    stepping, level = set(sources), set(sources)
+    for _ in range(steps - 1):
+        level = {t for k in level for t in op.row(k).targets} - stepping
+        stepping |= level
+    edge_src, edge_dst, edge_rate = map(np.array, zip(*(
+        (prog.where[k], prog.where[t], r)
+        for k in sorted(stepping, key=prog.where.__getitem__)
+        for t, r in zip(op.row(k).targets, op.row(k).rates)
+    )))
     order = [prog.where[k] for k in keys]
     present = np.zeros(size, dtype=bool)
     present[order] = True
@@ -224,9 +237,9 @@ def _masked_steps(p0, table, steps):
     stay = np.arange(size)
     out = [p0]
     for step in range(p0.step + 1, p0.step + steps + 1):
-        moving = (prob != 0)[prog.src]
-        src, dst = prog.src[moving], prog.dst[moving]
-        flow = prob[src] * prog.rate[moving]
+        moving = (prob != 0)[edge_src]
+        src, dst = edge_src[moving], edge_dst[moving]
+        flow = prob[src] * edge_rate[moving]
         fresh = list(dict.fromkeys(dst[~present[dst]].tolist()))
         order.extend(fresh)
         present[fresh] = True
@@ -256,6 +269,62 @@ def test_float_step_matches_masked_step(kind, n):
         repr(list(t.entries.items())) for t in want
     ]
     assert [t.step for t in got] == [t.step for t in want]
+
+
+@pytest.mark.parametrize("sequential", [False, True], ids=["solver", "division"])
+@pytest.mark.parametrize("k0", [1.5, Fraction(3, 2)], ids=["float", "fraction"])
+@pytest.mark.parametrize("kind", ["constant", "sum", "product"])
+def test_step_sums_each_row_in_stored_order(kind, k0, sequential):
+    # one step against a Python loop that sums each row's terms from zero,
+    # left to right: a build that reorders or fuses a multiply-add fails it
+    n = 12
+    table = _table(n, kind, k0, type(k0)(9) / 10)
+    op = table.operator
+    start = op.index(MassDistribution.monodisperse(n))
+    prog = op.program([start], [start], n, sequential)
+    size = len(prog.states)
+    draws = np.random.default_rng(n).integers(1, 10**6, size).tolist()
+    # every fifth position empty; the live masks below do not follow it
+    prob = np.array(
+        [0 * k0 if pos % 5 == 0 else type(k0)(draw) / 10**6 for pos, draw in enumerate(draws)],
+        dtype=prog.coef.dtype,
+    )
+    terms = list(zip(prog.row.tolist(), prog.col.tolist(), prog.coef.tolist()))
+    # every position live, most terms live (dead ones zeroed), most terms
+    # dead (dropped)
+    lives = [np.ones(size, dtype=bool), np.arange(size) % 3 != 0, np.arange(size) % 3 == 1]
+    shares = [np.count_nonzero(live[prog.col]) / len(prog.col) for live in lives]
+    assert shares[0] == 1 and 0.5 <= shares[1] < 1 and shares[2] < 0.5
+    for live in lives:
+        out = np.zeros(size, dtype=prob.dtype)
+        rows = prog.step(prob, live, out)
+        want, values = np.zeros(size, dtype=prob.dtype).tolist(), prob.tolist()
+        for r, c, coef in terms:
+            if live[c]:
+                want[r] = want[r] + values[c] * coef
+        assert rows.tolist() == [r for r, c, _ in terms if live[c]]
+        assert repr(out.tolist()) == repr(want)
+        assert list(map(type, out.tolist())) == list(map(type, want))
+    # within a row: the solver's outflows in label order, then its inflows
+    # by (source, label); the division model's hold child, then its
+    # inflows by label
+    ids = [op.index(state) for state in prog.states]
+
+    def label(c, r):
+        row = op.row(ids[c])
+        return row.labels[row.targets.index(ids[r])]
+
+    for r in range(size):
+        mine = [(c, coef) for row, c, coef in terms if row == r]
+        own = [coef for c, coef in mine if c == r]
+        assert [c == r for c, _ in mine] == [True] * len(own) + [False] * (len(mine) - len(own))
+        inflows = [(c, label(c, r)) for c, _ in mine if c != r]
+        if sequential:
+            assert own == ([op.row(ids[r]).hold] if own else [])
+            assert [h for _, h in inflows] == sorted({h for _, h in inflows})
+        else:
+            assert own == ([-rate for rate in op.row(ids[r]).rates] if own else [])
+            assert inflows == sorted(inflows)
 
 
 # sha256 of each ``estimate`` report, without its ``generated_at`` line

@@ -115,6 +115,18 @@ def test_build_transition_table_examples():
         build_transition_table(1, KernelSpec(), 0.1)
 
 
+@pytest.mark.parametrize("dt", [0, -0.1, math.nan, math.inf, Fraction(0)])
+def test_build_transition_table_rejects_bad_dt(dt):
+    # an infinite dt made every under-populated pair's rate 0 * inf = nan
+    with pytest.raises(StateSpaceError, match="^time step must be positive and finite, got "):
+        build_transition_table(4, KernelSpec(), dt)
+
+
+@pytest.mark.parametrize("dt", [Fraction(1, 10**400), 10**400])
+def test_build_transition_table_takes_dt_past_the_float_range(dt):
+    assert build_transition_table(4, KernelSpec(), dt).dt == dt
+
+
 @pytest.mark.parametrize("n", list(range(2, 30)) + [100, 255, 400])
 def test_pair_count_parity_formula(n):
     table = build_transition_table(n, KernelSpec(), 0.1)
