@@ -282,17 +282,6 @@ def _truth_series(a: float, b: float, order: int) -> list[mp.mpf]:
     return series
 
 
-def reference_error(coefficients: Sequence[float], a: float, b: float, grid: int) -> float:
-    """Grid max of |poly - arcsin| against the extended-precision reference.
-
-    The polynomial minus a high-order arcsine Chebyshev series is itself a
-    short Chebyshev series with tiny coefficients, which double precision
-    evaluates to ~1e-18 absolute accuracy; the series tail is negligible
-    because the nearest arcsine singularity is far outside ``[a, b]``.
-    """
-    return _grid_max(_diff_series(coefficients, a, b), grid)
-
-
 def _diff_series(coefficients: Sequence[float], a: float, b: float) -> np.ndarray:
     """The polynomial minus the 45-digit arcsine series on ``[a, b]``, as
     float Chebyshev coefficients in ``u``."""
@@ -308,6 +297,10 @@ def _diff_series(coefficients: Sequence[float], a: float, b: float) -> np.ndarra
 
 
 def _grid_max(diff: np.ndarray, grid: int) -> float:
+    """Grid max of ``|poly - arcsin|`` from their :func:`_diff_series`: a
+    short series with tiny coefficients, which double precision evaluates
+    to ~1e-18 absolute accuracy; the reference series' tail is negligible
+    because the nearest arcsine singularity is far outside the piece."""
     u = np.linspace(-1.0, 1.0, grid)
     return float(np.max(np.abs(_cheb.chebval(u, diff))))
 

@@ -182,8 +182,8 @@ def _emit_json(payload: dict, out: str | None) -> None:
 def _out_paths(config: RunConfig, *names: str) -> list[str]:
     """Where each output goes: into the ``--out`` directory, or to ``--out``
     itself if it has a suffix and there is one output.  Creates missing
-    directories; call it after the input checks and before any long work, so
-    neither a refused input nor a refused ``--out`` writes anything."""
+    directories, so call it after the checks that can refuse an input: a
+    refused input or ``--out`` writes nothing."""
     if config.out is None:
         return list(names)
     path = Path(config.out)
@@ -262,11 +262,11 @@ def _cmd_simulate(config: RunConfig) -> int:
 
 
 def _cmd_emulate(config: RunConfig) -> int:
-    [path] = _out_paths(config, "sweep.csv")
     table = fixedpoint.build_quantized_arcsine(config.degree, config.eps, config.n_eps)
     report = fixedpoint.estimate_eps_calculation(
         config.n_eps, table, samples=config.samples, include_gap=config.include_gap
     )
+    [path] = _out_paths(config, "sweep.csv")
     master.write_csv(
         path,
         ["n_eps", "eps_arcsin", "max_error", "mean_error", "samples"],
@@ -281,10 +281,10 @@ def _cmd_emulate(config: RunConfig) -> int:
 
 
 def _cmd_arcsine_fit(config: RunConfig) -> int:
+    pp = arcsine.min_pieces(config.degree, config.eps)
     paths = _out_paths(
         config, "arcsine_table.csv", *(["arcsine_coefficients.json"] if config.n_eps else [])
     )
-    pp = arcsine.min_pieces(config.degree, config.eps)
     verified = arcsine.verify(pp, grid_factor=2)
     print(f"d={config.degree} eps={config.eps:g}: M={pp.piece_count} "
           f"(max grid error {pp.max_recorded_error():.3e}, verified {verified:.3e})")

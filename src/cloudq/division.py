@@ -125,20 +125,20 @@ def run_merged(table: TransitionTable, steps: int) -> ProbabilityTable:
     """
     op = table.operator
     start = op.index(MassDistribution.monodisperse(table.num_bins))
-    prog = op.program([start], [start], steps, sequential=True)
-    size = len(prog.states)
-    prob = prog.vector([prog.where[start]], [op.one])
+    prog = op.program([start], steps, sequential=True)
+    size = len(op.states)
+    prob = prog.vector(size, [start], [op.one])
     present = np.zeros(size, dtype=bool)
-    present[prog.where[start]] = True
+    present[start] = True
     for _ in range(steps):
         nxt = np.zeros(size, dtype=prob.dtype)
         rows = prog.step(prob, present, nxt)
         prob = nxt
         present = np.zeros(size, dtype=bool)
         present[rows] = True
-    kept = np.flatnonzero(present)
+    kept = sorted(np.flatnonzero(present).tolist(), key=lambda k: op.states[k].counts)
     return ProbabilityTable(
-        dict(zip([prog.states[i] for i in kept], prob[kept].tolist())), step=steps
+        dict(zip([op.states[k] for k in kept], prob[kept].tolist())), step=steps
     )
 
 

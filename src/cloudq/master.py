@@ -78,24 +78,27 @@ def _steps(
     """
     op = table.operator
     keys = [op.index(s) for s in p0.entries]
-    prog = op.program(keys, [k for k, v in zip(keys, p0.entries.values()) if v != 0], steps)
-    size = len(prog.states)
-    order = [prog.where[k] for k in keys]
+    prog = op.program([k for k, v in zip(keys, p0.entries.values()) if v != 0], steps)
+    size = len(op.states)  # the operator may hold other runs' states too
+    order = list(keys)
     present = np.zeros(size, dtype=bool)
-    present[order] = True
-    prob = prog.vector(order, list(p0.entries.values()))
+    present[keys] = True
+    reach = present.copy()
+    reach[prog.row] = True
+    closure = np.count_nonzero(reach)  # states this run can list
+    prob = prog.vector(size, keys, list(p0.entries.values()))
     out = []
     for step in range(p0.step + 1, p0.step + steps + 1):
         nxt = np.zeros(size, dtype=prob.dtype) + prob
         rows = prog.step(prob, prob != 0, nxt)
         prob = nxt
-        if len(order) < size:
+        if len(order) < closure:
             fresh = list(dict.fromkeys(rows[~present[rows]].tolist()))
             order.extend(fresh)
             present[fresh] = True
         if keep_all or step == p0.step + steps:
             out.append(ProbabilityTable(
-                dict(zip([prog.states[i] for i in order], prob[order].tolist())), step=step
+                dict(zip([op.states[k] for k in order], prob[order].tolist())), step=step
             ))
     return out
 
@@ -123,25 +126,28 @@ def expected_counts(p: ProbabilityTable, bins: Sequence[int] | None = None) -> l
     """Expected droplet count of each bin in ``bins`` (every bin by default).
 
     Each is ``sum count * P`` taken state by state in entry order from
-    ``0.0``: one sequential ``cumsum`` down the counts matrix, whose first
-    row, ``0 * 0.0``, is that ``0.0`` (it turns a ``-0.0`` sum into
-    ``0.0``).  Float64 when every probability is a Python float; Python
-    numbers otherwise, so other tables sum as Python does (``0.0 +
-    Fraction`` is a float).
+    ``0.0``: one sequential ``cumsum`` down the counts of the requested
+    bins, whose first row, ``0 * 0.0``, is that ``0.0`` (it turns a
+    ``-0.0`` sum into ``0.0``).  Float64 when every probability is a
+    Python float; Python numbers otherwise, so other tables sum as Python
+    does (``0.0 + Fraction`` is a float).
     """
     if not p.entries:
         raise StateSpaceError("empty distribution")
     n_bins = next(iter(p.entries)).num_bins
-    bins = range(1, n_bins + 1) if bins is None else bins
-    for bin_index in bins:
-        if not 1 <= bin_index <= n_bins:
-            raise StateSpaceError(f"bin {bin_index} outside [1, {n_bins}]")
+    keys = [s.counts for s in p.entries]
+    if bins is None:
+        width, cells = n_bins, chain.from_iterable(keys)
+    else:
+        for bin_index in bins:
+            if not 1 <= bin_index <= n_bins:
+                raise StateSpaceError(f"bin {bin_index} outside [1, {n_bins}]")
+        width, cells = len(bins), (key[b - 1] for key in keys for b in bins)
     probs = [0.0, *p.entries.values()]
     number = float if set(map(type, probs)) == {float} else object
     counts = np.fromiter(
-        chain(repeat(0, n_bins), chain.from_iterable([s.counts for s in p.entries])),
-        np.int64, len(probs) * n_bins,
-    ).reshape(len(probs), n_bins)[:, np.array(bins, dtype=np.intp) - 1]
+        chain(repeat(0, width), cells), np.int64, len(probs) * width
+    ).reshape(len(probs), width)
     terms = counts.astype(number) * np.array(probs, dtype=number)[:, None]
     return np.cumsum(terms, axis=0)[-1].tolist()
 

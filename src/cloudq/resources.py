@@ -24,33 +24,36 @@ class ResourceModelError(ValueError):
 
 @dataclass(frozen=True)
 class GateCost:
-    """(T-count, T-depth, ancilla) triple.
+    """(T-count, T-depth, ancilla) triple, with the notes its formulas raised.
 
     Sequenced composition adds counts and depths; ancillas are scratch
-    that later gates reuse, so they combine by maximum.
+    that later gates reuse, so they combine by maximum.  Notes keep their
+    first-seen order, each once.
     """
 
     t_count: int
     t_depth: int
     ancilla: int
+    notes: tuple[str, ...] = ()
 
     def __add__(self, other: "GateCost") -> "GateCost":
         return GateCost(
             self.t_count + other.t_count,
             self.t_depth + other.t_depth,
             max(self.ancilla, other.ancilla),
+            tuple(dict.fromkeys(self.notes + other.notes)),
         )
 
     def times(self, repetitions: int) -> "GateCost":
         return GateCost(
-            self.t_count * repetitions, self.t_depth * repetitions, self.ancilla
+            self.t_count * repetitions, self.t_depth * repetitions, self.ancilla, self.notes
         )
 
 
-def _clamped(t: int, depth: int, ancilla: int, label: str, warnings: list[str] | None) -> GateCost:
-    if (t <= 0 or depth <= 0) and warnings is not None:
-        warnings.append(f"{label}: formula gave ({t}, {depth}), clamped at 0")
-    return GateCost(max(t, 0), max(depth, 0), max(ancilla, 0))
+def _clamped(t: int, depth: int, ancilla: int, label: str, notes: tuple = ()) -> GateCost:
+    if t <= 0 or depth <= 0:
+        notes += (f"{label}: formula gave ({t}, {depth}), clamped at 0",)
+    return GateCost(max(t, 0), max(depth, 0), max(ancilla, 0), notes)
 
 
 def primitive_cost(
@@ -59,35 +62,32 @@ def primitive_cost(
     m: int | None = None,
     degree: int | None = None,
     pieces: int | None = None,
-    warnings: list[str] | None = None,
 ) -> GateCost:
     """Closed-form cost of one fixed-point arithmetic primitive.
 
     Width arguments follow the operation's convention (``n`` is the
     register width; ``MUL_INT`` and ``MUL_CONST_INT_UI`` take the pair
     ``n, m``).  Non-positive formula values are clamped to zero with a
-    warning, which only happens at tiny widths.
+    note, which only happens at tiny widths.
     """
     if n is None or n < 1:
         raise ResourceModelError(f"{op}: need a width n >= 1, got {n}")
     if op == "Toffoli":
-        return _clamped(4 * n - 8, n - 2, n - 1, op, warnings)
+        return _clamped(4 * n - 8, n - 2, n - 1, op)
     if op in ("ADD", "SUB"):
-        return _clamped(4 * n - 4, 2 * n - 2, n - 1, op, warnings)
+        return _clamped(4 * n - 4, 2 * n - 2, n - 1, op)
     if op in ("cADD", "cSUB"):
-        return _clamped(8 * n - 4, 4 * n - 2, 2 * n - 1, op, warnings)
+        return _clamped(8 * n - 4, 4 * n - 2, 2 * n - 1, op)
     if op == "ADD_CONST":
-        return _clamped(4 * n - 8, 2 * n - 4, 2 * n - 2, op, warnings)
+        return _clamped(4 * n - 8, 2 * n - 4, 2 * n - 2, op)
     if op in ("COMP", "COMP_CONST"):
-        return _clamped(8 * n - 16, 4 * n - 8, 2 * n - 1, op, warnings)
+        return _clamped(8 * n - 16, 4 * n - 8, 2 * n - 1, op)
     if op == "MUL_INT":
         if m is None:
             raise ResourceModelError("MUL_INT needs widths n and m")
-        return _clamped(
-            8 * n * m - 4 * n * n, 4 * n * m - 2 * n * n, 2 * n - 1, op, warnings
-        )
+        return _clamped(8 * n * m - 4 * n * n, 4 * n * m - 2 * n * n, 2 * n - 1, op)
     if op == "MUL_UI":
-        return _clamped(4 * n * n, 2 * n * n, 2 * n - 1, op, warnings)
+        return _clamped(4 * n * n, 2 * n * n, 2 * n - 1, op)
     if op == "MUL_CONST_INT_UI":
         if m is None:
             raise ResourceModelError("MUL_CONST_INT_UI needs widths n and m")
@@ -97,18 +97,14 @@ def primitive_cost(
         t = (m - n) * (4 * n - 4) + 2 * n * n - 2 * n
         depth = (m - n) * (2 * n - 2) + n * n - n
         printed = 8 * n * m - 4 * n * n - 2 * m * m - 4 * n - 6 * m
-        if warnings is not None and printed != t:
-            warnings.append(
-                f"MUL_CONST_INT_UI({n},{m}): closed form gives {printed}, "
-                f"using adder-sum value {t}"
-            )
-        return _clamped(t, depth, n - 1, op, warnings)
-    if op == "SQRT":
-        return _clamped(
-            8 * n * n + 16 * n - 32, 4 * n * n + 8 * n - 16, 6 * n, op, warnings
+        notes = () if printed == t else (
+            f"MUL_CONST_INT_UI({n},{m}): closed form gives {printed}, using adder-sum value {t}",
         )
+        return _clamped(t, depth, n - 1, op, notes)
+    if op == "SQRT":
+        return _clamped(8 * n * n + 16 * n - 32, 4 * n * n + 8 * n - 16, 6 * n, op)
     if op == "DIV":
-        return _clamped(18 * n * n - 30 * n, 9 * n * n - 15 * n, 2 * n - 1, op, warnings)
+        return _clamped(18 * n * n - 30 * n, 9 * n * n - 15 * n, 2 * n - 1, op)
     if op == "ARCSIN":
         if degree is None or pieces is None:
             raise ResourceModelError("ARCSIN needs degree and pieces")
@@ -124,7 +120,7 @@ def primitive_cost(
             + 4 * degree * (n - 1)
         )
         ancilla = (degree + 4) * n + 2 * log_m
-        return _clamped(t, depth, ancilla, op, warnings)
+        return _clamped(t, depth, ancilla, op)
     raise ResourceModelError(f"unknown primitive {op!r}")
 
 
@@ -238,21 +234,19 @@ def register_counts(case: EstimationCase) -> QubitBreakdown:
     )
 
 
-def gate_cost_up(case: EstimationCase, warnings: list[str] | None = None) -> GateCost:
+def gate_cost_up(case: EstimationCase) -> GateCost:
     """Rotation-angle computation: products, comparison, roots, division,
     and the piecewise arcsine."""
     q1 = qubits_for_bin(case.n_bins, 1)
     n_eps = case.n_eps
     return (
-        primitive_cost("MUL_INT", n=q1, m=q1, warnings=warnings)
-        + primitive_cost("MUL_CONST_INT_UI", n=2 * q1, m=n_eps, warnings=warnings)
-        + primitive_cost("COMP", n=n_eps, warnings=warnings)
-        + primitive_cost("cSUB", n=n_eps, warnings=warnings).times(2)
-        + primitive_cost("SQRT", n=n_eps, warnings=warnings).times(2)
-        + primitive_cost("DIV", n=n_eps, warnings=warnings)
-        + primitive_cost(
-            "ARCSIN", n=n_eps, degree=case.degree, pieces=case.pieces, warnings=warnings
-        )
+        primitive_cost("MUL_INT", n=q1, m=q1)
+        + primitive_cost("MUL_CONST_INT_UI", n=2 * q1, m=n_eps)
+        + primitive_cost("COMP", n=n_eps)
+        + primitive_cost("cSUB", n=n_eps).times(2)
+        + primitive_cost("SQRT", n=n_eps).times(2)
+        + primitive_cost("DIV", n=n_eps)
+        + primitive_cost("ARCSIN", n=n_eps, degree=case.degree, pieces=case.pieces)
     )
 
 
@@ -266,39 +260,29 @@ def gate_cost_usin(case: EstimationCase) -> GateCost:
     return GateCost(math.ceil(t), math.ceil(depth), 5 * n_eps + 2)
 
 
-def gate_cost_uq(case: EstimationCase, warnings: list[str] | None = None) -> GateCost:
+def gate_cost_uq(case: EstimationCase) -> GateCost:
     """Uncompute of the angle pipeline plus the remainder update."""
-    return gate_cost_up(case, warnings) + primitive_cost(
-        "SUB", n=case.n_eps, warnings=warnings
-    )
+    return gate_cost_up(case) + primitive_cost("SUB", n=case.n_eps)
 
 
-def gate_cost_uadd(case: EstimationCase, warnings: list[str] | None = None) -> GateCost:
+def gate_cost_uadd(case: EstimationCase) -> GateCost:
     """History-register increment (add one, restore the zero branch)."""
     q_h = history_label_qubits(case.n_bins)
-    return primitive_cost("ADD_CONST", n=q_h, warnings=warnings) + primitive_cost(
-        "Toffoli", n=q_h, warnings=warnings
-    )
+    return primitive_cost("ADD_CONST", n=q_h) + primitive_cost("Toffoli", n=q_h)
 
 
-def gate_cost_ur(case: EstimationCase, warnings: list[str] | None = None) -> GateCost:
+def gate_cost_ur(case: EstimationCase) -> GateCost:
     """Per-label restore of the remainder register to its step-start value."""
     q1 = qubits_for_bin(case.n_bins, 1)
     n_eps = case.n_eps
     return (
-        primitive_cost("MUL_INT", n=q1, m=q1, warnings=warnings).times(2)
-        + primitive_cost(
-            "MUL_CONST_INT_UI", n=2 * q1, m=n_eps, warnings=warnings
-        ).times(2)
-        + primitive_cost("ADD", n=n_eps, warnings=warnings)
+        primitive_cost("MUL_INT", n=q1, m=q1).times(2)
+        + primitive_cost("MUL_CONST_INT_UI", n=2 * q1, m=n_eps).times(2)
+        + primitive_cost("ADD", n=n_eps)
     )
 
 
-def gate_cost_ushift(
-    case: EstimationCase,
-    pair: tuple[int, int],
-    warnings: list[str] | None = None,
-) -> GateCost:
+def gate_cost_ushift(case: EstimationCase, pair: tuple[int, int]) -> GateCost:
     """Label-controlled mass update for one collision pair.
 
     Distinct bins decrement two counters and increment the sum bin; equal
@@ -308,18 +292,18 @@ def gate_cost_ushift(
     """
     i, j = pair
     q_h = history_label_qubits(case.n_bins)
-    toffoli = primitive_cost("Toffoli", n=q_h, warnings=warnings)
+    toffoli = primitive_cost("Toffoli", n=q_h)
     if i != j:
         return (
             toffoli.times(2)
-            + primitive_cost("cADD", n=qubits_for_bin(case.n_bins, i + j), warnings=warnings)
-            + primitive_cost("cSUB", n=qubits_for_bin(case.n_bins, i), warnings=warnings)
-            + primitive_cost("cSUB", n=qubits_for_bin(case.n_bins, j), warnings=warnings)
+            + primitive_cost("cADD", n=qubits_for_bin(case.n_bins, i + j))
+            + primitive_cost("cSUB", n=qubits_for_bin(case.n_bins, i))
+            + primitive_cost("cSUB", n=qubits_for_bin(case.n_bins, j))
         )
     return (
         toffoli.times(2)
-        + primitive_cost("cADD", n=qubits_for_bin(case.n_bins, 2 * i), warnings=warnings)
-        + primitive_cost("cSUB", n=qubits_for_bin(case.n_bins, i), warnings=warnings)
+        + primitive_cost("cADD", n=qubits_for_bin(case.n_bins, 2 * i))
+        + primitive_cost("cSUB", n=qubits_for_bin(case.n_bins, i))
     )
 
 
@@ -439,13 +423,12 @@ def estimate_case(case: EstimationCase, bin_index: int = 1) -> ResourceReport:
     (forward and inverse); one unamplified preparation is added on top of
     the amplified schedule.
     """
-    warnings: list[str] = []
     pair_count = label_pair_count(case.n_bins)
-    up = gate_cost_up(case, warnings)
+    up = gate_cost_up(case)
     usin = gate_cost_usin(case)
-    uq = gate_cost_uq(case, warnings)
-    ur = gate_cost_ur(case, warnings)
-    uadd = gate_cost_uadd(case, warnings)
+    uq = gate_cost_uq(case)
+    ur = gate_cost_ur(case)
+    uadd = gate_cost_uadd(case)
     division = up + usin + uq + ur
     # U_shift by register width: per pair two label Toffolis, a cADD on bin
     # i+j, a cSUB on bin i and one on j if i != j.  Bin b is the sum of b//2
@@ -460,11 +443,11 @@ def estimate_case(case: EstimationCase, bin_index: int = 1) -> ResourceReport:
         if b < n:
             c_sub[width] += max(n - 2 * b + 1, 0) + max(min(b - 1, n - b), 0)
     shift_total = primitive_cost(
-        "Toffoli", n=history_label_qubits(case.n_bins), warnings=warnings
+        "Toffoli", n=history_label_qubits(case.n_bins)
     ).times(2 * pair_count)
     for op, counts in (("cADD", c_add), ("cSUB", c_sub)):
         for width, count in counts.items():
-            shift_total = shift_total + primitive_cost(op, n=width, warnings=warnings).times(count)
+            shift_total = shift_total + primitive_cost(op, n=width).times(count)
     step = division.times(pair_count) + uadd.times(pair_count - 1) + shift_total
     evolution = step.times(case.time_steps)
     readout = gate_cost_uc(case, bin_index)
@@ -473,10 +456,6 @@ def estimate_case(case: EstimationCase, bin_index: int = 1) -> ResourceReport:
     total = oracle.times(calls) + evolution + readout
     qubits = register_counts(case)
     unamplified_share = (evolution + readout).t_count / total.t_count
-    warnings.append(
-        f"total includes one unamplified preparation ({unamplified_share:.2e} "
-        "of the T-count)"
-    )
     return ResourceReport(
         case=case,
         per_gate={
@@ -492,7 +471,10 @@ def estimate_case(case: EstimationCase, bin_index: int = 1) -> ResourceReport:
         total=total,
         qubits=qubits,
         eps_max=error_budget(case),
-        warnings=tuple(dict.fromkeys(warnings)),
+        warnings=total.notes + (
+            f"total includes one unamplified preparation ({unamplified_share:.2e} "
+            "of the T-count)",
+        ),
     )
 
 

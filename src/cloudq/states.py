@@ -16,6 +16,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -272,29 +273,25 @@ class OperatorRow(NamedTuple):
 
 
 class StepProgram(NamedTuple):
-    """A run's step as a sparse map over the states it can reach.
+    """A run's step as a sparse map over operator indices.
 
-    ``states`` are in ascending counts order and ``where`` maps operator
-    indices to their positions.  One step adds ``prob[col] * coef`` into
-    ``row``, term by term, in stored order, so each position's sum runs
-    in that order: for the solver, every outflow ``(src, src, -r_h)``,
-    then every inflow ``(dst, src, r_h)``, each in ascending (source,
-    label) order; for the division model, every hold child ``(k, k,
-    s_1)`` with ``s_1 > 0`` in position order, then every emitted inflow
-    ``(dst, src, weight)`` with ``weight != 0``, stably sorted by label.
-    ``coef`` holds the table's number type: float64 on a float table,
-    Python numbers (``dtype=object``) otherwise, so rational tables stay
-    exact.
+    One step adds ``prob[col] * coef`` into ``row``, term by term, in
+    stored order, so each state's sum runs in that order: for the solver,
+    every outflow ``(src, src, -r_h)``, then every inflow ``(dst, src,
+    r_h)``, each in ascending (source counts, label) order; for the
+    division model, every hold child ``(k, k, s_1)`` with ``s_1 > 0`` in
+    ascending counts order, then every emitted inflow ``(dst, src,
+    weight)`` with ``weight != 0``, stably sorted by label.  ``coef``
+    holds the table's number type: float64 on a float table, Python
+    numbers (``dtype=object``) otherwise, so rational tables stay exact.
     """
 
-    states: list[MassDistribution]
-    where: dict[int, int]
     row: np.ndarray
     col: np.ndarray
     coef: np.ndarray
 
-    def vector(self, positions: Sequence[int], values: Sequence) -> np.ndarray:
-        """``values`` at ``positions`` and zero elsewhere.
+    def vector(self, size: int, at: Sequence[int], values: Sequence) -> np.ndarray:
+        """Length ``size``, ``values`` at indices ``at`` and zero elsewhere.
 
         Float64 when the program and every value are floats; Python
         numbers otherwise, so each entry follows Python's own arithmetic
@@ -302,8 +299,8 @@ class StepProgram(NamedTuple):
         """
         values = np.array(values, dtype=object)
         exact = self.coef.dtype == object or any(type(v) is not float for v in values)
-        out = np.zeros(len(self.states), dtype=object if exact else float)
-        out[positions] = values
+        out = np.zeros(size, dtype=object if exact else float)
+        out[at] = values
         return out
 
     def step(self, prob: np.ndarray, live: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -444,12 +441,10 @@ class TransitionOperator:
             )
         return row
 
-    def program(
-        self, keys: Sequence[int], sources: Sequence[int], steps: int, sequential: bool = False
-    ) -> StepProgram:
+    def program(self, sources: Sequence[int], steps: int, sequential: bool = False) -> StepProgram:
         """The step map for ``steps`` steps from ``sources``, over the
-        states they reach plus ``keys``, for the solver or, ``sequential``,
-        the division model; where both runs are checked.
+        operator indices of the states they reach, for the solver or,
+        ``sequential``, the division model; where both runs are checked.
 
         The closure is built breadth first, and each level that will step
         is :meth:`checked` (``sequential`` for the division model) in
@@ -460,41 +455,40 @@ class TransitionOperator:
         if steps < 0:
             raise StateSpaceError(f"need steps >= 0, got {steps}")
         reached = set(sources)
-        level, stepping = list(reached), set()
+        level, stepping = list(reached), []
         for _ in range(steps):
             if not level:
                 break
-            stepping.update(level)
+            level.sort(key=lambda k: self.states[k].counts)
+            stepping.extend(level)
             nxt = []
-            for k in sorted(level, key=lambda k: self.states[k].counts):
+            for k in level:
                 for target in self.checked(k, sequential).targets:
                     if target not in reached:
                         reached.add(target)
                         nxt.append(target)
             level = nxt
-        ids = sorted(reached.union(keys), key=lambda k: self.states[k].counts)
-        where = {k: pos for pos, k in enumerate(ids)}
+        stepping.sort(key=lambda k: self.states[k].counts)
+        rows = [self._rows[k] for k in stepping]
+        at = np.array(stepping, dtype=np.intp)
+        src = np.repeat(at, [len(row.labels) for row in rows])
+        dst = np.fromiter(chain.from_iterable(row.targets for row in rows), np.intp, len(src))
         number = float if self.is_float else object
-        rows = [(pos, self._rows[k]) for pos, k in enumerate(ids) if k in stepping]
-        stepping_at = np.array([pos for pos, _ in rows], dtype=np.intp)
-        src = np.repeat(stepping_at, [len(row.labels) for _, row in rows])
-        dst = np.array([where[t] for _, row in rows for t in row.targets], dtype=np.intp)
-        states = [self.states[k] for k in ids]
         if not sequential:
-            rate = np.array([r for _, row in rows for r in row.rates], dtype=number)
+            rate = np.array([r for row in rows for r in row.rates], dtype=number)
             return StepProgram(
-                states, where, np.concatenate([src, dst]), np.concatenate([src, src]),
+                np.concatenate([src, dst]), np.concatenate([src, src]),
                 np.concatenate([-rate, rate]),
             )
-        hold = np.array([row.hold for _, row in rows], dtype=number)
-        holders = stepping_at[hold > 0]
-        weight = np.array([w for _, row in rows for w in row.weights], dtype=number)
-        label = np.array([h for _, row in rows for h in row.labels], dtype=np.intp)
+        hold = np.array([row.hold for row in rows], dtype=number)
+        holders = at[hold > 0]
+        weight = np.array([w for row in rows for w in row.weights], dtype=number)
+        label = np.array([h for row in rows for h in row.labels], dtype=np.intp)
         emits = np.flatnonzero(weight != 0)
         emits = emits[np.argsort(label[emits], kind="stable")]
         return StepProgram(
-            states, where, np.concatenate([holders, dst[emits]]),
-            np.concatenate([holders, src[emits]]), np.concatenate([hold[hold > 0], weight[emits]]),
+            np.concatenate([holders, dst[emits]]), np.concatenate([holders, src[emits]]),
+            np.concatenate([hold[hold > 0], weight[emits]]),
         )
 
 

@@ -319,6 +319,25 @@ def test_estimate_bad_bin_exits_config_and_writes_nothing(tmp_path, capsys, bin_
 
 
 @pytest.mark.parametrize(
+    "argv, out, message",
+    [
+        pytest.param(["emulate", "--n-eps", "24", "--d", "5", "--eps", "1e-12", "--samples", "0"],
+                     "o1/y", "need samples >= 1, got 0", id="emulate-samples"),
+        pytest.param(["emulate", "--n-eps", "24", "--eps", "0"], "o4/y", "need eps > 0, got 0.0",
+                     id="emulate-eps"),
+        pytest.param(["arcsine-fit", "--d", "0", "--eps", "1e-12"], "o2/y",
+                     "need degree >= 1, got 0", id="arcsine-fit-degree"),
+        pytest.param(["arcsine-fit", "--d", "5", "--eps", "0", "--n-eps", "30"], "o3",
+                     "need eps > 0, got 0.0", id="arcsine-fit-eps"),
+    ],
+)
+def test_refused_input_creates_nothing(tmp_path, capsys, argv, out, message):
+    assert main(argv + ["--out", str(tmp_path / out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         pytest.param(["solve", "--N", "3", "--M", "2"], id="solve"),

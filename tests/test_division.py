@@ -448,7 +448,7 @@ def _corrupted_tables(n, kind, steps):
         table = _dyadic_tables(n, kind)[pick % 2]
         op = table.operator
         start = op.index(MassDistribution.monodisperse(n))
-        op.program([start], [start], steps, sequential=True)
+        op.program([start], steps, sequential=True)
         rows = [k for k, row in enumerate(op._rows) if row is not None and len(row.targets) > 1]
         if pick == len(rows):
             return

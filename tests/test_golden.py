@@ -33,7 +33,6 @@ from cloudq.arcsine import (
     chebyshev_fit,
     linf_error,
     min_pieces,
-    reference_error,
     verify,
 )
 from cloudq.cli import main
@@ -216,24 +215,24 @@ def _masked_steps(p0, table, steps):
     op = table.operator
     keys = [op.index(s) for s in p0.entries]
     sources = [k for k, v in zip(keys, p0.entries.values()) if v != 0]
-    prog = op.program(keys, sources, steps)
-    size = len(prog.states)
+    prog = op.program(sources, steps)
+    size = len(op.states)
     # the edges of the states within steps - 1 collisions of a source, read
-    # off the operator's rows in ascending (position, label) order, not
-    # off the program's step map
+    # off the operator's rows in ascending (counts, label) order, not off
+    # the program's step map
     stepping, level = set(sources), set(sources)
     for _ in range(steps - 1):
         level = {t for k in level for t in op.row(k).targets} - stepping
         stepping |= level
     edge_src, edge_dst, edge_rate = map(np.array, zip(*(
-        (prog.where[k], prog.where[t], r)
-        for k in sorted(stepping, key=prog.where.__getitem__)
+        (k, t, r)
+        for k in sorted(stepping, key=lambda k: op.states[k].counts)
         for t, r in zip(op.row(k).targets, op.row(k).rates)
     )))
-    order = [prog.where[k] for k in keys]
+    order = list(keys)
     present = np.zeros(size, dtype=bool)
     present[order] = True
-    prob = prog.vector(order, list(p0.entries.values()))
+    prob = prog.vector(size, order, list(p0.entries.values()))
     stay = np.arange(size)
     out = [p0]
     for step in range(p0.step + 1, p0.step + steps + 1):
@@ -247,7 +246,7 @@ def _masked_steps(p0, table, steps):
             np.concatenate([stay, src, dst]), np.concatenate([prob, -flow, flow]), minlength=size
         )
         out.append(ProbabilityTable(
-            dict(zip([prog.states[i] for i in order], prob[order].tolist())), step=step
+            dict(zip([op.states[k] for k in order], prob[order].tolist())), step=step
         ))
     return out
 
@@ -271,6 +270,39 @@ def test_float_step_matches_masked_step(kind, n):
     assert [t.step for t in got] == [t.step for t in want]
 
 
+@pytest.mark.parametrize("prefill", ["ssa", "evolve"])
+@pytest.mark.parametrize("k0", [1.5, Fraction(3, 2)], ids=["float", "fraction"])
+@pytest.mark.parametrize("kind", ["constant", "sum", "product"])
+def test_runs_match_on_an_operator_holding_other_states(kind, k0, prefill):
+    # the operator first indexes states in another run's order, most of
+    # them beyond this run's reach; the runs must not see them
+    n, steps = 14, 6
+    one = type(k0)(1)
+    start = MassDistribution.monodisperse(n)
+    p0 = ProbabilityTable({MassDistribution((n - 4, 2) + (0,) * (n - 2)): 0 * one, start: one})
+
+    def runs(table):
+        tables = evolve_series(p0, table, steps) + [run_merged(table, steps)]
+        return [(t.step, [(s.counts, type(v), repr(v)) for s, v in t.entries.items()])
+                for t in tables]
+
+    fresh = _table(n, kind, k0, type(k0)(9) / 10)
+    want = runs(fresh)
+    table = _table(n, kind, k0, type(k0)(9) / 10)
+    if prefill == "ssa":
+        ssa_population_estimate(table, SsaConfig(n_runs=20, seed=n, t_end=5.0))
+    else:
+        other = MassDistribution((n - 6, 1, 0, 1) + (0,) * (n - 4))
+        evolve_series(ProbabilityTable({other: one}), table, n)
+    held = list(table.operator.states)
+    assert runs(table) == want
+    # the prefill indexed states the runs never list, and in another order
+    listed = {counts for _, entries in want for counts, _, _ in entries}
+    assert {s.counts for s in held} - listed
+    assert table.operator.states[:len(held)] == held
+    assert table.operator.states != fresh.operator.states
+
+
 @pytest.mark.parametrize("sequential", [False, True], ids=["solver", "division"])
 @pytest.mark.parametrize("k0", [1.5, Fraction(3, 2)], ids=["float", "fraction"])
 @pytest.mark.parametrize("kind", ["constant", "sum", "product"])
@@ -281,17 +313,17 @@ def test_step_sums_each_row_in_stored_order(kind, k0, sequential):
     table = _table(n, kind, k0, type(k0)(9) / 10)
     op = table.operator
     start = op.index(MassDistribution.monodisperse(n))
-    prog = op.program([start], [start], n, sequential)
-    size = len(prog.states)
+    prog = op.program([start], n, sequential)
+    size = len(op.states)
     draws = np.random.default_rng(n).integers(1, 10**6, size).tolist()
-    # every fifth position empty; the live masks below do not follow it
+    # every fifth state empty; the live masks below do not follow it
     prob = np.array(
-        [0 * k0 if pos % 5 == 0 else type(k0)(draw) / 10**6 for pos, draw in enumerate(draws)],
+        [0 * k0 if k % 5 == 0 else type(k0)(draw) / 10**6 for k, draw in enumerate(draws)],
         dtype=prog.coef.dtype,
     )
     terms = list(zip(prog.row.tolist(), prog.col.tolist(), prog.coef.tolist()))
-    # every position live, most terms live (dead ones zeroed), most terms
-    # dead (dropped)
+    # every state live, most terms live (dead ones zeroed), most terms dead
+    # (dropped)
     lives = [np.ones(size, dtype=bool), np.arange(size) % 3 != 0, np.arange(size) % 3 == 1]
     shares = [np.count_nonzero(live[prog.col]) / len(prog.col) for live in lives]
     assert shares[0] == 1 and 0.5 <= shares[1] < 1 and shares[2] < 0.5
@@ -305,25 +337,23 @@ def test_step_sums_each_row_in_stored_order(kind, k0, sequential):
         assert rows.tolist() == [r for r, c, _ in terms if live[c]]
         assert repr(out.tolist()) == repr(want)
         assert list(map(type, out.tolist())) == list(map(type, want))
-    # within a row: the solver's outflows in label order, then its inflows
-    # by (source, label); the division model's hold child, then its
-    # inflows by label
-    ids = [op.index(state) for state in prog.states]
-
     def label(c, r):
-        row = op.row(ids[c])
-        return row.labels[row.targets.index(ids[r])]
+        row = op.row(c)
+        return row.labels[row.targets.index(r)]
 
+    # within a row: the solver's outflows in label order, then its inflows
+    # by (source counts, label); the division model's hold child, then its
+    # inflows by label
     for r in range(size):
         mine = [(c, coef) for row, c, coef in terms if row == r]
         own = [coef for c, coef in mine if c == r]
         assert [c == r for c, _ in mine] == [True] * len(own) + [False] * (len(mine) - len(own))
-        inflows = [(c, label(c, r)) for c, _ in mine if c != r]
+        inflows = [(op.states[c].counts, label(c, r)) for c, _ in mine if c != r]
         if sequential:
-            assert own == ([op.row(ids[r]).hold] if own else [])
+            assert own == ([op.row(r).hold] if own else [])
             assert [h for _, h in inflows] == sorted({h for _, h in inflows})
         else:
-            assert own == ([-rate for rate in op.row(ids[r]).rates] if own else [])
+            assert own == ([-rate for rate in op.row(r).rates] if own else [])
             assert inflows == sorted(inflows)
 
 
@@ -534,6 +564,6 @@ def test_verify_skips_only_bounded_pieces(a, width, degree, eps_exponent, noise)
     errors = []
     for piece in pp.pieces:
         diff = arcsine._diff_series(piece.coefficients, piece.lower, piece.upper)
-        errors.append(reference_error(piece.coefficients, piece.lower, piece.upper, 4096))
+        errors.append(arcsine._grid_max(diff, 4096))  # the reference error on a 4096 grid
         assert errors[-1] <= arcsine._series_bound(diff)
     assert verify(pp, grid_factor=1) == max(errors)

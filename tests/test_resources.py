@@ -33,6 +33,10 @@ def test_gate_cost_algebra():
     b = GateCost(1, 1, 7)
     assert a + b == GateCost(11, 6, 7)
     assert a.times(4) == GateCost(40, 20, 3)
+    # notes keep their first-seen order, each once
+    noted = GateCost(1, 1, 1, ("x", "y"))
+    assert (noted + a + GateCost(0, 0, 0, ("y", "z"))).notes == ("x", "y", "z")
+    assert noted.times(0).notes == noted.notes
 
 
 def test_primitive_cost_closed_forms():
@@ -46,20 +50,18 @@ def test_primitive_cost_closed_forms():
 
 
 def test_primitive_cost_clamp_warns():
-    warnings: list[str] = []
-    cost = primitive_cost("Toffoli", n=2, warnings=warnings)
+    cost = primitive_cost("Toffoli", n=2)
     assert cost.t_count == 0
-    assert warnings and "clamped" in warnings[0]
+    assert cost.notes and "clamped" in cost.notes[0]
 
 
 def test_mul_const_int_ui_uses_adder_sum():
-    warnings: list[str] = []
-    cost = primitive_cost("MUL_CONST_INT_UI", n=12, m=42, warnings=warnings)
+    cost = primitive_cost("MUL_CONST_INT_UI", n=12, m=42)
     assert cost.t_count == (42 - 12) * (4 * 12 - 4) + 2 * 144 - 24 == 1584
     assert cost.t_depth == (42 - 12) * (2 * 12 - 2) + 144 - 12 == 792
     # the published closed form is negative here; the model must say so
     assert 8 * 12 * 42 - 4 * 144 - 2 * 42 * 42 - 4 * 12 - 6 * 42 < 0
-    assert any("adder-sum" in w for w in warnings)
+    assert any("adder-sum" in w for w in cost.notes)
 
 
 def test_arcsin_cost_case1_widths():
@@ -254,12 +256,14 @@ def test_ushift_total_sums_the_pair_formula():
     for n_bins in [*range(2, 61), 400]:
         case = dataclasses.replace(CASE1, n_bins=n_bins)
         report = estimate_case(case)
-        # the warnings in the order the gates are costed, one U_shift per pair
-        warnings: list[str] = []
+        # the notes in the order the gates are costed, one U_shift per pair
+        notes: list[str] = []
         for gate in (gate_cost_up, gate_cost_uq, gate_cost_ur, gate_cost_uadd):
-            gate(case, warnings)
+            notes += gate(case).notes
         shift_total = GateCost(0, 0, 0)
         for pair in label_pairs(n_bins):
-            shift_total = shift_total + gate_cost_ushift(case, pair, warnings)
+            shift = gate_cost_ushift(case, pair)
+            notes += shift.notes
+            shift_total = shift_total + shift
         assert report.per_gate["U_shift_total"] == shift_total, n_bins
-        assert report.warnings[:-1] == tuple(dict.fromkeys(warnings)), n_bins
+        assert report.warnings[:-1] == tuple(dict.fromkeys(notes)), n_bins
