@@ -12,7 +12,6 @@ squared-amplitude bookkeeping is an exact functional model.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
 from typing import Sequence
 
 import numpy as np
@@ -43,16 +42,6 @@ class HistoryBranch:
     prob: float
 
 
-def _children(op, k: int) -> list[tuple]:
-    """Checked row ``k``'s emitted children ``(label, target, weight)``: the
-    labels with nonzero weight in label order, then the hold child if any."""
-    row = op.checked(k, sequential=True)
-    out = list(compress(zip(row.labels, row.targets, row.weights), row.weights))
-    if row.hold > 0:
-        out.append((0, k, row.hold))
-    return out
-
-
 def _check_cap(branches: int, table: TransitionTable, step: int, branch_cap: int) -> None:
     if branches * (table.num_labels + 1) > branch_cap:
         raise BranchCapError(
@@ -80,7 +69,7 @@ def divide_step(
             )
         out.extend([
             HistoryBranch(branch.history + (label,), op.states[target], branch.prob * weight)
-            for label, target, weight in _children(op, op.index(branch.state))
+            for label, target, weight in op.children(op.index(branch.state))
         ])
     return out
 
@@ -215,7 +204,7 @@ def history_label_semantics_check(
         _check_cap(sum(level.values()), table, step, _BRANCH_CAP)
         nxt = {}
         for (state, replay), count in level.items():
-            for label, target, _ in _children(op, op.index(state)):
+            for label, target, _ in op.children(op.index(state)):
                 after = apply_transition(table, replay, label) if label else replay
                 key = (op.states[target], after)
                 nxt[key] = nxt.get(key, 0) + count

@@ -173,13 +173,13 @@ def ssa_trajectory(
     k = op.index(initial or MassDistribution.monodisperse(table.num_bins))
     t = 0.0
     while True:
-        event_rate, event_cdf = op.events(k)
+        event_rate, targets, cdf = op.events(k)
         if event_rate <= 0:
             break
         t += rng.exponential(1.0 / event_rate)
         if t > t_end:
             break
-        k = op.row(k).targets[int(np.searchsorted(event_cdf, rng.uniform()))]
+        k = targets[int(np.searchsorted(cdf, rng.uniform()))]
     return op.states[k]
 
 

@@ -16,7 +16,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
+from itertools import chain, compress
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -259,8 +259,9 @@ class OperatorRow(NamedTuple):
     (labels visited ``H..1``, label ``h`` claiming ``r_h / s_{h+1}`` of
     what is unclaimed) and its remainder ``s_1``; ``drift`` is the first
     label whose weight strays from ``r_h`` by more than ``SEQUENTIAL_TOL``
-    (0 if none).  The Gillespie sampler's view of the row is
-    :meth:`TransitionOperator.events`.
+    (0 if none).  Only :class:`TransitionOperator` reads a row; other
+    modules see its :meth:`~TransitionOperator.children`,
+    :meth:`~TransitionOperator.events` and step programs.
     """
 
     labels: tuple[int, ...]
@@ -279,9 +280,9 @@ class StepProgram(NamedTuple):
     stored order, so each state's sum runs in that order: for the solver,
     every outflow ``(src, src, -r_h)``, then every inflow ``(dst, src,
     r_h)``, each in ascending (source counts, label) order; for the
-    division model, every hold child ``(k, k, s_1)`` with ``s_1 > 0`` in
-    ascending counts order, then every emitted inflow ``(dst, src,
-    weight)`` with ``weight != 0``, stably sorted by label.  ``coef``
+    division model, every :meth:`TransitionOperator.children` term
+    ``(target, k, weight)``, stably sorted by label from ascending counts
+    order, so the holds ``(k, k, s_1)`` come first.  ``coef``
     holds the table's number type: float64 on a float table, Python
     numbers (``dtype=object``) otherwise, so rational tables stay exact.
     """
@@ -328,7 +329,7 @@ class TransitionOperator:
     its outflows.  Only the support a run can reach is ever built, never
     the whole state space.  The solver and the merged division model,
     float or rational, step on the one map :meth:`program` builds; the
-    history tree reads :meth:`row` directly, and the Gillespie sampler
+    history tree reads :meth:`children`, and the Gillespie sampler
     :meth:`events`.
     """
 
@@ -408,11 +409,11 @@ class TransitionOperator:
             tuple(labels), tuple(targets), tuple(rates), total, tuple(weights), remaining, drift,
         )
 
-    def events(self, k: int) -> tuple[float, np.ndarray]:
+    def events(self, k: int) -> tuple[float, tuple[int, ...], np.ndarray]:
         """What the Gillespie sampler draws from in state ``k``: the event
-        rate ``sum_h r_h / dt`` and the cumulative label distribution at
-        the row's labels, both on the length-``H`` float propensity vector.
-        Built on the first visit and kept."""
+        rate ``sum_h r_h / dt``, the row's targets, and the cumulative label
+        distribution at them, both sums on the length-``H`` float propensity
+        vector.  Built on the first visit and kept."""
         found = self._events.get(k)
         if found is None:
             labels, counts = self.row(k).labels, self.states[k].counts
@@ -423,7 +424,7 @@ class TransitionOperator:
             ]
             event_rate = dense.sum()
             cdf = (np.cumsum(dense) / event_rate)[stored] if labels else dense[stored]
-            found = self._events[k] = (event_rate, cdf)
+            found = self._events[k] = (event_rate, self._rows[k].targets, cdf)
         return found
 
     def checked(self, k: int, sequential: bool = False) -> OperatorRow:
@@ -440,6 +441,14 @@ class TransitionOperator:
                 f"sequential division drifted from direct rate at label {row.drift}"
             )
         return row
+
+    def children(self, k: int) -> list[tuple]:
+        """Division-checked row ``k``'s children ``(label, target, weight)``,
+        one per nonzero weight (a checked row has none below zero): the
+        labels in order, then the hold ``s_1`` as the label-0 child."""
+        row = self.checked(k, sequential=True)
+        weights = row.weights + (row.hold,)
+        return list(compress(zip(row.labels + (0,), row.targets + (k,), weights), weights))
 
     def program(self, sources: Sequence[int], steps: int, sequential: bool = False) -> StepProgram:
         """The step map for ``steps`` steps from ``sources``, over the
@@ -480,16 +489,13 @@ class TransitionOperator:
                 np.concatenate([src, dst]), np.concatenate([src, src]),
                 np.concatenate([-rate, rate]),
             )
-        hold = np.array([row.hold for row in rows], dtype=number)
-        holders = at[hold > 0]
-        weight = np.array([w for row in rows for w in row.weights], dtype=number)
-        label = np.array([h for row in rows for h in row.labels], dtype=np.intp)
-        emits = np.flatnonzero(weight != 0)
-        emits = emits[np.argsort(label[emits], kind="stable")]
-        return StepProgram(
-            np.concatenate([holders, dst[emits]]), np.concatenate([holders, src[emits]]),
-            np.concatenate([hold[hold > 0], weight[emits]]),
-        )
+        hold = [row.hold for row in rows]  # each state's hold is its label-0 child
+        coef = np.array(hold + [w for row in rows for w in row.weights], dtype=number)
+        label = np.array([0] * len(hold) + [h for row in rows for h in row.labels], dtype=np.intp)
+        kids = np.flatnonzero(coef != 0)
+        kids = kids[np.argsort(label[kids], kind="stable")]
+        row, col = np.concatenate([at, dst]), np.concatenate([at, src])
+        return StepProgram(row[kids], col[kids], coef[kids])
 
 
 def partition_count_exact(n: int) -> int:

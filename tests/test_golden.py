@@ -191,7 +191,7 @@ def _corpus_digests(kind, k0, share, ns, steps, tmp_path):
             # the sampler's tables of every state, bit for bit
             op = table.operator
             for state in enumerate_states(n):
-                event_rate, cdf = op.events(op.index(state))
+                event_rate, _, cdf = op.events(op.index(state))
                 digests["events"].update(repr((float(event_rate), cdf.tolist())).encode())
     return {part: digest.hexdigest() for part, digest in digests.items()}
 
