@@ -282,6 +282,7 @@ def _cmd_emulate(config: RunConfig) -> int:
 
 def _cmd_arcsine_fit(config: RunConfig) -> int:
     pp = arcsine.min_pieces(config.degree, config.eps)
+    quantized = fixedpoint.quantize_arcsine(pp, config.n_eps) if config.n_eps else None
     paths = _out_paths(
         config, "arcsine_table.csv", *(["arcsine_coefficients.json"] if config.n_eps else [])
     )
@@ -291,7 +292,6 @@ def _cmd_arcsine_fit(config: RunConfig) -> int:
     rows = [(config.eps, config.degree, pp.piece_count, pp.max_recorded_error())]
     master.write_csv(paths[0], _ARCSINE_TABLE_HEADER, rows)
     if config.n_eps:
-        quantized = fixedpoint.quantize_arcsine(pp, config.n_eps)
         payload = {
             "command": "arcsine-fit",
             "degree": config.degree,

@@ -285,6 +285,8 @@ def quantize_arcsine(
     extension: PiecewisePolynomial | None = None,
 ) -> QuantizedArcsine:
     """Prepare piecewise arcsine coefficients for register evaluation."""
+    if width < 1:
+        raise FixedPointError(f"need width >= 1, got {width}")
     pieces: list[QuantizedPiece] = []
     for source in (pp, extension):
         if source is None:

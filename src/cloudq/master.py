@@ -68,13 +68,14 @@ def _steps(
     after each step (``keep_all``) or after the last.
 
     Each step sums from zero, for every state, its old value, then the
-    terms :meth:`~cloudq.states.StepProgram.step` adds from the populated
-    states: its own outflows in label order, then its inflows in ascending
-    (source, label) order.  A collision always lowers the counts vector,
-    so this is the order of moving probability flow by flow through the
-    populated states in ascending counts order.
-    Entries keep their insertion order: the old keys, then new targets in
-    the order first reached.
+    terms :meth:`~cloudq.states.StepProgram.step` adds: its own outflows
+    in label order, then its inflows in ascending (source, label) order,
+    the order of moving probability flow by flow in ascending counts order
+    (a collision lowers the counts vector).  Entries keep their insertion
+    order: the old keys, then new targets in the order first reached.
+    Until those are all listed, and always on Python numbers (an ``int``
+    0 must not become ``Fraction(0)``), only populated states step; on
+    float64 a dead source adds ``±0.0``, which moves no sum.
     """
     op = table.operator
     keys = [op.index(s) for s in p0.entries]
@@ -87,12 +88,14 @@ def _steps(
     reach[prog.row] = True
     closure = np.count_nonzero(reach)  # states this run can list
     prob = prog.vector(size, keys, list(p0.entries.values()))
+    every = np.ones(size, dtype=bool)
     out = []
     for step in range(p0.step + 1, p0.step + steps + 1):
         nxt = np.zeros(size, dtype=prob.dtype) + prob
-        rows = prog.step(prob, prob != 0, nxt)
+        listing = len(order) < closure
+        rows = prog.step(prob, prob != 0 if listing or prob.dtype == object else every, nxt)
         prob = nxt
-        if len(order) < closure:
+        if listing:
             fresh = list(dict.fromkeys(rows[~present[rows]].tolist()))
             order.extend(fresh)
             present[fresh] = True

@@ -329,6 +329,12 @@ def test_estimate_bad_bin_exits_config_and_writes_nothing(tmp_path, capsys, bin_
                      "need degree >= 1, got 0", id="arcsine-fit-degree"),
         pytest.param(["arcsine-fit", "--d", "5", "--eps", "0", "--n-eps", "30"], "o3",
                      "need eps > 0, got 0.0", id="arcsine-fit-eps"),
+        pytest.param(["emulate", "--n-eps", "0", "--samples", "10"], "o5/y",
+                     "need width >= 1, got 0", id="emulate-n-eps-zero"),
+        pytest.param(["emulate", "--n-eps", "-3", "--samples", "10"], "o6/y",
+                     "need width >= 1, got -3", id="emulate-n-eps-negative"),
+        pytest.param(["arcsine-fit", "--d", "5", "--eps", "1e-6", "--n-eps", "-3"], "o7",
+                     "need width >= 1, got -3", id="arcsine-fit-n-eps-negative"),
     ],
 )
 def test_refused_input_creates_nothing(tmp_path, capsys, argv, out, message):

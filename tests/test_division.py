@@ -281,6 +281,28 @@ def test_float_and_fraction_executors_agree(kind):
         )
 
 
+@pytest.mark.parametrize("kind", ["constant", "sum", "product"])
+def test_children_are_the_merged_terms(kind):
+    # one rule for which children a state emits, read by the merged
+    # program, the history tree and the sampler alike
+    for n in range(2, 13):
+        for table in _dyadic_tables(n, kind):
+            op = table.operator
+            prog = op.program([op.index(MassDistribution.monodisperse(n))], n, sequential=True)
+            assert set(prog.col.tolist()) == set(range(len(op.states)))  # every state steps
+            for k in range(len(op.states)):
+                children = op.children(k)
+                terms = prog.col == k
+                assert list(zip(prog.row[terms].tolist(), prog.coef[terms].tolist())) == [
+                    (target, weight) for _, target, weight in sorted(children, key=lambda c: c[0])
+                ]
+                branches = divide_step([HistoryBranch((), op.states[k], op.one)], table, 1)
+                assert [
+                    (b.history[-1], op.index(b.state), b.prob, type(b.prob)) for b in branches
+                ] == [(label, target, weight, type(weight)) for label, target, weight in children]
+                assert op.events(k)[1] == op.row(k).targets
+
+
 def test_merged_arrays_match_branch_merge():
     # the flat-array merged run must equal dividing and merging branch by
     # branch, bit for bit: same keys, same order, same sums
