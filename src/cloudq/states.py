@@ -494,8 +494,8 @@ class TransitionOperator:
         label = np.array([0] * len(hold) + [h for row in rows for h in row.labels], dtype=np.intp)
         kids = np.flatnonzero(coef != 0)
         kids = kids[np.argsort(label[kids], kind="stable")]
-        row, col = np.concatenate([at, dst]), np.concatenate([at, src])
-        return StepProgram(row[kids], col[kids], coef[kids])
+        dst, src = np.concatenate([at, dst])[kids], np.concatenate([at, src])[kids]
+        return StepProgram(dst, src, coef[kids])
 
 
 def partition_count_exact(n: int) -> int:
