@@ -335,6 +335,8 @@ def test_estimate_bad_bin_exits_config_and_writes_nothing(tmp_path, capsys, bin_
                      "need width >= 1, got -3", id="emulate-n-eps-negative"),
         pytest.param(["arcsine-fit", "--d", "5", "--eps", "1e-6", "--n-eps", "-3"], "o7",
                      "need width >= 1, got -3", id="arcsine-fit-n-eps-negative"),
+        pytest.param(["arcsine-fit", "--d", "5", "--eps", "1e-6", "--n-eps", "0"], "o8",
+                     "need width >= 1, got 0", id="arcsine-fit-n-eps-zero"),
     ],
 )
 def test_refused_input_creates_nothing(tmp_path, capsys, argv, out, message):

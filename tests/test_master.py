@@ -532,3 +532,40 @@ def test_unreached_negative_zero_start_reads_positive_zero(dt, one):
     p1 = evolve(p0, build_transition_table(n, KernelSpec(), dt), 1)
     assert list(p1.entries) == [start, far, MassDistribution((4, 1, 0, 0, 0, 0))]
     assert repr(p1.entries[far]) == "0.0"
+
+
+@pytest.mark.parametrize("kind", ["constant", "sum", "product"])
+def test_listed_float_run_keeps_the_masked_bits(kind):
+    # every state is a start key, so the run is listed before its first step
+    # and steps every state: a dead source's products are +-0.0 and move no
+    # sum, so each step keeps the bits of stepping the populated states only
+    n, steps = 9, 8
+    table = build_transition_table(n, KernelSpec(kind, 0.7), 0.002)
+    cycle = [-0.0, 0.3, 5e-324, 0.0, 1e-310, 2.5e-324]  # some underflow after a step
+    p0 = ProbabilityTable(
+        {s: cycle[i % len(cycle)] for i, s in enumerate(enumerate_states(n))}
+    )
+    series = evolve_series(p0, table, steps)
+    op = table.operator
+    keys = [op.index(s) for s in p0.entries]
+    prog = op.program(keys, steps)
+    prob = prog.vector(len(op.states), keys, list(p0.entries.values()))
+    for table_at_step in series[1:]:
+        nxt = np.zeros(len(prob)) + prob
+        prog.step(prob, prob != 0, nxt)
+        prob = nxt
+        assert list(table_at_step.entries) == list(p0.entries)
+        assert np.array(list(table_at_step.entries.values())).tobytes() == prob[keys].tobytes()
+
+
+def test_listed_rational_run_keeps_the_int_zeros_no_flow_reaches():
+    # a listed run on Python numbers still steps the populated states only,
+    # so an int 0 start no flow has reached yet stays an int, not Fraction(0)
+    n = 7
+    table = build_transition_table(n, KernelSpec(k0=Fraction(1)), Fraction(1, 100))
+    start = MassDistribution.monodisperse(n)
+    p0 = ProbabilityTable({s: Fraction(1) if s == start else 0 for s in enumerate_states(n)})
+    for step, p in enumerate(evolve_series(p0, table, n - 1)):
+        for state, prob in p.entries.items():
+            reached = sum(state.counts) >= n - step  # one droplet fewer per collision
+            assert type(prob) is (Fraction if reached else int), (step, state)
