@@ -284,14 +284,14 @@ def _cmd_arcsine_fit(config: RunConfig) -> int:
     pp = arcsine.min_pieces(config.degree, config.eps)
     quantized = None if config.n_eps is None else fixedpoint.quantize_arcsine(pp, config.n_eps)
     paths = _out_paths(
-        config, "arcsine_table.csv", *(["arcsine_coefficients.json"] if quantized else [])
+        config, "arcsine_table.csv", *([] if quantized is None else ["arcsine_coefficients.json"])
     )
     verified = arcsine.verify(pp, grid_factor=2)
     print(f"d={config.degree} eps={config.eps:g}: M={pp.piece_count} "
           f"(max grid error {pp.max_recorded_error():.3e}, verified {verified:.3e})")
     rows = [(config.eps, config.degree, pp.piece_count, pp.max_recorded_error())]
     master.write_csv(paths[0], _ARCSINE_TABLE_HEADER, rows)
-    if quantized:
+    if quantized is not None:
         payload = {
             "command": "arcsine-fit",
             "degree": config.degree,

@@ -412,8 +412,8 @@ class TransitionOperator:
     def events(self, k: int) -> tuple[float, tuple[int, ...], np.ndarray]:
         """What the Gillespie sampler draws from in state ``k``: the event
         rate ``sum_h r_h / dt``, the row's targets, and the cumulative label
-        distribution at them, both sums on the length-``H`` float propensity
-        vector.  Built on the first visit and kept."""
+        distribution at the row's labels, both taken on the length-``H``
+        float propensity vector.  Built on the first visit and kept."""
         found = self._events.get(k)
         if found is None:
             labels, counts = self.row(k).labels, self.states[k].counts
@@ -494,8 +494,8 @@ class TransitionOperator:
         label = np.array([0] * len(hold) + [h for row in rows for h in row.labels], dtype=np.intp)
         kids = np.flatnonzero(coef != 0)
         kids = kids[np.argsort(label[kids], kind="stable")]
-        dst, src = np.concatenate([at, dst])[kids], np.concatenate([at, src])[kids]
-        return StepProgram(dst, src, coef[kids])
+        row, col = np.concatenate([at, dst])[kids], np.concatenate([at, src])[kids]
+        return StepProgram(row, col, coef[kids])
 
 
 def partition_count_exact(n: int) -> int:
