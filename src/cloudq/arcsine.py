@@ -12,8 +12,9 @@ near 1e-15 is part of that data).  A candidate that a certified lower
 bound already dooms is halved without a fit.  A separate verification
 pass re-measures every assembled piece against an extended-precision
 arcsine (difference of Chebyshev series), so construction speed never
-compromises the certified error; it evaluates the dense grid only for the
-pieces whose coefficient bound can still raise the maximum.
+compromises the certified error; it runs the extended-precision series
+and the dense grid only for the pieces whose float upper bound can still
+raise the maximum.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ MAX_BISECTIONS = 64
 VERIFY_DPS = 45  # working precision (digits) of the arcsine reference
 VERIFY_EXTRA_ORDER = 40  # reference series terms beyond the fit's degree
 _UNIT = 2.0**-53  # unit roundoff of float64
+_FIXED_BITS = 200  # fraction bits of the node errors in _prebound
 
 
 class FitError(ValueError):
@@ -214,8 +216,15 @@ def min_pieces(
     )
 
 
+class _CosineTable(tuple):
+    """Rows of ``(signed mantissa, exponent)`` entries; ``floats`` holds the
+    same entries rounded to float64."""
+
+    floats: np.ndarray
+
+
 @lru_cache(maxsize=1)
-def _cosine_table(n: int, order: int, prec: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+def _cosine_table(n: int, order: int, prec: int) -> _CosineTable:
     """``cos(pi j (2k+1) / 2n)`` for ``j <= order``, ``k < n`` at binary
     precision ``prec``, each as a signed mantissa and an exponent; row 1
     holds the Chebyshev nodes.  The ``libmp`` calls are the ones
@@ -228,13 +237,31 @@ def _cosine_table(n: int, order: int, prec: int) -> tuple[tuple[tuple[int, int],
         arg = libmp.mpf_mul_int(libmp.mpf_mul_int(pi, j, prec, rnd), 2 * k + 1, prec, rnd)
         return _signed(libmp.mpf_cos(libmp.mpf_div(arg, den, prec, rnd), prec, rnd))
 
-    return tuple(tuple(entry(j, k) for k in range(n)) for j in range(order + 1))
+    table = _CosineTable(tuple(entry(j, k) for k in range(n)) for j in range(order + 1))
+    table.floats = np.array([[math.ldexp(man, exp) for man, exp in row] for row in table])
+    return table
+
+
+def _reference_order(coefficients: Sequence[float]) -> int:
+    """The last term of a polynomial's reference series."""
+    return len(coefficients) - 1 + VERIFY_EXTRA_ORDER
+
+
+def _reference_table(order: int) -> _CosineTable:
+    """The cosine table of an ``order`` reference series, on ``n = 2 order
+    + 8`` nodes at the working precision."""
+    return _cosine_table(2 * order + 8, order, mp.mp.prec)
 
 
 def _signed(x: tuple) -> tuple[int, int]:
     """A raw ``mpf`` as (signed mantissa, exponent)."""
     sign, man, exp, _ = x
     return (-man if sign else man, exp)
+
+
+def _scaled(man: int, exp: int) -> int:
+    """``floor(man * 2**exp)``."""
+    return man << exp if exp >= 0 else man >> -exp
 
 
 def _fsum_products(xs: Sequence[tuple[int, int]], ys: Sequence[tuple[int, int]], prec: int):
@@ -259,20 +286,29 @@ def _fsum_products(xs: Sequence[tuple[int, int]], ys: Sequence[tuple[int, int]],
     return libmp.mpf_sum(terms, prec, libmp.round_nearest)
 
 
-def _truth_series(a: float, b: float, order: int) -> list[mp.mpf]:
-    """Chebyshev series of arcsine on [a, b] to ``order`` in mpmath.
+def _node_values(a: float, b: float, order: int) -> list[tuple[int, int]]:
+    """Arcsine at the ``order`` reference nodes of ``[a, b]`` in mpmath, as
+    (signed mantissa, exponent) pairs."""
+    a_, b_ = mp.mpf(a), mp.mpf(b)
+    mid, rad = (a_ + b_) / 2, (b_ - a_) / 2
+    return [_signed(mp.asin(mid + rad * mp.mpf(node))._mpf_) for node in _reference_table(order)[1]]
+
+
+def _truth_series(
+    a: float, b: float, order: int, values: list[tuple[int, int]] | None = None
+) -> list[mp.mpf]:
+    """Chebyshev series of arcsine on [a, b] to ``order`` in mpmath, from
+    its :func:`_node_values` (computed unless given).
 
     The cosine table depends only on ``(n, order)`` and the working
     precision, so it is built once and reused by every piece; each
     coefficient is :func:`_fsum_products` of ``values[k] * row[k]`` in
     ``k`` order, the same bits as ``mp.fsum`` of the ``mpf`` products.
     """
-    a_, b_ = mp.mpf(a), mp.mpf(b)
-    mid, rad = (a_ + b_) / 2, (b_ - a_) / 2
-    n = 2 * order + 8
-    prec = mp.mp.prec
-    table = _cosine_table(n, order, prec)
-    values = [_signed(mp.asin(mid + rad * mp.mpf(node))._mpf_) for node in table[1]]
+    table = _reference_table(order)
+    if values is None:
+        values = _node_values(a, b, order)
+    n, prec = len(values), mp.mp.prec
     series = []
     for j, row in enumerate(table):
         coeff = 2 * mp.make_mpf(_fsum_products(values, row, prec)) / n
@@ -282,12 +318,15 @@ def _truth_series(a: float, b: float, order: int) -> list[mp.mpf]:
     return series
 
 
-def _diff_series(coefficients: Sequence[float], a: float, b: float) -> np.ndarray:
+def _diff_series(
+    coefficients: Sequence[float], a: float, b: float,
+    values: list[tuple[int, int]] | None = None,
+) -> np.ndarray:
     """The polynomial minus the 45-digit arcsine series on ``[a, b]``, as
     float Chebyshev coefficients in ``u``."""
     with mp.workdps(VERIFY_DPS):
-        order = len(coefficients) - 1 + VERIFY_EXTRA_ORDER
-        truth = _truth_series(a, b, order)
+        order = _reference_order(coefficients)
+        truth = _truth_series(a, b, order, values)
         return np.array(
             [
                 float((mp.mpf(coefficients[j]) if j < len(coefficients) else mp.mpf(0)) - truth[j])
@@ -309,32 +348,79 @@ def _series_bound(diff: np.ndarray) -> float:
     """``sum |diff_j| (1 + 8 n^2 u)``, at least ``_grid_max(diff, grid)``
     on every grid: ``|T_j| <= 1``, and ``8 n^2 u`` covers chebval's
     Clenshaw rounding and this sum's own (README).  ``nan`` stays ``nan``.
+    :func:`_prebound` bounds it from above without the series.
     """
     n = len(diff)
     return math.fsum(map(abs, diff.tolist())) * (1 + 8 * n * n * _UNIT)
+
+
+def _prebound(
+    coefficients: Sequence[float], a: float, b: float,
+    values: list[tuple[int, int]] | None = None,
+) -> float:
+    """An upper bound on ``_series_bound(_diff_series(coefficients, a,
+    b))`` without the 45-digit series, from the piece's
+    :func:`_node_values` (computed unless given); ``inf`` for a
+    non-finite piece or one too large to bound.
+
+    For ``j <= order``, ``c_j - t_j`` is the discrete Chebyshev coefficient
+    of the node errors ``e_k = p(nu_k) - f_k``, as ``degree + order < 2n``.
+    The ``e_k`` are exact to :data:`_FIXED_BITS` bits (Clenshaw on
+    integers); their transform runs in float64 on the float cosine table,
+    and the README derives the terms that cover its rounding.
+    """
+    weight = sum((j + 1) ** 2 * abs(c) for j, c in enumerate(coefficients))
+    if not (math.isfinite(a) and math.isfinite(b) and weight < 2.0**1000):
+        return math.inf
+    with mp.workdps(VERIFY_DPS):
+        order = _reference_order(coefficients)
+        table = _reference_table(order)
+        if values is None:
+            values = _node_values(a, b, order)
+    fixed = [
+        _scaled(num, _FIXED_BITS + 1 - den.bit_length())
+        for num, den in (c.as_integer_ratio() for c in coefficients)
+    ]
+    errors = []
+    for (man, exp), (f_man, f_exp) in zip(table[1], values):
+        b_1 = b_2 = 0
+        for c in reversed(fixed[1:]):
+            b_1, b_2 = c + _scaled(man * b_1, exp + 1) - b_2, b_1
+        p = fixed[0] + _scaled(man * b_1, exp) - b_2
+        errors.append((p - _scaled(f_man, f_exp + _FIXED_BITS)) / (1 << _FIXED_BITS))
+    n, terms = len(errors), order + 1
+    transform = table.floats @ np.array(errors) * (2 / n)
+    transform[0] /= 2
+    e_1 = 2 * math.fsum(map(abs, errors)) / n * (1 + 8 * _UNIT)
+    gamma = (n + 6) * _UNIT / (1 - (n + 6) * _UNIT)
+    slack = 2.0**-140 * terms * (2 + weight)  # 45-digit and fixed-point roundings
+    total = math.fsum(map(abs, transform.tolist())) + terms * (gamma * e_1 + slack)
+    return total * (1 + 8 * _UNIT) * (1 + 8 * terms * terms * _UNIT)
 
 
 def verify(pp: PiecewisePolynomial, grid_factor: int = 10) -> float:
     """Worst per-piece error on a ``grid_factor`` x denser verified grid
     (``-inf`` for no pieces).
 
-    The dense grids run in descending order of :func:`_series_bound` and
-    stop at the first finite bound no larger than the maximum so far.  A
-    piece whose reference error is ``nan`` raises :class:`FitError`.
+    The 45-digit series and dense grids run in descending order of
+    :func:`_prebound` and stop at the first finite bound no larger than
+    the maximum so far.  A piece whose reference error is ``nan`` raises
+    :class:`FitError`.
     """
     grid = grid_factor * DEFAULT_ERROR_GRID
-    series = []
-    for index, piece in enumerate(pp.pieces):
-        diff = _diff_series(piece.coefficients, piece.lower, piece.upper)
-        bound = _series_bound(diff)
-        series.append((math.inf if math.isnan(bound) else bound, index, diff))
+    bounds = []
+    with mp.workdps(VERIFY_DPS):
+        for index, piece in enumerate(pp.pieces):
+            values = _node_values(piece.lower, piece.upper, _reference_order(piece.coefficients))
+            bound = _prebound(piece.coefficients, piece.lower, piece.upper, values)
+            bounds.append((bound, index, values))
     worst = -math.inf
-    for bound, index, diff in sorted(series, key=lambda entry: -entry[0]):
+    for bound, index, values in sorted(bounds, key=lambda entry: -entry[0]):
         if bound <= worst < math.inf:
             break
-        error = _grid_max(diff, grid)
+        piece = pp.pieces[index]
+        error = _grid_max(_diff_series(piece.coefficients, piece.lower, piece.upper, values), grid)
         if math.isnan(error):
-            piece = pp.pieces[index]
             raise FitError(
                 f"piece {index} on [{piece.lower}, {piece.upper}] has a nan reference error"
             )

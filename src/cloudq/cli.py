@@ -262,6 +262,7 @@ def _cmd_simulate(config: RunConfig) -> int:
 
 
 def _cmd_emulate(config: RunConfig) -> int:
+    fixedpoint.require_positive("samples", config.samples)  # before the fits
     table = fixedpoint.build_quantized_arcsine(config.degree, config.eps, config.n_eps)
     report = fixedpoint.estimate_eps_calculation(
         config.n_eps, table, samples=config.samples, include_gap=config.include_gap

@@ -48,6 +48,12 @@ class DivisionByZeroError(FixedPointError):
     """Division with a zero divisor."""
 
 
+def require_positive(name: str, value: int) -> None:
+    """Refuse a register width or sample count below one."""
+    if value < 1:
+        raise FixedPointError(f"need {name} >= 1, got {value}")
+
+
 @dataclass(frozen=True)
 class FixedPointValue:
     """An ``width``-bit unsigned word in real or integer mode."""
@@ -57,8 +63,7 @@ class FixedPointValue:
     mode: str = "real"
 
     def __post_init__(self) -> None:
-        if self.width < 1:
-            raise FixedPointError(f"need width >= 1, got {self.width}")
+        require_positive("width", self.width)
         if not 0 <= self.bits < (1 << self.width):
             raise FixedPointRangeError(
                 f"bits {self.bits} outside [0, 2**{self.width})"
@@ -285,8 +290,7 @@ def quantize_arcsine(
     extension: PiecewisePolynomial | None = None,
 ) -> QuantizedArcsine:
     """Prepare piecewise arcsine coefficients for register evaluation."""
-    if width < 1:
-        raise FixedPointError(f"need width >= 1, got {width}")
+    require_positive("width", width)
     pieces: list[QuantizedPiece] = []
     for source in (pp, extension):
         if source is None:
@@ -308,8 +312,10 @@ def build_quantized_arcsine(degree: int, eps: float, width: int) -> QuantizedArc
     The circuit's complement branch feeds ``sqrt(1 - r')`` into the
     arcsine, which exceeds the stated 0.5 domain edge whenever
     ``1/4 <= r' < 3/4``; the extension pieces cover that gap so the
-    emulator can report the incurred error instead of failing.
+    emulator can report the incurred error instead of failing.  A width
+    below one is refused before any fit.
     """
+    require_positive("width", width)
     core = min_pieces(degree, eps)
     return quantize_arcsine(core, width, min_pieces(degree, eps, domain=EXTENSION_DOMAIN))
 
@@ -497,8 +503,7 @@ def estimate_eps_calculation(
     include_gap: bool = False,
 ) -> EpsSweepReport:
     """Max and mean pipeline error over the deterministic input sweep."""
-    if samples < 1:
-        raise FixedPointError(f"need samples >= 1, got {samples}")
+    require_positive("samples", samples)
     if include_gap and table.extension_piece_count == 0:
         raise FixedPointError("sweeping the gap needs extension pieces")
     worst = 0.0

@@ -104,6 +104,47 @@ def test_verify_refuses_a_nan_piece_anywhere(position):
         verify(dataclasses.replace(pp, pieces=pieces), grid_factor=1)
 
 
+@pytest.fixture(scope="module")
+def fit_d5():
+    return min_pieces(5, 1e-12)
+
+
+# verify's answer at grid_factor 1 when piece 0 or 1 holds a non-finite
+# number: a nan or an infinite last coefficient gives a nan reference error,
+# an infinite coefficient 0 or 1 an infinite one, and a nan lower bound reads
+# as a zero reference series, so the polynomial's own grid max comes back
+NON_FINITE_PINNED = {
+    (0, "lower", math.nan): 0.0625407617958108,
+    (1, "lower", math.nan): 0.11745739213205436,
+    **{(position, index, value): math.inf
+       for position in (0, 1) for index in (0, 1) for value in (math.inf, -math.inf)},
+    **{(position, index, value): FitError
+       for position in (0, 1) for index in (0, 1, 5) for value in (math.nan,)},
+    **{(position, 5, value): FitError for position in (0, 1) for value in (math.inf, -math.inf)},
+}
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("position, where, value", list(NON_FINITE_PINNED))
+def test_verify_keeps_its_answer_on_non_finite_pieces(fit_d5, position, where, value):
+    piece = fit_d5.pieces[position]
+    if where == "lower":
+        broken = dataclasses.replace(piece, lower=value)
+    else:
+        coefficients = list(piece.coefficients)
+        coefficients[where] = value
+        broken = dataclasses.replace(piece, coefficients=tuple(coefficients))
+    pp = dataclasses.replace(
+        fit_d5, pieces=fit_d5.pieces[:position] + (broken,) + fit_d5.pieces[position + 1:]
+    )
+    expected = NON_FINITE_PINNED[position, where, value]
+    if expected is FitError:
+        with pytest.raises(FitError, match=rf"piece {position} on .* nan reference error"):
+            verify(pp, grid_factor=1)
+    else:
+        assert verify(pp, grid_factor=1) == expected
+
+
 def test_verification_pass_meets_eps():
     pp = min_pieces(6, 1e-13)
     assert verify(pp, grid_factor=2) <= 1.05 * pp.eps

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from cloudq import division, fixedpoint, states
+from cloudq import arcsine, division, fixedpoint, states
 from cloudq.cli import (
     EXIT_CONFIG,
     EXIT_MISMATCH,
@@ -341,6 +341,24 @@ def test_estimate_bad_bin_exits_config_and_writes_nothing(tmp_path, capsys, bin_
 )
 def test_refused_input_creates_nothing(tmp_path, capsys, argv, out, message):
     assert main(argv + ["--out", str(tmp_path / out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        pytest.param(["--n-eps", "0", "--samples", "10"], "need width >= 1, got 0", id="width"),
+        pytest.param(["--n-eps", "42", "--samples", "0"], "need samples >= 1, got 0", id="samples"),
+    ],
+)
+def test_emulate_refuses_before_any_fit(tmp_path, capsys, monkeypatch, argv, message):
+    def fit(*args, **kwargs):
+        raise AssertionError("the arcsine tables were fitted before the refusal")
+
+    monkeypatch.setattr(arcsine, "min_pieces", fit)
+    monkeypatch.setattr(fixedpoint, "min_pieces", fit)
+    assert main(["emulate", *argv, "--out", str(tmp_path / "o" / "y")]) == EXIT_CONFIG
     assert capsys.readouterr().err == f"error: {message}\n"
     assert list(tmp_path.iterdir()) == []
 

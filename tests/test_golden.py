@@ -566,4 +566,66 @@ def test_verify_skips_only_bounded_pieces(a, width, degree, eps_exponent, noise)
         diff = arcsine._diff_series(piece.coefficients, piece.lower, piece.upper)
         errors.append(arcsine._grid_max(diff, 4096))  # the reference error on a 4096 grid
         assert errors[-1] <= arcsine._series_bound(diff)
+        assert arcsine._series_bound(diff) <= arcsine._prebound(
+            piece.coefficients, piece.lower, piece.upper
+        )
     assert verify(pp, grid_factor=1) == max(errors)
+
+
+@pytest.mark.parametrize("row, pieces", [((1e-12, 4), 43), ((1e-15, 8), 12)])
+def test_prebound_covers_the_series_bound_of_every_piece(arcsine_fits, row, pieces):
+    core = arcsine_fits[row][0]
+    assert core.piece_count == pieces
+    for piece in core.pieces:
+        diff = arcsine._diff_series(piece.coefficients, piece.lower, piece.upper)
+        bound = arcsine._prebound(piece.coefficients, piece.lower, piece.upper)
+        assert arcsine._series_bound(diff) <= bound <= arcsine._series_bound(diff) * (1 + 1e-11)
+
+
+class _WorstDot:
+    """A float cosine table whose every product with a vector errs by the
+    whole ``gamma_n`` allowance of a float dot product, toward zero."""
+
+    def __init__(self, floats):
+        self.floats = floats
+
+    def __matmul__(self, vector):
+        n = len(vector)
+        gamma = n * 2.0**-53 / (1 - n * 2.0**-53)
+        out = []
+        for row in self.floats.tolist():
+            products = [Fraction(c) * Fraction(x) for c, x in zip(row, vector.tolist())]
+            exact, allowance = sum(products), gamma * float(sum(map(abs, products)))
+            out.append(0.0 if abs(exact) <= allowance else float(exact) - math.copysign(allowance, exact))
+        return np.array(out)
+
+
+@pytest.mark.parametrize("row", [(1e-12, 5), (1e-15, 8)])
+def test_prebound_survives_the_worst_dot_product_rounding(arcsine_fits, monkeypatch, row):
+    cosine_table = arcsine._cosine_table
+
+    def worst_table(*key):
+        table = arcsine._CosineTable(cosine_table(*key))
+        table.floats = _WorstDot(cosine_table(*key).floats)
+        return table
+
+    monkeypatch.setattr(arcsine, "_cosine_table", worst_table)
+    for piece in arcsine_fits[row][0].pieces:
+        diff = arcsine._diff_series(piece.coefficients, piece.lower, piece.upper)
+        bound = arcsine._prebound(piece.coefficients, piece.lower, piece.upper)
+        assert arcsine._series_bound(diff) <= bound
+
+
+def test_verify_runs_the_series_only_where_the_maximum_can_move(arcsine_fits, monkeypatch):
+    # the circuit benchmark's rows: the noise row's extension fit raises
+    rows = [row for row in ARCSINE_ROWS if not isinstance(arcsine_fits[row][1], DegreeTooLowError)]
+    truth_series, runs = arcsine._truth_series, []
+
+    def counted(*args):
+        runs.append(args)
+        return truth_series(*args)
+
+    monkeypatch.setattr(arcsine, "_truth_series", counted)
+    for row in rows:
+        assert verify(arcsine_fits[row][0], 10) == VERIFY_PINNED[row]
+    assert (len(runs), sum(arcsine_fits[row][0].piece_count for row in rows)) == (22, 230)
