@@ -404,13 +404,15 @@ def verify(pp: PiecewisePolynomial, grid_factor: int = 10) -> float:
 
     The 45-digit series and dense grids run in descending order of
     :func:`_prebound` and stop at the first finite bound no larger than
-    the maximum so far.  A piece whose reference error is ``nan`` raises
-    :class:`FitError`.
+    the maximum so far.  A piece outside ``[0, 1]``, or whose reference
+    error is ``nan``, raises :class:`FitError`.
     """
     grid = grid_factor * DEFAULT_ERROR_GRID
     bounds = []
     with mp.workdps(VERIFY_DPS):
         for index, piece in enumerate(pp.pieces):
+            if not 0 <= piece.lower <= piece.upper <= 1:
+                raise FitError(f"piece {index} on [{piece.lower}, {piece.upper}] is outside [0, 1]")
             values = _node_values(piece.lower, piece.upper, _reference_order(piece.coefficients))
             bound = _prebound(piece.coefficients, piece.lower, piece.upper, values)
             bounds.append((bound, index, values))

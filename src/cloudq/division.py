@@ -106,11 +106,12 @@ def run_merged(table: TransitionTable, steps: int) -> ProbabilityTable:
 
     Valid because histories are orthogonal labels on non-negative
     probabilities: merging after each step commutes with the division.
-    Each step is one :meth:`~cloudq.states.StepProgram.step` from the
-    states the last step reached: every state sums its hold child first,
-    then its inflows in ascending label order, the order
-    :func:`merge_branches` sorts children into, so the sums agree bit for
-    bit with dividing and merging branch by branch.
+    Each step is one :meth:`~cloudq.states.StepProgram.step`: every state
+    sums its hold child first, then its inflows in ascending label order,
+    the order :func:`merge_branches` sorts children into, so the sums
+    agree bit for bit with dividing and merging branch by branch.  The
+    support, which the table lists, is the rows of the terms from the last
+    one; once a step repeats it, it is final.
     """
     op = table.operator
     start = op.index(MassDistribution.monodisperse(table.num_bins))
@@ -119,12 +120,15 @@ def run_merged(table: TransitionTable, steps: int) -> ProbabilityTable:
     prob = prog.vector(size, [start], [op.one])
     present = np.zeros(size, dtype=bool)
     present[start] = True
+    final = False
     for _ in range(steps):
         nxt = np.zeros(size, dtype=prob.dtype)
-        rows = prog.step(prob, present, nxt)
+        prog.step(prob, nxt)
         prob = nxt
-        present = np.zeros(size, dtype=bool)
-        present[rows] = True
+        if not final:
+            reached = np.zeros(size, dtype=bool)
+            reached[prog.row[present[prog.col]]] = True
+            final, present = np.array_equal(reached, present), reached
     kept = sorted(np.flatnonzero(present).tolist(), key=lambda k: op.states[k].counts)
     return ProbabilityTable(
         dict(zip([op.states[k] for k in kept], prob[kept].tolist())), step=steps

@@ -72,33 +72,21 @@ def _steps(
     in label order, then its inflows in ascending (source, label) order,
     the order of moving probability flow by flow in ascending counts order
     (a collision lowers the counts vector).  Entries keep their insertion
-    order: the old keys, then new targets in the order first reached.
-    Until those are all listed, and always on Python numbers (an ``int``
-    0 must not become ``Fraction(0)``), only populated states step; on
-    float64 a dead source adds ``±0.0``, which moves no sum.
+    order: the old keys, then each step's program level, the states the
+    populated keys first reach at that step, whatever their values.
     """
     op = table.operator
     keys = [op.index(s) for s in p0.entries]
     prog = op.program([k for k, v in zip(keys, p0.entries.values()) if v != 0], steps)
     size = len(op.states)  # the operator may hold other runs' states too
-    order = list(keys)
-    present = np.zeros(size, dtype=bool)
-    present[keys] = True
-    reach = present.copy()
-    reach[prog.row] = True
-    closure = np.count_nonzero(reach)  # states this run can list
+    order, listed = list(keys), set(keys)
     prob = prog.vector(size, keys, list(p0.entries.values()))
-    every = np.ones(size, dtype=bool)
     out = []
-    for step in range(p0.step + 1, p0.step + steps + 1):
+    for step, level in enumerate(prog.levels, start=p0.step + 1):
         nxt = np.zeros(size, dtype=prob.dtype) + prob
-        listing = len(order) < closure
-        rows = prog.step(prob, prob != 0 if listing or prob.dtype == object else every, nxt)
+        prog.step(prob, nxt)
         prob = nxt
-        if listing:
-            fresh = list(dict.fromkeys(rows[~present[rows]].tolist()))
-            order.extend(fresh)
-            present[fresh] = True
+        order.extend(k for k in level if k not in listed)  # an empty key may be reached
         if keep_all or step == p0.step + steps:
             out.append(ProbabilityTable(
                 dict(zip([op.states[k] for k in order], prob[order].tolist())), step=step

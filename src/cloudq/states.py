@@ -55,7 +55,8 @@ class MassDistribution:
 
     ``counts[i - 1]`` is the droplet count of bin ``i``, an integer; the
     vector length fixes ``N`` and the mass identity ``sum(i * n_i) == N``
-    is enforced.
+    is enforced.  The hash is the dataclass's own, ``hash((counts,))``,
+    computed once: tables key every state through it.
     """
 
     counts: tuple[int, ...]
@@ -70,6 +71,10 @@ class MassDistribution:
             raise StateSpaceError(f"negative occupation in {self.counts}")
         if mass != len(self.counts):
             raise StateSpaceError(f"mass {mass} != N {len(self.counts)} for {self.counts}")
+        object.__setattr__(self, "_hash", hash((self.counts,)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def num_bins(self) -> int:
@@ -285,11 +290,15 @@ class StepProgram(NamedTuple):
     order, so the holds ``(k, k, s_1)`` come first.  ``coef``
     holds the table's number type: float64 on a float table, Python
     numbers (``dtype=object``) otherwise, so rational tables stay exact.
+    ``levels[d]`` lists the states first reached at step ``d + 1``, in the
+    order reached: each level's states in ascending counts order, each
+    state's targets in label order.
     """
 
     row: np.ndarray
     col: np.ndarray
     coef: np.ndarray
+    levels: list[list[int]]
 
     def vector(self, size: int, at: Sequence[int], values: Sequence) -> np.ndarray:
         """Length ``size``, ``values`` at indices ``at`` and zero elsewhere.
@@ -304,21 +313,17 @@ class StepProgram(NamedTuple):
         out[at] = values
         return out
 
-    def step(self, prob: np.ndarray, live: np.ndarray, out: np.ndarray) -> np.ndarray:
+    def step(self, prob: np.ndarray, out: np.ndarray) -> None:
         """Add ``prob[col] * coef`` into ``out``, which holds no ``-0.0``,
-        for every term whose ``col`` is ``live``, in stored order; the rows
-        that received a term, in that order.  With most terms live, the
-        dead terms' products are set to ``0`` rather than copied out: a zero
-        leaves any sum but ``-0.0`` as it was, value and type."""
+        in stored order.  On Python numbers a term whose source is exactly
+        0 is skipped, so an ``int`` 0 no flow reaches stays an ``int``; on
+        float64 every term is added, since a dead source adds ``±0.0``,
+        which moves no sum."""
         row, col, coef = self.row, self.col, self.coef
-        keep = None if live.all() else live[col]
-        if keep is not None and 2 * np.count_nonzero(keep) < len(keep):
-            row, col, coef, keep = row[keep], col[keep], coef[keep], None
-        values = prob[col] * coef
-        if keep is not None:
-            values[~keep] = 0
-        np.add.at(out, row, values)
-        return row if keep is None else row[keep]
+        if prob.dtype == object:
+            keep = (prob != 0)[col]
+            row, col, coef = row[keep], col[keep], coef[keep]
+        np.add.at(out, row, prob[col] * coef)
 
 
 class TransitionOperator:
@@ -460,15 +465,14 @@ class TransitionOperator:
         ascending counts order before it is expanded.  A state at depth
         ``d`` first steps at step ``d + 1``, so a run fails on the state
         its executor would meet first, without compiling deeper rows.
+        The program's ``levels`` are the depths ``1..steps``.
         """
         if steps < 0:
             raise StateSpaceError(f"need steps >= 0, got {steps}")
         reached = set(sources)
-        level, stepping = list(reached), []
+        level, stepping, levels = list(reached), [], []
         for _ in range(steps):
-            if not level:
-                break
-            level.sort(key=lambda k: self.states[k].counts)
+            level = sorted(level, key=lambda k: self.states[k].counts)
             stepping.extend(level)
             nxt = []
             for k in level:
@@ -476,6 +480,7 @@ class TransitionOperator:
                     if target not in reached:
                         reached.add(target)
                         nxt.append(target)
+            levels.append(nxt)
             level = nxt
         stepping.sort(key=lambda k: self.states[k].counts)
         rows = [self._rows[k] for k in stepping]
@@ -487,7 +492,7 @@ class TransitionOperator:
             rate = np.array([r for row in rows for r in row.rates], dtype=number)
             return StepProgram(
                 np.concatenate([src, dst]), np.concatenate([src, src]),
-                np.concatenate([-rate, rate]),
+                np.concatenate([-rate, rate]), levels,
             )
         hold = [row.hold for row in rows]  # each state's hold is its label-0 child
         coef = np.array(hold + [w for row in rows for w in row.weights], dtype=number)
@@ -495,7 +500,7 @@ class TransitionOperator:
         kids = np.flatnonzero(coef != 0)
         kids = kids[np.argsort(label[kids], kind="stable")]
         row, col = np.concatenate([at, dst])[kids], np.concatenate([at, src])[kids]
-        return StepProgram(row, col, coef[kids])
+        return StepProgram(row, col, coef[kids], levels)
 
 
 def partition_count_exact(n: int) -> int:

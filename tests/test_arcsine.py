@@ -110,12 +110,15 @@ def fit_d5():
 
 
 # verify's answer at grid_factor 1 when piece 0 or 1 holds a non-finite
-# number: a nan or an infinite last coefficient gives a nan reference error,
-# an infinite coefficient 0 or 1 an infinite one, and a nan lower bound reads
-# as a zero reference series, so the polynomial's own grid max comes back
+# number or leaves [0, 1]: a nan or an infinite last coefficient gives a nan
+# reference error, an infinite coefficient 0 or 1 an infinite one, and a
+# bound outside [0, 1] (nan and +-inf among them) is refused before its
+# node values
+OUTSIDE = "outside"
 NON_FINITE_PINNED = {
-    (0, "lower", math.nan): 0.0625407617958108,
-    (1, "lower", math.nan): 0.11745739213205436,
+    **{(position, "lower", value): OUTSIDE
+       for position in (0, 1) for value in (math.nan, math.inf, -math.inf)},
+    **{(position, "upper", 1.5): OUTSIDE for position in (0, 1)},
     **{(position, index, value): math.inf
        for position in (0, 1) for index in (0, 1) for value in (math.inf, -math.inf)},
     **{(position, index, value): FitError
@@ -128,8 +131,8 @@ NON_FINITE_PINNED = {
 @pytest.mark.parametrize("position, where, value", list(NON_FINITE_PINNED))
 def test_verify_keeps_its_answer_on_non_finite_pieces(fit_d5, position, where, value):
     piece = fit_d5.pieces[position]
-    if where == "lower":
-        broken = dataclasses.replace(piece, lower=value)
+    if where in ("lower", "upper"):
+        broken = dataclasses.replace(piece, **{where: value})
     else:
         coefficients = list(piece.coefficients)
         coefficients[where] = value
@@ -138,7 +141,10 @@ def test_verify_keeps_its_answer_on_non_finite_pieces(fit_d5, position, where, v
         fit_d5, pieces=fit_d5.pieces[:position] + (broken,) + fit_d5.pieces[position + 1:]
     )
     expected = NON_FINITE_PINNED[position, where, value]
-    if expected is FitError:
+    if expected is OUTSIDE:
+        with pytest.raises(FitError, match=rf"piece {position} on .* is outside \[0, 1\]"):
+            verify(pp, grid_factor=1)
+    elif expected is FitError:
         with pytest.raises(FitError, match=rf"piece {position} on .* nan reference error"):
             verify(pp, grid_factor=1)
     else:

@@ -316,27 +316,21 @@ def test_step_sums_each_row_in_stored_order(kind, k0, sequential):
     prog = op.program([start], n, sequential)
     size = len(op.states)
     draws = np.random.default_rng(n).integers(1, 10**6, size).tolist()
-    # every fifth state empty; the live masks below do not follow it
+    # every fifth state empty: on Python numbers its terms are skipped, so
+    # an int 0 no term reaches stays an int; on float64 they add +-0.0
     prob = np.array(
         [0 * k0 if k % 5 == 0 else type(k0)(draw) / 10**6 for k, draw in enumerate(draws)],
         dtype=prog.coef.dtype,
     )
     terms = list(zip(prog.row.tolist(), prog.col.tolist(), prog.coef.tolist()))
-    # every state live, most terms live (dead ones zeroed), most terms dead
-    # (dropped)
-    lives = [np.ones(size, dtype=bool), np.arange(size) % 3 != 0, np.arange(size) % 3 == 1]
-    shares = [np.count_nonzero(live[prog.col]) / len(prog.col) for live in lives]
-    assert shares[0] == 1 and 0.5 <= shares[1] < 1 and shares[2] < 0.5
-    for live in lives:
-        out = np.zeros(size, dtype=prob.dtype)
-        rows = prog.step(prob, live, out)
-        want, values = np.zeros(size, dtype=prob.dtype).tolist(), prob.tolist()
-        for r, c, coef in terms:
-            if live[c]:
-                want[r] = want[r] + values[c] * coef
-        assert rows.tolist() == [r for r, c, _ in terms if live[c]]
-        assert repr(out.tolist()) == repr(want)
-        assert list(map(type, out.tolist())) == list(map(type, want))
+    out = np.zeros(size, dtype=prob.dtype)
+    assert prog.step(prob, out) is None
+    want, values = np.zeros(size, dtype=prob.dtype).tolist(), prob.tolist()
+    for r, c, coef in terms:
+        if prob.dtype != object or values[c] != 0:
+            want[r] = want[r] + values[c] * coef
+    assert repr(out.tolist()) == repr(want)
+    assert list(map(type, out.tolist())) == list(map(type, want))
     def label(c, r):
         row = op.row(c)
         return row.labels[row.targets.index(r)]

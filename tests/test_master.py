@@ -25,7 +25,7 @@ from cloudq.master import (
     write_expected_series,
     write_probability_series,
 )
-from cloudq.division import HistoryBranch, divide_step, merge_branches, run_tree
+from cloudq.division import HistoryBranch, divide_step, merge_branches, run_merged, run_tree
 from cloudq.states import (
     KernelSpec,
     MassDistribution,
@@ -536,9 +536,10 @@ def test_unreached_negative_zero_start_reads_positive_zero(dt, one):
 
 @pytest.mark.parametrize("kind", ["constant", "sum", "product"])
 def test_listed_float_run_keeps_the_masked_bits(kind):
-    # every state is a start key, so the run is listed before its first step
-    # and steps every state: a dead source's products are +-0.0 and move no
-    # sum, so each step keeps the bits of stepping the populated states only
+    # every state is a start key, so the run is listed before its first step;
+    # the float step adds every term, and a dead source's products are +-0.0
+    # and move no sum, so each step keeps the bits of stepping the populated
+    # states only
     n, steps = 9, 8
     table = build_transition_table(n, KernelSpec(kind, 0.7), 0.002)
     cycle = [-0.0, 0.3, 5e-324, 0.0, 1e-310, 2.5e-324]  # some underflow after a step
@@ -552,7 +553,8 @@ def test_listed_float_run_keeps_the_masked_bits(kind):
     prob = prog.vector(len(op.states), keys, list(p0.entries.values()))
     for table_at_step in series[1:]:
         nxt = np.zeros(len(prob)) + prob
-        prog.step(prob, prob != 0, nxt)
+        live = (prob != 0)[prog.col]
+        np.add.at(nxt, prog.row[live], prob[prog.col[live]] * prog.coef[live])
         prob = nxt
         assert list(table_at_step.entries) == list(p0.entries)
         assert np.array(list(table_at_step.entries.values())).tobytes() == prob[keys].tobytes()
@@ -569,3 +571,27 @@ def test_listed_rational_run_keeps_the_int_zeros_no_flow_reaches():
         for state, prob in p.entries.items():
             reached = sum(state.counts) >= n - step  # one droplet fewer per collision
             assert type(prob) is (Fraction if reached else int), (step, state)
+
+
+def test_listed_states_are_the_programs_levels_not_the_nonzero_values():
+    # at dt = 1e-40 the float flows underflow to 0.0 a few collisions out,
+    # yet a run lists every state it can reach, as the rational run does:
+    # after step s, the partitions of N into at least N - s parts
+    n = 12
+    series = {
+        number: evolve_series(
+            ProbabilityTable({MassDistribution.monodisperse(n): number(1)}),
+            build_transition_table(n, KernelSpec(k0=number(1)), number(1) / 10**40), n,
+        )
+        for number in (float, Fraction)
+    }
+    for step, (p, exact) in enumerate(zip(series[float], series[Fraction])):
+        assert set(map(type, exact.entries.values())) == {Fraction}
+        assert list(p.entries) == list(exact.entries)
+        assert set(exact.entries) == {
+            s for s in enumerate_states(n) if sum(s.counts) >= n - step
+        }
+    assert 0.0 in series[float][-1].entries.values()
+    merged = run_merged(build_transition_table(n, KernelSpec(), 1e-40), n)
+    assert sorted(series[float][-1].entries, key=lambda s: s.counts) == list(merged.entries)
+    assert len(merged.entries) == 77
