@@ -56,9 +56,7 @@ def divide_step(
 
     ``step`` is the 1-based time step; incoming histories must have
     length ``step - 1``.  Children with exactly zero probability are not
-    emitted.  Each branch's state must pass the step-size check, then the
-    sequential-drift check: every split weight must reproduce its direct
-    rate ``r_h`` to ``SEQUENTIAL_TOL``.
+    emitted.  Each branch's state must pass the step-size check.
     """
     op = table.operator
     out: list[HistoryBranch] = []
@@ -130,9 +128,7 @@ def run_merged(table: TransitionTable, steps: int) -> ProbabilityTable:
             reached[prog.row[present[prog.col]]] = True
             final, present = np.array_equal(reached, present), reached
     kept = sorted(np.flatnonzero(present).tolist(), key=lambda k: op.states[k].counts)
-    return ProbabilityTable(
-        dict(zip([op.states[k] for k in kept], prob[kept].tolist())), step=steps
-    )
+    return ProbabilityTable.listed([op.states[k] for k in kept], prob[kept], steps)
 
 
 def amplitude_expectation(distribution: ProbabilityTable, bin_index: int):

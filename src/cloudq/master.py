@@ -9,10 +9,11 @@ A Gillespie sampler provides an independent continuous-time cross-check.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import math
 from dataclasses import dataclass
-from itertools import chain, count, islice, repeat
+from itertools import chain, islice
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -23,17 +24,42 @@ from .states import StepSizeError  # noqa: F401  (callers catch master.StepSizeE
 PROB_TOL = 1e-12
 
 
-@dataclass(frozen=True)
 class ProbabilityTable:
     """One time slice of the state distribution.
 
     ``entries`` maps occupation vectors to probabilities; ``step`` counts
     applied updates (time is ``step * dt``).  Entries are kept even when
-    tiny so that conservation checks stay exact.
+    tiny so that conservation checks stay exact.  A run's table holds the
+    run's listing, a list of states its tables share, and an array of the
+    values of its first ``len(values)`` states; ``entries`` is built from
+    them on first read.
     """
 
-    entries: Mapping[MassDistribution, float]
-    step: int = 0
+    def __init__(self, entries: Mapping[MassDistribution, float], step: int = 0) -> None:
+        self._entries, self._listing, self.step = entries, None, step
+
+    @classmethod
+    def listed(cls, listing: list[MassDistribution], values: np.ndarray, step: int):
+        table = cls(None, step)
+        table._listing, table._values = listing, values
+        return table
+
+    @property
+    def entries(self) -> Mapping[MassDistribution, float]:
+        if self._entries is None:
+            self._entries = dict(zip(self._listing, self._values.tolist()))
+        return self._entries
+
+    def columns(self) -> tuple[list[MassDistribution], np.ndarray]:
+        """The states, which may run on past the values, and the values."""
+        if self._listing is not None:
+            return self._listing, self._values
+        return list(self._entries), np.fromiter(self._entries.values(), object, len(self._entries))
+
+    def __eq__(self, other):
+        if type(other) is not ProbabilityTable:
+            return NotImplemented
+        return (self.entries, self.step) == (other.entries, other.step)
 
     def total(self):
         return sum(self.entries.values())
@@ -71,26 +97,28 @@ def _steps(
     terms :meth:`~cloudq.states.StepProgram.step` adds: its own outflows
     in label order, then its inflows in ascending (source, label) order,
     the order of moving probability flow by flow in ascending counts order
-    (a collision lowers the counts vector).  Entries keep their insertion
-    order: the old keys, then each step's program level, the states the
-    populated keys first reach at that step, whatever their values.
+    (a collision lowers the counts vector).  The tables share one listing:
+    the old keys, then each step's program level, the states the populated
+    keys first reach at that step, whatever their values.  Each table holds
+    the values of the listing's first states up to its step's level.
     """
     op = table.operator
-    keys = [op.index(s) for s in p0.entries]
-    prog = op.program([k for k, v in zip(keys, p0.entries.values()) if v != 0], steps)
+    keys, values = [op.index(s) for s in p0.entries], list(p0.entries.values())
+    prog = op.program([k for k, v in zip(keys, values) if v != 0], steps)
     size = len(op.states)  # the operator may hold other runs' states too
-    order, listed = list(keys), set(keys)
-    prob = prog.vector(size, keys, list(p0.entries.values()))
+    order, ends, start = list(keys), [], set(keys)
+    for level in prog.levels:
+        order.extend(k for k in level if k not in start)  # an empty key may be reached
+        ends.append(len(order))
+    listing, order = [op.states[k] for k in order], np.array(order, dtype=np.intp)
+    prob = prog.vector(size, keys, values)
     out = []
-    for step, level in enumerate(prog.levels, start=p0.step + 1):
+    for step, end in enumerate(ends, start=p0.step + 1):
         nxt = np.zeros(size, dtype=prob.dtype) + prob
         prog.step(prob, nxt)
         prob = nxt
-        order.extend(k for k in level if k not in listed)  # an empty key may be reached
         if keep_all or step == p0.step + steps:
-            out.append(ProbabilityTable(
-                dict(zip([op.states[k] for k in order], prob[order].tolist())), step=step
-            ))
+            out.append(ProbabilityTable.listed(listing, prob[order[:end]], step))
     return out
 
 
@@ -113,34 +141,29 @@ def evolve_series(
     return [p0] + _steps(p0, table, steps, keep_all=True)
 
 
-def expected_counts(p: ProbabilityTable, bins: Sequence[int] | None = None) -> list:
-    """Expected droplet count of each bin in ``bins`` (every bin by default).
+def _expected(counts: np.ndarray, values: np.ndarray) -> list:
+    """``sum count * P`` down each column of ``counts``, state by state in
+    entry order from ``0.0``: one sequential ``cumsum`` whose first row,
+    ``0 * 0.0``, is that ``0.0`` (it turns a ``-0.0`` sum into ``0.0``).
+    Float64 when every value is a Python float; Python numbers otherwise,
+    so other tables sum as Python does (``0.0 + Fraction`` is a float)."""
+    floats = values.dtype == float or set(map(type, values.tolist())) == {float}
+    number = float if floats else object
+    rows = np.vstack([np.zeros_like(counts[:1]), counts[:len(values)]]).astype(number)
+    probs = np.concatenate([[0.0], values]).astype(number)
+    return np.cumsum(rows * probs[:, None], axis=0)[-1].tolist()
 
-    Each is ``sum count * P`` taken state by state in entry order from
-    ``0.0``: one sequential ``cumsum`` down the counts of the requested
-    bins, whose first row, ``0 * 0.0``, is that ``0.0`` (it turns a
-    ``-0.0`` sum into ``0.0``).  Float64 when every probability is a
-    Python float; Python numbers otherwise, so other tables sum as Python
-    does (``0.0 + Fraction`` is a float).
-    """
-    if not p.entries:
+
+def expected_counts(p: ProbabilityTable, bins: Sequence[int] | None = None) -> list:
+    """Expected droplet count of each bin in ``bins`` (every bin by
+    default), as :func:`_expected` sums it."""
+    _, counts, [(_, _, values)] = _series([p])
+    if not len(values):
         raise StateSpaceError("empty distribution")
-    n_bins = next(iter(p.entries)).num_bins
-    keys = [s.counts for s in p.entries]
-    if bins is None:
-        width, cells = n_bins, chain.from_iterable(keys)
-    else:
-        for bin_index in bins:
-            if not 1 <= bin_index <= n_bins:
-                raise StateSpaceError(f"bin {bin_index} outside [1, {n_bins}]")
-        width, cells = len(bins), (key[b - 1] for key in keys for b in bins)
-    probs = [0.0, *p.entries.values()]
-    number = float if set(map(type, probs)) == {float} else object
-    counts = np.fromiter(
-        chain(repeat(0, width), cells), np.int64, len(probs) * width
-    ).reshape(len(probs), width)
-    terms = counts.astype(number) * np.array(probs, dtype=number)[:, None]
-    return np.cumsum(terms, axis=0)[-1].tolist()
+    for bin_index in bins or ():
+        if not 1 <= bin_index <= counts.shape[1]:
+            raise StateSpaceError(f"bin {bin_index} outside [1, {counts.shape[1]}]")
+    return _expected(counts if bins is None else counts[:, [b - 1 for b in bins]], values)
 
 
 def expected_count(p: ProbabilityTable, bin_index: int):
@@ -170,7 +193,7 @@ def ssa_trajectory(
         t += rng.exponential(1.0 / event_rate)
         if t > t_end:
             break
-        k = targets[int(np.searchsorted(cdf, rng.uniform()))]
+        k = targets[bisect.bisect_left(cdf, rng.random())]
     return op.states[k]
 
 
@@ -202,46 +225,53 @@ _CSV_CHUNK = 256  # rows transposed and written at once; more only adds peak mem
 _CSV_QUOTED = (",", '"', "\n", "\r")  # csv may quote a cell holding one
 
 
-def _csv_lines(chunk: list[tuple]) -> str | None:
-    """``chunk`` as CSV lines, built one column at a time; None if its rows
-    differ in length, have one cell, or hold a cell ``csv`` would quote."""
-    if len(set(map(len, chunk))) != 1 or len(chunk[0]) < 2:
-        return None
-    columns = []
-    for column in zip(*chunk):
+def _csv_lines(columns: Sequence[Sequence]) -> str | None:
+    """Equal-length ``columns`` as CSV lines, built one column at a time;
+    None if a cell holds a character ``csv`` would quote."""
+    rendered = []
+    for column in columns:
         if set(map(type, column)) <= {int, float}:
             # a list's repr is its items' reprs joined by ", ", and no int
             # or float repr holds ", " or a quoted character
-            columns.append(repr(list(column))[1:-1].split(", "))
+            rendered.append(repr(list(column))[1:-1].split(", "))
             continue
         cells = [c if isinstance(c, str) else str(c) if isinstance(c, int) else repr(c)
                  for c in column]
         text = "".join(cells)
         if any(char in text for char in _CSV_QUOTED):
             return None
-        columns.append(cells)
-    return "\n".join(map(",".join, zip(*columns))) + "\n"
+        rendered.append(cells)
+    return "\n".join(map(",".join, zip(*rendered))) + "\n"
 
 
-def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """Write ``header`` and ``rows`` as CSV with LF line endings.
+def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence] = (),
+              blocks: Iterable[Sequence[Sequence]] = ()) -> None:
+    """Write ``header``, ``rows``, then ``blocks`` (each a list of two or
+    more equal-length columns) as CSV with LF line endings.
 
     ``int`` and ``str`` cells are written as they are; every other cell
-    (floats, Fractions, numpy scalars) is written as its ``repr``, so
-    floats round-trip exactly.  Rows are written ``_CSV_CHUNK`` at a time,
-    a column at a time; a chunk :func:`_csv_lines` cannot build goes
-    through ``csv.writer`` cell by cell, which writes the same bytes.
+    (floats, Fractions, numpy scalars) as its ``repr``, so floats
+    round-trip exactly.  Rows are taken ``_CSV_CHUNK`` at a time as one
+    block, a block is written a column at a time, and what
+    :func:`_csv_lines` cannot build (rows of one cell or of unequal
+    length too) goes through ``csv.writer`` cell by cell: the same bytes.
     """
     rows = iter(rows)
+    chunks = iter(lambda: list(map(tuple, islice(rows, _CSV_CHUNK))), [])
+    parts = chain(
+        ((list(zip(*c)) if len(set(map(len, c))) == 1 and len(c[0]) > 1 else None, c)
+         for c in chunks),
+        ((block, zip(*block)) for block in blocks if len(block[0])),
+    )
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
-        while chunk := list(map(tuple, islice(rows, _CSV_CHUNK))):
-            lines = _csv_lines(chunk)
+        for columns, cells in parts:
+            lines = columns and _csv_lines(columns)
             if lines is None:
                 writer.writerows(
                     [cell if isinstance(cell, (int, str)) else repr(cell) for cell in row]
-                    for row in chunk
+                    for row in cells
                 )
             else:
                 handle.write(lines)
@@ -256,34 +286,43 @@ def state_id(state: MassDistribution) -> str:
     return _counts_text(state.counts)
 
 
-def write_expected_series(
-    series: Sequence[ProbabilityTable], path: str
-) -> None:
+def _series(series: Sequence[ProbabilityTable]) -> tuple[list, np.ndarray, list[tuple]]:
+    """The states of every listing in ``series``, once per listing; their
+    counts matrix; and each table as ``(step, first, values)``, its states
+    in entry order starting at ``states[first]``."""
+    columns = [table.columns() for table in series]
+    first, states = {}, []
+    for listing, _ in columns:
+        if id(listing) not in first:
+            first[id(listing)] = len(states)
+            states.extend(listing)
+    counts = np.array([s.counts for s in states], dtype=np.int64, ndmin=2)
+    return states, counts, [(t.step, first[id(l)], v) for t, (l, v) in zip(series, columns)]
+
+
+def write_expected_series(series: Sequence[ProbabilityTable], path: str) -> None:
     """CSV export with columns (step, bin, expected_count)."""
-    rows = chain.from_iterable(
-        zip(repeat(table.step), count(1), expected_counts(table)) for table in series
+    _, counts, tables = _series(series)
+    if not all(len(values) for _, _, values in tables):
+        raise StateSpaceError("empty distribution")
+    blocks = (
+        [[step] * len(expected), list(range(1, len(expected) + 1)), expected]
+        for step, first, values in tables
+        for expected in [_expected(counts[first:], values)]
     )
-    write_csv(path, ["step", "bin", "expected_count"], rows)
+    write_csv(path, ["step", "bin", "expected_count"], blocks=blocks)
 
 
-def write_probability_series(
-    series: Sequence[ProbabilityTable], path: str
-) -> None:
+def write_probability_series(series: Sequence[ProbabilityTable], path: str) -> None:
     """CSV export with columns (step, state_id, probability); each table's
     states in ascending counts order."""
-    ids: dict[tuple[int, ...], str] = {}  # state_id of the state with these counts
-
-    def table_rows(table: ProbabilityTable) -> Iterable[tuple]:
-        keys = [s.counts for s in table.entries]
-        for key in set(keys).difference(ids):
-            ids[key] = _counts_text(key)
-        order = sorted(range(len(keys)), key=keys.__getitem__)
-        probs = list(table.entries.values())
-        return zip(
-            repeat(table.step),
-            map(ids.__getitem__, map(keys.__getitem__, order)),
-            map(probs.__getitem__, order),
-        )
-
-    rows = chain.from_iterable(map(table_rows, series))
-    write_csv(path, ["step", "state_id", "probability"], rows)
+    states, counts, tables = _series(series)
+    rank = np.empty(len(states), dtype=np.intp)
+    rank[np.lexsort(counts.T[::-1]) if states else []] = np.arange(len(states))
+    ids = np.array([_counts_text(s.counts) for s in states], dtype=object)
+    blocks = (
+        [[step] * len(order), ids[first + order].tolist(), values[order].tolist()]
+        for step, first, values in tables
+        for order in [np.argsort(rank[first:first + len(values)])]
+    )
+    write_csv(path, ["step", "state_id", "probability"], blocks=blocks)

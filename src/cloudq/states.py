@@ -22,7 +22,6 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 DEFAULT_ENUMERATION_CAP = 60
-SEQUENTIAL_TOL = 1e-12
 
 
 class StateSpaceError(ValueError):
@@ -262,9 +261,7 @@ class OperatorRow(NamedTuple):
     ``targets`` are operator indices of the post-collision states.
     ``weights`` and ``hold`` are the division model's sequential split
     (labels visited ``H..1``, label ``h`` claiming ``r_h / s_{h+1}`` of
-    what is unclaimed) and its remainder ``s_1``; ``drift`` is the first
-    label whose weight strays from ``r_h`` by more than ``SEQUENTIAL_TOL``
-    (0 if none).  Only :class:`TransitionOperator` reads a row; other
+    what is unclaimed) and its remainder ``s_1``.  Only :class:`TransitionOperator` reads a row; other
     modules see its :meth:`~TransitionOperator.children`,
     :meth:`~TransitionOperator.events` and step programs.
     """
@@ -275,7 +272,6 @@ class OperatorRow(NamedTuple):
     total: object
     weights: tuple
     hold: object
-    drift: int
 
 
 class StepProgram(NamedTuple):
@@ -407,11 +403,8 @@ class TransitionOperator:
                 modified = 1 + 0 * total
             weights[pos] = modified * s_next
             remaining = (1 - modified) * s_next
-        drift = next(
-            (h for h, w, r in zip(labels, weights, rates) if abs(w - r) > SEQUENTIAL_TOL), 0
-        )
         return OperatorRow(
-            tuple(labels), tuple(targets), tuple(rates), total, tuple(weights), remaining, drift,
+            tuple(labels), tuple(targets), tuple(rates), total, tuple(weights), remaining
         )
 
     def events(self, k: int) -> tuple[float, tuple[int, ...], np.ndarray]:
@@ -432,18 +425,14 @@ class TransitionOperator:
             found = self._events[k] = (event_rate, self._rows[k].targets, cdf)
         return found
 
-    def checked(self, k: int, sequential: bool = False) -> OperatorRow:
-        """Row ``k`` after the step-size check and, for the division model
-        (``sequential``), the sequential-drift check."""
+    def checked(self, k: int) -> OperatorRow:
+        """Row ``k`` after the step-size check, which also leaves its split
+        unclipped: ``sum_h r_h <= 1`` gives ``s_{h+1} >= r_h``."""
         row = self.row(k)
         if row.total > 1:
             raise StepSizeError(
                 f"sum of transition probabilities {row.total} > 1 for state "
                 f"{self.states[k].counts}; reduce dt"
-            )
-        if sequential and row.drift:
-            raise StateSpaceError(
-                f"sequential division drifted from direct rate at label {row.drift}"
             )
         return row
 
@@ -451,7 +440,7 @@ class TransitionOperator:
         """Division-checked row ``k``'s children ``(label, target, weight)``,
         one per nonzero weight (a checked row has none below zero): the
         labels in order, then the hold ``s_1`` as the label-0 child."""
-        row = self.checked(k, sequential=True)
+        row = self.checked(k)
         weights = row.weights + (row.hold,)
         return list(compress(zip(row.labels + (0,), row.targets + (k,), weights), weights))
 
@@ -461,8 +450,8 @@ class TransitionOperator:
         ``sequential``, the division model; where both runs are checked.
 
         The closure is built breadth first, and each level that will step
-        is :meth:`checked` (``sequential`` for the division model) in
-        ascending counts order before it is expanded.  A state at depth
+        is :meth:`checked` in ascending counts order before it is
+        expanded.  A state at depth
         ``d`` first steps at step ``d + 1``, so a run fails on the state
         its executor would meet first, without compiling deeper rows.
         The program's ``levels`` are the depths ``1..steps``.
@@ -476,7 +465,7 @@ class TransitionOperator:
             stepping.extend(level)
             nxt = []
             for k in level:
-                for target in self.checked(k, sequential).targets:
+                for target in self.checked(k).targets:
                     if target not in reached:
                         reached.add(target)
                         nxt.append(target)

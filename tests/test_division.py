@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -404,7 +405,7 @@ def _old_tree(table, steps, start, branch_cap=500_000):
             )
         children = []
         for history, state in branches:
-            row = op.checked(op.index(state), sequential=True)
+            row = op.checked(op.index(state))
             children.extend(
                 (history + (label,), op.states[target])
                 for label, target, weight in zip(row.labels, row.targets, row.weights)
@@ -515,11 +516,6 @@ def test_semantics_walk_keeps_the_error_messages():
         start = MassDistribution(counts)
         dt = 1 / total_transition_rate(unit, start)
         cases.append((build_transition_table(8, kernel, dt), 3, start))
-    drifted = _table(5, dt=0.01)
-    op = drifted.operator
-    row = op.row(op.index(MassDistribution((3, 1, 0, 0, 0))))
-    op._rows[op.index(MassDistribution((3, 1, 0, 0, 0)))] = row._replace(drift=row.labels[1])
-    cases.append((drifted, 3, None))
     cases.append((build_transition_table(30, KernelSpec(k0=1.0), 0.0005), 12, None))
     raised = set()
     for table, steps, initial in cases:
@@ -529,6 +525,38 @@ def test_semantics_walk_keeps_the_error_messages():
         assert (type(got), str(got)) == (type(want), str(want))
         raised.add(type(want))
     assert raised == {StateSpaceError, StepSizeError, BranchCapError}
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(["constant", "sum", "product"]),
+    st.integers(min_value=2, max_value=12),
+    st.sampled_from([1.0, 0.999]) | st.floats(min_value=0.01, max_value=1.0),
+    st.booleans(),
+)
+def test_checked_split_weights_are_the_rates(kind, n, share, exact):
+    # sum_h r_h <= 1 gives s_{h+1} >= r_h, so no checked row's split is
+    # clipped: each weight (r_h / s_{h+1}) * s_{h+1} is r_h exactly in Q
+    # and within 2 ulp of it in floats, with dt up to the step-size limit
+    one = Fraction(1) if exact else 1.0
+    unit = build_transition_table(n, KernelSpec(kind, one), one)
+    worst = max(total_transition_rate(unit, s) for s in enumerate_states(n))
+    dt = Fraction(share).limit_denominator(1000) / worst if exact else share / worst
+    op = build_transition_table(n, KernelSpec(kind, one), dt).operator
+    checked = 0
+    for state in enumerate_states(n):
+        try:
+            row = op.checked(op.index(state))
+        except StepSizeError:  # a float total rounded past the limit
+            assert not exact and share > 0.999
+            continue
+        checked += 1
+        assert len(row.weights) == len(row.rates) and row.hold >= 0
+        if exact:
+            assert row.weights == row.rates and row.hold == 1 - row.total
+        else:
+            assert all(abs(w - r) <= 2 * math.ulp(r) for w, r in zip(row.weights, row.rates))
+    assert checked
 
 
 def test_semantics_walk_builds_no_probability_tree(monkeypatch):

@@ -1,3 +1,4 @@
+import bisect
 import csv
 import math
 import os
@@ -595,3 +596,150 @@ def test_listed_states_are_the_programs_levels_not_the_nonzero_values():
     merged = run_merged(build_transition_table(n, KernelSpec(), 1e-40), n)
     assert sorted(series[float][-1].entries, key=lambda s: s.counts) == list(merged.entries)
     assert len(merged.entries) == 77
+
+
+def _per_cell_series(series, probs_path, expected_path):
+    # the series writers as they were: each table's entries, sorted by
+    # counts, through csv.writer cell by cell; expected counts by the loop
+    rows = [(p.step, master.state_id(s), p.entries[s]) for p in series for s in p.states()]
+    _per_cell_csv(probs_path, ["step", "state_id", "probability"], rows)
+    if expected_path is not None:
+        n_bins = next(iter(series[0].entries)).num_bins
+        rows = [(p.step, b, _loop_expected(p, b)) for p in series for b in range(1, n_bins + 1)]
+        _per_cell_csv(expected_path, ["step", "bin", "expected_count"], rows)
+
+
+def _same_series_bytes(series, tmp_path, expected=True):
+    names = ["p.csv", "e.csv", "want-p.csv", "want-e.csv"]
+    got_p, got_e, want_p, want_e = (tmp_path / name for name in names)
+    write_probability_series(series, str(got_p))
+    _per_cell_series(series, want_p, want_e if expected else None)
+    if expected:
+        write_expected_series(series, str(got_e))
+        assert got_e.read_bytes() == want_e.read_bytes()
+    assert got_p.read_bytes() == want_p.read_bytes()
+
+
+@pytest.mark.parametrize("number", [float, Fraction], ids=["float", "fraction"])
+@pytest.mark.parametrize("kind", ["constant", "sum", "product"])
+def test_run_series_csv_matches_the_per_cell_writer(kind, number, tmp_path):
+    n = 7
+    table = build_transition_table(n, KernelSpec(kind, number(1)), number(1) / 200)
+    p0 = ProbabilityTable({MassDistribution((3, 2, 0, 0, 0, 0, 0)): number(1) / 2,
+                           MassDistribution.absorbed(n): number(0),
+                           MassDistribution.monodisperse(n): number(1) / 2})
+    series = evolve_series(p0, table, 5)
+    _same_series_bytes(series, tmp_path)
+    _same_series_bytes(series[2:4] + [run_merged(table, 3), evolve(p0, table, 2)], tmp_path)
+
+
+def test_hand_built_series_csv_matches_the_per_cell_writer(tmp_path):
+    # shared states in different orders, some left out, and cells that
+    # leave the column path: -0.0, subnormals, numpy scalars, Fractions
+    keys = [MassDistribution(c) for c in [(4, 0, 0, 0), (2, 1, 0, 0), (0, 2, 0, 0),
+                                          (1, 0, 1, 0), (0, 0, 0, 1)]]
+    values = [-0.0, 5e-324, 0.25, 1e-310, 0.75]
+    cells = [np.float64(0.5), np.float64(-0.0), Fraction(1, 3), 2, 0.125]
+    series = [
+        ProbabilityTable(dict(zip(keys, values)), step=0),
+        ProbabilityTable(dict(zip(keys[::-1], values)), step=1),
+        ProbabilityTable({keys[3]: 0.5, keys[0]: -0.0}, step=2),
+        ProbabilityTable(dict(zip(keys[1:], cells[1:])), step=3),
+        ProbabilityTable(dict(zip(keys[::2], cells)), step=4),
+    ]
+    _same_series_bytes(series, tmp_path)
+    _same_series_bytes(series + [ProbabilityTable({}, step=5)], tmp_path, expected=False)
+    _same_series_bytes([ProbabilityTable({}, step=0)], tmp_path, expected=False)
+
+
+def _parent_steps(p0, table, steps):
+    # the run's tables as each step's dict of every listed state, as the
+    # solver kept them before it kept arrays
+    op = table.operator
+    keys = [op.index(s) for s in p0.entries]
+    prog = op.program([k for k, v in zip(keys, p0.entries.values()) if v != 0], steps)
+    size, order, listed = len(op.states), list(keys), set(keys)
+    prob = prog.vector(size, keys, list(p0.entries.values()))
+    out = []
+    for level in prog.levels:
+        nxt = np.zeros(size, dtype=prob.dtype) + prob
+        prog.step(prob, nxt)
+        prob = nxt
+        order.extend(k for k in level if k not in listed)
+        out.append(dict(zip([op.states[k] for k in order], prob[order].tolist())))
+    return out
+
+
+@pytest.mark.parametrize("dt, one", [(0.003, 1.0), (Fraction(3, 1000), Fraction(1))],
+                         ids=["float", "fraction"])
+def test_run_table_entries_are_the_step_dicts(dt, one):
+    n = 8
+    table = build_transition_table(n, KernelSpec("sum", one), dt)
+    p0 = ProbabilityTable({MassDistribution.absorbed(n): 0, MassDistribution.monodisperse(n): one})
+    want = _parent_steps(p0, table, 6)
+    series = evolve_series(p0, table, 6)
+    for p, entries in zip(series[1:], want):
+        assert [(s, type(v), repr(v)) for s, v in p.entries.items()] == [
+            (s, type(v), repr(v)) for s, v in entries.items()
+        ]
+        assert p.states() == sorted(entries, key=lambda s: s.counts)
+        assert p.total() == sum(entries.values())
+    assert list(evolve(p0, table, 6).entries.items()) == list(want[-1].items())
+
+
+def test_writing_a_series_builds_no_step_dict(tmp_path, monkeypatch):
+    table, p0 = _mono_table(9, dt=0.01)
+    series = evolve_series(p0, table, 8) + [run_merged(table, 8)]
+    reads = []
+    entries = ProbabilityTable.entries
+    monkeypatch.setattr(ProbabilityTable, "entries", property(
+        lambda table: reads.append(table.step) or entries.fget(table)
+    ))
+    write_probability_series(series, str(tmp_path / "p.csv"))
+    write_expected_series(series, str(tmp_path / "e.csv"))
+    expected_counts(series[-2])
+    assert reads == []
+    assert all(p._entries is None for p in series[1:])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=2**63 - 1))
+def test_ssa_draws_match_uniform_and_searchsorted(seed):
+    # rng.random() is rng.uniform() draw for draw, and bisect_left on the
+    # cdf array is searchsorted's side 'left', ties included
+    a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+    draws = [a.random() for _ in range(200)]
+    assert draws == [b.uniform() for _ in range(200)]
+    table = build_transition_table(9, KernelSpec("product", 0.7), 0.001)
+    op = table.operator
+    tied = np.array([0.0, 0.25, 0.25, 0.5, 1.0])
+    cdfs = [op.events(op.index(s))[2] for s in enumerate_states(9)] + [tied]
+    for cdf in cdfs:
+        for u in draws[:20] + tied.tolist():
+            assert bisect.bisect_left(cdf, u) == int(np.searchsorted(cdf, u))
+
+
+class _OneEvent:
+    # waits 0 and then forever, so a trajectory takes exactly one event,
+    # and every uniform draw is ``u``
+    def __init__(self, u):
+        self.u, self.waits = u, iter([0.0, math.inf])
+
+    def exponential(self, scale):
+        return next(self.waits)
+
+    def random(self):
+        return self.u
+
+
+def test_ssa_event_on_a_tied_draw_takes_the_searchsorted_target():
+    table = build_transition_table(7, KernelSpec("sum", 0.5), 0.01)
+    op = table.operator
+    for state in enumerate_states(7):
+        _, targets, cdf = op.events(op.index(state))
+        for u in [0.0, *cdf.tolist()]:
+            got = master.ssa_trajectory(table, 1.0, _OneEvent(u), state)
+            if len(targets):
+                assert got == op.states[targets[int(np.searchsorted(cdf, u))]]
+            else:
+                assert got == state
