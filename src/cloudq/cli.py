@@ -182,8 +182,8 @@ def _emit_json(payload: dict, out: str | None) -> None:
 def _out_paths(config: RunConfig, *names: str) -> list[str]:
     """Where each output goes: into the ``--out`` directory, or to ``--out``
     itself if it has a suffix and there is one output.  Creates missing
-    directories, so call it after the checks that can refuse an input: a
-    refused input or ``--out`` writes nothing."""
+    directories, so call it after the run and every check that can refuse
+    it: a refused input, run or ``--out`` writes nothing."""
     if config.out is None:
         return list(names)
     path = Path(config.out)
@@ -198,14 +198,14 @@ def _out_paths(config: RunConfig, *names: str) -> list[str]:
 
 def _cmd_solve(config: RunConfig) -> int:
     table = _table_from_config(config)
-    paths = _out_paths(
-        config, "expected_counts.csv", "probabilities.csv",
-        *(["solve.json"] if config.format == "json" and config.out else []),
-    )
     start = master.ProbabilityTable.point_mass(
         states.MassDistribution.monodisperse(config.n_bins)
     )
     series = master.evolve_series(start, table, config.steps)
+    paths = _out_paths(
+        config, "expected_counts.csv", "probabilities.csv",
+        *(["solve.json"] if config.format == "json" and config.out else []),
+    )
     master.write_expected_series(series, paths[0])
     master.write_probability_series(series, paths[1])
     final = series[-1]
@@ -226,23 +226,18 @@ def _cmd_solve(config: RunConfig) -> int:
 
 def _cmd_simulate(config: RunConfig) -> int:
     table = _table_from_config(config)
-    paths = _out_paths(
-        config, "division_probabilities.csv", *(["branches.csv"] if config.mode == "tree" else [])
-    )
     if config.mode == "tree":
-        branches = division.run_tree(table, config.steps)
-        master.write_csv(
-            paths[1],
-            ["history", "state_id", "probability"],
-            (
-                ("|".join(str(h) for h in branch.history),
-                 master.state_id(branch.state), branch.prob)
-                for branch in sorted(branches, key=lambda b: b.history)
-            ),
-        )
+        branches = sorted(division.run_tree(table, config.steps), key=lambda b: b.history)
         merged = division.merge_branches(branches, config.steps)
+        paths = _out_paths(config, "division_probabilities.csv", "branches.csv")
+        master.write_csv(paths[1], ["history", "state_id", "probability"], blocks=[[
+            ["|".join(map(str, branch.history)) for branch in branches],
+            [master.state_id(branch.state) for branch in branches],
+            [branch.prob for branch in branches],
+        ]])
     else:
         merged = division.run_merged(table, config.steps)
+        paths = _out_paths(config, "division_probabilities.csv")
     master.write_probability_series([merged], paths[0])
     if config.check_master:
         start = master.ProbabilityTable.point_mass(

@@ -13,7 +13,7 @@ import bisect
 import csv
 import math
 from dataclasses import dataclass
-from itertools import chain, islice
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -27,34 +27,30 @@ PROB_TOL = 1e-12
 class ProbabilityTable:
     """One time slice of the state distribution.
 
-    ``entries`` maps occupation vectors to probabilities; ``step`` counts
-    applied updates (time is ``step * dt``).  Entries are kept even when
-    tiny so that conservation checks stay exact.  A run's table holds the
-    run's listing, a list of states its tables share, and an array of the
-    values of its first ``len(values)`` states; ``entries`` is built from
-    them on first read.
+    ``listing`` is a list of states, which may run on past the values (a
+    run's tables share one); ``values`` is an array of the probabilities
+    of its first ``len(values)`` states; ``step`` counts applied updates
+    (time is ``step * dt``).  Entries are kept even when tiny so that
+    conservation checks stay exact.  ``ProbabilityTable(dict, step)``
+    snapshots the dict into an object array; ``entries`` is built on first
+    read, read-only, in listing order and with the same value objects.
     """
 
     def __init__(self, entries: Mapping[MassDistribution, float], step: int = 0) -> None:
-        self._entries, self._listing, self.step = entries, None, step
+        self.listing, self.step, self._entries = list(entries), step, None
+        self.values = np.fromiter(entries.values(), object, len(self.listing))
 
     @classmethod
     def listed(cls, listing: list[MassDistribution], values: np.ndarray, step: int):
-        table = cls(None, step)
-        table._listing, table._values = listing, values
+        table = cls({}, step)
+        table.listing, table.values = listing, values
         return table
 
     @property
     def entries(self) -> Mapping[MassDistribution, float]:
         if self._entries is None:
-            self._entries = dict(zip(self._listing, self._values.tolist()))
+            self._entries = MappingProxyType(dict(zip(self.listing, self.values.tolist())))
         return self._entries
-
-    def columns(self) -> tuple[list[MassDistribution], np.ndarray]:
-        """The states, which may run on past the values, and the values."""
-        if self._listing is not None:
-            return self._listing, self._values
-        return list(self._entries), np.fromiter(self._entries.values(), object, len(self._entries))
 
     def __eq__(self, other):
         if type(other) is not ProbabilityTable:
@@ -62,10 +58,10 @@ class ProbabilityTable:
         return (self.entries, self.step) == (other.entries, other.step)
 
     def total(self):
-        return sum(self.entries.values())
+        return sum(self.values.tolist())
 
     def states(self) -> list[MassDistribution]:
-        return sorted(self.entries, key=lambda s: s.counts)
+        return sorted(self.listing[:len(self.values)], key=lambda s: s.counts)
 
     @classmethod
     def point_mass(cls, state: MassDistribution) -> "ProbabilityTable":
@@ -145,12 +141,12 @@ def _expected(counts: np.ndarray, values: np.ndarray) -> list:
     """``sum count * P`` down each column of ``counts``, state by state in
     entry order from ``0.0``: one sequential ``cumsum`` whose first row,
     ``0 * 0.0``, is that ``0.0`` (it turns a ``-0.0`` sum into ``0.0``).
-    Float64 when every value is a Python float; Python numbers otherwise,
-    so other tables sum as Python does (``0.0 + Fraction`` is a float)."""
-    floats = values.dtype == float or set(map(type, values.tolist())) == {float}
-    number = float if floats else object
-    rows = np.vstack([np.zeros_like(counts[:1]), counts[:len(values)]]).astype(number)
-    probs = np.concatenate([[0.0], values]).astype(number)
+    In the values' number type: float64, or Python numbers on an object
+    array, so other tables sum as Python does (``0.0 + Fraction`` is a
+    float) and Python floats give the float64 bits: the same floats,
+    added in the same order."""
+    rows = np.vstack([np.zeros_like(counts[:1]), counts[:len(values)]]).astype(values.dtype)
+    probs = np.concatenate([[0.0], values]).astype(values.dtype)
     return np.cumsum(rows * probs[:, None], axis=0)[-1].tolist()
 
 
@@ -221,8 +217,11 @@ def ssa_population_estimate(
     return [(float(m), float(s)) for m, s in zip(means, stderrs)]
 
 
-_CSV_CHUNK = 256  # rows transposed and written at once; more only adds peak memory
 _CSV_QUOTED = (",", '"', "\n", "\r")  # csv may quote a cell holding one
+
+
+def _cells(row: Sequence) -> list:
+    return [cell if isinstance(cell, (int, str)) else repr(cell) for cell in row]
 
 
 def _csv_lines(columns: Sequence[Sequence]) -> str | None:
@@ -251,53 +250,38 @@ def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence] = (),
 
     ``int`` and ``str`` cells are written as they are; every other cell
     (floats, Fractions, numpy scalars) as its ``repr``, so floats
-    round-trip exactly.  Rows are taken ``_CSV_CHUNK`` at a time as one
-    block, a block is written a column at a time, and what
-    :func:`_csv_lines` cannot build (rows of one cell or of unequal
-    length too) goes through ``csv.writer`` cell by cell: the same bytes.
+    round-trip exactly.  Rows go through ``csv.writer`` cell by cell.  A
+    block is written a column at a time, and one :func:`_csv_lines` cannot
+    build goes through ``csv.writer`` cell by cell: the same bytes.
     """
-    rows = iter(rows)
-    chunks = iter(lambda: list(map(tuple, islice(rows, _CSV_CHUNK))), [])
-    parts = chain(
-        ((list(zip(*c)) if len(set(map(len, c))) == 1 and len(c[0]) > 1 else None, c)
-         for c in chunks),
-        ((block, zip(*block)) for block in blocks if len(block[0])),
-    )
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
-        for columns, cells in parts:
-            lines = columns and _csv_lines(columns)
+        writer.writerows(map(_cells, rows))
+        for block in blocks:
+            lines = _csv_lines(block) if len(block[0]) else ""
             if lines is None:
-                writer.writerows(
-                    [cell if isinstance(cell, (int, str)) else repr(cell) for cell in row]
-                    for row in cells
-                )
+                writer.writerows(map(_cells, zip(*block)))
             else:
                 handle.write(lines)
 
 
-def _counts_text(counts: tuple[int, ...]) -> str:
-    return "|".join(["%d"] * len(counts)) % counts
-
-
 def state_id(state: MassDistribution) -> str:
     """Stable textual key for CSV output, e.g. ``2|0|1``."""
-    return _counts_text(state.counts)
+    return "|".join(["%d"] * len(state.counts)) % state.counts
 
 
 def _series(series: Sequence[ProbabilityTable]) -> tuple[list, np.ndarray, list[tuple]]:
     """The states of every listing in ``series``, once per listing; their
     counts matrix; and each table as ``(step, first, values)``, its states
     in entry order starting at ``states[first]``."""
-    columns = [table.columns() for table in series]
     first, states = {}, []
-    for listing, _ in columns:
-        if id(listing) not in first:
-            first[id(listing)] = len(states)
-            states.extend(listing)
+    for table in series:
+        if id(table.listing) not in first:
+            first[id(table.listing)] = len(states)
+            states.extend(table.listing)
     counts = np.array([s.counts for s in states], dtype=np.int64, ndmin=2)
-    return states, counts, [(t.step, first[id(l)], v) for t, (l, v) in zip(series, columns)]
+    return states, counts, [(t.step, first[id(t.listing)], t.values) for t in series]
 
 
 def write_expected_series(series: Sequence[ProbabilityTable], path: str) -> None:
@@ -319,7 +303,7 @@ def write_probability_series(series: Sequence[ProbabilityTable], path: str) -> N
     states, counts, tables = _series(series)
     rank = np.empty(len(states), dtype=np.intp)
     rank[np.lexsort(counts.T[::-1]) if states else []] = np.arange(len(states))
-    ids = np.array([_counts_text(s.counts) for s in states], dtype=object)
+    ids = np.array(list(map(state_id, states)), dtype=object)
     blocks = (
         [[step] * len(order), ids[first + order].tolist(), values[order].tolist()]
         for step, first, values in tables

@@ -125,7 +125,10 @@ class KernelSpec:
             return self.k0 * (i + j)
         if self.kind == "product":
             return self.k0 * i * j
-        value = self.table[i - 1][j - 1]
+        try:
+            value = self.table[i - 1][j - 1]
+        except IndexError:
+            raise StateSpaceError(f"kernel table has no entry K({i},{j})") from None
         if not value >= 0:
             raise StateSpaceError(f"kernel table entry K({i},{j}) = {value} < 0")
         return value

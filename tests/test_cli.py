@@ -8,6 +8,7 @@ from cloudq.cli import (
     EXIT_CONFIG,
     EXIT_MISMATCH,
     EXIT_OK,
+    EXIT_RESOURCE_LIMIT,
     EXIT_STEP_SIZE,
     ConfigError,
     RunConfig,
@@ -337,6 +338,12 @@ def test_estimate_bad_bin_exits_config_and_writes_nothing(tmp_path, capsys, bin_
                      "need width >= 1, got -3", id="arcsine-fit-n-eps-negative"),
         pytest.param(["arcsine-fit", "--d", "5", "--eps", "1e-6", "--n-eps", "0"], "o8",
                      "need width >= 1, got 0", id="arcsine-fit-n-eps-zero"),
+        *(
+            pytest.param(["estimate", "--preset", "paper-case-1", flag, value], "o9/y",
+                         f"need {name} >= 1, got {value}", id=f"estimate-{name}{value}")
+            for flag, name, value in (("--d", "degree", "0"), ("--d", "degree", "-2"),
+                                      ("--M-eps", "pieces", "0"), ("--M-eps", "pieces", "-3"))
+        ),
     ],
 )
 def test_refused_input_creates_nothing(tmp_path, capsys, argv, out, message):
@@ -430,3 +437,40 @@ def test_flag_and_config_key_agree(tmp_path, option):
 def test_help_exits_ok(capsys, argv):
     assert main(argv) == EXIT_OK
     assert capsys.readouterr().out.startswith("usage: cloudq")
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        pytest.param(["solve", "--N", "30", "--M", "5", "--dt", "1.0"], EXIT_STEP_SIZE,
+                     "sum of transition probabilities 435.0 > 1 for state "
+                     f"({', '.join(['30'] + ['0'] * 29)}); reduce dt", id="solve-step-size"),
+        pytest.param(["simulate", "--N", "20", "--M", "9", "--dt", "0.001", "--mode", "tree"],
+                     EXIT_RESOURCE_LIMIT,
+                     "tree would exceed 500000 branches at step 9; use merged mode",
+                     id="simulate-branch-cap"),
+    ],
+)
+def test_refused_run_creates_no_out(tmp_path, capsys, argv, code, message):
+    assert main(argv + ["--out", str(tmp_path / "d")]) == code
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        pytest.param(None, "cannot read config {path}: [Errno 2] No such file or directory: "
+                     "'{path}'", id="missing"),
+        pytest.param("{", "cannot read config {path}: Expecting property name enclosed in "
+                     "double quotes: line 1 column 2 (char 1)", id="not-json"),
+        pytest.param("[1, 2]", "config file must hold a JSON object", id="list"),
+        pytest.param('"solve"', "config file must hold a JSON object", id="string"),
+    ],
+)
+def test_unreadable_config_exits_config(tmp_path, capsys, text, message):
+    path = tmp_path / "cfg.json"
+    if text is not None:
+        path.write_text(text)
+    assert main(["solve", "--config", str(path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {message.format(path=path)}\n"

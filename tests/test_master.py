@@ -4,7 +4,6 @@ import math
 import os
 import tempfile
 from fractions import Fraction
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -357,14 +356,22 @@ def _per_cell_csv(path, header, rows):
         )
 
 
-def _same_csv_bytes(header, rows, chunk=master._CSV_CHUNK):
+def _same_csv_bytes(header, rows, chunk=256):
+    # as rows, and, when the rows are of one length of two or more cells,
+    # as column blocks of ``chunk`` rows each
+    shaped = len(set(map(len, rows))) == 1 and len(rows[0]) > 1
+    blocks = [list(zip(*rows[i:i + chunk])) for i in range(0, len(rows), chunk)]
     with tempfile.TemporaryDirectory() as tmp:
         got, want = os.path.join(tmp, "got.csv"), os.path.join(tmp, "want.csv")
-        with mock.patch.object(master, "_CSV_CHUNK", chunk):
-            write_csv(got, header, iter(rows))
         _per_cell_csv(want, header, rows)
-        with open(got, "rb") as a, open(want, "rb") as b:
-            return a.read() == b.read()
+        with open(want, "rb") as handle:
+            expected = handle.read()
+        for kwargs in [{"rows": iter(rows)}] + ([{"blocks": blocks}] if shaped else []):
+            write_csv(got, header, **kwargs)
+            with open(got, "rb") as handle:
+                if handle.read() != expected:
+                    return False
+        return True
 
 
 _FLOATS = st.floats(allow_subnormal=True) | st.sampled_from(
@@ -395,7 +402,7 @@ def _csv_rows(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_csv_rows(), st.sampled_from([1, 2, 3, 7, master._CSV_CHUNK]))
+@given(_csv_rows(), st.sampled_from([1, 2, 3, 7, 256]))
 def test_write_csv_matches_per_cell_writer(rows, chunk):
     # floats, -0.0, inf, nan and subnormals; Fractions (quoted); numpy
     # scalars and bools; strings with , " \n \r and empty ones; ragged rows
@@ -743,3 +750,45 @@ def test_ssa_event_on_a_tied_draw_takes_the_searchsorted_target():
                 assert got == op.states[targets[int(np.searchsorted(cdf, u))]]
             else:
                 assert got == state
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        pytest.param(lambda: SsaConfig(n_runs=0, seed=1, t_end=1.0), "need n_runs >= 1, got 0",
+                     id="no-runs"),
+        pytest.param(lambda: SsaConfig(n_runs=5, seed=1, t_end=-0.5), "need t_end >= 0, got -0.5",
+                     id="negative-t-end"),
+        pytest.param(lambda: expected_counts(ProbabilityTable.point_mass(
+            MassDistribution.monodisperse(3)), [0]), "bin 0 outside [1, 3]", id="bin-zero"),
+    ],
+)
+def test_master_refusals_keep_their_messages(make, message):
+    with pytest.raises(StateSpaceError) as err:
+        make()
+    assert type(err.value) is StateSpaceError and str(err.value) == message
+
+
+def test_listed_table_equals_the_hand_built_one():
+    table, p0 = _mono_table(5, dt=0.01)
+    run = evolve(p0, table, 3)
+    hand = ProbabilityTable(dict(run.entries), step=3)
+    assert run == hand and hand == run
+    assert run != ProbabilityTable(dict(run.entries), step=2)
+    assert run.__eq__(dict(run.entries)) is NotImplemented
+    assert run.__eq__("table") is NotImplemented
+
+
+def test_hand_built_table_entries_are_its_dict():
+    keys = [MassDistribution((4, 0, 0, 0)), MassDistribution((0, 0, 0, 1)),
+            MassDistribution((2, 1, 0, 0))]
+    given = dict(zip(keys, [Fraction(1, 3), np.float64(-0.0), 7]))
+    p = ProbabilityTable(given, step=4)
+    assert list(p.entries) == keys
+    assert all(p.entries[k] is given[k] for k in keys)
+    total = sum(given.values())
+    assert p.states() == sorted(keys, key=lambda s: s.counts) and p.total() == total
+    given[keys[0]] = 1  # the table is a snapshot, and its entries cannot drift from its arrays
+    with pytest.raises(TypeError):
+        p.entries[keys[0]] = 1
+    assert p.entries[keys[0]] == Fraction(1, 3) and p.total() == total

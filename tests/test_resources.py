@@ -267,3 +267,30 @@ def test_ushift_total_sums_the_pair_formula():
             shift_total = shift_total + shift
         assert report.per_gate["U_shift_total"] == shift_total, n_bins
         assert report.warnings[:-1] == tuple(dict.fromkeys(notes)), n_bins
+
+
+_CASE_REFUSALS = [
+    ("degree", 0, "need degree >= 1, got 0"),
+    ("degree", -2, "need degree >= 1, got -2"),
+    ("pieces", 0, "need pieces >= 1, got 0"),
+    ("pieces", -3, "need pieces >= 1, got -3"),
+    ("n_bins", 1, "need n_bins >= 2 and time_steps >= 1"),
+    ("time_steps", 0, "need n_bins >= 2 and time_steps >= 1"),
+    ("eps_rotation", 0.0, "eps_rotation must lie in (0, 1), got 0.0"),
+    ("eps_c", 1.0, "eps_c must lie in (0, 1), got 1.0"),
+    ("delta", -0.1, "delta must lie in (0, 1), got -0.1"),
+]
+
+
+@pytest.mark.parametrize("field, value, message", _CASE_REFUSALS,
+                         ids=[f"{field}={value}" for field, value, _ in _CASE_REFUSALS])
+def test_estimation_case_refusals_keep_their_messages(field, value, message):
+    with pytest.raises(ResourceModelError) as err:
+        dataclasses.replace(CASE1, **{field: value})
+    assert str(err.value) == message
+
+
+def test_mul_int_needs_both_widths():
+    with pytest.raises(ResourceModelError) as err:
+        primitive_cost("MUL_INT", n=4)
+    assert str(err.value) == "MUL_INT needs widths n and m"

@@ -243,3 +243,40 @@ def test_one_transition_rule(kind, k0, dt):
             assert repr(total_transition_rate(table, state)) == repr(total)
             for label, target in zip(row.labels, row.targets):
                 assert op.states[target] == apply_transition(table, state, label)
+
+
+def test_table_kernel_smaller_than_n_names_the_missing_entry():
+    kernel = KernelSpec("table", table=((1.0, 1.0), (1.0, 1.0)))
+    with pytest.raises(StateSpaceError, match=r"^kernel table has no entry K\(1,3\)$"):
+        build_transition_table(4, kernel, 0.01)
+    assert build_transition_table(3, kernel, 0.01).kernel_values == (1.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        pytest.param(lambda: KernelSpec("table"), "table kernel requires an explicit table",
+                     id="table-missing"),
+        pytest.param(
+            lambda: build_transition_table(
+                3, KernelSpec("table", table=((1.0, -0.5, 0.0), (-0.5, 1.0, 0.0), (0.0,) * 3)),
+                0.01,
+            ),
+            "kernel table entry K(1,2) = -0.5 < 0", id="table-negative",
+        ),
+        pytest.param(
+            lambda: build_transition_table(3, KernelSpec(), 0.01).operator.index(
+                MassDistribution((2, 1, 0, 0))
+            ),
+            "state (2, 1, 0, 0) does not have 3 bins", id="index-wrong-n",
+        ),
+        pytest.param(lambda: partition_count_exact(0), "need n >= 1, got 0", id="exact-zero"),
+        pytest.param(lambda: partition_count_asymptotic(0), "need n >= 1, got 0",
+                     id="asymptotic-zero"),
+        pytest.param(lambda: enumerate_states(0), "need N >= 1, got 0", id="enumerate-zero"),
+    ],
+)
+def test_state_space_refusals_keep_their_messages(make, message):
+    with pytest.raises(StateSpaceError) as err:
+        make()
+    assert type(err.value) is StateSpaceError and str(err.value) == message
