@@ -181,9 +181,8 @@ def _emit_json(payload: dict, out: str | None) -> None:
 
 def _out_paths(config: RunConfig, *names: str) -> list[str]:
     """Where each output goes: into the ``--out`` directory, or to ``--out``
-    itself if it has a suffix and there is one output.  Creates missing
-    directories, so call it after the run and every check that can refuse
-    it: a refused input, run or ``--out`` writes nothing."""
+    itself if it has a suffix and there is one output.  Creates nothing, so
+    call it before the run; :func:`_made` creates the directories after it."""
     if config.out is None:
         return list(names)
     path = Path(config.out)
@@ -192,8 +191,14 @@ def _out_paths(config: RunConfig, *names: str) -> list[str]:
             f"--out {config.out} names one file, but {config.command} writes "
             f"{len(names)} ({', '.join(names)}); give a directory"
         )
-    (path.parent if path.suffix else path).mkdir(parents=True, exist_ok=True)
     return [str(path)] if path.suffix else [str(path / name) for name in names]
+
+
+def _made(paths: list[str]) -> list[str]:
+    """``paths``, their directories created: call it once the run has succeeded."""
+    for path in paths:
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+    return paths
 
 
 def _cmd_solve(config: RunConfig) -> int:
@@ -201,11 +206,12 @@ def _cmd_solve(config: RunConfig) -> int:
     start = master.ProbabilityTable.point_mass(
         states.MassDistribution.monodisperse(config.n_bins)
     )
-    series = master.evolve_series(start, table, config.steps)
     paths = _out_paths(
         config, "expected_counts.csv", "probabilities.csv",
         *(["solve.json"] if config.format == "json" and config.out else []),
     )
+    series = master.evolve_series(start, table, config.steps)
+    _made(paths)
     master.write_expected_series(series, paths[0])
     master.write_probability_series(series, paths[1])
     final = series[-1]
@@ -227,17 +233,19 @@ def _cmd_solve(config: RunConfig) -> int:
 def _cmd_simulate(config: RunConfig) -> int:
     table = _table_from_config(config)
     if config.mode == "tree":
+        paths = _out_paths(config, "division_probabilities.csv", "branches.csv")
         branches = sorted(division.run_tree(table, config.steps), key=lambda b: b.history)
         merged = division.merge_branches(branches, config.steps)
-        paths = _out_paths(config, "division_probabilities.csv", "branches.csv")
+        _made(paths)
         master.write_csv(paths[1], ["history", "state_id", "probability"], blocks=[[
             ["|".join(map(str, branch.history)) for branch in branches],
             [master.state_id(branch.state) for branch in branches],
             [branch.prob for branch in branches],
         ]])
     else:
-        merged = division.run_merged(table, config.steps)
         paths = _out_paths(config, "division_probabilities.csv")
+        merged = division.run_merged(table, config.steps)
+        _made(paths)
     master.write_probability_series([merged], paths[0])
     if config.check_master:
         start = master.ProbabilityTable.point_mass(
@@ -262,7 +270,7 @@ def _cmd_emulate(config: RunConfig) -> int:
     report = fixedpoint.estimate_eps_calculation(
         config.n_eps, table, samples=config.samples, include_gap=config.include_gap
     )
-    [path] = _out_paths(config, "sweep.csv")
+    [path] = _made(_out_paths(config, "sweep.csv"))
     master.write_csv(
         path,
         ["n_eps", "eps_arcsin", "max_error", "mean_error", "samples"],
@@ -277,16 +285,15 @@ def _cmd_emulate(config: RunConfig) -> int:
 
 
 def _cmd_arcsine_fit(config: RunConfig) -> int:
+    paths = _out_paths(config, "arcsine_table.csv",
+                       *([] if config.n_eps is None else ["arcsine_coefficients.json"]))
     pp = arcsine.min_pieces(config.degree, config.eps)
     quantized = None if config.n_eps is None else fixedpoint.quantize_arcsine(pp, config.n_eps)
-    paths = _out_paths(
-        config, "arcsine_table.csv", *([] if quantized is None else ["arcsine_coefficients.json"])
-    )
     verified = arcsine.verify(pp, grid_factor=2)
     print(f"d={config.degree} eps={config.eps:g}: M={pp.piece_count} "
           f"(max grid error {pp.max_recorded_error():.3e}, verified {verified:.3e})")
     rows = [(config.eps, config.degree, pp.piece_count, pp.max_recorded_error())]
-    master.write_csv(paths[0], _ARCSINE_TABLE_HEADER, rows)
+    master.write_csv(_made(paths)[0], _ARCSINE_TABLE_HEADER, rows)
     if quantized is not None:
         payload = {
             "command": "arcsine-fit",
@@ -301,7 +308,7 @@ def _cmd_arcsine_fit(config: RunConfig) -> int:
 
 def _cmd_estimate(config: RunConfig) -> int:
     report = resources.estimate_case(_case_from_config(config), bin_index=config.bin_index)
-    [path] = _out_paths(config, f"resources.{config.format}")
+    [path] = _made(_out_paths(config, f"resources.{config.format}"))
     if config.format == "csv":
         master.write_csv(
             path,
@@ -315,7 +322,7 @@ def _cmd_estimate(config: RunConfig) -> int:
 
 
 def _cmd_reproduce_tables(config: RunConfig) -> int:
-    table_path, diff_path = _out_paths(config, "arcsine_table.csv", "table_diff.txt")
+    paths = _out_paths(config, "arcsine_table.csv", "table_diff.txt")
     failures = 0
     lines = []
     for name, case in PRESET_CASES.items():
@@ -361,6 +368,7 @@ def _cmd_reproduce_tables(config: RunConfig) -> int:
         lines.append(f"PASS arcsine exact matches {exact}/{asserted}")
     print("\n".join(lines))
     if config.out:
+        table_path, diff_path = _made(paths)
         master.write_csv(table_path, _ARCSINE_TABLE_HEADER, table_rows)
         Path(diff_path).write_text("\n".join(lines) + "\n")
     return EXIT_OK if failures == 0 else EXIT_MISMATCH
@@ -401,7 +409,7 @@ def run(config: RunConfig) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except master.StepSizeError as exc:
+    except states.StepSizeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_STEP_SIZE
     except (states.ResourceLimitError, division.BranchCapError) as exc:

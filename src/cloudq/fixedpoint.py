@@ -82,15 +82,8 @@ class FixedPointValue:
         return float(self.exact)
 
 
-def fp_encode(x, width: int, mode: str = "real") -> FixedPointValue:
-    """Truncate ``x`` toward zero onto an ``width``-bit register."""
-    if mode == "integer":
-        if x != int(x):
-            raise FixedPointError(f"integer mode needs an integer, got {x}")
-        bits = int(x)
-        if not 0 <= bits < (1 << width):
-            raise FixedPointRangeError(f"{x} outside [0, 2**{width})")
-        return FixedPointValue(bits, width, "integer")
+def fp_encode(x, width: int) -> FixedPointValue:
+    """Truncate ``x`` toward zero onto an ``width``-bit real-mode register."""
     # exactly num/den, as Fraction(x) reads a float (NaN and inf raise alike)
     num, den = (x if isinstance(x, float) else Fraction(x)).as_integer_ratio()
     if num < 0 or num >= 2 * den:
@@ -133,7 +126,7 @@ def fp_mul_const_int_ui(
     """
     if a.mode != "integer":
         raise FixedPointError("fp_mul_const_int_ui needs an integer operand")
-    encoded = fp_encode(constant, const_width, "real")
+    encoded = fp_encode(constant, const_width)
     bits = a.bits * encoded.bits
     if bits > (1 << (const_width - 1)):
         raise FixedPointRangeError(
@@ -370,7 +363,7 @@ def _pi_half_bits(width: int) -> int:
 
 @dataclass(frozen=True)
 class PipelineTrace:
-    """Every intermediate of one transition-probability evaluation."""
+    """Every intermediate of one angle evaluation, then the angle's error."""
 
     n_i: int
     n_j: int
@@ -385,13 +378,7 @@ class PipelineTrace:
     quotient: FixedPointValue
     arcsin_out: FixedPointValue
     theta: FixedPointValue
-
-
-@dataclass(frozen=True)
-class UpPipelineResult:
-    theta: FixedPointValue
     error: float
-    trace: PipelineTrace
 
 
 def emulate_up_pipeline(
@@ -402,12 +389,13 @@ def emulate_up_pipeline(
     width: int,
     table: QuantizedArcsine,
     force_branch: bool | None = None,
-) -> UpPipelineResult:
+) -> PipelineTrace:
     """Run the full rotation-angle pipeline on ``width``-bit registers.
 
-    Returns the computed angle together with its deviation from
-    ``arcsin(sqrt(r/s))`` evaluated on the encoded inputs, so the error
-    reflects the arithmetic itself rather than input rounding.
+    Returns the trace of every register, ending with the angle ``theta``
+    and its ``error``, the deviation from ``arcsin(sqrt(r/s))`` evaluated
+    on the encoded inputs, so the error reflects the arithmetic itself
+    rather than input rounding.
     ``force_branch`` overrides the comparison outcome for boundary tests.
     """
     if n_i < 0 or n_j < 0:
@@ -436,14 +424,12 @@ def emulate_up_pipeline(
     else:
         theta = arcsin_out
     modified = r_fp.bits / s_fp.bits  # float(r/s): int true division rounds correctly
-    reference = math.asin(math.sqrt(modified))
-    error = abs(theta.value - reference)
-    trace = PipelineTrace(
+    return PipelineTrace(
         n_i=n_i, n_j=n_j, k_dt=k_fp, s_next=s_fp, product=product, r=r_fp, z=z,
         w=w_fp, sqrt_w=sqrt_w, sqrt_s=sqrt_s, quotient=quotient,
         arcsin_out=arcsin_out, theta=theta,
+        error=abs(theta.value - math.asin(math.sqrt(modified))),
     )
-    return UpPipelineResult(theta=theta, error=error, trace=trace)
 
 
 @dataclass(frozen=True)
@@ -509,9 +495,9 @@ def estimate_eps_calculation(
     worst = 0.0
     total = 0.0
     for n_i, n_j, kdt, s in sweep_inputs(samples, include_gap=include_gap):
-        result = emulate_up_pipeline(n_i, n_j, kdt, s, width, table)
-        worst = max(worst, result.error)
-        total += result.error
+        error = emulate_up_pipeline(n_i, n_j, kdt, s, width, table).error
+        worst = max(worst, error)
+        total += error
     return EpsSweepReport(
         width=width,
         eps_arcsin=table.source_eps,

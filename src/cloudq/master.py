@@ -19,7 +19,6 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .states import MassDistribution, StateSpaceError, TransitionTable
-from .states import StepSizeError  # noqa: F401  (callers catch master.StepSizeError)
 
 PROB_TOL = 1e-12
 

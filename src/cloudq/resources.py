@@ -148,7 +148,7 @@ class EstimationCase:
     def __post_init__(self) -> None:
         if self.n_bins < 2 or self.time_steps < 1:
             raise ResourceModelError("need n_bins >= 2 and time_steps >= 1")
-        for name in ("degree", "pieces"):
+        for name in ("n_eps", "degree", "pieces"):
             if getattr(self, name) < 1:
                 raise ResourceModelError(f"need {name} >= 1, got {getattr(self, name)}")
         for name in ("eps_rotation", "eps_estimation", "eps_c", "delta"):

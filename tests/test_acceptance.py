@@ -249,7 +249,7 @@ def test_fixedpoint_pipeline_error():
     report = fixedpoint.estimate_eps_calculation(n_eps, table, samples=10_000)
     arcsine_worst = 0.0
     for n_i, n_j, kdt, s in fixedpoint.sweep_inputs(10_000):
-        trace = fixedpoint.emulate_up_pipeline(n_i, n_j, kdt, s, n_eps, table).trace
+        trace = fixedpoint.emulate_up_pipeline(n_i, n_j, kdt, s, n_eps, table)
         exact = math.asin(trace.quotient.value)
         arcsine_worst = max(arcsine_worst, abs(trace.arcsin_out.value - exact))
     charged = PRESET_CASES["paper-case-1"].calculation_eps

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from cloudq import arcsine, division, fixedpoint, states
+from cloudq import arcsine, division, fixedpoint, master, states
 from cloudq.cli import (
     EXIT_CONFIG,
     EXIT_MISMATCH,
@@ -342,7 +342,8 @@ def test_estimate_bad_bin_exits_config_and_writes_nothing(tmp_path, capsys, bin_
             pytest.param(["estimate", "--preset", "paper-case-1", flag, value], "o9/y",
                          f"need {name} >= 1, got {value}", id=f"estimate-{name}{value}")
             for flag, name, value in (("--d", "degree", "0"), ("--d", "degree", "-2"),
-                                      ("--M-eps", "pieces", "0"), ("--M-eps", "pieces", "-3"))
+                                      ("--M-eps", "pieces", "0"), ("--M-eps", "pieces", "-3"),
+                                      ("--n-eps", "n_eps", "0"))
         ),
     ],
 )
@@ -381,7 +382,13 @@ def test_emulate_refuses_before_any_fit(tmp_path, capsys, monkeypatch, argv, mes
         pytest.param(["reproduce-tables"], id="reproduce-tables"),
     ],
 )
-def test_out_file_for_several_outputs_exits_config(tmp_path, capsys, argv):
+def test_out_file_for_several_outputs_exits_config(tmp_path, capsys, monkeypatch, argv):
+    def work(*args, **kwargs):
+        raise AssertionError("the run or fit started before the --out refusal")
+
+    for module, name in ((master, "evolve_series"), (division, "run_tree"),
+                         (arcsine, "min_pieces")):
+        monkeypatch.setattr(module, name, work)
     assert main(argv + ["--out", str(tmp_path / "r.csv")]) == EXIT_CONFIG
     assert "--out" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []  # refused before anything is written

@@ -1,6 +1,10 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +25,6 @@ from cloudq.division import (
 )
 from cloudq.master import (
     ProbabilityTable,
-    StepSizeError,
     evolve,
     expected_count,
 )
@@ -31,6 +34,7 @@ from cloudq.states import (
     LabelError,
     MassDistribution,
     StateSpaceError,
+    StepSizeError,
     build_transition_table,
     enumerate_states,
     total_transition_rate,
@@ -567,3 +571,15 @@ def test_semantics_walk_builds_no_probability_tree(monkeypatch):
     table = build_transition_table(8, KernelSpec(k0=Fraction(1)), Fraction(1, 50))
     report = history_label_semantics_check(table, 4)
     assert report.ok and report.branches_checked > 0
+
+
+def test_import_loads_only_the_solver_stack():
+    # a fresh interpreter, since this one has imported every module: the
+    # package root re-exports nothing, so division pulls in no circuit
+    # module and no mpmath
+    probe = ("import sys, cloudq.division; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] in ('cloudq', 'mpmath')))")
+    env = {**os.environ, "PYTHONPATH": str(Path(division.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout == "['cloudq', 'cloudq.division', 'cloudq.master', 'cloudq.states']\n"

@@ -14,7 +14,6 @@ from cloudq import master
 from cloudq.master import (
     ProbabilityTable,
     SsaConfig,
-    StepSizeError,
     evolve,
     evolve_series,
     expected_count,
@@ -30,6 +29,7 @@ from cloudq.states import (
     KernelSpec,
     MassDistribution,
     StateSpaceError,
+    StepSizeError,
     build_transition_table,
     enumerate_states,
     total_transition_rate,

@@ -270,6 +270,8 @@ def test_ushift_total_sums_the_pair_formula():
 
 
 _CASE_REFUSALS = [
+    ("n_eps", 0, "need n_eps >= 1, got 0"),
+    ("n_eps", -3, "need n_eps >= 1, got -3"),
     ("degree", 0, "need degree >= 1, got 0"),
     ("degree", -2, "need degree >= 1, got -2"),
     ("pieces", 0, "need pieces >= 1, got 0"),
