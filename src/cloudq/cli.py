@@ -287,6 +287,8 @@ def _cmd_emulate(config: RunConfig) -> int:
 def _cmd_arcsine_fit(config: RunConfig) -> int:
     paths = _out_paths(config, "arcsine_table.csv",
                        *([] if config.n_eps is None else ["arcsine_coefficients.json"]))
+    if config.n_eps is not None:
+        fixedpoint.require_positive("width", config.n_eps)  # before the fit
     pp = arcsine.min_pieces(config.degree, config.eps)
     quantized = None if config.n_eps is None else fixedpoint.quantize_arcsine(pp, config.n_eps)
     verified = arcsine.verify(pp, grid_factor=2)

@@ -58,7 +58,6 @@ def divide_step(
     length ``step - 1``.  Children with exactly zero probability are not
     emitted.  Each branch's state must pass the step-size check.
     """
-    op = table.operator
     out: list[HistoryBranch] = []
     for branch in branches:
         if len(branch.history) != step - 1:
@@ -66,8 +65,8 @@ def divide_step(
                 f"branch history length {len(branch.history)} != step-1 = {step - 1}"
             )
         out.extend([
-            HistoryBranch(branch.history + (label,), op.states[target], branch.prob * weight)
-            for label, target, weight in op.children(op.index(branch.state))
+            HistoryBranch(branch.history + (label,), table.states[target], branch.prob * weight)
+            for label, target, weight in table.children(table.index(branch.state))
         ])
     return out
 
@@ -91,7 +90,7 @@ def run_tree(
     if steps < 0:
         raise StateSpaceError(f"need steps >= 0, got {steps}")
     state = initial or MassDistribution.monodisperse(table.num_bins)
-    branches = [HistoryBranch(history=(), state=state, prob=table.operator.one)]
+    branches = [HistoryBranch(history=(), state=state, prob=table.one)]
     for step in range(1, steps + 1):
         _check_cap(len(branches), table, step, branch_cap)
         branches = divide_step(branches, table, step)
@@ -111,11 +110,10 @@ def run_merged(table: TransitionTable, steps: int) -> ProbabilityTable:
     support, which the table lists, is the rows of the terms from the last
     one; once a step repeats it, it is final.
     """
-    op = table.operator
-    start = op.index(MassDistribution.monodisperse(table.num_bins))
-    prog = op.program([start], steps, sequential=True)
-    size = len(op.states)
-    prob = prog.vector(size, [start], [op.one])
+    start = table.index(MassDistribution.monodisperse(table.num_bins))
+    prog = table.program([start], steps, sequential=True)
+    size = len(table.states)
+    prob = prog.vector(size, [start], [table.one])
     present = np.zeros(size, dtype=bool)
     present[start] = True
     final = False
@@ -127,8 +125,8 @@ def run_merged(table: TransitionTable, steps: int) -> ProbabilityTable:
             reached = np.zeros(size, dtype=bool)
             reached[prog.row[present[prog.col]]] = True
             final, present = np.array_equal(reached, present), reached
-    kept = sorted(np.flatnonzero(present).tolist(), key=lambda k: op.states[k].counts)
-    return ProbabilityTable.listed([op.states[k] for k in kept], prob[kept], steps)
+    kept = sorted(np.flatnonzero(present).tolist(), key=lambda k: table.states[k].counts)
+    return ProbabilityTable.listed([table.states[k] for k in kept], prob[kept], steps)
 
 
 def amplitude_expectation(distribution: ProbabilityTable, bin_index: int):
@@ -188,14 +186,13 @@ def history_label_semantics_check(
     schedule ``resources.estimate_case`` charges, one ``U_add`` after every
     division but the last.  ``branches_checked`` counts those children.
     Each history is also replayed with :func:`~cloudq.states.apply_transition`,
-    and every final replay must equal the history's state.  The operator's
+    and every final replay must equal the history's state.  The table's
     rows are walked level by level, one entry per (state, replay) counting
     the histories that reach it: they share their future, so each entry is
     replayed once and counted with that multiplicity.
     """
     if steps < 0:
         raise StateSpaceError(f"need steps >= 0, got {steps}")
-    op = table.operator
     start = initial or MassDistribution.monodisperse(table.num_bins)
     registers = [_history_register(table.num_labels, h) for h in range(table.num_labels + 1)]
     level = {(start, start): 1}  # (state, replay) -> histories, in run_tree's order
@@ -204,9 +201,9 @@ def history_label_semantics_check(
         _check_cap(sum(level.values()), table, step, _BRANCH_CAP)
         nxt = {}
         for (state, replay), count in level.items():
-            for label, target, _ in op.children(op.index(state)):
+            for label, target, _ in table.children(table.index(state)):
                 after = apply_transition(table, replay, label) if label else replay
-                key = (op.states[target], after)
+                key = (table.states[target], after)
                 nxt[key] = nxt.get(key, 0) + count
                 checked += count
                 mismatches += count * (registers[label] != label)

@@ -64,6 +64,8 @@ class FixedPointValue:
 
     def __post_init__(self) -> None:
         require_positive("width", self.width)
+        if not isinstance(self.bits, int):
+            raise FixedPointError(f"bits must be an int, got {self.bits!r}")
         if not 0 <= self.bits < (1 << self.width):
             raise FixedPointRangeError(
                 f"bits {self.bits} outside [0, 2**{self.width})"
@@ -84,6 +86,7 @@ class FixedPointValue:
 
 def fp_encode(x, width: int) -> FixedPointValue:
     """Truncate ``x`` toward zero onto an ``width``-bit real-mode register."""
+    require_positive("width", width)
     # exactly num/den, as Fraction(x) reads a float (NaN and inf raise alike)
     num, den = (x if isinstance(x, float) else Fraction(x)).as_integer_ratio()
     if num < 0 or num >= 2 * den:

@@ -97,15 +97,14 @@ def _steps(
     keys first reach at that step, whatever their values.  Each table holds
     the values of the listing's first states up to its step's level.
     """
-    op = table.operator
-    keys, values = [op.index(s) for s in p0.entries], list(p0.entries.values())
-    prog = op.program([k for k, v in zip(keys, values) if v != 0], steps)
-    size = len(op.states)  # the operator may hold other runs' states too
+    keys, values = [table.index(s) for s in p0.entries], list(p0.entries.values())
+    prog = table.program([k for k, v in zip(keys, values) if v != 0], steps)
+    size = len(table.states)  # the table may hold other runs' states too
     order, ends, start = list(keys), [], set(keys)
     for level in prog.levels:
         order.extend(k for k in level if k not in start)  # an empty key may be reached
         ends.append(len(order))
-    listing, order = [op.states[k] for k in order], np.array(order, dtype=np.intp)
+    listing, order = [table.states[k] for k in order], np.array(order, dtype=np.intp)
     prob = prog.vector(size, keys, values)
     out = []
     for step, end in enumerate(ends, start=p0.step + 1):
@@ -178,18 +177,17 @@ def ssa_trajectory(
     initial: MassDistribution | None = None,
 ) -> MassDistribution:
     """One exact Gillespie trajectory, returning the state at ``t_end``."""
-    op = table.operator
-    k = op.index(initial or MassDistribution.monodisperse(table.num_bins))
+    k = table.index(initial or MassDistribution.monodisperse(table.num_bins))
     t = 0.0
     while True:
-        event_rate, targets, cdf = op.events(k)
+        event_rate, targets, cdf = table.events(k)
         if event_rate <= 0:
             break
         t += rng.exponential(1.0 / event_rate)
         if t > t_end:
             break
         k = targets[bisect.bisect_left(cdf, rng.random())]
-    return op.states[k]
+    return table.states[k]
 
 
 def ssa_population_estimate(

@@ -15,7 +15,6 @@ import numbers
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import chain, compress
 from typing import Iterator, NamedTuple, Sequence
 
@@ -134,36 +133,6 @@ class KernelSpec:
         return value
 
 
-@dataclass(frozen=True)
-class TransitionTable:
-    """Label <-> bin-pair bijection with kernel values and time step.
-
-    Labels ``1..H`` enumerate the pairs in lexicographic ``(i, j)`` order
-    (``i <= j``, ``i + j <= N``); label 0 is the reserved no-transition
-    case and is not stored.
-    """
-
-    num_bins: int
-    dt: float
-    pairs: tuple[tuple[int, int], ...]
-    kernel_values: tuple[float, ...]
-
-    @property
-    def num_labels(self) -> int:
-        """Total number of collision labels ``H``."""
-        return len(self.pairs)
-
-    def pair_of(self, label: int) -> tuple[int, int]:
-        if not 1 <= label <= self.num_labels:
-            raise LabelError(f"label {label} outside [1, {self.num_labels}]")
-        return self.pairs[label - 1]
-
-    @cached_property
-    def operator(self) -> "TransitionOperator":
-        """The compiled transition operator; built once, lives with the table."""
-        return TransitionOperator(self)
-
-
 def label_pair_count(n_bins: int) -> int:
     """Closed-form pair count: ``N^2/4`` for even ``N``, ``(N^2-1)/4`` odd."""
     if n_bins % 2 == 0:
@@ -226,10 +195,9 @@ def transition_rate(table: TransitionTable, state: MassDistribution, label: int)
 
 
 def total_transition_rate(table: TransitionTable, state: MassDistribution):
-    """``sum_h r_h(state)``, read off the state's operator row (compiled
-    on first use); must stay <= 1 for a valid explicit step."""
-    op = table.operator
-    return op.row(op.index(state)).total
+    """``sum_h r_h(state)``, read off the state's row (compiled on first
+    use); must stay <= 1 for a valid explicit step."""
+    return table.row(table.index(state)).total
 
 
 def apply_pair(state: MassDistribution, i: int, j: int) -> MassDistribution:
@@ -261,12 +229,12 @@ def apply_transition(table: TransitionTable, state: MassDistribution, label: int
 class OperatorRow(NamedTuple):
     """One compiled state: its transitions with ``r_h != 0``, in label order.
 
-    ``targets`` are operator indices of the post-collision states.
+    ``targets`` are the state indices of the post-collision states.
     ``weights`` and ``hold`` are the division model's sequential split
     (labels visited ``H..1``, label ``h`` claiming ``r_h / s_{h+1}`` of
-    what is unclaimed) and its remainder ``s_1``.  Only :class:`TransitionOperator` reads a row; other
-    modules see its :meth:`~TransitionOperator.children`,
-    :meth:`~TransitionOperator.events` and step programs.
+    what is unclaimed) and its remainder ``s_1``.  Only :class:`TransitionTable`
+    reads a row; other modules see its :meth:`~TransitionTable.children`,
+    :meth:`~TransitionTable.events` and step programs.
     """
 
     labels: tuple[int, ...]
@@ -278,13 +246,13 @@ class OperatorRow(NamedTuple):
 
 
 class StepProgram(NamedTuple):
-    """A run's step as a sparse map over operator indices.
+    """A run's step as a sparse map over state indices.
 
     One step adds ``prob[col] * coef`` into ``row``, term by term, in
     stored order, so each state's sum runs in that order: for the solver,
     every outflow ``(src, src, -r_h)``, then every inflow ``(dst, src,
     r_h)``, each in ascending (source counts, label) order; for the
-    division model, every :meth:`TransitionOperator.children` term
+    division model, every :meth:`TransitionTable.children` term
     ``(target, k, weight)``, stably sorted by label from ascending counts
     order, so the holds ``(k, k, s_1)`` come first.  ``coef``
     holds the table's number type: float64 on a float table, Python
@@ -325,8 +293,14 @@ class StepProgram(NamedTuple):
         np.add.at(out, row, prob[col] * coef)
 
 
-class TransitionOperator:
-    """Sparse transition rows of one table, compiled per state on first use.
+@dataclass(frozen=True)
+class TransitionTable:
+    """Label <-> bin-pair bijection with kernel values and time step, and
+    the sparse transition rows it compiles, per state on first use.
+
+    Labels ``1..H`` enumerate the pairs in lexicographic ``(i, j)`` order
+    (``i <= j``, ``i + j <= N``); label 0 is the reserved no-transition
+    case and is not stored.
 
     A state gets an index when first seen, as a start state or as the
     target of a compiled row; its row is compiled when a run first needs
@@ -334,28 +308,39 @@ class TransitionOperator:
     the whole state space.  The solver and the merged division model,
     float or rational, step on the one map :meth:`program` builds; the
     history tree reads :meth:`children`, and the Gillespie sampler
-    :meth:`events`.
+    :meth:`events`.  The indexed ``states`` and the compiled rows are not
+    fields: equality, hash and repr read the four inputs alone.
     """
 
-    def __init__(self, table: TransitionTable) -> None:
-        self.num_bins = table.num_bins
-        self.num_labels = table.num_labels
+    num_bins: int
+    dt: float
+    pairs: tuple[tuple[int, int], ...]
+    kernel_values: tuple[float, ...]
+
+    def __post_init__(self) -> None:
         # programs run on float64 only when every r_h is a Python float
-        self.is_float = type(table.dt) is float and all(
-            type(k) is float for k in table.kernel_values
-        )
-        self.one = 1.0 if self.is_float else Fraction(1)  # keeps rationals exact
-        self.states: list[MassDistribution] = []
-        self._dt = table.dt
-        self._kernel = table.kernel_values
-        self._pairs = table.pairs
-        self._first_label = {i: h for h, (i, j) in enumerate(table.pairs, start=1) if i == j}
-        self._rows: list[OperatorRow | None] = []
-        self._index: dict[tuple[int, ...], int] = {}
-        self._events: dict[int, tuple[float, np.ndarray]] = {}
+        is_float = type(self.dt) is float and all(type(k) is float for k in self.kernel_values)
+        object.__setattr__(self, "is_float", is_float)
+        object.__setattr__(self, "one", 1.0 if is_float else Fraction(1))  # keeps rationals exact
+        object.__setattr__(self, "states", [])
+        object.__setattr__(self, "_rows", [])
+        object.__setattr__(self, "_index", {})
+        object.__setattr__(self, "_events", {})
+        first_label = {i: h for h, (i, j) in enumerate(self.pairs, start=1) if i == j}
+        object.__setattr__(self, "_first_label", first_label)
+
+    @property
+    def num_labels(self) -> int:
+        """Total number of collision labels ``H``."""
+        return len(self.pairs)
+
+    def pair_of(self, label: int) -> tuple[int, int]:
+        if not 1 <= label <= self.num_labels:
+            raise LabelError(f"label {label} outside [1, {self.num_labels}]")
+        return self.pairs[label - 1]
 
     def index(self, state: MassDistribution) -> int:
-        """Operator index of ``state``, assigned on first sight."""
+        """State index of ``state``, assigned on first sight."""
         if state.num_bins != self.num_bins:
             raise StateSpaceError(f"state {state.counts} does not have {self.num_bins} bins")
         found = self._index.get(state.counts)
@@ -384,7 +369,7 @@ class TransitionOperator:
                 if i + j > self.num_bins:
                     break
                 label = self._first_label[i] + j - i
-                rate = _pair_propensity(self._kernel[label - 1], counts, i, j) * self._dt
+                rate = _pair_propensity(self.kernel_values[label - 1], counts, i, j) * self.dt
                 if rate != 0:
                     after = list(counts)
                     after[i - 1] -= 1
@@ -393,7 +378,7 @@ class TransitionOperator:
                     labels.append(label)
                     targets.append(self._index_counts(tuple(after)))
                     rates.append(rate)
-        total = sum(rates, 0 * self._dt)
+        total = sum(rates, 0 * self.dt)
         # sequential split, labels H..1; a zero-rate label leaves s unchanged
         weights = [0 * total] * len(rates)
         remaining = 1 + 0 * total  # keeps Fraction inputs exact
@@ -420,9 +405,8 @@ class TransitionOperator:
             labels, counts = self.row(k).labels, self.states[k].counts
             dense = np.zeros(self.num_labels)
             stored = np.array(labels, dtype=np.intp) - 1
-            dense[stored] = [
-                _pair_propensity(self._kernel[h - 1], counts, *self._pairs[h - 1]) for h in labels
-            ]
+            dense[stored] = [_pair_propensity(self.kernel_values[h - 1], counts, *self.pairs[h - 1])
+                             for h in labels]
             event_rate = dense.sum()
             cdf = (np.cumsum(dense) / event_rate)[stored] if labels else dense[stored]
             found = self._events[k] = (event_rate, self._rows[k].targets, cdf)
@@ -449,7 +433,7 @@ class TransitionOperator:
 
     def program(self, sources: Sequence[int], steps: int, sequential: bool = False) -> StepProgram:
         """The step map for ``steps`` steps from ``sources``, over the
-        operator indices of the states they reach, for the solver or,
+        state indices of the states they reach, for the solver or,
         ``sequential``, the division model; where both runs are checked.
 
         The closure is built breadth first, and each level that will step

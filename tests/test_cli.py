@@ -347,7 +347,12 @@ def test_estimate_bad_bin_exits_config_and_writes_nothing(tmp_path, capsys, bin_
         ),
     ],
 )
-def test_refused_input_creates_nothing(tmp_path, capsys, argv, out, message):
+def test_refused_input_creates_nothing(tmp_path, capsys, monkeypatch, request, argv, out, message):
+    def fit(*args, **kwargs):
+        raise AssertionError("the arcsine table was fitted before the refusal")
+
+    if request.node.callspec.id.startswith("arcsine-fit-n-eps"):
+        monkeypatch.setattr(arcsine, "min_pieces", fit)
     assert main(argv + ["--out", str(tmp_path / out)]) == EXIT_CONFIG
     assert capsys.readouterr().err == f"error: {message}\n"
     assert list(tmp_path.iterdir()) == []

@@ -292,7 +292,7 @@ def test_children_are_the_merged_terms(kind):
     # program, the history tree and the sampler alike
     for n in range(2, 13):
         for table in _dyadic_tables(n, kind):
-            op = table.operator
+            op = table
             prog = op.program([op.index(MassDistribution.monodisperse(n))], n, sequential=True)
             assert set(prog.col.tolist()) == set(range(len(op.states)))  # every state steps
             for k in range(len(op.states)):
@@ -337,7 +337,7 @@ def test_step_size_checked_before_the_closure_compiles():
     start = MassDistribution.monodisperse(30)
     with pytest.raises(StepSizeError, match=r"\(30, 0,"):
         run_merged(table, 200)
-    op = table.operator
+    op = table
     assert [s for s, row in zip(op.states, op._rows) if row is not None] == [start]
     assert run_merged(table, 0).entries == {start: 1.0}
 
@@ -358,7 +358,7 @@ def test_step_size_checked_level_by_level_as_the_closure_compiles():
         "for state (4, 1, 0, 0, 0, 0); reduce dt"
     )
     # the start's row and the failing row; nothing deeper is compiled
-    assert sum(row is not None for row in table.operator._rows) == 2
+    assert sum(row is not None for row in table._rows) == 2
 
 
 def test_zero_steps_keep_the_table_number_type():
@@ -400,7 +400,7 @@ def _old_collide(table, state, label):
 def _old_tree(table, steps, start, branch_cap=500_000):
     if steps < 0:
         raise StateSpaceError(f"need steps >= 0, got {steps}")
-    op = table.operator
+    op = table
     branches = [((), start)]
     for step in range(1, steps + 1):
         if len(branches) * (table.num_labels + 1) > branch_cap:
@@ -473,7 +473,7 @@ def _corrupted_tables(n, kind, steps):
     # row's first and last targets swapped
     for pick in itertools.count():
         table = _dyadic_tables(n, kind)[pick % 2]
-        op = table.operator
+        op = table
         start = op.index(MassDistribution.monodisperse(n))
         op.program([start], steps, sequential=True)
         rows = [k for k, row in enumerate(op._rows) if row is not None and len(row.targets) > 1]
@@ -546,7 +546,7 @@ def test_checked_split_weights_are_the_rates(kind, n, share, exact):
     unit = build_transition_table(n, KernelSpec(kind, one), one)
     worst = max(total_transition_rate(unit, s) for s in enumerate_states(n))
     dt = Fraction(share).limit_denominator(1000) / worst if exact else share / worst
-    op = build_transition_table(n, KernelSpec(kind, one), dt).operator
+    op = build_transition_table(n, KernelSpec(kind, one), dt)
     checked = 0
     for state in enumerate_states(n):
         try:

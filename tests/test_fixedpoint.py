@@ -200,6 +200,23 @@ def test_pipeline_requires_valid_inputs(arcsine_table):
         emulate_up_pipeline(1, 1, 0.001, 1e-14, WIDTH, arcsine_table)
 
 
+@pytest.mark.parametrize("width", [0, -3])
+def test_width_below_one_is_refused_before_any_shift(arcsine_table, width):
+    # a shift by width - 1 < 0 raises a bare ValueError
+    message = f"^need width >= 1, got {width}$"
+    with pytest.raises(FixedPointError, match=message):
+        fp_encode(0.5, width)
+    with pytest.raises(FixedPointError, match=message):
+        emulate_up_pipeline(1, 1, 0.1, 0.5, width, arcsine_table)
+
+
+@pytest.mark.parametrize("bits", [2.5, 2.0, Fraction(5, 2), "3"])
+@pytest.mark.parametrize("mode", ["integer", "real"])
+def test_register_refuses_non_int_bits(bits, mode):
+    with pytest.raises(FixedPointError, match="^bits must be an int, got "):
+        FixedPointValue(bits, 4, mode)
+
+
 def test_sweep_regression_width_42(arcsine_table):
     report = estimate_eps_calculation(WIDTH, arcsine_table, samples=4000)
     assert report.max_error <= _pipeline_bound(arcsine_table.source_eps)

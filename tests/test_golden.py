@@ -189,7 +189,7 @@ def _corpus_digests(kind, k0, share, ns, steps, tmp_path):
             cfg = SsaConfig(n_runs=SSA_RUNS, seed=n, t_end=steps * table.dt)
             digests["ssa"].update(repr(ssa_population_estimate(table, cfg)).encode())
             # the sampler's tables of every state, bit for bit
-            op = table.operator
+            op = table
             for state in enumerate_states(n):
                 event_rate, _, cdf = op.events(op.index(state))
                 digests["events"].update(repr((float(event_rate), cdf.tolist())).encode())
@@ -212,7 +212,7 @@ def test_outputs_match_pinned_digests(case, tmp_path):
 def _masked_steps(p0, table, steps):
     # the float step as it was: mask the edges by prob != 0 each step and
     # accumulate only the moving flows
-    op = table.operator
+    op = table
     keys = [op.index(s) for s in p0.entries]
     sources = [k for k, v in zip(keys, p0.entries.values()) if v != 0]
     prog = op.program(sources, steps)
@@ -294,13 +294,13 @@ def test_runs_match_on_an_operator_holding_other_states(kind, k0, prefill):
     else:
         other = MassDistribution((n - 6, 1, 0, 1) + (0,) * (n - 4))
         evolve_series(ProbabilityTable({other: one}), table, n)
-    held = list(table.operator.states)
+    held = list(table.states)
     assert runs(table) == want
     # the prefill indexed states the runs never list, and in another order
     listed = {counts for _, entries in want for counts, _, _ in entries}
     assert {s.counts for s in held} - listed
-    assert table.operator.states[:len(held)] == held
-    assert table.operator.states != fresh.operator.states
+    assert table.states[:len(held)] == held
+    assert table.states != fresh.states
 
 
 @pytest.mark.parametrize("sequential", [False, True], ids=["solver", "division"])
@@ -311,7 +311,7 @@ def test_step_sums_each_row_in_stored_order(kind, k0, sequential):
     # left to right: a build that reorders or fuses a multiply-add fails it
     n = 12
     table = _table(n, kind, k0, type(k0)(9) / 10)
-    op = table.operator
+    op = table
     start = op.index(MassDistribution.monodisperse(n))
     prog = op.program([start], n, sequential)
     size = len(op.states)

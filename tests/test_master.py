@@ -272,7 +272,7 @@ def test_series_compiles_only_the_states_it_holds():
     # handful, and only those stepped from have compiled rows
     table = build_transition_table(60, KernelSpec(), 1e-5)
     series = evolve_series(ProbabilityTable.point_mass(MassDistribution.monodisperse(60)), table, 3)
-    op = table.operator
+    op = table
     compiled = {s for s, row in zip(op.states, op._rows) if row is not None}
     assert compiled == set(series[2].entries)
     assert set(op.states) == set(series[3].entries)
@@ -286,7 +286,7 @@ def test_step_size_checked_before_the_closure_compiles():
     for run in (evolve, evolve_series):
         with pytest.raises(StepSizeError, match=r"\(30, 0,"):
             run(p0, table, 200)
-    op = table.operator
+    op = table
     assert [s for s, row in zip(op.states, op._rows) if row is not None] == [p0.states()[0]]
     assert evolve(p0, table, 0) is p0 and evolve_series(p0, table, 0) == [p0]
     # a zero-probability key over the limit moves nothing and is not checked
@@ -318,7 +318,7 @@ def test_step_size_checked_level_by_level_as_the_closure_compiles():
             "for state (4, 1, 0, 0, 0, 0); reduce dt"
         )
         # the start's row and the failing row; nothing deeper is compiled
-        assert sum(row is not None for row in table.operator._rows) == 2
+        assert sum(row is not None for row in table._rows) == 2
 
 
 def test_negative_steps_rejected():
@@ -555,7 +555,7 @@ def test_listed_float_run_keeps_the_masked_bits(kind):
         {s: cycle[i % len(cycle)] for i, s in enumerate(enumerate_states(n))}
     )
     series = evolve_series(p0, table, steps)
-    op = table.operator
+    op = table
     keys = [op.index(s) for s in p0.entries]
     prog = op.program(keys, steps)
     prob = prog.vector(len(op.states), keys, list(p0.entries.values()))
@@ -662,7 +662,7 @@ def test_hand_built_series_csv_matches_the_per_cell_writer(tmp_path):
 def _parent_steps(p0, table, steps):
     # the run's tables as each step's dict of every listed state, as the
     # solver kept them before it kept arrays
-    op = table.operator
+    op = table
     keys = [op.index(s) for s in p0.entries]
     prog = op.program([k for k, v in zip(keys, p0.entries.values()) if v != 0], steps)
     size, order, listed = len(op.states), list(keys), set(keys)
@@ -718,7 +718,7 @@ def test_ssa_draws_match_uniform_and_searchsorted(seed):
     draws = [a.random() for _ in range(200)]
     assert draws == [b.uniform() for _ in range(200)]
     table = build_transition_table(9, KernelSpec("product", 0.7), 0.001)
-    op = table.operator
+    op = table
     tied = np.array([0.0, 0.25, 0.25, 0.5, 1.0])
     cdfs = [op.events(op.index(s))[2] for s in enumerate_states(9)] + [tied]
     for cdf in cdfs:
@@ -741,7 +741,7 @@ class _OneEvent:
 
 def test_ssa_event_on_a_tied_draw_takes_the_searchsorted_target():
     table = build_transition_table(7, KernelSpec("sum", 0.5), 0.01)
-    op = table.operator
+    op = table
     for state in enumerate_states(7):
         _, targets, cdf = op.events(op.index(state))
         for u in [0.0, *cdf.tolist()]:

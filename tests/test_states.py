@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -229,7 +230,7 @@ def test_one_transition_rule(kind, k0, dt):
     # their sum, and the post-collision states of apply_transition
     for n in range(2, 13):
         table = build_transition_table(n, KernelSpec(kind, k0), dt)
-        op = table.operator
+        op = table
         for state in enumerate_states(n):
             row = op.row(op.index(state))
             rates = {h: transition_rate(table, state, h) for h in range(1, table.num_labels + 1)}
@@ -243,6 +244,36 @@ def test_one_transition_rule(kind, k0, dt):
             assert repr(total_transition_rate(table, state)) == repr(total)
             for label, target in zip(row.labels, row.targets):
                 assert op.states[target] == apply_transition(table, state, label)
+
+
+@pytest.mark.parametrize(
+    "k0, dt", [(0.7, 0.013), (Fraction(7, 10), Fraction(13, 1000))], ids=["float", "fraction"]
+)
+def test_table_compares_by_its_four_inputs_alone(k0, dt):
+    # the indexed states, compiled rows, event tables and programs live on
+    # the table but outside its fields
+    used, fresh = (build_transition_table(6, KernelSpec("sum", k0), dt) for _ in range(2))
+    start = used.index(MassDistribution.monodisperse(6))
+    used.program([start], 5, sequential=True)
+    used.events(start)
+    assert len(used.states) == 11 and fresh.states == []
+    assert used == fresh and hash(used) == hash(fresh)
+    assert len({used, fresh}) == 1
+    assert [f.name for f in dataclasses.fields(used)] == ["num_bins", "dt", "pairs", "kernel_values"]
+    assert repr(used) == repr(fresh) == (
+        f"TransitionTable(num_bins=6, dt={dt!r}, pairs={used.pairs!r}, "
+        f"kernel_values={used.kernel_values!r})"
+    )
+
+
+def test_replaced_table_compiles_its_own_rows():
+    table = build_transition_table(6, KernelSpec("sum", 0.7), 0.013)
+    mono = MassDistribution.monodisperse(6)
+    total = total_transition_rate(table, mono)
+    halved = dataclasses.replace(table, dt=0.0065)
+    assert halved.states == [] and halved != table
+    assert total_transition_rate(halved, mono) == total / 2  # a power of two: exact
+    assert halved.states == table.states == [mono, MassDistribution((4, 1, 0, 0, 0, 0))]
 
 
 def test_table_kernel_smaller_than_n_names_the_missing_entry():
@@ -265,7 +296,7 @@ def test_table_kernel_smaller_than_n_names_the_missing_entry():
             "kernel table entry K(1,2) = -0.5 < 0", id="table-negative",
         ),
         pytest.param(
-            lambda: build_transition_table(3, KernelSpec(), 0.01).operator.index(
+            lambda: build_transition_table(3, KernelSpec(), 0.01).index(
                 MassDistribution((2, 1, 0, 0))
             ),
             "state (2, 1, 0, 0) does not have 3 bins", id="index-wrong-n",
