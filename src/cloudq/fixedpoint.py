@@ -1,10 +1,10 @@
 """Bit-exact emulation of the unsigned fixed-point arithmetic pipeline.
 
-Registers are ``n``-bit unsigned words.  Real mode carries one integer
-bit: ``value = bits * 2**-(n-1)`` on ``[0, 2 - 2**-(n-1)]``; integer mode
-is a plain unsigned integer.  Every operation truncates toward zero, the
-cheapest convention for the corresponding reversible circuits, so no
-result ever exceeds its exact real value.
+Registers are ``n``-bit unsigned words with one integer bit:
+``value = bits * 2**-(n-1)`` on ``[0, 2 - 2**-(n-1)]``.  The droplet
+counts and their product are exact Python ints.  Every operation
+truncates toward zero, the cheapest convention for the corresponding
+reversible circuits, so no result ever exceeds its exact real value.
 
 The Horner steps of ``fp_arcsin_pp`` (``ARCSIN``, about n full-width
 controlled adders per step) keep every partial-product bit, so each
@@ -49,18 +49,20 @@ class DivisionByZeroError(FixedPointError):
 
 
 def require_positive(name: str, value: int) -> None:
-    """Refuse a register width or sample count below one."""
+    """Refuse a register width or sample count that is not an int of at
+    least one (a ``bool`` is not a count)."""
+    if type(value) is not int:
+        raise FixedPointError(f"{name} must be an int, got {value!r}")
     if value < 1:
         raise FixedPointError(f"need {name} >= 1, got {value}")
 
 
 @dataclass(frozen=True)
 class FixedPointValue:
-    """An ``width``-bit unsigned word in real or integer mode."""
+    """An ``width``-bit unsigned word with one integer bit."""
 
     bits: int
     width: int
-    mode: str = "real"
 
     def __post_init__(self) -> None:
         require_positive("width", self.width)
@@ -70,13 +72,9 @@ class FixedPointValue:
             raise FixedPointRangeError(
                 f"bits {self.bits} outside [0, 2**{self.width})"
             )
-        if self.mode not in ("real", "integer"):
-            raise FixedPointError(f"unknown mode {self.mode!r}")
 
     @property
     def exact(self) -> Fraction:
-        if self.mode == "integer":
-            return Fraction(self.bits)
         return Fraction(self.bits, 1 << (self.width - 1))
 
     @property
@@ -85,21 +83,19 @@ class FixedPointValue:
 
 
 def fp_encode(x, width: int) -> FixedPointValue:
-    """Truncate ``x`` toward zero onto an ``width``-bit real-mode register."""
+    """Truncate ``x`` toward zero onto an ``width``-bit register."""
     require_positive("width", width)
     # exactly num/den, as Fraction(x) reads a float (NaN and inf raise alike)
     num, den = (x if isinstance(x, float) else Fraction(x)).as_integer_ratio()
     if num < 0 or num >= 2 * den:
         raise FixedPointRangeError(f"{x} outside the real-mode range [0, 2)")
     bits = (num << (width - 1)) // den  # floor for non-negative values
-    return FixedPointValue(bits, width, "real")
+    return FixedPointValue(bits, width)
 
 
 def _require(a: FixedPointValue, b: FixedPointValue) -> None:
-    if a.width != b.width or a.mode != b.mode:
-        raise FixedPointError(
-            f"operand mismatch: {a.width}-bit {a.mode} vs {b.width}-bit {b.mode}"
-        )
+    if a.width != b.width:
+        raise FixedPointError(f"operand mismatch: {a.width}-bit vs {b.width}-bit")
 
 
 def fp_sub(a: FixedPointValue, b: FixedPointValue) -> FixedPointValue:
@@ -108,54 +104,37 @@ def fp_sub(a: FixedPointValue, b: FixedPointValue) -> FixedPointValue:
     bits = a.bits - b.bits
     if bits < 0:
         raise FixedPointRangeError("subtraction underflow on an unsigned register")
-    return FixedPointValue(bits, a.width, a.mode)
+    return FixedPointValue(bits, a.width)
 
 
-def fp_mul_int(a: FixedPointValue, b: FixedPointValue) -> FixedPointValue:
-    """Integer product on an ``n+m``-bit result register (exact)."""
-    if a.mode != "integer" or b.mode != "integer":
-        raise FixedPointError("fp_mul_int needs integer-mode operands")
-    return FixedPointValue(a.bits * b.bits, a.width + b.width, "integer")
-
-
-def fp_mul_const_int_ui(
-    a: FixedPointValue, constant, const_width: int
-) -> FixedPointValue:
-    """Integer times a real constant, on a ``const_width``-bit register.
+def fp_mul_const_int_ui(n: int, constant, const_width: int) -> FixedPointValue:
+    """Integer ``n`` times a real constant, on a ``const_width``-bit register.
 
     The constant is truncated onto the register first; the product of the
     integer with the encoded constant is then exact provided it stays in
     [0, 1].
     """
-    if a.mode != "integer":
-        raise FixedPointError("fp_mul_const_int_ui needs an integer operand")
     encoded = fp_encode(constant, const_width)
-    bits = a.bits * encoded.bits
+    bits = n * encoded.bits
     if bits > (1 << (const_width - 1)):
-        raise FixedPointRangeError(
-            f"product {a.bits} * {encoded.value} exceeds 1"
-        )
-    return FixedPointValue(bits, const_width, "real")
+        raise FixedPointRangeError(f"product {n} * {encoded.value} exceeds 1")
+    return FixedPointValue(bits, const_width)
 
 
 def fp_sqrt(a: FixedPointValue) -> FixedPointValue:
-    """Square root of a real value in [0, 1], truncated at the last bit."""
-    if a.mode != "real":
-        raise FixedPointError("fp_sqrt needs a real-mode operand")
+    """Square root of a value in [0, 1], truncated at the last bit."""
     one = 1 << (a.width - 1)
     if a.bits > one:
         raise FixedPointRangeError("fp_sqrt operand must lie in [0, 1]")
     # result/2**(w-1) ~ sqrt(bits/2**(w-1)), so take isqrt(bits << (w-1)); the
     # radicand is below 2**(2w), so the circuit's w-digit square root agrees
     bits = math.isqrt(a.bits << (a.width - 1))
-    return FixedPointValue(bits, a.width, "real")
+    return FixedPointValue(bits, a.width)
 
 
 def fp_div(a: FixedPointValue, b: FixedPointValue) -> FixedPointValue:
     """Real quotient ``a / b`` with ``a <= b`` (result in [0, 1])."""
     _require(a, b)
-    if a.mode != "real":
-        raise FixedPointError("fp_div needs real-mode operands")
     if b.bits == 0:
         raise DivisionByZeroError("division by zero")
     if a.bits > b.bits:
@@ -163,7 +142,7 @@ def fp_div(a: FixedPointValue, b: FixedPointValue) -> FixedPointValue:
     # for a <= b the circuit's restoring division (one integer bit, then
     # w-1 fraction bits) yields exactly this floor
     bits = (a.bits << (a.width - 1)) // b.bits
-    return FixedPointValue(bits, a.width, "real")
+    return FixedPointValue(bits, a.width)
 
 
 @dataclass(frozen=True)
@@ -317,7 +296,7 @@ def build_quantized_arcsine(degree: int, eps: float, width: int) -> QuantizedArc
 
 
 def fp_arcsin_pp(a: FixedPointValue, table: QuantizedArcsine) -> FixedPointValue:
-    """Piecewise arcsine of a real value within the quantized domain.
+    """Piecewise arcsine of a register value within the quantized domain.
 
     Selects the piece by register comparisons, then runs the offset
     Horner recurrence ``acc <- acc * u + (1 + beta_k) - u`` which needs
@@ -327,7 +306,7 @@ def fp_arcsin_pp(a: FixedPointValue, table: QuantizedArcsine) -> FixedPointValue
     full-width adders charged by the ``ARCSIN`` cost do, so it errs by less
     than one register step.
     """
-    if a.mode != "real" or a.width != table.width:
+    if a.width != table.width:
         raise FixedPointError("operand does not match the quantized table")
     if a.bits > table.domain_end_bits:
         raise FixedPointRangeError(
@@ -355,7 +334,7 @@ def fp_arcsin_pp(a: FixedPointValue, table: QuantizedArcsine) -> FixedPointValue
         theta -= one
     if theta < 0:
         theta = 0  # fit undershoot below one resolution step near x = 0
-    return FixedPointValue(theta, width, "real")
+    return FixedPointValue(theta, width)
 
 
 @lru_cache(maxsize=None)
@@ -372,7 +351,7 @@ class PipelineTrace:
     n_j: int
     k_dt: FixedPointValue
     s_next: FixedPointValue
-    product: FixedPointValue
+    product: int
     r: FixedPointValue
     z: bool
     w: FixedPointValue
@@ -401,16 +380,15 @@ def emulate_up_pipeline(
     rather than input rounding.
     ``force_branch`` overrides the comparison outcome for boundary tests.
     """
-    if n_i < 0 or n_j < 0:
-        raise FixedPointError("droplet counts must be non-negative")
+    if not all(type(n) is int and n >= 0 for n in (n_i, n_j)):
+        raise FixedPointError(
+            f"droplet counts must be non-negative ints, got {n_i!r} and {n_j!r}"
+        )
     s_fp = fp_encode(s_next, width)
     if s_fp.bits == 0:
         raise DivisionByZeroError("remaining probability encoded to zero")
     k_fp = fp_encode(k_dt, width)
-    q1 = max(n_i.bit_length(), n_j.bit_length(), 1)
-    product = fp_mul_int(
-        FixedPointValue(n_i, q1, "integer"), FixedPointValue(n_j, q1, "integer")
-    )
+    product = n_i * n_j
     r_fp = fp_mul_const_int_ui(product, k_dt, width)
     if r_fp.bits > s_fp.bits:
         raise FixedPointRangeError("transition probability exceeds the remainder")
@@ -423,7 +401,7 @@ def emulate_up_pipeline(
     quotient = fp_div(sqrt_w, sqrt_s)
     arcsin_out = fp_arcsin_pp(quotient, table)
     if z:
-        theta = FixedPointValue(_pi_half_bits(width) - arcsin_out.bits, width, "real")
+        theta = FixedPointValue(_pi_half_bits(width) - arcsin_out.bits, width)
     else:
         theta = arcsin_out
     modified = r_fp.bits / s_fp.bits  # float(r/s): int true division rounds correctly

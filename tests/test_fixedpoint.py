@@ -21,7 +21,6 @@ from cloudq.fixedpoint import (
     fp_div,
     fp_encode,
     fp_mul_const_int_ui,
-    fp_mul_int,
     fp_sqrt,
     fp_sub,
     quantize_arcsine,
@@ -53,13 +52,13 @@ def arcsine_table():
 def test_encode_examples():
     assert fp_encode(0.5, 4).bits == 0b0100
     assert fp_encode(1.0, 4).bits == 0b1000
-    assert FixedPointValue(5, 4, "integer").bits == 0b0101
+    assert FixedPointValue(5, 4).bits == 0b0101
     with pytest.raises(FixedPointRangeError):
         fp_encode(2.0, 4)
     with pytest.raises(FixedPointRangeError):
         fp_encode(-0.1, 4)
     with pytest.raises(FixedPointRangeError):
-        FixedPointValue(16, 4, "integer")
+        FixedPointValue(16, 4)
 
 
 @given(st.floats(min_value=0.0, max_value=1.9999, allow_nan=False))
@@ -78,26 +77,16 @@ def test_add_sub_and_overflow():
         fp_sub(a, fp_encode(0.5, WIDTH + 1))
 
 
-def test_mul_int():
-    a = FixedPointValue(5, 4, "integer")
-    b = FixedPointValue(6, 4, "integer")
-    product = fp_mul_int(a, b)
-    assert product.bits == 30
-    assert product.width == 8
-
-
 def test_mul_const_int_ui_frozen():
     # exact rational oracle: floor(2**41/10) = 219902325555
-    a = FixedPointValue(6, 4, "integer")
-    result = fp_mul_const_int_ui(a, Fraction(1, 10), WIDTH)
+    result = fp_mul_const_int_ui(6, Fraction(1, 10), WIDTH)
     assert result.bits == 6 * ((1 << 41) // 10) == 1319413953330
     assert abs(result.exact - Fraction(6, 10)) <= 6 * Fraction(1, 1 << 41)
 
 
 def test_mul_const_int_ui_range():
-    a = FixedPointValue(8, 4, "integer")
     with pytest.raises(FixedPointRangeError):
-        fp_mul_const_int_ui(a, 0.5, WIDTH)
+        fp_mul_const_int_ui(8, 0.5, WIDTH)
 
 
 def test_sqrt_examples():
@@ -184,7 +173,7 @@ def test_pipeline_branch_boundary(arcsine_table):
 
 def test_pipeline_trace_replay(arcsine_table):
     trace = emulate_up_pipeline(6, 5, 0.001, 0.93, WIDTH, arcsine_table)
-    assert trace.product.bits == 30
+    assert trace.product == 30
     assert trace.r.bits == 30 * fp_encode(0.001, WIDTH).bits
     assert trace.w.bits == (
         trace.s_next.bits - trace.r.bits if trace.z else trace.r.bits
@@ -200,21 +189,46 @@ def test_pipeline_requires_valid_inputs(arcsine_table):
         emulate_up_pipeline(1, 1, 0.001, 1e-14, WIDTH, arcsine_table)
 
 
-@pytest.mark.parametrize("width", [0, -3])
+@pytest.mark.parametrize("width", [0, -3, 2.5, True])
 def test_width_below_one_is_refused_before_any_shift(arcsine_table, width):
-    # a shift by width - 1 < 0 raises a bare ValueError
-    message = f"^need width >= 1, got {width}$"
+    # a shift by width - 1 < 0 raises a bare ValueError, a shift by a float a
+    # bare TypeError, and True would pass as the width 1
+    if type(width) is int:
+        message = f"^need width >= 1, got {width}$"
+    else:
+        message = f"^width must be an int, got {re.escape(repr(width))}$"
     with pytest.raises(FixedPointError, match=message):
         fp_encode(0.5, width)
     with pytest.raises(FixedPointError, match=message):
         emulate_up_pipeline(1, 1, 0.1, 0.5, width, arcsine_table)
+    with pytest.raises(FixedPointError, match=message):
+        FixedPointValue(1, width)
+    with pytest.raises(FixedPointError, match=message.replace("width", "samples")):
+        estimate_eps_calculation(WIDTH, arcsine_table, samples=width)
 
 
 @pytest.mark.parametrize("bits", [2.5, 2.0, Fraction(5, 2), "3"])
-@pytest.mark.parametrize("mode", ["integer", "real"])
-def test_register_refuses_non_int_bits(bits, mode):
-    with pytest.raises(FixedPointError, match="^bits must be an int, got "):
-        FixedPointValue(bits, 4, mode)
+@pytest.mark.parametrize("register", ["integer", "real"])
+def test_register_refuses_non_int_bits(arcsine_table, bits, register):
+    # the circuit's integer registers hold the droplet counts, which the
+    # emulator takes as plain ints; its real registers are FixedPointValues
+    if register == "integer":
+        message = "^droplet counts must be non-negative ints, got "
+        with pytest.raises(FixedPointError, match=message):
+            emulate_up_pipeline(bits, 3, 0.001, 0.9, WIDTH, arcsine_table)
+    else:
+        with pytest.raises(FixedPointError, match="^bits must be an int, got "):
+            FixedPointValue(bits, 4)
+
+
+@pytest.mark.parametrize("n_i, n_j", [(True, 3), (3, True), (-1, 3), (3, -2), (2.5, -1)])
+def test_pipeline_refuses_bad_counts_before_any_encode(arcsine_table, n_i, n_j):
+    # s_next = 5.0 and width 0 would each fail their encode, so this pins
+    # that the counts are checked first
+    message = f"^droplet counts must be non-negative ints, got {n_i!r} and {n_j!r}$"
+    for s_next, width in ((0.9, WIDTH), (5.0, WIDTH), (0.9, 0)):
+        with pytest.raises(FixedPointError, match=message):
+            emulate_up_pipeline(n_i, n_j, 0.001, s_next, width, arcsine_table)
 
 
 def test_sweep_regression_width_42(arcsine_table):

@@ -792,3 +792,79 @@ def test_hand_built_table_entries_are_its_dict():
     with pytest.raises(TypeError):
         p.entries[keys[0]] = 1
     assert p.entries[keys[0]] == Fraction(1, 3) and p.total() == total
+
+
+# Closed-form references (Marcus-Lushnikov process).  For the constant and
+# the sum kernel the total rate depends on the droplet count n alone, so n
+# is a pure-death chain, and given n the masses follow a known law: a
+# uniform composition of N into n parts (Kingman's coalescent) for the
+# constant kernel, and Pitman's random forest law for the sum kernel.
+def _compositions(m, k):
+    """Compositions of ``m`` into ``k`` positive parts."""
+    if k == 0:
+        return int(m == 0)
+    return math.comb(m - 1, k - 1) if m >= k else 0
+
+
+def _forests(m, k):
+    """Rooted forests on ``m`` labelled vertices with ``k`` trees."""
+    return _compositions(m, k) * m ** (m - k) if m >= k else 0
+
+
+def _constant_conditional(n_bins, n, b):
+    return Fraction(n * _compositions(n_bins - b, n - 1), _compositions(n_bins, n))
+
+
+def _sum_conditional(n_bins, n, b):
+    forests = math.comb(n_bins, b) * b ** (b - 1) * _forests(n_bins - b, n - 1)
+    return Fraction(forests, _forests(n_bins, n))
+
+
+_CLOSED_FORMS = {
+    "constant": (lambda n_bins, n: Fraction(n * (n - 1), 2), _constant_conditional),
+    "sum": (lambda n_bins, n: (n - 1) * n_bins, _sum_conditional),
+}
+
+
+def _closed_form_expected(kind, n_bins, k0, dt, steps):
+    """``E[n_b]`` after ``steps`` updates from the monodisperse state, bin
+    by bin: the count chain's law times ``E[n_b | n]``, in the number
+    type of ``k0 * dt``."""
+    rate, conditional = _CLOSED_FORMS[kind]
+    zero = 0 * k0 * dt
+    step = [zero] + [k0 * dt * rate(n_bins, n) for n in range(1, n_bins + 1)]
+    law = [zero] * n_bins + [zero + 1]  # law[n]: probability of n droplets
+    for _ in range(steps):
+        law = [law[n] * (1 - step[n]) + (law[n + 1] * step[n + 1] if n < n_bins else zero)
+               for n in range(n_bins + 1)]
+    number = type(zero)
+    return [sum(law[n] * number(conditional(n_bins, n, b)) for n in range(1, n_bins + 1))
+            for b in range(1, n_bins + 1)]
+
+
+def _fraction_expected(p, n_bins):
+    return [sum(state.counts[b] * prob for state, prob in p.entries.items())
+            for b in range(n_bins)]
+
+
+@pytest.mark.parametrize("n_bins", [8, 10, 12])
+@pytest.mark.parametrize("kind", ["constant", "sum"])
+def test_rational_runs_equal_the_closed_forms(kind, n_bins):
+    # each run starts at total rate 1/2 and can reach a single droplet
+    dt = Fraction(1, n_bins * (n_bins - 1) * (1 if kind == "constant" else 2))
+    steps = 12
+    table = build_transition_table(n_bins, KernelSpec(kind, Fraction(1)), dt)
+    start = ProbabilityTable({MassDistribution.monodisperse(n_bins): Fraction(1)})
+    expected = _closed_form_expected(kind, n_bins, Fraction(1), dt, steps)
+    assert all(type(e) is Fraction for e in expected)
+    assert _fraction_expected(evolve(start, table, steps), n_bins) == expected
+    assert _fraction_expected(run_merged(table, steps), n_bins) == expected
+
+
+@pytest.mark.parametrize("n_bins", [20, 30])
+def test_float_solver_matches_the_constant_closed_form(n_bins):
+    dt = 0.9 / (n_bins * (n_bins - 1) / 2)
+    table, p0 = _mono_table(n_bins, dt=dt)
+    expected = _closed_form_expected("constant", n_bins, 1.0, dt, 300)
+    solved = expected_counts(evolve(p0, table, 300))
+    assert max(abs(s - e) for s, e in zip(solved, expected)) <= 1e-12
