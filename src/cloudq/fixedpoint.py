@@ -107,18 +107,13 @@ def fp_sub(a: FixedPointValue, b: FixedPointValue) -> FixedPointValue:
     return FixedPointValue(bits, a.width)
 
 
-def fp_mul_const_int_ui(n: int, constant, const_width: int) -> FixedPointValue:
-    """Integer ``n`` times a real constant, on a ``const_width``-bit register.
-
-    The constant is truncated onto the register first; the product of the
-    integer with the encoded constant is then exact provided it stays in
-    [0, 1].
-    """
-    encoded = fp_encode(constant, const_width)
-    bits = n * encoded.bits
-    if bits > (1 << (const_width - 1)):
-        raise FixedPointRangeError(f"product {n} * {encoded.value} exceeds 1")
-    return FixedPointValue(bits, const_width)
+def fp_mul_const_int_ui(n: int, constant: FixedPointValue) -> FixedPointValue:
+    """Integer ``n`` times an encoded real constant, on the constant's
+    register; exact provided the product stays in [0, 1]."""
+    bits = n * constant.bits
+    if bits > (1 << (constant.width - 1)):
+        raise FixedPointRangeError(f"product {n} * {constant.value} exceeds 1")
+    return FixedPointValue(bits, constant.width)
 
 
 def fp_sqrt(a: FixedPointValue) -> FixedPointValue:
@@ -389,7 +384,7 @@ def emulate_up_pipeline(
         raise DivisionByZeroError("remaining probability encoded to zero")
     k_fp = fp_encode(k_dt, width)
     product = n_i * n_j
-    r_fp = fp_mul_const_int_ui(product, k_dt, width)
+    r_fp = fp_mul_const_int_ui(product, k_fp)
     if r_fp.bits > s_fp.bits:
         raise FixedPointRangeError("transition probability exceeds the remainder")
     z = r_fp.bits >= (s_fp.bits >> 2)

@@ -209,20 +209,9 @@ def register_counts(case: EstimationCase) -> QubitBreakdown:
     q1 = qubits_for_bin(n, 1)
     main = sum(qubits_for_bin(n, i) for i in range(1, n + 1))
     history = case.time_steps * history_label_qubits(n)
-    q_h = history_label_qubits(n)
-    candidates = {
-        "MUL_INT": primitive_cost("MUL_INT", n=q1, m=q1).ancilla,
-        "MUL_CONST_INT_UI": primitive_cost("MUL_CONST_INT_UI", n=2 * q1, m=n_eps).ancilla,
-        "COMP": primitive_cost("COMP", n=n_eps).ancilla,
-        "cSUB": primitive_cost("cSUB", n=n_eps).ancilla,
-        "SQRT": primitive_cost("SQRT", n=n_eps).ancilla,
-        "DIV": primitive_cost("DIV", n=n_eps).ancilla,
-        "ARCSIN": primitive_cost(
-            "ARCSIN", n=n_eps, degree=case.degree, pieces=case.pieces
-        ).ancilla,
-        "U_sin": 5 * n_eps + 2,
-        "ADD_CONST": primitive_cost("ADD_CONST", n=q_h).ancilla,
-    }
+    candidates = {op: cost.ancilla for op, cost in _up_primitives(case).items()}
+    candidates["U_sin"] = gate_cost_usin(case).ancilla
+    candidates["ADD_CONST"] = primitive_cost("ADD_CONST", n=history_label_qubits(n)).ancilla
     source, arithmetic = max(candidates.items(), key=lambda kv: kv[1])
     return QubitBreakdown(
         main=main,
@@ -237,19 +226,29 @@ def register_counts(case: EstimationCase) -> QubitBreakdown:
     )
 
 
-def gate_cost_up(case: EstimationCase) -> GateCost:
-    """Rotation-angle computation: products, comparison, roots, division,
-    and the piecewise arcsine."""
+def _up_primitives(case: EstimationCase) -> dict[str, GateCost]:
+    """Each primitive of the rotation-angle stage U_P, priced once at the
+    case's width, in circuit order."""
     q1 = qubits_for_bin(case.n_bins, 1)
     n_eps = case.n_eps
-    return (
-        primitive_cost("MUL_INT", n=q1, m=q1)
-        + primitive_cost("MUL_CONST_INT_UI", n=2 * q1, m=n_eps)
-        + primitive_cost("COMP", n=n_eps)
-        + primitive_cost("cSUB", n=n_eps).times(2)
-        + primitive_cost("SQRT", n=n_eps).times(2)
-        + primitive_cost("DIV", n=n_eps)
-        + primitive_cost("ARCSIN", n=n_eps, degree=case.degree, pieces=case.pieces)
+    return {
+        "MUL_INT": primitive_cost("MUL_INT", n=q1, m=q1),
+        "MUL_CONST_INT_UI": primitive_cost("MUL_CONST_INT_UI", n=2 * q1, m=n_eps),
+        "COMP": primitive_cost("COMP", n=n_eps),
+        "cSUB": primitive_cost("cSUB", n=n_eps),
+        "SQRT": primitive_cost("SQRT", n=n_eps),
+        "DIV": primitive_cost("DIV", n=n_eps),
+        "ARCSIN": primitive_cost("ARCSIN", n=n_eps, degree=case.degree, pieces=case.pieces),
+    }
+
+
+def gate_cost_up(case: EstimationCase) -> GateCost:
+    """Rotation-angle computation: products, comparison, roots, division,
+    and the piecewise arcsine; the subtraction and the root run twice."""
+    return sum(
+        (cost.times(2 if op in ("cSUB", "SQRT") else 1)
+         for op, cost in _up_primitives(case).items()),
+        GateCost(0, 0, 0),
     )
 
 
@@ -276,12 +275,11 @@ def gate_cost_uadd(case: EstimationCase) -> GateCost:
 
 def gate_cost_ur(case: EstimationCase) -> GateCost:
     """Per-label restore of the remainder register to its step-start value."""
-    q1 = qubits_for_bin(case.n_bins, 1)
-    n_eps = case.n_eps
+    up = _up_primitives(case)
     return (
-        primitive_cost("MUL_INT", n=q1, m=q1).times(2)
-        + primitive_cost("MUL_CONST_INT_UI", n=2 * q1, m=n_eps).times(2)
-        + primitive_cost("ADD", n=n_eps)
+        up["MUL_INT"].times(2)
+        + up["MUL_CONST_INT_UI"].times(2)
+        + primitive_cost("ADD", n=case.n_eps)
     )
 
 

@@ -162,8 +162,6 @@ def build_transition_table(n_bins: int, kernel: KernelSpec, dt) -> TransitionTab
     if not 0 < dt < math.inf:  # not isfinite, which overflows on a huge int or Fraction
         raise StateSpaceError(f"time step must be positive and finite, got {dt}")
     pairs = label_pairs(n_bins)
-    if len(pairs) != label_pair_count(n_bins):
-        raise StateSpaceError("pair enumeration disagrees with the closed form")
     values = tuple(kernel.rate(i, j) for i, j in pairs)
     return TransitionTable(num_bins=n_bins, dt=dt, pairs=pairs, kernel_values=values)
 

@@ -1,9 +1,10 @@
 import dataclasses
 import json
+import re
 
 import pytest
 
-from cloudq import arcsine, division, fixedpoint, master, states
+from cloudq import arcsine, cli, division, fixedpoint, master, resources, states
 from cloudq.cli import (
     EXIT_CONFIG,
     EXIT_MISMATCH,
@@ -486,3 +487,54 @@ def test_unreadable_config_exits_config(tmp_path, capsys, text, message):
         path.write_text(text)
     assert main(["solve", "--config", str(path)]) == EXIT_CONFIG
     assert capsys.readouterr().err == f"error: {message.format(path=path)}\n"
+
+
+def test_estimate_without_out_prints_the_report(capsys):
+    assert main(["estimate", "--preset", "paper-case-1"]) == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    report = resources.estimate_case(PRESET_CASES["paper-case-1"])
+    assert payload["t_count"]["total"] == report.total.t_count
+    assert payload["qubits"]["total"] == report.qubits.total
+
+
+def test_estimate_collapsed_oracle_bound_exits_config(tmp_path, capsys):
+    code = main(["estimate", "--preset", "paper-case-1", "--eps-estimation", "0.78",
+                 "--delta", "0.5", "--out", str(tmp_path / "d")])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err == "error: oracle iteration bound collapsed to zero\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_solve_without_out_writes_into_the_working_directory(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["solve", "--N", "4", "--M", "3"]) == EXIT_OK
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "expected_counts.csv", "probabilities.csv"
+    ]
+    assert json.loads(capsys.readouterr().out)["command"] == "solve"
+
+
+def test_simulate_check_master_mismatch_exits_mismatch(tmp_path, capsys, monkeypatch):
+    run_merged = division.run_merged
+
+    def perturbed(table, steps):
+        entries = dict(run_merged(table, steps).entries)
+        first = next(iter(entries))
+        entries[first] += 2e-12
+        return master.ProbabilityTable(entries, steps)
+
+    monkeypatch.setattr(division, "run_merged", perturbed)
+    code = main(["simulate", "--N", "3", "--M", "5", "--dt", "0.02", "--check-master",
+                 "--out", str(tmp_path)])
+    assert code == EXIT_MISMATCH
+    assert capsys.readouterr().out.startswith("max |division - solver| = 2.")
+
+
+def test_reproduce_tables_below_the_exact_minimum_fails(capsys, monkeypatch):
+    assert main(["reproduce-tables"]) == EXIT_OK
+    exact, asserted = map(int, re.search(
+        r"PASS arcsine exact matches (\d+)/(\d+)", capsys.readouterr().out).groups())
+    monkeypatch.setattr(cli, "ARCSINE_EXACT_MINIMUM", exact + 1)
+    assert main(["reproduce-tables"]) == EXIT_MISMATCH
+    assert (f"FAIL arcsine exact matches {exact}/{asserted} < {exact + 1}"
+            in capsys.readouterr().out.splitlines())

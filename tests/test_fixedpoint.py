@@ -79,14 +79,27 @@ def test_add_sub_and_overflow():
 
 def test_mul_const_int_ui_frozen():
     # exact rational oracle: floor(2**41/10) = 219902325555
-    result = fp_mul_const_int_ui(6, Fraction(1, 10), WIDTH)
+    result = fp_mul_const_int_ui(6, fp_encode(Fraction(1, 10), WIDTH))
     assert result.bits == 6 * ((1 << 41) // 10) == 1319413953330
     assert abs(result.exact - Fraction(6, 10)) <= 6 * Fraction(1, 1 << 41)
 
 
 def test_mul_const_int_ui_range():
     with pytest.raises(FixedPointRangeError):
-        fp_mul_const_int_ui(8, 0.5, WIDTH)
+        fp_mul_const_int_ui(8, fp_encode(0.5, WIDTH))
+
+
+def test_mul_const_int_ui_keeps_the_constant_register():
+    # the product may reach 1 exactly; one step past it overflows
+    half = fp_encode(0.5, 8)
+    assert fp_mul_const_int_ui(2, half) == FixedPointValue(1 << 7, 8)
+    with pytest.raises(FixedPointRangeError, match=r"^product 3 \* 0\.5 exceeds 1$"):
+        fp_mul_const_int_ui(3, half)
+
+
+def test_sqrt_refuses_an_operand_above_one():
+    with pytest.raises(FixedPointRangeError, match=r"^fp_sqrt operand must lie in \[0, 1\]$"):
+        fp_sqrt(FixedPointValue((1 << (WIDTH - 1)) + 1, WIDTH))
 
 
 def test_sqrt_examples():
@@ -144,6 +157,11 @@ def test_arcsin_pp_point_values(arcsine_table):
         fp_arcsin_pp(fp_encode(0.9, WIDTH), arcsine_table)
 
 
+def test_arcsin_pp_refuses_a_register_of_another_width(arcsine_table):
+    with pytest.raises(FixedPointError, match="^operand does not match the quantized table$"):
+        fp_arcsin_pp(fp_encode(0.1, WIDTH - 1), arcsine_table)
+
+
 def test_arcsin_pp_deterministic(arcsine_table):
     a = fp_encode(0.37, WIDTH)
     assert fp_arcsin_pp(a, arcsine_table).bits == fp_arcsin_pp(a, arcsine_table).bits
@@ -180,6 +198,23 @@ def test_pipeline_trace_replay(arcsine_table):
     )
     assert trace.sqrt_w.bits == math.isqrt(trace.w.bits << (WIDTH - 1))
     assert trace.quotient.bits == (trace.sqrt_w.bits << (WIDTH - 1)) // trace.sqrt_s.bits
+
+
+def test_pipeline_encodes_each_input_once(arcsine_table, monkeypatch):
+    # the multiply consumes the k_dt register the trace reports
+    seen = []
+    encode = fixedpoint.fp_encode
+    monkeypatch.setattr(fixedpoint, "fp_encode", lambda x, w: seen.append(x) or encode(x, w))
+    trace = emulate_up_pipeline(6, 5, 0.001, 0.93, WIDTH, arcsine_table)
+    assert seen == [0.93, 0.001]
+    assert trace.r.bits == 30 * trace.k_dt.bits
+
+
+def test_pipeline_refuses_a_rate_above_the_remainder(arcsine_table):
+    with pytest.raises(
+        FixedPointRangeError, match="^transition probability exceeds the remainder$"
+    ):
+        emulate_up_pipeline(6, 10, 0.01, 0.5, WIDTH, arcsine_table)
 
 
 def test_pipeline_requires_valid_inputs(arcsine_table):

@@ -296,3 +296,35 @@ def test_mul_int_needs_both_widths():
     with pytest.raises(ResourceModelError) as err:
         primitive_cost("MUL_INT", n=4)
     assert str(err.value) == "MUL_INT needs widths n and m"
+
+
+@pytest.mark.parametrize(
+    "op, widths, message",
+    [
+        ("ADD", {"n": 0}, "ADD: need a width n >= 1, got 0"),
+        ("MUL_CONST_INT_UI", {"n": 4}, "MUL_CONST_INT_UI needs widths n and m"),
+        ("ARCSIN", {"n": 4, "degree": 3}, "ARCSIN needs degree and pieces"),
+    ],
+)
+def test_primitive_refusals_keep_their_messages(op, widths, message):
+    with pytest.raises(ResourceModelError) as err:
+        primitive_cost(op, **widths)
+    assert str(err.value) == message
+
+
+def test_arithmetic_scratch_is_the_widest_stage():
+    # U_P's primitives, the rotation U_sin and the history increment's adder
+    # are the only scratch users
+    grid = [
+        EstimationCase(n_bins, 3, n_eps, degree, pieces, 1e-10, 1e-3, 1e-6)
+        for n_bins in range(2, 416, 29)
+        for n_eps in (1, 2, 3, 12, 42, 49)
+        for degree, pieces in ((1, 1), (5, 15), (8, 10))
+    ]
+    for case in [*PRESET_CASES.values(), *grid]:
+        stages = (
+            gate_cost_up(case).ancilla,
+            gate_cost_usin(case).ancilla,
+            primitive_cost("ADD_CONST", n=history_label_qubits(case.n_bins)).ancilla,
+        )
+        assert register_counts(case).arithmetic == max(stages), case
