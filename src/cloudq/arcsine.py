@@ -35,6 +35,7 @@ DEFAULT_ERROR_GRID = 4096
 MAX_BISECTIONS = 64
 VERIFY_DPS = 45  # working precision (digits) of the arcsine reference
 VERIFY_EXTRA_ORDER = 40  # reference series terms beyond the fit's degree
+_SHARED_DEGREE = 9  # fits up to this degree share one reference order
 _UNIT = 2.0**-53  # unit roundoff of float64
 _FIXED_BITS = 200  # fraction bits of the node errors in _prebound
 
@@ -47,6 +48,15 @@ class DegreeTooLowError(FitError):
     """The degree cannot reach ``eps``: a subdomain failed to converge after
     the bisection limit, the piece budget ran out, or ``eps`` lies below
     the double-precision floor."""
+
+
+def _require_positive(name: str, value: int) -> None:
+    """Refuse a degree or grid factor that is not an int of at least one
+    (a ``bool`` is not a count)."""
+    if type(value) is not int:
+        raise FitError(f"{name} must be an int, got {value!r}")
+    if value < 1:
+        raise FitError(f"need {name} >= 1, got {value}")
 
 
 @dataclass(frozen=True)
@@ -88,8 +98,7 @@ def chebyshev_fit(a: float, b: float, degree: int) -> np.ndarray:
     """
     if not 0 <= a <= b <= 1:
         raise FitError(f"invalid domain [{a}, {b}]")
-    if degree < 1:
-        raise FitError(f"need degree >= 1, got {degree}")
+    _require_positive("degree", degree)
     if a == b:
         return np.array([float(np.arcsin(a))] + [0.0] * degree)
     xs = np.linspace(a, b, FIT_POINTS)
@@ -167,9 +176,12 @@ def min_pieces(
     single subdomain, or a piece budget past ``max_pieces``, raises
     :class:`DegreeTooLowError`.  So does an ``eps`` at or below half an ulp
     of ``arcsin(hi)``, before any fit: no grid measurement in double
-    precision can certify it.  The domain must lie in ``[0, 1]``.
+    precision can certify it.  The degree must be an int of at least one,
+    ``eps`` a number above zero (not ``nan``), and the domain must lie in
+    ``[0, 1]``.
     """
-    if eps <= 0:
+    _require_positive("degree", degree)
+    if not eps > 0:
         raise FitError(f"need eps > 0, got {eps}")
     lo, hi = domain
     if not 0 <= lo < hi <= 1:
@@ -229,22 +241,32 @@ def _cosine_table(n: int, order: int, prec: int) -> _CosineTable:
     precision ``prec``, each as a signed mantissa and an exponent; row 1
     holds the Chebyshev nodes.  The ``libmp`` calls are the ones
     ``mp.cos(mp.pi * j * (2k+1) / (2n))`` makes, so the bits are the same.
-    Every piece of a fit shares one table, and only the latest is kept."""
+    Every piece of every fit up to degree :data:`_SHARED_DEGREE` reads one
+    table (:func:`_reference_order`), so keeping only the latest builds one
+    per pass over the piece-count table's rows."""
     rnd = libmp.round_nearest
     pi, den = libmp.mpf_pi(prec, rnd), libmp.from_int(2 * n)
 
-    def entry(j: int, k: int) -> tuple[int, int]:
-        arg = libmp.mpf_mul_int(libmp.mpf_mul_int(pi, j, prec, rnd), 2 * k + 1, prec, rnd)
-        return _signed(libmp.mpf_cos(libmp.mpf_div(arg, den, prec, rnd), prec, rnd))
+    def row(j: int) -> tuple[tuple[int, int], ...]:
+        pi_j = libmp.mpf_mul_int(pi, j, prec, rnd)
+        return tuple(
+            _signed(libmp.mpf_cos(libmp.mpf_div(
+                libmp.mpf_mul_int(pi_j, 2 * k + 1, prec, rnd), den, prec, rnd
+            ), prec, rnd))
+            for k in range(n)
+        )
 
-    table = _CosineTable(tuple(entry(j, k) for k in range(n)) for j in range(order + 1))
+    table = _CosineTable(row(j) for j in range(order + 1))
     table.floats = np.array([[math.ldexp(man, exp) for man, exp in row] for row in table])
     return table
 
 
 def _reference_order(coefficients: Sequence[float]) -> int:
-    """The last term of a polynomial's reference series."""
-    return len(coefficients) - 1 + VERIFY_EXTRA_ORDER
+    """The last term of a polynomial's reference series:
+    :data:`VERIFY_EXTRA_ORDER` past its degree, or past
+    :data:`_SHARED_DEGREE` for every lower degree, so those fits share one
+    cosine table and are checked against no fewer terms."""
+    return max(len(coefficients) - 1, _SHARED_DEGREE) + VERIFY_EXTRA_ORDER
 
 
 def _reference_table(order: int) -> _CosineTable:
@@ -287,11 +309,20 @@ def _fsum_products(xs: Sequence[tuple[int, int]], ys: Sequence[tuple[int, int]],
 
 
 def _node_values(a: float, b: float, order: int) -> list[tuple[int, int]]:
-    """Arcsine at the ``order`` reference nodes of ``[a, b]`` in mpmath, as
-    (signed mantissa, exponent) pairs."""
-    a_, b_ = mp.mpf(a), mp.mpf(b)
-    mid, rad = (a_ + b_) / 2, (b_ - a_) / 2
-    return [_signed(mp.asin(mid + rad * mp.mpf(node))._mpf_) for node in _reference_table(order)[1]]
+    """Arcsine at the ``order`` reference nodes of ``[a, b]`` at the working
+    precision, as (signed mantissa, exponent) pairs.  The ``libmp`` calls
+    are the ones ``mp.asin(mid + rad * node)`` makes on ``mid, rad = (a +
+    b) / 2, (b - a) / 2``, so the bits are the same."""
+    prec, rnd = mp.mp.prec, libmp.round_nearest
+    a_, b_ = libmp.from_float(a), libmp.from_float(b)
+    mid = libmp.mpf_shift(libmp.mpf_add(a_, b_, prec, rnd), -1)
+    rad = libmp.mpf_shift(libmp.mpf_sub(b_, a_, prec, rnd), -1)
+    return [
+        _signed(libmp.mpf_asin(libmp.mpf_add(
+            mid, libmp.mpf_mul(rad, libmp.from_man_exp(man, exp), prec, rnd), prec, rnd
+        ), prec, rnd))
+        for man, exp in _reference_table(order)[1]
+    ]
 
 
 def _truth_series(
@@ -405,8 +436,10 @@ def verify(pp: PiecewisePolynomial, grid_factor: int = 10) -> float:
     The 45-digit series and dense grids run in descending order of
     :func:`_prebound` and stop at the first finite bound no larger than
     the maximum so far.  A piece outside ``[0, 1]``, or whose reference
-    error is ``nan``, raises :class:`FitError`.
+    error is ``nan``, raises :class:`FitError`, as does a ``grid_factor``
+    that is not an int of at least one, before any piece is read.
     """
+    _require_positive("grid_factor", grid_factor)
     grid = grid_factor * DEFAULT_ERROR_GRID
     bounds = []
     with mp.workdps(VERIFY_DPS):

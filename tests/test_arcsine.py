@@ -83,6 +83,52 @@ def test_invalid_inputs():
         chebyshev_fit(0.0, 0.5, 0)
 
 
+def _no_fit(*args, **kwargs):
+    raise AssertionError("a fit or a node value ran before the refusal")
+
+
+@pytest.mark.parametrize(
+    "degree, eps, message",
+    [
+        (5, math.nan, "need eps > 0, got nan"),
+        (5, -math.inf, "need eps > 0, got -inf"),
+        (2.5, 1e-12, "degree must be an int, got 2.5"),
+        (True, 1e-12, "degree must be an int, got True"),
+        (np.int64(5), 1e-12, f"degree must be an int, got {np.int64(5)!r}"),
+        (0, 1e-12, "need degree >= 1, got 0"),
+        (-3, 1e-12, "need degree >= 1, got -3"),
+    ],
+)
+def test_min_pieces_refuses_before_any_fit(monkeypatch, degree, eps, message):
+    monkeypatch.setattr(arcsine, "chebyshev_fit", _no_fit)
+    monkeypatch.setattr(arcsine, "_fit_is_doomed", _no_fit)
+    with pytest.raises(FitError) as err:
+        min_pieces(degree, eps)
+    assert str(err.value) == message
+    assert type(err.value) is FitError
+
+
+@pytest.mark.parametrize(
+    "grid_factor, message",
+    [
+        (0, "need grid_factor >= 1, got 0"),
+        (-1, "need grid_factor >= 1, got -1"),
+        (1.5, "grid_factor must be an int, got 1.5"),
+        (True, "grid_factor must be an int, got True"),
+    ],
+)
+def test_verify_refuses_a_bad_grid_factor_before_any_work(fit_d5, monkeypatch, grid_factor, message):
+    monkeypatch.setattr(arcsine, "_node_values", _no_fit)
+    with pytest.raises(FitError) as err:
+        verify(fit_d5, grid_factor=grid_factor)
+    assert str(err.value) == message
+
+
+def test_chebyshev_fit_refuses_a_degree_that_is_not_an_int():
+    with pytest.raises(FitError, match=r"^degree must be an int, got 2\.5$"):
+        chebyshev_fit(0.0, 0.5, 2.5)
+
+
 @pytest.mark.parametrize("domain", [(0.0, 1.5), (0.9, 2.0)])
 def test_domain_past_one_is_refused_fast(domain):
     # arcsin is nan past 1, and nan errors used to bisect toward 1 forever
@@ -210,6 +256,20 @@ def test_shared_cosine_table_is_bit_identical(degree, a, b):
     expected_error = float(np.max(np.abs(np.polynomial.chebyshev.chebval(u, diff))))
     assert _reference_error(coeffs, a, b, 257) == expected_error
     assert arcsine._cosine_table.cache_info().currsize == 1
+
+
+def test_one_cosine_table_serves_every_table_degree():
+    # every degree of the piece-count table (4..9) verifies against the
+    # same 49-term series, so a pass over its rows builds the table once
+    fits = [min_pieces(degree, 1e-12, domain=(0.0, 0.125)) for degree in range(4, 10)]
+    arcsine._cosine_table.cache_clear()
+    for pp in fits:
+        assert verify(pp, grid_factor=1) < pp.eps
+    info = arcsine._cosine_table.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
+    for degree in range(1, 10):
+        assert arcsine._reference_order((0.0,) * (degree + 1)) == 49
+    assert arcsine._reference_order((0.0,) * 13) == 52
 
 
 def test_verify_pinned():

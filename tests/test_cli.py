@@ -360,6 +360,25 @@ def test_refused_input_creates_nothing(tmp_path, capsys, monkeypatch, request, a
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["arcsine-fit", "--d", "5", "--eps", "nan"],
+        ["emulate", "--d", "5", "--eps", "nan", "--n-eps", "42", "--samples", "10"],
+    ],
+    ids=["arcsine-fit", "emulate"],
+)
+def test_nan_eps_is_refused_before_any_fit(tmp_path, capsys, monkeypatch, argv):
+    def fit(*args, **kwargs):
+        raise AssertionError("a fit ran before the refusal")
+
+    monkeypatch.setattr(arcsine, "chebyshev_fit", fit)
+    monkeypatch.setattr(arcsine, "_fit_is_doomed", fit)
+    assert main(argv + ["--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "error: need eps > 0, got nan\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
     "argv, message",
     [
         pytest.param(["--n-eps", "0", "--samples", "10"], "need width >= 1, got 0", id="width"),
