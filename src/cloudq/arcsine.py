@@ -28,6 +28,8 @@ import mpmath as mp
 import numpy as np
 from mpmath import libmp
 
+from .states import require_count
+
 _cheb = np.polynomial.chebyshev
 
 FIT_POINTS = 2001
@@ -48,15 +50,6 @@ class DegreeTooLowError(FitError):
     """The degree cannot reach ``eps``: a subdomain failed to converge after
     the bisection limit, the piece budget ran out, or ``eps`` lies below
     the double-precision floor."""
-
-
-def _require_positive(name: str, value: int) -> None:
-    """Refuse a degree or grid factor that is not an int of at least one
-    (a ``bool`` is not a count)."""
-    if type(value) is not int:
-        raise FitError(f"{name} must be an int, got {value!r}")
-    if value < 1:
-        raise FitError(f"need {name} >= 1, got {value}")
 
 
 @dataclass(frozen=True)
@@ -98,7 +91,7 @@ def chebyshev_fit(a: float, b: float, degree: int) -> np.ndarray:
     """
     if not 0 <= a <= b <= 1:
         raise FitError(f"invalid domain [{a}, {b}]")
-    _require_positive("degree", degree)
+    require_count("degree", degree, 1, FitError)
     if a == b:
         return np.array([float(np.arcsin(a))] + [0.0] * degree)
     xs = np.linspace(a, b, FIT_POINTS)
@@ -180,7 +173,7 @@ def min_pieces(
     ``eps`` a number above zero (not ``nan``), and the domain must lie in
     ``[0, 1]``.
     """
-    _require_positive("degree", degree)
+    require_count("degree", degree, 1, FitError)
     if not eps > 0:
         raise FitError(f"need eps > 0, got {eps}")
     lo, hi = domain
@@ -439,7 +432,7 @@ def verify(pp: PiecewisePolynomial, grid_factor: int = 10) -> float:
     error is ``nan``, raises :class:`FitError`, as does a ``grid_factor``
     that is not an int of at least one, before any piece is read.
     """
-    _require_positive("grid_factor", grid_factor)
+    require_count("grid_factor", grid_factor, 1, FitError)
     grid = grid_factor * DEFAULT_ERROR_GRID
     bounds = []
     with mp.workdps(VERIFY_DPS):

@@ -265,7 +265,8 @@ def _cmd_simulate(config: RunConfig) -> int:
 
 
 def _cmd_emulate(config: RunConfig) -> int:
-    fixedpoint.require_positive("samples", config.samples)  # before the fits
+    # before the fits
+    states.require_count("samples", config.samples, 1, fixedpoint.FixedPointError)
     table = fixedpoint.build_quantized_arcsine(config.degree, config.eps, config.n_eps)
     report = fixedpoint.estimate_eps_calculation(
         config.n_eps, table, samples=config.samples, include_gap=config.include_gap
@@ -288,7 +289,8 @@ def _cmd_arcsine_fit(config: RunConfig) -> int:
     paths = _out_paths(config, "arcsine_table.csv",
                        *([] if config.n_eps is None else ["arcsine_coefficients.json"]))
     if config.n_eps is not None:
-        fixedpoint.require_positive("width", config.n_eps)  # before the fit
+        # before the fit
+        states.require_count("width", config.n_eps, 1, fixedpoint.FixedPointError)
     pp = arcsine.min_pieces(config.degree, config.eps)
     quantized = None if config.n_eps is None else fixedpoint.quantize_arcsine(pp, config.n_eps)
     verified = arcsine.verify(pp, grid_factor=2)

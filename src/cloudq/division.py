@@ -11,6 +11,7 @@ squared-amplitude bookkeeping is an exact functional model.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -23,6 +24,7 @@ from .states import (
     TransitionTable,
     apply_transition,
     qubits_for_bin,
+    require_count,
 )
 
 
@@ -87,8 +89,7 @@ def run_tree(
     branch_cap: int = _BRANCH_CAP,
 ) -> list[HistoryBranch]:
     """Full history tree after ``steps`` divisions."""
-    if steps < 0:
-        raise StateSpaceError(f"need steps >= 0, got {steps}")
+    require_count("steps", steps, 0, StateSpaceError)
     state = initial or MassDistribution.monodisperse(table.num_bins)
     branches = [HistoryBranch(history=(), state=state, prob=table.one)]
     for step in range(1, steps + 1):
@@ -141,6 +142,7 @@ def amplitude_expectation(distribution: ProbabilityTable, bin_index: int):
     if not entries:
         raise StateSpaceError("empty distribution")
     n_bins = next(iter(entries)).num_bins
+    require_count("bin", bin_index, -math.inf, StateSpaceError)
     if not 1 <= bin_index <= n_bins:
         raise StateSpaceError(f"bin {bin_index} outside [1, {n_bins}]")
     d = 2 ** qubits_for_bin(n_bins, bin_index)
@@ -191,8 +193,7 @@ def history_label_semantics_check(
     the histories that reach it: they share their future, so each entry is
     replayed once and counted with that multiplicity.
     """
-    if steps < 0:
-        raise StateSpaceError(f"need steps >= 0, got {steps}")
+    require_count("steps", steps, 0, StateSpaceError)
     start = initial or MassDistribution.monodisperse(table.num_bins)
     registers = [_history_register(table.num_labels, h) for h in range(table.num_labels + 1)]
     level = {(start, start): 1}  # (state, replay) -> histories, in run_tree's order

@@ -27,6 +27,7 @@ from functools import lru_cache
 import mpmath as mp
 
 from .arcsine import PiecewisePolynomial, min_pieces
+from .states import require_count
 
 EXTENSION_DOMAIN = (0.5, 0.875)
 SWEEP_MAX_COUNT = 40  # largest bin count the error sweep draws
@@ -48,15 +49,6 @@ class DivisionByZeroError(FixedPointError):
     """Division with a zero divisor."""
 
 
-def require_positive(name: str, value: int) -> None:
-    """Refuse a register width or sample count that is not an int of at
-    least one (a ``bool`` is not a count)."""
-    if type(value) is not int:
-        raise FixedPointError(f"{name} must be an int, got {value!r}")
-    if value < 1:
-        raise FixedPointError(f"need {name} >= 1, got {value}")
-
-
 @dataclass(frozen=True)
 class FixedPointValue:
     """An ``width``-bit unsigned word with one integer bit."""
@@ -65,7 +57,7 @@ class FixedPointValue:
     width: int
 
     def __post_init__(self) -> None:
-        require_positive("width", self.width)
+        require_count("width", self.width, 1, FixedPointError)
         if not isinstance(self.bits, int):
             raise FixedPointError(f"bits must be an int, got {self.bits!r}")
         if not 0 <= self.bits < (1 << self.width):
@@ -84,7 +76,7 @@ class FixedPointValue:
 
 def fp_encode(x, width: int) -> FixedPointValue:
     """Truncate ``x`` toward zero onto an ``width``-bit register."""
-    require_positive("width", width)
+    require_count("width", width, 1, FixedPointError)
     # exactly num/den, as Fraction(x) reads a float (NaN and inf raise alike)
     num, den = (x if isinstance(x, float) else Fraction(x)).as_integer_ratio()
     if num < 0 or num >= 2 * den:
@@ -260,7 +252,7 @@ def quantize_arcsine(
     extension: PiecewisePolynomial | None = None,
 ) -> QuantizedArcsine:
     """Prepare piecewise arcsine coefficients for register evaluation."""
-    require_positive("width", width)
+    require_count("width", width, 1, FixedPointError)
     pieces: list[QuantizedPiece] = []
     for source in (pp, extension):
         if source is None:
@@ -285,7 +277,7 @@ def build_quantized_arcsine(degree: int, eps: float, width: int) -> QuantizedArc
     emulator can report the incurred error instead of failing.  A width
     below one is refused before any fit.
     """
-    require_positive("width", width)
+    require_count("width", width, 1, FixedPointError)
     core = min_pieces(degree, eps)
     return quantize_arcsine(core, width, min_pieces(degree, eps, domain=EXTENSION_DOMAIN))
 
@@ -465,7 +457,7 @@ def estimate_eps_calculation(
     include_gap: bool = False,
 ) -> EpsSweepReport:
     """Max and mean pipeline error over the deterministic input sweep."""
-    require_positive("samples", samples)
+    require_count("samples", samples, 1, FixedPointError)
     if include_gap and table.extension_piece_count == 0:
         raise FixedPointError("sweeping the gap needs extension pieces")
     worst = 0.0

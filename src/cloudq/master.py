@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .states import MassDistribution, StateSpaceError, TransitionTable
+from .states import MassDistribution, StateSpaceError, TransitionTable, require_count
 
 PROB_TOL = 1e-12
 
@@ -76,8 +76,7 @@ class SsaConfig:
     t_end: float
 
     def __post_init__(self) -> None:
-        if self.n_runs < 1:
-            raise StateSpaceError(f"need n_runs >= 1, got {self.n_runs}")
+        require_count("n_runs", self.n_runs, 1, StateSpaceError)
         if not self.t_end >= 0:
             raise StateSpaceError(f"need t_end >= 0, got {self.t_end}")
 
@@ -155,6 +154,7 @@ def expected_counts(p: ProbabilityTable, bins: Sequence[int] | None = None) -> l
     if not len(values):
         raise StateSpaceError("empty distribution")
     for bin_index in bins or ():
+        require_count("bin", bin_index, -math.inf, StateSpaceError)
         if not 1 <= bin_index <= counts.shape[1]:
             raise StateSpaceError(f"bin {bin_index} outside [1, {counts.shape[1]}]")
     return _expected(counts if bins is None else counts[:, [b - 1 for b in bins]], values)

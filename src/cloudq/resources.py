@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
-from .states import label_pair_count, qubits_for_bin
+from .states import label_pair_count, qubits_for_bin, require_count
 
 
 class ResourceModelError(ValueError):
@@ -146,11 +146,12 @@ class EstimationCase:
     eps_calculation: float | None = None
 
     def __post_init__(self) -> None:
+        for name in ("n_bins", "time_steps"):
+            require_count(name, getattr(self, name), -math.inf, ResourceModelError)
         if self.n_bins < 2 or self.time_steps < 1:
             raise ResourceModelError("need n_bins >= 2 and time_steps >= 1")
         for name in ("n_eps", "degree", "pieces"):
-            if getattr(self, name) < 1:
-                raise ResourceModelError(f"need {name} >= 1, got {getattr(self, name)}")
+            require_count(name, getattr(self, name), 1, ResourceModelError)
         for name in ("eps_rotation", "eps_estimation", "eps_c", "delta"):
             value = getattr(self, name)
             if not 0 < value < 1:
@@ -310,6 +311,7 @@ def gate_cost_ushift(case: EstimationCase, pair: tuple[int, int]) -> GateCost:
 
 def gate_cost_uc(case: EstimationCase, bin_index: int = 1) -> GateCost:
     """Amplitude-encoding readout rotations for one bin."""
+    require_count("bin", bin_index, -math.inf, ResourceModelError)
     if not 1 <= bin_index <= case.n_bins:
         raise ResourceModelError(f"bin must lie in 1..{case.n_bins}, got {bin_index}")
     max_count = case.n_bins // bin_index

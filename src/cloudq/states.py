@@ -47,6 +47,16 @@ class StepSizeError(StateSpaceError):
     """The explicit update would move more probability than a state holds."""
 
 
+def require_count(name: str, value, floor, error: type[Exception]) -> None:
+    """Raise ``error`` for a count that is not an ``int`` (a ``bool`` or a
+    numpy integer is not one) or lies below ``floor``; a floor of
+    ``-math.inf`` checks the type alone, ahead of a caller's own bounds."""
+    if type(value) is not int:
+        raise error(f"{name} must be an int, got {value!r}")
+    if value < floor:
+        raise error(f"need {name} >= {floor}, got {value}")
+
+
 @dataclass(frozen=True)
 class MassDistribution:
     """Occupation vector with conserved total mass.
@@ -157,6 +167,7 @@ def qubits_for_bin(n_bins: int, bin_index: int) -> int:
 
 def build_transition_table(n_bins: int, kernel: KernelSpec, dt) -> TransitionTable:
     """Enumerate collision pairs for ``n_bins`` and attach kernel values."""
+    require_count("N", n_bins, -math.inf, StateSpaceError)
     if n_bins < 2:
         raise EmptyTableError(f"no collisions possible for N = {n_bins}")
     if not 0 < dt < math.inf:  # not isfinite, which overflows on a huge int or Fraction
@@ -441,8 +452,7 @@ class TransitionTable:
         its executor would meet first, without compiling deeper rows.
         The program's ``levels`` are the depths ``1..steps``.
         """
-        if steps < 0:
-            raise StateSpaceError(f"need steps >= 0, got {steps}")
+        require_count("steps", steps, 0, StateSpaceError)
         reached = set(sources)
         level, stepping, levels = list(reached), [], []
         for _ in range(steps):
@@ -479,8 +489,7 @@ class TransitionTable:
 
 def partition_count_exact(n: int) -> int:
     """Number of integer partitions ``p(n)``, counted one part size at a time."""
-    if n < 1:
-        raise StateSpaceError(f"need n >= 1, got {n}")
+    require_count("n", n, 1, StateSpaceError)
     counts = [1] + [0] * n  # partitions of each total into the part sizes so far
     for part in range(1, n + 1):
         for total in range(part, n + 1):
@@ -490,8 +499,7 @@ def partition_count_exact(n: int) -> int:
 
 def partition_count_asymptotic(n: int) -> float:
     """Hardy-Ramanujan leading-order estimate of the partition count."""
-    if n < 1:
-        raise StateSpaceError(f"need n >= 1, got {n}")
+    require_count("n", n, 1, StateSpaceError)
     return math.exp(math.pi * math.sqrt(2 * n / 3)) / (4 * n * math.sqrt(3))
 
 
@@ -515,8 +523,7 @@ def enumerate_states(
     :class:`ResourceLimitError` past ``cap`` since the state count grows
     like ``exp(sqrt(n))``.
     """
-    if n_bins < 1:
-        raise StateSpaceError(f"need N >= 1, got {n_bins}")
+    require_count("N", n_bins, 1, StateSpaceError)
     if n_bins > cap:
         raise ResourceLimitError(
             f"N = {n_bins} exceeds cap {cap}: would enumerate "

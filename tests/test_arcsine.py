@@ -115,6 +115,7 @@ def test_min_pieces_refuses_before_any_fit(monkeypatch, degree, eps, message):
         (-1, "need grid_factor >= 1, got -1"),
         (1.5, "grid_factor must be an int, got 1.5"),
         (True, "grid_factor must be an int, got True"),
+        (np.int64(10), f"grid_factor must be an int, got {np.int64(10)!r}"),
     ],
 )
 def test_verify_refuses_a_bad_grid_factor_before_any_work(fit_d5, monkeypatch, grid_factor, message):

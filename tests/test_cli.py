@@ -339,12 +339,14 @@ def test_estimate_bad_bin_exits_config_and_writes_nothing(tmp_path, capsys, bin_
                      "need width >= 1, got -3", id="arcsine-fit-n-eps-negative"),
         pytest.param(["arcsine-fit", "--d", "5", "--eps", "1e-6", "--n-eps", "0"], "o8",
                      "need width >= 1, got 0", id="arcsine-fit-n-eps-zero"),
+        pytest.param(["emulate", "--n-eps", "24", "--samples", "-2"], "o10/y",
+                     "need samples >= 1, got -2", id="emulate-samples-negative"),
         *(
             pytest.param(["estimate", "--preset", "paper-case-1", flag, value], "o9/y",
                          f"need {name} >= 1, got {value}", id=f"estimate-{name}{value}")
             for flag, name, value in (("--d", "degree", "0"), ("--d", "degree", "-2"),
                                       ("--M-eps", "pieces", "0"), ("--M-eps", "pieces", "-3"),
-                                      ("--n-eps", "n_eps", "0"))
+                                      ("--n-eps", "n_eps", "0"), ("--n-eps", "n_eps", "-3"))
         ),
     ],
 )

@@ -761,6 +761,11 @@ def test_ssa_event_on_a_tied_draw_takes_the_searchsorted_target():
                      id="negative-t-end"),
         pytest.param(lambda: expected_counts(ProbabilityTable.point_mass(
             MassDistribution.monodisperse(3)), [0]), "bin 0 outside [1, 3]", id="bin-zero"),
+        pytest.param(lambda: SsaConfig(n_runs=2.5, seed=1, t_end=1.0),
+                     "n_runs must be an int, got 2.5", id="float-runs"),
+        pytest.param(lambda: expected_counts(ProbabilityTable.point_mass(
+            MassDistribution.monodisperse(3)), [1.0]), "bin must be an int, got 1.0",
+            id="bin-float"),
     ],
 )
 def test_master_refusals_keep_their_messages(make, message):

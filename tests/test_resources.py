@@ -281,6 +281,9 @@ _CASE_REFUSALS = [
     ("eps_rotation", 0.0, "eps_rotation must lie in (0, 1), got 0.0"),
     ("eps_c", 1.0, "eps_c must lie in (0, 1), got 1.0"),
     ("delta", -0.1, "delta must lie in (0, 1), got -0.1"),
+    ("n_bins", 40.5, "n_bins must be an int, got 40.5"),
+    ("n_eps", 42.0, "n_eps must be an int, got 42.0"),
+    ("degree", True, "degree must be an int, got True"),
 ]
 
 

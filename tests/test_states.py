@@ -2,10 +2,13 @@ import dataclasses
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cloudq import division, master, resources
+from cloudq.presets import PRESET_CASES
 from cloudq.states import (
     DEFAULT_ENUMERATION_CAP,
     EmptyTableError,
@@ -305,9 +308,69 @@ def test_table_kernel_smaller_than_n_names_the_missing_entry():
         pytest.param(lambda: partition_count_asymptotic(0), "need n >= 1, got 0",
                      id="asymptotic-zero"),
         pytest.param(lambda: enumerate_states(0), "need N >= 1, got 0", id="enumerate-zero"),
+        pytest.param(lambda: enumerate_states(4.0), "N must be an int, got 4.0",
+                     id="enumerate-float"),
+        pytest.param(lambda: build_transition_table(3, KernelSpec(), 0.01).program([0], -1),
+                     "need steps >= 0, got -1", id="program-negative-steps"),
     ],
 )
 def test_state_space_refusals_keep_their_messages(make, message):
     with pytest.raises(StateSpaceError) as err:
         make()
     assert type(err.value) is StateSpaceError and str(err.value) == message
+
+
+def _table():
+    return build_transition_table(4, KernelSpec(), 0.01)
+
+
+def _merged():
+    return division.run_merged(_table(), 2)
+
+
+_CASE = PRESET_CASES["paper-case-1"]
+
+# Every entry point that takes a count but checked only its floor: each
+# names the count and raises its module's class.
+_COUNT_SITES = [
+    pytest.param(name, resources.ResourceModelError,
+                 lambda v, name=name: dataclasses.replace(_CASE, **{name: v}),
+                 id=f"EstimationCase.{name}")
+    for name in ("n_bins", "time_steps", "n_eps", "degree", "pieces")
+] + [
+    pytest.param("n_runs", StateSpaceError,
+                 lambda v: master.SsaConfig(n_runs=v, seed=1, t_end=1.0), id="SsaConfig.n_runs"),
+    pytest.param("steps", StateSpaceError, lambda v: _table().program([0], v), id="program"),
+    pytest.param("steps", StateSpaceError, lambda v: division.run_tree(_table(), v),
+                 id="run_tree"),
+    pytest.param("steps", StateSpaceError, lambda v: division.run_merged(_table(), v),
+                 id="run_merged"),
+    pytest.param("steps", StateSpaceError,
+                 lambda v: division.history_label_semantics_check(_table(), v),
+                 id="history_label_semantics_check"),
+    pytest.param("n", StateSpaceError, partition_count_exact, id="partition_count_exact"),
+    pytest.param("n", StateSpaceError, partition_count_asymptotic,
+                 id="partition_count_asymptotic"),
+    pytest.param("N", StateSpaceError, enumerate_states, id="enumerate_states"),
+    pytest.param("N", StateSpaceError, lambda v: build_transition_table(v, KernelSpec(), 0.01),
+                 id="build_transition_table"),
+    pytest.param("bin", StateSpaceError, lambda v: master.expected_counts(_merged(), [1, v]),
+                 id="expected_counts"),
+    pytest.param("bin", StateSpaceError, lambda v: master.expected_count(_merged(), v),
+                 id="expected_count"),
+    pytest.param("bin", StateSpaceError, lambda v: division.amplitude_expectation(_merged(), v),
+                 id="amplitude_expectation"),
+    pytest.param("bin", resources.ResourceModelError, lambda v: resources.gate_cost_uc(_CASE, v),
+                 id="gate_cost_uc"),
+    pytest.param("bin", resources.ResourceModelError,
+                 lambda v: resources.estimate_case(_CASE, v), id="estimate_case"),
+]
+
+
+@pytest.mark.parametrize("value", [2.0, True, np.int64(2)], ids=["float", "bool", "int64"])
+@pytest.mark.parametrize("name, error, call", _COUNT_SITES)
+def test_every_count_must_be_an_int(name, error, call, value):
+    with pytest.raises(error) as err:
+        call(value)
+    assert type(err.value) is error
+    assert str(err.value) == f"{name} must be an int, got {value!r}"
