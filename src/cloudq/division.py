@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -23,6 +24,7 @@ from .states import (
     StateSpaceError,
     TransitionTable,
     apply_transition,
+    common_numerators,
     qubits_for_bin,
     require_count,
 )
@@ -74,12 +76,31 @@ def divide_step(
 
 
 def merge_branches(branches: Sequence[HistoryBranch], step: int) -> ProbabilityTable:
-    """Aggregate branch probabilities by state in deterministic order."""
-    merged: dict[MassDistribution, float] = {}
-    for branch in sorted(branches, key=lambda b: (b.state.counts, b.history)):
-        total = merged.get(branch.state)
-        merged[branch.state] = (0 * branch.prob if total is None else total) + branch.prob
-    return ProbabilityTable(merged, step=step)
+    """Aggregate branch probabilities by state, in ascending counts order.
+
+    Float branches are summed in (counts, history) order.  When every
+    probability is an ``int`` or a ``Fraction``, each state's branches are
+    summed as integer numerators over one common denominator, and each
+    total is built once: a ``Fraction`` if one of its branches is, as
+    Python's own sum gives, since rational sums are exact in any order.
+    """
+    scaled = common_numerators([b.prob for b in branches])
+    if scaled is None:
+        merged: dict[MassDistribution, float] = {}
+        for branch in sorted(branches, key=lambda b: (b.state.counts, b.history)):
+            total = merged.get(branch.state)
+            merged[branch.state] = (0 * branch.prob if total is None else total) + branch.prob
+        return ProbabilityTable(merged, step=step)
+    nums, common = scaled
+    sums, fractions = {}, set()
+    for branch, num in zip(branches, nums):
+        sums[branch.state] = sums.get(branch.state, 0) + num
+        if type(branch.prob) is Fraction:
+            fractions.add(branch.state)
+    return ProbabilityTable({
+        state: Fraction(sums[state], common) if state in fractions else sums[state] // common
+        for state in sorted(sums, key=lambda s: s.counts)
+    }, step=step)
 
 
 def run_tree(
@@ -88,14 +109,41 @@ def run_tree(
     initial: MassDistribution | None = None,
     branch_cap: int = _BRANCH_CAP,
 ) -> list[HistoryBranch]:
-    """Full history tree after ``steps`` divisions."""
+    """Full history tree after ``steps`` divisions, each step as
+    :func:`divide_step` takes it.
+
+    A rational run, one whose weights are all ``int`` or ``Fraction``,
+    carries each branch's probability as an integer numerator over the
+    product of each step's common weight denominator, and builds each
+    ``Fraction`` once, at the end: the same values, all ``Fraction``, as
+    multiplying out from ``Fraction(1)``.  A step with any other weight
+    converts the numerators back and multiplies from there.
+    """
     require_count("steps", steps, 0, StateSpaceError)
-    state = initial or MassDistribution.monodisperse(table.num_bins)
-    branches = [HistoryBranch(history=(), state=state, prob=table.one)]
+    histories, at = [()], [initial or MassDistribution.monodisperse(table.num_bins)]
+    probs, scale = ([table.one], None) if table.is_float else ([1], 1)
     for step in range(1, steps + 1):
-        _check_cap(len(branches), table, step, branch_cap)
-        branches = divide_step(branches, table, step)
-    return branches
+        _check_cap(len(histories), table, step, branch_cap)
+        kids = {}
+        for state in at:  # the first branch in a failing state raises, as in divide_step
+            if state not in kids:
+                kids[state] = table.children(table.index(state))
+        if scale is not None:
+            scaled = common_numerators([w for children in kids.values() for _, _, w in children])
+            if scaled is None:
+                probs, scale = [Fraction(p, scale) for p in probs], None
+            else:
+                weights, d = iter(scaled[0]), scaled[1]
+                kids = {s: [(label, target, next(weights)) for label, target, _ in children]
+                        for s, children in kids.items()}
+                scale *= d
+        children = [(history + (label,), table.states[target], p * w)
+                    for history, state, p in zip(histories, at, probs)
+                    for label, target, w in kids[state]]
+        histories, at, probs = map(list, zip(*children))
+    if scale is not None:
+        probs = [Fraction(p, scale) for p in probs]
+    return list(map(HistoryBranch, histories, at, probs))
 
 
 def run_merged(table: TransitionTable, steps: int) -> ProbabilityTable:
@@ -104,10 +152,11 @@ def run_merged(table: TransitionTable, steps: int) -> ProbabilityTable:
 
     Valid because histories are orthogonal labels on non-negative
     probabilities: merging after each step commutes with the division.
-    Each step is one :meth:`~cloudq.states.StepProgram.step`: every state
-    sums its hold child first, then its inflows in ascending label order,
-    the order :func:`merge_branches` sorts children into, so the sums
-    agree bit for bit with dividing and merging branch by branch.  The
+    Each step is one :meth:`~cloudq.states.StepProgram.run` step: every
+    state sums its hold child first, then its inflows in ascending label
+    order, the order :func:`merge_branches` sorts float children into, so
+    the sums agree bit for bit with dividing and merging branch by branch;
+    a rational run sums them on integer numerators, exactly.  The
     support, which the table lists, is the rows of the terms from the last
     one; once a step repeats it, it is final.
     """
@@ -115,19 +164,17 @@ def run_merged(table: TransitionTable, steps: int) -> ProbabilityTable:
     prog = table.program([start], steps, sequential=True)
     size = len(table.states)
     prob = prog.vector(size, [start], [table.one])
+    read = prob.__getitem__
     present = np.zeros(size, dtype=bool)
     present[start] = True
     final = False
-    for _ in range(steps):
-        nxt = np.zeros(size, dtype=prob.dtype)
-        prog.step(prob, nxt)
-        prob = nxt
+    for read in prog.run(prob, steps, carry=False):
         if not final:
             reached = np.zeros(size, dtype=bool)
             reached[prog.row[present[prog.col]]] = True
             final, present = np.array_equal(reached, present), reached
     kept = sorted(np.flatnonzero(present).tolist(), key=lambda k: table.states[k].counts)
-    return ProbabilityTable.listed([table.states[k] for k in kept], prob[kept], steps)
+    return ProbabilityTable.listed([table.states[k] for k in kept], read(kept), steps)
 
 
 def amplitude_expectation(distribution: ProbabilityTable, bin_index: int):

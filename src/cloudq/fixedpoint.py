@@ -58,7 +58,7 @@ class FixedPointValue:
 
     def __post_init__(self) -> None:
         require_count("width", self.width, 1, FixedPointError)
-        if not isinstance(self.bits, int):
+        if type(self.bits) is not int:  # require_count's type rule, inline: one per register
             raise FixedPointError(f"bits must be an int, got {self.bits!r}")
         if not 0 <= self.bits < (1 << self.width):
             raise FixedPointRangeError(

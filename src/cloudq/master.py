@@ -77,6 +77,7 @@ class SsaConfig:
 
     def __post_init__(self) -> None:
         require_count("n_runs", self.n_runs, 1, StateSpaceError)
+        require_count("seed", self.seed, 0, StateSpaceError)
         if not self.t_end >= 0:
             raise StateSpaceError(f"need t_end >= 0, got {self.t_end}")
 
@@ -87,11 +88,13 @@ def _steps(
     """``steps`` explicit updates on the table's step program; the tables
     after each step (``keep_all``) or after the last.
 
-    Each step sums from zero, for every state, its old value, then the
-    terms :meth:`~cloudq.states.StepProgram.step` adds: its own outflows
-    in label order, then its inflows in ascending (source, label) order,
-    the order of moving probability flow by flow in ascending counts order
-    (a collision lowers the counts vector).  The tables share one listing:
+    Each step (:meth:`~cloudq.states.StepProgram.run`) sums from zero, for
+    every state, its old value, then the terms
+    :meth:`~cloudq.states.StepProgram.step` adds: its own outflows in
+    label order, then its inflows in ascending (source, label) order, the
+    order of moving probability flow by flow in ascending counts order (a
+    collision lowers the counts vector); a rational run sums the same
+    terms on integer numerators.  The tables share one listing:
     the old keys, then each step's program level, the states the populated
     keys first reach at that step, whatever their values.  Each table holds
     the values of the listing's first states up to its step's level.
@@ -104,14 +107,11 @@ def _steps(
         order.extend(k for k in level if k not in start)  # an empty key may be reached
         ends.append(len(order))
     listing, order = [table.states[k] for k in order], np.array(order, dtype=np.intp)
-    prob = prog.vector(size, keys, values)
+    run = prog.run(prog.vector(size, keys, values), steps, carry=True)
     out = []
-    for step, end in enumerate(ends, start=p0.step + 1):
-        nxt = np.zeros(size, dtype=prob.dtype) + prob
-        prog.step(prob, nxt)
-        prob = nxt
+    for (step, end), read in zip(enumerate(ends, start=p0.step + 1), run):
         if keep_all or step == p0.step + steps:
-            out.append(ProbabilityTable.listed(listing, prob[order[:end]], step))
+            out.append(ProbabilityTable.listed(listing, read(order[:end]), step))
     return out
 
 
@@ -124,6 +124,7 @@ def evolve(p0: ProbabilityTable, table: TransitionTable, steps: int) -> Probabil
     exact.  :class:`StepSizeError` names the first state to step, in
     ascending counts order, with ``sum_h r_h > 1``.
     """
+    require_count("steps", steps, 0, StateSpaceError)
     return _steps(p0, table, steps, keep_all=False)[0] if steps else p0
 
 

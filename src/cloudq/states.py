@@ -15,8 +15,9 @@ import numbers
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import chain, compress
-from typing import Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -254,6 +255,23 @@ class OperatorRow(NamedTuple):
     hold: object
 
 
+def common_numerators(numbers: Sequence) -> tuple[list[int], int] | None:
+    """``numbers`` as integer numerators over their least common
+    denominator, or None unless each is an ``int`` or a ``Fraction``."""
+    if not set(map(type, numbers)) <= {int, Fraction}:
+        return None
+    ratios = [x.as_integer_ratio() for x in numbers]
+    common = math.lcm(*{den for _, den in ratios})
+    return [num * (common // den) for num, den in ratios], common
+
+
+def _read_scaled(num: np.ndarray, held: np.ndarray, scale: int, at) -> np.ndarray:
+    """The values ``num[at] / scale``: a ``Fraction`` where ``held``, an
+    ``int`` elsewhere."""
+    pairs = zip(num[at].tolist(), held[at].tolist())
+    return np.fromiter((Fraction(n, scale) if f else n // scale for n, f in pairs), object, len(at))
+
+
 class StepProgram(NamedTuple):
     """A run's step as a sparse map over state indices.
 
@@ -265,7 +283,8 @@ class StepProgram(NamedTuple):
     ``(target, k, weight)``, stably sorted by label from ascending counts
     order, so the holds ``(k, k, s_1)`` come first.  ``coef``
     holds the table's number type: float64 on a float table, Python
-    numbers (``dtype=object``) otherwise, so rational tables stay exact.
+    numbers (``dtype=object``) otherwise, so rational tables stay exact;
+    :meth:`run` steps an all-rational run on integer numerators.
     ``levels[d]`` lists the states first reached at step ``d + 1``, in the
     order reached: each level's states in ascending counts order, each
     state's targets in label order.
@@ -300,6 +319,49 @@ class StepProgram(NamedTuple):
             keep = (prob != 0)[col]
             row, col, coef = row[keep], col[keep], coef[keep]
         np.add.at(out, row, prob[col] * coef)
+
+    def run(self, prob: np.ndarray, steps: int, carry: bool) -> Iterator[Callable]:
+        """Take ``steps`` steps from ``prob``, each summing from the old
+        value (``carry``, the solver) or from zero (the division map);
+        after each, yield a function that reads the values at an index
+        array.
+
+        When every coefficient and every value is an ``int`` or a
+        ``Fraction``, the run steps the integer numerators ``x = B D^t P``
+        instead, where ``D`` and ``B`` are the lcm of the coefficients' and
+        of the start values' denominators: ``D x + sum (D coef) x[col]``
+        on Python ints, with no gcd, and one ``Fraction`` per value read.
+        Rational sums are exact in any order, so only the value types need
+        care, and they are :meth:`step`'s: a value is a ``Fraction`` once it
+        holds one or a nonzero source adds it a ``Fraction`` term, so an
+        ``int`` 0 no flow reaches stays one and a ``Fraction`` that sums
+        to 0 stays ``Fraction(0)``.  Any other run takes :meth:`step`.
+        """
+        start = scaled = None
+        if self.coef.dtype == object:
+            start, scaled = common_numerators(prob.tolist()), common_numerators(self.coef.tolist())
+        if start is None or scaled is None:
+            for _ in range(steps):
+                nxt = np.zeros(len(prob), dtype=prob.dtype)
+                if carry:
+                    nxt = nxt + prob
+                self.step(prob, nxt)
+                prob = nxt
+                yield prob.__getitem__
+            return
+        (num, scale), (dcoef, d) = start, scaled
+        num, dcoef = np.array(num, dtype=object), np.array(dcoef, dtype=object)
+        held = np.array([type(v) is Fraction for v in prob.tolist()], dtype=bool)
+        fraction_coef = np.array([type(c) is Fraction for c in self.coef.tolist()], dtype=bool)
+        for _ in range(steps):
+            live = (num != 0)[self.col]
+            row, col = self.row[live], self.col[live]
+            nxt = num * d if carry else np.zeros(len(num), dtype=object)
+            np.add.at(nxt, row, num[col] * dcoef[live])
+            was, held = held, held.copy() if carry else np.zeros(len(num), dtype=bool)
+            held[row[was[col] | fraction_coef[live]]] = True
+            num, scale = nxt, scale * d
+            yield partial(_read_scaled, num, held, scale)
 
 
 @dataclass(frozen=True)

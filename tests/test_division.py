@@ -133,6 +133,83 @@ def test_tree_marginalization_is_exact():
         assert collapsed.entries[state] == prob
 
 
+@pytest.mark.parametrize("kind", ["constant", "sum", "product"])
+def test_tree_marginalization_is_exact_at_16(kind):
+    # start at total rate 1/2, so every branch weight is a proper Fraction
+    n = 16
+    unit = build_transition_table(n, KernelSpec(kind, Fraction(1)), Fraction(1))
+    start_rate = total_transition_rate(unit, MassDistribution.monodisperse(n))
+    table = build_transition_table(n, KernelSpec(kind, Fraction(1)), 1 / (2 * start_rate))
+    tree = run_tree(table, 2)
+    assert {type(b.prob) for b in tree} == {Fraction}
+    collapsed, merged = merge_branches(tree, 2), run_merged(table, 2)
+    assert list(collapsed.entries.items()) == list(merged.entries.items())
+    assert {type(v) for v in collapsed.entries.values()} == {Fraction}
+
+
+def _mixed_from_step_2():
+    # every weight of the start's row is a Fraction; K(2, 4) = 0.5 makes the
+    # row of (0, 1, 0, 1, 0, 0), reached at step 1, a float row
+    kernel = [[Fraction(1)] * 6 for _ in range(6)]
+    kernel[1][3] = kernel[3][1] = 0.5
+    table = build_transition_table(6, KernelSpec("table", 1.0, tuple(map(tuple, kernel))),
+                                   Fraction(1, 10))
+    return table, MassDistribution((2, 0, 0, 1, 0, 0))
+
+
+_TREE_INPUTS = {
+    "fraction": (Fraction(3, 2), Fraction(1, 90)), "float": (1.5, 1 / 90),
+    "float-kernel": (1.5, Fraction(1, 90)), "float-dt": (Fraction(3, 2), 1 / 90),
+}
+
+
+def _typed_branches(branches):
+    return [(b.history, b.state, type(b.prob), repr(b.prob)) for b in branches]
+
+
+@pytest.mark.parametrize("case", sorted(_TREE_INPUTS) + ["late-float"])
+def test_tree_is_divide_step_repeated(case):
+    # the same branches, in the same order, with the same value types
+    # (all Fraction on a rational table, floats from the first float weight on)
+    if case == "late-float":
+        table, start = _mixed_from_step_2()
+    else:
+        k0, dt = _TREE_INPUTS[case]
+        table, start = build_transition_table(7, KernelSpec("sum", k0), dt), None
+    branches = [HistoryBranch((), start or MassDistribution.monodisperse(7), table.one)]
+    types = set()
+    for step in range(5):
+        if step:
+            branches = divide_step(branches, table, step)
+        want = _typed_branches(branches)
+        assert _typed_branches(run_tree(table, step, start)) == want
+        types |= {t for _, _, t, _ in want}
+    assert types == {"fraction": {Fraction}, "float": {float}}.get(case, {Fraction, float})
+
+
+def _sorted_merge(branches):
+    # merge_branches as it was for every number type: one sum per state,
+    # from 0 * its first value, in (counts, history) order
+    merged = {}
+    for branch in sorted(branches, key=lambda b: (b.state.counts, b.history)):
+        total = merged.get(branch.state)
+        merged[branch.state] = (0 * branch.prob if total is None else total) + branch.prob
+    return merged
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(st.integers(min_value=0, max_value=4), st.one_of(
+    st.integers(min_value=-3, max_value=3), st.fractions(max_denominator=60))), max_size=30))
+def test_rational_merge_is_the_sorted_sum(draws):
+    states = enumerate_states(5)
+    branches = [HistoryBranch((i % 3, i), states[s], p) for i, (s, p) in enumerate(draws)]
+    got = merge_branches(branches, 3)
+    assert got.step == 3
+    assert [(s, type(v), repr(v)) for s, v in got.entries.items()] == [
+        (s, type(v), repr(v)) for s, v in _sorted_merge(branches).items()
+    ]
+
+
 def test_branch_cap():
     table = _table(6, dt=0.001)
     with pytest.raises(BranchCapError) as err:

@@ -3,6 +3,7 @@ import random
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -242,7 +243,7 @@ def test_width_below_one_is_refused_before_any_shift(arcsine_table, width):
         estimate_eps_calculation(WIDTH, arcsine_table, samples=width)
 
 
-@pytest.mark.parametrize("bits", [2.5, 2.0, Fraction(5, 2), "3"])
+@pytest.mark.parametrize("bits", [2.5, 2.0, Fraction(5, 2), "3", True, np.int64(3)])
 @pytest.mark.parametrize("register", ["integer", "real"])
 def test_register_refuses_non_int_bits(arcsine_table, bits, register):
     # the circuit's integer registers hold the droplet counts, which the

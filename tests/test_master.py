@@ -1,5 +1,6 @@
 import bisect
 import csv
+import hashlib
 import math
 import os
 import tempfile
@@ -766,6 +767,16 @@ def test_ssa_event_on_a_tied_draw_takes_the_searchsorted_target():
         pytest.param(lambda: expected_counts(ProbabilityTable.point_mass(
             MassDistribution.monodisperse(3)), [1.0]), "bin must be an int, got 1.0",
             id="bin-float"),
+        pytest.param(lambda: SsaConfig(n_runs=3, seed=2.5, t_end=1.0),
+                     "seed must be an int, got 2.5", id="float-seed"),
+        pytest.param(lambda: SsaConfig(n_runs=3, seed=True, t_end=1.0),
+                     "seed must be an int, got True", id="bool-seed"),
+        pytest.param(lambda: SsaConfig(n_runs=3, seed=-1, t_end=1.0),
+                     "need seed >= 0, got -1", id="negative-seed"),
+        pytest.param(lambda: evolve(*_mono_table(4)[::-1], 0.0),
+                     "steps must be an int, got 0.0", id="float-zero-steps"),
+        pytest.param(lambda: evolve(*_mono_table(4)[::-1], False),
+                     "steps must be an int, got False", id="false-steps"),
     ],
 )
 def test_master_refusals_keep_their_messages(make, message):
@@ -873,3 +884,53 @@ def test_float_solver_matches_the_constant_closed_form(n_bins):
     expected = _closed_form_expected("constant", n_bins, 1.0, dt, 300)
     solved = expected_counts(evolve(p0, table, 300))
     assert max(abs(s - e) for s, e in zip(solved, expected)) <= 1e-12
+
+
+def _typed_tables(tables):
+    return repr([(t.step, [(s.counts, type(v).__name__, repr(v)) for s, v in t.entries.items()])
+                 for t in tables])
+
+
+# Runs whose numbers are not all ints and Fractions step on Python
+# numbers as before; sha256 of each run's entries, with their types.
+_MIXED_RUNS = {
+    "point-mass-on-fraction": (
+        lambda mono: evolve_series(ProbabilityTable.point_mass(mono), build_transition_table(
+            6, KernelSpec("sum", Fraction(1)), Fraction(1, 40)), 4),
+        "f82b8cecd15a7aca6d57c2c05457ce3c3bd1f129708b0af483aa70419d6b8e63"),
+    "int-start-on-float": (
+        lambda mono: evolve_series(ProbabilityTable({mono: 1, MassDistribution.absorbed(6): 0}),
+                                   build_transition_table(6, KernelSpec("sum", 1.0), 1 / 40), 4),
+        "48ce1b978ae3e2f0a35125910233284f096d6abea35c5c69350fed9bde2b035a"),
+    "float-kernel-fraction-dt": (
+        lambda mono: [run_merged(build_transition_table(6, KernelSpec("product", 0.5),
+                                                        Fraction(1, 40)), 4),
+                      merge_branches(run_tree(build_transition_table(
+                          6, KernelSpec("product", 0.5), Fraction(1, 40)), 3), 3)],
+        "9ec476ff3369b5b032cf78d877b57a962027d431d3103df9b878ae73f151189d"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MIXED_RUNS))
+def test_mixed_object_runs_keep_their_entries(case):
+    run, digest = _MIXED_RUNS[case]
+    text = _typed_tables(run(MassDistribution.monodisperse(6)))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert "'float'" in text
+
+
+@pytest.mark.parametrize("n_bins", [16, 20])
+def test_rational_runs_equal_the_sum_closed_form_past_12(n_bins):
+    # dt = 1/(N(N-1)) gives n droplets the total rate (n-1)/(N-1): exactly 1
+    # at the start, which the first step empties; M = N steps
+    dt = Fraction(1, n_bins * (n_bins - 1))
+    table = build_transition_table(n_bins, KernelSpec("sum", Fraction(1)), dt)
+    mono = MassDistribution.monodisperse(n_bins)
+    solved = evolve(ProbabilityTable({mono: Fraction(1)}), table, n_bins)
+    merged = run_merged(table, n_bins)
+    assert {type(v) for p in (solved, merged) for v in p.entries.values()} == {Fraction}
+    # the solver lists its emptied start; the division map drops its hold of 0
+    assert solved.entries[mono] == 0 and mono not in merged.entries
+    assert {s: v for s, v in solved.entries.items() if s != mono} == dict(merged.entries)
+    expected = _closed_form_expected("sum", n_bins, Fraction(1), dt, n_bins)
+    assert _fraction_expected(solved, n_bins) == expected

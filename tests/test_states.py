@@ -18,6 +18,7 @@ from cloudq.states import (
     MassDistribution,
     ResourceLimitError,
     StateSpaceError,
+    StepProgram,
     apply_pair,
     apply_transition,
     build_transition_table,
@@ -340,6 +341,11 @@ _COUNT_SITES = [
 ] + [
     pytest.param("n_runs", StateSpaceError,
                  lambda v: master.SsaConfig(n_runs=v, seed=1, t_end=1.0), id="SsaConfig.n_runs"),
+    pytest.param("seed", StateSpaceError,
+                 lambda v: master.SsaConfig(n_runs=3, seed=v, t_end=1.0), id="SsaConfig.seed"),
+    pytest.param("steps", StateSpaceError,
+                 lambda v: master.evolve(master.ProbabilityTable.point_mass(
+                     MassDistribution.monodisperse(4)), _table(), v), id="evolve"),
     pytest.param("steps", StateSpaceError, lambda v: _table().program([0], v), id="program"),
     pytest.param("steps", StateSpaceError, lambda v: division.run_tree(_table(), v),
                  id="run_tree"),
@@ -374,3 +380,105 @@ def test_every_count_must_be_an_int(name, error, call, value):
         call(value)
     assert type(err.value) is error
     assert str(err.value) == f"{name} must be an int, got {value!r}"
+
+
+# The integer kernel against the np.add.at step on Python numbers, which
+# every object run took before it: each step sums from the old value (the
+# solver) or from zero (the division map), then adds prob[col] * coef.
+def _object_steps(prog, prob, steps, carry):
+    out = []
+    for _ in range(steps):
+        nxt = np.zeros(len(prob), dtype=object)
+        if carry:
+            nxt = nxt + prob
+        prog.step(prob, nxt)
+        prob = nxt
+        out.append(prob.tolist())
+    return out
+
+
+def _run_values(prog, prob, steps, carry):
+    every = np.arange(len(prob))
+    return [read(every).tolist() for read in prog.run(prob, steps, carry)]
+
+
+def _typed(runs):
+    return [[(type(v), repr(v)) for v in values] for values in runs]
+
+
+def _share_table(n, kind, k0, share):
+    # dt at ``share`` of the largest sum_h r_h: at share 1 that state's
+    # total is exactly 1, so its hold is Fraction(0)
+    unit = build_transition_table(n, KernelSpec(kind, Fraction(1)), Fraction(1))
+    worst = max(total_transition_rate(unit, s) for s in enumerate_states(n))
+    return build_transition_table(n, KernelSpec(kind, k0), share / (k0 * worst))
+
+
+_START_VALUES = [0, 0, 0, 1, 2, Fraction(0), Fraction(1), Fraction(1, 3), Fraction(2, 7)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=7),
+    kind=st.sampled_from(["constant", "sum", "product"]),
+    k0=st.sampled_from([Fraction(1), Fraction(3, 2), Fraction(2, 3)]),
+    share=st.sampled_from([Fraction(1), Fraction(9, 10), Fraction(1, 2)]),
+    steps=st.integers(min_value=0, max_value=6),
+    sequential=st.booleans(),
+    data=st.data(),
+)
+def test_integer_kernel_is_the_object_step(n, kind, k0, share, steps, sequential, data):
+    table = _share_table(n, kind, k0, share)
+    every = enumerate_states(n)
+    values = data.draw(st.lists(st.sampled_from(_START_VALUES), min_size=len(every),
+                                max_size=len(every)))
+    keys = [table.index(s) for s in every]
+    prog = table.program(keys, steps, sequential)
+    prob = prog.vector(len(table.states), keys, values)
+    for carry in (True, False):
+        assert _typed(_run_values(prog, prob, steps, carry)) == _typed(
+            _object_steps(prog, prob, steps, carry))
+
+
+@pytest.mark.parametrize("start", [[1], [Fraction(1)], [0], [Fraction(0)], [1.0]],
+                         ids=["int", "fraction", "int-zero", "fraction-zero", "float"])
+@pytest.mark.parametrize("coef", ["fraction", "int", "float"])
+@pytest.mark.parametrize("sequential", [False, True], ids=["solver", "division"])
+def test_integer_kernel_on_unit_tables(coef, start, sequential):
+    # N = 2 at k0 = dt = 1: the one collision takes everything, so D = 1.
+    # Fraction inputs give Fraction coefficients; their int copy is a
+    # program of ints alone; int inputs give floats (r_h = K n (n-1) / 2),
+    # a mixed program that steps as before
+    one = Fraction(1) if coef != "float" else 1
+    table = build_transition_table(2, KernelSpec(k0=one), one)
+    keys = [table.index(MassDistribution((2, 0))), table.index(MassDistribution((0, 1)))]
+    prog = table.program(keys, 3, sequential)
+    if coef == "int":
+        prog = prog._replace(coef=np.array([int(c) for c in prog.coef], dtype=object))
+    types = {type(c) for c in prog.coef}
+    if coef == "float":
+        assert float in types  # the absorbed state's hold is the int 1
+    else:
+        assert types == {Fraction if coef == "fraction" else int}
+    prob = prog.vector(len(table.states), keys, start + [0])
+    for carry in (True, False):
+        runs = _run_values(prog, prob, 6, carry)
+        assert _typed(runs) == _typed(_object_steps(prog, prob, 6, carry))
+
+
+def test_rational_run_takes_the_integer_kernel(monkeypatch):
+    table = _share_table(6, "sum", Fraction(3, 2), Fraction(1))
+    keys = [table.index(s) for s in enumerate_states(6)]
+    prog = table.program(keys, 4)
+    prob = prog.vector(len(table.states), keys, [Fraction(1, len(keys))] * len(keys))
+    want = _object_steps(prog, prob, 4, True)
+
+    def fail(*args):
+        raise AssertionError("stepped on Fractions")
+
+    monkeypatch.setattr(StepProgram, "step", fail)
+    assert _typed(_run_values(prog, prob, 4, True)) == _typed(want)
+    # and a mixed run still takes the object step
+    mixed = prog.vector(len(table.states), keys, [1.0] + [0] * (len(keys) - 1))
+    with pytest.raises(AssertionError, match="stepped on Fractions"):
+        next(prog.run(mixed, 1, True))
