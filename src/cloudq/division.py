@@ -81,25 +81,21 @@ def merge_branches(branches: Sequence[HistoryBranch], step: int) -> ProbabilityT
     Float branches are summed in (counts, history) order.  When every
     probability is an ``int`` or a ``Fraction``, each state's branches are
     summed as integer numerators over one common denominator, and each
-    total is built once: a ``Fraction`` if one of its branches is, as
-    Python's own sum gives, since rational sums are exact in any order.
+    total is one ``Fraction``: rational sums are exact in any order.
     """
-    scaled = common_numerators([b.prob for b in branches])
-    if scaled is None:
+    probs = [b.prob for b in branches]
+    if not set(map(type, probs)) <= {int, Fraction}:
         merged: dict[MassDistribution, float] = {}
         for branch in sorted(branches, key=lambda b: (b.state.counts, b.history)):
             total = merged.get(branch.state)
             merged[branch.state] = (0 * branch.prob if total is None else total) + branch.prob
         return ProbabilityTable(merged, step=step)
-    nums, common = scaled
-    sums, fractions = {}, set()
+    nums, common = common_numerators(probs)
+    sums = {}
     for branch, num in zip(branches, nums):
         sums[branch.state] = sums.get(branch.state, 0) + num
-        if type(branch.prob) is Fraction:
-            fractions.add(branch.state)
     return ProbabilityTable({
-        state: Fraction(sums[state], common) if state in fractions else sums[state] // common
-        for state in sorted(sums, key=lambda s: s.counts)
+        state: Fraction(sums[state], common) for state in sorted(sums, key=lambda s: s.counts)
     }, step=step)
 
 
@@ -112,36 +108,31 @@ def run_tree(
     """Full history tree after ``steps`` divisions, each step as
     :func:`divide_step` takes it.
 
-    A rational run, one whose weights are all ``int`` or ``Fraction``,
-    carries each branch's probability as an integer numerator over the
-    product of each step's common weight denominator, and builds each
-    ``Fraction`` once, at the end: the same values, all ``Fraction``, as
-    multiplying out from ``Fraction(1)``.  A step with any other weight
-    converts the numerators back and multiplies from there.
+    A float table multiplies each branch's probability out from ``1.0``.
+    An exact table carries it as an integer numerator over the product of
+    each step's common weight denominator, and builds each ``Fraction``
+    once, at the end: the values of multiplying out from ``Fraction(1)``.
     """
     require_count("steps", steps, 0, StateSpaceError)
     histories, at = [()], [initial or MassDistribution.monodisperse(table.num_bins)]
-    probs, scale = ([table.one], None) if table.is_float else ([1], 1)
+    probs, scale = [1.0 if table.is_float else 1], 1
     for step in range(1, steps + 1):
         _check_cap(len(histories), table, step, branch_cap)
         kids = {}
         for state in at:  # the first branch in a failing state raises, as in divide_step
             if state not in kids:
                 kids[state] = table.children(table.index(state))
-        if scale is not None:
-            scaled = common_numerators([w for children in kids.values() for _, _, w in children])
-            if scaled is None:
-                probs, scale = [Fraction(p, scale) for p in probs], None
-            else:
-                weights, d = iter(scaled[0]), scaled[1]
-                kids = {s: [(label, target, next(weights)) for label, target, _ in children]
-                        for s, children in kids.items()}
-                scale *= d
+        if not table.is_float:
+            weights, d = common_numerators([w for kin in kids.values() for _, _, w in kin])
+            weights = iter(weights)
+            kids = {s: [(label, target, next(weights)) for label, target, _ in children]
+                    for s, children in kids.items()}
+            scale *= d
         children = [(history + (label,), table.states[target], p * w)
                     for history, state, p in zip(histories, at, probs)
                     for label, target, w in kids[state]]
         histories, at, probs = map(list, zip(*children))
-    if scale is not None:
+    if not table.is_float:
         probs = [Fraction(p, scale) for p in probs]
     return list(map(HistoryBranch, histories, at, probs))
 

@@ -89,11 +89,10 @@ def _steps(
     after each step (``keep_all``) or after the last.
 
     Each step (:meth:`~cloudq.states.StepProgram.run`) sums from zero, for
-    every state, its old value, then the terms
-    :meth:`~cloudq.states.StepProgram.step` adds: its own outflows in
-    label order, then its inflows in ascending (source, label) order, the
-    order of moving probability flow by flow in ascending counts order (a
-    collision lowers the counts vector); a rational run sums the same
+    every state, its old value, then the program's terms: its own outflows
+    in label order, then its inflows in ascending (source, label) order,
+    the order of moving probability flow by flow in ascending counts order
+    (a collision lowers the counts vector); an exact run sums the same
     terms on integer numerators.  The tables share one listing:
     the old keys, then each step's program level, the states the populated
     keys first reach at that step, whatever their values.  Each table holds

@@ -124,7 +124,7 @@ class KernelSpec:
         if self.kind == "table":
             if self.table is None:
                 raise StateSpaceError("table kernel requires an explicit table")
-        elif not (self.k0 >= 0 and math.isfinite(self.k0)):
+        elif not 0 <= self.k0 < math.inf:  # as dt: isfinite overflows on a huge int
             raise StateSpaceError(f"kernel constant must be finite and >= 0, got {self.k0}")
 
     def rate(self, i: int, j: int) -> float:
@@ -141,6 +141,8 @@ class KernelSpec:
             raise StateSpaceError(f"kernel table has no entry K({i},{j})") from None
         if not value >= 0:
             raise StateSpaceError(f"kernel table entry K({i},{j}) = {value} < 0")
+        if not value < math.inf:
+            raise StateSpaceError(f"kernel table entry K({i},{j}) = {value} is not finite")
         return value
 
 
@@ -180,13 +182,15 @@ def build_transition_table(n_bins: int, kernel: KernelSpec, dt) -> TransitionTab
 
 def _pair_propensity(kernel, counts: Sequence[int], i: int, j: int):
     """``r_h / dt`` of pair ``(i, j)``: ``K n_i n_j``, or ``K n_i (n_i-1) / 2``
-    for equal bins; exactly zero whenever the source bins are under-populated.
+    for equal bins (halved with ``//`` on an ``int``, so it stays one);
+    exactly zero whenever the source bins are under-populated.
     """
     if i == j:
         n = counts[i - 1]
         if n < 2:
             return 0
-        return kernel * n * (n - 1) / 2
+        twice = kernel * n * (n - 1)
+        return twice // 2 if type(twice) is int else twice / 2
     ni = counts[i - 1]
     nj = counts[j - 1]
     if ni < 1 or nj < 1:
@@ -255,21 +259,17 @@ class OperatorRow(NamedTuple):
     hold: object
 
 
-def common_numerators(numbers: Sequence) -> tuple[list[int], int] | None:
-    """``numbers`` as integer numerators over their least common
-    denominator, or None unless each is an ``int`` or a ``Fraction``."""
-    if not set(map(type, numbers)) <= {int, Fraction}:
-        return None
+def common_numerators(numbers: Sequence) -> tuple[list[int], int]:
+    """``numbers``, each an ``int`` or a ``Fraction``, as integer
+    numerators over their least common denominator."""
     ratios = [x.as_integer_ratio() for x in numbers]
     common = math.lcm(*{den for _, den in ratios})
     return [num * (common // den) for num, den in ratios], common
 
 
-def _read_scaled(num: np.ndarray, held: np.ndarray, scale: int, at) -> np.ndarray:
-    """The values ``num[at] / scale``: a ``Fraction`` where ``held``, an
-    ``int`` elsewhere."""
-    pairs = zip(num[at].tolist(), held[at].tolist())
-    return np.fromiter((Fraction(n, scale) if f else n // scale for n, f in pairs), object, len(at))
+def _read_scaled(num: np.ndarray, scale: int, at) -> np.ndarray:
+    """The values ``num[at] / scale``, one ``Fraction`` each."""
+    return np.fromiter((Fraction(n, scale) for n in num[at].tolist()), object, len(at))
 
 
 class StepProgram(NamedTuple):
@@ -281,10 +281,9 @@ class StepProgram(NamedTuple):
     r_h)``, each in ascending (source counts, label) order; for the
     division model, every :meth:`TransitionTable.children` term
     ``(target, k, weight)``, stably sorted by label from ascending counts
-    order, so the holds ``(k, k, s_1)`` come first.  ``coef``
-    holds the table's number type: float64 on a float table, Python
-    numbers (``dtype=object``) otherwise, so rational tables stay exact;
-    :meth:`run` steps an all-rational run on integer numerators.
+    order, so the holds ``(k, k, s_1)`` come first.  ``coef`` holds the
+    table's number type: float64 on a float table, and ``int`` and
+    ``Fraction`` (``dtype=object``) on an exact one.
     ``levels[d]`` lists the states first reached at step ``d + 1``, in the
     order reached: each level's states in ascending counts order, each
     state's targets in label order.
@@ -296,72 +295,49 @@ class StepProgram(NamedTuple):
     levels: list[list[int]]
 
     def vector(self, size: int, at: Sequence[int], values: Sequence) -> np.ndarray:
-        """Length ``size``, ``values`` at indices ``at`` and zero elsewhere.
-
-        Float64 when the program and every value are floats; Python
-        numbers otherwise, so each entry follows Python's own arithmetic
-        (an ``int`` or ``Fraction`` no step touches stays one).
-        """
-        values = np.array(values, dtype=object)
-        exact = self.coef.dtype == object or any(type(v) is not float for v in values)
-        out = np.zeros(size, dtype=object if exact else float)
+        """Length ``size``, ``values`` at indices ``at`` and zero elsewhere,
+        in the program's number type: float64, or on an exact program each
+        value as a ``Fraction``, so a float start is the rational it holds."""
+        if self.coef.dtype == object:
+            for value in values:
+                if not -math.inf < value < math.inf:
+                    raise StateSpaceError(f"start value {value} is not finite")
+            values = list(map(Fraction, values))
+        out = np.zeros(size, dtype=self.coef.dtype)
         out[at] = values
         return out
 
-    def step(self, prob: np.ndarray, out: np.ndarray) -> None:
-        """Add ``prob[col] * coef`` into ``out``, which holds no ``-0.0``,
-        in stored order.  On Python numbers a term whose source is exactly
-        0 is skipped, so an ``int`` 0 no flow reaches stays an ``int``; on
-        float64 every term is added, since a dead source adds ``±0.0``,
-        which moves no sum."""
-        row, col, coef = self.row, self.col, self.coef
-        if prob.dtype == object:
-            keep = (prob != 0)[col]
-            row, col, coef = row[keep], col[keep], coef[keep]
-        np.add.at(out, row, prob[col] * coef)
-
     def run(self, prob: np.ndarray, steps: int, carry: bool) -> Iterator[Callable]:
-        """Take ``steps`` steps from ``prob``, each summing from the old
-        value (``carry``, the solver) or from zero (the division map);
-        after each, yield a function that reads the values at an index
-        array.
+        """Take ``steps`` steps from ``prob``, a :meth:`vector`, each summing
+        from the old value (``carry``, the solver) or from zero (the
+        division map); after each, yield a function that reads the values
+        at an index array.
 
-        When every coefficient and every value is an ``int`` or a
-        ``Fraction``, the run steps the integer numerators ``x = B D^t P``
-        instead, where ``D`` and ``B`` are the lcm of the coefficients' and
-        of the start values' denominators: ``D x + sum (D coef) x[col]``
-        on Python ints, with no gcd, and one ``Fraction`` per value read.
-        Rational sums are exact in any order, so only the value types need
-        care, and they are :meth:`step`'s: a value is a ``Fraction`` once it
-        holds one or a nonzero source adds it a ``Fraction`` term, so an
-        ``int`` 0 no flow reaches stays one and a ``Fraction`` that sums
-        to 0 stays ``Fraction(0)``.  Any other run takes :meth:`step`.
+        A float64 run adds every term with one ``np.add.at``: a dead source
+        adds ``±0.0``, which moves no sum, since each starts at ``0.0``.  An
+        exact run steps the integer numerators ``x = B D^t P`` instead,
+        where ``D`` and ``B`` are the lcm of the coefficients' and of the
+        start values' denominators: ``D x + sum (D coef) x[col]`` over the
+        nonzero sources, on Python ints with no gcd, and one ``Fraction``
+        per value read.  Rational sums are exact in any order.
         """
-        start = scaled = None
-        if self.coef.dtype == object:
-            start, scaled = common_numerators(prob.tolist()), common_numerators(self.coef.tolist())
-        if start is None or scaled is None:
+        if self.coef.dtype != object:
             for _ in range(steps):
-                nxt = np.zeros(len(prob), dtype=prob.dtype)
+                nxt = np.zeros(len(prob))
                 if carry:
                     nxt = nxt + prob
-                self.step(prob, nxt)
+                np.add.at(nxt, self.row, prob[self.col] * self.coef)
                 prob = nxt
                 yield prob.__getitem__
             return
-        (num, scale), (dcoef, d) = start, scaled
+        (num, scale), (dcoef, d) = map(common_numerators, (prob.tolist(), self.coef.tolist()))
         num, dcoef = np.array(num, dtype=object), np.array(dcoef, dtype=object)
-        held = np.array([type(v) is Fraction for v in prob.tolist()], dtype=bool)
-        fraction_coef = np.array([type(c) is Fraction for c in self.coef.tolist()], dtype=bool)
         for _ in range(steps):
             live = (num != 0)[self.col]
-            row, col = self.row[live], self.col[live]
             nxt = num * d if carry else np.zeros(len(num), dtype=object)
-            np.add.at(nxt, row, num[col] * dcoef[live])
-            was, held = held, held.copy() if carry else np.zeros(len(num), dtype=bool)
-            held[row[was[col] | fraction_coef[live]]] = True
+            np.add.at(nxt, self.row[live], num[self.col[live]] * dcoef[live])
             num, scale = nxt, scale * d
-            yield partial(_read_scaled, num, held, scale)
+            yield partial(_read_scaled, num, scale)
 
 
 @dataclass(frozen=True)
@@ -389,10 +365,11 @@ class TransitionTable:
     kernel_values: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        # programs run on float64 only when every r_h is a Python float
-        is_float = type(self.dt) is float and all(type(k) is float for k in self.kernel_values)
+        # exact when dt and every kernel value are ints or Fractions, so every
+        # r_h is one; anything else makes the r_h floats, and runs float64
+        is_float = not {type(self.dt), *map(type, self.kernel_values)} <= {int, Fraction}
         object.__setattr__(self, "is_float", is_float)
-        object.__setattr__(self, "one", 1.0 if is_float else Fraction(1))  # keeps rationals exact
+        object.__setattr__(self, "one", 1.0 if is_float else Fraction(1))
         object.__setattr__(self, "states", [])
         object.__setattr__(self, "_rows", [])
         object.__setattr__(self, "_index", {})
@@ -452,14 +429,14 @@ class TransitionTable:
         total = sum(rates, 0 * self.dt)
         # sequential split, labels H..1; a zero-rate label leaves s unchanged
         weights = [0 * total] * len(rates)
-        remaining = 1 + 0 * total  # keeps Fraction inputs exact
+        remaining = self.one
         for pos in range(len(rates) - 1, -1, -1):
             s_next = remaining
             if s_next <= 0:
                 break
             modified = rates[pos] / s_next
             if modified > 1:
-                modified = 1 + 0 * total
+                modified = self.one
             weights[pos] = modified * s_next
             remaining = (1 - modified) * s_next
         return OperatorRow(

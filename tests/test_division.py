@@ -26,6 +26,7 @@ from cloudq.division import (
 from cloudq.master import (
     ProbabilityTable,
     evolve,
+    evolve_series,
     expected_count,
 )
 from cloudq.states import (
@@ -148,8 +149,8 @@ def test_tree_marginalization_is_exact_at_16(kind):
 
 
 def _mixed_from_step_2():
-    # every weight of the start's row is a Fraction; K(2, 4) = 0.5 makes the
-    # row of (0, 1, 0, 1, 0, 0), reached at step 1, a float row
+    # every kernel value but K(2, 4) = 0.5 is a Fraction, and the start's
+    # row does not use it: one float entry still makes a float table
     kernel = [[Fraction(1)] * 6 for _ in range(6)]
     kernel[1][3] = kernel[3][1] = 0.5
     table = build_transition_table(6, KernelSpec("table", 1.0, tuple(map(tuple, kernel))),
@@ -169,8 +170,8 @@ def _typed_branches(branches):
 
 @pytest.mark.parametrize("case", sorted(_TREE_INPUTS) + ["late-float"])
 def test_tree_is_divide_step_repeated(case):
-    # the same branches, in the same order, with the same value types
-    # (all Fraction on a rational table, floats from the first float weight on)
+    # the same branches, in the same order, with the same value types:
+    # all Fraction on an exact table, all float on any other
     if case == "late-float":
         table, start = _mixed_from_step_2()
     else:
@@ -184,12 +185,13 @@ def test_tree_is_divide_step_repeated(case):
         want = _typed_branches(branches)
         assert _typed_branches(run_tree(table, step, start)) == want
         types |= {t for _, _, t, _ in want}
-    assert types == {"fraction": {Fraction}, "float": {float}}.get(case, {Fraction, float})
+    assert types == {Fraction if case == "fraction" else float}
+    assert table.is_float is (case != "fraction")
 
 
 def _sorted_merge(branches):
-    # merge_branches as it was for every number type: one sum per state,
-    # from 0 * its first value, in (counts, history) order
+    # merge_branches of float branches: one sum per state, from 0 * its
+    # first value, in (counts, history) order
     merged = {}
     for branch in sorted(branches, key=lambda b: (b.state.counts, b.history)):
         total = merged.get(branch.state)
@@ -203,11 +205,36 @@ def _sorted_merge(branches):
 def test_rational_merge_is_the_sorted_sum(draws):
     states = enumerate_states(5)
     branches = [HistoryBranch((i % 3, i), states[s], p) for i, (s, p) in enumerate(draws)]
+    # rational sums are exact in any order: each total is one Fraction
     got = merge_branches(branches, 3)
     assert got.step == 3
-    assert [(s, type(v), repr(v)) for s, v in got.entries.items()] == [
-        (s, type(v), repr(v)) for s, v in _sorted_merge(branches).items()
-    ]
+    assert list(got.entries.items()) == list(_sorted_merge(branches).items())
+    assert {type(v) for v in got.entries.values()} <= {Fraction}
+
+
+@pytest.mark.parametrize("k0, dt", [(1, Fraction(1, 120)), (Fraction(3, 2), Fraction(1, 200)),
+                                     (Fraction(1, 400), 1)],
+                         ids=["int-k0", "fraction-k0", "int-dt"])
+@pytest.mark.parametrize("kind", ["constant", "sum", "product"])
+def test_exact_tables_hold_only_fractions(kind, k0, dt):
+    # whatever the start holds: point_mass's 1.0, an int, or a Fraction
+    n = 6
+    table = build_transition_table(n, KernelSpec(kind, k0), dt)
+    assert not table.is_float
+    mono = MassDistribution.monodisperse(n)
+    starts = [ProbabilityTable.point_mass(mono), ProbabilityTable({mono: 1}),
+              ProbabilityTable({mono: Fraction(1), MassDistribution.absorbed(n): 0})]
+    series = [evolve_series(start, table, 4)[1:] for start in starts]
+    tree = run_tree(table, 3)
+    tables = [p for run in series for p in run] + [
+        run_merged(table, 3), merge_branches(tree, 3), merge_branches(divide_step(
+            [HistoryBranch((), mono, 1)], table, 1), 1)]
+    assert {type(v) for p in tables for v in p.entries.values()} == {Fraction}
+    assert {type(b.prob) for b in tree} == {Fraction}
+    nonzero = [[{s: v for s, v in p.entries.items() if v} for p in run] for run in series]
+    assert nonzero[0] == nonzero[1] == nonzero[2]
+    assert dict(merge_branches(tree, 3).entries) == dict(run_merged(table, 3).entries) == (
+        nonzero[0][2])
 
 
 def test_branch_cap():

@@ -34,6 +34,7 @@ from cloudq.states import (
     build_transition_table,
     enumerate_states,
     total_transition_rate,
+    transition_rate,
 )
 
 
@@ -570,16 +571,16 @@ def test_listed_float_run_keeps_the_masked_bits(kind):
 
 
 def test_listed_rational_run_keeps_the_int_zeros_no_flow_reaches():
-    # a listed run on Python numbers still steps the populated states only,
-    # so an int 0 start no flow has reached yet stays an int, not Fraction(0)
+    # an exact run holds Fractions only: an int 0 start no flow has reached
+    # yet reads as Fraction(0), and every reached state is positive
     n = 7
     table = build_transition_table(n, KernelSpec(k0=Fraction(1)), Fraction(1, 100))
     start = MassDistribution.monodisperse(n)
     p0 = ProbabilityTable({s: Fraction(1) if s == start else 0 for s in enumerate_states(n)})
-    for step, p in enumerate(evolve_series(p0, table, n - 1)):
+    for step, p in enumerate(evolve_series(p0, table, n - 1)[1:], start=1):
         for state, prob in p.entries.items():
             reached = sum(state.counts) >= n - step  # one droplet fewer per collision
-            assert type(prob) is (Fraction if reached else int), (step, state)
+            assert type(prob) is Fraction and (prob > 0) is reached, (step, state)
 
 
 def test_listed_states_are_the_programs_levels_not_the_nonzero_values():
@@ -671,7 +672,8 @@ def _parent_steps(p0, table, steps):
     out = []
     for level in prog.levels:
         nxt = np.zeros(size, dtype=prob.dtype) + prob
-        prog.step(prob, nxt)
+        live = (prob != 0)[prog.col] if prob.dtype == object else slice(None)
+        np.add.at(nxt, prog.row[live], prob[prog.col[live]] * prog.coef[live])
         prob = nxt
         order.extend(k for k in level if k not in listed)
         out.append(dict(zip([op.states[k] for k in order], prob[order].tolist())))
@@ -891,17 +893,25 @@ def _typed_tables(tables):
                  for t in tables])
 
 
-# Runs whose numbers are not all ints and Fractions step on Python
-# numbers as before; sha256 of each run's entries, with their types.
+def _sum_series(k0, dt, start):
+    return evolve_series(ProbabilityTable(start), build_transition_table(
+        6, KernelSpec("sum", k0), dt), 4)[1:]
+
+
+# A run steps in its table's number type, whatever its start holds:
+# point_mass's 1.0 on a Fraction table runs as Fraction(1) does, and int
+# starts on a float table run as floats do.  A float kernel with a
+# Fraction dt makes a float table: sha256 of its runs' typed entries,
+# recorded when such a table still stepped on Python numbers.
+_MIXED_STARTS = {
+    "point-mass-on-fraction": lambda mono: [
+        _sum_series(Fraction(1), Fraction(1, 40), start)
+        for start in (ProbabilityTable.point_mass(mono).entries, {mono: Fraction(1)})],
+    "int-start-on-float": lambda mono: [
+        _sum_series(1.0, 1 / 40, {mono: one, MassDistribution.absorbed(6): 0 * one})
+        for one in (1, 1.0)],
+}
 _MIXED_RUNS = {
-    "point-mass-on-fraction": (
-        lambda mono: evolve_series(ProbabilityTable.point_mass(mono), build_transition_table(
-            6, KernelSpec("sum", Fraction(1)), Fraction(1, 40)), 4),
-        "f82b8cecd15a7aca6d57c2c05457ce3c3bd1f129708b0af483aa70419d6b8e63"),
-    "int-start-on-float": (
-        lambda mono: evolve_series(ProbabilityTable({mono: 1, MassDistribution.absorbed(6): 0}),
-                                   build_transition_table(6, KernelSpec("sum", 1.0), 1 / 40), 4),
-        "48ce1b978ae3e2f0a35125910233284f096d6abea35c5c69350fed9bde2b035a"),
     "float-kernel-fraction-dt": (
         lambda mono: [run_merged(build_transition_table(6, KernelSpec("product", 0.5),
                                                         Fraction(1, 40)), 4),
@@ -911,12 +921,70 @@ _MIXED_RUNS = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(_MIXED_RUNS))
+@pytest.mark.parametrize("case", sorted(_MIXED_RUNS) + sorted(_MIXED_STARTS))
 def test_mixed_object_runs_keep_their_entries(case):
-    run, digest = _MIXED_RUNS[case]
-    text = _typed_tables(run(MassDistribution.monodisperse(6)))
-    assert hashlib.sha256(text.encode()).hexdigest() == digest
-    assert "'float'" in text
+    mono = MassDistribution.monodisperse(6)
+    if case in _MIXED_RUNS:
+        run, digest = _MIXED_RUNS[case]
+        text = _typed_tables(run(mono))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        assert "'float'" in text and "'Fraction'" not in text
+        return
+    got, want = _MIXED_STARTS[case](mono)
+    assert _typed_tables(got) == _typed_tables(want)
+    number = Fraction if case == "point-mass-on-fraction" else float
+    assert {type(v) for p in got for v in p.entries.values()} == {number}
+
+
+# Inputs that are not all ints and Fractions make a float table, which
+# runs on float64: sha256 of the typed entries of the solver from
+# point_mass, merged division and the merged tree over three kernels and
+# N = 4, 6, 9 and 12, recorded when such tables still stepped on Python
+# numbers.  A Fraction dt with a float kernel gives the float dt's bits.
+_FLOAT_TABLE_DIGESTS = {
+    ("int", "float"): "5ad22b954f2b411cc4f31951742a6faedd0dd057d5dbf08e3fe4f83f3010a10f",
+    ("fraction", "float"): "6a4cccc02a589211fc198b10a90c8a87292240c9e8bbeedab891bf55f90b44c6",
+    ("float", "fraction"): "86a556384029d43dff223686ba7d01efe54811e76f2a58005ca2bdcc476af7be",
+    ("float", "float"): "86a556384029d43dff223686ba7d01efe54811e76f2a58005ca2bdcc476af7be",
+}
+
+
+@pytest.mark.parametrize("k0_type, dt_type", sorted(_FLOAT_TABLE_DIGESTS),
+                         ids=[f"{k}-k0-{d}-dt" for k, d in sorted(_FLOAT_TABLE_DIGESTS)])
+def test_float_tables_keep_their_bits(k0_type, dt_type):
+    k0 = {"int": 3, "fraction": Fraction(7, 3), "float": 0.7}[k0_type]
+    text = []
+    for kind in ("constant", "sum", "product"):
+        for n in (4, 6, 9, 12):
+            unit = build_transition_table(n, KernelSpec(kind, Fraction(1)), Fraction(1))
+            worst = max(total_transition_rate(unit, s) for s in enumerate_states(n))
+            dt = Fraction(9, 10) / (Fraction(k0) * worst)
+            table = build_transition_table(n, KernelSpec(kind, k0), dt if dt_type == "fraction"
+                                           else float(dt))
+            assert table.is_float
+            series = evolve_series(ProbabilityTable.point_mass(MassDistribution.monodisperse(n)),
+                                   table, 4)
+            text.append(_typed_tables(
+                series + [run_merged(table, 4), merge_branches(run_tree(table, 3), 3)]))
+    text = "".join(text)
+    assert "'Fraction'" not in text and "'int'" not in text
+    assert hashlib.sha256(text.encode()).hexdigest() == _FLOAT_TABLE_DIGESTS[k0_type, dt_type]
+
+
+def test_int_kernel_constant_runs_exactly():
+    # K(1,1) n (n - 1) / 2 on an int kernel halves with //: every rate and
+    # every value of a run on an int k0 and a Fraction dt is exact
+    table = build_transition_table(4, KernelSpec(k0=1), Fraction(1, 100))
+    assert not table.is_float
+    pair = MassDistribution((2, 1, 0, 0))
+    assert [transition_rate(table, pair, h) for h in (1, 2)] == [Fraction(1, 100),
+                                                                  Fraction(1, 50)]
+    mono = MassDistribution.monodisperse(4)
+    starts = [{mono: Fraction(1)}, {mono: 1}, ProbabilityTable.point_mass(mono).entries]
+    runs = [evolve(ProbabilityTable(start), table, 5) for start in starts]
+    assert {type(v) for p in runs for v in p.entries.values()} == {Fraction}
+    assert runs[0] == runs[1] == runs[2]
+    assert runs[0].entries[mono] == Fraction(94, 100) ** 5
 
 
 @pytest.mark.parametrize("n_bins", [16, 20])
@@ -934,3 +1002,16 @@ def test_rational_runs_equal_the_sum_closed_form_past_12(n_bins):
     assert {s: v for s, v in solved.entries.items() if s != mono} == dict(merged.entries)
     expected = _closed_form_expected("sum", n_bins, Fraction(1), dt, n_bins)
     assert _fraction_expected(solved, n_bins) == expected
+
+
+@pytest.mark.parametrize("n_bins", [16, 20])
+def test_rational_runs_equal_the_constant_closed_form_past_12(n_bins):
+    # an int k0 = 1 with a Fraction dt: the start's total rate is 1/2
+    dt = Fraction(1, n_bins * (n_bins - 1))
+    table = build_transition_table(n_bins, KernelSpec("constant", 1), dt)
+    solved = evolve(ProbabilityTable({MassDistribution.monodisperse(n_bins): 1}), table, n_bins)
+    merged = run_merged(table, n_bins)
+    assert {type(v) for p in (solved, merged) for v in p.entries.values()} == {Fraction}
+    assert {s: v for s, v in solved.entries.items() if v} == dict(merged.entries)
+    expected = _closed_form_expected("constant", n_bins, 1, dt, n_bins)
+    assert _fraction_expected(solved, n_bins) == _fraction_expected(merged, n_bins) == expected

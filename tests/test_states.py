@@ -18,7 +18,6 @@ from cloudq.states import (
     MassDistribution,
     ResourceLimitError,
     StateSpaceError,
-    StepProgram,
     apply_pair,
     apply_transition,
     build_transition_table,
@@ -130,6 +129,16 @@ def test_build_transition_table_rejects_bad_dt(dt):
 @pytest.mark.parametrize("dt", [Fraction(1, 10**400), 10**400])
 def test_build_transition_table_takes_dt_past_the_float_range(dt):
     assert build_transition_table(4, KernelSpec(), dt).dt == dt
+
+
+@pytest.mark.parametrize("k0", [10**400, Fraction(10**400, 3)], ids=["int", "fraction"])
+def test_kernel_constant_past_the_float_range_runs_exactly(k0):
+    # finite, as a dt past the float range is; math.isfinite would overflow
+    table = build_transition_table(4, KernelSpec("sum", k0), Fraction(1, 100 * k0))
+    assert table.kernel_values[0] == 2 * k0 and not table.is_float
+    merged = division.run_merged(table, 3)
+    assert {type(v) for v in merged.entries.values()} == {Fraction}
+    assert sum(merged.entries.values()) == 1
 
 
 @pytest.mark.parametrize("n", list(range(2, 30)) + [100, 255, 400])
@@ -300,6 +309,16 @@ def test_table_kernel_smaller_than_n_names_the_missing_entry():
             "kernel table entry K(1,2) = -0.5 < 0", id="table-negative",
         ),
         pytest.param(
+            lambda: build_transition_table(
+                3, KernelSpec("table", table=((1.0, math.inf, 0.0), (math.inf, 1.0, 0.0),
+                                              (0.0,) * 3)), 0.01,
+            ),
+            "kernel table entry K(1,2) = inf is not finite", id="table-inf",
+        ),
+        *[pytest.param(lambda k0=k0: KernelSpec("sum", k0),
+                       f"kernel constant must be finite and >= 0, got {k0}", id=f"k0-{name}")
+          for name, k0 in [("negative", -1), ("nan", math.nan), ("inf", math.inf)]],
+        pytest.param(
             lambda: build_transition_table(3, KernelSpec(), 0.01).index(
                 MassDistribution((2, 1, 0, 0))
             ),
@@ -382,16 +401,25 @@ def test_every_count_must_be_an_int(name, error, call, value):
     assert str(err.value) == f"{name} must be an int, got {value!r}"
 
 
-# The integer kernel against the np.add.at step on Python numbers, which
-# every object run took before it: each step sums from the old value (the
-# solver) or from zero (the division map), then adds prob[col] * coef.
+# The np.add.at step every run took before StepProgram.run: each step sums
+# from the old value (the solver) or from zero (the division map), then
+# adds prob[col] * coef; on Python numbers a term whose source is exactly
+# 0 is skipped.
+def _masked_step(prog, prob, out):
+    row, col, coef = prog.row, prog.col, prog.coef
+    if prob.dtype == object:
+        keep = (prob != 0)[col]
+        row, col, coef = row[keep], col[keep], coef[keep]
+    np.add.at(out, row, prob[col] * coef)
+
+
 def _object_steps(prog, prob, steps, carry):
     out = []
     for _ in range(steps):
-        nxt = np.zeros(len(prob), dtype=object)
+        nxt = np.zeros(len(prob), dtype=prob.dtype)
         if carry:
             nxt = nxt + prob
-        prog.step(prob, nxt)
+        _masked_step(prog, prob, nxt)
         prob = nxt
         out.append(prob.tolist())
     return out
@@ -402,8 +430,8 @@ def _run_values(prog, prob, steps, carry):
     return [read(every).tolist() for read in prog.run(prob, steps, carry)]
 
 
-def _typed(runs):
-    return [[(type(v), repr(v)) for v in values] for values in runs]
+def _types(runs):
+    return {type(v) for values in runs for v in values}
 
 
 def _share_table(n, kind, k0, share):
@@ -414,14 +442,15 @@ def _share_table(n, kind, k0, share):
     return build_transition_table(n, KernelSpec(kind, k0), share / (k0 * worst))
 
 
-_START_VALUES = [0, 0, 0, 1, 2, Fraction(0), Fraction(1), Fraction(1, 3), Fraction(2, 7)]
+# a float start on an exact program is the rational it holds
+_START_VALUES = [0, 0, 0, 1, 2, Fraction(0), Fraction(1), Fraction(1, 3), Fraction(2, 7), 0.5, 0.0]
 
 
 @settings(max_examples=80, deadline=None)
 @given(
     n=st.integers(min_value=2, max_value=7),
     kind=st.sampled_from(["constant", "sum", "product"]),
-    k0=st.sampled_from([Fraction(1), Fraction(3, 2), Fraction(2, 3)]),
+    k0=st.sampled_from([Fraction(1), Fraction(3, 2), Fraction(2, 3), 1, 2]),
     share=st.sampled_from([Fraction(1), Fraction(9, 10), Fraction(1, 2)]),
     steps=st.integers(min_value=0, max_value=6),
     sequential=st.booleans(),
@@ -429,15 +458,18 @@ _START_VALUES = [0, 0, 0, 1, 2, Fraction(0), Fraction(1), Fraction(1, 3), Fracti
 )
 def test_integer_kernel_is_the_object_step(n, kind, k0, share, steps, sequential, data):
     table = _share_table(n, kind, k0, share)
+    assert not table.is_float
     every = enumerate_states(n)
     values = data.draw(st.lists(st.sampled_from(_START_VALUES), min_size=len(every),
                                 max_size=len(every)))
     keys = [table.index(s) for s in every]
     prog = table.program(keys, steps, sequential)
     prob = prog.vector(len(table.states), keys, values)
+    assert prob.tolist() == values and _types([prob.tolist()]) == {Fraction}
     for carry in (True, False):
-        assert _typed(_run_values(prog, prob, steps, carry)) == _typed(
-            _object_steps(prog, prob, steps, carry))
+        runs = _run_values(prog, prob, steps, carry)
+        assert runs == _object_steps(prog, prob, steps, carry)
+        assert _types(runs) <= {Fraction}
 
 
 @pytest.mark.parametrize("start", [[1], [Fraction(1)], [0], [Fraction(0)], [1.0]],
@@ -446,39 +478,50 @@ def test_integer_kernel_is_the_object_step(n, kind, k0, share, steps, sequential
 @pytest.mark.parametrize("sequential", [False, True], ids=["solver", "division"])
 def test_integer_kernel_on_unit_tables(coef, start, sequential):
     # N = 2 at k0 = dt = 1: the one collision takes everything, so D = 1.
-    # Fraction inputs give Fraction coefficients; their int copy is a
-    # program of ints alone; int inputs give floats (r_h = K n (n-1) / 2),
-    # a mixed program that steps as before
-    one = Fraction(1) if coef != "float" else 1
+    # Int inputs make an exact table with int rates (an equal-bin rate
+    # halves K n (n - 1) with //); float inputs a float64 program
+    one = {"fraction": Fraction(1), "int": 1, "float": 1.0}[coef]
     table = build_transition_table(2, KernelSpec(k0=one), one)
+    assert table.is_float is (coef == "float")
     keys = [table.index(MassDistribution((2, 0))), table.index(MassDistribution((0, 1)))]
     prog = table.program(keys, 3, sequential)
-    if coef == "int":
-        prog = prog._replace(coef=np.array([int(c) for c in prog.coef], dtype=object))
-    types = {type(c) for c in prog.coef}
-    if coef == "float":
-        assert float in types  # the absorbed state's hold is the int 1
-    else:
-        assert types == {Fraction if coef == "fraction" else int}
+    number = float if coef == "float" else Fraction
+    # the solver's rates keep the input type; the split's weights and holds
+    # divide by s_{h+1}, which starts at table.one
+    assert {type(c) for c in prog.coef.tolist()} == {number if sequential else type(one)}
     prob = prog.vector(len(table.states), keys, start + [0])
     for carry in (True, False):
         runs = _run_values(prog, prob, 6, carry)
-        assert _typed(runs) == _typed(_object_steps(prog, prob, 6, carry))
+        assert runs == _object_steps(prog, prob, 6, carry)
+        assert _types(runs) == {number}
 
 
 def test_rational_run_takes_the_integer_kernel(monkeypatch):
+    # an exact run steps on ints: no Fraction arithmetic until it reads
     table = _share_table(6, "sum", Fraction(3, 2), Fraction(1))
     keys = [table.index(s) for s in enumerate_states(6)]
     prog = table.program(keys, 4)
     prob = prog.vector(len(table.states), keys, [Fraction(1, len(keys))] * len(keys))
-    want = _object_steps(prog, prob, 4, True)
+    float_start = prog.vector(len(table.states), keys, [1.0] + [0] * (len(keys) - 1))
+    want = [_object_steps(prog, start, 4, True) for start in (prob, float_start)]
 
     def fail(*args):
         raise AssertionError("stepped on Fractions")
 
-    monkeypatch.setattr(StepProgram, "step", fail)
-    assert _typed(_run_values(prog, prob, 4, True)) == _typed(want)
-    # and a mixed run still takes the object step
-    mixed = prog.vector(len(table.states), keys, [1.0] + [0] * (len(keys) - 1))
-    with pytest.raises(AssertionError, match="stepped on Fractions"):
-        next(prog.run(mixed, 1, True))
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                 "__truediv__", "__rtruediv__"):
+        monkeypatch.setattr(Fraction, name, fail)
+    got = [_run_values(prog, start, 4, True) for start in (prob, float_start)]
+    monkeypatch.undo()
+    assert got == want
+    assert _types(got[0] + got[1]) == {Fraction}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_exact_vector_refuses_a_start_that_is_not_finite(value):
+    table = build_transition_table(3, KernelSpec(k0=Fraction(1)), Fraction(1, 10))
+    prog = table.program([table.index(MassDistribution.monodisperse(3))], 1)
+    with pytest.raises(StateSpaceError) as err:
+        prog.vector(len(table.states), [0], [value])
+    assert type(err.value) is StateSpaceError
+    assert str(err.value) == f"start value {value} is not finite"
