@@ -76,7 +76,7 @@ class MassDistribution:
         mass = self.mass()
         if not isinstance(mass, numbers.Integral):  # a float or Fraction count makes it one
             raise StateSpaceError(f"non-integer occupation in {self.counts}")
-        if any(c < 0 for c in self.counts):
+        if min(self.counts) < 0:
             raise StateSpaceError(f"negative occupation in {self.counts}")
         if mass != len(self.counts):
             raise StateSpaceError(f"mass {mass} != N {len(self.counts)} for {self.counts}")
@@ -191,8 +191,7 @@ def _pair_propensity(kernel, counts: Sequence[int], i: int, j: int):
             return 0
         twice = kernel * n * (n - 1)
         return twice // 2 if type(twice) is int else twice / 2
-    ni = counts[i - 1]
-    nj = counts[j - 1]
+    ni, nj = counts[i - 1], counts[j - 1]
     if ni < 1 or nj < 1:
         return 0
     return kernel * ni * nj
@@ -209,35 +208,37 @@ def transition_rate(table: TransitionTable, state: MassDistribution, label: int)
 
 
 def total_transition_rate(table: TransitionTable, state: MassDistribution):
-    """``sum_h r_h(state)``, read off the state's row (compiled on first
-    use); must stay <= 1 for a valid explicit step."""
-    return table.row(table.index(state)).total
+    """``sum_h r_h(state)``, summed from :meth:`TransitionTable.rates` as a row's
+    ``total`` is, with no row compiled; must stay <= 1 for a valid explicit step."""
+    if state.num_bins != table.num_bins:
+        raise StateSpaceError(f"state {state.counts} does not have {table.num_bins} bins")
+    return sum((rate for _, _, _, _, rate in table.rates(state.counts)), 0 * table.dt)
+
+
+def _collided(counts: Sequence[int], i: int, j: int) -> tuple[int, ...]:
+    """``counts`` after one droplet of bin ``i`` merges with one of bin ``j``."""
+    after = list(counts)
+    after[i - 1] -= 1
+    after[j - 1] -= 1
+    after[i + j - 1] += 1
+    return tuple(after)
 
 
 def apply_pair(state: MassDistribution, i: int, j: int) -> MassDistribution:
     """Post-collision state for the ``(i, j)`` collision."""
-    counts = list(state.counts)
-    if i == j:
-        if counts[i - 1] < 2:
-            raise InfeasibleTransitionError(
-                f"bin {i} holds {counts[i - 1]} droplets, need 2"
-            )
-        counts[i - 1] -= 2
-    else:
-        if counts[i - 1] < 1 or counts[j - 1] < 1:
-            raise InfeasibleTransitionError(
-                f"bins ({i},{j}) hold ({counts[i - 1]},{counts[j - 1]}), need one each"
-            )
-        counts[i - 1] -= 1
-        counts[j - 1] -= 1
-    counts[i + j - 1] += 1
-    return MassDistribution(tuple(counts))
+    counts = state.counts
+    if i == j and counts[i - 1] < 2:
+        raise InfeasibleTransitionError(f"bin {i} holds {counts[i - 1]} droplets, need 2")
+    if i != j and (counts[i - 1] < 1 or counts[j - 1] < 1):
+        raise InfeasibleTransitionError(
+            f"bins ({i},{j}) hold ({counts[i - 1]},{counts[j - 1]}), need one each"
+        )
+    return MassDistribution(_collided(counts, i, j))
 
 
 def apply_transition(table: TransitionTable, state: MassDistribution, label: int) -> MassDistribution:
     """Post-collision state for transition ``label``."""
-    i, j = table.pair_of(label)
-    return apply_pair(state, i, j)
+    return apply_pair(state, *table.pair_of(label))
 
 
 class OperatorRow(NamedTuple):
@@ -297,11 +298,12 @@ class StepProgram(NamedTuple):
     def vector(self, size: int, at: Sequence[int], values: Sequence) -> np.ndarray:
         """Length ``size``, ``values`` at indices ``at`` and zero elsewhere,
         in the program's number type: float64, or on an exact program each
-        value as a ``Fraction``, so a float start is the rational it holds."""
+        value as a ``Fraction``, so a float start is the rational it holds.
+        A value that is not finite is refused on both."""
+        for value in values:
+            if not -math.inf < value < math.inf:
+                raise StateSpaceError(f"start value {value} is not finite")
         if self.coef.dtype == object:
-            for value in values:
-                if not -math.inf < value < math.inf:
-                    raise StateSpaceError(f"start value {value} is not finite")
             values = list(map(Fraction, values))
         out = np.zeros(size, dtype=self.coef.dtype)
         out[at] = values
@@ -374,8 +376,6 @@ class TransitionTable:
         object.__setattr__(self, "_rows", [])
         object.__setattr__(self, "_index", {})
         object.__setattr__(self, "_events", {})
-        first_label = {i: h for h, (i, j) in enumerate(self.pairs, start=1) if i == j}
-        object.__setattr__(self, "_first_label", first_label)
 
     @property
     def num_labels(self) -> int:
@@ -398,10 +398,6 @@ class TransitionTable:
             self._rows.append(None)
         return found
 
-    def _index_counts(self, counts: tuple[int, ...]) -> int:
-        found = self._index.get(counts)
-        return self.index(MassDistribution(counts)) if found is None else found
-
     def row(self, k: int) -> OperatorRow:
         """Row of state ``k``, compiled on first use."""
         row = self._rows[k]
@@ -409,36 +405,41 @@ class TransitionTable:
             row = self._rows[k] = self._compile(self.states[k].counts)
         return row
 
-    def _compile(self, counts: tuple[int, ...]) -> OperatorRow:
-        occupied = [b for b, c in enumerate(counts, start=1) if c]
-        labels, targets, rates = [], [], []
+    def rates(self, counts: tuple[int, ...]) -> Iterator[tuple]:
+        """The rate rule: ``(label, i, j, r_h / dt, r_h)`` for each pair of
+        occupied bins with ``r_h != 0``, in label order, from ``counts`` alone."""
+        n, kernel, dt = self.num_bins, self.kernel_values, self.dt
+        occupied = list(compress(range(1, n + 1), counts))
         for first, i in enumerate(occupied):
             for j in occupied[first:]:
-                if i + j > self.num_bins:
+                if i + j > n:
                     break
-                label = self._first_label[i] + j - i
-                rate = _pair_propensity(self.kernel_values[label - 1], counts, i, j) * self.dt
+                label = (i - 1) * (n - i) + j  # after the N + 1 - 2i' pairs of each i' < i
+                propensity = _pair_propensity(kernel[label - 1], counts, i, j)
+                rate = propensity * dt
                 if rate != 0:
-                    after = list(counts)
-                    after[i - 1] -= 1
-                    after[j - 1] -= 1
-                    after[i + j - 1] += 1
-                    labels.append(label)
-                    targets.append(self._index_counts(tuple(after)))
-                    rates.append(rate)
+                    yield label, i, j, propensity, rate
+
+    def _compile(self, counts: tuple[int, ...]) -> OperatorRow:
+        labels, targets, rates = [], [], []
+        for label, i, j, _, rate in self.rates(counts):
+            after = _collided(counts, i, j)
+            target = self._index.get(after)
+            labels.append(label)
+            targets.append(self.index(MassDistribution(after)) if target is None else target)
+            rates.append(rate)
         total = sum(rates, 0 * self.dt)
         # sequential split, labels H..1; a zero-rate label leaves s unchanged
         weights = [0 * total] * len(rates)
         remaining = self.one
-        for pos in range(len(rates) - 1, -1, -1):
-            s_next = remaining
-            if s_next <= 0:
+        for pos in reversed(range(len(rates))):
+            if remaining <= 0:
                 break
-            modified = rates[pos] / s_next
+            modified = rates[pos] / remaining
             if modified > 1:
                 modified = self.one
-            weights[pos] = modified * s_next
-            remaining = (1 - modified) * s_next
+            weights[pos] = modified * remaining
+            remaining = (1 - modified) * remaining
         return OperatorRow(
             tuple(labels), tuple(targets), tuple(rates), total, tuple(weights), remaining
         )
@@ -447,17 +448,16 @@ class TransitionTable:
         """What the Gillespie sampler draws from in state ``k``: the event
         rate ``sum_h r_h / dt``, the row's targets, and the cumulative label
         distribution at the row's labels, both taken on the length-``H``
-        float propensity vector.  Built on the first visit and kept."""
+        float vector of the :meth:`rates`.  Built on the first visit and kept."""
         found = self._events.get(k)
         if found is None:
-            labels, counts = self.row(k).labels, self.states[k].counts
+            row = self.row(k)
             dense = np.zeros(self.num_labels)
-            stored = np.array(labels, dtype=np.intp) - 1
-            dense[stored] = [_pair_propensity(self.kernel_values[h - 1], counts, *self.pairs[h - 1])
-                             for h in labels]
+            stored = np.array(row.labels, dtype=np.intp) - 1
+            dense[stored] = [p for _, _, _, p, _ in self.rates(self.states[k].counts)]
             event_rate = dense.sum()
-            cdf = (np.cumsum(dense) / event_rate)[stored] if labels else dense[stored]
-            found = self._events[k] = (event_rate, self._rows[k].targets, cdf)
+            cdf = np.cumsum(dense)[stored] / event_rate  # an absorbed state's is empty
+            found = self._events[k] = (event_rate, row.targets, cdf)
         return found
 
     def checked(self, k: int) -> OperatorRow:

@@ -238,25 +238,34 @@ def test_total_rate_nonnegative(n, kind, k0):
     "k0, dt", [(0.7, 0.013), (Fraction(7, 10), Fraction(13, 1000))], ids=["float", "fraction"]
 )
 def test_one_transition_rule(kind, k0, dt):
-    # the compiled rows the solver, division and SSA read must hold exactly
-    # the nonzero rates of transition_rate, in label order and number type,
-    # their sum, and the post-collision states of apply_transition
+    # the rate rule and the compiled rows the solver, division and SSA read
+    # must hold exactly the nonzero rates of transition_rate, in label order
+    # and number type, their sum, and the post-collision states of
+    # apply_transition
     for n in range(2, 13):
         table = build_transition_table(n, KernelSpec(kind, k0), dt)
-        op = table
-        for state in enumerate_states(n):
-            row = op.row(op.index(state))
+        every_state = enumerate_states(n)
+        # total_transition_rate reads the rule from counts: it indexes no state
+        swept = [total_transition_rate(table, state) for state in every_state]
+        assert table.states == []
+        for state, swept_total in zip(every_state, swept):
+            row = table.row(table.index(state))
             rates = {h: transition_rate(table, state, h) for h in range(1, table.num_labels + 1)}
             nonzero = [h for h, rate in rates.items() if rate != 0]
             assert row.labels == tuple(nonzero)
             assert row.rates == tuple(rates[h] for h in nonzero)
             assert all(type(r) is type(rates[h]) for h, r in zip(row.labels, row.rates))
+            rule = list(table.rates(state.counts))
+            assert [(h, (i, j)) for h, i, j, _, _ in rule] == [(h, table.pair_of(h)) for h in nonzero]
+            want = [repr(rates[h]) for h in nonzero]
+            assert [repr(p * dt) for _, _, _, p, _ in rule] == want
+            assert [repr(rate) for *_, rate in rule] == want
             # the per-pair formula summed over every label, zero rates included
             total = sum(rates.values())
             assert row.total == total and repr(row.total) == repr(total)
-            assert repr(total_transition_rate(table, state)) == repr(total)
+            assert repr(swept_total) == repr(total)
             for label, target in zip(row.labels, row.targets):
-                assert op.states[target] == apply_transition(table, state, label)
+                assert table.states[target] == apply_transition(table, state, label)
 
 
 @pytest.mark.parametrize(
@@ -282,10 +291,10 @@ def test_table_compares_by_its_four_inputs_alone(k0, dt):
 def test_replaced_table_compiles_its_own_rows():
     table = build_transition_table(6, KernelSpec("sum", 0.7), 0.013)
     mono = MassDistribution.monodisperse(6)
-    total = total_transition_rate(table, mono)
+    total = table.checked(table.index(mono)).total
     halved = dataclasses.replace(table, dt=0.0065)
     assert halved.states == [] and halved != table
-    assert total_transition_rate(halved, mono) == total / 2  # a power of two: exact
+    assert halved.checked(halved.index(mono)).total == total / 2  # a power of two: exact
     assert halved.states == table.states == [mono, MassDistribution((4, 1, 0, 0, 0, 0))]
 
 
@@ -323,6 +332,11 @@ def test_table_kernel_smaller_than_n_names_the_missing_entry():
                 MassDistribution((2, 1, 0, 0))
             ),
             "state (2, 1, 0, 0) does not have 3 bins", id="index-wrong-n",
+        ),
+        pytest.param(
+            lambda: total_transition_rate(build_transition_table(3, KernelSpec(), 0.01),
+                                          MassDistribution((2, 1, 0, 0))),
+            "state (2, 1, 0, 0) does not have 3 bins", id="total-rate-wrong-n",
         ),
         pytest.param(lambda: partition_count_exact(0), "need n >= 1, got 0", id="exact-zero"),
         pytest.param(lambda: partition_count_asymptotic(0), "need n >= 1, got 0",
@@ -519,9 +533,11 @@ def test_rational_run_takes_the_integer_kernel(monkeypatch):
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_exact_vector_refuses_a_start_that_is_not_finite(value):
-    table = build_transition_table(3, KernelSpec(k0=Fraction(1)), Fraction(1, 10))
-    prog = table.program([table.index(MassDistribution.monodisperse(3))], 1)
-    with pytest.raises(StateSpaceError) as err:
-        prog.vector(len(table.states), [0], [value])
-    assert type(err.value) is StateSpaceError
-    assert str(err.value) == f"start value {value} is not finite"
+    # a float table runs the same check, so a nan start cannot step to nan
+    for k0, dt in [(Fraction(1), Fraction(1, 10)), (1.0, 0.1)]:
+        table = build_transition_table(3, KernelSpec(k0=k0), dt)
+        prog = table.program([table.index(MassDistribution.monodisperse(3))], 1)
+        with pytest.raises(StateSpaceError) as err:
+            prog.vector(len(table.states), [0], [value])
+        assert type(err.value) is StateSpaceError
+        assert str(err.value) == f"start value {value} is not finite"
