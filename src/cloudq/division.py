@@ -159,7 +159,7 @@ def run_merged(table: TransitionTable, steps: int) -> ProbabilityTable:
     present = np.zeros(size, dtype=bool)
     present[start] = True
     final = False
-    for read in prog.run(prob, steps, carry=False):
+    for read in prog.run(prob, steps):
         if not final:
             reached = np.zeros(size, dtype=bool)
             reached[prog.row[present[prog.col]]] = True

@@ -85,18 +85,20 @@ class SsaConfig:
 def _steps(
     p0: ProbabilityTable, table: TransitionTable, steps: int, keep_all: bool
 ) -> list[ProbabilityTable]:
-    """``steps`` explicit updates on the table's step program; the tables
-    after each step (``keep_all``) or after the last.
+    """The start table, then ``steps`` explicit updates on the table's step
+    program: the tables after each step (``keep_all``) or after the last.
 
     Each step (:meth:`~cloudq.states.StepProgram.run`) sums from zero, for
-    every state, its old value, then the program's terms: its own outflows
-    in label order, then its inflows in ascending (source, label) order,
-    the order of moving probability flow by flow in ascending counts order
-    (a collision lowers the counts vector); an exact run sums the same
-    terms on integer numerators.  The tables share one listing:
-    the old keys, then each step's program level, the states the populated
-    keys first reach at that step, whatever their values.  Each table holds
-    the values of the listing's first states up to its step's level.
+    every state, the program's terms: its unit diagonal (its old value),
+    its own outflows in label order, then its inflows in ascending
+    (source, label) order, the order of moving probability flow by flow in
+    ascending counts order (a collision lowers the counts vector); an
+    exact run sums the same terms on integer numerators.  The tables share
+    one listing: the old keys, then each step's program level, the states
+    the populated keys first reach at that step, whatever their values.
+    Each table holds the values of the listing's first states up to its
+    step's level; the start table is ``p0`` on a float table, and the
+    start vector's ``Fraction``s on an exact one.
     """
     keys, values = [table.index(s) for s in p0.entries], list(p0.entries.values())
     prog = table.program([k for k, v in zip(keys, values) if v != 0], steps)
@@ -106,9 +108,9 @@ def _steps(
         order.extend(k for k in level if k not in start)  # an empty key may be reached
         ends.append(len(order))
     listing, order = [table.states[k] for k in order], np.array(order, dtype=np.intp)
-    run = prog.run(prog.vector(size, keys, values), steps, carry=True)
-    out = []
-    for (step, end), read in zip(enumerate(ends, start=p0.step + 1), run):
+    prob = prog.vector(size, keys, values)
+    out = [p0 if table.is_float else ProbabilityTable.listed(listing, prob[keys], p0.step)]
+    for (step, end), read in zip(enumerate(ends, start=p0.step + 1), prog.run(prob, steps)):
         if keep_all or step == p0.step + steps:
             out.append(ProbabilityTable.listed(listing, read(order[:end]), step))
     return out
@@ -120,18 +122,18 @@ def evolve(p0: ProbabilityTable, table: TransitionTable, steps: int) -> Probabil
     Every populated state loses ``r_h * P`` to each post-collision state,
     which is algebraically identical to the gain/loss form of the update
     and conserves the total exactly up to rounding; rational tables stay
-    exact.  :class:`StepSizeError` names the first state to step, in
-    ascending counts order, with ``sum_h r_h > 1``.
+    exact, step 0 included.  :class:`StepSizeError` names the first state
+    to step, in ascending counts order, with ``sum_h r_h > 1``.
     """
     require_count("steps", steps, 0, StateSpaceError)
-    return _steps(p0, table, steps, keep_all=False)[0] if steps else p0
+    return _steps(p0, table, steps, keep_all=False)[-1]
 
 
 def evolve_series(
     p0: ProbabilityTable, table: TransitionTable, steps: int
 ) -> list[ProbabilityTable]:
     """All intermediate tables from step 0 to ``steps`` inclusive."""
-    return [p0] + _steps(p0, table, steps, keep_all=True)
+    return _steps(p0, table, steps, keep_all=True)
 
 
 def _expected(counts: np.ndarray, values: np.ndarray) -> list:

@@ -276,14 +276,15 @@ def _read_scaled(num: np.ndarray, scale: int, at) -> np.ndarray:
 class StepProgram(NamedTuple):
     """A run's step as a sparse map over state indices.
 
-    One step adds ``prob[col] * coef`` into ``row``, term by term, in
-    stored order, so each state's sum runs in that order: for the solver,
-    every outflow ``(src, src, -r_h)``, then every inflow ``(dst, src,
-    r_h)``, each in ascending (source counts, label) order; for the
-    division model, every :meth:`TransitionTable.children` term
-    ``(target, k, weight)``, stably sorted by label from ascending counts
-    order, so the holds ``(k, k, s_1)`` come first.  ``coef`` holds the
-    table's number type: float64 on a float table, and ``int`` and
+    One step ``x' = A x`` adds ``prob[col] * coef`` into ``row`` from zero,
+    term by term, in stored order, so each state's sum runs in that order:
+    for the solver, ``A = I + dt Q``, every closure state's unit diagonal
+    ``(k, k, 1)``, then every outflow ``(src, src, -r_h)``, then every
+    inflow ``(dst, src, r_h)``, each in ascending (source counts, label)
+    order; for the division model, every :meth:`TransitionTable.children`
+    term ``(target, k, weight)``, stably sorted by label from ascending
+    counts order, so the holds ``(k, k, s_1)`` come first.  ``coef`` holds
+    the table's number type: float64 on a float table, and ``int`` and
     ``Fraction`` (``dtype=object``) on an exact one.
     ``levels[d]`` lists the states first reached at step ``d + 1``, in the
     order reached: each level's states in ascending counts order, each
@@ -309,25 +310,22 @@ class StepProgram(NamedTuple):
         out[at] = values
         return out
 
-    def run(self, prob: np.ndarray, steps: int, carry: bool) -> Iterator[Callable]:
+    def run(self, prob: np.ndarray, steps: int) -> Iterator[Callable]:
         """Take ``steps`` steps from ``prob``, a :meth:`vector`, each summing
-        from the old value (``carry``, the solver) or from zero (the
-        division map); after each, yield a function that reads the values
-        at an index array.
+        every state from zero; after each, yield a function that reads the
+        values at an index array.
 
         A float64 run adds every term with one ``np.add.at``: a dead source
         adds ``±0.0``, which moves no sum, since each starts at ``0.0``.  An
         exact run steps the integer numerators ``x = B D^t P`` instead,
         where ``D`` and ``B`` are the lcm of the coefficients' and of the
-        start values' denominators: ``D x + sum (D coef) x[col]`` over the
+        start values' denominators: ``sum (D coef) x[col]`` over the
         nonzero sources, on Python ints with no gcd, and one ``Fraction``
         per value read.  Rational sums are exact in any order.
         """
         if self.coef.dtype != object:
             for _ in range(steps):
                 nxt = np.zeros(len(prob))
-                if carry:
-                    nxt = nxt + prob
                 np.add.at(nxt, self.row, prob[self.col] * self.coef)
                 prob = nxt
                 yield prob.__getitem__
@@ -336,7 +334,7 @@ class StepProgram(NamedTuple):
         num, dcoef = np.array(num, dtype=object), np.array(dcoef, dtype=object)
         for _ in range(steps):
             live = (num != 0)[self.col]
-            nxt = num * d if carry else np.zeros(len(num), dtype=object)
+            nxt = np.zeros(len(num), dtype=object)
             np.add.at(nxt, self.row[live], num[self.col[live]] * dcoef[live])
             num, scale = nxt, scale * d
             yield partial(_read_scaled, num, scale)
@@ -511,12 +509,12 @@ class TransitionTable:
         src = np.repeat(at, [len(row.labels) for row in rows])
         dst = np.fromiter(chain.from_iterable(row.targets for row in rows), np.intp, len(src))
         number = float if self.is_float else object
-        if not sequential:
+        if not sequential:  # A = I + dt Q: each closure state's unit diagonal leads its row
             rate = np.array([r for row in rows for r in row.rates], dtype=number)
-            return StepProgram(
-                np.concatenate([src, dst]), np.concatenate([src, src]),
-                np.concatenate([-rate, rate]), levels,
-            )
+            diag = np.array(sorted(reached), dtype=np.intp)
+            unit = np.full(len(diag), type(rate[0])(1) if len(rate) else self.one, number)
+            row, col = np.concatenate([diag, src, dst]), np.concatenate([diag, src, src])
+            return StepProgram(row, col, np.concatenate([unit, -rate, rate]), levels)
         hold = [row.hold for row in rows]  # each state's hold is its label-0 child
         coef = np.array(hold + [w for row in rows for w in row.weights], dtype=number)
         label = np.array([0] * len(hold) + [h for row in rows for h in row.labels], dtype=np.intp)

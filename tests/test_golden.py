@@ -2,10 +2,13 @@
 
 The ``reference`` benchmark's job shape (solver series, merged division,
 the three CSVs, a Gillespie batch and the sampler's tables) over
-N = 2..20, three kernels and two step sizes, plus one rational corpus.
+N = 2..20, three kernels and two step sizes, plus three rational corpora.
 The digests were recorded with the per-cell CSV writer, the masked float
 step and the sampler tables built with each row, so these tests show that
 the column-batched writer and the full-edge step write the same bytes.
+The ``constant-exact`` and ``product-exact`` digests were recorded while
+the solver still added each old value outside its step map, so they show
+that the map's unit diagonal leaves exact runs as they were.
 The ``estimate`` digests pin each preset's JSON report, less its
 ``generated_at`` line, and one CSV report; the ``arcsine-fit`` digests
 pin one quantized coefficient file the same way, and its table.  The
@@ -146,6 +149,34 @@ PINNED = {
         "ssa":
             "67c221ff40ee98bd36ef98a20b4ad59bea18d6c8f599ea1f30714d14f48f7fe1",
     },
+    "constant-exact": {
+        "division_probabilities.csv":
+            "7357dca4105a614c4daccf244f6cfc1e8b61ca2fecadd460fabeea31d3a8b125",
+        "entries":
+            "be408f10210188b2068e894966f30bca7cfdb2fb358168c4182ca069c9a41c89",
+        "events":
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "expected_counts.csv":
+            "5f3c6aa4d859057563b31a7d5de1eb064d0b6696f6cb08f1cd1116b07edf3350",
+        "probabilities.csv":
+            "76de94a2786ee57acbd95fe73dbeb919b7b9e060a3329cbd33b2c77684357b7c",
+        "ssa":
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    },
+    "product-exact": {
+        "division_probabilities.csv":
+            "8af28f29987a1917e71c178de53569b192b6937dd7ea0791af81e7ebc7ca8a43",
+        "entries":
+            "3dcb948598b0b7e4beca0af5c25a661731ce12347c85a8fbb4df39bf19b7357a",
+        "events":
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "expected_counts.csv":
+            "705e6212c6da3dcc524090ecf976c01c4e4b9d4ddbabcb0ed21ff7d5fc6106ee",
+        "probabilities.csv":
+            "d7b5bebf2c00d50395f60fe88d7e24b081744dc4313ea1d04a20a4fdea589eee",
+        "ssa":
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    },
     "sum-exact": {
         "division_probabilities.csv":
             "9b2c18ef8bbf0b22dee97827f8acee310696d633bc6ea64fa6d5057a978936c8",
@@ -202,6 +233,10 @@ CORPUS = {
     for share in (0.5, 0.9)
 }
 CORPUS["sum-exact"] = ("sum", Fraction(3, 2), Fraction(9, 10), range(2, 10), 6)
+CORPUS.update({
+    f"{kind}-exact": (kind, Fraction(3, 2), Fraction(9, 10), range(2, 17), 10)
+    for kind in ("constant", "product")
+})
 
 
 @pytest.mark.parametrize("case", sorted(CORPUS))
@@ -321,7 +356,7 @@ def test_step_sums_each_row_in_stored_order(kind, k0, sequential):
         0 * k0 if k % 5 == 0 else type(k0)(draw) / 10**6 for k, draw in enumerate(draws)
     ])
     terms = list(zip(prog.row.tolist(), prog.col.tolist(), prog.coef.tolist()))
-    [read] = prog.run(prob, 1, carry=False)
+    [read] = prog.run(prob, 1)
     out = read(np.arange(size)).tolist()
     want, values = [0 * k0] * size, prob.tolist()
     for r, c, coef in terms:
@@ -331,9 +366,9 @@ def test_step_sums_each_row_in_stored_order(kind, k0, sequential):
         row = op.row(c)
         return row.labels[row.targets.index(r)]
 
-    # within a row: the solver's outflows in label order, then its inflows
-    # by (source counts, label); the division model's hold child, then its
-    # inflows by label
+    # within a row: the solver's unit diagonal, its outflows in label order,
+    # then its inflows by (source counts, label); the division model's hold
+    # child, then its inflows by label
     for r in range(size):
         mine = [(c, coef) for row, c, coef in terms if row == r]
         own = [coef for c, coef in mine if c == r]
@@ -343,7 +378,7 @@ def test_step_sums_each_row_in_stored_order(kind, k0, sequential):
             assert own == ([op.row(r).hold] if own else [])
             assert [h for _, h in inflows] == sorted({h for _, h in inflows})
         else:
-            assert own == ([-rate for rate in op.row(r).rates] if own else [])
+            assert own == ([type(k0)(1)] + [-rate for rate in op.row(r).rates] if own else [])
             assert inflows == sorted(inflows)
 
 

@@ -547,9 +547,9 @@ def test_unreached_negative_zero_start_reads_positive_zero(dt, one):
 @pytest.mark.parametrize("kind", ["constant", "sum", "product"])
 def test_listed_float_run_keeps_the_masked_bits(kind):
     # every state is a start key, so the run is listed before its first step;
-    # the float step adds every term, and a dead source's products are +-0.0
-    # and move no sum, so each step keeps the bits of stepping the populated
-    # states only
+    # the float step adds every term, unit diagonal included, and a dead
+    # source's products are +-0.0 and move no sum, so each step keeps the
+    # bits of stepping the populated states only
     n, steps = 9, 8
     table = build_transition_table(n, KernelSpec(kind, 0.7), 0.002)
     cycle = [-0.0, 0.3, 5e-324, 0.0, 1e-310, 2.5e-324]  # some underflow after a step
@@ -562,12 +562,31 @@ def test_listed_float_run_keeps_the_masked_bits(kind):
     prog = op.program(keys, steps)
     prob = prog.vector(len(op.states), keys, list(p0.entries.values()))
     for table_at_step in series[1:]:
-        nxt = np.zeros(len(prob)) + prob
+        nxt = np.zeros(len(prob))
         live = (prob != 0)[prog.col]
         np.add.at(nxt, prog.row[live], prob[prog.col[live]] * prog.coef[live])
         prob = nxt
         assert list(table_at_step.entries) == list(p0.entries)
         assert np.array(list(table_at_step.entries.values())).tobytes() == prob[keys].tobytes()
+
+
+def test_exact_runs_hold_fractions_from_step_0(tmp_path):
+    # an exact run's start table is read from the program's start vector, so
+    # a point_mass start's 1.0 is Fraction(1) at step 0 as at every later step
+    table = build_transition_table(4, KernelSpec(k0=1), Fraction(1, 100))
+    mono = MassDistribution.monodisperse(4)
+    p0 = ProbabilityTable.point_mass(mono)
+    series, zero = evolve_series(p0, table, 2), evolve(p0, table, 0)
+    for p in [zero] + series:
+        assert {type(v) for v in p.entries.values()} == {Fraction}
+    assert [repr(p.entries[mono]) for p in (zero, series[0])] == ["Fraction(1, 1)"] * 2
+    assert series[0].step == zero.step == 0
+    path = tmp_path / "probabilities.csv"
+    write_probability_series(series, str(path))
+    with open(path, newline="") as handle:
+        cells = [row[2] for row in list(csv.reader(handle))[1:]]
+    assert cells[0] == "Fraction(1, 1)"
+    assert all(cell.startswith("Fraction(") for cell in cells)
 
 
 def test_listed_rational_run_keeps_the_int_zeros_no_flow_reaches():
@@ -661,9 +680,10 @@ def test_hand_built_series_csv_matches_the_per_cell_writer(tmp_path):
     _same_series_bytes([ProbabilityTable({}, step=0)], tmp_path, expected=False)
 
 
-def _parent_steps(p0, table, steps):
+def _parent_steps(p0, table, steps, one):
     # the run's tables as each step's dict of every listed state, as the
-    # solver kept them before it kept arrays
+    # solver kept them before it kept arrays; each step sums from the
+    # table's zero, and the map's unit diagonal carries the old values
     op = table
     keys = [op.index(s) for s in p0.entries]
     prog = op.program([k for k, v in zip(keys, p0.entries.values()) if v != 0], steps)
@@ -671,7 +691,7 @@ def _parent_steps(p0, table, steps):
     prob = prog.vector(size, keys, list(p0.entries.values()))
     out = []
     for level in prog.levels:
-        nxt = np.zeros(size, dtype=prob.dtype) + prob
+        nxt = np.full(size, 0 * one)
         live = (prob != 0)[prog.col] if prob.dtype == object else slice(None)
         np.add.at(nxt, prog.row[live], prob[prog.col[live]] * prog.coef[live])
         prob = nxt
@@ -686,7 +706,7 @@ def test_run_table_entries_are_the_step_dicts(dt, one):
     n = 8
     table = build_transition_table(n, KernelSpec("sum", one), dt)
     p0 = ProbabilityTable({MassDistribution.absorbed(n): 0, MassDistribution.monodisperse(n): one})
-    want = _parent_steps(p0, table, 6)
+    want = _parent_steps(p0, table, 6, one)
     series = evolve_series(p0, table, 6)
     for p, entries in zip(series[1:], want):
         assert [(s, type(v), repr(v)) for s, v in p.entries.items()] == [

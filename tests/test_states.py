@@ -416,9 +416,9 @@ def test_every_count_must_be_an_int(name, error, call, value):
 
 
 # The np.add.at step every run took before StepProgram.run: each step sums
-# from the old value (the solver) or from zero (the division map), then
-# adds prob[col] * coef; on Python numbers a term whose source is exactly
-# 0 is skipped.
+# from zero and adds prob[col] * coef, the solver's unit diagonal carrying
+# each old value; on Python numbers a term whose source is exactly 0 is
+# skipped.
 def _masked_step(prog, prob, out):
     row, col, coef = prog.row, prog.col, prog.coef
     if prob.dtype == object:
@@ -427,21 +427,19 @@ def _masked_step(prog, prob, out):
     np.add.at(out, row, prob[col] * coef)
 
 
-def _object_steps(prog, prob, steps, carry):
+def _object_steps(prog, prob, steps):
     out = []
     for _ in range(steps):
         nxt = np.zeros(len(prob), dtype=prob.dtype)
-        if carry:
-            nxt = nxt + prob
         _masked_step(prog, prob, nxt)
         prob = nxt
         out.append(prob.tolist())
     return out
 
 
-def _run_values(prog, prob, steps, carry):
+def _run_values(prog, prob, steps):
     every = np.arange(len(prob))
-    return [read(every).tolist() for read in prog.run(prob, steps, carry)]
+    return [read(every).tolist() for read in prog.run(prob, steps)]
 
 
 def _types(runs):
@@ -480,10 +478,9 @@ def test_integer_kernel_is_the_object_step(n, kind, k0, share, steps, sequential
     prog = table.program(keys, steps, sequential)
     prob = prog.vector(len(table.states), keys, values)
     assert prob.tolist() == values and _types([prob.tolist()]) == {Fraction}
-    for carry in (True, False):
-        runs = _run_values(prog, prob, steps, carry)
-        assert runs == _object_steps(prog, prob, steps, carry)
-        assert _types(runs) <= {Fraction}
+    runs = _run_values(prog, prob, steps)
+    assert runs == _object_steps(prog, prob, steps)
+    assert _types(runs) <= {Fraction}
 
 
 @pytest.mark.parametrize("start", [[1], [Fraction(1)], [0], [Fraction(0)], [1.0]],
@@ -500,14 +497,13 @@ def test_integer_kernel_on_unit_tables(coef, start, sequential):
     keys = [table.index(MassDistribution((2, 0))), table.index(MassDistribution((0, 1)))]
     prog = table.program(keys, 3, sequential)
     number = float if coef == "float" else Fraction
-    # the solver's rates keep the input type; the split's weights and holds
-    # divide by s_{h+1}, which starts at table.one
+    # the solver's rates and unit diagonal keep the input type; the split's
+    # weights and holds divide by s_{h+1}, which starts at table.one
     assert {type(c) for c in prog.coef.tolist()} == {number if sequential else type(one)}
     prob = prog.vector(len(table.states), keys, start + [0])
-    for carry in (True, False):
-        runs = _run_values(prog, prob, 6, carry)
-        assert runs == _object_steps(prog, prob, 6, carry)
-        assert _types(runs) == {number}
+    runs = _run_values(prog, prob, 6)
+    assert runs == _object_steps(prog, prob, 6)
+    assert _types(runs) == {number}
 
 
 def test_rational_run_takes_the_integer_kernel(monkeypatch):
@@ -517,7 +513,7 @@ def test_rational_run_takes_the_integer_kernel(monkeypatch):
     prog = table.program(keys, 4)
     prob = prog.vector(len(table.states), keys, [Fraction(1, len(keys))] * len(keys))
     float_start = prog.vector(len(table.states), keys, [1.0] + [0] * (len(keys) - 1))
-    want = [_object_steps(prog, start, 4, True) for start in (prob, float_start)]
+    want = [_object_steps(prog, start, 4) for start in (prob, float_start)]
 
     def fail(*args):
         raise AssertionError("stepped on Fractions")
@@ -525,10 +521,37 @@ def test_rational_run_takes_the_integer_kernel(monkeypatch):
     for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
                  "__truediv__", "__rtruediv__"):
         monkeypatch.setattr(Fraction, name, fail)
-    got = [_run_values(prog, start, 4, True) for start in (prob, float_start)]
+    got = [_run_values(prog, start, 4) for start in (prob, float_start)]
     monkeypatch.undo()
     assert got == want
     assert _types(got[0] + got[1]) == {Fraction}
+
+
+@pytest.mark.parametrize("share", [Fraction(1), Fraction(9, 10), Fraction(1, 2)],
+                         ids=["1", "9/10", "1/2"])
+@pytest.mark.parametrize("kind", ["constant", "sum", "product"])
+def test_step_maps_conserve_probability_column_by_column(kind, share):
+    # conservation is a property of the maps: the solver's A = I + dt Q and
+    # the division model's B each carry every unit of a column's mass
+    for n in range(2, 13):
+        table = _share_table(n, kind, Fraction(3, 2), share)
+        mono = table.index(MassDistribution.monodisperse(n))
+        for steps in (n // 2, n):
+            solver, division = (table.program([mono], steps, seq) for seq in (False, True))
+            levels = [[mono]] + solver.levels
+            closure = {k for level in levels for k in level}
+            stepping = {k for level in levels[:steps] for k in level}
+            for prog, columns in [(solver, closure), (division, stepping)]:
+                sums = dict.fromkeys(columns, 0)
+                for c, coef in zip(prog.col.tolist(), prog.coef.tolist()):
+                    sums[c] += coef
+                assert sums == dict.fromkeys(columns, 1), (n, steps)
+            terms = list(zip(solver.row.tolist(), solver.col.tolist(), solver.coef.tolist()))
+            first = {}
+            for r, c, coef in terms:
+                first.setdefault(r, (c, coef))
+            assert first == {k: (k, 1) for k in closure}
+            assert all(type(coef) is Fraction for _, _, coef in terms)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
