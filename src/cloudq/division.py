@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -37,8 +37,7 @@ class BranchCapError(StateSpaceError):
 _BRANCH_CAP = 500_000
 
 
-@dataclass(frozen=True)
-class HistoryBranch:
+class HistoryBranch(NamedTuple):
     """A single transition history with its state and probability."""
 
     history: tuple[int, ...]
@@ -186,6 +185,8 @@ def amplitude_expectation(distribution: ProbabilityTable, bin_index: int):
     d = 2 ** qubits_for_bin(n_bins, bin_index)
     total = 0.0
     for state, prob in entries.items():
+        if type(prob) is Fraction:  # as float * Fraction takes it: float(prob), num / den
+            prob = prob.numerator / prob.denominator
         total += (state.counts[bin_index - 1] / d) * prob
     return d * total
 

@@ -12,7 +12,10 @@ from __future__ import annotations
 import bisect
 import csv
 import math
+import operator
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import reduce
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -57,7 +60,7 @@ class ProbabilityTable:
         return (self.entries, self.step) == (other.entries, other.step)
 
     def total(self):
-        return sum(self.values.tolist())
+        return reduce(operator.add, self.values.tolist(), 0)  # sum() compensates from 3.12
 
     def states(self) -> list[MassDistribution]:
         return sorted(self.listing[:len(self.values)], key=lambda s: s.counts)
@@ -138,15 +141,23 @@ def evolve_series(
 
 def _expected(counts: np.ndarray, values: np.ndarray) -> list:
     """``sum count * P`` down each column of ``counts``, state by state in
-    entry order from ``0.0``: one sequential ``cumsum`` whose first row,
-    ``0 * 0.0``, is that ``0.0`` (it turns a ``-0.0`` sum into ``0.0``).
-    In the values' number type: float64, or Python numbers on an object
-    array, so other tables sum as Python does (``0.0 + Fraction`` is a
-    float) and Python floats give the float64 bits: the same floats,
-    added in the same order."""
-    rows = np.vstack([np.zeros_like(counts[:1]), counts[:len(values)]]).astype(values.dtype)
-    probs = np.concatenate([[0.0], values]).astype(values.dtype)
-    return np.cumsum(rows * probs[:, None], axis=0)[-1].tolist()
+    entry order from ``0.0`` (a ``-0.0`` sum reads ``0.0``): on float64,
+    one sequential ``cumsum`` under a first row ``0 * 0.0``; on an object
+    array, a loop (``sum()`` compensates floats from Python 3.12) that adds
+    as Python does, where ``total + count * Fraction`` is ``float(total)``
+    plus the one correctly rounded division ``count * num / den``."""
+    if values.dtype != object:
+        rows = np.vstack([np.zeros_like(counts[:1]), counts[:len(values)]]).astype(values.dtype)
+        probs = np.concatenate([[0.0], values]).astype(values.dtype)
+        return np.cumsum(rows * probs[:, None], axis=0)[-1].tolist()
+    terms = [v.as_integer_ratio() if type(v) is Fraction else v for v in values.tolist()]
+    totals = []
+    for column in counts[:len(values)].T.tolist():  # Python ints: numerators pass 2**63
+        total = 0.0
+        for count, v in zip(column, terms):
+            total = float(total) + count * v[0] / v[1] if type(v) is tuple else total + count * v
+        totals.append(total)
+    return totals
 
 
 def expected_counts(p: ProbabilityTable, bins: Sequence[int] | None = None) -> list:
@@ -169,7 +180,7 @@ def expected_count(p: ProbabilityTable, bin_index: int):
 
 def mass_expectation(p: ProbabilityTable):
     """``sum_i i * <n_i>``; conserved by every update."""
-    return sum(state.mass() * prob for state, prob in p.entries.items())
+    return reduce(operator.add, (state.mass() * prob for state, prob in p.entries.items()), 0)
 
 
 def ssa_trajectory(

@@ -15,7 +15,7 @@ import numbers
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import partial, reduce
 from itertools import chain, compress
 from typing import Callable, Iterator, NamedTuple, Sequence
 
@@ -208,11 +208,11 @@ def transition_rate(table: TransitionTable, state: MassDistribution, label: int)
 
 
 def total_transition_rate(table: TransitionTable, state: MassDistribution):
-    """``sum_h r_h(state)``, summed from :meth:`TransitionTable.rates` as a row's
+    """``sum_h r_h(state)``, folded from :meth:`TransitionTable.rates` as a row's
     ``total`` is, with no row compiled; must stay <= 1 for a valid explicit step."""
     if state.num_bins != table.num_bins:
         raise StateSpaceError(f"state {state.counts} does not have {table.num_bins} bins")
-    return sum((rate for _, _, _, _, rate in table.rates(state.counts)), 0 * table.dt)
+    return reduce(operator.add, (r for *_, r in table.rates(state.counts)), 0 * table.dt)
 
 
 def _collided(counts: Sequence[int], i: int, j: int) -> tuple[int, ...]:
@@ -224,16 +224,26 @@ def _collided(counts: Sequence[int], i: int, j: int) -> tuple[int, ...]:
     return tuple(after)
 
 
+def _trusted(counts: tuple[int, ...]) -> MassDistribution:
+    """``MassDistribution(counts)`` unchecked, for a collision from a valid state."""
+    state = object.__new__(MassDistribution)
+    object.__setattr__(state, "counts", counts)  # not through __dict__, which costs memory
+    object.__setattr__(state, "_hash", hash((counts,)))
+    return state
+
+
 def apply_pair(state: MassDistribution, i: int, j: int) -> MassDistribution:
     """Post-collision state for the ``(i, j)`` collision."""
     counts = state.counts
+    if not (1 <= i and 1 <= j and i + j <= len(counts)):  # so the result needs no check
+        raise LabelError(f"({i},{j}) is not a collision pair of {len(counts)} bins")
     if i == j and counts[i - 1] < 2:
         raise InfeasibleTransitionError(f"bin {i} holds {counts[i - 1]} droplets, need 2")
     if i != j and (counts[i - 1] < 1 or counts[j - 1] < 1):
         raise InfeasibleTransitionError(
             f"bins ({i},{j}) hold ({counts[i - 1]},{counts[j - 1]}), need one each"
         )
-    return MassDistribution(_collided(counts, i, j))
+    return _trusted(_collided(counts, i, j))
 
 
 def apply_transition(table: TransitionTable, state: MassDistribution, label: int) -> MassDistribution:
@@ -424,23 +434,21 @@ class TransitionTable:
             after = _collided(counts, i, j)
             target = self._index.get(after)
             labels.append(label)
-            targets.append(self.index(MassDistribution(after)) if target is None else target)
+            targets.append(self.index(_trusted(after)) if target is None else target)
             rates.append(rate)
-        total = sum(rates, 0 * self.dt)
-        # sequential split, labels H..1; a zero-rate label leaves s unchanged
-        weights = [0 * total] * len(rates)
-        remaining = self.one
-        for pos in reversed(range(len(rates))):
-            if remaining <= 0:
-                break
-            modified = rates[pos] / remaining
-            if modified > 1:
-                modified = self.one
-            weights[pos] = modified * remaining
-            remaining = (1 - modified) * remaining
-        return OperatorRow(
-            tuple(labels), tuple(targets), tuple(rates), total, tuple(weights), remaining
-        )
+        total = reduce(operator.add, rates, 0 * self.dt)  # a left fold on every Python
+        if not self.is_float and total <= 1:  # unclipped: (r_h / s_{h+1}) s_{h+1} is r_h
+            weights = [r if type(r) is Fraction else Fraction(r) for r in rates]
+            remaining = self.one - total
+        else:  # sequential split, labels H..1; a zero-rate label leaves s unchanged
+            weights, remaining = [0 * total] * len(rates), self.one
+            for pos in reversed(range(len(rates))):
+                if remaining <= 0:
+                    break
+                modified = min(rates[pos] / remaining, self.one)
+                weights[pos] = modified * remaining
+                remaining = (1 - modified) * remaining
+        return OperatorRow(*map(tuple, (labels, targets, rates)), total, tuple(weights), remaining)
 
     def events(self, k: int) -> tuple[float, tuple[int, ...], np.ndarray]:
         """What the Gillespie sampler draws from in state ``k``: the event

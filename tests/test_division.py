@@ -687,3 +687,18 @@ def test_import_loads_only_the_solver_stack():
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                           text=True, check=True)
     assert done.stdout == "['cloudq', 'cloudq.division', 'cloudq.master', 'cloudq.states']\n"
+
+
+def test_history_branch_keeps_its_fields_and_hash():
+    # fields, their order, the positional constructor and the frozen
+    # dataclass's hash, hash((history, state, prob)), all stay
+    state = MassDistribution((1, 1, 0))
+    branch = HistoryBranch((3, 0), state, Fraction(2, 7))
+    assert HistoryBranch._fields == ("history", "state", "prob")
+    assert (branch.history, branch.state, branch.prob) == ((3, 0), state, Fraction(2, 7))
+    assert hash(branch) == hash(((3, 0), state, Fraction(2, 7)))
+    assert branch == HistoryBranch((3, 0), MassDistribution((1, 1, 0)), Fraction(2, 7))
+    table = build_transition_table(6, KernelSpec("sum", Fraction(1)), Fraction(1, 100))
+    for got in run_tree(table, 3):
+        assert type(got) is HistoryBranch
+        assert hash(got) == hash((got.history, got.state, got.prob))

@@ -25,7 +25,14 @@ from cloudq.master import (
     write_expected_series,
     write_probability_series,
 )
-from cloudq.division import HistoryBranch, divide_step, merge_branches, run_merged, run_tree
+from cloudq.division import (
+    HistoryBranch,
+    amplitude_expectation,
+    divide_step,
+    merge_branches,
+    run_merged,
+    run_tree,
+)
 from cloudq.states import (
     KernelSpec,
     MassDistribution,
@@ -33,6 +40,7 @@ from cloudq.states import (
     StepSizeError,
     build_transition_table,
     enumerate_states,
+    qubits_for_bin,
     total_transition_rate,
     transition_rate,
 )
@@ -469,6 +477,75 @@ def test_expected_series_needs_a_state(tmp_path):
     p0 = ProbabilityTable.point_mass(MassDistribution.monodisperse(3))
     with pytest.raises(StateSpaceError, match="^empty distribution$"):
         write_expected_series([p0, ProbabilityTable({})], str(tmp_path / "e.csv"))
+
+
+def _cumsum_expected(counts, values):
+    # _expected as one cumsum for every number type: on an object array,
+    # Python's own int * Fraction and float + Fraction, term by term
+    rows = np.vstack([np.zeros_like(counts[:1]), counts[:len(values)]]).astype(values.dtype)
+    probs = np.concatenate([[0.0], values]).astype(values.dtype)
+    return np.cumsum(rows * probs[:, None], axis=0)[-1].tolist()
+
+
+def _product_amplitude(p, bin_index):
+    # amplitude_expectation's loop on Python's float * Fraction
+    d = 2 ** qubits_for_bin(p.listing[0].num_bins, bin_index)
+    total = 0.0
+    for state, prob in p.entries.items():
+        total += (state.counts[bin_index - 1] / d) * prob
+    return d * total
+
+
+def _same_readout(p):
+    counts = np.array([s.counts for s in p.listing], dtype=np.int64)
+    bins = range(1, counts.shape[1] + 1)
+    want = _cumsum_expected(counts, p.values)
+    assert list(map(repr, expected_counts(p))) == list(map(repr, want))
+    assert [repr(expected_count(p, b)) for b in bins] == list(map(repr, want))
+    got = [amplitude_expectation(p, b) for b in bins]
+    assert list(map(repr, got)) == [repr(_product_amplitude(p, b)) for b in bins]
+
+
+def _exact_runs(kind, k0, n, steps):
+    unit = build_transition_table(n, KernelSpec(kind, k0), 1)
+    worst = max(total_transition_rate(unit, s) for s in enumerate_states(n))
+    table = build_transition_table(n, KernelSpec(kind, k0), Fraction(9, 10) / worst)
+    p0 = ProbabilityTable({MassDistribution.monodisperse(n): Fraction(1)})
+    return [run_merged(table, steps), evolve(p0, table, steps),
+            merge_branches(run_tree(table, steps), steps)], evolve_series(p0, table, steps)
+
+
+@pytest.mark.parametrize("k0", [1, Fraction(3, 2)], ids=["int", "fraction"])
+@pytest.mark.parametrize("kind", ["constant", "sum", "product"])
+def test_exact_readout_keeps_its_bits(kind, k0, tmp_path, monkeypatch):
+    # each term's one integer division is the float Python's Fraction
+    # arithmetic gave: every bin, repr for repr, and the series CSV bytes
+    for n, steps in [(2, 3), (5, 4), (8, 5), (12, 5)]:
+        tables, series = _exact_runs(kind, k0, n, steps)
+        for p in tables + series:
+            assert {type(v) for v in p.values.tolist()} == {Fraction}
+            _same_readout(p)
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        write_expected_series(series, str(got))
+        with monkeypatch.context() as patched:
+            patched.setattr(master, "_expected", _cumsum_expected)
+            write_expected_series(series, str(want))
+        assert got.read_bytes() == want.read_bytes()
+
+
+def test_object_readout_of_floats_and_ints_keeps_its_bits():
+    # Python floats keep count * P; ints and mixed tables add as Python does
+    rng = np.random.default_rng(34)
+    table = build_transition_table(9, KernelSpec("sum", 0.7), 0.9 / 72)
+    p0 = ProbabilityTable.point_mass(MassDistribution.monodisperse(9))
+    for p in evolve_series(p0, table, 8):
+        floats = ProbabilityTable(dict(p.entries), p.step)
+        assert floats.values.dtype == object and floats == p
+        _same_readout(floats)
+        ints = ProbabilityTable({s: int(v) for s, v in zip(p.entries, rng.integers(0, 9, 99))})
+        _same_readout(ints)
+        mixed = [Fraction(int(v), 7) if v % 3 else float(v) / 7 for v in rng.integers(0, 9, 99)]
+        _same_readout(ProbabilityTable(dict(zip(p.entries, mixed))))
 
 
 # The accumulation as it stood before both executors took one np.add.at

@@ -1,5 +1,8 @@
+import builtins
 import dataclasses
+import functools
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cloudq import division, master, resources
+from cloudq import states as states_module
 from cloudq.presets import PRESET_CASES
 from cloudq.states import (
     DEFAULT_ENUMERATION_CAP,
@@ -564,3 +568,116 @@ def test_exact_vector_refuses_a_start_that_is_not_finite(value):
             prog.vector(len(table.states), [0], [value])
         assert type(err.value) is StateSpaceError
         assert str(err.value) == f"start value {value} is not finite"
+
+
+def _compensated_sum(values, start=0):
+    # sum() as Python 3.12 takes it on floats: Neumaier-compensated
+    values = list(values)
+    if not values or not all(type(v) is float for v in values):
+        return builtins.sum(values, start)
+    total, compensation = float(start), 0.0
+    for v in values:
+        t = total + v
+        compensation += (total - t) + v if abs(total) >= abs(v) else (v - t) + total
+        total = t
+    return total + compensation
+
+
+@pytest.mark.parametrize("n", [4, 8, 12])
+def test_float_sums_fold_left_on_every_python(monkeypatch, n):
+    # a compensated sum() must not reach the row totals, total_transition_rate,
+    # ProbabilityTable.total or mass_expectation: 3.11's sum() is the left fold
+    monkeypatch.setattr(states_module, "sum", _compensated_sum, raising=False)
+    monkeypatch.setattr(master, "sum", _compensated_sum, raising=False)
+    states = enumerate_states(n)
+    table = build_transition_table(n, KernelSpec(k0=0.7), 0.9 / (n * (n - 1)))
+    folded = compensated = 0
+    for state in states:
+        rates = [r for *_, r in table.rates(state.counts)]
+        want = functools.reduce(operator.add, rates, 0.0)
+        row = table.row(table.index(state))
+        assert repr(row.total) == repr(want) == repr(total_transition_rate(table, state))
+        compensated += _compensated_sum(rates, 0.0) != want
+        folded += 1
+    p0 = master.ProbabilityTable.point_mass(MassDistribution.monodisperse(n))
+    for p in master.evolve_series(p0, table, 6):
+        values = p.values.tolist()
+        assert repr(p.total()) == repr(functools.reduce(operator.add, values, 0))
+        terms = [s.mass() * v for s, v in p.entries.items()]
+        assert repr(master.mass_expectation(p)) == repr(functools.reduce(operator.add, terms, 0))
+    assert folded and (n < 12 or compensated)  # N=12 has rows the compensation moves
+
+
+def _loop_split(rates, total, one):
+    # the sequential split as a loop, labels H..1, clipped at 1
+    weights, remaining = [0 * total] * len(rates), one
+    for pos in reversed(range(len(rates))):
+        if remaining <= 0:
+            break
+        modified = rates[pos] / remaining
+        if modified > 1:
+            modified = one
+        weights[pos] = modified * remaining
+        remaining = (1 - modified) * remaining
+    return weights, remaining
+
+
+@pytest.mark.parametrize(
+    "k0, dt",
+    [(Fraction(3, 2), Fraction(1, 40)), (1, Fraction(1, 30)), (1, 1), (Fraction(1, 2), 1),
+     (0.7, 0.02), (1.0, 0.5)],
+    ids=["fraction", "int-k0", "int", "fraction-k0-int-dt", "float", "float-clipped"],
+)
+@pytest.mark.parametrize("kind", ["constant", "sum", "product"])
+def test_rows_split_as_the_loop_does(kind, k0, dt):
+    # an exact row with sum r_h <= 1 stores each rate as a Fraction weight
+    # and the hold one - total; any other row is the loop's split, bit for bit
+    for n in range(2, 10):
+        table = build_transition_table(n, KernelSpec(kind, k0), dt)
+        for state in enumerate_states(n):
+            row = table.row(table.index(state))
+            weights, hold = _loop_split(row.rates, row.total, table.one)
+            assert list(map(type, row.weights)) == list(map(type, weights))
+            assert list(map(repr, row.weights)) == list(map(repr, weights))
+            assert (type(row.hold), repr(row.hold)) == (type(hold), repr(hold))
+            if not table.is_float and row.total <= 1:
+                assert all(type(w) is Fraction and w == r for w, r in zip(row.weights, row.rates))
+                assert type(row.hold) is Fraction and row.hold == 1 - row.total
+
+
+def test_split_cases_are_covered():
+    # the int table meets both exact branches: rows within the limit and past it
+    table = build_transition_table(4, KernelSpec("constant", 1), 1)
+    totals = [table.row(table.index(s)).total for s in enumerate_states(4)]
+    assert {type(t) for t in totals} == {int}
+    assert min(totals) <= 1 < max(totals)
+
+
+def _checked_state(state):
+    fresh = MassDistribution(state.counts)
+    assert type(state) is MassDistribution and state == fresh
+    assert hash(state) == hash(fresh) == hash((state.counts,))
+    assert vars(state) == vars(fresh)
+
+
+@pytest.mark.parametrize("kind", ["constant", "product"])
+def test_collided_states_are_the_checked_ones(kind):
+    for n in range(2, 11):
+        table = build_transition_table(n, KernelSpec(kind, Fraction(1, 2)), Fraction(1, 100))
+        for state in enumerate_states(n):
+            table.row(table.index(state))
+            for label in range(1, table.num_labels + 1):
+                if transition_rate(table, state, label):
+                    _checked_state(apply_transition(table, state, label))
+        for state in table.states:
+            _checked_state(state)
+
+
+@pytest.mark.parametrize("counts, i, j", [
+    ((2, 1, 0, 0), 0, 1), ((2, 1, 0, 0), 1, 0), ((2, 1, 0, 0), -1, 2), ((2, 1, 0, 0), 2, 3),
+    ((2, 1, 0, 0), 1, 5), ((0, 0, 0, 1), 0, 4),  # bin 0 reads bin N from the end
+])
+def test_apply_pair_refuses_a_pair_outside_the_bins(counts, i, j):
+    # the collided state is built unchecked, so the pair is checked first
+    with pytest.raises(LabelError, match=rf"^\({i},{j}\) is not a collision pair of 4 bins$"):
+        apply_pair(MassDistribution(counts), i, j)
