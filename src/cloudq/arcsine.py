@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
@@ -39,7 +40,7 @@ VERIFY_DPS = 45  # working precision (digits) of the arcsine reference
 VERIFY_EXTRA_ORDER = 40  # reference series terms beyond the fit's degree
 _SHARED_DEGREE = 9  # fits up to this degree share one reference order
 _UNIT = 2.0**-53  # unit roundoff of float64
-_FIXED_BITS = 200  # fraction bits of the node errors in _prebound
+_FIXED_BITS = 200  # fraction bits of the Taylor terms in _prebound
 
 
 class FitError(ValueError):
@@ -221,15 +222,8 @@ def min_pieces(
     )
 
 
-class _CosineTable(tuple):
-    """Rows of ``(signed mantissa, exponent)`` entries; ``floats`` holds the
-    same entries rounded to float64."""
-
-    floats: np.ndarray
-
-
 @lru_cache(maxsize=1)
-def _cosine_table(n: int, order: int, prec: int) -> _CosineTable:
+def _cosine_table(n: int, order: int, prec: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """``cos(pi j (2k+1) / 2n)`` for ``j <= order``, ``k < n`` at binary
     precision ``prec``, each as a signed mantissa and an exponent; row 1
     holds the Chebyshev nodes.  The ``libmp`` calls are the ones
@@ -249,9 +243,7 @@ def _cosine_table(n: int, order: int, prec: int) -> _CosineTable:
             for k in range(n)
         )
 
-    table = _CosineTable(row(j) for j in range(order + 1))
-    table.floats = np.array([[math.ldexp(man, exp) for man, exp in row] for row in table])
-    return table
+    return tuple(row(j) for j in range(order + 1))
 
 
 def _reference_order(coefficients: Sequence[float]) -> int:
@@ -262,7 +254,7 @@ def _reference_order(coefficients: Sequence[float]) -> int:
     return max(len(coefficients) - 1, _SHARED_DEGREE) + VERIFY_EXTRA_ORDER
 
 
-def _reference_table(order: int) -> _CosineTable:
+def _reference_table(order: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """The cosine table of an ``order`` reference series, on ``n = 2 order
     + 8`` nodes at the working precision."""
     return _cosine_table(2 * order + 8, order, mp.mp.prec)
@@ -318,23 +310,19 @@ def _node_values(a: float, b: float, order: int) -> list[tuple[int, int]]:
     ]
 
 
-def _truth_series(
-    a: float, b: float, order: int, values: list[tuple[int, int]] | None = None
-) -> list[mp.mpf]:
+def _truth_series(a: float, b: float, order: int) -> list[mp.mpf]:
     """Chebyshev series of arcsine on [a, b] to ``order`` in mpmath, from
-    its :func:`_node_values` (computed unless given).
+    its :func:`_node_values`.
 
     The cosine table depends only on ``(n, order)`` and the working
     precision, so it is built once and reused by every piece; each
     coefficient is :func:`_fsum_products` of ``values[k] * row[k]`` in
     ``k`` order, the same bits as ``mp.fsum`` of the ``mpf`` products.
     """
-    table = _reference_table(order)
-    if values is None:
-        values = _node_values(a, b, order)
+    values = _node_values(a, b, order)
     n, prec = len(values), mp.mp.prec
     series = []
-    for j, row in enumerate(table):
+    for j, row in enumerate(_reference_table(order)):
         coeff = 2 * mp.make_mpf(_fsum_products(values, row, prec)) / n
         if j == 0:
             coeff /= 2
@@ -342,15 +330,12 @@ def _truth_series(
     return series
 
 
-def _diff_series(
-    coefficients: Sequence[float], a: float, b: float,
-    values: list[tuple[int, int]] | None = None,
-) -> np.ndarray:
+def _diff_series(coefficients: Sequence[float], a: float, b: float) -> np.ndarray:
     """The polynomial minus the 45-digit arcsine series on ``[a, b]``, as
     float Chebyshev coefficients in ``u``."""
     with mp.workdps(VERIFY_DPS):
         order = _reference_order(coefficients)
-        truth = _truth_series(a, b, order, values)
+        truth = _truth_series(a, b, order)
         return np.array(
             [
                 float((mp.mpf(coefficients[j]) if j < len(coefficients) else mp.mpf(0)) - truth[j])
@@ -378,48 +363,72 @@ def _series_bound(diff: np.ndarray) -> float:
     return math.fsum(map(abs, diff.tolist())) * (1 + 8 * n * n * _UNIT)
 
 
-def _prebound(
-    coefficients: Sequence[float], a: float, b: float,
-    values: list[tuple[int, int]] | None = None,
-) -> float:
-    """An upper bound on ``_series_bound(_diff_series(coefficients, a,
-    b))`` without the 45-digit series, from the piece's
-    :func:`_node_values` (computed unless given); ``inf`` for a
-    non-finite piece or one too large to bound.
+def _taylor_terms(mid: int, rad: int, b: float, last: int) -> tuple[list[int], int] | None:
+    """Lower bounds ``D_m`` on ``d_m 2**F`` (``F`` = :data:`_FIXED_BITS`)
+    for the Taylor terms ``d_m u**m`` of ``asin(x0 + rad u)``, with ``x0,
+    rad = mid, rad / 2**F``, and ``tail >= (asin(b) - sum d_m) 2**F``;
+    ``None`` if ``tail`` stays above ``2**(F - 140)`` through ``m = last``.
+    Each ``D_m`` is one floor division of the recurrence the README
+    derives; the two arcsines are ``F + 20``-bit ``mpf_asin`` values."""
+    prec, rnd = _FIXED_BITS + 20, libmp.round_nearest
 
-    For ``j <= order``, ``c_j - t_j`` is the discrete Chebyshev coefficient
-    of the node errors ``e_k = p(nu_k) - f_k``, as ``degree + order < 2n``.
-    The ``e_k`` are exact to :data:`_FIXED_BITS` bits (Clenshaw on
-    integers); their transform runs in float64 on the float cosine table,
-    and the README derives the terms that cover its rounding.
-    """
-    weight = sum((j + 1) ** 2 * abs(c) for j, c in enumerate(coefficients))
-    if not (math.isfinite(a) and math.isfinite(b) and weight < 2.0**1000):
-        return math.inf
-    with mp.workdps(VERIFY_DPS):
-        order = _reference_order(coefficients)
-        table = _reference_table(order)
-        if values is None:
-            values = _node_values(a, b, order)
-    fixed = [
-        _scaled(num, _FIXED_BITS + 1 - den.bit_length())
-        for num, den in (c.as_integer_ratio() for c in coefficients)
+    def asin_floor(x: tuple) -> int:
+        return _scaled(*_signed(libmp.mpf_shift(libmp.mpf_asin(x, prec, rnd), _FIXED_BITS)))
+
+    q = (1 << 2 * _FIXED_BITS) - mid * mid  # (1 - x0^2) 2**2F
+    d = [
+        asin_floor(libmp.from_man_exp(mid, -_FIXED_BITS)) - 1,
+        (rad << _FIXED_BITS) // (math.isqrt(q - 1) + 1),
     ]
-    errors = []
-    for (man, exp), (f_man, f_exp) in zip(table[1], values):
-        b_1 = b_2 = 0
-        for c in reversed(fixed[1:]):
-            b_1, b_2 = c + _scaled(man * b_1, exp + 1) - b_2, b_1
-        p = fixed[0] + _scaled(man * b_1, exp) - b_2
-        errors.append((p - _scaled(f_man, f_exp + _FIXED_BITS)) / (1 << _FIXED_BITS))
-    n, terms = len(errors), order + 1
-    transform = table.floats @ np.array(errors) * (2 / n)
-    transform[0] /= 2
-    e_1 = 2 * math.fsum(map(abs, errors)) / n * (1 + 8 * _UNIT)
-    gamma = (n + 6) * _UNIT / (1 - (n + 6) * _UNIT)
-    slack = 2.0**-140 * terms * (2 + weight)  # 45-digit and fixed-point roundings
-    total = math.fsum(map(abs, transform.tolist())) + terms * (gamma * e_1 + slack)
-    return total * (1 + 8 * _UNIT) * (1 + 8 * terms * terms * _UNIT)
+    tail = asin_floor(libmp.from_float(b)) + 2 - d[0] - d[1]
+    rise, curve = mid * rad, rad * rad
+    while tail > 1 << (_FIXED_BITS - 140):
+        m = len(d)
+        if m > last:
+            return None
+        step = (m - 1) * (2 * m - 3) * rise * d[-1] + (m - 2) ** 2 * curve * d[-2]
+        d.append(step // (m * (m - 1) * q))
+        tail -= d[-1]
+    return d, tail
+
+
+def _prebound(coefficients: Sequence[float], a: float, b: float) -> float:
+    """An upper bound on ``_series_bound(_diff_series(coefficients, a,
+    b))`` without the 45-digit series: ``sum_j |c_j - g_j| + 2 N tail``
+    and the 45-digit slack, for the exact Chebyshev coefficients ``g_j``
+    of the :func:`_taylor_terms` polynomial (``u**m = 2**(1-m) sum_i C(m,
+    i) T_(m-2i)``, ``T_0`` halved).  ``inf`` for a non-finite piece, one
+    too large to bound, ``b = 1``, a midpoint or radius not exact at
+    ``2**-F``, or a series that has not settled below ``2 n - order``
+    terms.  The README derives it.
+    """
+    if not (0 <= a <= b < 1 and sum(map(abs, coefficients)) < 2.0**1000):
+        return math.inf
+    scale = 1 << (_FIXED_BITS - 1)
+    mid, rad = (Fraction(b) + Fraction(a)) * scale, (Fraction(b) - Fraction(a)) * scale
+    order = _reference_order(coefficients)
+    terms = order + 1
+    series = (
+        mid.denominator == rad.denominator == 1
+        and _taylor_terms(mid.numerator, rad.numerator, b, 3 * order + 15)
+    )
+    if not series:
+        return math.inf
+    d, tail = series
+    top = len(d) - 1  # g_j and c_j as integers over 2**(F + top)
+    total = 2 * terms * tail << top
+    for j in range(terms):
+        g = sum(
+            d[m] * math.comb(m, (m - j) // 2) << (top + 1 - m - (j == 0))
+            for m in range(j, top + 1, 2)
+        )
+        if j < len(coefficients):
+            num, den = coefficients[j].as_integer_ratio()
+            g -= _scaled(num, _FIXED_BITS + top + 1 - den.bit_length())
+        total += abs(g)
+    slack = 2.0**-140 * terms * (terms + 1 / math.sqrt(1 - b * b))  # 45-digit roundings
+    bound = total / (1 << (_FIXED_BITS + top)) + slack
+    return bound * (1 + 8 * _UNIT) * (1 + 8 * terms * terms * _UNIT)
 
 
 def verify(pp: PiecewisePolynomial, grid_factor: int = 10) -> float:
@@ -435,19 +444,16 @@ def verify(pp: PiecewisePolynomial, grid_factor: int = 10) -> float:
     require_count("grid_factor", grid_factor, 1, FitError)
     grid = grid_factor * DEFAULT_ERROR_GRID
     bounds = []
-    with mp.workdps(VERIFY_DPS):
-        for index, piece in enumerate(pp.pieces):
-            if not 0 <= piece.lower <= piece.upper <= 1:
-                raise FitError(f"piece {index} on [{piece.lower}, {piece.upper}] is outside [0, 1]")
-            values = _node_values(piece.lower, piece.upper, _reference_order(piece.coefficients))
-            bound = _prebound(piece.coefficients, piece.lower, piece.upper, values)
-            bounds.append((bound, index, values))
+    for index, piece in enumerate(pp.pieces):
+        if not 0 <= piece.lower <= piece.upper <= 1:
+            raise FitError(f"piece {index} on [{piece.lower}, {piece.upper}] is outside [0, 1]")
+        bounds.append((_prebound(piece.coefficients, piece.lower, piece.upper), index))
     worst = -math.inf
-    for bound, index, values in sorted(bounds, key=lambda entry: -entry[0]):
+    for bound, index in sorted(bounds, key=lambda entry: -entry[0]):
         if bound <= worst < math.inf:
             break
         piece = pp.pieces[index]
-        error = _grid_max(_diff_series(piece.coefficients, piece.lower, piece.upper, values), grid)
+        error = _grid_max(_diff_series(piece.coefficients, piece.lower, piece.upper), grid)
         if math.isnan(error):
             raise FitError(
                 f"piece {index} on [{piece.lower}, {piece.upper}] has a nan reference error"

@@ -60,10 +60,7 @@ class FixedPointValue:
         require_count("width", self.width, 1, FixedPointError)
         if type(self.bits) is not int:  # require_count's type rule, inline: one per register
             raise FixedPointError(f"bits must be an int, got {self.bits!r}")
-        if not 0 <= self.bits < (1 << self.width):
-            raise FixedPointRangeError(
-                f"bits {self.bits} outside [0, 2**{self.width})"
-            )
+        _in_register(self.bits, self.width)
 
     @property
     def exact(self) -> Fraction:
@@ -72,6 +69,13 @@ class FixedPointValue:
     @property
     def value(self) -> float:
         return float(self.exact)
+
+
+def _in_register(bits: int, width: int) -> int:
+    """``bits`` if they fit a ``width``-bit register."""
+    if not 0 <= bits < (1 << width):
+        raise FixedPointRangeError(f"bits {bits} outside [0, 2**{width})")
+    return bits
 
 
 def fp_encode(x, width: int) -> FixedPointValue:
@@ -85,6 +89,40 @@ def fp_encode(x, width: int) -> FixedPointValue:
     return FixedPointValue(bits, width)
 
 
+# The other fp_* operations wrap these integer forms, which the angle
+# pipeline's core (_angle_bits) runs on bare register bits.
+
+
+def _sub_bits(a: int, b: int) -> int:
+    if a < b:
+        raise FixedPointRangeError("subtraction underflow on an unsigned register")
+    return a - b
+
+
+def _mul_bits(n: int, constant: int, width: int) -> int:
+    if n * constant > 1 << (width - 1):
+        raise FixedPointRangeError(f"product {n} * {constant / (1 << (width - 1))} exceeds 1")
+    return n * constant
+
+
+def _sqrt_bits(a: int, width: int) -> int:
+    if a > 1 << (width - 1):
+        raise FixedPointRangeError("fp_sqrt operand must lie in [0, 1]")
+    # result/2**(w-1) ~ sqrt(bits/2**(w-1)), so take isqrt(bits << (w-1)); the
+    # radicand is below 2**(2w), so the circuit's w-digit square root agrees
+    return math.isqrt(a << (width - 1))
+
+
+def _div_bits(a: int, b: int, width: int) -> int:
+    if b == 0:
+        raise DivisionByZeroError("division by zero")
+    if a > b:
+        raise FixedPointRangeError("fp_div needs a <= b so the quotient fits [0, 1]")
+    # for a <= b the circuit's restoring division (one integer bit, then
+    # w-1 fraction bits) yields exactly this floor
+    return (a << (width - 1)) // b
+
+
 def _require(a: FixedPointValue, b: FixedPointValue) -> None:
     if a.width != b.width:
         raise FixedPointError(f"operand mismatch: {a.width}-bit vs {b.width}-bit")
@@ -93,43 +131,24 @@ def _require(a: FixedPointValue, b: FixedPointValue) -> None:
 def fp_sub(a: FixedPointValue, b: FixedPointValue) -> FixedPointValue:
     """Ripple subtraction; borrows below zero raise."""
     _require(a, b)
-    bits = a.bits - b.bits
-    if bits < 0:
-        raise FixedPointRangeError("subtraction underflow on an unsigned register")
-    return FixedPointValue(bits, a.width)
+    return FixedPointValue(_sub_bits(a.bits, b.bits), a.width)
 
 
 def fp_mul_const_int_ui(n: int, constant: FixedPointValue) -> FixedPointValue:
     """Integer ``n`` times an encoded real constant, on the constant's
     register; exact provided the product stays in [0, 1]."""
-    bits = n * constant.bits
-    if bits > (1 << (constant.width - 1)):
-        raise FixedPointRangeError(f"product {n} * {constant.value} exceeds 1")
-    return FixedPointValue(bits, constant.width)
+    return FixedPointValue(_mul_bits(n, constant.bits, constant.width), constant.width)
 
 
 def fp_sqrt(a: FixedPointValue) -> FixedPointValue:
     """Square root of a value in [0, 1], truncated at the last bit."""
-    one = 1 << (a.width - 1)
-    if a.bits > one:
-        raise FixedPointRangeError("fp_sqrt operand must lie in [0, 1]")
-    # result/2**(w-1) ~ sqrt(bits/2**(w-1)), so take isqrt(bits << (w-1)); the
-    # radicand is below 2**(2w), so the circuit's w-digit square root agrees
-    bits = math.isqrt(a.bits << (a.width - 1))
-    return FixedPointValue(bits, a.width)
+    return FixedPointValue(_sqrt_bits(a.bits, a.width), a.width)
 
 
 def fp_div(a: FixedPointValue, b: FixedPointValue) -> FixedPointValue:
     """Real quotient ``a / b`` with ``a <= b`` (result in [0, 1])."""
     _require(a, b)
-    if b.bits == 0:
-        raise DivisionByZeroError("division by zero")
-    if a.bits > b.bits:
-        raise FixedPointRangeError("fp_div needs a <= b so the quotient fits [0, 1]")
-    # for a <= b the circuit's restoring division (one integer bit, then
-    # w-1 fraction bits) yields exactly this floor
-    bits = (a.bits << (a.width - 1)) // b.bits
-    return FixedPointValue(bits, a.width)
+    return FixedPointValue(_div_bits(a.bits, b.bits, a.width), a.width)
 
 
 @dataclass(frozen=True)
@@ -192,8 +211,9 @@ def _shifted_chebyshev(count: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows[:count])
 
 
-def _exact_power_coeffs(piece) -> list[Fraction]:
-    """Exact coefficients ``beta_j`` of ``sum beta_j (x - lower)**j``.
+def _power_ratios(piece) -> list[tuple[int, int]]:
+    """Exact coefficients ``beta_j = num_j / den_j`` of ``sum beta_j (x -
+    lower)**j``, with ``den_j > 0``.
 
     With ``t = x - lower`` and ``slope = 2 / (upper - lower) = p / q``, the
     Chebyshev variable is ``u = s - 1`` with ``s = slope * t``, so
@@ -211,32 +231,33 @@ def _exact_power_coeffs(piece) -> list[Fraction]:
         for j, tau in enumerate(row):
             acc[j] += mantissa * tau
     p, q = slope.numerator, slope.denominator
-    return [Fraction(a * p**j, q**j << exponent) for j, a in enumerate(acc)]
+    return [(a * p**j, q**j << exponent) for j, a in enumerate(acc)]
+
+
+def _exact_power_coeffs(piece) -> list[Fraction]:
+    """:func:`_power_ratios` as Fractions."""
+    return [Fraction(num, den) for num, den in _power_ratios(piece)]
 
 
 def _quantize_piece(piece, width: int) -> QuantizedPiece:
-    one = 1 << (width - 1)
-    beta = _exact_power_coeffs(piece)
-    piece_width = Fraction(piece.upper) - Fraction(piece.lower)
+    ratios = _power_ratios(piece)
+    span = Fraction(piece.upper) - Fraction(piece.lower)
     max_shift = 0
-    while piece_width * (1 << (max_shift + 1)) <= Fraction(1, 2):
+    while span.numerator << (max_shift + 2) <= span.denominator:  # span 2**(shift+1) <= 1/2
         max_shift += 1
     # smallest shift keeping every higher coefficient in [-1/8, 7/8]:
     # small u damps multiply truncation, so prefer the tightest fit
     for t_shift in range(0, max_shift + 1):
-        scaled = [b / (1 << (k * t_shift)) for k, b in enumerate(beta)]
-        if all(
-            Fraction(-1, 8) <= b <= Fraction(7, 8) for b in scaled[1:]
-        ):
+        scaled = [(num, den << (k * t_shift)) for k, (num, den) in enumerate(ratios)]
+        if all(-den <= 8 * num <= 7 * den for num, den in scaled[1:]):
             break
     else:
         raise FixedPointError("arcsine coefficients too large to scale")
-    biased_constant = scaled[0] < Fraction(7, 8)
-    if not biased_constant and scaled[0] < 0:
-        raise FixedPointError("negative constant term cannot be stored directly")
-    consts = [int((Fraction(1) + b) * one) for b in scaled]
-    if not biased_constant:
-        consts[0] = int(scaled[0] * one)
+    consts = [((num + den) << (width - 1)) // den for num, den in scaled]
+    num, den = scaled[0]
+    biased_constant = 8 * num < 7 * den
+    stored = (num + den if biased_constant else num) << (width - 1)
+    consts[0] = stored // den if stored >= 0 else -(-stored // den)  # toward zero, as everywhere
     return QuantizedPiece(
         lower_bits=fp_encode(piece.lower, width).bits,
         upper_bits=fp_encode(piece.upper, width).bits,
@@ -293,16 +314,17 @@ def fp_arcsin_pp(a: FixedPointValue, table: QuantizedArcsine) -> FixedPointValue
     full-width adders charged by the ``ARCSIN`` cost do, so it errs by less
     than one register step.
     """
-    if a.width != table.width:
+    return FixedPointValue(_arcsin_bits(a.bits, a.width, table), a.width)
+
+
+def _arcsin_bits(a: int, width: int, table: QuantizedArcsine) -> int:
+    if width != table.width:
         raise FixedPointError("operand does not match the quantized table")
-    if a.bits > table.domain_end_bits:
-        raise FixedPointRangeError(
-            f"arcsine input {a.value} outside the quantized domain"
-        )
-    piece = table.piece_for(a.bits)
-    width = table.width
     one = 1 << (width - 1)
-    u_bits = (a.bits - piece.lower_bits) << piece.t_shift  # exact shift
+    if a > table.domain_end_bits:
+        raise FixedPointRangeError(f"arcsine input {a / one} outside the quantized domain")
+    piece = table.piece_for(a)
+    u_bits = (a - piece.lower_bits) << piece.t_shift  # exact shift
     consts = piece.consts
     acc = consts[-1]
     for k in reversed(range(1, len(consts) - 1)):
@@ -319,9 +341,7 @@ def fp_arcsin_pp(a: FixedPointValue, table: QuantizedArcsine) -> FixedPointValue
     theta -= u_bits  # removes the offset carried through the multiply
     if piece.biased_constant:
         theta -= one
-    if theta < 0:
-        theta = 0  # fit undershoot below one resolution step near x = 0
-    return FixedPointValue(theta, width)
+    return max(theta, 0)  # fit undershoot below one resolution step near x = 0
 
 
 @lru_cache(maxsize=None)
@@ -350,6 +370,42 @@ class PipelineTrace:
     error: float
 
 
+def _angle_bits(
+    n_i: int, n_j: int, k_dt, s_next, width: int, table: QuantizedArcsine,
+    force_branch: bool | None = None,
+) -> tuple:
+    """The rotation-angle pipeline on bare register bits: ``(k_dt, s_next,
+    product, r, z, w, sqrt_w, sqrt_s, quotient, arcsin_out, theta)``, each
+    real register as its bits.  Checks run, and raise, in the order of the
+    ``fp_*`` operations the circuit applies."""
+    if not all(type(n) is int and n >= 0 for n in (n_i, n_j)):
+        raise FixedPointError(
+            f"droplet counts must be non-negative ints, got {n_i!r} and {n_j!r}"
+        )
+    s = fp_encode(s_next, width).bits
+    if s == 0:
+        raise DivisionByZeroError("remaining probability encoded to zero")
+    k = fp_encode(k_dt, width).bits
+    product = n_i * n_j
+    r = _mul_bits(product, k, width)
+    if r > s:
+        raise FixedPointRangeError("transition probability exceeds the remainder")
+    z = r >= (s >> 2) if force_branch is None else force_branch
+    w = _sub_bits(s, r) if z else r
+    sqrt_w = _sqrt_bits(w, width)
+    sqrt_s = _sqrt_bits(s, width)
+    quotient = _div_bits(sqrt_w, sqrt_s, width)
+    arcsin_out = _arcsin_bits(quotient, width, table)
+    theta = _in_register(_pi_half_bits(width) - arcsin_out, width) if z else arcsin_out
+    return k, s, product, r, z, w, sqrt_w, sqrt_s, quotient, arcsin_out, theta
+
+
+def _angle_error(r: int, s: int, theta: int, width: int) -> float:
+    """``|theta - arcsin(sqrt(r/s))|`` for register bits: each int true
+    division rounds once, as ``float`` of the exact ``Fraction`` does."""
+    return abs(theta / (1 << (width - 1)) - math.asin(math.sqrt(r / s)))
+
+
 def emulate_up_pipeline(
     n_i: int,
     n_j: int,
@@ -367,37 +423,10 @@ def emulate_up_pipeline(
     rather than input rounding.
     ``force_branch`` overrides the comparison outcome for boundary tests.
     """
-    if not all(type(n) is int and n >= 0 for n in (n_i, n_j)):
-        raise FixedPointError(
-            f"droplet counts must be non-negative ints, got {n_i!r} and {n_j!r}"
-        )
-    s_fp = fp_encode(s_next, width)
-    if s_fp.bits == 0:
-        raise DivisionByZeroError("remaining probability encoded to zero")
-    k_fp = fp_encode(k_dt, width)
-    product = n_i * n_j
-    r_fp = fp_mul_const_int_ui(product, k_fp)
-    if r_fp.bits > s_fp.bits:
-        raise FixedPointRangeError("transition probability exceeds the remainder")
-    z = r_fp.bits >= (s_fp.bits >> 2)
-    if force_branch is not None:
-        z = force_branch
-    w_fp = fp_sub(s_fp, r_fp) if z else r_fp
-    sqrt_w = fp_sqrt(w_fp)
-    sqrt_s = fp_sqrt(s_fp)
-    quotient = fp_div(sqrt_w, sqrt_s)
-    arcsin_out = fp_arcsin_pp(quotient, table)
-    if z:
-        theta = FixedPointValue(_pi_half_bits(width) - arcsin_out.bits, width)
-    else:
-        theta = arcsin_out
-    modified = r_fp.bits / s_fp.bits  # float(r/s): int true division rounds correctly
-    return PipelineTrace(
-        n_i=n_i, n_j=n_j, k_dt=k_fp, s_next=s_fp, product=product, r=r_fp, z=z,
-        w=w_fp, sqrt_w=sqrt_w, sqrt_s=sqrt_s, quotient=quotient,
-        arcsin_out=arcsin_out, theta=theta,
-        error=abs(theta.value - math.asin(math.sqrt(modified))),
-    )
+    k, s, product, r, z, *rest = _angle_bits(n_i, n_j, k_dt, s_next, width, table, force_branch)
+    k_fp, s_fp, r_fp, *rest_fp = (FixedPointValue(bits, width) for bits in (k, s, r, *rest))
+    error = _angle_error(r, s, rest[-1], width)
+    return PipelineTrace(n_i, n_j, k_fp, s_fp, product, r_fp, z, *rest_fp, error=error)
 
 
 @dataclass(frozen=True)
@@ -462,8 +491,9 @@ def estimate_eps_calculation(
         raise FixedPointError("sweeping the gap needs extension pieces")
     worst = 0.0
     total = 0.0
-    for n_i, n_j, kdt, s in sweep_inputs(samples, include_gap=include_gap):
-        error = emulate_up_pipeline(n_i, n_j, kdt, s, width, table).error
+    for n_i, n_j, kdt, s_next in sweep_inputs(samples, include_gap=include_gap):
+        _, s, _, r, *_, theta = _angle_bits(n_i, n_j, kdt, s_next, width, table)
+        error = _angle_error(r, s, theta, width)
         worst = max(worst, error)
         total += error
     return EpsSweepReport(

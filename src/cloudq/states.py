@@ -173,8 +173,6 @@ def build_transition_table(n_bins: int, kernel: KernelSpec, dt) -> TransitionTab
     require_count("N", n_bins, -math.inf, StateSpaceError)
     if n_bins < 2:
         raise EmptyTableError(f"no collisions possible for N = {n_bins}")
-    if not 0 < dt < math.inf:  # not isfinite, which overflows on a huge int or Fraction
-        raise StateSpaceError(f"time step must be positive and finite, got {dt}")
     pairs = label_pairs(n_bins)
     values = tuple(kernel.rate(i, j) for i, j in pairs)
     return TransitionTable(num_bins=n_bins, dt=dt, pairs=pairs, kernel_values=values)
@@ -375,9 +373,15 @@ class TransitionTable:
     kernel_values: tuple[float, ...]
 
     def __post_init__(self) -> None:
+        # comparisons, not isfinite, which overflows on a huge int or Fraction
+        if not 0 < self.dt < math.inf:
+            raise StateSpaceError(f"time step must be positive and finite, got {self.dt}")
         # exact when dt and every kernel value are ints or Fractions, so every
         # r_h is one; anything else makes the r_h floats, and runs float64
         is_float = not {type(self.dt), *map(type, self.kernel_values)} <= {int, Fraction}
+        for value in self.kernel_values:  # an exact value is finite: its sign is the check
+            if not (0 <= value < math.inf if is_float else value.numerator >= 0):
+                raise StateSpaceError(f"kernel value must be finite and >= 0, got {value}")
         object.__setattr__(self, "is_float", is_float)
         object.__setattr__(self, "one", 1.0 if is_float else Fraction(1))
         object.__setattr__(self, "states", [])

@@ -461,3 +461,115 @@ def test_integer_power_coeffs_match_on_any_dyadic_piece(coefficients, lower, wid
     upper = lower + width
     piece = PolynomialPiece(lower, upper, tuple(coefficients), 0.0)
     assert fixedpoint._exact_power_coeffs(piece) == _fraction_power_coeffs(piece)
+
+
+def _fraction_quantize_piece(piece, width):
+    """``_quantize_piece`` as it ran on Fractions: every candidate shift
+    scales each coefficient as a Fraction, and ``int`` truncates each
+    offset constant toward zero."""
+    one = 1 << (width - 1)
+    beta = _fraction_power_coeffs(piece)
+    piece_width = Fraction(piece.upper) - Fraction(piece.lower)
+    max_shift = 0
+    while piece_width * (1 << (max_shift + 1)) <= Fraction(1, 2):
+        max_shift += 1
+    for t_shift in range(0, max_shift + 1):
+        scaled = [b / (1 << (k * t_shift)) for k, b in enumerate(beta)]
+        if all(Fraction(-1, 8) <= b <= Fraction(7, 8) for b in scaled[1:]):
+            break
+    else:
+        raise FixedPointError("arcsine coefficients too large to scale")
+    biased_constant = scaled[0] < Fraction(7, 8)
+    consts = [int((Fraction(1) + b) * one) for b in scaled]
+    if not biased_constant:
+        consts[0] = int(scaled[0] * one)
+    return fixedpoint.QuantizedPiece(
+        lower_bits=fp_encode(piece.lower, width).bits,
+        upper_bits=fp_encode(piece.upper, width).bits,
+        t_shift=t_shift,
+        biased_constant=biased_constant,
+        consts=tuple(consts),
+    )
+
+
+def _same_outcome(run, expected_run):
+    """Both calls return equal values, or raise the same class and message."""
+    try:
+        expected = expected_run()
+    except FixedPointError as exc:
+        with pytest.raises(type(exc)) as err:
+            run()
+        assert type(err.value) is type(exc) and str(err.value) == str(exc)
+        return
+    assert run() == expected
+
+
+@pytest.mark.parametrize("degree, eps", [(1, 1e-6), (5, 1e-12), (9, 1e-15)])
+@pytest.mark.parametrize("width", [8, 42, 64])
+def test_integer_quantize_matches_fraction_quantize(degree, eps, width):
+    for piece in min_pieces(degree, eps).pieces:
+        _same_outcome(
+            lambda: fixedpoint._quantize_piece(piece, width),
+            lambda: _fraction_quantize_piece(piece, width),
+        )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(_COEFFICIENT, min_size=1, max_size=8),
+    st.floats(min_value=0.0, max_value=0.99),
+    st.floats(min_value=1e-12, max_value=1.0),
+    st.integers(min_value=1, max_value=70),
+)
+def test_integer_quantize_matches_on_any_dyadic_piece(coefficients, lower, width, bits):
+    # negative constants included: int() truncated them toward zero
+    piece = PolynomialPiece(lower, lower + width, tuple(coefficients), 0.0)
+    _same_outcome(
+        lambda: fixedpoint._quantize_piece(piece, bits),
+        lambda: _fraction_quantize_piece(piece, bits),
+    )
+
+
+def _composed_pipeline(n_i, n_j, k_dt, s_next, width, table, force_branch=None):
+    """The angle pipeline composed of the public ``fp_*`` operations on
+    ``FixedPointValue`` registers, as ``emulate_up_pipeline`` composed
+    them: ``(theta bits, error)``."""
+    if not all(type(n) is int and n >= 0 for n in (n_i, n_j)):
+        raise FixedPointError(
+            f"droplet counts must be non-negative ints, got {n_i!r} and {n_j!r}"
+        )
+    s_fp = fp_encode(s_next, width)
+    if s_fp.bits == 0:
+        raise DivisionByZeroError("remaining probability encoded to zero")
+    r_fp = fp_mul_const_int_ui(n_i * n_j, fp_encode(k_dt, width))
+    if r_fp.bits > s_fp.bits:
+        raise FixedPointRangeError("transition probability exceeds the remainder")
+    z = r_fp.bits >= (s_fp.bits >> 2) if force_branch is None else force_branch
+    quotient = fp_div(fp_sqrt(fp_sub(s_fp, r_fp) if z else r_fp), fp_sqrt(s_fp))
+    theta = fp_arcsin_pp(quotient, table)
+    if z:
+        theta = FixedPointValue(fixedpoint._pi_half_bits(width) - theta.bits, width)
+    ratio = float(r_fp.exact / s_fp.exact)
+    return theta.bits, abs(theta.value - math.asin(math.sqrt(ratio)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(min_value=-1, max_value=45),
+    st.integers(min_value=0, max_value=45),
+    st.one_of(st.floats(min_value=0.0, max_value=0.05), st.just(2.5)),
+    st.one_of(st.floats(min_value=0.0, max_value=1.2), st.sampled_from([1e-14, 2.0])),
+    st.sampled_from([WIDTH, WIDTH - 1, 0]),
+    st.sampled_from([None, False, True]),
+)
+def test_pipeline_core_matches_the_composed_operations(
+    arcsine_table, n_i, n_j, k_dt, s_next, width, force_branch
+):
+    # every result and every error class and message, in the checks' order
+    args = (n_i, n_j, k_dt, s_next, width, arcsine_table, force_branch)
+
+    def traced():
+        trace = emulate_up_pipeline(*args)
+        return trace.theta.bits, trace.error
+
+    _same_outcome(traced, lambda: _composed_pipeline(*args))

@@ -13,10 +13,12 @@ The ``estimate`` digests pin each preset's JSON report, less its
 ``generated_at`` line, and one CSV report; the ``arcsine-fit`` digests
 pin one quantized coefficient file the same way, and its table.  The
 arcsine corpus pins every table row's core and extension fit (or its
-``DegreeTooLowError``), its 45-digit ``verify`` value and its quantized
-coefficients at the ``circuit`` benchmark's width, recorded before fits
-were skipped on a lower bound and grids on an upper bound; two property
-tests check that those bounds are sound.
+``DegreeTooLowError``), its 45-digit ``verify`` value, its quantized
+coefficients and its error sweep at the ``circuit`` benchmark's width,
+the coefficients recorded before fits were skipped on a lower bound and
+grids on an upper bound, the sweeps while the pipeline still ran on
+``FixedPointValue`` registers; property tests check that those bounds
+are sound.
 """
 
 from __future__ import annotations
@@ -48,7 +50,14 @@ from cloudq.master import (
     write_expected_series,
     write_probability_series,
 )
-from cloudq.fixedpoint import EXTENSION_DOMAIN, quantize_arcsine
+from cloudq.fixedpoint import (
+    EXTENSION_DOMAIN,
+    CarryOutError,
+    emulate_up_pipeline,
+    estimate_eps_calculation,
+    quantize_arcsine,
+    sweep_inputs,
+)
 from cloudq.presets import PIECEWISE_ARCSINE_TABLE
 from cloudq.states import (
     KernelSpec,
@@ -499,6 +508,25 @@ VERIFY_PINNED = {
     (1e-15, 9): 6.761573204524859e-16,
 }
 
+# (max_error, mean_error) of estimate_eps_calculation(CIRCUIT_WIDTH[eps],
+# quantize_arcsine(core, width, extension), samples=1000) per table row
+# whose extension fit exists, recorded with the FixedPointValue pipeline
+SWEEP_PINNED = {
+    (1e-12, 4): (1.6633361354934095e-12, 6.077716385721743e-13),
+    (1e-12, 5): (1.7690848785889557e-12, 7.88245718696956e-13),
+    (1e-12, 6): (1.7822410214307638e-12, 8.525671557624293e-13),
+    (1e-13, 5): (1.0969003483296547e-13, 4.5335079440489423e-14),
+    (1e-13, 6): (1.2811973704174306e-13, 5.245516174201548e-14),
+    (1e-13, 7): (1.4432899320127035e-13, 5.506740549665601e-14),
+    (1e-14, 5): (1.3156142841808105e-14, 4.6310559553841554e-15),
+    (1e-14, 6): (1.479372180313021e-14, 5.45739495261266e-15),
+    (1e-14, 7): (1.7041923427996153e-14, 6.294503113180028e-15),
+    (1e-14, 8): (1.4099832412739488e-14, 6.429950322184297e-15),
+    (1e-15, 6): (1.226796442210798e-14, 5.1275476919965256e-15),
+    (1e-15, 7): (1.2823075934420558e-14, 6.119087875289253e-15),
+    (1e-15, 8): (1.2934098236883074e-14, 5.948557618706829e-15),
+}
+
 # register width per arcsine target, as in the ``circuit`` benchmark
 CIRCUIT_WIDTH = {1e-12: 42, 1e-13: 46, 1e-14: 49, 1e-15: 49}
 ARCSINE_ROWS = [(eps, degree) for eps, degree, _ in PIECEWISE_ARCSINE_TABLE]
@@ -536,6 +564,29 @@ def test_arcsine_fits_match_pinned_digests(arcsine_fits, row):
 @pytest.mark.parametrize("row", ARCSINE_ROWS, ids=ROW_IDS)
 def test_verify_matches_pinned_values(arcsine_fits, row):
     assert verify(arcsine_fits[row][0], 10) == VERIFY_PINNED[row]
+
+
+@pytest.mark.parametrize("row", list(SWEEP_PINNED), ids=[f"{e:g}-d{d}" for e, d in SWEEP_PINNED])
+def test_sweep_matches_pinned_values(arcsine_fits, row):
+    core, extension = arcsine_fits[row]
+    width = CIRCUIT_WIDTH[row[0]]
+    report = estimate_eps_calculation(width, quantize_arcsine(core, width, extension), 1000)
+    assert (report.max_error, report.mean_error) == SWEEP_PINNED[row]
+
+
+def test_gap_sweep_overflow_stays_at_sample_96(arcsine_fits):
+    # the open overflow of `cloudq emulate --d 7 --eps 1e-13 --n-eps 46
+    # --include-gap`: sample 96 takes the complement branch into an
+    # extension piece whose biased constant carries the result past 2
+    core, extension = arcsine_fits[1e-13, 7]
+    table = quantize_arcsine(core, 46, extension)
+    with pytest.raises(CarryOutError, match="^arcsine result overflow$"):
+        estimate_eps_calculation(46, table, samples=100, include_gap=True)
+    inputs = sweep_inputs(97, include_gap=True)
+    for n_i, n_j, kdt, s in inputs[:96]:
+        emulate_up_pipeline(n_i, n_j, kdt, s, 46, table)
+    with pytest.raises(CarryOutError, match="^arcsine result overflow$"):
+        emulate_up_pipeline(*inputs[96], 46, table)
 
 
 _ULPS = st.integers(min_value=1, max_value=1 << 22)
@@ -607,38 +658,70 @@ def test_prebound_covers_the_series_bound_of_every_piece(arcsine_fits, row, piec
         assert arcsine._series_bound(diff) <= bound <= arcsine._series_bound(diff) * (1 + 1e-11)
 
 
-class _WorstDot:
-    """A float cosine table whose every product with a vector errs by the
-    whole ``gamma_n`` allowance of a float dot product, toward zero."""
-
-    def __init__(self, floats):
-        self.floats = floats
-
-    def __matmul__(self, vector):
-        n = len(vector)
-        gamma = n * 2.0**-53 / (1 - n * 2.0**-53)
-        out = []
-        for row in self.floats.tolist():
-            products = [Fraction(c) * Fraction(x) for c, x in zip(row, vector.tolist())]
-            exact, allowance = sum(products), gamma * float(sum(map(abs, products)))
-            out.append(0.0 if abs(exact) <= allowance else float(exact) - math.copysign(allowance, exact))
-        return np.array(out)
-
-
-@pytest.mark.parametrize("row", [(1e-12, 5), (1e-15, 8)])
-def test_prebound_survives_the_worst_dot_product_rounding(arcsine_fits, monkeypatch, row):
-    cosine_table = arcsine._cosine_table
-
-    def worst_table(*key):
-        table = arcsine._CosineTable(cosine_table(*key))
-        table.floats = _WorstDot(cosine_table(*key).floats)
-        return table
-
-    monkeypatch.setattr(arcsine, "_cosine_table", worst_table)
-    for piece in arcsine_fits[row][0].pieces:
+@pytest.mark.parametrize("row", [(1e-12, 4), (1e-15, 8)])
+def test_prebound_covers_the_series_bound_of_every_extension_piece(arcsine_fits, row):
+    # past 1/2 the Taylor series at each midpoint converges more slowly
+    extension = arcsine_fits[row][1]
+    assert extension.domain == EXTENSION_DOMAIN and extension.piece_count > 1
+    for piece in extension.pieces:
         diff = arcsine._diff_series(piece.coefficients, piece.lower, piece.upper)
         bound = arcsine._prebound(piece.coefficients, piece.lower, piece.upper)
-        assert arcsine._series_bound(diff) <= bound
+        assert arcsine._series_bound(diff) <= bound <= arcsine._series_bound(diff) * (1 + 1e-11)
+
+
+def _pushed_taylor_terms(taylor_terms, push):
+    """``_taylor_terms`` with every floor ``push`` units lower: the two
+    arcsine floors, the square root's and each step's, fed forward, and the
+    ceiling of ``asin(b)`` ``push`` units higher, over the same terms."""
+
+    def pushed(mid, rad, b, last):
+        found = taylor_terms(mid, rad, b, last)
+        if found is None:
+            return None
+        terms, tail = found
+        ceiling = tail + sum(terms) + push
+        q = (1 << 2 * arcsine._FIXED_BITS) - mid * mid
+        d = [terms[0] - push, terms[1] - push]
+        for m in range(2, len(terms)):
+            step = (m - 1) * (2 * m - 3) * mid * rad * d[-1] + (m - 2) ** 2 * rad * rad * d[-2]
+            d.append(step // (m * (m - 1) * q) - push)
+        return d, ceiling - sum(d)
+
+    return pushed
+
+
+@pytest.mark.parametrize("push", [1, 1 << 100], ids=["worst-floor", "2^-100"])
+@pytest.mark.parametrize("row", [(1e-12, 5), (1e-15, 8)])
+def test_prebound_survives_the_worst_floors(arcsine_fits, monkeypatch, row, push):
+    # a push of one unit is each floor at its worst; 2**100 units (2**-100)
+    # is far past it, and shows in the float bound, through the tail alone
+    pieces = arcsine_fits[row][0].pieces
+    series = [
+        arcsine._series_bound(arcsine._diff_series(p.coefficients, p.lower, p.upper))
+        for p in pieces
+    ]
+    bounds = [arcsine._prebound(p.coefficients, p.lower, p.upper) for p in pieces]
+    monkeypatch.setattr(
+        arcsine, "_taylor_terms", _pushed_taylor_terms(arcsine._taylor_terms, push)
+    )
+    pushed = [arcsine._prebound(p.coefficients, p.lower, p.upper) for p in pieces]
+    assert all(s <= b <= p < math.inf for s, b, p in zip(series, bounds, pushed))
+    if push > 1:
+        assert all(b < p for b, p in zip(bounds, pushed))
+
+
+@pytest.mark.parametrize(
+    "lower, upper",
+    [(1 - 2.0**-20, 1.0), (5e-324, 2.0**-20), (0.5, 0.999)],
+    ids=["b-is-one", "mid-not-dyadic", "series-does-not-settle"],
+)
+def test_prebound_is_inf_where_the_taylor_series_cannot_serve(lower, upper):
+    # each such piece runs the 45-digit series, and verify reads its grid
+    piece = arcsine.PolynomialPiece(lower, upper, tuple(chebyshev_fit(lower, upper, 5)), 0.0)
+    assert arcsine._prebound(piece.coefficients, lower, upper) == math.inf
+    expected = arcsine._grid_max(arcsine._diff_series(piece.coefficients, lower, upper), 4096)
+    pp = arcsine.PiecewisePolynomial((piece,), 5, 1.0, (lower, upper))
+    assert verify(pp, grid_factor=1) == expected
 
 
 def test_verify_runs_the_series_only_where_the_maximum_can_move(arcsine_fits, monkeypatch):

@@ -22,11 +22,13 @@ from cloudq.states import (
     MassDistribution,
     ResourceLimitError,
     StateSpaceError,
+    TransitionTable,
     apply_pair,
     apply_transition,
     build_transition_table,
     enumerate_states,
     label_pair_count,
+    label_pairs,
     partition_count_asymptotic,
     partition_count_exact,
     total_transition_rate,
@@ -128,6 +130,30 @@ def test_build_transition_table_rejects_bad_dt(dt):
     # an infinite dt made every under-populated pair's rate 0 * inf = nan
     with pytest.raises(StateSpaceError, match="^time step must be positive and finite, got "):
         build_transition_table(4, KernelSpec(), dt)
+
+
+@pytest.mark.parametrize("dt", [0, -0.1, math.nan, math.inf, Fraction(0)])
+def test_transition_table_built_directly_rejects_bad_dt(dt):
+    with pytest.raises(StateSpaceError, match="^time step must be positive and finite, got "):
+        TransitionTable(3, dt, label_pairs(3), (1.0, 1.0))
+
+
+@pytest.mark.parametrize(
+    "kernel_values, shown",
+    [
+        ((Fraction(-5), Fraction(9)), "-5"),
+        ((1.0, -0.5), "-0.5"),
+        ((math.nan, 1.0), "nan"),
+        ((1.0, math.inf), "inf"),
+    ],
+)
+def test_transition_table_built_directly_rejects_bad_kernel_values(kernel_values, shown):
+    # such a table let state (3, 0, 0) pass `checked` with r_1 = -3/2, and
+    # `children` split it into weight -3/2 and hold 5/2
+    with pytest.raises(StateSpaceError) as err:
+        TransitionTable(3, Fraction(1, 10), label_pairs(3), kernel_values)
+    assert str(err.value) == f"kernel value must be finite and >= 0, got {shown}"
+    assert TransitionTable(3, Fraction(1, 10), label_pairs(3), (0, 10**400)).kernel_values[1] > 0
 
 
 @pytest.mark.parametrize("dt", [Fraction(1, 10**400), 10**400])
