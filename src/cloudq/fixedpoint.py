@@ -5,8 +5,9 @@ Registers are ``n``-bit unsigned words with one integer bit:
 counts and their product are exact Python ints.  Every operation
 truncates toward zero, the cheapest convention for the corresponding
 reversible circuits, so no result ever exceeds its exact real value.
+Each register is held as its bits, a plain ``int``.
 
-The Horner steps of ``fp_arcsin_pp`` (``ARCSIN``, about n full-width
+The Horner steps of ``_arcsin_bits`` (``ARCSIN``, about n full-width
 controlled adders per step) keep every partial-product bit, so each
 product is formed in full and truncated once.
 
@@ -23,6 +24,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 import mpmath as mp
 
@@ -49,28 +51,6 @@ class DivisionByZeroError(FixedPointError):
     """Division with a zero divisor."""
 
 
-@dataclass(frozen=True)
-class FixedPointValue:
-    """An ``width``-bit unsigned word with one integer bit."""
-
-    bits: int
-    width: int
-
-    def __post_init__(self) -> None:
-        require_count("width", self.width, 1, FixedPointError)
-        if type(self.bits) is not int:  # require_count's type rule, inline: one per register
-            raise FixedPointError(f"bits must be an int, got {self.bits!r}")
-        _in_register(self.bits, self.width)
-
-    @property
-    def exact(self) -> Fraction:
-        return Fraction(self.bits, 1 << (self.width - 1))
-
-    @property
-    def value(self) -> float:
-        return float(self.exact)
-
-
 def _in_register(bits: int, width: int) -> int:
     """``bits`` if they fit a ``width``-bit register."""
     if not 0 <= bits < (1 << width):
@@ -78,34 +58,32 @@ def _in_register(bits: int, width: int) -> int:
     return bits
 
 
-def fp_encode(x, width: int) -> FixedPointValue:
+def _encode_bits(x, width: int) -> int:
     """Truncate ``x`` toward zero onto an ``width``-bit register."""
     require_count("width", width, 1, FixedPointError)
     # exactly num/den, as Fraction(x) reads a float (NaN and inf raise alike)
     num, den = (x if isinstance(x, float) else Fraction(x)).as_integer_ratio()
     if num < 0 or num >= 2 * den:
         raise FixedPointRangeError(f"{x} outside the real-mode range [0, 2)")
-    bits = (num << (width - 1)) // den  # floor for non-negative values
-    return FixedPointValue(bits, width)
-
-
-# The other fp_* operations wrap these integer forms, which the angle
-# pipeline's core (_angle_bits) runs on bare register bits.
+    return (num << (width - 1)) // den  # floor for non-negative values
 
 
 def _sub_bits(a: int, b: int) -> int:
+    """Ripple subtraction; borrows below zero raise."""
     if a < b:
         raise FixedPointRangeError("subtraction underflow on an unsigned register")
     return a - b
 
 
 def _mul_bits(n: int, constant: int, width: int) -> int:
+    """Integer ``n`` times an encoded real constant, exact in [0, 1]."""
     if n * constant > 1 << (width - 1):
         raise FixedPointRangeError(f"product {n} * {constant / (1 << (width - 1))} exceeds 1")
     return n * constant
 
 
 def _sqrt_bits(a: int, width: int) -> int:
+    """Square root of a value in [0, 1], truncated at the last bit."""
     if a > 1 << (width - 1):
         raise FixedPointRangeError("fp_sqrt operand must lie in [0, 1]")
     # result/2**(w-1) ~ sqrt(bits/2**(w-1)), so take isqrt(bits << (w-1)); the
@@ -114,6 +92,7 @@ def _sqrt_bits(a: int, width: int) -> int:
 
 
 def _div_bits(a: int, b: int, width: int) -> int:
+    """Real quotient ``a / b`` with ``a <= b`` (result in [0, 1])."""
     if b == 0:
         raise DivisionByZeroError("division by zero")
     if a > b:
@@ -121,34 +100,6 @@ def _div_bits(a: int, b: int, width: int) -> int:
     # for a <= b the circuit's restoring division (one integer bit, then
     # w-1 fraction bits) yields exactly this floor
     return (a << (width - 1)) // b
-
-
-def _require(a: FixedPointValue, b: FixedPointValue) -> None:
-    if a.width != b.width:
-        raise FixedPointError(f"operand mismatch: {a.width}-bit vs {b.width}-bit")
-
-
-def fp_sub(a: FixedPointValue, b: FixedPointValue) -> FixedPointValue:
-    """Ripple subtraction; borrows below zero raise."""
-    _require(a, b)
-    return FixedPointValue(_sub_bits(a.bits, b.bits), a.width)
-
-
-def fp_mul_const_int_ui(n: int, constant: FixedPointValue) -> FixedPointValue:
-    """Integer ``n`` times an encoded real constant, on the constant's
-    register; exact provided the product stays in [0, 1]."""
-    return FixedPointValue(_mul_bits(n, constant.bits, constant.width), constant.width)
-
-
-def fp_sqrt(a: FixedPointValue) -> FixedPointValue:
-    """Square root of a value in [0, 1], truncated at the last bit."""
-    return FixedPointValue(_sqrt_bits(a.bits, a.width), a.width)
-
-
-def fp_div(a: FixedPointValue, b: FixedPointValue) -> FixedPointValue:
-    """Real quotient ``a / b`` with ``a <= b`` (result in [0, 1])."""
-    _require(a, b)
-    return FixedPointValue(_div_bits(a.bits, b.bits, a.width), a.width)
 
 
 @dataclass(frozen=True)
@@ -234,12 +185,9 @@ def _power_ratios(piece) -> list[tuple[int, int]]:
     return [(a * p**j, q**j << exponent) for j, a in enumerate(acc)]
 
 
-def _exact_power_coeffs(piece) -> list[Fraction]:
-    """:func:`_power_ratios` as Fractions."""
-    return [Fraction(num, den) for num, den in _power_ratios(piece)]
-
-
 def _quantize_piece(piece, width: int) -> QuantizedPiece:
+    if not piece.lower < piece.upper:  # else no shift would end the max_shift loop
+        raise FixedPointError(f"arcsine piece [{piece.lower}, {piece.upper}] needs lower < upper")
     ratios = _power_ratios(piece)
     span = Fraction(piece.upper) - Fraction(piece.lower)
     max_shift = 0
@@ -259,8 +207,8 @@ def _quantize_piece(piece, width: int) -> QuantizedPiece:
     stored = (num + den if biased_constant else num) << (width - 1)
     consts[0] = stored // den if stored >= 0 else -(-stored // den)  # toward zero, as everywhere
     return QuantizedPiece(
-        lower_bits=fp_encode(piece.lower, width).bits,
-        upper_bits=fp_encode(piece.upper, width).bits,
+        lower_bits=_encode_bits(piece.lower, width),
+        upper_bits=_encode_bits(piece.upper, width),
         t_shift=t_shift,
         biased_constant=biased_constant,
         consts=tuple(consts),
@@ -303,7 +251,7 @@ def build_quantized_arcsine(degree: int, eps: float, width: int) -> QuantizedArc
     return quantize_arcsine(core, width, min_pieces(degree, eps, domain=EXTENSION_DOMAIN))
 
 
-def fp_arcsin_pp(a: FixedPointValue, table: QuantizedArcsine) -> FixedPointValue:
+def _arcsin_bits(a: int, width: int, table: QuantizedArcsine) -> int:
     """Piecewise arcsine of a register value within the quantized domain.
 
     Selects the piece by register comparisons, then runs the offset
@@ -314,10 +262,6 @@ def fp_arcsin_pp(a: FixedPointValue, table: QuantizedArcsine) -> FixedPointValue
     full-width adders charged by the ``ARCSIN`` cost do, so it errs by less
     than one register step.
     """
-    return FixedPointValue(_arcsin_bits(a.bits, a.width, table), a.width)
-
-
-def _arcsin_bits(a: int, width: int, table: QuantizedArcsine) -> int:
     if width != table.width:
         raise FixedPointError("operand does not match the quantized table")
     one = 1 << (width - 1)
@@ -350,60 +294,24 @@ def _pi_half_bits(width: int) -> int:
         return int(mp.floor(mp.pi / 2 * (1 << (width - 1))))
 
 
-@dataclass(frozen=True)
-class PipelineTrace:
-    """Every intermediate of one angle evaluation, then the angle's error."""
+class PipelineTrace(NamedTuple):
+    """Every register of one angle evaluation as its bits, the count
+    product and the branch bit ``z``, then the angle's error."""
 
     n_i: int
     n_j: int
-    k_dt: FixedPointValue
-    s_next: FixedPointValue
+    k_dt: int
+    s_next: int
     product: int
-    r: FixedPointValue
+    r: int
     z: bool
-    w: FixedPointValue
-    sqrt_w: FixedPointValue
-    sqrt_s: FixedPointValue
-    quotient: FixedPointValue
-    arcsin_out: FixedPointValue
-    theta: FixedPointValue
+    w: int
+    sqrt_w: int
+    sqrt_s: int
+    quotient: int
+    arcsin_out: int
+    theta: int
     error: float
-
-
-def _angle_bits(
-    n_i: int, n_j: int, k_dt, s_next, width: int, table: QuantizedArcsine,
-    force_branch: bool | None = None,
-) -> tuple:
-    """The rotation-angle pipeline on bare register bits: ``(k_dt, s_next,
-    product, r, z, w, sqrt_w, sqrt_s, quotient, arcsin_out, theta)``, each
-    real register as its bits.  Checks run, and raise, in the order of the
-    ``fp_*`` operations the circuit applies."""
-    if not all(type(n) is int and n >= 0 for n in (n_i, n_j)):
-        raise FixedPointError(
-            f"droplet counts must be non-negative ints, got {n_i!r} and {n_j!r}"
-        )
-    s = fp_encode(s_next, width).bits
-    if s == 0:
-        raise DivisionByZeroError("remaining probability encoded to zero")
-    k = fp_encode(k_dt, width).bits
-    product = n_i * n_j
-    r = _mul_bits(product, k, width)
-    if r > s:
-        raise FixedPointRangeError("transition probability exceeds the remainder")
-    z = r >= (s >> 2) if force_branch is None else force_branch
-    w = _sub_bits(s, r) if z else r
-    sqrt_w = _sqrt_bits(w, width)
-    sqrt_s = _sqrt_bits(s, width)
-    quotient = _div_bits(sqrt_w, sqrt_s, width)
-    arcsin_out = _arcsin_bits(quotient, width, table)
-    theta = _in_register(_pi_half_bits(width) - arcsin_out, width) if z else arcsin_out
-    return k, s, product, r, z, w, sqrt_w, sqrt_s, quotient, arcsin_out, theta
-
-
-def _angle_error(r: int, s: int, theta: int, width: int) -> float:
-    """``|theta - arcsin(sqrt(r/s))|`` for register bits: each int true
-    division rounds once, as ``float`` of the exact ``Fraction`` does."""
-    return abs(theta / (1 << (width - 1)) - math.asin(math.sqrt(r / s)))
 
 
 def emulate_up_pipeline(
@@ -420,13 +328,34 @@ def emulate_up_pipeline(
     Returns the trace of every register, ending with the angle ``theta``
     and its ``error``, the deviation from ``arcsin(sqrt(r/s))`` evaluated
     on the encoded inputs, so the error reflects the arithmetic itself
-    rather than input rounding.
+    rather than input rounding; each int true division there rounds
+    once, as ``float`` of the exact ``Fraction`` does.  Checks run, and
+    raise, in the order of the operations the circuit applies.
     ``force_branch`` overrides the comparison outcome for boundary tests.
     """
-    k, s, product, r, z, *rest = _angle_bits(n_i, n_j, k_dt, s_next, width, table, force_branch)
-    k_fp, s_fp, r_fp, *rest_fp = (FixedPointValue(bits, width) for bits in (k, s, r, *rest))
-    error = _angle_error(r, s, rest[-1], width)
-    return PipelineTrace(n_i, n_j, k_fp, s_fp, product, r_fp, z, *rest_fp, error=error)
+    if not all(type(n) is int and n >= 0 for n in (n_i, n_j)):
+        raise FixedPointError(
+            f"droplet counts must be non-negative ints, got {n_i!r} and {n_j!r}"
+        )
+    s = _encode_bits(s_next, width)
+    if s == 0:
+        raise DivisionByZeroError("remaining probability encoded to zero")
+    k = _encode_bits(k_dt, width)
+    product = n_i * n_j
+    r = _mul_bits(product, k, width)
+    if r > s:
+        raise FixedPointRangeError("transition probability exceeds the remainder")
+    z = r >= (s >> 2) if force_branch is None else force_branch
+    w = _sub_bits(s, r) if z else r
+    sqrt_w = _sqrt_bits(w, width)
+    sqrt_s = _sqrt_bits(s, width)
+    quotient = _div_bits(sqrt_w, sqrt_s, width)
+    arcsin_out = _arcsin_bits(quotient, width, table)
+    theta = _in_register(_pi_half_bits(width) - arcsin_out, width) if z else arcsin_out
+    error = abs(theta / (1 << (width - 1)) - math.asin(math.sqrt(r / s)))
+    return PipelineTrace(
+        n_i, n_j, k, s, product, r, z, w, sqrt_w, sqrt_s, quotient, arcsin_out, theta, error
+    )
 
 
 @dataclass(frozen=True)
@@ -492,8 +421,7 @@ def estimate_eps_calculation(
     worst = 0.0
     total = 0.0
     for n_i, n_j, kdt, s_next in sweep_inputs(samples, include_gap=include_gap):
-        _, s, _, r, *_, theta = _angle_bits(n_i, n_j, kdt, s_next, width, table)
-        error = _angle_error(r, s, theta, width)
+        error = emulate_up_pipeline(n_i, n_j, kdt, s_next, width, table).error
         worst = max(worst, error)
         total += error
     return EpsSweepReport(

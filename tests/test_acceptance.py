@@ -250,8 +250,8 @@ def test_fixedpoint_pipeline_error():
     arcsine_worst = 0.0
     for n_i, n_j, kdt, s in fixedpoint.sweep_inputs(10_000):
         trace = fixedpoint.emulate_up_pipeline(n_i, n_j, kdt, s, n_eps, table)
-        exact = math.asin(trace.quotient.value)
-        arcsine_worst = max(arcsine_worst, abs(trace.arcsin_out.value - exact))
+        exact = math.asin(trace.quotient / 2 ** (n_eps - 1))
+        arcsine_worst = max(arcsine_worst, abs(trace.arcsin_out / 2 ** (n_eps - 1) - exact))
     charged = PRESET_CASES["paper-case-1"].calculation_eps
     ok = report.max_error <= bound and arcsine_worst <= arcsine_bound
     _report(

@@ -1,34 +1,43 @@
 import math
 import random
 import re
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
+
+import mpmath as mp
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cloudq import fixedpoint
-from cloudq.arcsine import PolynomialPiece, min_pieces
+from cloudq.arcsine import PiecewisePolynomial, PolynomialPiece, min_pieces
 from cloudq.fixedpoint import (
+    CarryOutError,
     DivisionByZeroError,
     FixedPointError,
     FixedPointRangeError,
-    FixedPointValue,
+    QuantizedArcsine,
+    QuantizedPiece,
+    _arcsin_bits,
+    _div_bits,
+    _encode_bits,
+    _in_register,
+    _mul_bits,
+    _sqrt_bits,
+    _sub_bits,
     build_quantized_arcsine,
     emulate_up_pipeline,
     estimate_eps_calculation,
-    fp_arcsin_pp,
-    fp_div,
-    fp_encode,
-    fp_mul_const_int_ui,
-    fp_sqrt,
-    fp_sub,
     quantize_arcsine,
     sweep_inputs,
 )
+from cloudq.states import require_count
 
 WIDTH = 42
+ONE = 1 << (WIDTH - 1)  # the register bits of 1.0
 ULP = 2.0 ** -(WIDTH - 1)
 
 
@@ -51,126 +60,142 @@ def arcsine_table():
 
 
 def test_encode_examples():
-    assert fp_encode(0.5, 4).bits == 0b0100
-    assert fp_encode(1.0, 4).bits == 0b1000
-    assert FixedPointValue(5, 4).bits == 0b0101
+    assert _encode_bits(0.5, 4) == 0b0100
+    assert _encode_bits(1.0, 4) == 0b1000
+    assert _in_register(5, 4) == 0b0101
     with pytest.raises(FixedPointRangeError):
-        fp_encode(2.0, 4)
+        _encode_bits(2.0, 4)
     with pytest.raises(FixedPointRangeError):
-        fp_encode(-0.1, 4)
+        _encode_bits(-0.1, 4)
     with pytest.raises(FixedPointRangeError):
-        FixedPointValue(16, 4)
+        _in_register(16, 4)
 
 
 @given(st.floats(min_value=0.0, max_value=1.9999, allow_nan=False))
 def test_encode_decode_within_one_ulp(x):
-    v = fp_encode(x, WIDTH)
-    assert 0 <= x - v.value < ULP
+    assert 0 <= x - _encode_bits(x, WIDTH) / ONE < ULP
 
 
 def test_add_sub_and_overflow():
-    a = fp_encode(0.75, WIDTH)
-    b = fp_encode(0.5, WIDTH)
-    assert fp_sub(a, b).value == 0.25
+    a = _encode_bits(0.75, WIDTH)
+    b = _encode_bits(0.5, WIDTH)
+    assert _sub_bits(a, b) / ONE == 0.25
     with pytest.raises(FixedPointRangeError):
-        fp_sub(b, a)
-    with pytest.raises(FixedPointError):
-        fp_sub(a, fp_encode(0.5, WIDTH + 1))
+        _sub_bits(b, a)
 
 
 def test_mul_const_int_ui_frozen():
     # exact rational oracle: floor(2**41/10) = 219902325555
-    result = fp_mul_const_int_ui(6, fp_encode(Fraction(1, 10), WIDTH))
-    assert result.bits == 6 * ((1 << 41) // 10) == 1319413953330
-    assert abs(result.exact - Fraction(6, 10)) <= 6 * Fraction(1, 1 << 41)
+    result = _mul_bits(6, _encode_bits(Fraction(1, 10), WIDTH), WIDTH)
+    assert result == 6 * ((1 << 41) // 10) == 1319413953330
+    assert abs(Fraction(result, ONE) - Fraction(6, 10)) <= 6 * Fraction(1, 1 << 41)
 
 
 def test_mul_const_int_ui_range():
     with pytest.raises(FixedPointRangeError):
-        fp_mul_const_int_ui(8, fp_encode(0.5, WIDTH))
+        _mul_bits(8, _encode_bits(0.5, WIDTH), WIDTH)
 
 
 def test_mul_const_int_ui_keeps_the_constant_register():
     # the product may reach 1 exactly; one step past it overflows
-    half = fp_encode(0.5, 8)
-    assert fp_mul_const_int_ui(2, half) == FixedPointValue(1 << 7, 8)
+    half = _encode_bits(0.5, 8)
+    assert _mul_bits(2, half, 8) == 1 << 7
     with pytest.raises(FixedPointRangeError, match=r"^product 3 \* 0\.5 exceeds 1$"):
-        fp_mul_const_int_ui(3, half)
+        _mul_bits(3, half, 8)
 
 
 def test_sqrt_refuses_an_operand_above_one():
     with pytest.raises(FixedPointRangeError, match=r"^fp_sqrt operand must lie in \[0, 1\]$"):
-        fp_sqrt(FixedPointValue((1 << (WIDTH - 1)) + 1, WIDTH))
+        _sqrt_bits(ONE + 1, WIDTH)
 
 
 def test_sqrt_examples():
-    assert fp_sqrt(fp_encode(0.25, WIDTH)).value == 0.5
-    assert fp_sqrt(fp_encode(1.0, WIDTH)).value == 1.0
-    root = fp_sqrt(fp_encode(0.5, WIDTH))
-    assert abs(root.value - math.sqrt(0.5)) < ULP
+    assert _sqrt_bits(_encode_bits(0.25, WIDTH), WIDTH) / ONE == 0.5
+    assert _sqrt_bits(_encode_bits(1.0, WIDTH), WIDTH) / ONE == 1.0
+    root = _sqrt_bits(_encode_bits(0.5, WIDTH), WIDTH)
+    assert abs(root / ONE - math.sqrt(0.5)) < ULP
 
 
 @settings(max_examples=200)
-@given(st.integers(min_value=0, max_value=(1 << (WIDTH - 1))))
+@given(st.integers(min_value=0, max_value=ONE))
 def test_sqrt_matches_isqrt_and_bound(bits):
-    a = FixedPointValue(bits, WIDTH)
-    root = fp_sqrt(a)
-    assert root.bits == math.isqrt(bits << (WIDTH - 1))
-    assert abs(root.exact * root.exact - a.exact) <= Fraction(4, 1 << WIDTH) * 2
-    assert root.exact * root.exact <= a.exact  # truncation never overshoots
+    a = Fraction(bits, ONE)
+    root = _sqrt_bits(bits, WIDTH)
+    assert root == math.isqrt(bits << (WIDTH - 1))
+    root = Fraction(root, ONE)
+    assert abs(root * root - a) <= Fraction(4, 1 << WIDTH) * 2
+    assert root * root <= a  # truncation never overshoots
 
 
 def test_div_examples():
-    num = fp_encode(0.25, WIDTH)
-    den = fp_encode(0.5, WIDTH)
-    assert fp_div(num, den).value == 0.5
-    assert fp_div(den, den).value == 1.0
-    q = fp_div(fp_encode(0.3, WIDTH), fp_encode(0.7, WIDTH))
-    expected = fp_encode(0.3, WIDTH).exact / fp_encode(0.7, WIDTH).exact
-    assert 0 <= expected - q.exact < Fraction(1, 1 << (WIDTH - 1))
+    num = _encode_bits(0.25, WIDTH)
+    den = _encode_bits(0.5, WIDTH)
+    assert _div_bits(num, den, WIDTH) / ONE == 0.5
+    assert _div_bits(den, den, WIDTH) / ONE == 1.0
+    a, b = _encode_bits(0.3, WIDTH), _encode_bits(0.7, WIDTH)
+    q = Fraction(_div_bits(a, b, WIDTH), ONE)
+    assert 0 <= Fraction(a, b) - q < Fraction(1, ONE)
     with pytest.raises(DivisionByZeroError):
-        fp_div(num, fp_encode(0.0, WIDTH))
+        _div_bits(num, _encode_bits(0.0, WIDTH), WIDTH)
     with pytest.raises(FixedPointRangeError):
-        fp_div(den, num)
+        _div_bits(den, num, WIDTH)
 
 
 @settings(max_examples=200)
 @given(
-    st.integers(min_value=0, max_value=(1 << (WIDTH - 1))),
-    st.integers(min_value=1, max_value=(1 << (WIDTH - 1))),
+    st.integers(min_value=0, max_value=ONE),
+    st.integers(min_value=1, max_value=ONE),
 )
 def test_div_matches_floor(nbits, dbits):
     if nbits > dbits:
         nbits, dbits = dbits, nbits
-    q = fp_div(FixedPointValue(nbits, WIDTH), FixedPointValue(dbits, WIDTH))
-    assert q.bits == (nbits << (WIDTH - 1)) // dbits
+    assert _div_bits(nbits, dbits, WIDTH) == (nbits << (WIDTH - 1)) // dbits
 
 
 def test_arcsin_pp_point_values(arcsine_table):
-    zero = fp_arcsin_pp(fp_encode(0.0, WIDTH), arcsine_table)
-    assert zero.bits == 0
+    assert _arcsin_bits(_encode_bits(0.0, WIDTH), WIDTH, arcsine_table) == 0
     # the fit error plus the Horner chain's truncations, each < 1 step
     # and damped by u <= 1/2 in the steps after it
     for x, target in ((0.5, math.pi / 6), (0.1, 0.100167421161559796)):
-        out = fp_arcsin_pp(fp_encode(x, WIDTH), arcsine_table)
-        assert abs(out.value - target) <= 1e-12 + 4 * ULP
+        out = _arcsin_bits(_encode_bits(x, WIDTH), WIDTH, arcsine_table)
+        assert abs(out / ONE - target) <= 1e-12 + 4 * ULP
     with pytest.raises(FixedPointRangeError):
-        fp_arcsin_pp(fp_encode(0.9, WIDTH), arcsine_table)
+        _arcsin_bits(_encode_bits(0.9, WIDTH), WIDTH, arcsine_table)
 
 
 def test_arcsin_pp_refuses_a_register_of_another_width(arcsine_table):
     with pytest.raises(FixedPointError, match="^operand does not match the quantized table$"):
-        fp_arcsin_pp(fp_encode(0.1, WIDTH - 1), arcsine_table)
+        _arcsin_bits(_encode_bits(0.1, WIDTH - 1), WIDTH - 1, arcsine_table)
 
 
 def test_arcsin_pp_deterministic(arcsine_table):
-    a = fp_encode(0.37, WIDTH)
-    assert fp_arcsin_pp(a, arcsine_table).bits == fp_arcsin_pp(a, arcsine_table).bits
+    a = _encode_bits(0.37, WIDTH)
+    assert _arcsin_bits(a, WIDTH, arcsine_table) == _arcsin_bits(a, WIDTH, arcsine_table)
+
+
+def _crafted_table(*consts):
+    # one 8-bit piece on [0, 1] with no shift, so u is the input's bits
+    piece = QuantizedPiece(0, 1 << 7, 0, True, consts)
+    return QuantizedArcsine(8, len(consts) - 1, (piece,), 0.0)
+
+
+def test_arcsin_accumulator_overflow_is_a_carry_out():
+    # u = 1: the first Horner step gives 255 * 1 + 255, past the 8-bit register
+    with pytest.raises(CarryOutError, match="^arcsine accumulator overflow$") as err:
+        _arcsin_bits(1 << 7, 8, _crafted_table(0, 255, 255))
+    assert type(err.value) is CarryOutError
+
+
+def test_arcsin_accumulator_underflow_is_a_range_error():
+    # u = 1/2 and zero coefficients: the offset subtraction goes below zero
+    with pytest.raises(FixedPointRangeError, match="^arcsine accumulator underflow$") as err:
+        _arcsin_bits(1 << 6, 8, _crafted_table(0, 0, 0))
+    assert type(err.value) is FixedPointRangeError
 
 
 def test_pipeline_zero_rate(arcsine_table):
     result = emulate_up_pipeline(0, 3, Fraction(1, 100), 1.0, WIDTH, arcsine_table)
-    assert result.theta.bits == 0
+    assert result.theta == 0
     assert result.error == 0.0
 
 
@@ -186,29 +211,27 @@ def test_pipeline_branch_boundary(arcsine_table):
     bound = _pipeline_bound(arcsine_table.source_eps)
     assert low.error <= bound
     assert high.error <= bound
-    assert abs(low.theta.bits - high.theta.bits) <= 2 * bound / ULP
+    assert abs(low.theta - high.theta) <= 2 * bound / ULP
     assert low.z != high.z
 
 
 def test_pipeline_trace_replay(arcsine_table):
     trace = emulate_up_pipeline(6, 5, 0.001, 0.93, WIDTH, arcsine_table)
     assert trace.product == 30
-    assert trace.r.bits == 30 * fp_encode(0.001, WIDTH).bits
-    assert trace.w.bits == (
-        trace.s_next.bits - trace.r.bits if trace.z else trace.r.bits
-    )
-    assert trace.sqrt_w.bits == math.isqrt(trace.w.bits << (WIDTH - 1))
-    assert trace.quotient.bits == (trace.sqrt_w.bits << (WIDTH - 1)) // trace.sqrt_s.bits
+    assert trace.r == 30 * _encode_bits(0.001, WIDTH)
+    assert trace.w == (trace.s_next - trace.r if trace.z else trace.r)
+    assert trace.sqrt_w == math.isqrt(trace.w << (WIDTH - 1))
+    assert trace.quotient == (trace.sqrt_w << (WIDTH - 1)) // trace.sqrt_s
 
 
 def test_pipeline_encodes_each_input_once(arcsine_table, monkeypatch):
     # the multiply consumes the k_dt register the trace reports
     seen = []
-    encode = fixedpoint.fp_encode
-    monkeypatch.setattr(fixedpoint, "fp_encode", lambda x, w: seen.append(x) or encode(x, w))
+    encode = fixedpoint._encode_bits
+    monkeypatch.setattr(fixedpoint, "_encode_bits", lambda x, w: seen.append(x) or encode(x, w))
     trace = emulate_up_pipeline(6, 5, 0.001, 0.93, WIDTH, arcsine_table)
     assert seen == [0.93, 0.001]
-    assert trace.r.bits == 30 * trace.k_dt.bits
+    assert trace.r == 30 * trace.k_dt
 
 
 def test_pipeline_refuses_a_rate_above_the_remainder(arcsine_table):
@@ -234,27 +257,22 @@ def test_width_below_one_is_refused_before_any_shift(arcsine_table, width):
     else:
         message = f"^width must be an int, got {re.escape(repr(width))}$"
     with pytest.raises(FixedPointError, match=message):
-        fp_encode(0.5, width)
+        _encode_bits(0.5, width)
     with pytest.raises(FixedPointError, match=message):
         emulate_up_pipeline(1, 1, 0.1, 0.5, width, arcsine_table)
-    with pytest.raises(FixedPointError, match=message):
-        FixedPointValue(1, width)
     with pytest.raises(FixedPointError, match=message.replace("width", "samples")):
         estimate_eps_calculation(WIDTH, arcsine_table, samples=width)
 
 
 @pytest.mark.parametrize("bits", [2.5, 2.0, Fraction(5, 2), "3", True, np.int64(3)])
-@pytest.mark.parametrize("register", ["integer", "real"])
+@pytest.mark.parametrize("register", ["integer"])
 def test_register_refuses_non_int_bits(arcsine_table, bits, register):
     # the circuit's integer registers hold the droplet counts, which the
-    # emulator takes as plain ints; its real registers are FixedPointValues
-    if register == "integer":
-        message = "^droplet counts must be non-negative ints, got "
-        with pytest.raises(FixedPointError, match=message):
-            emulate_up_pipeline(bits, 3, 0.001, 0.9, WIDTH, arcsine_table)
-    else:
-        with pytest.raises(FixedPointError, match="^bits must be an int, got "):
-            FixedPointValue(bits, 4)
+    # emulator takes as plain ints; the real registers are only ever filled
+    # by the pipeline's own encodes, so a caller never hands it their bits
+    message = "^droplet counts must be non-negative ints, got "
+    with pytest.raises(FixedPointError, match=message):
+        emulate_up_pipeline(bits, 3, 0.001, 0.9, WIDTH, arcsine_table)
 
 
 @pytest.mark.parametrize("n_i, n_j", [(True, 3), (3, True), (-1, 3), (3, -2), (2.5, -1)])
@@ -345,8 +363,7 @@ def test_sqrt_matches_restoring_loop(width):
             assert math.isqrt(radicand) == _restoring_sqrt(radicand, width)
     one = 1 << (width - 1)
     for bits in [0, 1, one - 1, one] + [rng.randint(0, one) for _ in range(200)]:
-        root = fp_sqrt(FixedPointValue(bits, width))
-        assert root.bits == _restoring_sqrt(bits << (width - 1), width)
+        assert _sqrt_bits(bits, width) == _restoring_sqrt(bits << (width - 1), width)
 
 
 @pytest.mark.parametrize("width", [1, 2, 3, 8, 42, 64])
@@ -358,8 +375,7 @@ def test_div_matches_restoring_loop(width):
         den = rng.randint(1, top)
         pairs += [(rng.randint(0, den), den), (den, den)]
     for num, den in pairs:
-        quotient = fp_div(FixedPointValue(num, width), FixedPointValue(den, width))
-        assert quotient.bits == _restoring_div(num, den, width)
+        assert _div_bits(num, den, width) == _restoring_div(num, den, width)
 
 
 def test_piece_lookup_matches_linear_scan(arcsine_table):
@@ -374,7 +390,7 @@ def test_piece_lookup_matches_linear_scan(arcsine_table):
 
 
 def _fraction_encode(x, width):
-    """Real-mode encoding through Fraction arithmetic, as fp_encode did."""
+    """Real-mode encoding through Fraction arithmetic, as the encode once ran."""
     exact = Fraction(x)
     if exact < 0 or exact >= 2:
         raise FixedPointRangeError(f"{x} outside the real-mode range [0, 2)")
@@ -389,13 +405,13 @@ def test_encode_float_matches_fraction_path(width):
     values += [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 0.5, 1.0,
                math.nextafter(2.0, 0.0), Fraction(1, 3), Fraction(7, 4), 0, 1]
     for x in values:
-        assert fp_encode(x, width).bits == _fraction_encode(x, width)
+        assert _encode_bits(x, width) == _fraction_encode(x, width)
     for x in (2.0, 3.5, -5e-324, -0.5, float("nan"), float("inf"), float("-inf"),
               Fraction(2), Fraction(-1, 3), 2, -1):
         with pytest.raises(Exception) as expected:
             _fraction_encode(x, width)
         with pytest.raises(expected.type, match=re.escape(str(expected.value))):
-            fp_encode(x, width)
+            _encode_bits(x, width)
 
 
 @pytest.mark.parametrize("width", [WIDTH, 60])
@@ -404,8 +420,9 @@ def test_pipeline_error_matches_fraction_ratio(arcsine_table, width):
     table = arcsine_table if width == WIDTH else build_quantized_arcsine(5, 1e-12, width)
     for n_i, n_j, kdt, s in sweep_inputs(300, include_gap=True):
         result = emulate_up_pipeline(n_i, n_j, kdt, s, width, table)
-        ratio = float(result.r.exact / result.s_next.exact)
-        assert result.error == abs(result.theta.value - math.asin(math.sqrt(ratio)))
+        ratio = float(Fraction(result.r, result.s_next))
+        theta = float(Fraction(result.theta, 1 << (width - 1)))
+        assert result.error == abs(theta - math.asin(math.sqrt(ratio)))
 
 
 def test_sweep_pinned(arcsine_table):
@@ -418,7 +435,7 @@ def test_sweep_pinned(arcsine_table):
 
 
 def _fraction_power_coeffs(piece):
-    """The Fraction recurrence ``_exact_power_coeffs`` used to run: each
+    """The Fraction recurrence the power coefficients once ran on: each
     ``T_k(slope * t - 1)`` built as a Fraction polynomial in ``t``."""
     slope = Fraction(2) / (Fraction(piece.upper) - Fraction(piece.lower))
     beta = [Fraction(0)] * len(piece.coefficients)
@@ -437,12 +454,17 @@ def _fraction_power_coeffs(piece):
     return beta
 
 
+def _power_coeffs(piece):
+    """The integer power ratios as Fractions."""
+    return [Fraction(num, den) for num, den in fixedpoint._power_ratios(piece)]
+
+
 @pytest.mark.parametrize("degree, eps", [(1, 1e-6), (4, 1e-12), (6, 1e-13), (9, 1e-15)])
 def test_integer_power_coeffs_match_fraction_recurrence(degree, eps):
     domains = [(0.0, 0.5), fixedpoint.EXTENSION_DOMAIN] if degree < 9 else [(0.0, 0.5)]
     for domain in domains:
         for piece in min_pieces(degree, eps, domain=domain).pieces:
-            assert fixedpoint._exact_power_coeffs(piece) == _fraction_power_coeffs(piece)
+            assert _power_coeffs(piece) == _fraction_power_coeffs(piece)
 
 
 _COEFFICIENT = st.one_of(
@@ -460,7 +482,35 @@ _COEFFICIENT = st.one_of(
 def test_integer_power_coeffs_match_on_any_dyadic_piece(coefficients, lower, width):
     upper = lower + width
     piece = PolynomialPiece(lower, upper, tuple(coefficients), 0.0)
-    assert fixedpoint._exact_power_coeffs(piece) == _fraction_power_coeffs(piece)
+    assert _power_coeffs(piece) == _fraction_power_coeffs(piece)
+
+
+@contextmanager
+def _deadline(seconds):
+    """Raise ``TimeoutError`` in this process once ``seconds`` have passed."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"no answer within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("lower, upper", [(0.25, 0.125), (0.25, 0.25)])
+def test_quantize_refuses_an_empty_piece_before_any_loop(lower, upper):
+    # upper < lower ran the max_shift loop forever, and upper == lower
+    # raised a bare ZeroDivisionError from the slope
+    piece = PolynomialPiece(lower, upper, (0.2, 0.06), 0.0)
+    pp = PiecewisePolynomial((piece,), degree=1, eps=1e-6)
+    message = f"^arcsine piece \\[{lower}, {upper}\\] needs lower < upper$"
+    with _deadline(2.0), pytest.raises(FixedPointError, match=message) as err:
+        quantize_arcsine(pp, WIDTH)
+    assert type(err.value) is FixedPointError
 
 
 def _fraction_quantize_piece(piece, width):
@@ -484,8 +534,8 @@ def _fraction_quantize_piece(piece, width):
     if not biased_constant:
         consts[0] = int(scaled[0] * one)
     return fixedpoint.QuantizedPiece(
-        lower_bits=fp_encode(piece.lower, width).bits,
-        upper_bits=fp_encode(piece.upper, width).bits,
+        lower_bits=_fraction_encode(piece.lower, width),
+        upper_bits=_fraction_encode(piece.upper, width),
         t_shift=t_shift,
         biased_constant=biased_constant,
         consts=tuple(consts),
@@ -530,27 +580,63 @@ def test_integer_quantize_matches_on_any_dyadic_piece(coefficients, lower, width
     )
 
 
+def _scanned_arcsin(a, width, table):
+    """The offset Horner recurrence on the first piece a linear scan finds,
+    with Fraction products floored to the register."""
+    if width != table.width:
+        raise FixedPointError("operand does not match the quantized table")
+    one = 1 << (width - 1)
+    if a > table.pieces[-1].upper_bits:
+        raise FixedPointRangeError(f"arcsine input {a / one} outside the quantized domain")
+    piece = next(p for p in table.pieces if a <= p.upper_bits)
+    u = (a - piece.lower_bits) * 2**piece.t_shift
+    acc = piece.consts[-1]
+    for const in piece.consts[-2:0:-1]:
+        acc = math.floor(Fraction(u * acc, one)) + const
+        if acc >= 2 * one:
+            raise CarryOutError("arcsine accumulator overflow")
+        acc -= u
+        if acc < 0:
+            raise FixedPointRangeError("arcsine accumulator underflow")
+    theta = math.floor(Fraction(u * acc, one)) + piece.consts[0]
+    if theta >= 2 * one:
+        raise CarryOutError("arcsine result overflow")
+    return max(theta - u - (one if piece.biased_constant else 0), 0)
+
+
 def _composed_pipeline(n_i, n_j, k_dt, s_next, width, table, force_branch=None):
-    """The angle pipeline composed of the public ``fp_*`` operations on
-    ``FixedPointValue`` registers, as ``emulate_up_pipeline`` composed
-    them: ``(theta bits, error)``."""
+    """The angle pipeline composed from this file's references: the
+    Fraction encode, the bit-serial square root and division, the scanned
+    arcsine and a Fraction ratio, ``(theta bits, error)``."""
     if not all(type(n) is int and n >= 0 for n in (n_i, n_j)):
         raise FixedPointError(
             f"droplet counts must be non-negative ints, got {n_i!r} and {n_j!r}"
         )
-    s_fp = fp_encode(s_next, width)
-    if s_fp.bits == 0:
+    require_count("width", width, 1, FixedPointError)
+    one = 1 << (width - 1)
+    s = _fraction_encode(s_next, width)
+    if s == 0:
         raise DivisionByZeroError("remaining probability encoded to zero")
-    r_fp = fp_mul_const_int_ui(n_i * n_j, fp_encode(k_dt, width))
-    if r_fp.bits > s_fp.bits:
+    k = _fraction_encode(k_dt, width)
+    r = n_i * n_j * k
+    if r > one:
+        raise FixedPointRangeError(f"product {n_i * n_j} * {float(Fraction(k, one))} exceeds 1")
+    if r > s:
         raise FixedPointRangeError("transition probability exceeds the remainder")
-    z = r_fp.bits >= (s_fp.bits >> 2) if force_branch is None else force_branch
-    quotient = fp_div(fp_sqrt(fp_sub(s_fp, r_fp) if z else r_fp), fp_sqrt(s_fp))
-    theta = fp_arcsin_pp(quotient, table)
+    z = r >= s // 4 if force_branch is None else force_branch
+    w = s - r if z else r
+    if max(w, s) > one:
+        raise FixedPointRangeError("fp_sqrt operand must lie in [0, 1]")
+    sqrt_w = _restoring_sqrt(w * one, width)
+    quotient = _restoring_div(sqrt_w, _restoring_sqrt(s * one, width), width)
+    theta = _scanned_arcsin(quotient, width, table)
     if z:
-        theta = FixedPointValue(fixedpoint._pi_half_bits(width) - theta.bits, width)
-    ratio = float(r_fp.exact / s_fp.exact)
-    return theta.bits, abs(theta.value - math.asin(math.sqrt(ratio)))
+        with mp.workdps(width + 20):
+            theta = int(mp.floor(mp.pi / 2 * one)) - theta
+        if not 0 <= theta < 2 * one:
+            raise FixedPointRangeError(f"bits {theta} outside [0, 2**{width})")
+    ratio = float(Fraction(r, s))
+    return theta, abs(float(Fraction(theta, one)) - math.asin(math.sqrt(ratio)))
 
 
 @settings(max_examples=300, deadline=None)
@@ -562,6 +648,7 @@ def _composed_pipeline(n_i, n_j, k_dt, s_next, width, table, force_branch=None):
     st.sampled_from([WIDTH, WIDTH - 1, 0]),
     st.sampled_from([None, False, True]),
 )
+@example(1, 1, 0.25, 1.0, WIDTH, None)  # r = s/4: the comparison's own boundary
 def test_pipeline_core_matches_the_composed_operations(
     arcsine_table, n_i, n_j, k_dt, s_next, width, force_branch
 ):
@@ -570,6 +657,6 @@ def test_pipeline_core_matches_the_composed_operations(
 
     def traced():
         trace = emulate_up_pipeline(*args)
-        return trace.theta.bits, trace.error
+        return trace.theta, trace.error
 
     _same_outcome(traced, lambda: _composed_pipeline(*args))

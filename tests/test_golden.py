@@ -15,6 +15,7 @@ pin one quantized coefficient file the same way, and its table.  The
 arcsine corpus pins every table row's core and extension fit (or its
 ``DegreeTooLowError``), its 45-digit ``verify`` value, its quantized
 coefficients and its error sweep at the ``circuit`` benchmark's width,
+with and without the gap (or the error the gap sweep raises),
 the coefficients recorded before fits were skipped on a lower bound and
 grids on an upper bound, the sweeps while the pipeline still ran on
 ``FixedPointValue`` registers; property tests check that those bounds
@@ -527,6 +528,25 @@ SWEEP_PINNED = {
     (1e-15, 8): (1.2934098236883074e-14, 5.948557618706829e-15),
 }
 
+# the same sweeps with include_gap=True, which reach the extension pieces:
+# (max_error, mean_error), or the error class and message the row raises;
+# recorded while the pipeline still had its FixedPointValue wrapper
+GAP_SWEEP_PINNED = {
+    (1e-12, 4): (1.8783863353633024e-12, 5.295701238638983e-13),
+    (1e-12, 5): (1.7172929744901921e-12, 6.494322996042357e-13),
+    (1e-12, 6): (1.8116619315833304e-12, 7.043685773533426e-13),
+    (1e-13, 5): (1.2034817586936697e-13, 4.1482383500435205e-14),
+    (1e-13, 6): (1.5487611193520934e-13, 4.7138414699388065e-14),
+    (1e-13, 7): (CarryOutError, "arcsine result overflow"),
+    (1e-14, 5): (1.459943277382081e-14, 4.4162000445435724e-15),
+    (1e-14, 6): (1.3766765505351941e-14, 5.1131980594032456e-15),
+    (1e-14, 7): (2.3314683517128287e-14, 6.101740640529485e-15),
+    (1e-14, 8): (CarryOutError, "arcsine result overflow"),
+    (1e-15, 6): (1.1546319456101628e-14, 4.516564205969686e-15),
+    (1e-15, 7): (1.3346962424165554e-14, 5.284394449800445e-15),
+    (1e-15, 8): (1.459943277382081e-14, 5.567723365684785e-15),
+}
+
 # register width per arcsine target, as in the ``circuit`` benchmark
 CIRCUIT_WIDTH = {1e-12: 42, 1e-13: 46, 1e-14: 49, 1e-15: 49}
 ARCSINE_ROWS = [(eps, degree) for eps, degree, _ in PIECEWISE_ARCSINE_TABLE]
@@ -572,6 +592,24 @@ def test_sweep_matches_pinned_values(arcsine_fits, row):
     width = CIRCUIT_WIDTH[row[0]]
     report = estimate_eps_calculation(width, quantize_arcsine(core, width, extension), 1000)
     assert (report.max_error, report.mean_error) == SWEEP_PINNED[row]
+
+
+@pytest.mark.parametrize(
+    "row", list(GAP_SWEEP_PINNED), ids=[f"{e:g}-d{d}" for e, d in GAP_SWEEP_PINNED]
+)
+def test_gap_sweep_matches_pinned_values(arcsine_fits, row):
+    core, extension = arcsine_fits[row]
+    width = CIRCUIT_WIDTH[row[0]]
+    table = quantize_arcsine(core, width, extension)
+    pinned = GAP_SWEEP_PINNED[row]
+    if isinstance(pinned[0], type):
+        error, message = pinned
+        with pytest.raises(error, match=f"^{message}$") as raised:
+            estimate_eps_calculation(width, table, 1000, include_gap=True)
+        assert type(raised.value) is error
+        return
+    report = estimate_eps_calculation(width, table, 1000, include_gap=True)
+    assert (report.max_error, report.mean_error) == pinned
 
 
 def test_gap_sweep_overflow_stays_at_sample_96(arcsine_fits):
