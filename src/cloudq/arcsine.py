@@ -36,6 +36,7 @@ _cheb = np.polynomial.chebyshev
 FIT_POINTS = 2001
 DEFAULT_ERROR_GRID = 4096
 MAX_BISECTIONS = 64
+MAX_PIECES = 4096
 VERIFY_DPS = 45  # working precision (digits) of the arcsine reference
 VERIFY_EXTRA_ORDER = 40  # reference series terms beyond the fit's degree
 _SHARED_DEGREE = 9  # fits up to this degree share one reference order
@@ -100,11 +101,10 @@ def chebyshev_fit(a: float, b: float, degree: int) -> np.ndarray:
     return _cheb.chebfit(u, np.arcsin(xs), degree)
 
 
-def linf_error(
-    coefficients: Sequence[float], a: float, b: float, grid: int = DEFAULT_ERROR_GRID
-) -> float:
-    """Max |poly - arcsin| over a uniform grid on ``[a, b]``."""
-    xs = np.linspace(a, b, grid)
+def linf_error(coefficients: Sequence[float], a: float, b: float) -> float:
+    """Max |poly - arcsin| over the :data:`DEFAULT_ERROR_GRID`-point uniform
+    grid on ``[a, b]``."""
+    xs = np.linspace(a, b, DEFAULT_ERROR_GRID)
     if a == b:
         return float(abs(_cheb.chebval(0.0, np.array(coefficients)) - np.arcsin(a)))
     u = (2 * xs - a - b) / (b - a)
@@ -156,10 +156,7 @@ def _fit_is_doomed(a: float, b: float, degree: int, eps: float) -> bool:
 
 
 def min_pieces(
-    degree: int,
-    eps: float,
-    domain: tuple[float, float] = (0.0, 0.5),
-    max_pieces: int = 4096,
+    degree: int, eps: float, domain: tuple[float, float] = (0.0, 0.5)
 ) -> PiecewisePolynomial:
     """Greedy left-to-right assembly of the minimum piece count.
 
@@ -167,7 +164,7 @@ def min_pieces(
     the fit error drops below ``eps``; a candidate that
     :func:`_fit_is_doomed` rejects is halved without a fit, and still
     counts as a halving.  More than :data:`MAX_BISECTIONS` halvings of a
-    single subdomain, or a piece budget past ``max_pieces``, raises
+    single subdomain, or a piece budget past :data:`MAX_PIECES`, raises
     :class:`DegreeTooLowError`.  So does an ``eps`` at or below half an ulp
     of ``arcsin(hi)``, before any fit: no grid measurement in double
     precision can certify it.  The degree must be an int of at least one,
@@ -191,9 +188,9 @@ def min_pieces(
     pieces: list[PolynomialPiece] = []
     a = lo
     while a < hi:
-        if len(pieces) >= max_pieces:
+        if len(pieces) >= MAX_PIECES:
             raise DegreeTooLowError(
-                f"degree {degree} needs more than {max_pieces} pieces for eps={eps}"
+                f"degree {degree} needs more than {MAX_PIECES} pieces for eps={eps}"
             )
         b = hi
         for _ in range(MAX_BISECTIONS):

@@ -23,7 +23,7 @@ from .states import (
     MassDistribution,
     StateSpaceError,
     TransitionTable,
-    apply_transition,
+    apply_pair,
     common_numerators,
     qubits_for_bin,
     require_count,
@@ -45,33 +45,11 @@ class HistoryBranch(NamedTuple):
     prob: float
 
 
-def _check_cap(branches: int, table: TransitionTable, step: int, branch_cap: int) -> None:
-    if branches * (table.num_labels + 1) > branch_cap:
+def _check_cap(branches: int, table: TransitionTable, step: int) -> None:
+    if branches * (table.num_labels + 1) > _BRANCH_CAP:
         raise BranchCapError(
-            f"tree would exceed {branch_cap} branches at step {step}; use merged mode"
+            f"tree would exceed {_BRANCH_CAP} branches at step {step}; use merged mode"
         )
-
-
-def divide_step(
-    branches: Sequence[HistoryBranch], table: TransitionTable, step: int
-) -> list[HistoryBranch]:
-    """Split every branch across labels ``H..1`` plus the hold child.
-
-    ``step`` is the 1-based time step; incoming histories must have
-    length ``step - 1``.  Children with exactly zero probability are not
-    emitted.  Each branch's state must pass the step-size check.
-    """
-    out: list[HistoryBranch] = []
-    for branch in branches:
-        if len(branch.history) != step - 1:
-            raise StateSpaceError(
-                f"branch history length {len(branch.history)} != step-1 = {step - 1}"
-            )
-        out.extend([
-            HistoryBranch(branch.history + (label,), table.states[target], branch.prob * weight)
-            for label, target, weight in table.children(table.index(branch.state))
-        ])
-    return out
 
 
 def merge_branches(branches: Sequence[HistoryBranch], step: int) -> ProbabilityTable:
@@ -99,13 +77,12 @@ def merge_branches(branches: Sequence[HistoryBranch], step: int) -> ProbabilityT
 
 
 def run_tree(
-    table: TransitionTable,
-    steps: int,
-    initial: MassDistribution | None = None,
-    branch_cap: int = _BRANCH_CAP,
+    table: TransitionTable, steps: int, initial: MassDistribution | None = None
 ) -> list[HistoryBranch]:
-    """Full history tree after ``steps`` divisions, each step as
-    :func:`divide_step` takes it.
+    """Full history tree after ``steps`` divisions: each step splits every
+    branch into its state's :meth:`~cloudq.states.TransitionTable.children`,
+    each child's probability the branch's times its weight.  A step that
+    would pass ``_BRANCH_CAP`` branches raises :class:`BranchCapError`.
 
     A float table multiplies each branch's probability out from ``1.0``.
     An exact table carries it as an integer numerator over the product of
@@ -116,9 +93,9 @@ def run_tree(
     histories, at = [()], [initial or MassDistribution.monodisperse(table.num_bins)]
     probs, scale = [1.0 if table.is_float else 1], 1
     for step in range(1, steps + 1):
-        _check_cap(len(histories), table, step, branch_cap)
+        _check_cap(len(histories), table, step)
         kids = {}
-        for state in at:  # the first branch in a failing state raises, as in divide_step
+        for state in at:  # the first branch in a failing state raises
             if state not in kids:
                 kids[state] = table.children(table.index(state))
         if not table.is_float:
@@ -226,11 +203,12 @@ def history_label_semantics_check(
     at the child's label (0 for the hold child); it follows the step
     schedule ``resources.estimate_case`` charges, one ``U_add`` after every
     division but the last.  ``branches_checked`` counts those children.
-    Each history is also replayed with :func:`~cloudq.states.apply_transition`,
-    and every final replay must equal the history's state.  The table's
-    rows are walked level by level, one entry per (state, replay) counting
-    the histories that reach it: they share their future, so each entry is
-    replayed once and counted with that multiplicity.
+    Each history is also replayed with :func:`~cloudq.states.apply_pair`
+    on each label's pair, and every final replay must equal the history's
+    state.  The table's rows are walked level by level, one entry per
+    (state, replay) counting the histories that reach it: they share their
+    future, so each entry is replayed once and counted with that
+    multiplicity.
     """
     require_count("steps", steps, 0, StateSpaceError)
     start = initial or MassDistribution.monodisperse(table.num_bins)
@@ -238,11 +216,11 @@ def history_label_semantics_check(
     level = {(start, start): 1}  # (state, replay) -> histories, in run_tree's order
     checked = mismatches = 0
     for step in range(1, steps + 1):
-        _check_cap(sum(level.values()), table, step, _BRANCH_CAP)
+        _check_cap(sum(level.values()), table, step)
         nxt = {}
         for (state, replay), count in level.items():
             for label, target, _ in table.children(table.index(state)):
-                after = apply_transition(table, replay, label) if label else replay
+                after = apply_pair(replay, *table.pair_of(label)) if label else replay
                 key = (table.states[target], after)
                 nxt[key] = nxt.get(key, 0) + count
                 checked += count

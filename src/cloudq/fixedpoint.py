@@ -61,10 +61,10 @@ def _in_register(bits: int, width: int) -> int:
 def _encode_bits(x, width: int) -> int:
     """Truncate ``x`` toward zero onto an ``width``-bit register."""
     require_count("width", width, 1, FixedPointError)
-    # exactly num/den, as Fraction(x) reads a float (NaN and inf raise alike)
-    num, den = (x if isinstance(x, float) else Fraction(x)).as_integer_ratio()
-    if num < 0 or num >= 2 * den:
+    if not 0 <= x < 2:  # exact comparisons, which also refuse nan and ±inf
         raise FixedPointRangeError(f"{x} outside the real-mode range [0, 2)")
+    # exactly num/den, as Fraction(x) reads a float
+    num, den = (x if isinstance(x, float) else Fraction(x)).as_integer_ratio()
     return (num << (width - 1)) // den  # floor for non-negative values
 
 

@@ -3,17 +3,13 @@
 Five named parameter sets exercise the resource model across problem
 size, step count, and target error; the expected resource totals and the
 piecewise-arcsine piece counts are regression targets for
-``reproduce-tables``, and :func:`choose_config` picks a fit from those
-rows.  The ``(eps=1e-15, d=9)`` arcsine row is known to sit on a
-measurement noise floor and is reported but not asserted.
+``reproduce-tables``.  The ``(eps=1e-15, d=9)`` arcsine row is known to
+sit on a measurement noise floor and is reported but not asserted.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
-
-from .arcsine import FitError
-from .resources import EstimationCase, primitive_cost
+from .resources import EstimationCase
 
 PRESET_CASES: dict[str, EstimationCase] = {
     "paper-case-1": EstimationCase(
@@ -73,28 +69,6 @@ PIECEWISE_ARCSINE_TABLE: tuple[tuple[float, int, int], ...] = (
     (1e-15, 8, 10),
     (1e-15, 9, 11),
 )
-
-
-def choose_config(
-    eps: float,
-    n_bits: int,
-    rows: Sequence[tuple[float, int, int]] = PIECEWISE_ARCSINE_TABLE,
-) -> tuple[int, int]:
-    """Pick the ``(degree, pieces)`` row minimizing the arcsine gate cost.
-
-    Candidates are the ``rows`` matching ``eps``, by default those of
-    :data:`PIECEWISE_ARCSINE_TABLE`; ties break toward the smaller degree.
-    """
-    candidates = [(d, m) for e, d, m in rows if e == eps]
-    if not candidates:
-        raise FitError(f"no table rows for eps={eps}")
-    return min(
-        candidates,
-        key=lambda dm: (
-            primitive_cost("ARCSIN", n=n_bits, degree=dm[0], pieces=dm[1]).t_count,
-            dm[0],
-        ),
-    )
 
 
 # Degree-monotonicity breaks at this row in the reference data (11 pieces

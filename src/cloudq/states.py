@@ -195,16 +195,6 @@ def _pair_propensity(kernel, counts: Sequence[int], i: int, j: int):
     return kernel * ni * nj
 
 
-def transition_rate(table: TransitionTable, state: MassDistribution, label: int):
-    """Per-step transition probability ``r_h`` of ``state`` under ``label``.
-
-    ``K(i,j) n_i n_j dt`` for distinct bins and ``K(i,i) n_i (n_i-1) dt / 2``
-    for equal bins; zero whenever the source bins are under-populated.
-    """
-    i, j = table.pair_of(label)
-    return _pair_propensity(table.kernel_values[label - 1], state.counts, i, j) * table.dt
-
-
 def total_transition_rate(table: TransitionTable, state: MassDistribution):
     """``sum_h r_h(state)``, folded from :meth:`TransitionTable.rates` as a row's
     ``total`` is, with no row compiled; must stay <= 1 for a valid explicit step."""
@@ -244,15 +234,11 @@ def apply_pair(state: MassDistribution, i: int, j: int) -> MassDistribution:
     return _trusted(_collided(counts, i, j))
 
 
-def apply_transition(table: TransitionTable, state: MassDistribution, label: int) -> MassDistribution:
-    """Post-collision state for transition ``label``."""
-    return apply_pair(state, *table.pair_of(label))
-
-
 class OperatorRow(NamedTuple):
     """One compiled state: its transitions with ``r_h != 0``, in label order.
 
-    ``targets`` are the state indices of the post-collision states.
+    ``targets`` are the state indices of the post-collision states, and
+    ``propensities`` each label's ``r_h / dt``; ``total`` is ``sum_h r_h``.
     ``weights`` and ``hold`` are the division model's sequential split
     (labels visited ``H..1``, label ``h`` claiming ``r_h / s_{h+1}`` of
     what is unclaimed) and its remainder ``s_1``.  Only :class:`TransitionTable`
@@ -262,7 +248,7 @@ class OperatorRow(NamedTuple):
 
     labels: tuple[int, ...]
     targets: tuple[int, ...]
-    rates: tuple
+    propensities: tuple
     total: object
     weights: tuple
     hold: object
@@ -433,12 +419,13 @@ class TransitionTable:
                     yield label, i, j, propensity, rate
 
     def _compile(self, counts: tuple[int, ...]) -> OperatorRow:
-        labels, targets, rates = [], [], []
-        for label, i, j, _, rate in self.rates(counts):
+        labels, targets, propensities, rates = [], [], [], []
+        for label, i, j, propensity, rate in self.rates(counts):
             after = _collided(counts, i, j)
             target = self._index.get(after)
             labels.append(label)
             targets.append(self.index(_trusted(after)) if target is None else target)
+            propensities.append(propensity)
             rates.append(rate)
         total = reduce(operator.add, rates, 0 * self.dt)  # a left fold on every Python
         if not self.is_float and total <= 1:  # unclipped: (r_h / s_{h+1}) s_{h+1} is r_h
@@ -452,19 +439,20 @@ class TransitionTable:
                 modified = min(rates[pos] / remaining, self.one)
                 weights[pos] = modified * remaining
                 remaining = (1 - modified) * remaining
-        return OperatorRow(*map(tuple, (labels, targets, rates)), total, tuple(weights), remaining)
+        return OperatorRow(*map(tuple, (labels, targets, propensities)), total, tuple(weights),
+                           remaining)
 
     def events(self, k: int) -> tuple[float, tuple[int, ...], np.ndarray]:
         """What the Gillespie sampler draws from in state ``k``: the event
         rate ``sum_h r_h / dt``, the row's targets, and the cumulative label
         distribution at the row's labels, both taken on the length-``H``
-        float vector of the :meth:`rates`.  Built on the first visit and kept."""
+        float vector of the row's propensities.  Built on the first visit and kept."""
         found = self._events.get(k)
         if found is None:
             row = self.row(k)
             dense = np.zeros(self.num_labels)
             stored = np.array(row.labels, dtype=np.intp) - 1
-            dense[stored] = [p for _, _, _, p, _ in self.rates(self.states[k].counts)]
+            dense[stored] = row.propensities
             event_rate = dense.sum()
             cdf = np.cumsum(dense)[stored] / event_rate  # an absorbed state's is empty
             found = self._events[k] = (event_rate, row.targets, cdf)
@@ -522,7 +510,12 @@ class TransitionTable:
         dst = np.fromiter(chain.from_iterable(row.targets for row in rows), np.intp, len(src))
         number = float if self.is_float else object
         if not sequential:  # A = I + dt Q: each closure state's unit diagonal leads its row
-            rate = np.array([r for row in rows for r in row.rates], dtype=number)
+            # r_h as rates() forms it: one float64 multiply on a float dt, and
+            # on an exact dt each exact product, rounded to the table's type after
+            rate = np.array([p for row in rows for p in row.propensities],
+                            float if isinstance(self.dt, float) else object)
+            rate *= self.dt
+            rate = rate.astype(number, copy=False)
             diag = np.array(sorted(reached), dtype=np.intp)
             unit = np.full(len(diag), type(rate[0])(1) if len(rate) else self.one, number)
             row, col = np.concatenate([diag, src, dst]), np.concatenate([diag, src, src])

@@ -145,7 +145,7 @@ def test_dynamical_equivalence():
         table = states.build_transition_table(
             n, states.KernelSpec(k0=Fraction(1)), Fraction(1, 25)
         )
-        tree = division.run_tree(table, steps, branch_cap=2_000_000)
+        tree = division.run_tree(table, steps)
         collapsed = division.merge_branches(tree, steps)
         merged = division.run_merged(table, steps)
         exact_ok &= set(collapsed.entries) == set(merged.entries) and all(

@@ -17,7 +17,6 @@ from cloudq.arcsine import (
     min_pieces,
     verify,
 )
-from cloudq.presets import choose_config
 
 
 def test_fit_nearly_linear_region():
@@ -65,13 +64,14 @@ def test_monotonicity_in_degree_and_eps():
     assert m_tight >= m_d5
 
 
-def test_degree_too_low():
+def test_degree_too_low(monkeypatch):
     # below the double-precision measurement floor no subdomain converges
     with pytest.raises(DegreeTooLowError, match=r"eps=1e-17 .* double-precision floor 5\.55e-17"):
         min_pieces(1, 1e-17)
     # a reachable eps that would need an absurd number of linear pieces
+    monkeypatch.setattr(arcsine, "MAX_PIECES", 16)
     with pytest.raises(DegreeTooLowError):
-        min_pieces(1, 1e-9, max_pieces=16)
+        min_pieces(1, 1e-9)
 
 
 def test_invalid_inputs():
@@ -208,19 +208,12 @@ def _reference_error(coefficients, a, b, grid):
     return arcsine._grid_max(arcsine._diff_series(coefficients, a, b), grid)
 
 
-def test_reference_error_agrees_with_grid_error():
+def test_reference_error_agrees_with_grid_error(monkeypatch):
     coeffs = chebyshev_fit(0.0, 0.125, 5)
-    grid = linf_error(coeffs, 0.0, 0.125, grid=2048)
+    monkeypatch.setattr(arcsine, "DEFAULT_ERROR_GRID", 2048)
+    grid = linf_error(coeffs, 0.0, 0.125)
     precise = _reference_error(coeffs, 0.0, 0.125, grid=2048)
     assert precise == pytest.approx(grid, rel=1e-2)
-
-
-def test_choose_config_examples():
-    assert choose_config(1e-13, 46) == (6, 12)
-    assert choose_config(1e-12, 42) == (5, 15)
-    assert choose_config(1e-13, 46, rows=[(1e-13, 7, 7)]) == (7, 7)
-    with pytest.raises(FitError):
-        choose_config(3e-7, 42)
 
 
 def _per_piece_series(a, b, order):

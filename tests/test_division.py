@@ -17,7 +17,6 @@ from cloudq.division import (
     LabelSemanticsReport,
     _history_register,
     amplitude_expectation,
-    divide_step,
     history_label_semantics_check,
     merge_branches,
     run_merged,
@@ -36,15 +35,28 @@ from cloudq.states import (
     MassDistribution,
     StateSpaceError,
     StepSizeError,
+    apply_pair,
     build_transition_table,
     enumerate_states,
     total_transition_rate,
-    transition_rate,
 )
 
 
 def _table(n, k0=1.0, dt=0.01):
     return build_transition_table(n, KernelSpec(k0=k0), dt)
+
+
+def _formula_rate(table, state, label):
+    # r_h of the master equation: K n_i n_j dt, or K n_i (n_i - 1) dt / 2 for equal bins
+    i, j = table.pair_of(label)
+    kernel, n_i, n_j = table.kernel_values[label - 1], state.counts[i - 1], state.counts[j - 1]
+    return kernel * n_i * (n_i - 1) * table.dt / 2 if i == j else kernel * n_i * n_j * table.dt
+
+
+def _divide(branches, table):
+    # one division step multiplied out: each branch times each of its state's children
+    return [HistoryBranch(b.history + (label,), table.states[target], b.prob * weight)
+            for b in branches for label, target, weight in table.children(table.index(b.state))]
 
 
 def _max_entry_diff(a: ProbabilityTable, b: ProbabilityTable) -> float:
@@ -54,8 +66,7 @@ def _max_entry_diff(a: ProbabilityTable, b: ProbabilityTable) -> float:
 
 def test_divide_step_two_state_example():
     table = _table(2, k0=1.0, dt=0.1)
-    root = HistoryBranch((), MassDistribution((2, 0)), 1.0)
-    children = divide_step([root], table, 1)
+    children = run_tree(table, 1, MassDistribution((2, 0)))
     by_label = {c.history[-1]: c for c in children}
     assert by_label[1].state.counts == (0, 1)
     assert by_label[1].prob == pytest.approx(0.1, abs=1e-15)
@@ -65,8 +76,7 @@ def test_divide_step_two_state_example():
 
 def test_divide_step_absorbing_branch():
     table = _table(5, dt=0.05)
-    root = HistoryBranch((), MassDistribution.absorbed(5), 1.0)
-    children = divide_step([root], table, 1)
+    children = run_tree(table, 1, MassDistribution.absorbed(5))
     assert len(children) == 1
     assert children[0].history == (0,)
     assert children[0].prob == 1.0
@@ -75,35 +85,25 @@ def test_divide_step_absorbing_branch():
 def test_divide_step_matches_direct_rates():
     table = _table(4, k0=0.9, dt=0.02)
     state = MassDistribution.monodisperse(4)
-    children = divide_step([HistoryBranch((), state, 1.0)], table, 1)
+    children = run_tree(table, 1, state)
     for child in children:
         label = child.history[-1]
         if label == 0:
             continue
-        assert child.prob == pytest.approx(
-            transition_rate(table, state, label), abs=1e-12
-        )
-
-
-def test_divide_step_history_length_check():
-    table = _table(3)
-    root = HistoryBranch((), MassDistribution.monodisperse(3), 1.0)
-    with pytest.raises(Exception):
-        divide_step([root], table, 2)
+        assert child.prob == pytest.approx(_formula_rate(table, state, label), abs=1e-12)
 
 
 def test_divide_step_normalization():
     table = _table(6, k0=1.3, dt=0.01)
-    branches = [HistoryBranch((), MassDistribution.monodisperse(6), 1.0)]
     for step in (1, 2, 3):
-        branches = divide_step(branches, table, step)
+        branches = run_tree(table, step)
         assert sum(b.prob for b in branches) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_divide_step_size_error():
     table = _table(4, k0=1.0, dt=1.0)
     with pytest.raises(StepSizeError):
-        divide_step([HistoryBranch((), MassDistribution.monodisperse(4), 1.0)], table, 1)
+        run_tree(table, 1)
 
 
 def test_run_zero_steps():
@@ -170,8 +170,9 @@ def _typed_branches(branches):
 
 @pytest.mark.parametrize("case", sorted(_TREE_INPUTS) + ["late-float"])
 def test_tree_is_divide_step_repeated(case):
-    # the same branches, in the same order, with the same value types:
-    # all Fraction on an exact table, all float on any other
+    # the branches of one step multiplied out over children, repeated: the
+    # same ones, in the same order, with the same value types, all Fraction
+    # on an exact table and all float on any other
     if case == "late-float":
         table, start = _mixed_from_step_2()
     else:
@@ -181,7 +182,7 @@ def test_tree_is_divide_step_repeated(case):
     types = set()
     for step in range(5):
         if step:
-            branches = divide_step(branches, table, step)
+            branches = _divide(branches, table)
         want = _typed_branches(branches)
         assert _typed_branches(run_tree(table, step, start)) == want
         types |= {t for _, _, t, _ in want}
@@ -227,8 +228,8 @@ def test_exact_tables_hold_only_fractions(kind, k0, dt):
     series = [evolve_series(start, table, 4)[1:] for start in starts]
     tree = run_tree(table, 3)
     tables = [p for run in series for p in run] + [
-        run_merged(table, 3), merge_branches(tree, 3), merge_branches(divide_step(
-            [HistoryBranch((), mono, 1)], table, 1), 1)]
+        run_merged(table, 3), merge_branches(tree, 3), merge_branches(_divide(
+            [HistoryBranch((), mono, 1)], table), 1)]
     assert {type(v) for p in tables for v in p.entries.values()} == {Fraction}
     assert {type(b.prob) for b in tree} == {Fraction}
     nonzero = [[{s: v for s, v in p.entries.items() if v} for p in run] for run in series]
@@ -237,10 +238,11 @@ def test_exact_tables_hold_only_fractions(kind, k0, dt):
         nonzero[0][2])
 
 
-def test_branch_cap():
+def test_branch_cap(monkeypatch):
     table = _table(6, dt=0.001)
+    monkeypatch.setattr(division, "_BRANCH_CAP", 50)
     with pytest.raises(BranchCapError) as err:
-        run_tree(table, 4, branch_cap=50)
+        run_tree(table, 4)
     assert "merged" in str(err.value)
 
 
@@ -293,14 +295,12 @@ def test_history_labels_single_step_n2():
 def test_history_labels_all_labels_n4():
     # every label fires from some initial state; each must be recorded
     table = _table(4, k0=0.9, dt=0.02)
-    from cloudq.states import enumerate_states, transition_rate
-
     fired = set()
     for state in enumerate_states(4):
         report = history_label_semantics_check(table, 1, initial=state)
         assert report.ok
         for label in range(1, table.num_labels + 1):
-            if transition_rate(table, state, label) > 0:
+            if _formula_rate(table, state, label) > 0:
                 fired.add(label)
     assert fired == set(range(1, table.num_labels + 1))
 
@@ -332,9 +332,7 @@ def test_tree_states_replay_consistency():
         state = start
         for label in branch.history:
             if label:
-                from cloudq.states import apply_transition
-
-                state = apply_transition(table, state, label)
+                state = apply_pair(state, *table.pair_of(label))
         assert state == branch.state
 
 
@@ -405,7 +403,7 @@ def test_children_are_the_merged_terms(kind):
                 assert list(zip(prog.row[terms].tolist(), prog.coef[terms].tolist())) == [
                     (target, weight) for _, target, weight in sorted(children, key=lambda c: c[0])
                 ]
-                branches = divide_step([HistoryBranch((), op.states[k], op.one)], table, 1)
+                branches = run_tree(table, 1, op.states[k])
                 assert [
                     (b.history[-1], op.index(b.state), b.prob, type(b.prob)) for b in branches
                 ] == [(label, target, weight, type(weight)) for label, target, weight in children]
@@ -423,7 +421,7 @@ def test_merged_arrays_match_branch_merge():
         current = ProbabilityTable({MassDistribution.monodisperse(n): 1.0})
         for step in range(1, steps + 1):
             pieces = [HistoryBranch((), s, p) for s, p in current.entries.items()]
-            current = merge_branches(divide_step(pieces, table, 1), step)
+            current = merge_branches(_divide(pieces, table), step)
         merged = run_merged(table, steps)
         assert list(merged.entries.items()) == list(current.entries.items())
         assert merged.step == current.step
@@ -659,11 +657,12 @@ def test_checked_split_weights_are_the_rates(kind, n, share, exact):
             assert not exact and share > 0.999
             continue
         checked += 1
-        assert len(row.weights) == len(row.rates) and row.hold >= 0
+        rates = tuple(p * dt for p in row.propensities)
+        assert len(row.weights) == len(rates) and row.hold >= 0
         if exact:
-            assert row.weights == row.rates and row.hold == 1 - row.total
+            assert row.weights == rates and row.hold == 1 - row.total
         else:
-            assert all(abs(w - r) <= 2 * math.ulp(r) for w, r in zip(row.weights, row.rates))
+            assert all(abs(w - r) <= 2 * math.ulp(r) for w, r in zip(row.weights, rates))
     assert checked
 
 

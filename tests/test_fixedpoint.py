@@ -408,10 +408,22 @@ def test_encode_float_matches_fraction_path(width):
         assert _encode_bits(x, width) == _fraction_encode(x, width)
     for x in (2.0, 3.5, -5e-324, -0.5, float("nan"), float("inf"), float("-inf"),
               Fraction(2), Fraction(-1, 3), 2, -1):
-        with pytest.raises(Exception) as expected:
-            _fraction_encode(x, width)
-        with pytest.raises(expected.type, match=re.escape(str(expected.value))):
+        if math.isfinite(x):
+            with pytest.raises(Exception) as expected:
+                _fraction_encode(x, width)
+            want = expected.type, re.escape(str(expected.value))
+        else:  # Fraction(x) has no value to refuse; the range error refuses x itself
+            want = FixedPointRangeError, re.escape(f"{x} outside the real-mode range [0, 2)")
+        with pytest.raises(want[0], match=f"^{want[1]}$") as got:
             _encode_bits(x, width)
+        assert type(got.value) is want[0]
+
+
+def test_pipeline_refuses_a_non_finite_input(arcsine_table):
+    # a caller that catches FixedPointError catches a nan rate as well
+    with pytest.raises(FixedPointError, match=r"^nan outside the real-mode range \[0, 2\)$"):
+        emulate_up_pipeline(1, 1, k_dt=float("nan"), s_next=1.0, width=WIDTH,
+                            table=arcsine_table)
 
 
 @pytest.mark.parametrize("width", [WIDTH, 60])

@@ -272,7 +272,7 @@ def _masked_steps(p0, table, steps):
     edge_src, edge_dst, edge_rate = map(np.array, zip(*(
         (k, t, r)
         for k in sorted(stepping, key=lambda k: op.states[k].counts)
-        for t, r in zip(op.row(k).targets, op.row(k).rates)
+        for t, r in zip(op.row(k).targets, [p * op.dt for p in op.row(k).propensities])
     )))
     order = list(keys)
     present = np.zeros(size, dtype=bool)
@@ -388,7 +388,8 @@ def test_step_sums_each_row_in_stored_order(kind, k0, sequential):
             assert own == ([op.row(r).hold] if own else [])
             assert [h for _, h in inflows] == sorted({h for _, h in inflows})
         else:
-            assert own == ([type(k0)(1)] + [-rate for rate in op.row(r).rates] if own else [])
+            assert own == ([type(k0)(1)] + [-p * op.dt for p in op.row(r).propensities]
+                           if own else [])
             assert inflows == sorted(inflows)
 
 

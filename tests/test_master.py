@@ -26,9 +26,7 @@ from cloudq.master import (
     write_probability_series,
 )
 from cloudq.division import (
-    HistoryBranch,
     amplitude_expectation,
-    divide_step,
     merge_branches,
     run_merged,
     run_tree,
@@ -42,7 +40,6 @@ from cloudq.states import (
     enumerate_states,
     qubits_for_bin,
     total_transition_rate,
-    transition_rate,
 )
 
 
@@ -111,7 +108,7 @@ def test_step_size_error_names_first_state_in_counts_order():
         "for state (2, 1, 0, 0); reduce dt"
     )
     with pytest.raises(StepSizeError) as branch_err:
-        divide_step([HistoryBranch((), first, 1.0)], table, 1)
+        run_tree(table, 1, first)
     assert str(branch_err.value) == message
 
 
@@ -1074,8 +1071,8 @@ def test_int_kernel_constant_runs_exactly():
     table = build_transition_table(4, KernelSpec(k0=1), Fraction(1, 100))
     assert not table.is_float
     pair = MassDistribution((2, 1, 0, 0))
-    assert [transition_rate(table, pair, h) for h in (1, 2)] == [Fraction(1, 100),
-                                                                  Fraction(1, 50)]
+    assert [(h, type(p), r) for h, _, _, p, r in table.rates(pair.counts)] == [
+        (1, int, Fraction(1, 100)), (2, int, Fraction(1, 50))]
     mono = MassDistribution.monodisperse(4)
     starts = [{mono: Fraction(1)}, {mono: 1}, ProbabilityTable.point_mass(mono).entries]
     runs = [evolve(ProbabilityTable(start), table, 5) for start in starts]

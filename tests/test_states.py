@@ -24,7 +24,6 @@ from cloudq.states import (
     StateSpaceError,
     TransitionTable,
     apply_pair,
-    apply_transition,
     build_transition_table,
     enumerate_states,
     label_pair_count,
@@ -32,8 +31,19 @@ from cloudq.states import (
     partition_count_asymptotic,
     partition_count_exact,
     total_transition_rate,
-    transition_rate,
 )
+
+
+def _formula_rate(table, state, label):
+    # r_h of the master equation: K n_i n_j dt, or K n_i (n_i - 1) dt / 2 for equal bins
+    i, j = table.pair_of(label)
+    kernel, n_i, n_j = table.kernel_values[label - 1], state.counts[i - 1], state.counts[j - 1]
+    return kernel * n_i * (n_i - 1) * table.dt / 2 if i == j else kernel * n_i * n_j * table.dt
+
+
+def _rule(table, state):
+    # the table's rate rule as {label: r_h}, zero rates left out
+    return {label: rate for label, *_, rate in table.rates(state.counts)}
 
 
 def test_mass_distribution_invariants():
@@ -194,14 +204,14 @@ def test_label_bijection():
 def test_transition_rate_examples():
     table = build_transition_table(2, KernelSpec(k0=1.0), 0.1)
     state = MassDistribution((2, 0))
-    assert transition_rate(table, state, 1) == pytest.approx(0.1)
+    assert _rule(table, state)[1] == pytest.approx(0.1)
 
     table3 = build_transition_table(3, KernelSpec(k0=1.0), 0.1)
     state3 = MassDistribution((1, 1, 0))
-    assert transition_rate(table3, state3, table3.pairs.index((1, 2)) + 1) == pytest.approx(0.1)
+    assert _rule(table3, state3)[table3.pairs.index((1, 2)) + 1] == pytest.approx(0.1)
 
     empty_first = MassDistribution((0, 1))
-    assert transition_rate(table, empty_first, 1) == 0
+    assert _rule(table, empty_first) == {}
 
 
 def test_transition_rate_zero_iff_underpopulated():
@@ -209,8 +219,8 @@ def test_transition_rate_zero_iff_underpopulated():
     for state in enumerate_states(6):
         for label in range(1, table.num_labels + 1):
             i, j = table.pair_of(label)
-            rate = transition_rate(table, state, label)
-            assert rate >= 0
+            rate = _rule(table, state).get(label, 0)
+            assert rate == _formula_rate(table, state, label) and rate >= 0
             feasible = (
                 state.counts[i - 1] >= 2
                 if i == j
@@ -234,8 +244,8 @@ def test_apply_transition_preserves_mass_exhaustively():
         table = build_transition_table(n, KernelSpec(), 0.01)
         for state in enumerate_states(n):
             for label in range(1, table.num_labels + 1):
-                if transition_rate(table, state, label) > 0:
-                    child = apply_transition(table, state, label)
+                if _formula_rate(table, state, label) > 0:
+                    child = apply_pair(state, *table.pair_of(label))
                     assert child.mass() == n
 
 
@@ -269,9 +279,9 @@ def test_total_rate_nonnegative(n, kind, k0):
 )
 def test_one_transition_rule(kind, k0, dt):
     # the rate rule and the compiled rows the solver, division and SSA read
-    # must hold exactly the nonzero rates of transition_rate, in label order
-    # and number type, their sum, and the post-collision states of
-    # apply_transition
+    # must hold exactly the nonzero rates of the master equation's formula,
+    # in label order and number type, their sum, and the post-collision
+    # states of apply_pair
     for n in range(2, 13):
         table = build_transition_table(n, KernelSpec(kind, k0), dt)
         every_state = enumerate_states(n)
@@ -280,13 +290,15 @@ def test_one_transition_rule(kind, k0, dt):
         assert table.states == []
         for state, swept_total in zip(every_state, swept):
             row = table.row(table.index(state))
-            rates = {h: transition_rate(table, state, h) for h in range(1, table.num_labels + 1)}
+            rates = {h: _formula_rate(table, state, h) for h in range(1, table.num_labels + 1)}
             nonzero = [h for h, rate in rates.items() if rate != 0]
             assert row.labels == tuple(nonzero)
-            assert row.rates == tuple(rates[h] for h in nonzero)
-            assert all(type(r) is type(rates[h]) for h, r in zip(row.labels, row.rates))
+            row_rates = tuple(p * dt for p in row.propensities)
+            assert row_rates == tuple(rates[h] for h in nonzero)
+            assert all(type(r) is type(rates[h]) for h, r in zip(row.labels, row_rates))
             rule = list(table.rates(state.counts))
             assert [(h, (i, j)) for h, i, j, _, _ in rule] == [(h, table.pair_of(h)) for h in nonzero]
+            assert list(map(repr, row.propensities)) == [repr(p) for *_, p, _ in rule]
             want = [repr(rates[h]) for h in nonzero]
             assert [repr(p * dt) for _, _, _, p, _ in rule] == want
             assert [repr(rate) for *_, rate in rule] == want
@@ -295,7 +307,44 @@ def test_one_transition_rule(kind, k0, dt):
             assert row.total == total and repr(row.total) == repr(total)
             assert repr(swept_total) == repr(total)
             for label, target in zip(row.labels, row.targets):
-                assert table.states[target] == apply_transition(table, state, label)
+                assert table.states[target] == apply_pair(state, *table.pair_of(label))
+
+
+@pytest.mark.parametrize("kind", ["constant", "sum", "product"])
+@pytest.mark.parametrize(
+    "k0, dt", [(0.7, 0.013), (Fraction(7, 10), Fraction(13, 1000))], ids=["float", "fraction"]
+)
+def test_events_read_the_compiled_row(monkeypatch, kind, k0, dt):
+    # once a row is compiled, the sampler's tables come from it with no
+    # second walk of the rate rule, and equal, bit for bit, the ones built
+    # on a dense vector of the rule's propensities
+    walked = []
+    rule = TransitionTable.rates
+
+    def counted(self, counts):
+        walked.append(counts)
+        return rule(self, counts)
+
+    for n in range(2, 13):
+        table = build_transition_table(n, KernelSpec(kind, k0), dt)
+        wants = []
+        for state in enumerate_states(n):
+            k = table.index(state)
+            table.row(k)
+            terms = list(table.rates(state.counts))
+            at = np.array([h for h, *_ in terms], dtype=np.intp) - 1
+            dense = np.zeros(table.num_labels)
+            dense[at] = [p for *_, p, _ in terms]
+            event_rate = dense.sum()
+            wants.append((k, event_rate, np.cumsum(dense)[at] / event_rate))
+        with monkeypatch.context() as patch:
+            patch.setattr(TransitionTable, "rates", counted)
+            got = [table.events(k) for k, _, _ in wants]
+        for (k, event_rate, cdf), (got_rate, targets, got_cdf) in zip(wants, got):
+            assert (type(got_rate), repr(got_rate)) == (type(event_rate), repr(event_rate))
+            assert targets == table.row(k).targets
+            assert (got_cdf.dtype, got_cdf.tobytes()) == (cdf.dtype, cdf.tobytes())
+    assert walked == []
 
 
 @pytest.mark.parametrize(
@@ -662,12 +711,13 @@ def test_rows_split_as_the_loop_does(kind, k0, dt):
         table = build_transition_table(n, KernelSpec(kind, k0), dt)
         for state in enumerate_states(n):
             row = table.row(table.index(state))
-            weights, hold = _loop_split(row.rates, row.total, table.one)
+            rates = [p * dt for p in row.propensities]
+            weights, hold = _loop_split(rates, row.total, table.one)
             assert list(map(type, row.weights)) == list(map(type, weights))
             assert list(map(repr, row.weights)) == list(map(repr, weights))
             assert (type(row.hold), repr(row.hold)) == (type(hold), repr(hold))
             if not table.is_float and row.total <= 1:
-                assert all(type(w) is Fraction and w == r for w, r in zip(row.weights, row.rates))
+                assert all(type(w) is Fraction and w == r for w, r in zip(row.weights, rates))
                 assert type(row.hold) is Fraction and row.hold == 1 - row.total
 
 
@@ -693,8 +743,8 @@ def test_collided_states_are_the_checked_ones(kind):
         for state in enumerate_states(n):
             table.row(table.index(state))
             for label in range(1, table.num_labels + 1):
-                if transition_rate(table, state, label):
-                    _checked_state(apply_transition(table, state, label))
+                if _formula_rate(table, state, label):
+                    _checked_state(apply_pair(state, *table.pair_of(label)))
         for state in table.states:
             _checked_state(state)
 
