@@ -112,9 +112,10 @@ def linf_error(coefficients: Sequence[float], a: float, b: float) -> float:
     return float(np.max(np.abs(values - np.arcsin(xs))))
 
 
-def _fit_is_doomed(a: float, b: float, degree: int, eps: float) -> bool:
+def _fit_is_doomed(a: float, b: float, degree: int, eps: float, reach: float | None = None) -> bool:
     """Whether every degree-``d`` fit on ``[a, b]`` certainly has
-    ``linf_error >= eps``, so :func:`min_pieces` may halve ``b`` unfitted.
+    ``linf_error >= eps``, so :func:`min_pieces` may halve ``b`` unfitted;
+    with ``reach``, every fit as wide or wider inside ``[a, reach]`` (README).
 
     De la Vallee Poussin: with ``w_k = 1 / prod_{m != k} (u_k - u_m)`` at
     the ``d + 2`` grid points nearest the extrema of ``T_{d+1}``, every
@@ -124,8 +125,8 @@ def _fit_is_doomed(a: float, b: float, degree: int, eps: float) -> bool:
     derives.  That derivation needs distinct, evenly spread points with
     finite weights and no underflow, so a narrower candidate never dooms.
     """
-    grid = DEFAULT_ERROR_GRID
-    if not b - a >= max(16 * (grid - 1) * math.ulp(b), 2.0**-900) or 2 * degree**2 >= grid - 1:
+    grid, top = DEFAULT_ERROR_GRID, b if reach is None else reach
+    if not b - a >= max(16 * (grid - 1) * math.ulp(top), 2.0**-900) or 2 * degree**2 >= grid - 1:
         return False
     index = [
         round((1 - math.cos(k * math.pi / (degree + 1))) / 2 * (grid - 1))
@@ -143,7 +144,7 @@ def _fit_is_doomed(a: float, b: float, degree: int, eps: float) -> bool:
     f_0 = math.asin(points[0])
     shifted = [math.asin(x) - f_0 for x in points]
     bound = abs(sum(w * g for w, g in zip(weights, shifted))) / sum(map(abs, weights))
-    asin_b = math.asin(b)
+    asin_b = math.asin(top)
     fit_norm = 1.01 * (asin_b + eps) / (1 - 2 * degree**2 / (grid - 1))
     slack = (
         8 * (degree + 2) * _UNIT * max(map(abs, shifted))  # L's own rounding
@@ -152,7 +153,7 @@ def _fit_is_doomed(a: float, b: float, degree: int, eps: float) -> bool:
         # chebval's Clenshaw rounding of a fit that would pass
         + 6 * (degree + 1) ** 2 * (1 + math.sqrt(2 * degree)) * _UNIT * fit_norm
     )
-    return bound > eps + slack
+    return bound / (1 if reach is None else 2) > eps + slack
 
 
 def min_pieces(
@@ -165,7 +166,8 @@ def min_pieces(
     :func:`_fit_is_doomed` rejects is halved without a fit, and still
     counts as a halving.  More than :data:`MAX_BISECTIONS` halvings of a
     single subdomain, or a piece budget past :data:`MAX_PIECES`, raises
-    :class:`DegreeTooLowError`.  So does an ``eps`` at or below half an ulp
+    :class:`DegreeTooLowError`, the budget's as soon as the lower bound
+    proves it cannot hold.  So does an ``eps`` at or below half an ulp
     of ``arcsin(hi)``, before any fit: no grid measurement in double
     precision can certify it.  The degree must be an int of at least one,
     ``eps`` a number above zero (not ``nan``), and the domain must lie in
@@ -188,7 +190,10 @@ def min_pieces(
     pieces: list[PolynomialPiece] = []
     a = lo
     while a < hi:
-        if len(pieces) >= MAX_PIECES:
+        left = MAX_PIECES - len(pieces)  # one of `left` more pieces must be `wide`
+        wide = (hi - a) / max(left, 1)
+        if left < 1 or (pieces and pieces[-1].upper - pieces[-1].lower < wide
+                        and _fit_is_doomed(a, min(hi, a + wide), degree, eps, reach=hi)):
             raise DegreeTooLowError(
                 f"degree {degree} needs more than {MAX_PIECES} pieces for eps={eps}"
             )

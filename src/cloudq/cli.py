@@ -237,7 +237,7 @@ def _cmd_simulate(config: RunConfig) -> int:
         branches = sorted(division.run_tree(table, config.steps), key=lambda b: b.history)
         merged = division.merge_branches(branches, config.steps)
         _made(paths)
-        master.write_csv(paths[1], ["history", "state_id", "probability"], blocks=[[
+        master.write_csv(paths[1], ["history", "state_id", "probability"], [[
             ["|".join(map(str, branch.history)) for branch in branches],
             [master.state_id(branch.state) for branch in branches],
             [branch.prob for branch in branches],
@@ -275,8 +275,8 @@ def _cmd_emulate(config: RunConfig) -> int:
     master.write_csv(
         path,
         ["n_eps", "eps_arcsin", "max_error", "mean_error", "samples"],
-        [(report.width, report.eps_arcsin, report.max_error, report.mean_error,
-          report.samples)],
+        [[[report.width], [report.eps_arcsin], [report.max_error], [report.mean_error],
+          [report.samples]]],
     )
     print(
         f"n_eps={report.width} eps_arcsin={report.eps_arcsin:g} "
@@ -296,8 +296,8 @@ def _cmd_arcsine_fit(config: RunConfig) -> int:
     verified = arcsine.verify(pp, grid_factor=2)
     print(f"d={config.degree} eps={config.eps:g}: M={pp.piece_count} "
           f"(max grid error {pp.max_recorded_error():.3e}, verified {verified:.3e})")
-    rows = [(config.eps, config.degree, pp.piece_count, pp.max_recorded_error())]
-    master.write_csv(_made(paths)[0], _ARCSINE_TABLE_HEADER, rows)
+    row = [[config.eps], [config.degree], [pp.piece_count], [pp.max_recorded_error()]]
+    master.write_csv(_made(paths)[0], _ARCSINE_TABLE_HEADER, [row])
     if quantized is not None:
         payload = {
             "command": "arcsine-fit",
@@ -317,8 +317,8 @@ def _cmd_estimate(config: RunConfig) -> int:
         master.write_csv(
             path,
             ["case", "eps_max", "t_count", "t_depth", "logical_qubits"],
-            [(config.preset or "custom", report.eps_max, report.total.t_count,
-              report.total.t_depth, report.qubits.total)],
+            [[[config.preset or "custom"], [report.eps_max], [report.total.t_count],
+              [report.total.t_depth], [report.qubits.total]]],
         )
     else:
         _emit_json(report.to_json_dict(), path if config.out else None)
@@ -373,7 +373,7 @@ def _cmd_reproduce_tables(config: RunConfig) -> int:
     print("\n".join(lines))
     if config.out:
         table_path, diff_path = _made(paths)
-        master.write_csv(table_path, _ARCSINE_TABLE_HEADER, table_rows)
+        master.write_csv(table_path, _ARCSINE_TABLE_HEADER, [list(zip(*table_rows))])
         Path(diff_path).write_text("\n".join(lines) + "\n")
     return EXIT_OK if failures == 0 else EXIT_MISMATCH
 

@@ -127,7 +127,7 @@ class QuantizedArcsine:
     """Piecewise arcsine quantized onto ``width``-bit registers."""
 
     width: int
-    degree: int
+    degree: int = field(init=False)  # read off the first piece's constants
     pieces: tuple[QuantizedPiece, ...]
     source_eps: float
     extension_piece_count: int = 0
@@ -135,6 +135,7 @@ class QuantizedArcsine:
     upper_bits: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "degree", len(self.pieces[0].consts) - 1)
         object.__setattr__(self, "upper_bits", tuple(p.upper_bits for p in self.pieces))
 
     @property
@@ -230,7 +231,6 @@ def quantize_arcsine(
             pieces.append(_quantize_piece(piece, width))
     return QuantizedArcsine(
         width=width,
-        degree=pp.degree,
         pieces=tuple(pieces),
         source_eps=pp.eps,
         extension_piece_count=0 if extension is None else extension.piece_count,

@@ -230,50 +230,38 @@ def ssa_population_estimate(
 _CSV_QUOTED = (",", '"', "\n", "\r")  # csv may quote a cell holding one
 
 
-def _cells(row: Sequence) -> list:
-    return [cell if isinstance(cell, (int, str)) else repr(cell) for cell in row]
+def write_csv(path: str, header: Sequence[str], blocks: Iterable[Sequence[Sequence]]) -> None:
+    """Write ``header``, then ``blocks`` (each a list of equal-length
+    columns) as CSV with LF line endings.
 
-
-def _csv_lines(columns: Sequence[Sequence]) -> str | None:
-    """Equal-length ``columns`` as CSV lines, built one column at a time;
-    None if a cell holds a character ``csv`` would quote."""
-    rendered = []
-    for column in columns:
-        if set(map(type, column)) <= {int, float}:
-            # a list's repr is its items' reprs joined by ", ", and no int
-            # or float repr holds ", " or a quoted character
-            rendered.append(repr(list(column))[1:-1].split(", "))
-            continue
-        cells = [c if isinstance(c, str) else str(c) if isinstance(c, int) else repr(c)
-                 for c in column]
-        text = "".join(cells)
-        if any(char in text for char in _CSV_QUOTED):
-            return None
-        rendered.append(cells)
-    return "\n".join(map(",".join, zip(*rendered))) + "\n"
-
-
-def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence] = (),
-              blocks: Iterable[Sequence[Sequence]] = ()) -> None:
-    """Write ``header``, ``rows``, then ``blocks`` (each a list of two or
-    more equal-length columns) as CSV with LF line endings.
-
-    ``int`` and ``str`` cells are written as they are; every other cell
-    (floats, Fractions, numpy scalars) as its ``repr``, so floats
-    round-trip exactly.  Rows go through ``csv.writer`` cell by cell.  A
-    block is written a column at a time, and one :func:`_csv_lines` cannot
-    build goes through ``csv.writer`` cell by cell: the same bytes.
+    Each column is rendered once: ``int`` and ``str`` cells as they are
+    written, every other cell (floats, Fractions, numpy scalars) as its
+    ``repr``, so floats round-trip exactly.  A block is joined directly
+    unless ``csv`` would quote one of its cells, and otherwise goes
+    through ``csv.writer`` as the rendered strings: the same bytes.
     """
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows(map(_cells, rows))
         for block in blocks:
-            lines = _csv_lines(block) if len(block[0]) else ""
-            if lines is None:
-                writer.writerows(map(_cells, zip(*block)))
+            if not len(block[0]):
+                continue
+            columns, plain = [], True
+            for column in block:
+                if set(map(type, column)) <= {int, float}:
+                    # a list's repr is its items' reprs joined by ", ", and no int
+                    # or float repr holds ", " or a quoted character
+                    columns.append(repr(list(column))[1:-1].split(", "))
+                    continue
+                cells = [c if isinstance(c, str) else str(c) if isinstance(c, int) else repr(c)
+                         for c in column]
+                text = "".join(cells)
+                plain = plain and not any(char in text for char in _CSV_QUOTED)
+                columns.append(cells)
+            if plain and (len(columns) > 1 or all(columns[0])):  # csv quotes a lone ""
+                handle.write("\n".join(map(",".join, zip(*columns))) + "\n")
             else:
-                handle.write(lines)
+                writer.writerows(zip(*columns))
 
 
 def state_id(state: MassDistribution) -> str:
@@ -304,7 +292,7 @@ def write_expected_series(series: Sequence[ProbabilityTable], path: str) -> None
         for step, first, values in tables
         for expected in [_expected(counts[first:], values)]
     )
-    write_csv(path, ["step", "bin", "expected_count"], blocks=blocks)
+    write_csv(path, ["step", "bin", "expected_count"], blocks)
 
 
 def write_probability_series(series: Sequence[ProbabilityTable], path: str) -> None:
@@ -319,4 +307,4 @@ def write_probability_series(series: Sequence[ProbabilityTable], path: str) -> N
         for step, first, values in tables
         for order in [np.argsort(rank[first:first + len(values)])]
     )
-    write_csv(path, ["step", "state_id", "probability"], blocks=blocks)
+    write_csv(path, ["step", "state_id", "probability"], blocks)

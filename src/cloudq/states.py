@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import numbers
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial, reduce
 from itertools import chain, compress
@@ -97,11 +97,6 @@ class MassDistribution:
         """All mass in the first bin: ``(N, 0, ..., 0)``."""
         return cls((n_bins,) + (0,) * (n_bins - 1))
 
-    @classmethod
-    def absorbed(cls, n_bins: int) -> "MassDistribution":
-        """Single largest droplet: ``(0, ..., 0, 1)``."""
-        return cls((0,) * (n_bins - 1) + (1,))
-
 
 @dataclass(frozen=True)
 class KernelSpec:
@@ -168,14 +163,19 @@ def qubits_for_bin(n_bins: int, bin_index: int) -> int:
     return math.ceil(math.log2(n_bins // bin_index + 1))
 
 
-def build_transition_table(n_bins: int, kernel: KernelSpec, dt) -> TransitionTable:
-    """Enumerate collision pairs for ``n_bins`` and attach kernel values."""
+def _table_pairs(n_bins: int) -> tuple[tuple[int, int], ...]:
+    """:func:`label_pairs` of a table's ``N``, once ``N`` is an int of at
+    least 2; both ways of building a table check ``N`` here."""
     require_count("N", n_bins, -math.inf, StateSpaceError)
     if n_bins < 2:
         raise EmptyTableError(f"no collisions possible for N = {n_bins}")
-    pairs = label_pairs(n_bins)
-    values = tuple(kernel.rate(i, j) for i, j in pairs)
-    return TransitionTable(num_bins=n_bins, dt=dt, pairs=pairs, kernel_values=values)
+    return label_pairs(n_bins)
+
+
+def build_transition_table(n_bins: int, kernel: KernelSpec, dt) -> TransitionTable:
+    """The table of ``n_bins`` with the kernel's value at each collision pair."""
+    values = tuple(kernel.rate(i, j) for i, j in _table_pairs(n_bins))
+    return TransitionTable(n_bins, dt, values)
 
 
 def _pair_propensity(kernel, counts: Sequence[int], i: int, j: int):
@@ -341,7 +341,7 @@ class TransitionTable:
 
     Labels ``1..H`` enumerate the pairs in lexicographic ``(i, j)`` order
     (``i <= j``, ``i + j <= N``); label 0 is the reserved no-transition
-    case and is not stored.
+    case and is not stored.  ``pairs`` is ``label_pairs(num_bins)``.
 
     A state gets an index when first seen, as a start state or as the
     target of a compiled row; its row is compiled when a run first needs
@@ -350,18 +350,22 @@ class TransitionTable:
     float or rational, step on the one map :meth:`program` builds; the
     history tree reads :meth:`children`, and the Gillespie sampler
     :meth:`events`.  The indexed ``states`` and the compiled rows are not
-    fields: equality, hash and repr read the four inputs alone.
+    fields: equality, hash and repr read the four fields alone.
     """
 
     num_bins: int
     dt: float
-    pairs: tuple[tuple[int, int], ...]
+    pairs: tuple[tuple[int, int], ...] = field(init=False)
     kernel_values: tuple[float, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "pairs", _table_pairs(self.num_bins))
         # comparisons, not isfinite, which overflows on a huge int or Fraction
         if not 0 < self.dt < math.inf:
             raise StateSpaceError(f"time step must be positive and finite, got {self.dt}")
+        if len(self.kernel_values) != len(self.pairs):
+            raise StateSpaceError(f"need {len(self.pairs)} kernel values for N = "
+                                  f"{self.num_bins}, got {len(self.kernel_values)}")
         # exact when dt and every kernel value are ints or Fractions, so every
         # r_h is one; anything else makes the r_h floats, and runs float64
         is_float = not {type(self.dt), *map(type, self.kernel_values)} <= {int, Fraction}
@@ -555,20 +559,18 @@ def _partition_parts(n: int, largest: int) -> Iterator[tuple[int, ...]]:
             yield (part,) + rest
 
 
-def enumerate_states(
-    n_bins: int, cap: int = DEFAULT_ENUMERATION_CAP
-) -> list[MassDistribution]:
+def enumerate_states(n_bins: int) -> list[MassDistribution]:
     """All reachable occupation vectors for total mass ``n_bins``.
 
     Returned in ascending lexicographic order of the counts vector, so the
     monodisperse state is last and the fully coalesced one first.  Raises
-    :class:`ResourceLimitError` past ``cap`` since the state count grows
-    like ``exp(sqrt(n))``.
+    :class:`ResourceLimitError` past :data:`DEFAULT_ENUMERATION_CAP`, read
+    at call time, since the state count grows like ``exp(sqrt(n))``.
     """
     require_count("N", n_bins, 1, StateSpaceError)
-    if n_bins > cap:
+    if n_bins > DEFAULT_ENUMERATION_CAP:
         raise ResourceLimitError(
-            f"N = {n_bins} exceeds cap {cap}: would enumerate "
+            f"N = {n_bins} exceeds cap {DEFAULT_ENUMERATION_CAP}: would enumerate "
             f"{partition_count_exact(n_bins)} states"
         )
     states = []

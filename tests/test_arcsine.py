@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import signal
 import time
 
 import mpmath as mp
@@ -72,6 +73,25 @@ def test_degree_too_low(monkeypatch):
     monkeypatch.setattr(arcsine, "MAX_PIECES", 16)
     with pytest.raises(DegreeTooLowError):
         min_pieces(1, 1e-9)
+
+
+def _expired(*_):
+    raise TimeoutError("min_pieces did not fail fast")
+
+
+@pytest.mark.parametrize("eps", [6e-17, 2e-16])
+def test_piece_budget_fails_fast(eps):
+    # just above the double-precision floor a degree-1 fit needs millions of
+    # pieces, so the budget's error must come long before the 4096th piece
+    previous = signal.signal(signal.SIGPROF, _expired)
+    signal.setitimer(signal.ITIMER_PROF, 0.25)
+    try:
+        with pytest.raises(DegreeTooLowError) as err:
+            min_pieces(1, eps)
+    finally:
+        signal.setitimer(signal.ITIMER_PROF, 0)
+        signal.signal(signal.SIGPROF, previous)
+    assert str(err.value) == f"degree 1 needs more than 4096 pieces for eps={eps}"
 
 
 def test_invalid_inputs():

@@ -42,6 +42,11 @@ from cloudq.states import (
 )
 
 
+def _absorbed(n):
+    # the single largest droplet: (0, ..., 0, 1)
+    return MassDistribution((0,) * (n - 1) + (1,))
+
+
 def _table(n, k0=1.0, dt=0.01):
     return build_transition_table(n, KernelSpec(k0=k0), dt)
 
@@ -76,7 +81,7 @@ def test_divide_step_two_state_example():
 
 def test_divide_step_absorbing_branch():
     table = _table(5, dt=0.05)
-    children = run_tree(table, 1, MassDistribution.absorbed(5))
+    children = run_tree(table, 1, _absorbed(5))
     assert len(children) == 1
     assert children[0].history == (0,)
     assert children[0].prob == 1.0
@@ -224,7 +229,7 @@ def test_exact_tables_hold_only_fractions(kind, k0, dt):
     assert not table.is_float
     mono = MassDistribution.monodisperse(n)
     starts = [ProbabilityTable.point_mass(mono), ProbabilityTable({mono: 1}),
-              ProbabilityTable({mono: Fraction(1), MassDistribution.absorbed(n): 0})]
+              ProbabilityTable({mono: Fraction(1), _absorbed(n): 0})]
     series = [evolve_series(start, table, 4)[1:] for start in starts]
     tree = run_tree(table, 3)
     tables = [p for run in series for p in run] + [

@@ -176,7 +176,7 @@ def test_arcsin_pp_deterministic(arcsine_table):
 def _crafted_table(*consts):
     # one 8-bit piece on [0, 1] with no shift, so u is the input's bits
     piece = QuantizedPiece(0, 1 << 7, 0, True, consts)
-    return QuantizedArcsine(8, len(consts) - 1, (piece,), 0.0)
+    return QuantizedArcsine(8, (piece,), 0.0)
 
 
 def test_arcsin_accumulator_overflow_is_a_carry_out():

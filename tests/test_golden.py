@@ -652,9 +652,33 @@ def test_lower_bound_dooms_only_failing_fits(a, width, degree, log2_ratio):
         assert err >= tighter
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    a=st.floats(min_value=0.0, max_value=0.99),
+    width=st.floats(min_value=1e-9, max_value=1.0),
+    degree=st.integers(min_value=1, max_value=9),
+    shift=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1.0)),
+    stretch=st.one_of(st.just(1.0), st.floats(min_value=1.0, max_value=4.0)),
+    reach=st.floats(min_value=0.0, max_value=1.0),
+)
+def test_budget_bound_dooms_no_passing_fit_within_reach(a, width, degree, shift, stretch, reach):
+    # a fit that passes on an interval at least as wide, further right
+    # inside [a, reach], must keep [a, a + width] from dooming with reach
+    b, top = a + width, a + width + reach * (1.0 - a - width)
+    assume(b <= top <= 1.0)
+    wider = min(width * stretch, top - a)
+    left = a + shift * (top - a - wider)
+    right = min(top, left + wider)
+    assume(a <= left < right and right - left >= width)
+    err = linf_error(chebyshev_fit(left, right, degree), left, right)
+    assert not arcsine._fit_is_doomed(a, b, degree, math.nextafter(err, math.inf), reach=top)
+
+
 def test_lower_bound_dooms_wide_candidates_and_never_degenerate_ones():
     assert arcsine._fit_is_doomed(0.0, 0.5, 5, 1e-12)
     assert arcsine._fit_is_doomed(0.5, 0.875, 9, 1e-15)
+    assert arcsine._fit_is_doomed(0.0, 2.0**-12, 1, 6e-17, reach=0.5)
+    assert not arcsine._fit_is_doomed(0.0, 2.0**-12, 1, 1e-7, reach=0.5)
     a = 0.3
     for ulps in (0, 1, 2, 7, 4095, 4096, 65535):
         b = a + ulps * math.ulp(a)

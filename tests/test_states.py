@@ -34,6 +34,11 @@ from cloudq.states import (
 )
 
 
+def _absorbed(n):
+    # the single largest droplet: (0, ..., 0, 1)
+    return MassDistribution((0,) * (n - 1) + (1,))
+
+
 def _formula_rate(table, state, label):
     # r_h of the master equation: K n_i n_j dt, or K n_i (n_i - 1) dt / 2 for equal bins
     i, j = table.pair_of(label)
@@ -87,11 +92,15 @@ def test_enumerate_states_sorted_and_unique():
     assert len(set(keys)) == len(keys)
 
 
-def test_enumerate_cap():
+def test_enumerate_cap(monkeypatch):
     with pytest.raises(ResourceLimitError) as err:
         enumerate_states(DEFAULT_ENUMERATION_CAP + 1)
     assert str(partition_count_exact(DEFAULT_ENUMERATION_CAP + 1)) in str(err.value)
-    assert len(enumerate_states(45, cap=45)) == partition_count_exact(45)
+    # the cap is read at call time
+    monkeypatch.setattr(states_module, "DEFAULT_ENUMERATION_CAP", 45)
+    assert len(enumerate_states(45)) == partition_count_exact(45)
+    with pytest.raises(ResourceLimitError, match="^N = 46 exceeds cap 45: would enumerate "):
+        enumerate_states(46)
 
 
 def test_partition_count_exact():
@@ -145,7 +154,7 @@ def test_build_transition_table_rejects_bad_dt(dt):
 @pytest.mark.parametrize("dt", [0, -0.1, math.nan, math.inf, Fraction(0)])
 def test_transition_table_built_directly_rejects_bad_dt(dt):
     with pytest.raises(StateSpaceError, match="^time step must be positive and finite, got "):
-        TransitionTable(3, dt, label_pairs(3), (1.0, 1.0))
+        TransitionTable(3, dt, (1.0, 1.0))
 
 
 @pytest.mark.parametrize(
@@ -161,9 +170,56 @@ def test_transition_table_built_directly_rejects_bad_kernel_values(kernel_values
     # such a table let state (3, 0, 0) pass `checked` with r_1 = -3/2, and
     # `children` split it into weight -3/2 and hold 5/2
     with pytest.raises(StateSpaceError) as err:
-        TransitionTable(3, Fraction(1, 10), label_pairs(3), kernel_values)
+        TransitionTable(3, Fraction(1, 10), kernel_values)
     assert str(err.value) == f"kernel value must be finite and >= 0, got {shown}"
-    assert TransitionTable(3, Fraction(1, 10), label_pairs(3), (0, 10**400)).kernel_values[1] > 0
+    assert TransitionTable(3, Fraction(1, 10), (0, 10**400)).kernel_values[1] > 0
+
+
+@pytest.mark.parametrize(
+    "n_bins, kernel_values, error, message",
+    [
+        (3, (1.0,), StateSpaceError, "need 2 kernel values for N = 3, got 1"),
+        (3, (1.0, 1.0, 1.0), StateSpaceError, "need 2 kernel values for N = 3, got 3"),
+        (6, (1.0,) * 6, StateSpaceError, "need 9 kernel values for N = 6, got 6"),
+        (4.0, (1.0,) * 4, StateSpaceError, "N must be an int, got 4.0"),
+        (True, (), StateSpaceError, "N must be an int, got True"),
+        (np.int64(4), (1.0,) * 4, StateSpaceError, f"N must be an int, got {np.int64(4)!r}"),
+        (1, (), EmptyTableError, "no collisions possible for N = 1"),
+        (0, (), EmptyTableError, "no collisions possible for N = 0"),
+        (-2, (), EmptyTableError, "no collisions possible for N = -2"),
+    ],
+    ids=["short-kernel", "long-kernel", "n6-kernel", "float-n", "bool-n", "int64-n", "n1", "n0",
+         "negative-n"],
+)
+def test_transition_table_built_directly_checks_n_and_kernel_length(
+    monkeypatch, n_bins, kernel_values, error, message
+):
+    # a kernel length other than H would index past kernel_values (or read a
+    # neighbour's value) in rates(), a float N fail in label_pairs, and
+    # N < 2 give an empty table: the table refuses each before any row
+    def compile_(*args):
+        raise AssertionError("a row compiled before the refusal")
+
+    monkeypatch.setattr(TransitionTable, "_compile", compile_)
+    with pytest.raises(StateSpaceError) as err:
+        TransitionTable(n_bins, 0.1, kernel_values)
+    assert type(err.value) is error and str(err.value) == message
+    if error is EmptyTableError:  # the same refusal as build_transition_table's
+        with pytest.raises(EmptyTableError, match=f"^{message}$"):
+            build_transition_table(n_bins, KernelSpec(), 0.1)
+
+
+@pytest.mark.parametrize("n_bins", [2, 3, 4, 7, 12])
+def test_table_pairs_are_derived_from_n(n_bins):
+    table = TransitionTable(n_bins, 0.01, (1.0,) * label_pair_count(n_bins))
+    assert table.pairs == label_pairs(n_bins) == build_transition_table(
+        n_bins, KernelSpec(), 0.01).pairs
+    assert table == build_transition_table(n_bins, KernelSpec(), 0.01)
+    assert dataclasses.replace(table, dt=0.02).pairs == table.pairs
+    with pytest.raises(ValueError, match="init=False"):
+        dataclasses.replace(table, pairs=((1, 1),))
+    with pytest.raises(TypeError):
+        TransitionTable(n_bins, 0.01, label_pairs(n_bins), table.kernel_values)
 
 
 @pytest.mark.parametrize("dt", [Fraction(1, 10**400), 10**400])
@@ -269,7 +325,7 @@ def test_kernel_kinds():
 )
 def test_total_rate_nonnegative(n, kind, k0):
     table = build_transition_table(n, KernelSpec(kind, k0), 0.001)
-    for state in (MassDistribution.monodisperse(n), MassDistribution.absorbed(n)):
+    for state in (MassDistribution.monodisperse(n), _absorbed(n)):
         assert total_transition_rate(table, state) >= 0
 
 
