@@ -85,32 +85,31 @@ def run_tree(
     would pass ``_BRANCH_CAP`` branches raises :class:`BranchCapError`.
 
     A float table multiplies each branch's probability out from ``1.0``.
-    An exact table carries it as an integer numerator over the product of
-    each step's common weight denominator, and builds each ``Fraction``
-    once, at the end: the values of multiplying out from ``Fraction(1)``.
+    An exact table multiplies out the weights' integer numerators from
+    ``1``, over ``scale ** steps``, and builds each ``Fraction`` once, at
+    the end: the values of multiplying out from ``Fraction(1)``.
     """
     require_count("steps", steps, 0, StateSpaceError)
-    histories, at = [()], [initial or MassDistribution.monodisperse(table.num_bins)]
-    probs, scale = [1.0 if table.is_float else 1], 1
+    start = initial or MassDistribution.monodisperse(table.num_bins)
+    histories, at, probs = [()], [start], [1.0 if table.is_float else 1]
     for step in range(1, steps + 1):
         _check_cap(len(histories), table, step)
-        kids = {}
-        for state in at:  # the first branch in a failing state raises
-            if state not in kids:
-                kids[state] = table.children(table.index(state))
-        if not table.is_float:
-            weights, d = common_numerators([w for kin in kids.values() for _, _, w in kin])
-            weights = iter(weights)
-            kids = {s: [(label, target, next(weights)) for label, target, _ in children]
-                    for s, children in kids.items()}
-            scale *= d
-        children = [(history + (label,), table.states[target], p * w)
-                    for history, state, p in zip(histories, at, probs)
-                    for label, target, w in kids[state]]
-        histories, at, probs = map(list, zip(*children))
+        if step == 1:
+            at = [table.index(start)]
+        grown, reached, weighed = [], [], []
+        for history, k, p in zip(histories, at, probs):
+            for label, target, weight in table.children(k):  # a failing state raises
+                grown.append(history + (label,))
+                reached.append(target)
+                weighed.append(p * weight)
+        histories, at, probs = grown, reached, weighed
+    if steps:
+        at = list(map(table.states.__getitem__, at))
     if not table.is_float:
+        scale = table.scale ** steps
         probs = [Fraction(p, scale) for p in probs]
-    return list(map(HistoryBranch, histories, at, probs))
+    new = tuple.__new__  # HistoryBranch's own __new__ is a Python call per branch
+    return [new(HistoryBranch, branch) for branch in zip(histories, at, probs)]
 
 
 def run_merged(table: TransitionTable, steps: int) -> ProbabilityTable:

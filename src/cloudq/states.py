@@ -196,11 +196,14 @@ def _pair_propensity(kernel, counts: Sequence[int], i: int, j: int):
 
 
 def total_transition_rate(table: TransitionTable, state: MassDistribution):
-    """``sum_h r_h(state)``, folded from :meth:`TransitionTable.rates` as a row's
-    ``total`` is, with no row compiled; must stay <= 1 for a valid explicit step."""
+    """``sum_h r_h(state)``, folded from the rate rule as a row's ``total``
+    is, with no row compiled, and valued as :meth:`TransitionTable.rates`
+    values each rate; must stay <= 1 for a valid explicit step."""
     if state.num_bins != table.num_bins:
         raise StateSpaceError(f"state {state.counts} does not have {table.num_bins} bins")
-    return reduce(operator.add, (r for *_, r in table.rates(state.counts)), 0 * table.dt)
+    rule = list(table._rule(state.counts))
+    total = reduce(operator.add, (r for *_, r in rule), 0 * table._dt)
+    return total if table.is_float else table._value(total, [h for h, *_ in rule], table.dt)
 
 
 def _collided(counts: Sequence[int], i: int, j: int) -> tuple[int, ...]:
@@ -241,9 +244,14 @@ class OperatorRow(NamedTuple):
     ``propensities`` each label's ``r_h / dt``; ``total`` is ``sum_h r_h``.
     ``weights`` and ``hold`` are the division model's sequential split
     (labels visited ``H..1``, label ``h`` claiming ``r_h / s_{h+1}`` of
-    what is unclaimed) and its remainder ``s_1``.  Only :class:`TransitionTable`
-    reads a row; other modules see its :meth:`~TransitionTable.children`,
-    :meth:`~TransitionTable.events` and step programs.
+    what is unclaimed) and its remainder ``s_1``.  On an exact table every
+    number is an ``int`` over the table's ``scale``; a row within the
+    step-size limit splits unclipped, so its weights are its ``r_h`` and
+    its hold ``scale - total``, and a row past it stores no split (``None``),
+    since :meth:`~TransitionTable.checked` refuses it.  Only
+    :class:`TransitionTable` reads a row; other modules see its
+    :meth:`~TransitionTable.children`, :meth:`~TransitionTable.events` and
+    step programs.
     """
 
     labels: tuple[int, ...]
@@ -278,8 +286,9 @@ class StepProgram(NamedTuple):
     order; for the division model, every :meth:`TransitionTable.children`
     term ``(target, k, weight)``, stably sorted by label from ascending
     counts order, so the holds ``(k, k, s_1)`` come first.  ``coef`` holds
-    the table's number type: float64 on a float table, and ``int`` and
-    ``Fraction`` (``dtype=object``) on an exact one.
+    the table's numbers: float64 on a float table, and on an exact one
+    ``int`` numerators (``dtype=object``) over the table's ``scale``, which
+    the program carries (``1`` on a float table).
     ``levels[d]`` lists the states first reached at step ``d + 1``, in the
     order reached: each level's states in ascending counts order, each
     state's targets in label order.
@@ -289,6 +298,7 @@ class StepProgram(NamedTuple):
     col: np.ndarray
     coef: np.ndarray
     levels: list[list[int]]
+    scale: int = 1
 
     def vector(self, size: int, at: Sequence[int], values: Sequence) -> np.ndarray:
         """Length ``size``, ``values`` at indices ``at`` and zero elsewhere,
@@ -311,11 +321,11 @@ class StepProgram(NamedTuple):
 
         A float64 run adds every term with one ``np.add.at``: a dead source
         adds ``±0.0``, which moves no sum, since each starts at ``0.0``.  An
-        exact run steps the integer numerators ``x = B D^t P`` instead,
-        where ``D`` and ``B`` are the lcm of the coefficients' and of the
-        start values' denominators: ``sum (D coef) x[col]`` over the
-        nonzero sources, on Python ints with no gcd, and one ``Fraction``
-        per value read.  Rational sums are exact in any order.
+        exact run steps the integer numerators ``x = B S^t P`` instead,
+        where ``S`` is the program's ``scale`` and ``B`` the lcm of the
+        start values' denominators: ``sum coef x[col]`` over the nonzero
+        sources, on Python ints with no gcd, and one ``Fraction`` per value
+        read.  Rational sums are exact in any order.
         """
         if self.coef.dtype != object:
             for _ in range(steps):
@@ -324,13 +334,13 @@ class StepProgram(NamedTuple):
                 prob = nxt
                 yield prob.__getitem__
             return
-        (num, scale), (dcoef, d) = map(common_numerators, (prob.tolist(), self.coef.tolist()))
-        num, dcoef = np.array(num, dtype=object), np.array(dcoef, dtype=object)
+        num, scale = common_numerators(prob.tolist())
+        num = np.array(num, dtype=object)
         for _ in range(steps):
             live = (num != 0)[self.col]
             nxt = np.zeros(len(num), dtype=object)
-            np.add.at(nxt, self.row[live], num[self.col[live]] * dcoef[live])
-            num, scale = nxt, scale * d
+            np.add.at(nxt, self.row[live], num[self.col[live]] * self.coef[live])
+            num, scale = nxt, scale * self.scale
             yield partial(_read_scaled, num, scale)
 
 
@@ -342,6 +352,13 @@ class TransitionTable:
     Labels ``1..H`` enumerate the pairs in lexicographic ``(i, j)`` order
     (``i <= j``, ``i + j <= N``); label 0 is the reserved no-transition
     case and is not stored.  ``pairs`` is ``label_pairs(num_bins)``.
+
+    An exact table (``dt`` and every kernel value an ``int`` or a
+    ``Fraction``) computes on integer numerators over one ``scale``: the
+    lcm of the kernel values' denominators times ``dt``'s.  Its rows and
+    step programs hold ``int``s over ``scale``, and ``Fraction``s are
+    built only where values leave it.  A float table keeps its inputs,
+    with ``scale`` 1.
 
     A state gets an index when first seen, as a start state or as the
     target of a compiled row; its row is compiled when a run first needs
@@ -372,12 +389,21 @@ class TransitionTable:
         for value in self.kernel_values:  # an exact value is finite: its sign is the check
             if not (0 <= value < math.inf if is_float else value.numerator >= 0):
                 raise StateSpaceError(f"kernel value must be finite and >= 0, got {value}")
+        if is_float:  # the rule's K, r_h / dt per unit K and dt, over scale 1
+            numbers = (self.kernel_values, 1, self.dt, 1)
+        else:  # K = k / L and dt = p / q: r_h / dt is (k n n) q and r_h (k n n) p over L q
+            kernel, common = common_numerators(self.kernel_values)
+            p, q = self.dt.as_integer_ratio()
+            numbers = (tuple(kernel), q, p, common * q)
+        for name, value in zip(("_kernel", "_up", "_dt", "scale"), numbers):
+            object.__setattr__(self, name, value)
         object.__setattr__(self, "is_float", is_float)
         object.__setattr__(self, "one", 1.0 if is_float else Fraction(1))
         object.__setattr__(self, "states", [])
         object.__setattr__(self, "_rows", [])
         object.__setattr__(self, "_index", {})
         object.__setattr__(self, "_events", {})
+        object.__setattr__(self, "_children", {})
 
     @property
     def num_labels(self) -> int:
@@ -407,35 +433,51 @@ class TransitionTable:
             row = self._rows[k] = self._compile(self.states[k].counts)
         return row
 
-    def rates(self, counts: tuple[int, ...]) -> Iterator[tuple]:
-        """The rate rule: ``(label, i, j, r_h / dt, r_h)`` for each pair of
-        occupied bins with ``r_h != 0``, in label order, from ``counts`` alone."""
-        n, kernel, dt = self.num_bins, self.kernel_values, self.dt
+    def _rule(self, counts: tuple[int, ...]) -> Iterator[tuple]:
+        """The rate rule on the table's numbers: ``(label, i, j, r_h / dt,
+        r_h)`` for each pair of occupied bins with ``r_h != 0``, in label
+        order, from ``counts`` alone; ``int``s over ``scale`` on an exact table."""
+        n, kernel, up, dt = self.num_bins, self._kernel, self._up, self._dt
         occupied = list(compress(range(1, n + 1), counts))
         for first, i in enumerate(occupied):
             for j in occupied[first:]:
                 if i + j > n:
                     break
                 label = (i - 1) * (n - i) + j  # after the N + 1 - 2i' pairs of each i' < i
-                propensity = _pair_propensity(kernel[label - 1], counts, i, j)
-                rate = propensity * dt
+                pair = _pair_propensity(kernel[label - 1], counts, i, j)
+                rate = pair * dt
                 if rate != 0:
-                    yield label, i, j, propensity, rate
+                    yield label, i, j, pair * up, rate
+
+    def _value(self, num, labels: Sequence[int], dt):
+        """``num / scale`` in the type exact arithmetic on the inputs gives
+        it: an ``int`` when ``dt`` and the kernel values of ``labels`` are
+        ints, else a ``Fraction``."""
+        if type(dt) is int and all(type(self.kernel_values[h - 1]) is int for h in labels):
+            return num // self.scale
+        return Fraction(num, self.scale)
+
+    def rates(self, counts: tuple[int, ...]) -> Iterator[tuple]:
+        """The rate rule: ``(label, i, j, r_h / dt, r_h)`` for each pair of
+        occupied bins with ``r_h != 0``, in label order, from ``counts`` alone,
+        each value of the type ``K n_i n_j`` and its product with ``dt`` have."""
+        rule = self._rule(counts)
+        if self.is_float:
+            return rule
+        return ((h, i, j, self._value(p, (h,), 1), self._value(r, (h,), self.dt))
+                for h, i, j, p, r in rule)
 
     def _compile(self, counts: tuple[int, ...]) -> OperatorRow:
         labels, targets, propensities, rates = [], [], [], []
-        for label, i, j, propensity, rate in self.rates(counts):
+        for label, i, j, propensity, rate in self._rule(counts):
             after = _collided(counts, i, j)
             target = self._index.get(after)
             labels.append(label)
             targets.append(self.index(_trusted(after)) if target is None else target)
             propensities.append(propensity)
             rates.append(rate)
-        total = reduce(operator.add, rates, 0 * self.dt)  # a left fold on every Python
-        if not self.is_float and total <= 1:  # unclipped: (r_h / s_{h+1}) s_{h+1} is r_h
-            weights = [r if type(r) is Fraction else Fraction(r) for r in rates]
-            remaining = self.one - total
-        else:  # sequential split, labels H..1; a zero-rate label leaves s unchanged
+        total = reduce(operator.add, rates, 0 * self._dt)  # a left fold on every Python
+        if self.is_float:  # sequential split, labels H..1; a zero-rate label leaves s unchanged
             weights, remaining = [0 * total] * len(rates), self.one
             for pos in reversed(range(len(rates))):
                 if remaining <= 0:
@@ -443,20 +485,25 @@ class TransitionTable:
                 modified = min(rates[pos] / remaining, self.one)
                 weights[pos] = modified * remaining
                 remaining = (1 - modified) * remaining
-        return OperatorRow(*map(tuple, (labels, targets, propensities)), total, tuple(weights),
-                           remaining)
+            split = (tuple(weights), remaining)
+        elif total <= self.scale:  # unclipped within the limit: (r_h / s_{h+1}) s_{h+1} is r_h
+            split = (tuple(rates), self.scale - total)
+        else:  # past the limit: checked refuses the row before anything reads a split
+            split = (None, None)
+        return OperatorRow(*map(tuple, (labels, targets, propensities)), total, *split)
 
     def events(self, k: int) -> tuple[float, tuple[int, ...], np.ndarray]:
         """What the Gillespie sampler draws from in state ``k``: the event
         rate ``sum_h r_h / dt``, the row's targets, and the cumulative label
         distribution at the row's labels, both taken on the length-``H``
-        float vector of the row's propensities.  Built on the first visit and kept."""
+        float vector of the row's propensities, each correctly rounded.
+        Built on the first visit and kept."""
         found = self._events.get(k)
         if found is None:
             row = self.row(k)
             dense = np.zeros(self.num_labels)
             stored = np.array(row.labels, dtype=np.intp) - 1
-            dense[stored] = row.propensities
+            dense[stored] = [p / self.scale for p in row.propensities]
             event_rate = dense.sum()
             cdf = np.cumsum(dense)[stored] / event_rate  # an absorbed state's is empty
             found = self._events[k] = (event_rate, row.targets, cdf)
@@ -466,20 +513,27 @@ class TransitionTable:
         """Row ``k`` after the step-size check, which also leaves its split
         unclipped: ``sum_h r_h <= 1`` gives ``s_{h+1} >= r_h``."""
         row = self.row(k)
-        if row.total > 1:
+        if row.total > self.scale:
+            total = row.total if self.is_float else Fraction(row.total, self.scale)
             raise StepSizeError(
-                f"sum of transition probabilities {row.total} > 1 for state "
+                f"sum of transition probabilities {total} > 1 for state "
                 f"{self.states[k].counts}; reduce dt"
             )
         return row
 
-    def children(self, k: int) -> list[tuple]:
+    def children(self, k: int) -> tuple[tuple, ...]:
         """Division-checked row ``k``'s children ``(label, target, weight)``,
         one per nonzero weight (a checked row has none below zero): the
-        labels in order, then the hold ``s_1`` as the label-0 child."""
-        row = self.checked(k)
-        weights = row.weights + (row.hold,)
-        return list(compress(zip(row.labels + (0,), row.targets + (k,), weights), weights))
+        labels in order, then the hold ``s_1`` as the label-0 child; on an
+        exact table each weight is an ``int`` over ``scale``.  Built on the
+        first visit and kept."""
+        found = self._children.get(k)
+        if found is None:
+            row = self.checked(k)
+            weights = row.weights + (row.hold,)
+            found = self._children[k] = tuple(
+                compress(zip(row.labels + (0,), row.targets + (k,), weights), weights))
+        return found
 
     def program(self, sources: Sequence[int], steps: int, sequential: bool = False) -> StepProgram:
         """The step map for ``steps`` steps from ``sources``, over the
@@ -514,23 +568,25 @@ class TransitionTable:
         dst = np.fromiter(chain.from_iterable(row.targets for row in rows), np.intp, len(src))
         number = float if self.is_float else object
         if not sequential:  # A = I + dt Q: each closure state's unit diagonal leads its row
-            # r_h as rates() forms it: one float64 multiply on a float dt, and
-            # on an exact dt each exact product, rounded to the table's type after
-            rate = np.array([p for row in rows for p in row.propensities],
-                            float if isinstance(self.dt, float) else object)
-            rate *= self.dt
-            rate = rate.astype(number, copy=False)
+            if self.is_float:  # r_h as rates() forms it: one float64 multiply on a float
+                # dt, and on an exact dt each exact product, rounded to float after
+                rate = np.array([p for row in rows for p in row.propensities],
+                                float if isinstance(self.dt, float) else object)
+                rate *= self.dt
+                rate = rate.astype(float, copy=False)
+            else:  # a checked exact row's weights are its r_h
+                rate = np.array([w for row in rows for w in row.weights], object)
             diag = np.array(sorted(reached), dtype=np.intp)
-            unit = np.full(len(diag), type(rate[0])(1) if len(rate) else self.one, number)
+            unit = np.full(len(diag), self.scale, number)
             row, col = np.concatenate([diag, src, dst]), np.concatenate([diag, src, src])
-            return StepProgram(row, col, np.concatenate([unit, -rate, rate]), levels)
+            return StepProgram(row, col, np.concatenate([unit, -rate, rate]), levels, self.scale)
         hold = [row.hold for row in rows]  # each state's hold is its label-0 child
         coef = np.array(hold + [w for row in rows for w in row.weights], dtype=number)
         label = np.array([0] * len(hold) + [h for row in rows for h in row.labels], dtype=np.intp)
         kids = np.flatnonzero(coef != 0)
         kids = kids[np.argsort(label[kids], kind="stable")]
         row, col = np.concatenate([at, dst])[kids], np.concatenate([at, src])[kids]
-        return StepProgram(row, col, coef[kids], levels)
+        return StepProgram(row, col, coef[kids], levels, self.scale)
 
 
 def partition_count_exact(n: int) -> int:
@@ -549,14 +605,20 @@ def partition_count_asymptotic(n: int) -> float:
     return math.exp(math.pi * math.sqrt(2 * n / 3)) / (4 * n * math.sqrt(3))
 
 
-def _partition_parts(n: int, largest: int) -> Iterator[tuple[int, ...]]:
-    """Partitions of ``n`` with parts <= ``largest``, largest part first."""
-    if n == 0:
-        yield ()
+def _partitions(counts: list[int], size: int, left: int, out: list) -> None:
+    """Append to ``out``, in ascending counts order, every state whose bins
+    ``size..N`` hold the mass ``left``, with ``counts`` fixing the bins
+    below ``size`` and every bin from ``size`` on empty: ``n_size``
+    ascends, and what it leaves must be 0 or a larger part."""
+    if left == 0:
+        out.append(_trusted(tuple(counts)))
         return
-    for part in range(min(n, largest), 0, -1):
-        for rest in _partition_parts(n - part, part):
-            yield (part,) + rest
+    for count in range(left // size + 1):
+        rest = left - count * size
+        if rest == 0 or rest > size:
+            counts[size - 1] = count
+            _partitions(counts, size + 1, rest, out)
+    counts[size - 1] = 0
 
 
 def enumerate_states(n_bins: int) -> list[MassDistribution]:
@@ -574,10 +636,5 @@ def enumerate_states(n_bins: int) -> list[MassDistribution]:
             f"{partition_count_exact(n_bins)} states"
         )
     states = []
-    for parts in _partition_parts(n_bins, n_bins):
-        counts = [0] * n_bins
-        for part in parts:
-            counts[part - 1] += 1
-        states.append(MassDistribution(tuple(counts)))
-    states.sort(key=lambda s: s.counts)
+    _partitions([0] * n_bins, 1, n_bins, states)
     return states

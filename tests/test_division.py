@@ -58,9 +58,16 @@ def _formula_rate(table, state, label):
     return kernel * n_i * (n_i - 1) * table.dt / 2 if i == j else kernel * n_i * n_j * table.dt
 
 
+def _read(table, x):
+    # a table's number as the value it stands for: an exact table's is an
+    # int over its scale
+    return x if table.is_float else Fraction(x, table.scale)
+
+
 def _divide(branches, table):
     # one division step multiplied out: each branch times each of its state's children
-    return [HistoryBranch(b.history + (label,), table.states[target], b.prob * weight)
+    return [HistoryBranch(b.history + (label,), table.states[target],
+                          b.prob * _read(table, weight))
             for b in branches for label, target, weight in table.children(table.index(b.state))]
 
 
@@ -408,10 +415,13 @@ def test_children_are_the_merged_terms(kind):
                 assert list(zip(prog.row[terms].tolist(), prog.coef[terms].tolist())) == [
                     (target, weight) for _, target, weight in sorted(children, key=lambda c: c[0])
                 ]
+                assert prog.scale == op.scale
+                weights = [_read(op, weight) for _, _, weight in children]
                 branches = run_tree(table, 1, op.states[k])
                 assert [
                     (b.history[-1], op.index(b.state), b.prob, type(b.prob)) for b in branches
-                ] == [(label, target, weight, type(weight)) for label, target, weight in children]
+                ] == [(label, target, weight, type(weight))
+                      for (label, target, _), weight in zip(children, weights)]
                 assert op.events(k)[1] == op.row(k).targets
 
 
@@ -662,12 +672,13 @@ def test_checked_split_weights_are_the_rates(kind, n, share, exact):
             assert not exact and share > 0.999
             continue
         checked += 1
-        rates = tuple(p * dt for p in row.propensities)
-        assert len(row.weights) == len(rates) and row.hold >= 0
+        rates = tuple(_read(op, p) * dt for p in row.propensities)
+        weights = tuple(_read(op, w) for w in row.weights)
+        assert len(weights) == len(rates) and row.hold >= 0
         if exact:
-            assert row.weights == rates and row.hold == 1 - row.total
+            assert weights == rates and _read(op, row.hold) == 1 - _read(op, row.total)
         else:
-            assert all(abs(w - r) <= 2 * math.ulp(r) for w, r in zip(row.weights, rates))
+            assert all(abs(w - r) <= 2 * math.ulp(r) for w, r in zip(weights, rates))
     assert checked
 
 

@@ -762,11 +762,14 @@ def _parent_steps(p0, table, steps, one):
     prog = op.program([k for k, v in zip(keys, p0.entries.values()) if v != 0], steps)
     size, order, listed = len(op.states), list(keys), set(keys)
     prob = prog.vector(size, keys, list(p0.entries.values()))
+    # an exact program's coefficients are ints over its scale
+    coef = prog.coef if table.is_float else np.array(
+        [Fraction(c, prog.scale) for c in prog.coef.tolist()], dtype=object)
     out = []
     for level in prog.levels:
         nxt = np.full(size, 0 * one)
         live = (prob != 0)[prog.col] if prob.dtype == object else slice(None)
-        np.add.at(nxt, prog.row[live], prob[prog.col[live]] * prog.coef[live])
+        np.add.at(nxt, prog.row[live], prob[prog.col[live]] * coef[live])
         prob = nxt
         order.extend(k for k in level if k not in listed)
         out.append(dict(zip([op.states[k] for k in order], prob[order].tolist())))

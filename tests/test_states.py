@@ -22,6 +22,7 @@ from cloudq.states import (
     MassDistribution,
     ResourceLimitError,
     StateSpaceError,
+    StepSizeError,
     TransitionTable,
     apply_pair,
     build_transition_table,
@@ -49,6 +50,19 @@ def _formula_rate(table, state, label):
 def _rule(table, state):
     # the table's rate rule as {label: r_h}, zero rates left out
     return {label: rate for label, *_, rate in table.rates(state.counts)}
+
+
+def _read(table, x):
+    # a table's number as the value it stands for: an exact table's is an
+    # int over its scale
+    return x if table.is_float else Fraction(x, table.scale)
+
+
+def _coefs(prog):
+    # a program's coefficients as the values they stand for
+    if prog.coef.dtype != object:
+        return prog.coef
+    return np.array([Fraction(c, prog.scale) for c in prog.coef.tolist()], dtype=object)
 
 
 def test_mass_distribution_invariants():
@@ -349,18 +363,20 @@ def test_one_transition_rule(kind, k0, dt):
             rates = {h: _formula_rate(table, state, h) for h in range(1, table.num_labels + 1)}
             nonzero = [h for h, rate in rates.items() if rate != 0]
             assert row.labels == tuple(nonzero)
-            row_rates = tuple(p * dt for p in row.propensities)
+            propensities = [_read(table, p) for p in row.propensities]
+            row_rates = tuple(p * dt for p in propensities)
             assert row_rates == tuple(rates[h] for h in nonzero)
             assert all(type(r) is type(rates[h]) for h, r in zip(row.labels, row_rates))
             rule = list(table.rates(state.counts))
             assert [(h, (i, j)) for h, i, j, _, _ in rule] == [(h, table.pair_of(h)) for h in nonzero]
-            assert list(map(repr, row.propensities)) == [repr(p) for *_, p, _ in rule]
+            assert list(map(repr, propensities)) == [repr(p) for *_, p, _ in rule]
             want = [repr(rates[h]) for h in nonzero]
             assert [repr(p * dt) for _, _, _, p, _ in rule] == want
             assert [repr(rate) for *_, rate in rule] == want
             # the per-pair formula summed over every label, zero rates included
             total = sum(rates.values())
-            assert row.total == total and repr(row.total) == repr(total)
+            row_total = _read(table, row.total)
+            assert row_total == total and repr(row_total) == repr(total)
             assert repr(swept_total) == repr(total)
             for label, target in zip(row.labels, row.targets):
                 assert table.states[target] == apply_pair(state, *table.pair_of(label))
@@ -555,7 +571,7 @@ def test_every_count_must_be_an_int(name, error, call, value):
 # each old value; on Python numbers a term whose source is exactly 0 is
 # skipped.
 def _masked_step(prog, prob, out):
-    row, col, coef = prog.row, prog.col, prog.coef
+    row, col, coef = prog.row, prog.col, _coefs(prog)
     if prob.dtype == object:
         keep = (prob != 0)[col]
         row, col, coef = row[keep], col[keep], coef[keep]
@@ -632,13 +648,106 @@ def test_integer_kernel_on_unit_tables(coef, start, sequential):
     keys = [table.index(MassDistribution((2, 0))), table.index(MassDistribution((0, 1)))]
     prog = table.program(keys, 3, sequential)
     number = float if coef == "float" else Fraction
-    # the solver's rates and unit diagonal keep the input type; the split's
-    # weights and holds divide by s_{h+1}, which starts at table.one
-    assert {type(c) for c in prog.coef.tolist()} == {number if sequential else type(one)}
+    # an exact program holds ints over its scale, 1 here; a float one float64
+    assert prog.scale == table.scale == 1
+    assert {type(c) for c in prog.coef.tolist()} == {float if coef == "float" else int}
+    assert {type(c) for c in _coefs(prog).tolist()} == {number}
     prob = prog.vector(len(table.states), keys, start + [0])
     runs = _run_values(prog, prob, 6)
     assert runs == _object_steps(prog, prob, 6)
     assert _types(runs) == {number}
+
+
+def _counting_fractions(monkeypatch, built):
+    # record every Fraction built: through the constructor, and on Pythons
+    # whose arithmetic bypasses it, through _from_coprime_ints
+    new = Fraction.__new__
+
+    def counted_new(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted_new))
+    if "_from_coprime_ints" in vars(Fraction):
+        coprime = Fraction._from_coprime_ints
+
+        def counted_coprime(cls, numerator, denominator):
+            built.append((numerator, denominator))
+            return coprime(numerator, denominator)
+
+        monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(counted_coprime))
+
+
+@pytest.mark.parametrize("kind", ["constant", "sum", "product"])
+@pytest.mark.parametrize("k0", [1, Fraction(1, 200)], ids=["int-k0", "fraction-k0"])
+@pytest.mark.parametrize("int_dt", [True, False], ids=["int-dt", "fraction-dt"])
+def test_exact_tables_hold_ints_over_one_scale(monkeypatch, kind, k0, int_dt):
+    # an exact table's rows hold ints over scale = lcm(kernel denominators) *
+    # dt's denominator; total_transition_rate keeps its value and type; and
+    # compiling rows, one program run and one run_tree build no Fraction but
+    # the values they hand out
+    unit = build_transition_table(12, KernelSpec(kind, Fraction(1)), Fraction(1))
+    worst = max(total_transition_rate(unit, s) for s in enumerate_states(12))
+    dt = 1 if int_dt else Fraction(9, 10) / (k0 * worst)
+    ran = 0
+    for n in range(2, 13):
+        table = build_transition_table(n, KernelSpec(kind, k0), dt)
+        dens = [Fraction(k).denominator for k in table.kernel_values]
+        assert table.scale == math.lcm(*dens) * Fraction(dt).denominator
+        every = enumerate_states(n)
+        built = []
+        with monkeypatch.context() as patch:
+            _counting_fractions(patch, built)
+            rows = [table.row(table.index(s)) for s in every]
+        assert built == []
+        valid = True
+        for state, row in zip(every, rows):
+            rates = {h: _formula_rate(table, state, h) for h in range(1, table.num_labels + 1)}
+            nonzero = [h for h, rate in rates.items() if rate != 0]
+            assert row.labels == tuple(nonzero)
+            numbers = row.propensities + (row.total,) + (row.weights or ()) + (row.hold or 0,)
+            assert {type(x) for x in numbers} <= {int}
+            assert [Fraction(p, table.scale) * dt for p in row.propensities] == [
+                rates[h] for h in nonzero]
+            assert Fraction(row.total, table.scale) == sum(rates.values())
+            if row.total <= table.scale:
+                assert [Fraction(w, table.scale) for w in row.weights] == [
+                    rates[h] for h in nonzero]
+                assert Fraction(row.hold, table.scale) == 1 - sum(rates.values())
+            else:
+                assert row.weights is row.hold is None
+                valid = False
+            # the public total: a left fold of the public rates from 0 * dt
+            whole = type(dt) is int and all(type(table.kernel_values[h - 1]) is int
+                                            for h in nonzero)
+            total = total_transition_rate(table, state)
+            assert total == sum(rates.values()) and type(total) is (int if whole else Fraction)
+            folded = functools.reduce(operator.add, _rule(table, state).values(), 0 * dt)
+            assert (type(total), repr(total)) == (type(folded), repr(folded))
+        if not valid:
+            continue
+        ran += 1
+        keys = [table.index(s) for s in every]
+        for sequential in (False, True):
+            built = []
+            with monkeypatch.context() as patch:
+                _counting_fractions(patch, built)
+                prog = table.program(keys, 3, sequential)
+            assert built == [] and prog.scale == table.scale
+            assert {type(c) for c in prog.coef.tolist()} <= {int}
+            prob = prog.vector(len(table.states), keys, [Fraction(1, len(keys))] * len(keys))
+            with monkeypatch.context() as patch:
+                _counting_fractions(patch, built)
+                reads = [read(keys) for read in prog.run(prob, 3)]
+            assert len(built) == sum(map(len, reads)) == 3 * len(keys)
+        built = []
+        with monkeypatch.context() as patch:
+            _counting_fractions(patch, built)
+            branches = division.run_tree(table, 3)
+        assert len(built) == len(branches)
+        assert {type(b.prob) for b in branches} == {Fraction}
+    # at k0 = dt = 1 the sum kernel's N = 2 row, r = 2, is past the limit
+    assert ran or (kind == "sum" and type(k0) is type(dt) is int)
 
 
 def test_rational_run_takes_the_integer_kernel(monkeypatch):
@@ -678,15 +787,17 @@ def test_step_maps_conserve_probability_column_by_column(kind, share):
             stepping = {k for level in levels[:steps] for k in level}
             for prog, columns in [(solver, closure), (division, stepping)]:
                 sums = dict.fromkeys(columns, 0)
-                for c, coef in zip(prog.col.tolist(), prog.coef.tolist()):
+                for c, coef in zip(prog.col.tolist(), _coefs(prog).tolist()):
                     sums[c] += coef
                 assert sums == dict.fromkeys(columns, 1), (n, steps)
-            terms = list(zip(solver.row.tolist(), solver.col.tolist(), solver.coef.tolist()))
+                assert prog.scale == table.scale
+            terms = list(zip(solver.row.tolist(), solver.col.tolist(), _coefs(solver).tolist()))
             first = {}
             for r, c, coef in terms:
                 first.setdefault(r, (c, coef))
             assert first == {k: (k, 1) for k in closure}
             assert all(type(coef) is Fraction for _, _, coef in terms)
+            assert all(type(coef) is int for coef in solver.coef.tolist())
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -761,20 +872,31 @@ def _loop_split(rates, total, one):
 )
 @pytest.mark.parametrize("kind", ["constant", "sum", "product"])
 def test_rows_split_as_the_loop_does(kind, k0, dt):
-    # an exact row with sum r_h <= 1 stores each rate as a Fraction weight
-    # and the hold one - total; any other row is the loop's split, bit for bit
+    # an exact row with sum r_h <= 1 stores each rate as its weight and the
+    # hold scale - total, ints over the scale; one past the limit stores no
+    # split, which checked refuses; a float row is the loop's split, bit for bit
     for n in range(2, 10):
         table = build_transition_table(n, KernelSpec(kind, k0), dt)
         for state in enumerate_states(n):
-            row = table.row(table.index(state))
-            rates = [p * dt for p in row.propensities]
-            weights, hold = _loop_split(rates, row.total, table.one)
-            assert list(map(type, row.weights)) == list(map(type, weights))
-            assert list(map(repr, row.weights)) == list(map(repr, weights))
-            assert (type(row.hold), repr(row.hold)) == (type(hold), repr(hold))
-            if not table.is_float and row.total <= 1:
-                assert all(type(w) is Fraction and w == r for w, r in zip(row.weights, rates))
-                assert type(row.hold) is Fraction and row.hold == 1 - row.total
+            k = table.index(state)
+            row = table.row(k)
+            rates = [_read(table, p) * dt for p in row.propensities]
+            total = _read(table, row.total)
+            if not table.is_float and total > 1:
+                assert row.weights is row.hold is None
+                with pytest.raises(StepSizeError):
+                    table.checked(k)
+                continue
+            weights, hold = _loop_split(rates, total, table.one)
+            row_weights = [_read(table, w) for w in row.weights]
+            row_hold = _read(table, row.hold)
+            assert list(map(type, row_weights)) == list(map(type, weights))
+            assert list(map(repr, row_weights)) == list(map(repr, weights))
+            assert (type(row_hold), repr(row_hold)) == (type(hold), repr(hold))
+            if not table.is_float:
+                assert all(type(w) is int for w in row.weights + (row.hold, row.total))
+                assert all(w == r for w, r in zip(row_weights, rates))
+                assert row.hold == table.scale - row.total and row_hold == 1 - total
 
 
 def test_split_cases_are_covered():
