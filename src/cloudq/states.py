@@ -197,13 +197,19 @@ def _pair_propensity(kernel, counts: Sequence[int], i: int, j: int):
 
 def total_transition_rate(table: TransitionTable, state: MassDistribution):
     """``sum_h r_h(state)``, folded from the rate rule as a row's ``total``
-    is, with no row compiled, and valued as :meth:`TransitionTable.rates`
-    values each rate; must stay <= 1 for a valid explicit step."""
+    is, with no row compiled; must stay <= 1 for a valid explicit step.
+    On an exact table it is the type the inputs give it: an ``int`` when
+    ``dt`` and the kernel values of its nonzero rates are ints (so a
+    caller's ``1 / total`` is a float), else a ``Fraction``."""
     if state.num_bins != table.num_bins:
         raise StateSpaceError(f"state {state.counts} does not have {table.num_bins} bins")
     rule = list(table._rule(state.counts))
     total = reduce(operator.add, (r for *_, r in rule), 0 * table._dt)
-    return total if table.is_float else table._value(total, [h for h, *_ in rule], table.dt)
+    if table.is_float:
+        return total
+    if type(table.dt) is int and all(type(table.kernel_values[h - 1]) is int for h, *_ in rule):
+        return total // table.scale
+    return Fraction(total, table.scale)
 
 
 def _collided(counts: Sequence[int], i: int, j: int) -> tuple[int, ...]:
@@ -298,7 +304,7 @@ class StepProgram(NamedTuple):
     col: np.ndarray
     coef: np.ndarray
     levels: list[list[int]]
-    scale: int = 1
+    scale: int
 
     def vector(self, size: int, at: Sequence[int], values: Sequence) -> np.ndarray:
         """Length ``size``, ``values`` at indices ``at`` and zero elsewhere,
@@ -434,8 +440,8 @@ class TransitionTable:
         return row
 
     def _rule(self, counts: tuple[int, ...]) -> Iterator[tuple]:
-        """The rate rule on the table's numbers: ``(label, i, j, r_h / dt,
-        r_h)`` for each pair of occupied bins with ``r_h != 0``, in label
+        """The one rate rule, on the table's numbers: ``(label, i, j, r_h /
+        dt, r_h)`` for each pair of occupied bins with ``r_h != 0``, in label
         order, from ``counts`` alone; ``int``s over ``scale`` on an exact table."""
         n, kernel, up, dt = self.num_bins, self._kernel, self._up, self._dt
         occupied = list(compress(range(1, n + 1), counts))
@@ -448,24 +454,6 @@ class TransitionTable:
                 rate = pair * dt
                 if rate != 0:
                     yield label, i, j, pair * up, rate
-
-    def _value(self, num, labels: Sequence[int], dt):
-        """``num / scale`` in the type exact arithmetic on the inputs gives
-        it: an ``int`` when ``dt`` and the kernel values of ``labels`` are
-        ints, else a ``Fraction``."""
-        if type(dt) is int and all(type(self.kernel_values[h - 1]) is int for h in labels):
-            return num // self.scale
-        return Fraction(num, self.scale)
-
-    def rates(self, counts: tuple[int, ...]) -> Iterator[tuple]:
-        """The rate rule: ``(label, i, j, r_h / dt, r_h)`` for each pair of
-        occupied bins with ``r_h != 0``, in label order, from ``counts`` alone,
-        each value of the type ``K n_i n_j`` and its product with ``dt`` have."""
-        rule = self._rule(counts)
-        if self.is_float:
-            return rule
-        return ((h, i, j, self._value(p, (h,), 1), self._value(r, (h,), self.dt))
-                for h, i, j, p, r in rule)
 
     def _compile(self, counts: tuple[int, ...]) -> OperatorRow:
         labels, targets, propensities, rates = [], [], [], []
@@ -503,7 +491,8 @@ class TransitionTable:
             row = self.row(k)
             dense = np.zeros(self.num_labels)
             stored = np.array(row.labels, dtype=np.intp) - 1
-            dense[stored] = [p / self.scale for p in row.propensities]
+            dense[stored] = row.propensities if self.is_float else [
+                p / self.scale for p in row.propensities]
             event_rate = dense.sum()
             cdf = np.cumsum(dense)[stored] / event_rate  # an absorbed state's is empty
             found = self._events[k] = (event_rate, row.targets, cdf)
@@ -568,7 +557,7 @@ class TransitionTable:
         dst = np.fromiter(chain.from_iterable(row.targets for row in rows), np.intp, len(src))
         number = float if self.is_float else object
         if not sequential:  # A = I + dt Q: each closure state's unit diagonal leads its row
-            if self.is_float:  # r_h as rates() forms it: one float64 multiply on a float
+            if self.is_float:  # r_h as the rule forms it: one float64 multiply on a float
                 # dt, and on an exact dt each exact product, rounded to float after
                 rate = np.array([p for row in rows for p in row.propensities],
                                 float if isinstance(self.dt, float) else object)

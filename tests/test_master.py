@@ -1068,13 +1068,16 @@ def test_float_tables_keep_their_bits(k0_type, dt_type):
 
 
 def test_int_kernel_constant_runs_exactly():
-    # K(1,1) n (n - 1) / 2 on an int kernel halves with //: every rate and
-    # every value of a run on an int k0 and a Fraction dt is exact
+    # K(1,1) n (n - 1) / 2 on an int kernel halves with //: every number of
+    # the rule is an int over the table's scale, and every value of a run on
+    # an int k0 and a Fraction dt is exact
     table = build_transition_table(4, KernelSpec(k0=1), Fraction(1, 100))
     assert not table.is_float
     pair = MassDistribution((2, 1, 0, 0))
-    assert [(h, type(p), r) for h, _, _, p, r in table.rates(pair.counts)] == [
-        (1, int, Fraction(1, 100)), (2, int, Fraction(1, 50))]
+    rule = [(h, p, r) for h, _, _, p, r in table._rule(pair.counts)]
+    assert {type(x) for _, p, r in rule for x in (p, r)} == {int}
+    assert [(h, Fraction(p, table.scale), Fraction(r, table.scale)) for h, p, r in rule] == [
+        (1, 1, Fraction(1, 100)), (2, 2, Fraction(1, 50))]
     mono = MassDistribution.monodisperse(4)
     starts = [{mono: Fraction(1)}, {mono: 1}, ProbabilityTable.point_mass(mono).entries]
     runs = [evolve(ProbabilityTable(start), table, 5) for start in starts]

@@ -47,15 +47,21 @@ def _formula_rate(table, state, label):
     return kernel * n_i * (n_i - 1) * table.dt / 2 if i == j else kernel * n_i * n_j * table.dt
 
 
-def _rule(table, state):
-    # the table's rate rule as {label: r_h}, zero rates left out
-    return {label: rate for label, *_, rate in table.rates(state.counts)}
-
-
 def _read(table, x):
     # a table's number as the value it stands for: an exact table's is an
     # int over its scale
     return x if table.is_float else Fraction(x, table.scale)
+
+
+def _terms(table, counts):
+    # the table's rate rule, (label, i, j, r_h / dt, r_h), each number read
+    # as the value it stands for
+    return [(h, i, j, _read(table, p), _read(table, r)) for h, i, j, p, r in table._rule(counts)]
+
+
+def _rule(table, state):
+    # the table's rate rule as {label: r_h}, zero rates left out
+    return {label: rate for label, *_, rate in _terms(table, state.counts)}
 
 
 def _coefs(prog):
@@ -209,7 +215,7 @@ def test_transition_table_built_directly_checks_n_and_kernel_length(
     monkeypatch, n_bins, kernel_values, error, message
 ):
     # a kernel length other than H would index past kernel_values (or read a
-    # neighbour's value) in rates(), a float N fail in label_pairs, and
+    # neighbour's value) in the rate rule, a float N fail in label_pairs, and
     # N < 2 give an empty table: the table refuses each before any row
     def compile_(*args):
         raise AssertionError("a row compiled before the refusal")
@@ -367,7 +373,7 @@ def test_one_transition_rule(kind, k0, dt):
             row_rates = tuple(p * dt for p in propensities)
             assert row_rates == tuple(rates[h] for h in nonzero)
             assert all(type(r) is type(rates[h]) for h, r in zip(row.labels, row_rates))
-            rule = list(table.rates(state.counts))
+            rule = _terms(table, state.counts)
             assert [(h, (i, j)) for h, i, j, _, _ in rule] == [(h, table.pair_of(h)) for h in nonzero]
             assert list(map(repr, propensities)) == [repr(p) for *_, p, _ in rule]
             want = [repr(rates[h]) for h in nonzero]
@@ -391,7 +397,7 @@ def test_events_read_the_compiled_row(monkeypatch, kind, k0, dt):
     # second walk of the rate rule, and equal, bit for bit, the ones built
     # on a dense vector of the rule's propensities
     walked = []
-    rule = TransitionTable.rates
+    rule = TransitionTable._rule
 
     def counted(self, counts):
         walked.append(counts)
@@ -403,14 +409,14 @@ def test_events_read_the_compiled_row(monkeypatch, kind, k0, dt):
         for state in enumerate_states(n):
             k = table.index(state)
             table.row(k)
-            terms = list(table.rates(state.counts))
+            terms = _terms(table, state.counts)
             at = np.array([h for h, *_ in terms], dtype=np.intp) - 1
             dense = np.zeros(table.num_labels)
             dense[at] = [p for *_, p, _ in terms]
             event_rate = dense.sum()
             wants.append((k, event_rate, np.cumsum(dense)[at] / event_rate))
         with monkeypatch.context() as patch:
-            patch.setattr(TransitionTable, "rates", counted)
+            patch.setattr(TransitionTable, "_rule", counted)
             got = [table.events(k) for k, _, _ in wants]
         for (k, event_rate, cdf), (got_rate, targets, got_cdf) in zip(wants, got):
             assert (type(got_rate), repr(got_rate)) == (type(event_rate), repr(event_rate))
@@ -717,13 +723,12 @@ def test_exact_tables_hold_ints_over_one_scale(monkeypatch, kind, k0, int_dt):
             else:
                 assert row.weights is row.hold is None
                 valid = False
-            # the public total: a left fold of the public rates from 0 * dt
+            # the public total keeps the type exact arithmetic on the inputs
+            # gives it: an int when dt and the kernel values involved are ints
             whole = type(dt) is int and all(type(table.kernel_values[h - 1]) is int
                                             for h in nonzero)
             total = total_transition_rate(table, state)
             assert total == sum(rates.values()) and type(total) is (int if whole else Fraction)
-            folded = functools.reduce(operator.add, _rule(table, state).values(), 0 * dt)
-            assert (type(total), repr(total)) == (type(folded), repr(folded))
         if not valid:
             continue
         ran += 1
@@ -835,7 +840,7 @@ def test_float_sums_fold_left_on_every_python(monkeypatch, n):
     table = build_transition_table(n, KernelSpec(k0=0.7), 0.9 / (n * (n - 1)))
     folded = compensated = 0
     for state in states:
-        rates = [r for *_, r in table.rates(state.counts)]
+        rates = [r for *_, r in _terms(table, state.counts)]
         want = functools.reduce(operator.add, rates, 0.0)
         row = table.row(table.index(state))
         assert repr(row.total) == repr(want) == repr(total_transition_rate(table, state))
