@@ -11,14 +11,13 @@ squared-amplitude bookkeeping is an exact functional model.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .master import ProbabilityTable
+from .master import ProbabilityTable, _require_bin
 from .states import (
     MassDistribution,
     StateSpaceError,
@@ -155,9 +154,7 @@ def amplitude_expectation(distribution: ProbabilityTable, bin_index: int):
     if not entries:
         raise StateSpaceError("empty distribution")
     n_bins = next(iter(entries)).num_bins
-    require_count("bin", bin_index, -math.inf, StateSpaceError)
-    if not 1 <= bin_index <= n_bins:
-        raise StateSpaceError(f"bin {bin_index} outside [1, {n_bins}]")
+    _require_bin(bin_index, n_bins)
     d = 2 ** qubits_for_bin(n_bins, bin_index)
     total = 0.0
     for state, prob in entries.items():

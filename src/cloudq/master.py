@@ -160,6 +160,13 @@ def _expected(counts: np.ndarray, values: np.ndarray) -> list:
     return totals
 
 
+def _require_bin(bin_index, n_bins: int) -> None:
+    """Refuse a ``bin_index`` that is not an ``int`` in ``[1, n_bins]``."""
+    require_count("bin", bin_index, -math.inf, StateSpaceError)
+    if not 1 <= bin_index <= n_bins:
+        raise StateSpaceError(f"bin {bin_index} outside [1, {n_bins}]")
+
+
 def expected_counts(p: ProbabilityTable, bins: Sequence[int] | None = None) -> list:
     """Expected droplet count of each bin in ``bins`` (every bin by
     default), as :func:`_expected` sums it."""
@@ -167,9 +174,7 @@ def expected_counts(p: ProbabilityTable, bins: Sequence[int] | None = None) -> l
     if not len(values):
         raise StateSpaceError("empty distribution")
     for bin_index in bins or ():
-        require_count("bin", bin_index, -math.inf, StateSpaceError)
-        if not 1 <= bin_index <= counts.shape[1]:
-            raise StateSpaceError(f"bin {bin_index} outside [1, {counts.shape[1]}]")
+        _require_bin(bin_index, counts.shape[1])
     return _expected(counts if bins is None else counts[:, [b - 1 for b in bins]], values)
 
 

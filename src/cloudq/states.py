@@ -244,18 +244,13 @@ def apply_pair(state: MassDistribution, i: int, j: int) -> MassDistribution:
 
 
 class OperatorRow(NamedTuple):
-    """One compiled state: its transitions with ``r_h != 0``, in label order.
+    """One compiled state: what the rate rule gives, for ``r_h != 0``, in label order.
 
     ``targets`` are the state indices of the post-collision states, and
     ``propensities`` each label's ``r_h / dt``; ``total`` is ``sum_h r_h``.
-    ``weights`` and ``hold`` are the division model's sequential split
-    (labels visited ``H..1``, label ``h`` claiming ``r_h / s_{h+1}`` of
-    what is unclaimed) and its remainder ``s_1``.  On an exact table every
-    number is an ``int`` over the table's ``scale``; a row within the
-    step-size limit splits unclipped, so its weights are its ``r_h`` and
-    its hold ``scale - total``, and a row past it stores no split (``None``),
-    since :meth:`~TransitionTable.checked` refuses it.  Only
-    :class:`TransitionTable` reads a row; other modules see its
+    On an exact table each is an ``int`` over the table's ``scale``.  No
+    row holds the division split: a division run forms it from the checked
+    row.  Only :class:`TransitionTable` reads a row; other modules see its
     :meth:`~TransitionTable.children`, :meth:`~TransitionTable.events` and
     step programs.
     """
@@ -264,8 +259,6 @@ class OperatorRow(NamedTuple):
     targets: tuple[int, ...]
     propensities: tuple
     total: object
-    weights: tuple
-    hold: object
 
 
 def common_numerators(numbers: Sequence) -> tuple[list[int], int]:
@@ -456,29 +449,41 @@ class TransitionTable:
                     yield label, i, j, pair * up, rate
 
     def _compile(self, counts: tuple[int, ...]) -> OperatorRow:
-        labels, targets, propensities, rates = [], [], [], []
+        labels, targets, propensities, total = [], [], [], 0 * self._dt
         for label, i, j, propensity, rate in self._rule(counts):
             after = _collided(counts, i, j)
             target = self._index.get(after)
             labels.append(label)
             targets.append(self.index(_trusted(after)) if target is None else target)
             propensities.append(propensity)
-            rates.append(rate)
-        total = reduce(operator.add, rates, 0 * self._dt)  # a left fold on every Python
-        if self.is_float:  # sequential split, labels H..1; a zero-rate label leaves s unchanged
-            weights, remaining = [0 * total] * len(rates), self.one
+            total = total + rate  # a left fold, as total_transition_rate's, on every Python
+        return OperatorRow(*map(tuple, (labels, targets, propensities)), total)
+
+    def _rates(self, propensities: Sequence) -> list:
+        """Each ``r_h / dt`` in ``propensities`` as the rule's ``r_h``: ``p * dt``,
+        or on an exact table the ``int`` over ``scale`` ``p // _up * _dt``."""
+        if self.is_float:
+            return [p * self._dt for p in propensities]
+        return [p // self._up * self._dt for p in propensities]
+
+    def _split(self, k: int) -> Iterator[tuple]:
+        """The division model's split of :meth:`checked` row ``k``: labels
+        visited ``H..1``, label ``h`` claiming ``r_h / s_{h+1}`` of what is
+        unclaimed, as ``(label, target, weight)`` per nonzero weight, then
+        the hold ``s_1`` as label 0; on an exact row, ``r_h`` and ``scale - total``."""
+        row = self.checked(k)
+        rates = self._rates(row.propensities)
+        weights, hold = rates, self.scale - row.total  # unclipped: (r_h / s_{h+1}) s_{h+1} is r_h
+        if self.is_float:  # the loop; a zero-rate label leaves s unchanged
+            weights, hold = [0] * len(rates), self.one
             for pos in reversed(range(len(rates))):
-                if remaining <= 0:
+                if hold <= 0:
                     break
-                modified = min(rates[pos] / remaining, self.one)
-                weights[pos] = modified * remaining
-                remaining = (1 - modified) * remaining
-            split = (tuple(weights), remaining)
-        elif total <= self.scale:  # unclipped within the limit: (r_h / s_{h+1}) s_{h+1} is r_h
-            split = (tuple(rates), self.scale - total)
-        else:  # past the limit: checked refuses the row before anything reads a split
-            split = (None, None)
-        return OperatorRow(*map(tuple, (labels, targets, propensities)), total, *split)
+                modified = min(rates[pos] / hold, self.one)
+                weights[pos] = modified * hold
+                hold = (1 - modified) * hold
+        weights.append(hold)
+        return compress(zip(row.labels + (0,), row.targets + (k,), weights), weights)
 
     def events(self, k: int) -> tuple[float, tuple[int, ...], np.ndarray]:
         """What the Gillespie sampler draws from in state ``k``: the event
@@ -499,8 +504,8 @@ class TransitionTable:
         return found
 
     def checked(self, k: int) -> OperatorRow:
-        """Row ``k`` after the step-size check, which also leaves its split
-        unclipped: ``sum_h r_h <= 1`` gives ``s_{h+1} >= r_h``."""
+        """Row ``k`` after the step-size check, ``sum_h r_h <= 1``, which
+        also leaves the division split unclipped: ``s_{h+1} >= r_h``."""
         row = self.row(k)
         if row.total > self.scale:
             total = row.total if self.is_float else Fraction(row.total, self.scale)
@@ -511,17 +516,13 @@ class TransitionTable:
         return row
 
     def children(self, k: int) -> tuple[tuple, ...]:
-        """Division-checked row ``k``'s children ``(label, target, weight)``,
-        one per nonzero weight (a checked row has none below zero): the
-        labels in order, then the hold ``s_1`` as the label-0 child; on an
-        exact table each weight is an ``int`` over ``scale``.  Built on the
-        first visit and kept."""
+        """Row ``k``'s children, its division split's ``(label, target,
+        weight)`` per nonzero weight (a checked row has none below zero):
+        the labels in order, then the hold ``s_1`` as label 0; an ``int``
+        over ``scale`` on an exact table.  Built on the first visit and kept."""
         found = self._children.get(k)
         if found is None:
-            row = self.checked(k)
-            weights = row.weights + (row.hold,)
-            found = self._children[k] = tuple(
-                compress(zip(row.labels + (0,), row.targets + (k,), weights), weights))
+            found = self._children[k] = tuple(self._split(k))
         return found
 
     def program(self, sources: Sequence[int], steps: int, sequential: bool = False) -> StepProgram:
@@ -534,7 +535,8 @@ class TransitionTable:
         expanded.  A state at depth
         ``d`` first steps at step ``d + 1``, so a run fails on the state
         its executor would meet first, without compiling deeper rows.
-        The program's ``levels`` are the depths ``1..steps``.
+        The program's ``levels`` are the depths ``1..steps``.  The division
+        model's map reads each state's split, formed here and not kept.
         """
         require_count("steps", steps, 0, StateSpaceError)
         reached = set(sources)
@@ -551,31 +553,26 @@ class TransitionTable:
             levels.append(nxt)
             level = nxt
         stepping.sort(key=lambda k: self.states[k].counts)
-        rows = [self._rows[k] for k in stepping]
-        at = np.array(stepping, dtype=np.intp)
-        src = np.repeat(at, [len(row.labels) for row in rows])
-        dst = np.fromiter(chain.from_iterable(row.targets for row in rows), np.intp, len(src))
         number = float if self.is_float else object
-        if not sequential:  # A = I + dt Q: each closure state's unit diagonal leads its row
-            if self.is_float:  # r_h as the rule forms it: one float64 multiply on a float
-                # dt, and on an exact dt each exact product, rounded to float after
-                rate = np.array([p for row in rows for p in row.propensities],
-                                float if isinstance(self.dt, float) else object)
-                rate *= self.dt
-                rate = rate.astype(float, copy=False)
-            else:  # a checked exact row's weights are its r_h
-                rate = np.array([w for row in rows for w in row.weights], object)
-            diag = np.array(sorted(reached), dtype=np.intp)
-            unit = np.full(len(diag), self.scale, number)
-            row, col = np.concatenate([diag, src, dst]), np.concatenate([diag, src, src])
-            return StepProgram(row, col, np.concatenate([unit, -rate, rate]), levels, self.scale)
-        hold = [row.hold for row in rows]  # each state's hold is its label-0 child
-        coef = np.array(hold + [w for row in rows for w in row.weights], dtype=number)
-        label = np.array([0] * len(hold) + [h for row in rows for h in row.labels], dtype=np.intp)
-        kids = np.flatnonzero(coef != 0)
-        kids = kids[np.argsort(label[kids], kind="stable")]
-        row, col = np.concatenate([at, dst])[kids], np.concatenate([at, src])[kids]
-        return StepProgram(row, col, coef[kids], levels, self.scale)
+        if sequential:  # each state's children, stably sorted by label: the holds come first
+            label, dst, src, coef = [], [], [], []
+            for k in stepping:
+                for h, target, weight in self._split(k):
+                    label.append(h)
+                    dst.append(target)
+                    src.append(k)
+                    coef.append(weight)
+            kids = np.argsort(np.array(label, dtype=np.intp), kind="stable")
+            row, col = np.array(dst, dtype=np.intp)[kids], np.array(src, dtype=np.intp)[kids]
+            return StepProgram(row, col, np.array(coef, dtype=number)[kids], levels, self.scale)
+        rows = [self._rows[k] for k in stepping]  # A = I + dt Q: unit diagonals lead the rows
+        src = np.repeat(np.array(stepping, dtype=np.intp), [len(row.labels) for row in rows])
+        dst = np.fromiter(chain.from_iterable(row.targets for row in rows), np.intp, len(src))
+        rate = np.array(self._rates([p for row in rows for p in row.propensities]), number)
+        diag = np.array(sorted(reached), dtype=np.intp)
+        unit = np.full(len(diag), self.scale, number)
+        row, col = np.concatenate([diag, src, dst]), np.concatenate([diag, src, src])
+        return StepProgram(row, col, np.concatenate([unit, -rate, rate]), levels, self.scale)
 
 
 def partition_count_exact(n: int) -> int:

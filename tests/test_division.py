@@ -526,14 +526,11 @@ def _old_tree(table, steps, start, branch_cap=500_000):
             )
         children = []
         for history, state in branches:
-            row = op.checked(op.index(state))
+            # the split's nonzero weights in label order, then a nonzero hold
             children.extend(
                 (history + (label,), op.states[target])
-                for label, target, weight in zip(row.labels, row.targets, row.weights)
-                if weight != 0
+                for label, target, _ in op._split(op.index(state))
             )
-            if row.hold > 0:
-                children.append((history + (0,), state))
         branches = children
     return branches
 
@@ -666,17 +663,20 @@ def test_checked_split_weights_are_the_rates(kind, n, share, exact):
     op = build_transition_table(n, KernelSpec(kind, one), dt)
     checked = 0
     for state in enumerate_states(n):
+        k = op.index(state)
         try:
-            row = op.checked(op.index(state))
+            row = op.checked(k)
         except StepSizeError:  # a float total rounded past the limit
             assert not exact and share > 0.999
             continue
         checked += 1
         rates = tuple(_read(op, p) * dt for p in row.propensities)
-        weights = tuple(_read(op, w) for w in row.weights)
-        assert len(weights) == len(rates) and row.hold >= 0
+        split = {label: _read(op, w) for label, _, w in op.children(k)}
+        weights = tuple(split.pop(label, 0 * dt) for label in row.labels)
+        hold = split.pop(0, 0 * dt)
+        assert len(weights) == len(rates) and hold >= 0 and not split
         if exact:
-            assert weights == rates and _read(op, row.hold) == 1 - _read(op, row.total)
+            assert weights == rates and hold == 1 - _read(op, row.total)
         else:
             assert all(abs(w - r) <= 2 * math.ulp(r) for w, r in zip(weights, rates))
     assert checked

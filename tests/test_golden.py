@@ -391,7 +391,7 @@ def test_step_sums_each_row_in_stored_order(kind, k0, sequential):
         assert [c == r for c, _ in mine] == [True] * len(own) + [False] * (len(mine) - len(own))
         inflows = [(op.states[c].counts, label(c, r)) for c, _ in mine if c != r]
         if sequential:
-            assert own == ([value(op.row(r).hold)] if own else [])
+            assert own == ([value(w) for h, _, w in op.children(r) if h == 0] if own else [])
             assert [h for _, h in inflows] == sorted({h for _, h in inflows})
         else:
             assert own == ([type(k0)(1)] + [-value(p) * op.dt for p in op.row(r).propensities]

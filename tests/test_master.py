@@ -36,6 +36,7 @@ from cloudq.states import (
     MassDistribution,
     StateSpaceError,
     StepSizeError,
+    TransitionTable,
     build_transition_table,
     enumerate_states,
     qubits_for_bin,
@@ -174,6 +175,25 @@ def test_first_order_convergence():
     err_coarse = abs(values[1] - values[8])
     err_fine = abs(values[2] - values[8])
     assert 1.5 <= err_coarse / err_fine <= 2.5
+
+
+@pytest.mark.parametrize("k0, dt", [(1.0, 0.01), (Fraction(1), Fraction(1, 100))],
+                         ids=["float", "exact"])
+def test_solver_and_sampler_form_no_split(monkeypatch, k0, dt):
+    # the division split is formed only where a division run reads it: a
+    # solver series and the sampler on the same table never ask for it
+    def refuse(self, k):
+        raise AssertionError(f"split formed for state {self.states[k].counts}")
+
+    monkeypatch.setattr(TransitionTable, "_split", refuse)
+    n = 8
+    table = build_transition_table(n, KernelSpec("constant", k0), dt)
+    series = evolve_series(ProbabilityTable.point_mass(MassDistribution.monodisperse(n)), table, 6)
+    assert len(series) == 7 and len(table.states) > 1
+    ssa_population_estimate(table, SsaConfig(n_runs=20, seed=3, t_end=5.0))
+    assert table._events and not table._children
+    with pytest.raises(AssertionError, match="split formed"):  # the patch is the one reader
+        run_merged(table, 1)
 
 
 def test_ssa_frozen_kernel():

@@ -711,17 +711,21 @@ def test_exact_tables_hold_ints_over_one_scale(monkeypatch, kind, k0, int_dt):
             rates = {h: _formula_rate(table, state, h) for h in range(1, table.num_labels + 1)}
             nonzero = [h for h, rate in rates.items() if rate != 0]
             assert row.labels == tuple(nonzero)
-            numbers = row.propensities + (row.total,) + (row.weights or ()) + (row.hold or 0,)
-            assert {type(x) for x in numbers} <= {int}
+            assert {type(x) for x in row.propensities + (row.total,)} <= {int}
             assert [Fraction(p, table.scale) * dt for p in row.propensities] == [
                 rates[h] for h in nonzero]
             assert Fraction(row.total, table.scale) == sum(rates.values())
+            k = table.index(state)
             if row.total <= table.scale:
-                assert [Fraction(w, table.scale) for w in row.weights] == [
-                    rates[h] for h in nonzero]
-                assert Fraction(row.hold, table.scale) == 1 - sum(rates.values())
-            else:
-                assert row.weights is row.hold is None
+                # the split's weights are the rates, its hold 1 - total, as ints
+                split = table.children(k)
+                assert {type(w) for *_, w in split} <= {int}
+                weights = {h: Fraction(w, table.scale) for h, _, w in split}
+                assert [weights.pop(h) for h in nonzero] == [rates[h] for h in nonzero]
+                assert weights.pop(0, 0) == 1 - sum(rates.values()) and not weights
+            else:  # past the limit there is no split to read
+                with pytest.raises(StepSizeError):
+                    table.children(k)
                 valid = False
             # the public total keeps the type exact arithmetic on the inputs
             # gives it: an int when dt and the kernel values involved are ints
@@ -876,32 +880,42 @@ def _loop_split(rates, total, one):
     ids=["fraction", "int-k0", "int", "fraction-k0-int-dt", "float", "float-clipped"],
 )
 @pytest.mark.parametrize("kind", ["constant", "sum", "product"])
-def test_rows_split_as_the_loop_does(kind, k0, dt):
-    # an exact row with sum r_h <= 1 stores each rate as its weight and the
-    # hold scale - total, ints over the scale; one past the limit stores no
-    # split, which checked refuses; a float row is the loop's split, bit for bit
+def test_rows_split_as_the_loop_does(monkeypatch, kind, k0, dt):
+    # a row stores only what the rate rule gives; its split, read through
+    # children, is the loop's split bit for bit with its zero weights left
+    # out: on an exact row with sum r_h <= 1, each rate as its weight and
+    # the hold scale - total, ints over the scale; past the limit, checked
+    # refuses the row before a split is formed, and a float row's clipped
+    # split is read with the check bypassed
     for n in range(2, 10):
         table = build_transition_table(n, KernelSpec(kind, k0), dt)
         for state in enumerate_states(n):
             k = table.index(state)
             row = table.row(k)
+            assert row._fields == ("labels", "targets", "propensities", "total")
             rates = [_read(table, p) * dt for p in row.propensities]
             total = _read(table, row.total)
-            if not table.is_float and total > 1:
-                assert row.weights is row.hold is None
-                with pytest.raises(StepSizeError):
-                    table.checked(k)
-                continue
+            if total > 1:
+                for refused in (table.checked, table.children):
+                    with pytest.raises(StepSizeError):
+                        refused(k)
+                if not table.is_float:
+                    continue
             weights, hold = _loop_split(rates, total, table.one)
-            row_weights = [_read(table, w) for w in row.weights]
-            row_hold = _read(table, row.hold)
-            assert list(map(type, row_weights)) == list(map(type, weights))
-            assert list(map(repr, row_weights)) == list(map(repr, weights))
-            assert (type(row_hold), repr(row_hold)) == (type(hold), repr(hold))
+            want = [(h, t, type(w), repr(w)) for h, t, w in zip(
+                row.labels + (0,), row.targets + (k,), weights + [hold]) if w != 0]
+            with monkeypatch.context() as patch:
+                patch.setattr(TransitionTable, "checked", TransitionTable.row)
+                split = tuple(table._split(k))
+            if total <= 1:
+                assert split == table.children(k)
+            got = [(h, t, _read(table, w)) for h, t, w in split]
+            assert [(h, t, type(w), repr(w)) for h, t, w in got] == want
             if not table.is_float:
-                assert all(type(w) is int for w in row.weights + (row.hold, row.total))
-                assert all(w == r for w, r in zip(row_weights, rates))
-                assert row.hold == table.scale - row.total and row_hold == 1 - total
+                assert all(type(w) is int for *_, w in split) and type(row.total) is int
+                assert [_read(table, w) for h, _, w in split if h] == rates
+                held = dict((h, w) for h, _, w in split).get(0, 0)
+                assert held == table.scale - row.total and _read(table, held) == 1 - total
 
 
 def test_split_cases_are_covered():
