@@ -259,7 +259,7 @@ def _cmd_simulate(config: RunConfig) -> int:
                 abs(merged.entries.get(state, 0.0) - reference.entries.get(state, 0.0)),
             )
         print(f"max |division - solver| = {worst:.3e}")
-        if worst > 1e-12:
+        if worst > master.MERGED_TOL:
             return EXIT_MISMATCH
     return EXIT_OK
 

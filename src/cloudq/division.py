@@ -95,13 +95,11 @@ def run_tree(
         _check_cap(len(histories), table, step)
         if step == 1:
             at = [table.index(start)]
-        grown, reached, weighed = [], [], []
-        for history, k, p in zip(histories, at, probs):
-            for label, target, weight in table.children(k):  # a failing state raises
-                grown.append(history + (label,))
-                reached.append(target)
-                weighed.append(p * weight)
-        histories, at, probs = grown, reached, weighed
+        kids = list(map(table.children, at))  # a failing state raises, in branch order
+        histories, at, probs = (
+            [history + (label,) for history, row in zip(histories, kids) for label, _, _ in row],
+            [target for row in kids for _, target, _ in row],
+            [p * weight for p, row in zip(probs, kids) for _, _, weight in row])
     if steps:
         at = list(map(table.states.__getitem__, at))
     if not table.is_float:
@@ -127,19 +125,21 @@ def run_merged(table: TransitionTable, steps: int) -> ProbabilityTable:
     """
     start = table.index(MassDistribution.monodisperse(table.num_bins))
     prog = table.program([start], steps, sequential=True)
-    size = len(table.states)
-    prob = prog.vector(size, [start], [table.one])
+    size = len(prog.ranks)
+    prob = prog.vector(size, [0], [table.one])  # the source is the program's first state
     read = prob.__getitem__
     present = np.zeros(size, dtype=bool)
-    present[start] = True
+    present[0] = True
     final = False
     for read in prog.run(prob, steps):
         if not final:
             reached = np.zeros(size, dtype=bool)
             reached[prog.row[present[prog.col]]] = True
             final, present = np.array_equal(reached, present), reached
-    kept = sorted(np.flatnonzero(present).tolist(), key=lambda k: table.states[k].counts)
-    return ProbabilityTable.listed([table.states[k] for k in kept], read(kept), steps)
+    kept = np.flatnonzero(present)
+    kept = kept[np.argsort(prog.ranks[kept])]  # ascending counts
+    return ProbabilityTable.listed(table.states.listing(prog.ranks[kept], prog.counts[kept]),
+                                   read(kept), steps)
 
 
 def amplitude_expectation(distribution: ProbabilityTable, bin_index: int):
@@ -209,20 +209,20 @@ def history_label_semantics_check(
     require_count("steps", steps, 0, StateSpaceError)
     start = initial or MassDistribution.monodisperse(table.num_bins)
     registers = [_history_register(table.num_labels, h) for h in range(table.num_labels + 1)]
-    level = {(start, start): 1}  # (state, replay) -> histories, in run_tree's order
+    # (state rank, replay) -> histories, in run_tree's order
+    level = {(table.index(start), start): 1} if steps else {}
     checked = mismatches = 0
     for step in range(1, steps + 1):
         _check_cap(sum(level.values()), table, step)
         nxt = {}
-        for (state, replay), count in level.items():
-            for label, target, _ in table.children(table.index(state)):
+        for (k, replay), count in level.items():
+            for label, target, _ in table.children(k):
                 after = apply_pair(replay, *table.pair_of(label)) if label else replay
-                key = (table.states[target], after)
-                nxt[key] = nxt.get(key, 0) + count
+                nxt[target, after] = nxt.get((target, after), 0) + count
                 checked += count
                 mismatches += count * (registers[label] != label)
         level = nxt
-    mismatches += sum(count for (state, replay), count in level.items() if replay != state)
+    mismatches += sum(count for (k, replay), count in level.items() if replay != table.states[k])
     return LabelSemanticsReport(
         steps=steps, branches_checked=checked, ok=mismatches == 0, mismatches=mismatches
     )

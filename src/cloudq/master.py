@@ -24,6 +24,7 @@ import numpy as np
 from .states import MassDistribution, StateSpaceError, TransitionTable, require_count
 
 PROB_TOL = 1e-12
+MERGED_TOL = 1e-12  # largest entry difference of the merged division model from the solver
 
 
 class ProbabilityTable:
@@ -105,13 +106,16 @@ def _steps(
     """
     keys, values = [table.index(s) for s in p0.entries], list(p0.entries.values())
     prog = table.program([k for k, v in zip(keys, values) if v != 0], steps)
-    size = len(table.states)  # the table may hold other runs' states too
+    where, size = dict(zip(prog.ranks.tolist(), range(len(prog.ranks)))), len(prog.ranks)
+    # a key the program does not hold reads zero, from a slot of its own past the program's
+    keys = [where.get(k, size + n) for n, k in enumerate(keys)]
     order, ends, start = list(keys), [], set(keys)
     for level in prog.levels:
         order.extend(k for k in level if k not in start)  # an empty key may be reached
         ends.append(len(order))
-    listing, order = [table.states[k] for k in order], np.array(order, dtype=np.intp)
-    prob = prog.vector(size, keys, values)
+    listing = list(p0.entries) + table.states.listing(
+        prog.ranks[order[len(keys):]], prog.counts[order[len(keys):]])
+    order, prob = np.array(order, dtype=np.intp), prog.vector(size + len(keys), keys, values)
     out = [p0 if table.is_float else ProbabilityTable.listed(listing, prob[keys], p0.step)]
     for (step, end), read in zip(enumerate(ends, start=p0.step + 1), prog.run(prob, steps)):
         if keep_all or step == p0.step + steps:

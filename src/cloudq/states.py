@@ -15,8 +15,8 @@ import numbers
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial, reduce
-from itertools import chain, compress
+from functools import cache, cached_property, partial
+from itertools import compress, repeat
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -178,38 +178,32 @@ def build_transition_table(n_bins: int, kernel: KernelSpec, dt) -> TransitionTab
     return TransitionTable(n_bins, dt, values)
 
 
-def _pair_propensity(kernel, counts: Sequence[int], i: int, j: int):
-    """``r_h / dt`` of pair ``(i, j)``: ``K n_i n_j``, or ``K n_i (n_i-1) / 2``
-    for equal bins (halved with ``//`` on an ``int``, so it stays one);
-    exactly zero whenever the source bins are under-populated.
-    """
-    if i == j:
-        n = counts[i - 1]
-        if n < 2:
-            return 0
-        twice = kernel * n * (n - 1)
-        return twice // 2 if type(twice) is int else twice / 2
-    ni, nj = counts[i - 1], counts[j - 1]
-    if ni < 1 or nj < 1:
-        return 0
-    return kernel * ni * nj
-
-
 def total_transition_rate(table: TransitionTable, state: MassDistribution):
-    """``sum_h r_h(state)``, folded from the rate rule as a row's ``total``
-    is, with no row compiled; must stay <= 1 for a valid explicit step.
-    On an exact table it is the type the inputs give it: an ``int`` when
+    """``sum_h r_h``, the scalar rate rule folded from zero over each pair of
+    occupied bins with ``r_h != 0``, in label order, from the counts alone,
+    as a row's ``total`` is; must stay <= 1 for a valid explicit step.  On
+    an exact table it is the type the inputs give it: an ``int`` when
     ``dt`` and the kernel values of its nonzero rates are ints (so a
     caller's ``1 / total`` is a float), else a ``Fraction``."""
     if state.num_bins != table.num_bins:
         raise StateSpaceError(f"state {state.counts} does not have {table.num_bins} bins")
-    rule = list(table._rule(state.counts))
-    total = reduce(operator.add, (r for *_, r in rule), 0 * table._dt)
+    n, counts, total, ints = table.num_bins, state.counts, 0 * table._dt, type(table.dt) is int
+    occupied = list(compress(range(1, n + 1), counts))
+    for first, i in enumerate(occupied):
+        for j in occupied[first:]:
+            if i + j > n:
+                break
+            if i == j and counts[i - 1] < 2:
+                continue
+            label = (i - 1) * (n - i) + j  # after the N + 1 - 2i' pairs of each i' < i
+            pair = table._kernel[label - 1] * counts[i - 1] * (counts[j - 1] - (i == j))
+            rate = (pair if i != j else pair // 2 if type(pair) is int else pair / 2) * table._dt
+            if rate != 0:
+                total = total + rate
+                ints = ints and type(table.kernel_values[label - 1]) is int
     if table.is_float:
         return total
-    if type(table.dt) is int and all(type(table.kernel_values[h - 1]) is int for h, *_ in rule):
-        return total // table.scale
-    return Fraction(total, table.scale)
+    return total // table.scale if ints else Fraction(total, table.scale)
 
 
 def _collided(counts: Sequence[int], i: int, j: int) -> tuple[int, ...]:
@@ -243,22 +237,127 @@ def apply_pair(state: MassDistribution, i: int, j: int) -> MassDistribution:
     return _trusted(_collided(counts, i, j))
 
 
-class OperatorRow(NamedTuple):
-    """One compiled state: what the rate rule gives, for ``r_h != 0``, in label order.
+@cache
+def _ranking(n_bins: int) -> tuple:
+    """The tables that rank the states of ``n_bins`` bins (Knuth, TAOCP 4A,
+    7.2.1.4).  A state's rank, its index in ascending counts order, is
+    ``sum_b S_b[R_b, n_b]``: ``R_b`` is the mass in bins ``b..N``, and
+    ``S_b[R, c] = sum_{c' < c} P_b(R - b c')``, ``P_b(m)`` counting the
+    partitions of ``m`` into parts above ``b``, is ``rows[base[b - 1] +
+    c][R]``; ``table`` is ``rows`` flat (int64 while ``p(N)`` fits one).
+    Per label: its bins, 0-based, whether they are one, a factor 1/2 there,
+    and what a collision adds to counts (``moves``) and rank terms.  Last,
+    the memo of :func:`_structure` that every table of ``N`` shares."""
+    above, blocks = [1] + [0] * n_bins, []  # P_N: only the empty partition
+    for b in range(n_bins, 0, -1):
+        block = [[0] * (n_bins + 1)]
+        for c in range(n_bins // b):
+            block.append([s + (above[r - b * c] if r >= b * c else 0)
+                          for r, s in enumerate(block[-1])])
+        blocks.insert(0, block)
+        for m in range(b, n_bins + 1):  # P_{b-1}: parts of size b join
+            above[m] += above[m - b]
+    rows = [row for block in blocks for row in block]
+    base = np.cumsum([0] + [len(block) for block in blocks])[:-1]
+    table = np.array(rows, dtype=np.int64 if above[n_bins] < 2**63 else object).ravel()
+    cells = table.tolist()
+    first, second = (np.array(label_pairs(n_bins), dtype=np.intp).reshape(-1, 2) - 1).T
+    moves, every = np.zeros((len(first), n_bins), dtype=np.int64), np.arange(len(first))
+    moves[every, first] -= 1
+    moves[every, second] -= 1
+    moves[every, first + second + 1] += 1
+    mass = moves * np.arange(1, n_bins + 1)  # R_b changes by the mass moved out below b
+    shifts = moves * (n_bins + 1) - np.cumsum(mass, axis=1) + mass
+    same = first == second
+    return table, base, cells, first, second, same, np.where(same, 0.5, 1.0), moves, shifts, {}
 
-    ``targets`` are the state indices of the post-collision states, and
-    ``propensities`` each label's ``r_h / dt``; ``total`` is ``sum_h r_h``.
-    On an exact table each is an ``int`` over the table's ``scale``.  No
-    row holds the division split: a division run forms it from the checked
-    row.  Only :class:`TransitionTable` reads a row; other modules see its
-    :meth:`~TransitionTable.children`, :meth:`~TransitionTable.events` and
-    step programs.
-    """
 
-    labels: tuple[int, ...]
-    targets: tuple[int, ...]
-    propensities: tuple
-    total: object
+def _terms(n_bins: int, counts: Sequence[int]) -> list[int]:
+    """Where each bin's rank term of the state ``counts`` sits in the flat
+    table, ``(base[b - 1] + n_b) (N + 1) + R_b``: the rank is their sum."""
+    terms, left = [], n_bins
+    for b, (c, first) in enumerate(zip(counts, _ranking(n_bins)[1].tolist()), start=1):
+        terms.append((first + c) * (n_bins + 1) + left)
+        left -= b * c
+    return terms
+
+
+_SHARED_STATES = 16  # the largest level whose structure every table of its N shares
+
+
+def _structure(n_bins: int, ranks: np.ndarray, counts: np.ndarray, gather: np.ndarray,
+               keep: np.ndarray | None = None) -> tuple:
+    """The kernel-free part of the rows of the states ``ranks`` (ascending,
+    with ``counts`` and rank terms ``gather``): per edge, one per feasible
+    pair in (state, label) order, its state, label column, ``n_i`` and
+    ``n_j`` (``n_i - 1`` where ``i = j``) and target rank; each state's
+    first edge (``start``); and the distinct targets' first edges, counts
+    and rank terms.  ``keep`` keeps only the edges it marks.  It depends on
+    ``N`` and the states alone, so tables of one ``N`` share a small
+    level's, which spares many small tables the pass's fixed cost."""
+    table, _, _, first, second, same, _, moves, shifts, shared = _ranking(n_bins)
+    key = tuple(ranks.tolist()) if keep is None and len(ranks) <= _SHARED_STATES else None
+    found = shared.get(key)
+    if found is None:
+        held, other = counts[:, first], counts[:, second] - same
+        edge = (held * other).ravel().nonzero()[0]  # other < 0 only where held is 0
+        src, col = np.divmod(edge, len(first))
+        held, other = held.ravel()[edge], other.ravel()[edge]
+        if keep is not None:
+            src, col, held, other = src[keep], col[keep], held[keep], other[keep]
+        step = 2**20 // n_bins  # a target's terms: its source's, shifted by its label
+        targets = np.concatenate([table.take(gather[src[e:e + step]] + shifts[col[e:e + step]])
+                                  .sum(axis=1) for e in range(0, len(src) or 1, step)])
+        order = targets.argsort(kind="stable")
+        firsts = np.empty(len(order), dtype=bool)
+        firsts[:1], firsts[1:] = True, targets[order[1:]] != targets[order[:-1]]
+        firsts = order[firsts]
+        at, by = src[firsts], col[firsts]
+        found = (src, col, held, other, targets, src.searchsorted(np.arange(len(ranks) + 1)),
+                 firsts, counts[at] + moves[by], gather[at] + shifts[by])
+        if key is not None and len(shared) < 4096:
+            for part in found:
+                part.flags.writeable = False
+            shared[key] = found
+    return found
+
+
+def _unrank(n_bins: int, ranks: np.ndarray) -> np.ndarray:
+    """The counts rows of the states ``ranks``: bin by bin, the largest count
+    whose states do not all rank above what is left of the rank."""
+    table, base = _ranking(n_bins)[:2]
+    table, left = table.reshape(-1, n_bins + 1), np.full(len(ranks), n_bins)
+    counts, ranks = np.zeros((len(ranks), n_bins), dtype=np.int64), np.array(ranks)
+    for b, first in enumerate(base.tolist(), start=1):
+        c = sum((s <= left // b) & (table[first + s, left] <= ranks)  # S_b ascends in c
+                for s in range(1, n_bins // b + 1))
+        ranks, left, counts[:, b - 1] = ranks - table[first + c, left], left - b * c, c
+    return counts
+
+
+class _Met(dict):
+    """The states a table has met, by rank, with ``ranks`` by counts; a rank
+    not met yet is unranked on its first read."""
+
+    def __init__(self, n_bins: int) -> None:
+        super().__init__()
+        self.n_bins, self.ranks = n_bins, {}
+
+    def meet(self, state: MassDistribution, rank: int) -> MassDistribution:
+        self[rank], self.ranks[state.counts] = state, rank
+        return state
+
+    def __missing__(self, rank: int) -> MassDistribution:
+        return self.meet(_trusted(tuple(_unrank(self.n_bins, [rank])[0].tolist())), rank)
+
+    def listing(self, ranks: np.ndarray, counts: np.ndarray) -> list[MassDistribution]:
+        """The states ``ranks``, each built from its ``counts`` row if new."""
+        keys = ranks.tolist()
+        fresh = [i for i, k in enumerate(keys) if k not in self]
+        if fresh:
+            for at, row in zip(fresh, counts[fresh].tolist()):
+                self.meet(_trusted(tuple(row)), keys[at])
+        return list(map(self.__getitem__, keys))
 
 
 def common_numerators(numbers: Sequence) -> tuple[list[int], int]:
@@ -274,23 +373,53 @@ def _read_scaled(num: np.ndarray, scale: int, at) -> np.ndarray:
     return np.fromiter((Fraction(n, scale) for n in num[at].tolist()), object, len(at))
 
 
-class StepProgram(NamedTuple):
-    """A run's step as a sparse map over state indices.
+_halve = np.frompyfunc(lambda twice: twice // 2 if type(twice) is int else twice / 2, 1, 1)
 
-    One step ``x' = A x`` adds ``prob[col] * coef`` into ``row`` from zero,
-    term by term, in stored order, so each state's sum runs in that order:
-    for the solver, ``A = I + dt Q``, every closure state's unit diagonal
-    ``(k, k, 1)``, then every outflow ``(src, src, -r_h)``, then every
-    inflow ``(dst, src, r_h)``, each in ascending (source counts, label)
-    order; for the division model, every :meth:`TransitionTable.children`
-    term ``(target, k, weight)``, stably sorted by label from ascending
-    counts order, so the holds ``(k, k, s_1)`` come first.  ``coef`` holds
-    the table's numbers: float64 on a float table, and on an exact one
-    ``int`` numerators (``dtype=object``) over the table's ``scale``, which
-    the program carries (``1`` on a float table).
-    ``levels[d]`` lists the states first reached at step ``d + 1``, in the
-    order reached: each level's states in ascending counts order, each
-    state's targets in label order.
+
+class _Level(NamedTuple):
+    """A batch of rows on arrays.  State ``i`` of ``ranks`` (ascending) has
+    edges ``start[i]:start[i + 1]``, one per ``r_h != 0`` in label order,
+    with ``labels``, target ranks, ``r_h / dt`` (``props``) and ``r_h``
+    (``rates``), and its ``totals``; ``reach`` is the distinct targets with
+    their first edges (``firsts``), counts and rank terms (:func:`_terms`)."""
+
+    ranks: np.ndarray
+    start: np.ndarray
+    labels: np.ndarray
+    targets: np.ndarray
+    props: np.ndarray
+    rates: np.ndarray
+    totals: np.ndarray
+    firsts: np.ndarray
+    reach: np.ndarray
+    reach_counts: np.ndarray
+    reach_terms: np.ndarray
+
+    @property
+    def degree(self) -> np.ndarray:
+        return np.diff(self.start)
+
+
+class StepProgram(NamedTuple):
+    """A run's step as a sparse map over its positions: position ``p``
+    is the state of rank ``ranks[p]``, with the counts ``counts[p]``.
+
+    The positions are the sources, then each level's states, each in
+    ascending rank (so ascending counts) order.  One step ``x' = A x``
+    adds ``prob[col] * coef`` into ``row`` from zero, term by term, in
+    stored order, so each state's sum runs in that order: for the solver,
+    ``A = I + dt Q``, every closure state's unit diagonal ``(p, p, 1)``,
+    then every outflow ``(src, src, -r_h)``, then every inflow ``(dst,
+    src, r_h)``, each in ascending (source counts, label) order; for the
+    division model, every :meth:`TransitionTable.children` term
+    ``(target, p, weight)``, stably sorted by label from ascending counts
+    order, so the holds ``(p, p, s_1)`` come first.  ``coef`` holds the
+    table's numbers: float64 on a float table, and on an exact one ``int``
+    numerators (``dtype=object``) over the table's ``scale``, which the
+    program carries (``1`` on a float table).  ``levels[d]`` lists the
+    positions of the states first reached at step ``d + 1``, in the order
+    reached: each level's states in ascending counts order, each state's
+    targets in label order.
     """
 
     row: np.ndarray
@@ -298,6 +427,8 @@ class StepProgram(NamedTuple):
     coef: np.ndarray
     levels: list[list[int]]
     scale: int
+    ranks: np.ndarray
+    counts: np.ndarray
 
     def vector(self, size: int, at: Sequence[int], values: Sequence) -> np.ndarray:
         """Length ``size``, ``values`` at indices ``at`` and zero elsewhere,
@@ -346,7 +477,7 @@ class StepProgram(NamedTuple):
 @dataclass(frozen=True)
 class TransitionTable:
     """Label <-> bin-pair bijection with kernel values and time step, and
-    the sparse transition rows it compiles, per state on first use.
+    the sparse transition rows it compiles, a batch of states at a time.
 
     Labels ``1..H`` enumerate the pairs in lexicographic ``(i, j)`` order
     (``i <= j``, ``i + j <= N``); label 0 is the reserved no-transition
@@ -357,16 +488,18 @@ class TransitionTable:
     lcm of the kernel values' denominators times ``dt``'s.  Its rows and
     step programs hold ``int``s over ``scale``, and ``Fraction``s are
     built only where values leave it.  A float table keeps its inputs,
-    with ``scale`` 1.
+    with ``scale`` 1; when ``dt`` and every kernel value are floats its
+    rows are float64 arrays, and otherwise arrays of the Python numbers.
 
-    A state gets an index when first seen, as a start state or as the
-    target of a compiled row; its row is compiled when a run first needs
-    its outflows.  Only the support a run can reach is ever built, never
-    the whole state space.  The solver and the merged division model,
-    float or rational, step on the one map :meth:`program` builds; the
-    history tree reads :meth:`children`, and the Gillespie sampler
-    :meth:`events`.  The indexed ``states`` and the compiled rows are not
-    fields: equality, hash and repr read the four fields alone.
+    A state's index is its rank, its place in ascending counts order, so
+    ordering indices orders counts; ``states`` holds the states the table
+    has met, by rank.  Rows are compiled a breadth-first level at a time,
+    one array pass each, when a run first needs that level's outflows:
+    only the support a run can reach is built.  The solver and the merged
+    division model step on the one map :meth:`program` builds; the history
+    tree reads :meth:`children`, and the Gillespie sampler :meth:`events`.
+    The states and rows are not fields: equality, hash and repr read the
+    four fields alone.
     """
 
     num_bins: int
@@ -384,7 +517,8 @@ class TransitionTable:
                                   f"{self.num_bins}, got {len(self.kernel_values)}")
         # exact when dt and every kernel value are ints or Fractions, so every
         # r_h is one; anything else makes the r_h floats, and runs float64
-        is_float = not {type(self.dt), *map(type, self.kernel_values)} <= {int, Fraction}
+        types = {type(self.dt), *map(type, self.kernel_values)}
+        is_float = not types <= {int, Fraction}
         for value in self.kernel_values:  # an exact value is finite: its sign is the check
             if not (0 <= value < math.inf if is_float else value.numerator >= 0):
                 raise StateSpaceError(f"kernel value must be finite and >= 0, got {value}")
@@ -398,11 +532,15 @@ class TransitionTable:
             object.__setattr__(self, name, value)
         object.__setattr__(self, "is_float", is_float)
         object.__setattr__(self, "one", 1.0 if is_float else Fraction(1))
-        object.__setattr__(self, "states", [])
-        object.__setattr__(self, "_rows", [])
-        object.__setattr__(self, "_index", {})
-        object.__setattr__(self, "_events", {})
-        object.__setattr__(self, "_children", {})
+        # the rows' number type: float64 on float inputs, int64 on exact ones
+        # while every number they form stays below 2**53, else Python's
+        small = not is_float and max(numbers[0]) * self.num_bins**4 * max(numbers[1:]) < 2**53
+        object.__setattr__(self, "_number", float if types == {float} else
+                           np.int64 if small else object)
+        object.__setattr__(self, "states", _Met(self.num_bins))
+        for name in ("_rows", "_levels", "_walks", "_events", "_children"):
+            object.__setattr__(self, name, {})
+        object.__setattr__(self, "_next", ())
 
     @property
     def num_labels(self) -> int:
@@ -415,164 +553,214 @@ class TransitionTable:
         return self.pairs[label - 1]
 
     def index(self, state: MassDistribution) -> int:
-        """State index of ``state``, assigned on first sight."""
+        """The rank of ``state``; O(1) once the table has met it."""
         if state.num_bins != self.num_bins:
             raise StateSpaceError(f"state {state.counts} does not have {self.num_bins} bins")
-        found = self._index.get(state.counts)
+        found = self.states.ranks.get(state.counts)
         if found is None:
-            found = self._index[state.counts] = len(self.states)
-            self.states.append(state)
-            self._rows.append(None)
+            cells = _ranking(self.num_bins)[2]
+            found = sum(map(cells.__getitem__, _terms(self.num_bins, state.counts)))
+            self.states.meet(state, found)
         return found
 
-    def row(self, k: int) -> OperatorRow:
-        """Row of state ``k``, compiled on first use."""
-        row = self._rows[k]
-        if row is None:
-            row = self._rows[k] = self._compile(self.states[k].counts)
-        return row
+    @cached_property
+    def _kernels(self) -> np.ndarray:
+        return np.array(self._kernel, dtype=self._number)
 
-    def _rule(self, counts: tuple[int, ...]) -> Iterator[tuple]:
-        """The one rate rule, on the table's numbers: ``(label, i, j, r_h /
-        dt, r_h)`` for each pair of occupied bins with ``r_h != 0``, in label
-        order, from ``counts`` alone; ``int``s over ``scale`` on an exact table."""
-        n, kernel, up, dt = self.num_bins, self._kernel, self._up, self._dt
-        occupied = list(compress(range(1, n + 1), counts))
-        for first, i in enumerate(occupied):
-            for j in occupied[first:]:
-                if i + j > n:
-                    break
-                label = (i - 1) * (n - i) + j  # after the N + 1 - 2i' pairs of each i' < i
-                pair = _pair_propensity(kernel[label - 1], counts, i, j)
-                rate = pair * dt
-                if rate != 0:
-                    yield label, i, j, pair * up, rate
+    def _expand(self, ranks: np.ndarray, counts: np.ndarray, gather: np.ndarray) -> _Level:
+        """The rows of the states ``ranks`` (ascending, with ``counts`` and rank
+        terms ``gather``): the :func:`_structure` of every state and label,
+        and each ``r_h`` formed as the scalar rule forms it, ``(K n_i) n_j``
+        or ``(K n)(n - 1) / 2`` (``//`` on an ``int``), then ``* dt``."""
+        same, half = _ranking(self.num_bins)[5:7]
+        src, col, held, other, targets, start, firsts, *reach = _structure(
+            self.num_bins, ranks, counts, gather)
+        pair = self._kernels[col] * held * other
+        if self._number is object:
+            halved = same[col]
+            pair[halved] = _halve(pair[halved])
+        else:  # times 1/2, or an exact // 2, where i = j
+            pair = pair * half[col] if self._number is float else pair // (1 + same[col])
+        rates = pair * self._dt
+        keep = rates != 0  # as the rule: no edge where r_h is zero
+        if not keep.all():
+            pair, rates = pair[keep], rates[keep]
+            src, col, _, _, targets, start, firsts, *reach = _structure(
+                self.num_bins, ranks, counts, gather, keep)
+        totals = np.full(len(ranks), 0 * self._dt, dtype=self._number)
+        np.add.at(totals, src, rates)  # in index order: each a left fold from zero
+        return _Level(ranks, start, col + 1, targets, pair if self.is_float else pair * self._up,
+                      rates, totals, firsts, targets[firsts], *reach)
 
-    def _compile(self, counts: tuple[int, ...]) -> OperatorRow:
-        labels, targets, propensities, total = [], [], [], 0 * self._dt
-        for label, i, j, propensity, rate in self._rule(counts):
-            after = _collided(counts, i, j)
-            target = self._index.get(after)
-            labels.append(label)
-            targets.append(self.index(_trusted(after)) if target is None else target)
-            propensities.append(propensity)
-            total = total + rate  # a left fold, as total_transition_rate's, on every Python
-        return OperatorRow(*map(tuple, (labels, targets, propensities)), total)
+    def _level(self, ranks: np.ndarray, counts: np.ndarray, gather: np.ndarray) -> _Level:
+        """The level of the states ``ranks``, compiled on first use."""
+        key = tuple(ranks.tolist())
+        level = self._levels.get(key)
+        if level is None:
+            level = self._levels[key] = self._expand(ranks, counts, gather)
+            self._rows.update(zip(key, zip(repeat(level), range(len(key)))))
+            object.__setattr__(self, "_next", level)
+        return level
 
-    def _rates(self, propensities: Sequence) -> list:
-        """Each ``r_h / dt`` in ``propensities`` as the rule's ``r_h``: ``p * dt``,
-        or on an exact table the ``int`` over ``scale`` ``p // _up * _dt``."""
-        if self.is_float:
-            return [p * self._dt for p in propensities]
-        return [p // self._up * self._dt for p in propensities]
+    def _row(self, k: int) -> tuple[_Level, int]:
+        """The level holding state ``k``'s row, and its place there; a state
+        not compiled yet is, with the last level's other new targets."""
+        found = self._rows.get(k)
+        if found is None:
+            last, reach = self._next, self._next.reach.tolist() if self._next else ()
+            if k in reach:
+                fresh = [r not in self._rows for r in reach]
+                reach = last.reach, last.reach_counts, last.reach_terms
+                self._level(*(reach if all(fresh) else (part[fresh] for part in reach)))
+            else:
+                counts = self.states[k].counts
+                self._level(np.array([k]), np.array([counts]),
+                            np.array([_terms(self.num_bins, counts)]))
+            found = self._rows[k]
+        return found
 
-    def _split(self, k: int) -> Iterator[tuple]:
-        """The division model's split of :meth:`checked` row ``k``: labels
-        visited ``H..1``, label ``h`` claiming ``r_h / s_{h+1}`` of what is
-        unclaimed, as ``(label, target, weight)`` per nonzero weight, then
-        the hold ``s_1`` as label 0; on an exact row, ``r_h`` and ``scale - total``."""
-        row = self.checked(k)
-        rates = self._rates(row.propensities)
-        weights, hold = rates, self.scale - row.total  # unclipped: (r_h / s_{h+1}) s_{h+1} is r_h
-        if self.is_float:  # the loop; a zero-rate label leaves s unchanged
-            weights, hold = [0] * len(rates), self.one
-            for pos in reversed(range(len(rates))):
-                if hold <= 0:
-                    break
-                modified = min(rates[pos] / hold, self.one)
-                weights[pos] = modified * hold
-                hold = (1 - modified) * hold
-        weights.append(hold)
-        return compress(zip(row.labels + (0,), row.targets + (k,), weights), weights)
+    def _check(self, level: _Level, at: int | None = None) -> None:
+        """The step-size check, ``sum_h r_h <= 1``, of the level's states (or
+        its state ``at``), the first over the limit raising; it leaves the
+        division split unclipped: ``s_{h+1} >= r_h``."""
+        totals = level.totals.tolist()
+        for at in range(len(totals)) if at is None else [at]:
+            if (total := totals[at]) > self.scale:
+                raise StepSizeError(
+                    "sum of transition probabilities "
+                    f"{total if self.is_float else Fraction(total, self.scale)} > 1 for state "
+                    f"{self.states[level.ranks[at:at + 1].tolist()[0]].counts}; reduce dt")
+
+    def _split(self, rates: np.ndarray, degree: np.ndarray, totals: np.ndarray) -> tuple:
+        """The division split of checked rows (row ``i`` the next ``degree[i]``
+        rates, with ``totals[i]``): labels visited ``H..1``, label ``h``
+        claiming ``r_h / s_{h+1}`` of what is unclaimed; each edge's weight
+        and each row's hold ``s_1``.  In Q they are ``r_h`` and ``scale -
+        total``; a float row takes the loop, one label position at a time."""
+        if not self.is_float:
+            return rates, self.scale - totals
+        at = np.repeat(np.arange(len(degree)), degree)
+        pos = np.arange(len(rates)) - (np.cumsum(degree) - degree)[at]
+        claims = np.zeros((len(degree), degree.max(initial=0)), dtype=rates.dtype)
+        claims[at, pos] = rates
+        weights, hold = np.zeros_like(claims), np.full(len(degree), self.one, dtype=rates.dtype)
+        for p in reversed(range(claims.shape[1])):  # a zero-rate label leaves s unchanged
+            live = np.flatnonzero((degree > p) & (hold > 0))
+            modified = np.minimum(claims[live, p] / hold[live], self.one)
+            weights[live, p] = modified * hold[live]
+            hold[live] = (1 - modified) * hold[live]
+        return weights[at, pos], hold
 
     def events(self, k: int) -> tuple[float, tuple[int, ...], np.ndarray]:
         """What the Gillespie sampler draws from in state ``k``: the event
         rate ``sum_h r_h / dt``, the row's targets, and the cumulative label
         distribution at the row's labels, both taken on the length-``H``
-        float vector of the row's propensities, each correctly rounded.
-        Built on the first visit and kept."""
+        float vector of the row's propensities, each correctly rounded; kept
+        for every state of ``k``'s level from the first visit."""
         found = self._events.get(k)
         if found is None:
-            row = self.row(k)
-            dense = np.zeros(self.num_labels)
-            stored = np.array(row.labels, dtype=np.intp) - 1
-            dense[stored] = row.propensities if self.is_float else [
-                p / self.scale for p in row.propensities]
-            event_rate = dense.sum()
-            cdf = np.cumsum(dense)[stored] / event_rate  # an absorbed state's is empty
-            found = self._events[k] = (event_rate, row.targets, cdf)
+            level = self._row(k)[0]
+            at = np.repeat(np.arange(len(level.ranks)), level.degree)
+            dense = np.zeros((len(level.ranks), self.num_labels))
+            dense[at, level.labels - 1] = level.props / self.scale  # scale 1 on a float table
+            rate = dense.sum(axis=1)  # each row's own pairwise sum, as a vector's
+            cdf = np.cumsum(dense, axis=1)[at, level.labels - 1] / rate[at]
+            self.states.listing(level.reach, level.reach_counts)  # as the sampler returns them
+            start, targets = level.start.tolist(), level.targets.tolist()
+            for i, (rank, a, b) in enumerate(zip(level.ranks.tolist(), start, start[1:])):
+                self._events[rank] = (rate[i], tuple(targets[a:b]), cdf[a:b])
+            found = self._events[k]
         return found
 
-    def checked(self, k: int) -> OperatorRow:
-        """Row ``k`` after the step-size check, ``sum_h r_h <= 1``, which
-        also leaves the division split unclipped: ``s_{h+1} >= r_h``."""
-        row = self.row(k)
-        if row.total > self.scale:
-            total = row.total if self.is_float else Fraction(row.total, self.scale)
-            raise StepSizeError(
-                f"sum of transition probabilities {total} > 1 for state "
-                f"{self.states[k].counts}; reduce dt"
-            )
-        return row
-
     def children(self, k: int) -> tuple[tuple, ...]:
-        """Row ``k``'s children, its division split's ``(label, target,
-        weight)`` per nonzero weight (a checked row has none below zero):
-        the labels in order, then the hold ``s_1`` as label 0; an ``int``
-        over ``scale`` on an exact table.  Built on the first visit and kept."""
+        """State ``k``'s children after the step-size check: its split's
+        ``(label, target, weight)`` per nonzero weight, the labels in order,
+        then the hold ``s_1`` as label 0 (ints over ``scale`` on an exact
+        table); kept for each checked state of its level from the first visit."""
         found = self._children.get(k)
         if found is None:
-            found = self._children[k] = tuple(self._split(k))
+            level, i = self._row(k)
+            self._check(level, i)
+            weights, hold = self._split(level.rates, level.degree, level.totals)
+            self.states.listing(level.reach, level.reach_counts)  # as run_tree lists them
+            start, labels, targets, weights, hold, totals = (a.tolist() for a in (
+                level.start, level.labels, level.targets, weights, hold, level.totals))
+            for rank, a, b, h, total in zip(level.ranks.tolist(), start, start[1:], hold, totals):
+                if total <= self.scale:
+                    kept = weights[a:b] + [h]
+                    self._children[rank] = tuple(compress(zip(
+                        labels[a:b] + [0], targets[a:b] + [rank], kept), kept))
+            found = self._children[k]
+        return found
+
+    def _walk(self, sources: Sequence[int], steps: int) -> tuple:
+        """The closure of ``steps`` steps from ``sources``, each level compiled
+        and checked before it is expanded; kept once it passes.  It gives the
+        positions first reached at each step, in the order reached; each
+        position's rank and counts (the sources, then each level, by rank);
+        the stepping states' positions, degrees and totals, by rank; and
+        their edges by (source rank, label): source and target positions,
+        labels and ``r_h``."""
+        key = (tuple(sorted(set(sources))), steps)  # np.unique would import numpy.ma
+        found = self._walks.get(key)
+        if found is None:
+            ranks = np.array(key[0], dtype=_ranking(self.num_bins)[0].dtype)
+            counts = [self.states[k].counts for k in key[0]]
+            gather = np.array([_terms(self.num_bins, c) for c in counts], dtype=np.int64)
+            counts = np.array(counts, dtype=np.int64).reshape(len(ranks), self.num_bins)
+            parts, stepping, levels, reached = [(ranks, counts)], [], [], set(key[0])
+            for _ in range(steps):
+                level = self._level(ranks, counts, gather)
+                self._check(level)
+                stepping.append(level)
+                new = [r not in reached for r in level.reach.tolist()]
+                ranks, counts, gather, firsts = (
+                    level.reach, level.reach_counts, level.reach_terms, level.firsts)
+                if not all(new):
+                    ranks, counts, gather, firsts = (
+                        part[new] for part in (ranks, counts, gather, firsts))
+                levels.append((len(reached) + firsts.argsort()).tolist())
+                reached.update(ranks.tolist())
+                parts.append((ranks, counts))
+            ranks, counts = map(np.concatenate, zip(*parts))
+            where = ranks.argsort()
+            place = lambda r: where[ranks.searchsorted(r, sorter=where)]  # noqa: E731
+            src, degree, targets, labels, rates, totals = (np.concatenate(
+                [getattr(lv, name) for lv in stepping] or [np.zeros(0, dtype=int)])
+                for name in ("ranks", "degree", "targets", "labels", "rates", "totals"))
+            order, edges = src.argsort(), np.repeat(src, degree).argsort(kind="stable")
+            found = self._walks[key] = (
+                levels, ranks, counts, place(src[order]), degree[order], totals[order],
+                place(np.repeat(src, degree)[edges]), place(targets[edges]), labels[edges],
+                rates[edges])
         return found
 
     def program(self, sources: Sequence[int], steps: int, sequential: bool = False) -> StepProgram:
-        """The step map for ``steps`` steps from ``sources``, over the
-        state indices of the states they reach, for the solver or,
+        """The step map for ``steps`` steps from the states of ranks
+        ``sources``, over the states they reach, for the solver or,
         ``sequential``, the division model; where both runs are checked.
 
-        The closure is built breadth first, and each level that will step
-        is :meth:`checked` in ascending counts order before it is
-        expanded.  A state at depth
-        ``d`` first steps at step ``d + 1``, so a run fails on the state
-        its executor would meet first, without compiling deeper rows.
-        The program's ``levels`` are the depths ``1..steps``.  The division
-        model's map reads each state's split, formed here and not kept.
-        """
+        Each level that will step is checked, in ascending counts order,
+        before it is expanded: a state at depth ``d`` first steps at step
+        ``d + 1``, so a run fails on the state its executor would meet
+        first, without compiling deeper rows.  The ``levels`` are the depths
+        ``1..steps``; the division map forms every stepping state's split."""
         require_count("steps", steps, 0, StateSpaceError)
-        reached = set(sources)
-        level, stepping, levels = list(reached), [], []
-        for _ in range(steps):
-            level = sorted(level, key=lambda k: self.states[k].counts)
-            stepping.extend(level)
-            nxt = []
-            for k in level:
-                for target in self.checked(k).targets:
-                    if target not in reached:
-                        reached.add(target)
-                        nxt.append(target)
-            levels.append(nxt)
-            level = nxt
-        stepping.sort(key=lambda k: self.states[k].counts)
+        levels, ranks, counts, held, degree, totals, out, into, labels, rates = self._walk(
+            sources, steps)
         number = float if self.is_float else object
-        if sequential:  # each state's children, stably sorted by label: the holds come first
-            label, dst, src, coef = [], [], [], []
-            for k in stepping:
-                for h, target, weight in self._split(k):
-                    label.append(h)
-                    dst.append(target)
-                    src.append(k)
-                    coef.append(weight)
-            kids = np.argsort(np.array(label, dtype=np.intp), kind="stable")
-            row, col = np.array(dst, dtype=np.intp)[kids], np.array(src, dtype=np.intp)[kids]
-            return StepProgram(row, col, np.array(coef, dtype=number)[kids], levels, self.scale)
-        rows = [self._rows[k] for k in stepping]  # A = I + dt Q: unit diagonals lead the rows
-        src = np.repeat(np.array(stepping, dtype=np.intp), [len(row.labels) for row in rows])
-        dst = np.fromiter(chain.from_iterable(row.targets for row in rows), np.intp, len(src))
-        rate = np.array(self._rates([p for row in rows for p in row.propensities]), number)
-        diag = np.array(sorted(reached), dtype=np.intp)
-        unit = np.full(len(diag), self.scale, number)
-        row, col = np.concatenate([diag, src, dst]), np.concatenate([diag, src, src])
-        return StepProgram(row, col, np.concatenate([unit, -rate, rate]), levels, self.scale)
+        if not sequential:  # A = I + dt Q: unit diagonals lead the rows
+            diag, rate = np.arange(len(ranks)), rates.astype(number)
+            row, col = np.concatenate([diag, out, into]), np.concatenate([diag, out, out])
+            coef = np.concatenate([np.full(len(diag), self.scale, number), -rate, rate])
+        else:  # the holds, in ascending counts, then the moves by label
+            weights, hold = self._split(rates, degree, totals)
+            moved = np.flatnonzero(weights)
+            moved, kept = moved[labels[moved].argsort(kind="stable")], hold != 0
+            row = np.concatenate([held[kept], into[moved]])
+            col = np.concatenate([held[kept], out[moved]])
+            coef = np.concatenate([hold[kept], weights[moved]]).astype(number)
+        return StepProgram(row, col, coef, levels, self.scale, ranks, counts)
 
 
 def partition_count_exact(n: int) -> int:
@@ -591,22 +779,6 @@ def partition_count_asymptotic(n: int) -> float:
     return math.exp(math.pi * math.sqrt(2 * n / 3)) / (4 * n * math.sqrt(3))
 
 
-def _partitions(counts: list[int], size: int, left: int, out: list) -> None:
-    """Append to ``out``, in ascending counts order, every state whose bins
-    ``size..N`` hold the mass ``left``, with ``counts`` fixing the bins
-    below ``size`` and every bin from ``size`` on empty: ``n_size``
-    ascends, and what it leaves must be 0 or a larger part."""
-    if left == 0:
-        out.append(_trusted(tuple(counts)))
-        return
-    for count in range(left // size + 1):
-        rest = left - count * size
-        if rest == 0 or rest > size:
-            counts[size - 1] = count
-            _partitions(counts, size + 1, rest, out)
-    counts[size - 1] = 0
-
-
 def enumerate_states(n_bins: int) -> list[MassDistribution]:
     """All reachable occupation vectors for total mass ``n_bins``.
 
@@ -621,6 +793,5 @@ def enumerate_states(n_bins: int) -> list[MassDistribution]:
             f"N = {n_bins} exceeds cap {DEFAULT_ENUMERATION_CAP}: would enumerate "
             f"{partition_count_exact(n_bins)} states"
         )
-    states = []
-    _partitions([0] * n_bins, 1, n_bins, states)
-    return states
+    counts = _unrank(n_bins, np.arange(partition_count_exact(n_bins))).tolist()
+    return [_trusted(tuple(row)) for row in counts]

@@ -151,13 +151,13 @@ def test_dynamical_equivalence():
         exact_ok &= set(collapsed.entries) == set(merged.entries) and all(
             collapsed.entries[s] == merged.entries[s] for s in merged.entries
         )
-    ok = worst <= 1e-12 and exact_ok
+    ok = worst <= master.MERGED_TOL and exact_ok
     _report(
         "dynamical-equivalence",
         ok,
         f"merged vs solver max diff {worst:.2e}; tree marginalization exact: {exact_ok}",
     )
-    assert worst <= 1e-12
+    assert worst <= master.MERGED_TOL == 1e-12
     assert exact_ok
 
 

@@ -28,6 +28,7 @@ from cloudq.master import (
     evolve_series,
     expected_count,
 )
+import scalar_rule
 from cloudq.states import (
     InfeasibleTransitionError,
     KernelSpec,
@@ -408,11 +409,13 @@ def test_children_are_the_merged_terms(kind):
         for table in _dyadic_tables(n, kind):
             op = table
             prog = op.program([op.index(MassDistribution.monodisperse(n))], n, sequential=True)
-            assert set(prog.col.tolist()) == set(range(len(op.states)))  # every state steps
-            for k in range(len(op.states)):
+            ranks = prog.ranks.tolist()
+            assert set(prog.col.tolist()) == set(range(len(ranks)))  # every state steps
+            for at, k in enumerate(ranks):
                 children = op.children(k)
-                terms = prog.col == k
-                assert list(zip(prog.row[terms].tolist(), prog.coef[terms].tolist())) == [
+                terms = prog.col == at
+                assert list(zip(prog.ranks[prog.row[terms]].tolist(),
+                                prog.coef[terms].tolist())) == [
                     (target, weight) for _, target, weight in sorted(children, key=lambda c: c[0])
                 ]
                 assert prog.scale == op.scale
@@ -422,7 +425,7 @@ def test_children_are_the_merged_terms(kind):
                     (b.history[-1], op.index(b.state), b.prob, type(b.prob)) for b in branches
                 ] == [(label, target, weight, type(weight))
                       for (label, target, _), weight in zip(children, weights)]
-                assert op.events(k)[1] == op.row(k).targets
+                assert op.events(k)[1] == scalar_rule.row(op, k).targets
 
 
 def test_merged_arrays_match_branch_merge():
@@ -455,7 +458,7 @@ def test_step_size_checked_before_the_closure_compiles():
     with pytest.raises(StepSizeError, match=r"\(30, 0,"):
         run_merged(table, 200)
     op = table
-    assert [s for s, row in zip(op.states, op._rows) if row is not None] == [start]
+    assert [op.states[k] for k in op._rows] == [start]
     assert run_merged(table, 0).entries == {start: 1.0}
 
 
@@ -474,8 +477,9 @@ def test_step_size_checked_level_by_level_as_the_closure_compiles():
         f"sum of transition probabilities {total_transition_rate(table, over)} > 1 "
         "for state (4, 1, 0, 0, 0, 0); reduce dt"
     )
-    # the start's row and the failing row; nothing deeper is compiled
-    assert sum(row is not None for row in table._rows) == 2
+    # the start's level and the failing one; nothing deeper is compiled
+    assert [len(level.ranks) for level in table._levels.values()] == [1, 1]
+    assert {table.states[k] for k in table._rows} == {MassDistribution.monodisperse(6), over}
 
 
 def test_zero_steps_keep_the_table_number_type():
@@ -529,7 +533,7 @@ def _old_tree(table, steps, start, branch_cap=500_000):
             # the split's nonzero weights in label order, then a nonzero hold
             children.extend(
                 (history + (label,), op.states[target])
-                for label, target, _ in op._split(op.index(state))
+                for label, target, _ in op.children(op.index(state))
             )
         branches = children
     return branches
@@ -583,19 +587,21 @@ def test_semantics_walk_matches_the_history_replay_from_every_start():
 
 
 def _corrupted_tables(n, kind, steps):
-    # one table per row the run compiles with two or more targets, that
-    # row's first and last targets swapped
+    # one table per state the run steps with two or more targets, that
+    # state's first and last targets swapped in its kept children
     for pick in itertools.count():
         table = _dyadic_tables(n, kind)[pick % 2]
         op = table
         start = op.index(MassDistribution.monodisperse(n))
-        op.program([start], steps, sequential=True)
-        rows = [k for k, row in enumerate(op._rows) if row is not None and len(row.targets) > 1]
+        prog = op.program([start], steps, sequential=True)
+        stepping = [prog.ranks[at] for level in [[0]] + prog.levels[:-1] for at in level]
+        rows = [k for k in stepping if sum(label > 0 for label, *_ in op.children(k)) > 1]
         if pick == len(rows):
             return
-        row = op._rows[rows[pick]]
-        targets = (row.targets[-1],) + row.targets[1:-1] + (row.targets[0],)
-        op._rows[rows[pick]] = row._replace(targets=targets)
+        kids = op._children[rows[pick]]
+        (h1, t1, w1), (h2, t2, w2) = kids[0], kids[sum(label > 0 for label, *_ in kids) - 1]
+        swapped = {kids[0]: (h1, t2, w1), (h2, t2, w2): (h2, t1, w2)}
+        op._children[rows[pick]] = tuple(swapped.get(kid, kid) for kid in kids)
         yield table
 
 
@@ -665,7 +671,8 @@ def test_checked_split_weights_are_the_rates(kind, n, share, exact):
     for state in enumerate_states(n):
         k = op.index(state)
         try:
-            row = op.checked(k)
+            op._check(*op._row(k))
+            row = scalar_rule.row(op, k)
         except StepSizeError:  # a float total rounded past the limit
             assert not exact and share > 0.999
             continue

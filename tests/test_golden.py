@@ -60,6 +60,7 @@ from cloudq.fixedpoint import (
     sweep_inputs,
 )
 from cloudq.presets import PIECEWISE_ARCSINE_TABLE
+import scalar_rule
 from cloudq.states import (
     KernelSpec,
     MassDistribution,
@@ -261,18 +262,20 @@ def _masked_steps(p0, table, steps):
     keys = [op.index(s) for s in p0.entries]
     sources = [k for k, v in zip(keys, p0.entries.values()) if v != 0]
     prog = op.program(sources, steps)
-    size = len(op.states)
+    every = enumerate_states(op.num_bins)  # vectors over every rank
+    size = len(every)
     # the edges of the states within steps - 1 collisions of a source, read
     # off the operator's rows in ascending (counts, label) order, not off
     # the program's step map
     stepping, level = set(sources), set(sources)
     for _ in range(steps - 1):
-        level = {t for k in level for t in op.row(k).targets} - stepping
+        level = {t for k in level for t in scalar_rule.row(op, k).targets} - stepping
         stepping |= level
     edge_src, edge_dst, edge_rate = map(np.array, zip(*(
         (k, t, r)
-        for k in sorted(stepping, key=lambda k: op.states[k].counts)
-        for t, r in zip(op.row(k).targets, [p * op.dt for p in op.row(k).propensities])
+        for k in sorted(stepping, key=lambda k: every[k].counts)
+        for row in [scalar_rule.row(op, k)]
+        for t, r in zip(row.targets, [p * op.dt for p in row.propensities])
     )))
     order = list(keys)
     present = np.zeros(size, dtype=bool)
@@ -291,7 +294,7 @@ def _masked_steps(p0, table, steps):
             np.concatenate([stay, src, dst]), np.concatenate([prob, -flow, flow]), minlength=size
         )
         out.append(ProbabilityTable(
-            dict(zip([op.states[k] for k in order], prob[order].tolist())), step=step
+            dict(zip([every[k] for k in order], prob[order].tolist())), step=step
         ))
     return out
 
@@ -339,13 +342,15 @@ def test_runs_match_on_an_operator_holding_other_states(kind, k0, prefill):
     else:
         other = MassDistribution((n - 6, 1, 0, 1) + (0,) * (n - 4))
         evolve_series(ProbabilityTable({other: one}), table, n)
-    held = list(table.states)
+    held = dict(table.states)
     assert runs(table) == want
-    # the prefill indexed states the runs never list, and in another order
+    # the prefill met states the runs never list; every state keeps the one
+    # index, its rank, whatever the table met before it
     listed = {counts for _, entries in want for counts, _, _ in entries}
-    assert {s.counts for s in held} - listed
-    assert table.states[:len(held)] == held
-    assert table.states != fresh.states
+    assert {s.counts for s in held.values()} - listed
+    assert all(table.states[k] is state for k, state in held.items())
+    assert table.states.keys() > fresh.states.keys()
+    assert all(table.index(state) == k for k, state in fresh.states.items())
 
 
 @pytest.mark.parametrize("sequential", [False, True], ids=["solver", "division"])
@@ -359,7 +364,7 @@ def test_step_sums_each_row_in_stored_order(kind, k0, sequential):
     op = table
     start = op.index(MassDistribution.monodisperse(n))
     prog = op.program([start], n, sequential)
-    size = len(op.states)
+    size, ranks = len(prog.ranks), prog.ranks.tolist()
     draws = np.random.default_rng(n).integers(1, 10**6, size).tolist()
     # every fifth state empty: on float64 its terms add +-0.0
     prob = prog.vector(size, range(size), [
@@ -379,8 +384,8 @@ def test_step_sums_each_row_in_stored_order(kind, k0, sequential):
     assert repr(out) == repr(want)
 
     def label(c, r):
-        row = op.row(c)
-        return row.labels[row.targets.index(r)]
+        row = scalar_rule.row(op, ranks[c])
+        return row.labels[row.targets.index(ranks[r])]
 
     # within a row: the solver's unit diagonal, its outflows in label order,
     # then its inflows by (source counts, label); the division model's hold
@@ -389,13 +394,14 @@ def test_step_sums_each_row_in_stored_order(kind, k0, sequential):
         mine = [(c, coef) for row, c, coef in terms if row == r]
         own = [coef for c, coef in mine if c == r]
         assert [c == r for c, _ in mine] == [True] * len(own) + [False] * (len(mine) - len(own))
-        inflows = [(op.states[c].counts, label(c, r)) for c, _ in mine if c != r]
+        inflows = [(op.states[ranks[c]].counts, label(c, r)) for c, _ in mine if c != r]
         if sequential:
-            assert own == ([value(w) for h, _, w in op.children(r) if h == 0] if own else [])
+            assert own == ([value(w) for h, _, w in op.children(ranks[r]) if h == 0]
+                           if own else [])
             assert [h for _, h in inflows] == sorted({h for _, h in inflows})
         else:
-            assert own == ([type(k0)(1)] + [-value(p) * op.dt for p in op.row(r).propensities]
-                           if own else [])
+            assert own == ([type(k0)(1)] + [-value(p) * op.dt for p in scalar_rule.row(
+                op, ranks[r]).propensities] if own else [])
             assert inflows == sorted(inflows)
 
 

@@ -31,6 +31,7 @@ from cloudq.division import (
     run_merged,
     run_tree,
 )
+import scalar_rule
 from cloudq.states import (
     KernelSpec,
     MassDistribution,
@@ -182,8 +183,8 @@ def test_first_order_convergence():
 def test_solver_and_sampler_form_no_split(monkeypatch, k0, dt):
     # the division split is formed only where a division run reads it: a
     # solver series and the sampler on the same table never ask for it
-    def refuse(self, k):
-        raise AssertionError(f"split formed for state {self.states[k].counts}")
+    def refuse(self, *rows):
+        raise AssertionError("split formed")
 
     monkeypatch.setattr(TransitionTable, "_split", refuse)
     n = 8
@@ -305,9 +306,9 @@ def test_series_compiles_only_the_states_it_holds():
     table = build_transition_table(60, KernelSpec(), 1e-5)
     series = evolve_series(ProbabilityTable.point_mass(MassDistribution.monodisperse(60)), table, 3)
     op = table
-    compiled = {s for s, row in zip(op.states, op._rows) if row is not None}
+    compiled = {op.states[k] for k in op._rows}
     assert compiled == set(series[2].entries)
-    assert set(op.states) == set(series[3].entries)
+    assert set(op.states.values()) == set(series[3].entries)
     assert len(series[3].entries) < 20
 
 
@@ -319,7 +320,7 @@ def test_step_size_checked_before_the_closure_compiles():
         with pytest.raises(StepSizeError, match=r"\(30, 0,"):
             run(p0, table, 200)
     op = table
-    assert [s for s, row in zip(op.states, op._rows) if row is not None] == [p0.states()[0]]
+    assert [op.states[k] for k in op._rows] == [p0.states()[0]]
     assert evolve(p0, table, 0) is p0 and evolve_series(p0, table, 0) == [p0]
     # a zero-probability key over the limit moves nothing and is not checked
     table = build_transition_table(4, KernelSpec(k0=1.0), 0.4)
@@ -349,8 +350,9 @@ def test_step_size_checked_level_by_level_as_the_closure_compiles():
             f"sum of transition probabilities {total_transition_rate(table, over)} > 1 "
             "for state (4, 1, 0, 0, 0, 0); reduce dt"
         )
-        # the start's row and the failing row; nothing deeper is compiled
-        assert sum(row is not None for row in table._rows) == 2
+        # the start's level and the failing one; nothing deeper is compiled
+        assert [len(level.ranks) for level in table._levels.values()] == [1, 1]
+        assert {table.states[k] for k in table._rows} == {p0.states()[0], over}
 
 
 def test_negative_steps_rejected():
@@ -780,7 +782,11 @@ def _parent_steps(p0, table, steps, one):
     op = table
     keys = [op.index(s) for s in p0.entries]
     prog = op.program([k for k, v in zip(keys, p0.entries.values()) if v != 0], steps)
-    size, order, listed = len(op.states), list(keys), set(keys)
+    # a key no flow reaches keeps a zero slot of its own past the program's
+    where = {k: p for p, k in enumerate(prog.ranks.tolist())}
+    keys = [where.get(k, len(where) + n) for n, k in enumerate(keys)]
+    names = dict(zip(keys, p0.entries))
+    size, order, listed = len(where) + len(keys), list(keys), set(keys)
     prob = prog.vector(size, keys, list(p0.entries.values()))
     # an exact program's coefficients are ints over its scale
     coef = prog.coef if table.is_float else np.array(
@@ -792,7 +798,8 @@ def _parent_steps(p0, table, steps, one):
         np.add.at(nxt, prog.row[live], prob[prog.col[live]] * coef[live])
         prob = nxt
         order.extend(k for k in level if k not in listed)
-        out.append(dict(zip([op.states[k] for k in order], prob[order].tolist())))
+        out.append(dict(zip([names.get(p) or MassDistribution(tuple(prog.counts[p].tolist()))
+                             for p in order], prob[order].tolist())))
     return out
 
 
@@ -1094,7 +1101,7 @@ def test_int_kernel_constant_runs_exactly():
     table = build_transition_table(4, KernelSpec(k0=1), Fraction(1, 100))
     assert not table.is_float
     pair = MassDistribution((2, 1, 0, 0))
-    rule = [(h, p, r) for h, _, _, p, r in table._rule(pair.counts)]
+    rule = [(h, p, r) for h, _, _, p, r in scalar_rule.terms(table, pair.counts)]
     assert {type(x) for _, p, r in rule for x in (p, r)} == {int}
     assert [(h, Fraction(p, table.scale), Fraction(r, table.scale)) for h, p, r in rule] == [
         (1, 1, Fraction(1, 100)), (2, 2, Fraction(1, 50))]

@@ -1,6 +1,7 @@
 import builtins
 import dataclasses
 import functools
+import itertools
 import math
 import operator
 from fractions import Fraction
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from cloudq import division, master, resources
 from cloudq import states as states_module
 from cloudq.presets import PRESET_CASES
+import scalar_rule
 from cloudq.states import (
     DEFAULT_ENUMERATION_CAP,
     EmptyTableError,
@@ -54,9 +56,10 @@ def _read(table, x):
 
 
 def _terms(table, counts):
-    # the table's rate rule, (label, i, j, r_h / dt, r_h), each number read
-    # as the value it stands for
-    return [(h, i, j, _read(table, p), _read(table, r)) for h, i, j, p, r in table._rule(counts)]
+    # the table's rate rule, (label, i, j, r_h / dt, r_h) off its compiled
+    # row, each number read as the value it stands for
+    return [(h, i, j, _read(table, p), _read(table, r))
+            for h, i, j, p, r in scalar_rule.terms(table, counts)]
 
 
 def _rule(table, state):
@@ -220,7 +223,7 @@ def test_transition_table_built_directly_checks_n_and_kernel_length(
     def compile_(*args):
         raise AssertionError("a row compiled before the refusal")
 
-    monkeypatch.setattr(TransitionTable, "_compile", compile_)
+    monkeypatch.setattr(TransitionTable, "_expand", compile_)
     with pytest.raises(StateSpaceError) as err:
         TransitionTable(n_bins, 0.1, kernel_values)
     assert type(err.value) is error and str(err.value) == message
@@ -361,11 +364,11 @@ def test_one_transition_rule(kind, k0, dt):
     for n in range(2, 13):
         table = build_transition_table(n, KernelSpec(kind, k0), dt)
         every_state = enumerate_states(n)
-        # total_transition_rate reads the rule from counts: it indexes no state
+        # total_transition_rate reads the rule from counts: it meets no state
         swept = [total_transition_rate(table, state) for state in every_state]
-        assert table.states == []
+        assert table.states == {} and not table._rows
         for state, swept_total in zip(every_state, swept):
-            row = table.row(table.index(state))
+            row = scalar_rule.row(table, table.index(state))
             rates = {h: _formula_rate(table, state, h) for h in range(1, table.num_labels + 1)}
             nonzero = [h for h, rate in rates.items() if rate != 0]
             assert row.labels == tuple(nonzero)
@@ -394,21 +397,21 @@ def test_one_transition_rule(kind, k0, dt):
 )
 def test_events_read_the_compiled_row(monkeypatch, kind, k0, dt):
     # once a row is compiled, the sampler's tables come from it with no
-    # second walk of the rate rule, and equal, bit for bit, the ones built
+    # second pass of the rate rule, and equal, bit for bit, the ones built
     # on a dense vector of the rule's propensities
     walked = []
-    rule = TransitionTable._rule
+    expand = TransitionTable._expand
 
-    def counted(self, counts):
-        walked.append(counts)
-        return rule(self, counts)
+    def counted(self, *level):
+        walked.append(level)
+        return expand(self, *level)
 
     for n in range(2, 13):
         table = build_transition_table(n, KernelSpec(kind, k0), dt)
         wants = []
         for state in enumerate_states(n):
             k = table.index(state)
-            table.row(k)
+            scalar_rule.row(table, k)
             terms = _terms(table, state.counts)
             at = np.array([h for h, *_ in terms], dtype=np.intp) - 1
             dense = np.zeros(table.num_labels)
@@ -416,11 +419,11 @@ def test_events_read_the_compiled_row(monkeypatch, kind, k0, dt):
             event_rate = dense.sum()
             wants.append((k, event_rate, np.cumsum(dense)[at] / event_rate))
         with monkeypatch.context() as patch:
-            patch.setattr(TransitionTable, "_rule", counted)
+            patch.setattr(TransitionTable, "_expand", counted)
             got = [table.events(k) for k, _, _ in wants]
         for (k, event_rate, cdf), (got_rate, targets, got_cdf) in zip(wants, got):
             assert (type(got_rate), repr(got_rate)) == (type(event_rate), repr(event_rate))
-            assert targets == table.row(k).targets
+            assert targets == scalar_rule.row(table, k).targets
             assert (got_cdf.dtype, got_cdf.tobytes()) == (cdf.dtype, cdf.tobytes())
     assert walked == []
 
@@ -435,7 +438,7 @@ def test_table_compares_by_its_four_inputs_alone(k0, dt):
     start = used.index(MassDistribution.monodisperse(6))
     used.program([start], 5, sequential=True)
     used.events(start)
-    assert len(used.states) == 11 and fresh.states == []
+    assert used._rows and used._events and fresh.states == {} and not fresh._rows
     assert used == fresh and hash(used) == hash(fresh)
     assert len({used, fresh}) == 1
     assert [f.name for f in dataclasses.fields(used)] == ["num_bins", "dt", "pairs", "kernel_values"]
@@ -448,11 +451,14 @@ def test_table_compares_by_its_four_inputs_alone(k0, dt):
 def test_replaced_table_compiles_its_own_rows():
     table = build_transition_table(6, KernelSpec("sum", 0.7), 0.013)
     mono = MassDistribution.monodisperse(6)
-    total = table.checked(table.index(mono)).total
+    total = scalar_rule.row(table, table.index(mono)).total
     halved = dataclasses.replace(table, dt=0.0065)
-    assert halved.states == [] and halved != table
-    assert halved.checked(halved.index(mono)).total == total / 2  # a power of two: exact
-    assert halved.states == table.states == [mono, MassDistribution((4, 1, 0, 0, 0, 0))]
+    assert halved.states == {} and not halved._rows and halved != table
+    assert scalar_rule.row(halved, halved.index(mono)).total == total / 2  # a power of two
+    # each table compiles its own rows, and both index a state by its rank
+    assert halved._rows.keys() == table._rows.keys() == {table.index(mono)}
+    assert halved._rows[table.index(mono)][0] is not table._rows[table.index(mono)][0]
+    assert halved.states == table.states == {table.index(mono): mono}
 
 
 def test_table_kernel_smaller_than_n_names_the_missing_entry():
@@ -704,7 +710,7 @@ def test_exact_tables_hold_ints_over_one_scale(monkeypatch, kind, k0, int_dt):
         built = []
         with monkeypatch.context() as patch:
             _counting_fractions(patch, built)
-            rows = [table.row(table.index(s)) for s in every]
+            rows = [scalar_rule.row(table, table.index(s)) for s in every]
         assert built == []
         valid = True
         for state, row in zip(every, rows):
@@ -744,10 +750,11 @@ def test_exact_tables_hold_ints_over_one_scale(monkeypatch, kind, k0, int_dt):
                 prog = table.program(keys, 3, sequential)
             assert built == [] and prog.scale == table.scale
             assert {type(c) for c in prog.coef.tolist()} <= {int}
-            prob = prog.vector(len(table.states), keys, [Fraction(1, len(keys))] * len(keys))
+            at = scalar_rule.positions(prog, keys)
+            prob = prog.vector(len(prog.ranks), at, [Fraction(1, len(keys))] * len(keys))
             with monkeypatch.context() as patch:
                 _counting_fractions(patch, built)
-                reads = [read(keys) for read in prog.run(prob, 3)]
+                reads = [read(at) for read in prog.run(prob, 3)]
             assert len(built) == sum(map(len, reads)) == 3 * len(keys)
         built = []
         with monkeypatch.context() as patch:
@@ -791,7 +798,7 @@ def test_step_maps_conserve_probability_column_by_column(kind, share):
         mono = table.index(MassDistribution.monodisperse(n))
         for steps in (n // 2, n):
             solver, division = (table.program([mono], steps, seq) for seq in (False, True))
-            levels = [[mono]] + solver.levels
+            levels = [[0]] + solver.levels  # the source is the first position
             closure = {k for level in levels for k in level}
             stepping = {k for level in levels[:steps] for k in level}
             for prog, columns in [(solver, closure), (division, stepping)]:
@@ -846,7 +853,7 @@ def test_float_sums_fold_left_on_every_python(monkeypatch, n):
     for state in states:
         rates = [r for *_, r in _terms(table, state.counts)]
         want = functools.reduce(operator.add, rates, 0.0)
-        row = table.row(table.index(state))
+        row = scalar_rule.row(table, table.index(state))
         assert repr(row.total) == repr(want) == repr(total_transition_rate(table, state))
         compensated += _compensated_sum(rates, 0.0) != want
         folded += 1
@@ -873,6 +880,17 @@ def _loop_split(rates, total, one):
     return weights, remaining
 
 
+def _unchecked_split(table, k):
+    # state k's division split read off its level's arrays with the
+    # step-size check bypassed, as children forms it
+    level, i = table._row(k)
+    a, b = level.start[i], level.start[i + 1]
+    weights, hold = table._split(level.rates[a:b], np.array([b - a]), level.totals[i:i + 1])
+    kept = weights.tolist() + hold.tolist()
+    return tuple(itertools.compress(zip(
+        level.labels[a:b].tolist() + [0], level.targets[a:b].tolist() + [k], kept), kept))
+
+
 @pytest.mark.parametrize(
     "k0, dt",
     [(Fraction(3, 2), Fraction(1, 40)), (1, Fraction(1, 30)), (1, 1), (Fraction(1, 2), 1),
@@ -880,23 +898,23 @@ def _loop_split(rates, total, one):
     ids=["fraction", "int-k0", "int", "fraction-k0-int-dt", "float", "float-clipped"],
 )
 @pytest.mark.parametrize("kind", ["constant", "sum", "product"])
-def test_rows_split_as_the_loop_does(monkeypatch, kind, k0, dt):
+def test_rows_split_as_the_loop_does(kind, k0, dt):
     # a row stores only what the rate rule gives; its split, read through
     # children, is the loop's split bit for bit with its zero weights left
     # out: on an exact row with sum r_h <= 1, each rate as its weight and
-    # the hold scale - total, ints over the scale; past the limit, checked
+    # the hold scale - total, ints over the scale; past the limit, the check
     # refuses the row before a split is formed, and a float row's clipped
     # split is read with the check bypassed
     for n in range(2, 10):
         table = build_transition_table(n, KernelSpec(kind, k0), dt)
         for state in enumerate_states(n):
             k = table.index(state)
-            row = table.row(k)
+            row = scalar_rule.row(table, k)
             assert row._fields == ("labels", "targets", "propensities", "total")
             rates = [_read(table, p) * dt for p in row.propensities]
             total = _read(table, row.total)
             if total > 1:
-                for refused in (table.checked, table.children):
+                for refused in (lambda k: table._check(*table._row(k)), table.children):
                     with pytest.raises(StepSizeError):
                         refused(k)
                 if not table.is_float:
@@ -904,9 +922,7 @@ def test_rows_split_as_the_loop_does(monkeypatch, kind, k0, dt):
             weights, hold = _loop_split(rates, total, table.one)
             want = [(h, t, type(w), repr(w)) for h, t, w in zip(
                 row.labels + (0,), row.targets + (k,), weights + [hold]) if w != 0]
-            with monkeypatch.context() as patch:
-                patch.setattr(TransitionTable, "checked", TransitionTable.row)
-                split = tuple(table._split(k))
+            split = _unchecked_split(table, k)
             if total <= 1:
                 assert split == table.children(k)
             got = [(h, t, _read(table, w)) for h, t, w in split]
@@ -921,7 +937,7 @@ def test_rows_split_as_the_loop_does(monkeypatch, kind, k0, dt):
 def test_split_cases_are_covered():
     # the int table meets both exact branches: rows within the limit and past it
     table = build_transition_table(4, KernelSpec("constant", 1), 1)
-    totals = [table.row(table.index(s)).total for s in enumerate_states(4)]
+    totals = [scalar_rule.row(table, table.index(s)).total for s in enumerate_states(4)]
     assert {type(t) for t in totals} == {int}
     assert min(totals) <= 1 < max(totals)
 
@@ -938,11 +954,12 @@ def test_collided_states_are_the_checked_ones(kind):
     for n in range(2, 11):
         table = build_transition_table(n, KernelSpec(kind, Fraction(1, 2)), Fraction(1, 100))
         for state in enumerate_states(n):
-            table.row(table.index(state))
+            for label, target, _ in table.children(table.index(state)):
+                _checked_state(table.states[target])
             for label in range(1, table.num_labels + 1):
                 if _formula_rate(table, state, label):
                     _checked_state(apply_pair(state, *table.pair_of(label)))
-        for state in table.states:
+        for state in table.states.values():
             _checked_state(state)
 
 
@@ -954,3 +971,85 @@ def test_apply_pair_refuses_a_pair_outside_the_bins(counts, i, j):
     # the collided state is built unchecked, so the pair is checked first
     with pytest.raises(LabelError, match=rf"^\({i},{j}\) is not a collision pair of 4 bins$"):
         apply_pair(MassDistribution(counts), i, j)
+
+
+def _oracle_kernels(n):
+    # every kernel kind at float k0 of 0.7 and 1.3 (where the order of
+    # operations shows), a Fraction and an int, over a float and a rational
+    # dt; a table kernel with zero entries; and a table mixing Fraction
+    # entries with one float
+    specs = [(KernelSpec(kind, k0), number) for kind in ("constant", "sum", "product")
+             for k0, number in [(0.7, float), (1.3, float), (Fraction(3, 2), Fraction),
+                                (2, float), (2, Fraction)]]
+    zeros = tuple(tuple(0.0 if (i + j) % 3 == 0 else 0.3 * (i + j) for j in range(1, n + 1))
+                  for i in range(1, n + 1))
+    mixed = tuple(tuple(0.25 if (i, j) == (1, 1) else Fraction(i * j, 3)
+                        for j in range(1, n + 1)) for i in range(1, n + 1))
+    return specs + [(KernelSpec("table", table=zeros), float),
+                    (KernelSpec("table", table=mixed), Fraction),
+                    (KernelSpec("table", table=mixed), float)]
+
+
+def _bits(values):
+    # each value as the oracle compares it: a float by its int64 view, an
+    # exact number by its type and value
+    return [("float", np.float64(v).view(np.int64).item()) if isinstance(v, float)
+            else (type(v).__name__, v) for v in values]
+
+
+@pytest.mark.parametrize("n", range(2, 21))
+def test_array_pass_matches_the_scalar_oracle(n):
+    # one array pass over every state of N gives, bit for bit, the scalar
+    # rule's rows, its division split on every checked row and the
+    # sampler's tables: labels, targets (as counts), propensities, totals,
+    # split weights and hold, event rate and CDF
+    every = enumerate_states(n)
+    counts = np.array([s.counts for s in every])
+    for spec, number in _oracle_kernels(n):
+        unit = build_transition_table(n, spec, number(1))
+        worst = max(total_transition_rate(unit, s) for s in every)
+        dt = float(0.9 / worst) if number is float else Fraction(9, 10) / worst
+        table = build_transition_table(n, spec, dt)
+        terms = np.array([states_module._terms(n, c) for c in counts.tolist()])
+        level = table._level(np.arange(len(every)), counts, terms)
+        weights, hold = table._split(level.rates, np.diff(level.start), level.totals)
+        for k, state in enumerate(every):
+            want, got = scalar_rule.compile_row(table, state.counts), scalar_rule.row(table, k)
+            assert got.labels == want.labels
+            assert [every[t].counts for t in got.targets] == list(want.targets)
+            assert _bits(got.propensities + (got.total,)) == _bits(
+                want.propensities + (want.total,))
+            a, b = level.start[k], level.start[k + 1]
+            if want.total <= table.scale:
+                split, held = scalar_rule.split(table, want)
+                if table.is_float:  # a position the loop never reached holds 0
+                    split = [float(w) for w in split]
+                assert _bits(weights[a:b].tolist() + hold[k:k + 1].tolist()) == _bits(
+                    split + [held])
+            event_rate, cdf = scalar_rule.events(table, want)
+            got_rate, targets, got_cdf = table.events(k)
+            assert targets == got.targets
+            assert (type(got_rate), got_rate.view(np.int64)) == (
+                type(event_rate), event_rate.view(np.int64))
+            assert got_cdf.view(np.int64).tolist() == cdf.view(np.int64).tolist()
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 12, 20, 30, 40])
+def test_rank_is_the_enumeration_index(n):
+    # the closed-form rank of every state is its place in ascending counts
+    # order, which enumerate_states lists; unranking inverts it
+    every = enumerate_states(n)
+    counts = np.array([s.counts for s in every])
+    assert len(every) == partition_count_exact(n)
+    assert all(state.mass() == n for state in every)
+    assert all(a.counts < b.counts for a, b in zip(every, every[1:]))  # strictly ascending
+    table = states_module._ranking(n)[0]
+    ranks = table.take(np.array([states_module._terms(n, c) for c in counts.tolist()])).sum(axis=1)
+    assert ranks.tolist() == list(range(len(every)))
+    assert states_module._unrank(n, ranks).tolist() == counts.tolist()
+    if 2 <= n <= 30:
+        op = build_transition_table(n, KernelSpec(), 0.01)
+        assert [op.index(s) for s in every] == list(range(len(every)))
+    if 2 <= n <= 12:  # a rank the table has not met is unranked on its first read
+        fresh = build_transition_table(n, KernelSpec(), 0.01)
+        assert [fresh.states[k].counts for k in range(len(every))] == [s.counts for s in every]
