@@ -225,6 +225,7 @@ def ssa_population_estimate(
     if cfg.n_runs < 2:
         raise StateSpaceError("standard error needs n_runs >= 2")
     samples = np.empty((cfg.n_runs, table.num_bins))
+    initial = initial or MassDistribution.monodisperse(table.num_bins)  # met once, by rank
     for run in range(cfg.n_runs):
         rng = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(run,)))

@@ -299,10 +299,12 @@ def _structure(n_bins: int, ranks: np.ndarray, counts: np.ndarray, gather: np.nd
     key = tuple(ranks.tolist()) if keep is None and len(ranks) <= _SHARED_STATES else None
     found = shared.get(key)
     if found is None:
-        held, other = counts[:, first], counts[:, second] - same
-        edge = (held * other).ravel().nonzero()[0]  # other < 0 only where held is 0
+        step = 2**18 // len(first)  # states a block, so a block's columns stay small
+        edge = np.concatenate([  # other < 0 only where held is 0, so held * other > 0 is
+            (counts[a:a + step, first] * (counts[a:a + step, second] - same)).ravel().nonzero()[0]
+            + a * len(first) for a in range(0, len(ranks) or 1, step)])  # a feasible pair
         src, col = np.divmod(edge, len(first))
-        held, other = held.ravel()[edge], other.ravel()[edge]
+        held, other = counts[src, first[col]], counts[src, second[col]] - same[col]
         if keep is not None:
             src, col, held, other = src[keep], col[keep], held[keep], other[keep]
         step = 2**20 // n_bins  # a target's terms: its source's, shifted by its label

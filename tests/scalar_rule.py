@@ -4,8 +4,9 @@ split, kept as the oracle the array pass is pinned to.
 Each works on one state's counts and on the table's own numbers
 (``_kernel``, ``_up``, ``_dt``, ``scale``), in the scalar order of
 operations: ``(K n_i) n_j`` and ``(K n)(n - 1) / 2``, then ``* dt``, with
-the total a left fold.  Targets are the post-collision counts.  The reader
-:func:`row` gives the same four fields from a table's compiled arrays.
+the total a left fold.  Targets are the post-collision counts.  The
+readers :func:`row` and :func:`terms` give the same from a table's compiled
+arrays, and :func:`positions` finds states in a step program.
 """
 
 from __future__ import annotations
