@@ -262,12 +262,12 @@ def _ranking(n_bins: int) -> tuple:
     table = np.array(rows, dtype=np.int64 if above[n_bins] < 2**63 else object).ravel()
     cells = table.tolist()
     first, second = (np.array(label_pairs(n_bins), dtype=np.intp).reshape(-1, 2) - 1).T
-    moves, every = np.zeros((len(first), n_bins), dtype=np.int64), np.arange(len(first))
-    moves[every, first] -= 1
+    moves, every = np.zeros((len(first), n_bins), dtype=np.int16), np.arange(len(first))
+    moves[every, first] -= 1  # int16 holds every move and shift, and keeps these H x N small
     moves[every, second] -= 1
     moves[every, first + second + 1] += 1
-    mass = moves * np.arange(1, n_bins + 1)  # R_b changes by the mass moved out below b
-    shifts = moves * (n_bins + 1) - np.cumsum(mass, axis=1) + mass
+    mass = moves * np.arange(1, n_bins + 1, dtype=np.int16)  # R_b moves by the mass below b
+    shifts = moves * np.int16(n_bins + 1) - np.cumsum(mass, axis=1, dtype=np.int16) + mass
     same = first == second
     return table, base, cells, first, second, same, np.where(same, 0.5, 1.0), moves, shifts, {}
 
