@@ -708,8 +708,8 @@ class TransitionTable:
         if found is None:
             ranks = np.array(key[0], dtype=_ranking(self.num_bins)[0].dtype)
             counts = [self.states[k].counts for k in key[0]]
-            gather = np.array([_terms(self.num_bins, c) for c in counts], dtype=np.int64)
-            counts = np.array(counts, dtype=np.int64).reshape(len(ranks), self.num_bins)
+            gather, counts = (np.array(rows, dtype=np.int64).reshape(len(ranks), self.num_bins)
+                              for rows in ([_terms(self.num_bins, c) for c in counts], counts))
             parts, stepping, levels, reached = [(ranks, counts)], [], [], set(key[0])
             for _ in range(steps):
                 level = self._level(ranks, counts, gather)

@@ -355,6 +355,17 @@ def test_step_size_checked_level_by_level_as_the_closure_compiles():
         assert {table.states[k] for k in table._rows} == {p0.states()[0], over}
 
 
+@pytest.mark.parametrize("one", [1.0, Fraction(1)], ids=["float", "exact"])
+def test_zero_and_empty_starts_step_to_zero(one):
+    # a start with no populated state steps nothing: its keys stay listed at zero
+    table = build_transition_table(5, KernelSpec(k0=one), one / 100)
+    mono, other = MassDistribution.monodisperse(5), MassDistribution((3, 1, 0, 0, 0))
+    zeros = ProbabilityTable({mono: 0 * one, other: 0 * one})
+    for p in evolve_series(zeros, table, 3):
+        assert list(p.entries) == [mono, other] and not any(p.entries.values())
+    assert evolve(ProbabilityTable({}), table, 2).entries == {}
+
+
 def test_negative_steps_rejected():
     table, p0 = _mono_table(3)
     for run in (evolve, evolve_series):
