@@ -283,6 +283,7 @@ def _terms(n_bins: int, counts: Sequence[int]) -> list[int]:
 
 
 _SHARED_STATES = 16  # the largest level whose structure every table of its N shares
+_COUNTS, _TERMS = np.int16, np.int32  # a level's counts and rank terms: small, as they are kept
 
 
 def _structure(n_bins: int, ranks: np.ndarray, counts: np.ndarray, gather: np.ndarray,
@@ -300,9 +301,9 @@ def _structure(n_bins: int, ranks: np.ndarray, counts: np.ndarray, gather: np.nd
     found = shared.get(key)
     if found is None:
         step = 2**18 // len(first)  # states a block, so a block's columns stay small
-        edge = np.concatenate([  # other < 0 only where held is 0, so held * other > 0 is
-            (counts[a:a + step, first] * (counts[a:a + step, second] - same)).ravel().nonzero()[0]
-            + a * len(first) for a in range(0, len(ranks) or 1, step)])  # a feasible pair
+        edge = np.concatenate([  # n_i, and n_j or n_i - 1 where i = j, both above 0
+            ((counts[a:a + step, first] > 0) & (counts[a:a + step, second] > same)).ravel()
+            .nonzero()[0] + a * len(first) for a in range(0, len(ranks) or 1, step)])
         src, col = np.divmod(edge, len(first))
         held, other = counts[src, first[col]], counts[src, second[col]] - same[col]
         if keep is not None:
@@ -616,8 +617,8 @@ class TransitionTable:
                 self._level(*(reach if all(fresh) else (part[fresh] for part in reach)))
             else:
                 counts = self.states[k].counts
-                self._level(np.array([k]), np.array([counts]),
-                            np.array([_terms(self.num_bins, counts)]))
+                self._level(np.array([k]), np.array([counts], dtype=_COUNTS),
+                            np.array([_terms(self.num_bins, counts)], dtype=_TERMS))
             found = self._rows[k]
         return found
 
@@ -708,8 +709,9 @@ class TransitionTable:
         if found is None:
             ranks = np.array(key[0], dtype=_ranking(self.num_bins)[0].dtype)
             counts = [self.states[k].counts for k in key[0]]
-            gather, counts = (np.array(rows, dtype=np.int64).reshape(len(ranks), self.num_bins)
-                              for rows in ([_terms(self.num_bins, c) for c in counts], counts))
+            gather, counts = (np.array(rows, dtype=dtype).reshape(len(ranks), self.num_bins)
+                              for rows, dtype in ([[_terms(self.num_bins, c) for c in counts],
+                                                   _TERMS], [counts, _COUNTS]))
             parts, stepping, levels, reached = [(ranks, counts)], [], [], set(key[0])
             for _ in range(steps):
                 level = self._level(ranks, counts, gather)
