@@ -300,7 +300,7 @@ def _structure(n_bins: int, ranks: np.ndarray, counts: np.ndarray, gather: np.nd
     key = tuple(ranks.tolist()) if keep is None and len(ranks) <= _SHARED_STATES else None
     found = shared.get(key)
     if found is None:
-        step = 2**18 // len(first)  # states a block, so a block's columns stay small
+        step = max(1, 2**18 // len(first))  # states a block, so its columns stay small
         edge = np.concatenate([  # n_i, and n_j or n_i - 1 where i = j, both above 0
             ((counts[a:a + step, first] > 0) & (counts[a:a + step, second] > same)).ravel()
             .nonzero()[0] + a * len(first) for a in range(0, len(ranks) or 1, step)])
@@ -308,7 +308,7 @@ def _structure(n_bins: int, ranks: np.ndarray, counts: np.ndarray, gather: np.nd
         held, other = counts[src, first[col]], counts[src, second[col]] - same[col]
         if keep is not None:
             src, col, held, other = src[keep], col[keep], held[keep], other[keep]
-        step = 2**20 // n_bins  # a target's terms: its source's, shifted by its label
+        step = max(1, 2**20 // n_bins)  # a target's terms: its source's, shifted by its label
         targets = np.concatenate([table.take(gather[src[e:e + step]] + shifts[col[e:e + step]])
                                   .sum(axis=1) for e in range(0, len(src) or 1, step)])
         order = targets.argsort(kind="stable")
