@@ -20,6 +20,7 @@ raise the maximum.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -32,6 +33,8 @@ from mpmath import libmp
 from .states import require_count
 
 _cheb = np.polynomial.chebyshev
+# the class chebfit warns with: numpy 1.x also names it in polyutils
+_RANK_WARNING = getattr(np.polynomial.polyutils, "RankWarning", np.exceptions.RankWarning)
 
 FIT_POINTS = 2001
 DEFAULT_ERROR_GRID = 4096
@@ -90,6 +93,10 @@ def chebyshev_fit(a: float, b: float, degree: int) -> np.ndarray:
 
     Least squares in the Chebyshev basis over a uniform grid; returns the
     basis coefficients.  A degenerate interval yields the exact constant.
+    The steps are ``chebfit``'s own, so the bits and the ``RankWarning``
+    of a rank-deficient fit are too: the rows ``T_i(u)`` by the
+    recurrence, scaled to unit norm, solved by ``lstsq`` with ``rcond =
+    FIT_POINTS * eps``, and unscaled.
     """
     if not 0 <= a <= b <= 1:
         raise FitError(f"invalid domain [{a}, {b}]")
@@ -98,18 +105,60 @@ def chebyshev_fit(a: float, b: float, degree: int) -> np.ndarray:
         return np.array([float(np.arcsin(a))] + [0.0] * degree)
     xs = np.linspace(a, b, FIT_POINTS)
     u = (2 * xs - a - b) / (b - a)
-    return _cheb.chebfit(u, np.arcsin(xs), degree)
+    rows, u2 = np.empty((degree + 1, FIT_POINTS)), 2 * u
+    rows[0], rows[1] = 1.0, u
+    for i in range(2, degree + 1):
+        rows[i] = rows[i - 1] * u2 - rows[i - 2]
+    scale = np.sqrt(np.square(rows).sum(1))
+    coefficients, _, rank, _ = np.linalg.lstsq(
+        rows.T / scale, np.arcsin(xs), FIT_POINTS * np.finfo(float).eps
+    )
+    if rank != degree + 1:
+        warnings.warn("The fit may be poorly conditioned", _RANK_WARNING, stacklevel=2)
+    return coefficients / scale
+
+
+def _grid_points(a: float, b: float, index: np.ndarray) -> np.ndarray:
+    """``np.linspace(a, b, DEFAULT_ERROR_GRID)[index]`` for ascending
+    ``index`` ending at the last point, by linspace's own operations:
+    ``i * step + a`` with ``step = (b - a) / (grid - 1)``, and ``b`` last."""
+    step = (b - a) / (DEFAULT_ERROR_GRID - 1)
+    if step == 0:  # linspace scales a subnormal span otherwise
+        return np.linspace(a, b, DEFAULT_ERROR_GRID)[index]
+    points = index * step + a
+    points[-1] = b
+    return points
+
+
+def _grid_error(coefficients: Sequence[float], a: float, b: float, xs: np.ndarray) -> float:
+    """Max |poly - arcsin| over the points ``xs`` of ``[a, b]``."""
+    u = (2 * xs - a - b) / (b - a)
+    values = _cheb.chebval(u, np.array(coefficients))
+    return float(np.max(np.abs(values - np.arcsin(xs))))
 
 
 def linf_error(coefficients: Sequence[float], a: float, b: float) -> float:
     """Max |poly - arcsin| over the :data:`DEFAULT_ERROR_GRID`-point uniform
     grid on ``[a, b]``."""
-    xs = np.linspace(a, b, DEFAULT_ERROR_GRID)
     if a == b:
         return float(abs(_cheb.chebval(0.0, np.array(coefficients)) - np.arcsin(a)))
-    u = (2 * xs - a - b) / (b - a)
-    values = _cheb.chebval(u, np.array(coefficients))
-    return float(np.max(np.abs(values - np.arcsin(xs))))
+    return _grid_error(coefficients, a, b, np.linspace(a, b, DEFAULT_ERROR_GRID))
+
+
+# grid points a probe checks before the whole grid: the first and last 16 and every 65th
+_PROBE_INDEX = np.array(sorted(
+    {*range(16), *range(DEFAULT_ERROR_GRID - 16, DEFAULT_ERROR_GRID),
+     *range(0, DEFAULT_ERROR_GRID, 65)}
+))
+
+
+@lru_cache(maxsize=None)
+def _extrema_index(degree: int) -> np.ndarray:
+    """The ``degree + 2`` grid indices nearest the extrema of ``T_(degree+1)``."""
+    return np.array([
+        round((1 - math.cos(k * math.pi / (degree + 1))) / 2 * (DEFAULT_ERROR_GRID - 1))
+        for k in range(degree + 2)
+    ])
 
 
 def _fit_is_doomed(a: float, b: float, degree: int, eps: float, reach: float | None = None) -> bool:
@@ -128,11 +177,7 @@ def _fit_is_doomed(a: float, b: float, degree: int, eps: float, reach: float | N
     grid, top = DEFAULT_ERROR_GRID, b if reach is None else reach
     if not b - a >= max(16 * (grid - 1) * math.ulp(top), 2.0**-900) or 2 * degree**2 >= grid - 1:
         return False
-    index = [
-        round((1 - math.cos(k * math.pi / (degree + 1))) / 2 * (grid - 1))
-        for k in range(degree + 2)
-    ]
-    points = np.linspace(a, b, grid)[index].tolist()
+    points = _grid_points(a, b, _extrema_index(degree)).tolist()
     u = [(2 * x - a - b) / (b - a) for x in points]  # the same operations as linf_error
     weights = []
     for k, u_k in enumerate(u):
@@ -203,9 +248,12 @@ def min_pieces(
                 b = (a + b) / 2
                 continue
             coeffs = chebyshev_fit(a, b, degree)
-            err = linf_error(coeffs, a, b)
-            if err < eps:
-                break
+            # a probe at or above eps (or nan) on some grid points fails the
+            # grid too; a point interval has no grid, only its one value
+            if a == b or _grid_error(coeffs, a, b, _grid_points(a, b, _PROBE_INDEX)) < eps:
+                err = linf_error(coeffs, a, b)
+                if err < eps:
+                    break
             b = (a + b) / 2
         else:
             raise DegreeTooLowError(

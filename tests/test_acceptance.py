@@ -5,6 +5,9 @@ scorecard.  Tolerances are fixed here and nowhere else.
 """
 
 import math
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -318,3 +321,27 @@ def test_partition_machinery():
     )
     assert ok_counts
     assert 0.9 <= ratio <= 1.2
+
+
+def test_circuit_row_and_evolve_leave_numpy_ma_unloaded():
+    # numpy.ma costs about 1.2 MB of resident memory, and np.unique imports
+    # it: one circuit row (fit, verify, quantize, sweep) and a short evolve,
+    # in a fresh interpreter, must not load it
+    probe = """
+import sys, warnings
+warnings.simplefilter("ignore")
+from cloudq import arcsine, fixedpoint, master, states
+core = arcsine.min_pieces(5, 1e-12)
+extension = arcsine.min_pieces(5, 1e-12, domain=fixedpoint.EXTENSION_DOMAIN)
+arcsine.verify(core, grid_factor=10)
+table = fixedpoint.quantize_arcsine(core, 42, extension)
+fixedpoint.estimate_eps_calculation(42, table, samples=200)
+transitions = states.build_transition_table(6, states.KernelSpec(k0=1.0), 0.01)
+start = master.ProbabilityTable.point_mass(states.MassDistribution.monodisperse(6))
+master.evolve(start, transitions, 3)
+print("numpy.ma" in sys.modules)
+"""
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(arcsine.__file__))}
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout == "False\n"

@@ -1,14 +1,18 @@
 import dataclasses
+import itertools
 import math
 import random
 import signal
 import time
+import warnings
 
 import mpmath as mp
 import numpy as np
 import pytest
 
 from cloudq import arcsine
+from cloudq.fixedpoint import EXTENSION_DOMAIN
+from cloudq.presets import ARCSINE_NOISE_ROW, PIECEWISE_ARCSINE_TABLE
 
 from cloudq.arcsine import (
     DegreeTooLowError,
@@ -355,3 +359,111 @@ def test_fsum_products_matches_mpf_products(prec):
             ties += shift > 0 and abs(x * y) % (1 << shift) == 1 << (shift - 1)
     if prec < 153:
         assert ties > 0  # rounding ties were exercised
+
+
+def _drawn_intervals(seed, count):
+    """``count`` intervals in ``[0, 1]``: log-uniform widths, and widths of
+    a few ulps of the left edge (subnormal ones at zero)."""
+    rng = random.Random(seed)
+    drawn = 0
+    while drawn < count:
+        a = rng.choice([0.0, rng.random(), 1 - rng.random() ** 4])
+        if drawn % 2:
+            b = a + rng.randint(1, 8) * math.ulp(a)
+        else:
+            b = a + 10 ** rng.uniform(-12, 0)
+        if a < b <= 1:
+            drawn += 1
+            yield a, b
+
+
+def _warned(call):
+    """The result of ``call()`` and the (class, message) of every warning."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = call()
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+def _chebfit(a, b, degree):
+    xs = np.linspace(a, b, arcsine.FIT_POINTS)
+    return np.polynomial.chebyshev.chebfit((2 * xs - a - b) / (b - a), np.arcsin(xs), degree)
+
+
+def test_chebyshev_fit_is_chebfit_bit_for_bit():
+    # chebyshev_fit runs chebfit's steps itself; the bits and the warnings
+    # must stay numpy's, narrow intervals and their rank deficit included
+    warned = 0
+    for (a, b), degree in zip(_drawn_intervals(1, 300), itertools.cycle(range(1, 10))):
+        got, got_warnings = _warned(lambda: chebyshev_fit(a, b, degree))
+        want, want_warnings = _warned(lambda: _chebfit(a, b, degree))
+        assert got.tobytes() == want.tobytes(), (a, b, degree)
+        assert got_warnings == want_warnings, (a, b, degree)
+        warned += bool(want_warnings)
+    assert warned > 0
+
+
+def test_a_narrow_fit_warns_as_chebfit_does():
+    a = 0.3
+    b = a + 2 * math.ulp(a)
+    _, got = _warned(lambda: chebyshev_fit(a, b, 5))
+    _, want = _warned(lambda: _chebfit(a, b, 5))
+    assert got == want
+    assert [(category.__name__, message) for category, message in got] == [
+        ("RankWarning", "The fit may be poorly conditioned")
+    ]
+
+
+def test_grid_points_are_linspace_points():
+    # the doom check's and the probe's points must be linf_error's grid points
+    grid = arcsine.DEFAULT_ERROR_GRID
+    indices = [arcsine._extrema_index(d) for d in range(1, 46)] + [arcsine._PROBE_INDEX]
+    # on these two the last i * step + a misses b, which linspace puts last
+    missed = [(0.0, 0.06248884988977388), (0.0005693553207764546, 0.5101620655322282)]
+    assert all((grid - 1) * ((b - a) / (grid - 1)) + a != b for a, b in missed)
+    cases = [*zip(_drawn_intervals(2, 400), itertools.cycle(indices)),
+             *itertools.product(missed, indices)]
+    for (a, b), index in cases:
+        want = np.linspace(a, b, grid)[index]
+        assert arcsine._grid_points(a, b, index).tobytes() == want.tobytes(), (a, b)
+    assert len(arcsine._PROBE_INDEX) == 94
+
+
+def test_probe_rejects_only_fits_that_fail_the_grid(monkeypatch):
+    # over the benchmark's 13 rows: a probe never reads above the whole grid,
+    # so every fit it rejects has linf_error >= eps
+    probes = []
+    grid_error = arcsine._grid_error
+
+    def recorded(coefficients, a, b, xs):
+        error = grid_error(coefficients, a, b, xs)
+        if len(xs) == len(arcsine._PROBE_INDEX):
+            probes.append((tuple(coefficients), a, b, error))
+        return error
+
+    monkeypatch.setattr(arcsine, "_grid_error", recorded)
+    rejected = 0
+    for eps, degree, _ in PIECEWISE_ARCSINE_TABLE:
+        if (eps, degree) == ARCSINE_NOISE_ROW:
+            continue
+        for domain in ((0.0, 0.5), EXTENSION_DOMAIN):
+            probes.clear()
+            min_pieces(degree, eps, domain)
+            for coefficients, a, b, probe in probes:
+                error = linf_error(coefficients, a, b)
+                assert probe <= error or math.isnan(error), (eps, degree, a, b)
+                if not probe < eps:
+                    rejected += 1
+                    assert not error < eps, (eps, degree, a, b)
+    assert rejected > 0
+
+
+@pytest.mark.filterwarnings("ignore:The fit may be poorly conditioned")
+def test_probe_leaves_point_intervals_to_linf_error(monkeypatch):
+    # near the noise floor the halving reaches b == a, where linf_error
+    # reads the one point and passes; a probe there would read 0/0 = nan
+    # and reject, ending the crawl at the bisection limit instead
+    monkeypatch.setattr(arcsine, "MAX_PIECES", 256)
+    with pytest.raises(DegreeTooLowError) as err:
+        min_pieces(3, 3e-16, (0.9, 1.0))
+    assert str(err.value) == "degree 3 needs more than 256 pieces for eps=3e-16"

@@ -17,6 +17,7 @@ from cloudq.arcsine import PiecewisePolynomial, PolynomialPiece, min_pieces
 from cloudq.fixedpoint import (
     CarryOutError,
     DivisionByZeroError,
+    EpsSweepReport,
     FixedPointError,
     FixedPointRangeError,
     QuantizedArcsine,
@@ -320,6 +321,46 @@ def test_sweep_deterministic(arcsine_table):
     a = estimate_eps_calculation(WIDTH, arcsine_table, samples=500)
     b = estimate_eps_calculation(WIDTH, arcsine_table, samples=500)
     assert a == b
+
+
+def _sweep_outcome(sweep):
+    """``(max_error, mean_error)`` of a sweep, or its error's class and message."""
+    try:
+        return sweep()
+    except FixedPointError as exc:
+        return type(exc), str(exc)
+
+
+def _looped_sweep(width, table, samples, include_gap):
+    """``estimate_eps_calculation`` as a plain loop over the pipeline."""
+    worst = total = 0.0
+    for n_i, n_j, kdt, s in sweep_inputs(samples, include_gap=include_gap):
+        error = emulate_up_pipeline(n_i, n_j, kdt, s, width, table).error
+        worst = max(worst, error)
+        total += error
+    return worst, total / samples
+
+
+def test_sweep_matches_a_loop_over_the_pipeline():
+    # two tables at one width share the registers before the arcsine; the
+    # d=7 gap sweep overflows at sample 96 and must raise there, and width
+    # 1 encodes s to zero, which raises before any arcsine
+    fixedpoint._kept_register_stage.cache_clear()
+    width = 46
+    tables = [build_quantized_arcsine(degree, 1e-13, width) for degree in (6, 7)]
+    cases = [(width, table, samples, include_gap)
+             for samples in (96, 97, 300) for include_gap in (False, True) for table in tables]
+    cases.append((1, tables[0], 10, False))
+    raised = 0
+    for case in cases:
+        got = _sweep_outcome(lambda: estimate_eps_calculation(*case))
+        want = _sweep_outcome(lambda: _looped_sweep(*case))
+        if isinstance(got, EpsSweepReport):
+            got = got.max_error, got.mean_error
+        assert got == want, case[2:]
+        raised += isinstance(want[0], type)
+    assert raised == 3  # 97 and 300 gap samples of d=7, and width 1
+    assert fixedpoint._kept_register_stage.cache_info().hits >= 6
 
 
 def _restoring_sqrt(radicand, out_bits):
