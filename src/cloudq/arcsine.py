@@ -14,7 +14,8 @@ pass re-measures every assembled piece against an extended-precision
 arcsine (difference of Chebyshev series), so construction speed never
 compromises the certified error; it runs the extended-precision series
 and the dense grid only for the pieces whose float upper bound can still
-raise the maximum.
+raise the maximum.  mpmath is imported by the functions that call it, so
+importing this module does not load it.
 """
 
 from __future__ import annotations
@@ -26,15 +27,9 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-import mpmath as mp
 import numpy as np
-from mpmath import libmp
 
 from .states import require_count
-
-_cheb = np.polynomial.chebyshev
-# the class chebfit warns with: numpy 1.x also names it in polyutils
-_RANK_WARNING = getattr(np.polynomial.polyutils, "RankWarning", np.exceptions.RankWarning)
 
 FIT_POINTS = 2001
 DEFAULT_ERROR_GRID = 4096
@@ -114,8 +109,23 @@ def chebyshev_fit(a: float, b: float, degree: int) -> np.ndarray:
         rows.T / scale, np.arcsin(xs), FIT_POINTS * np.finfo(float).eps
     )
     if rank != degree + 1:
-        warnings.warn("The fit may be poorly conditioned", _RANK_WARNING, stacklevel=2)
+        # the class chebfit warns with: numpy.exceptions names it from numpy
+        # 2.0 on, polyutils before (numpy 1.x imports numpy.polynomial itself)
+        rank_warning = (getattr(np.exceptions, "RankWarning", None)
+                        or np.polynomial.polyutils.RankWarning)
+        warnings.warn("The fit may be poorly conditioned", rank_warning, stacklevel=2)
     return coefficients / scale
+
+
+def _chebval(u, c: np.ndarray):
+    """``numpy.polynomial.chebyshev.chebval(u, c)`` by its own Clenshaw
+    steps, so the bits are the same, without importing ``numpy.polynomial``
+    (about 0.8 MB of resident memory)."""
+    c0, c1 = (c[-2], c[-1]) if len(c) > 1 else (c[0], 0.0)
+    u2 = 2 * u
+    for c_k in c[-3::-1]:
+        c0, c1 = c_k - c1, c0 + c1 * u2
+    return c0 + c1 * u
 
 
 def _grid_points(a: float, b: float, index: np.ndarray) -> np.ndarray:
@@ -133,7 +143,7 @@ def _grid_points(a: float, b: float, index: np.ndarray) -> np.ndarray:
 def _grid_error(coefficients: Sequence[float], a: float, b: float, xs: np.ndarray) -> float:
     """Max |poly - arcsin| over the points ``xs`` of ``[a, b]``."""
     u = (2 * xs - a - b) / (b - a)
-    values = _cheb.chebval(u, np.array(coefficients))
+    values = _chebval(u, np.asarray(coefficients, dtype=float))
     return float(np.max(np.abs(values - np.arcsin(xs))))
 
 
@@ -141,7 +151,8 @@ def linf_error(coefficients: Sequence[float], a: float, b: float) -> float:
     """Max |poly - arcsin| over the :data:`DEFAULT_ERROR_GRID`-point uniform
     grid on ``[a, b]``."""
     if a == b:
-        return float(abs(_cheb.chebval(0.0, np.array(coefficients)) - np.arcsin(a)))
+        value = _chebval(0.0, np.asarray(coefficients, dtype=float))
+        return float(abs(value - np.arcsin(a)))
     return _grid_error(coefficients, a, b, np.linspace(a, b, DEFAULT_ERROR_GRID))
 
 
@@ -212,7 +223,8 @@ def min_pieces(
     counts as a halving.  More than :data:`MAX_BISECTIONS` halvings of a
     single subdomain, or a piece budget past :data:`MAX_PIECES`, raises
     :class:`DegreeTooLowError`, the budget's as soon as the lower bound
-    proves it cannot hold.  So does an ``eps`` at or below half an ulp
+    proves it cannot hold, or when the halving reaches ``b == a``, where a
+    piece would not move ``a``.  So does an ``eps`` at or below half an ulp
     of ``arcsin(hi)``, before any fit: no grid measurement in double
     precision can certify it.  The degree must be an int of at least one,
     ``eps`` a number above zero (not ``nan``), and the domain must lie in
@@ -232,6 +244,7 @@ def min_pieces(
             f"eps={eps} is at or below the double-precision floor {floor:.3g} "
             f"of the grid error on {domain}"
         )
+    over_budget = f"degree {degree} needs more than {MAX_PIECES} pieces for eps={eps}"
     pieces: list[PolynomialPiece] = []
     a = lo
     while a < hi:
@@ -239,18 +252,17 @@ def min_pieces(
         wide = (hi - a) / max(left, 1)
         if left < 1 or (pieces and pieces[-1].upper - pieces[-1].lower < wide
                         and _fit_is_doomed(a, min(hi, a + wide), degree, eps, reach=hi)):
-            raise DegreeTooLowError(
-                f"degree {degree} needs more than {MAX_PIECES} pieces for eps={eps}"
-            )
+            raise DegreeTooLowError(over_budget)
         b = hi
         for _ in range(MAX_BISECTIONS):
+            if b == a:  # a piece [a, a] would pass and leave `a` where it is, forever
+                raise DegreeTooLowError(over_budget)
             if _fit_is_doomed(a, b, degree, eps):
                 b = (a + b) / 2
                 continue
             coeffs = chebyshev_fit(a, b, degree)
-            # a probe at or above eps (or nan) on some grid points fails the
-            # grid too; a point interval has no grid, only its one value
-            if a == b or _grid_error(coeffs, a, b, _grid_points(a, b, _PROBE_INDEX)) < eps:
+            # a probe at or above eps (or nan) on some grid points fails the grid too
+            if _grid_error(coeffs, a, b, _grid_points(a, b, _PROBE_INDEX)) < eps:
                 err = linf_error(coeffs, a, b)
                 if err < eps:
                     break
@@ -281,6 +293,8 @@ def _cosine_table(n: int, order: int, prec: int) -> tuple[tuple[tuple[int, int],
     Every piece of every fit up to degree :data:`_SHARED_DEGREE` reads one
     table (:func:`_reference_order`), so keeping only the latest builds one
     per pass over the piece-count table's rows."""
+    from mpmath import libmp
+
     rnd = libmp.round_nearest
     pi, den = libmp.mpf_pi(prec, rnd), libmp.from_int(2 * n)
 
@@ -304,10 +318,10 @@ def _reference_order(coefficients: Sequence[float]) -> int:
     return max(len(coefficients) - 1, _SHARED_DEGREE) + VERIFY_EXTRA_ORDER
 
 
-def _reference_table(order: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+def _reference_table(order: int, prec: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """The cosine table of an ``order`` reference series, on ``n = 2 order
-    + 8`` nodes at the working precision."""
-    return _cosine_table(2 * order + 8, order, mp.mp.prec)
+    + 8`` nodes at binary precision ``prec``."""
+    return _cosine_table(2 * order + 8, order, prec)
 
 
 def _signed(x: tuple) -> tuple[int, int]:
@@ -327,6 +341,8 @@ def _fsum_products(xs: Sequence[tuple[int, int]], ys: Sequence[tuple[int, int]],
     Each exact product is rounded to ``prec`` bits, nearest with ties to
     even, and stripped of trailing zeros, as ``mpf.__mul__`` does; the terms
     go to ``libmp.mpf_sum`` with their true bit counts, as in ``mp.fsum``."""
+    from mpmath import libmp
+
     terms = []
     for (x_man, x_exp), (y_man, y_exp) in zip(xs, ys):
         man = x_man * y_man
@@ -343,12 +359,14 @@ def _fsum_products(xs: Sequence[tuple[int, int]], ys: Sequence[tuple[int, int]],
     return libmp.mpf_sum(terms, prec, libmp.round_nearest)
 
 
-def _node_values(a: float, b: float, order: int) -> list[tuple[int, int]]:
-    """Arcsine at the ``order`` reference nodes of ``[a, b]`` at the working
-    precision, as (signed mantissa, exponent) pairs.  The ``libmp`` calls
-    are the ones ``mp.asin(mid + rad * node)`` makes on ``mid, rad = (a +
-    b) / 2, (b - a) / 2``, so the bits are the same."""
-    prec, rnd = mp.mp.prec, libmp.round_nearest
+def _node_values(a: float, b: float, order: int, prec: int) -> list[tuple[int, int]]:
+    """Arcsine at the ``order`` reference nodes of ``[a, b]`` at binary
+    precision ``prec``, as (signed mantissa, exponent) pairs.  The ``libmp``
+    calls are the ones ``mp.asin(mid + rad * node)`` makes on ``mid, rad =
+    (a + b) / 2, (b - a) / 2``, so the bits are the same."""
+    from mpmath import libmp
+
+    rnd = libmp.round_nearest
     a_, b_ = libmp.from_float(a), libmp.from_float(b)
     mid = libmp.mpf_shift(libmp.mpf_add(a_, b_, prec, rnd), -1)
     rad = libmp.mpf_shift(libmp.mpf_sub(b_, a_, prec, rnd), -1)
@@ -356,11 +374,11 @@ def _node_values(a: float, b: float, order: int) -> list[tuple[int, int]]:
         _signed(libmp.mpf_asin(libmp.mpf_add(
             mid, libmp.mpf_mul(rad, libmp.from_man_exp(man, exp), prec, rnd), prec, rnd
         ), prec, rnd))
-        for man, exp in _reference_table(order)[1]
+        for man, exp in _reference_table(order, prec)[1]
     ]
 
 
-def _truth_series(a: float, b: float, order: int) -> list[mp.mpf]:
+def _truth_series(a: float, b: float, order: int) -> list:
     """Chebyshev series of arcsine on [a, b] to ``order`` in mpmath, from
     its :func:`_node_values`.
 
@@ -369,10 +387,12 @@ def _truth_series(a: float, b: float, order: int) -> list[mp.mpf]:
     coefficient is :func:`_fsum_products` of ``values[k] * row[k]`` in
     ``k`` order, the same bits as ``mp.fsum`` of the ``mpf`` products.
     """
-    values = _node_values(a, b, order)
-    n, prec = len(values), mp.mp.prec
-    series = []
-    for j, row in enumerate(_reference_table(order)):
+    import mpmath as mp
+
+    prec = mp.mp.prec
+    values = _node_values(a, b, order, prec)
+    n, series = len(values), []
+    for j, row in enumerate(_reference_table(order, prec)):
         coeff = 2 * mp.make_mpf(_fsum_products(values, row, prec)) / n
         if j == 0:
             coeff /= 2
@@ -383,6 +403,8 @@ def _truth_series(a: float, b: float, order: int) -> list[mp.mpf]:
 def _diff_series(coefficients: Sequence[float], a: float, b: float) -> np.ndarray:
     """The polynomial minus the 45-digit arcsine series on ``[a, b]``, as
     float Chebyshev coefficients in ``u``."""
+    import mpmath as mp
+
     with mp.workdps(VERIFY_DPS):
         order = _reference_order(coefficients)
         truth = _truth_series(a, b, order)
@@ -400,7 +422,7 @@ def _grid_max(diff: np.ndarray, grid: int) -> float:
     to ~1e-18 absolute accuracy; the reference series' tail is negligible
     because the nearest arcsine singularity is far outside the piece."""
     u = np.linspace(-1.0, 1.0, grid)
-    return float(np.max(np.abs(_cheb.chebval(u, diff))))
+    return float(np.max(np.abs(_chebval(u, diff))))
 
 
 def _series_bound(diff: np.ndarray) -> float:
@@ -420,6 +442,8 @@ def _taylor_terms(mid: int, rad: int, b: float, last: int) -> tuple[list[int], i
     ``None`` if ``tail`` stays above ``2**(F - 140)`` through ``m = last``.
     Each ``D_m`` is one floor division of the recurrence the README
     derives; the two arcsines are ``F + 20``-bit ``mpf_asin`` values."""
+    from mpmath import libmp
+
     prec, rnd = _FIXED_BITS + 20, libmp.round_nearest
 
     def asin_floor(x: tuple) -> int:

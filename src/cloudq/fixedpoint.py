@@ -26,8 +26,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-import mpmath as mp
-
 from .arcsine import PiecewisePolynomial, min_pieces
 from .states import require_count
 
@@ -291,6 +289,8 @@ def _arcsin_bits(a: int, width: int, table: QuantizedArcsine) -> int:
 
 @lru_cache(maxsize=None)
 def _pi_half_bits(width: int) -> int:
+    import mpmath as mp
+
     with mp.workdps(width + 20):
         return int(mp.floor(mp.pi / 2 * (1 << (width - 1))))
 

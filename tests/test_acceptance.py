@@ -345,3 +345,40 @@ print("numpy.ma" in sys.modules)
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                           text=True, check=True)
     assert done.stdout == "False\n"
+
+
+def test_solver_paths_load_neither_mpmath_nor_numpy_polynomial(tmp_path):
+    # mpmath (about 30 ms) serves only verify and the fixed-point angles:
+    # importing every module and running the solver, division, sampler and
+    # estimate paths must not load it, in a fresh interpreter; then one
+    # circuit row loads it.  No call loads numpy.polynomial, which numpy 1.x
+    # imports itself, so only what cloudq adds to numpy counts
+    probe = """
+import sys, warnings
+warnings.simplefilter("ignore")
+import numpy
+lazy = {"mpmath", "numpy.polynomial"} - set(sys.modules)
+from cloudq import arcsine, cli, division, fixedpoint, master, presets, resources, states
+transitions = states.build_transition_table(6, states.KernelSpec(k0=1.0), 0.01)
+start = states.MassDistribution.monodisperse(6)
+series = master.evolve_series(master.ProbabilityTable.point_mass(start), transitions, 3)
+division.run_merged(transitions, 3)
+master.write_probability_series(series, sys.argv[1] + "/series.csv")
+master.ssa_population_estimate(transitions, master.SsaConfig(n_runs=4, seed=1, t_end=0.03))
+resources.estimate_case(presets.PRESET_CASES["paper-case-1"])
+assert cli.main(["estimate", "--preset", "paper-case-1", "--out", sys.argv[1] + "/est/"]) == 0
+print(sorted(lazy & set(sys.modules)))
+core = arcsine.min_pieces(5, 1e-12)
+extension = arcsine.min_pieces(5, 1e-12, domain=fixedpoint.EXTENSION_DOMAIN)
+arcsine.verify(core, grid_factor=1)
+table = fixedpoint.quantize_arcsine(core, 42, extension)
+fixedpoint.estimate_eps_calculation(42, table, samples=20)
+arcsine.chebyshev_fit(0.3, 0.3 + 1e-16, 5)  # rank-deficient: warns
+print(sorted(lazy & set(sys.modules)))
+"""
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(arcsine.__file__))}
+    done = subprocess.run([sys.executable, "-c", probe, str(tmp_path)], env=env,
+                          capture_output=True, text=True, check=True)
+    lines = done.stdout.splitlines()
+    assert lines[-2] == "[]"
+    assert lines[-1] == "['mpmath']"

@@ -414,6 +414,20 @@ def test_a_narrow_fit_warns_as_chebfit_does():
     ]
 
 
+def test_chebval_is_numpys_bit_for_bit():
+    # _chebval runs chebval's Clenshaw steps itself, for the fits' short
+    # series and verify's 49-term ones, on grids and at the point u = 0
+    rng = np.random.default_rng(7)
+    grids = [np.linspace(-1.0, 1.0, 4096), rng.uniform(-1.0, 1.0, 257)]
+    for length in [*range(1, 12), 49, 50, 53]:
+        for scale in (1.0, 1e-16):
+            coefficients = rng.standard_normal(length) * scale / np.arange(1, length + 1) ** 2
+            for u in [*grids, 0.0]:
+                got = arcsine._chebval(u, coefficients)
+                want = np.polynomial.chebyshev.chebval(u, coefficients)
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (length, scale)
+
+
 def test_grid_points_are_linspace_points():
     # the doom check's and the probe's points must be linf_error's grid points
     grid = arcsine.DEFAULT_ERROR_GRID
@@ -460,10 +474,23 @@ def test_probe_rejects_only_fits_that_fail_the_grid(monkeypatch):
 
 @pytest.mark.filterwarnings("ignore:The fit may be poorly conditioned")
 def test_probe_leaves_point_intervals_to_linf_error(monkeypatch):
-    # near the noise floor the halving reaches b == a, where linf_error
-    # reads the one point and passes; a probe there would read 0/0 = nan
-    # and reject, ending the crawl at the bisection limit instead
+    # near the noise floor the halving reaches b == a, which must end in
+    # the budget's error: a probe there would read 0/0 = nan and reject,
+    # ending the crawl at the bisection limit instead
     monkeypatch.setattr(arcsine, "MAX_PIECES", 256)
     with pytest.raises(DegreeTooLowError) as err:
         min_pieces(3, 3e-16, (0.9, 1.0))
     assert str(err.value) == "degree 3 needs more than 256 pieces for eps=3e-16"
+
+
+@pytest.mark.filterwarnings("ignore:The fit may be poorly conditioned")
+@pytest.mark.parametrize("degree, domain", [(4, (0.5, 0.875)), (3, (0.9, 1.0))])
+def test_noise_floor_crawl_stops_at_its_first_zero_width_piece(degree, domain):
+    # every piece after the first [a, a] repeated it until the budget of
+    # 4096 pieces ran out, about 40 s per call; the first one now raises
+    start = time.perf_counter()
+    with pytest.raises(DegreeTooLowError) as err:
+        min_pieces(degree, 3e-16, domain)
+    assert time.perf_counter() - start < 1.0
+    assert type(err.value) is DegreeTooLowError
+    assert str(err.value) == f"degree {degree} needs more than 4096 pieces for eps=3e-16"
