@@ -237,6 +237,10 @@ def apply_pair(state: MassDistribution, i: int, j: int) -> MassDistribution:
     return _trusted(_collided(counts, i, j))
 
 
+_SHARED_STATES = 16  # the largest level whose structure every table of its N shares
+_COUNTS, _TERMS = np.int16, np.int32  # a level's counts and rank terms: small, as they are kept
+
+
 @cache
 def _ranking(n_bins: int) -> tuple:
     """The tables that rank the states of ``n_bins`` bins (Knuth, TAOCP 4A,
@@ -244,10 +248,11 @@ def _ranking(n_bins: int) -> tuple:
     ``sum_b S_b[R_b, n_b]``: ``R_b`` is the mass in bins ``b..N``, and
     ``S_b[R, c] = sum_{c' < c} P_b(R - b c')``, ``P_b(m)`` counting the
     partitions of ``m`` into parts above ``b``, is ``rows[base[b - 1] +
-    c][R]``; ``table`` is ``rows`` flat (int64 while ``p(N)`` fits one).
-    Per label: its bins, 0-based, whether they are one, a factor 1/2 there,
-    and what a collision adds to counts (``moves``) and rank terms.  Last,
-    the memo of :func:`_structure` that every table of ``N`` shares."""
+    c][R]``; ``table`` is ``rows`` flat (int64 while ``p(N)`` fits one,
+    else Python ints), read at :func:`_terms`.  Per label: its bins, 0-based,
+    whether they are one, a factor 1/2 there, and what a collision adds to
+    counts (``moves``) and rank terms.  Last, the memo of :func:`_structure`
+    that every table of ``N`` shares."""
     above, blocks = [1] + [0] * n_bins, []  # P_N: only the empty partition
     for b in range(n_bins, 0, -1):
         block = [[0] * (n_bins + 1)]
@@ -258,9 +263,8 @@ def _ranking(n_bins: int) -> tuple:
         for m in range(b, n_bins + 1):  # P_{b-1}: parts of size b join
             above[m] += above[m - b]
     rows = [row for block in blocks for row in block]
-    base = np.cumsum([0] + [len(block) for block in blocks])[:-1]
+    base = np.cumsum([0] + [len(block) for block in blocks], dtype=_TERMS)[:-1]
     table = np.array(rows, dtype=np.int64 if above[n_bins] < 2**63 else object).ravel()
-    cells = table.tolist()
     first, second = (np.array(label_pairs(n_bins), dtype=np.intp).reshape(-1, 2) - 1).T
     moves, every = np.zeros((len(first), n_bins), dtype=np.int16), np.arange(len(first))
     moves[every, first] -= 1  # int16 holds every move and shift, and keeps these H x N small
@@ -269,35 +273,42 @@ def _ranking(n_bins: int) -> tuple:
     mass = moves * np.arange(1, n_bins + 1, dtype=np.int16)  # R_b moves by the mass below b
     shifts = moves * np.int16(n_bins + 1) - np.cumsum(mass, axis=1, dtype=np.int16) + mass
     same = first == second
-    return table, base, cells, first, second, same, np.where(same, 0.5, 1.0), moves, shifts, {}
+    return table, base, first, second, same, np.where(same, 0.5, 1.0), moves, shifts, {}
 
 
-def _terms(n_bins: int, counts: Sequence[int]) -> list[int]:
-    """Where each bin's rank term of the state ``counts`` sits in the flat
-    table, ``(base[b - 1] + n_b) (N + 1) + R_b``: the rank is their sum."""
-    terms, left = [], n_bins
-    for b, (c, first) in enumerate(zip(counts, _ranking(n_bins)[1].tolist()), start=1):
-        terms.append((first + c) * (n_bins + 1) + left)
-        left -= b * c
-    return terms
+def _terms(n_bins: int, counts: np.ndarray) -> np.ndarray:
+    """Where each bin's rank term of each state of ``counts`` (a row per
+    state) sits in the flat table, ``(base[b - 1] + n_b) (N + 1) + R_b``,
+    as int32: a state's rank is the sum of its row's entries there."""
+    mass = counts * np.arange(1, n_bins + 1, dtype=_TERMS)
+    left = n_bins - np.cumsum(mass, axis=1, dtype=_TERMS) + mass
+    return ((_ranking(n_bins)[1] + counts) * (n_bins + 1) + left).astype(_TERMS, copy=False)
 
 
-_SHARED_STATES = 16  # the largest level whose structure every table of its N shares
-_COUNTS, _TERMS = np.int16, np.int32  # a level's counts and rank terms: small, as they are kept
+def _reach(n_bins: int, size: int, counts: np.ndarray, src: np.ndarray, col: np.ndarray,
+           targets: np.ndarray) -> tuple:
+    """Of edges with states ``src`` (ascending, of ``size`` states with
+    ``counts``), label columns ``col`` and target ranks ``targets``: each
+    state's first edge (``start``), and the distinct targets' first edges
+    (``firsts``, by target rank) and counts."""
+    order = targets.argsort(kind="stable")
+    firsts = np.empty(len(order), dtype=bool)
+    firsts[:1], firsts[1:] = True, targets[order[1:]] != targets[order[:-1]]
+    firsts = order[firsts]
+    return (src.searchsorted(np.arange(size + 1)), firsts,
+            counts[src[firsts]] + _ranking(n_bins)[6][col[firsts]])
 
 
-def _structure(n_bins: int, ranks: np.ndarray, counts: np.ndarray, gather: np.ndarray,
-               keep: np.ndarray | None = None) -> tuple:
+def _structure(n_bins: int, ranks: np.ndarray, counts: np.ndarray) -> tuple:
     """The kernel-free part of the rows of the states ``ranks`` (ascending,
-    with ``counts`` and rank terms ``gather``): per edge, one per feasible
-    pair in (state, label) order, its state, label column, ``n_i`` and
-    ``n_j`` (``n_i - 1`` where ``i = j``) and target rank; each state's
-    first edge (``start``); and the distinct targets' first edges, counts
-    and rank terms.  ``keep`` keeps only the edges it marks.  It depends on
-    ``N`` and the states alone, so tables of one ``N`` share a small
-    level's, which spares many small tables the pass's fixed cost."""
-    table, _, _, first, second, same, _, moves, shifts, shared = _ranking(n_bins)
-    key = tuple(ranks.tolist()) if keep is None and len(ranks) <= _SHARED_STATES else None
+    with ``counts``): per edge, one per feasible pair in (state, label)
+    order, its state, label column, ``n_i`` and ``n_j`` (``n_i - 1`` where
+    ``i = j``) and target rank, read at its source's :func:`_terms` shifted
+    by its label; then the edges' :func:`_reach`.  It depends on ``N`` and
+    the states alone, so tables of one ``N`` share a small level's, which
+    spares many small tables the pass's fixed cost."""
+    table, _, first, second, same, _, _, shifts, shared = _ranking(n_bins)
+    key = tuple(ranks.tolist()) if len(ranks) <= _SHARED_STATES else None
     found = shared.get(key)
     if found is None:
         step = max(1, 2**18 // len(first))  # states a block, so its columns stay small
@@ -306,18 +317,11 @@ def _structure(n_bins: int, ranks: np.ndarray, counts: np.ndarray, gather: np.nd
             .nonzero()[0] + a * len(first) for a in range(0, len(ranks) or 1, step)])
         src, col = np.divmod(edge, len(first))
         held, other = counts[src, first[col]], counts[src, second[col]] - same[col]
-        if keep is not None:
-            src, col, held, other = src[keep], col[keep], held[keep], other[keep]
-        step = max(1, 2**20 // n_bins)  # a target's terms: its source's, shifted by its label
-        targets = np.concatenate([table.take(gather[src[e:e + step]] + shifts[col[e:e + step]])
+        terms, step = _terms(n_bins, counts), max(1, 2**20 // n_bins)
+        targets = np.concatenate([table.take(terms[src[e:e + step]] + shifts[col[e:e + step]])
                                   .sum(axis=1) for e in range(0, len(src) or 1, step)])
-        order = targets.argsort(kind="stable")
-        firsts = np.empty(len(order), dtype=bool)
-        firsts[:1], firsts[1:] = True, targets[order[1:]] != targets[order[:-1]]
-        firsts = order[firsts]
-        at, by = src[firsts], col[firsts]
-        found = (src, col, held, other, targets, src.searchsorted(np.arange(len(ranks) + 1)),
-                 firsts, counts[at] + moves[by], gather[at] + shifts[by])
+        found = (src, col, held, other, targets,
+                 *_reach(n_bins, len(ranks), counts, src, col, targets))
         if key is not None and len(shared) < 4096:
             for part in found:
                 part.flags.writeable = False
@@ -384,7 +388,8 @@ class _Level(NamedTuple):
     edges ``start[i]:start[i + 1]``, one per ``r_h != 0`` in label order,
     with ``labels``, target ranks, ``r_h / dt`` (``props``) and ``r_h``
     (``rates``), and its ``totals``; ``reach`` is the distinct targets with
-    their first edges (``firsts``), counts and rank terms (:func:`_terms`)."""
+    their first edges (``firsts``) and counts, from which the next level
+    derives its rank terms (:func:`_terms`)."""
 
     ranks: np.ndarray
     start: np.ndarray
@@ -396,7 +401,6 @@ class _Level(NamedTuple):
     firsts: np.ndarray
     reach: np.ndarray
     reach_counts: np.ndarray
-    reach_terms: np.ndarray
 
     @property
     def degree(self) -> np.ndarray:
@@ -489,8 +493,8 @@ class TransitionTable:
     An exact table (``dt`` and every kernel value an ``int`` or a
     ``Fraction``) computes on integer numerators over one ``scale``: the
     lcm of the kernel values' denominators times ``dt``'s.  Its rows and
-    step programs hold ``int``s over ``scale``, and ``Fraction``s are
-    built only where values leave it.  A float table keeps its inputs,
+    step programs hold Python ``int``s over ``scale``, and ``Fraction``s
+    are built only where values leave it.  A float table keeps its inputs,
     with ``scale`` 1; when ``dt`` and every kernel value are floats its
     rows are float64 arrays, and otherwise arrays of the Python numbers.
 
@@ -535,11 +539,8 @@ class TransitionTable:
             object.__setattr__(self, name, value)
         object.__setattr__(self, "is_float", is_float)
         object.__setattr__(self, "one", 1.0 if is_float else Fraction(1))
-        # the rows' number type: float64 on float inputs, int64 on exact ones
-        # while every number they form stays below 2**53, else Python's
-        small = not is_float and max(numbers[0]) * self.num_bins**4 * max(numbers[1:]) < 2**53
-        object.__setattr__(self, "_number", float if types == {float} else
-                           np.int64 if small else object)
+        # the rows' number type: float64 on float inputs, else Python's own
+        object.__setattr__(self, "_number", float if types == {float} else object)
         object.__setattr__(self, "states", _Met(self.num_bins))
         for name in ("_rows", "_levels", "_walks", "_events", "_children"):
             object.__setattr__(self, name, {})
@@ -561,8 +562,8 @@ class TransitionTable:
             raise StateSpaceError(f"state {state.counts} does not have {self.num_bins} bins")
         found = self.states.ranks.get(state.counts)
         if found is None:
-            cells = _ranking(self.num_bins)[2]
-            found = sum(map(cells.__getitem__, _terms(self.num_bins, state.counts)))
+            terms = _terms(self.num_bins, np.array([state.counts], dtype=_COUNTS))
+            found = int(_ranking(self.num_bins)[0].take(terms).sum())
             self.states.meet(state, found)
         return found
 
@@ -570,37 +571,37 @@ class TransitionTable:
     def _kernels(self) -> np.ndarray:
         return np.array(self._kernel, dtype=self._number)
 
-    def _expand(self, ranks: np.ndarray, counts: np.ndarray, gather: np.ndarray) -> _Level:
-        """The rows of the states ``ranks`` (ascending, with ``counts`` and rank
-        terms ``gather``): the :func:`_structure` of every state and label,
-        and each ``r_h`` formed as the scalar rule forms it, ``(K n_i) n_j``
-        or ``(K n)(n - 1) / 2`` (``//`` on an ``int``), then ``* dt``."""
-        same, half = _ranking(self.num_bins)[5:7]
-        src, col, held, other, targets, start, firsts, *reach = _structure(
-            self.num_bins, ranks, counts, gather)
+    def _expand(self, ranks: np.ndarray, counts: np.ndarray) -> _Level:
+        """The rows of the states ``ranks`` (ascending, with ``counts``): the
+        :func:`_structure` of every state and label, and each ``r_h`` formed
+        as the scalar rule forms it, ``(K n_i) n_j`` or ``(K n)(n - 1) / 2``
+        (``//`` on an ``int``), then ``* dt``; as in the rule, no edge where
+        ``r_h`` is zero, those filtered from the pass and its reach recounted."""
+        same, half = _ranking(self.num_bins)[4:6]
+        src, col, held, other, targets, *reach = _structure(self.num_bins, ranks, counts)
         pair = self._kernels[col] * held * other
-        if self._number is object:
+        if self._number is float:  # times 1/2 where i = j
+            pair = pair * half[col]
+        else:
             halved = same[col]
             pair[halved] = _halve(pair[halved])
-        else:  # times 1/2, or an exact // 2, where i = j
-            pair = pair * half[col] if self._number is float else pair // (1 + same[col])
         rates = pair * self._dt
-        keep = rates != 0  # as the rule: no edge where r_h is zero
+        keep = rates != 0
         if not keep.all():
-            pair, rates = pair[keep], rates[keep]
-            src, col, _, _, targets, start, firsts, *reach = _structure(
-                self.num_bins, ranks, counts, gather, keep)
+            src, col, targets, pair, rates = (a[keep] for a in (src, col, targets, pair, rates))
+            reach = _reach(self.num_bins, len(ranks), counts, src, col, targets)
+        start, firsts, reach_counts = reach
         totals = np.full(len(ranks), 0 * self._dt, dtype=self._number)
         np.add.at(totals, src, rates)  # in index order: each a left fold from zero
         return _Level(ranks, start, col + 1, targets, pair if self.is_float else pair * self._up,
-                      rates, totals, firsts, targets[firsts], *reach)
+                      rates, totals, firsts, targets[firsts], reach_counts)
 
-    def _level(self, ranks: np.ndarray, counts: np.ndarray, gather: np.ndarray) -> _Level:
+    def _level(self, ranks: np.ndarray, counts: np.ndarray) -> _Level:
         """The level of the states ``ranks``, compiled on first use."""
         key = tuple(ranks.tolist())
         level = self._levels.get(key)
         if level is None:
-            level = self._levels[key] = self._expand(ranks, counts, gather)
+            level = self._levels[key] = self._expand(ranks, counts)
             self._rows.update(zip(key, zip(repeat(level), range(len(key)))))
             object.__setattr__(self, "_next", level)
         return level
@@ -613,12 +614,10 @@ class TransitionTable:
             last, reach = self._next, self._next.reach.tolist() if self._next else ()
             if k in reach:
                 fresh = [r not in self._rows for r in reach]
-                reach = last.reach, last.reach_counts, last.reach_terms
+                reach = last.reach, last.reach_counts
                 self._level(*(reach if all(fresh) else (part[fresh] for part in reach)))
             else:
-                counts = self.states[k].counts
-                self._level(np.array([k]), np.array([counts], dtype=_COUNTS),
-                            np.array([_terms(self.num_bins, counts)], dtype=_TERMS))
+                self._level(np.array([k]), np.array([self.states[k].counts], dtype=_COUNTS))
             found = self._rows[k]
         return found
 
@@ -708,21 +707,17 @@ class TransitionTable:
         found = self._walks.get(key)
         if found is None:
             ranks = np.array(key[0], dtype=_ranking(self.num_bins)[0].dtype)
-            counts = [self.states[k].counts for k in key[0]]
-            gather, counts = (np.array(rows, dtype=dtype).reshape(len(ranks), self.num_bins)
-                              for rows, dtype in ([[_terms(self.num_bins, c) for c in counts],
-                                                   _TERMS], [counts, _COUNTS]))
+            counts = np.array([self.states[k].counts for k in key[0]],
+                              dtype=_COUNTS).reshape(len(ranks), self.num_bins)
             parts, stepping, levels, reached = [(ranks, counts)], [], [], set(key[0])
             for _ in range(steps):
-                level = self._level(ranks, counts, gather)
+                level = self._level(ranks, counts)
                 self._check(level)
                 stepping.append(level)
                 new = [r not in reached for r in level.reach.tolist()]
-                ranks, counts, gather, firsts = (
-                    level.reach, level.reach_counts, level.reach_terms, level.firsts)
+                ranks, counts, firsts = level.reach, level.reach_counts, level.firsts
                 if not all(new):
-                    ranks, counts, gather, firsts = (
-                        part[new] for part in (ranks, counts, gather, firsts))
+                    ranks, counts, firsts = (part[new] for part in (ranks, counts, firsts))
                 levels.append((len(reached) + firsts.argsort()).tolist())
                 reached.update(ranks.tolist())
                 parts.append((ranks, counts))

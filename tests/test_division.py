@@ -23,6 +23,7 @@ from cloudq.division import (
     run_tree,
 )
 from cloudq.master import (
+    MERGED_TOL,
     ProbabilityTable,
     evolve,
     evolve_series,
@@ -133,7 +134,7 @@ def test_merged_equals_master_evolution():
     reference = evolve(
         ProbabilityTable.point_mass(MassDistribution.monodisperse(3)), table, 5
     )
-    assert _max_entry_diff(merged, reference) <= 1e-12
+    assert _max_entry_diff(merged, reference) <= MERGED_TOL
 
 
 def test_tree_marginalization_is_exact():
@@ -361,7 +362,7 @@ def test_merged_equivalence_property(n, steps, k0dt):
     reference = evolve(
         ProbabilityTable.point_mass(MassDistribution.monodisperse(n)), table, steps
     )
-    assert _max_entry_diff(merged, reference) <= 1e-12
+    assert _max_entry_diff(merged, reference) <= MERGED_TOL
 
 
 def _dyadic_tables(n, kind):

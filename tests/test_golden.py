@@ -643,7 +643,7 @@ def test_gap_sweep_overflow_stays_at_sample_96(arcsine_fits):
 _ULPS = st.integers(min_value=1, max_value=1 << 22)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150, deadline=None, derandomize=True)
 @given(
     a=st.floats(min_value=0.0, max_value=0.99),
     width=st.one_of(st.floats(min_value=1e-9, max_value=1.0), _ULPS),

@@ -1010,8 +1010,7 @@ def test_array_pass_matches_the_scalar_oracle(n):
         worst = max(total_transition_rate(unit, s) for s in every)
         dt = float(0.9 / worst) if number is float else Fraction(9, 10) / worst
         table = build_transition_table(n, spec, dt)
-        terms = np.array([states_module._terms(n, c) for c in counts.tolist()])
-        level = table._level(np.arange(len(every)), counts, terms)
+        level = table._level(np.arange(len(every)), counts)
         weights, hold = table._split(level.rates, np.diff(level.start), level.totals)
         for k, state in enumerate(every):
             want, got = scalar_rule.compile_row(table, state.counts), scalar_rule.row(table, k)
@@ -1044,7 +1043,7 @@ def test_rank_is_the_enumeration_index(n):
     assert all(state.mass() == n for state in every)
     assert all(a.counts < b.counts for a, b in zip(every, every[1:]))  # strictly ascending
     table = states_module._ranking(n)[0]
-    ranks = table.take(np.array([states_module._terms(n, c) for c in counts.tolist()])).sum(axis=1)
+    ranks = table.take(states_module._terms(n, counts)).sum(axis=1)
     assert ranks.tolist() == list(range(len(every)))
     assert states_module._unrank(n, ranks).tolist() == counts.tolist()
     if 2 <= n <= 30:
@@ -1053,3 +1052,26 @@ def test_rank_is_the_enumeration_index(n):
     if 2 <= n <= 12:  # a rank the table has not met is unranked on its first read
         fresh = build_transition_table(n, KernelSpec(), 0.01)
         assert [fresh.states[k].counts for k in range(len(every))] == [s.counts for s in every]
+
+
+def test_rank_past_int64_holds_python_ints():
+    # p(406) is the first partition count past int64, so the rank table of
+    # N = 406 holds Python ints: the monodisperse state still ranks last,
+    # ranks at or above 2**63 unrank to states that rank back to them, and
+    # runs step on those ranks
+    n = 406
+    assert partition_count_exact(n - 1) < 2**63 <= partition_count_exact(n)
+    assert states_module._ranking(n)[0].dtype == object
+    table = build_transition_table(n, KernelSpec(), 1e-8)
+    start = MassDistribution.monodisperse(n)
+    assert table.index(start) == partition_count_exact(n) - 1
+    last = partition_count_exact(n) - 1
+    ranks = [2**63, 2**63 + 1, (2**63 + last) // 2, last - 1, last]
+    counts = states_module._unrank(n, np.array(ranks, dtype=object)).tolist()
+    fresh = build_transition_table(n, KernelSpec(), 1e-8)
+    assert [fresh.index(MassDistribution(tuple(row))) for row in counts] == ranks
+    assert [type(fresh.index(MassDistribution(tuple(row)))) for row in counts] == [int] * 5
+    final = master.evolve(master.ProbabilityTable.point_mass(start), table, 2)
+    assert len(final.entries) > 1 and abs(final.total() - 1) <= 1e-12
+    exact = build_transition_table(n, KernelSpec(k0=1), Fraction(1, 10**8))
+    assert master.evolve(master.ProbabilityTable.point_mass(start), exact, 2).total() == 1
