@@ -132,7 +132,6 @@ def evolve(p0: ProbabilityTable, table: TransitionTable, steps: int) -> Probabil
     exact, step 0 included.  :class:`StepSizeError` names the first state
     to step, in ascending counts order, with ``sum_h r_h > 1``.
     """
-    require_count("steps", steps, 0, StateSpaceError)
     return _steps(p0, table, steps, keep_all=False)[-1]
 
 

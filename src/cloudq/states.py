@@ -250,9 +250,9 @@ def _ranking(n_bins: int) -> tuple:
     partitions of ``m`` into parts above ``b``, is ``rows[base[b - 1] +
     c][R]``; ``table`` is ``rows`` flat (int64 while ``p(N)`` fits one,
     else Python ints), read at :func:`_terms`.  Per label: its bins, 0-based,
-    whether they are one, a factor 1/2 there, and what a collision adds to
-    counts (``moves``) and rank terms.  Last, the memo of :func:`_structure`
-    that every table of ``N`` shares."""
+    whether they are one (``same``), and what a collision adds to counts
+    (``moves``) and rank terms.  Last, the memo of :func:`_structure` that
+    every table of ``N`` shares."""
     above, blocks = [1] + [0] * n_bins, []  # P_N: only the empty partition
     for b in range(n_bins, 0, -1):
         block = [[0] * (n_bins + 1)]
@@ -272,8 +272,7 @@ def _ranking(n_bins: int) -> tuple:
     moves[every, first + second + 1] += 1
     mass = moves * np.arange(1, n_bins + 1, dtype=np.int16)  # R_b moves by the mass below b
     shifts = moves * np.int16(n_bins + 1) - np.cumsum(mass, axis=1, dtype=np.int16) + mass
-    same = first == second
-    return table, base, first, second, same, np.where(same, 0.5, 1.0), moves, shifts, {}
+    return table, base, first, second, first == second, moves, shifts, {}
 
 
 def _terms(n_bins: int, counts: np.ndarray) -> np.ndarray:
@@ -296,7 +295,7 @@ def _reach(n_bins: int, size: int, counts: np.ndarray, src: np.ndarray, col: np.
     firsts[:1], firsts[1:] = True, targets[order[1:]] != targets[order[:-1]]
     firsts = order[firsts]
     return (src.searchsorted(np.arange(size + 1)), firsts,
-            counts[src[firsts]] + _ranking(n_bins)[6][col[firsts]])
+            counts[src[firsts]] + _ranking(n_bins)[5][col[firsts]])
 
 
 def _structure(n_bins: int, ranks: np.ndarray, counts: np.ndarray) -> tuple:
@@ -307,7 +306,7 @@ def _structure(n_bins: int, ranks: np.ndarray, counts: np.ndarray) -> tuple:
     by its label; then the edges' :func:`_reach`.  It depends on ``N`` and
     the states alone, so tables of one ``N`` share a small level's, which
     spares many small tables the pass's fixed cost."""
-    table, _, first, second, same, _, _, shifts, shared = _ranking(n_bins)
+    table, _, first, second, same, _, shifts, shared = _ranking(n_bins)
     key = tuple(ranks.tolist()) if len(ranks) <= _SHARED_STATES else None
     found = shared.get(key)
     if found is None:
@@ -380,7 +379,12 @@ def _read_scaled(num: np.ndarray, scale: int, at) -> np.ndarray:
     return np.fromiter((Fraction(n, scale) for n in num[at].tolist()), object, len(at))
 
 
-_halve = np.frompyfunc(lambda twice: twice // 2 if type(twice) is int else twice / 2, 1, 1)
+_halve_each = np.frompyfunc(lambda twice: twice // 2 if type(twice) is int else twice / 2, 1, 1)
+
+
+def _halve(twice: np.ndarray) -> np.ndarray:
+    """``twice`` halved as the rule halves: ``//`` on an ``int``, else ``/ 2``."""
+    return twice / 2 if twice.dtype == float else _halve_each(twice)
 
 
 class _Level(NamedTuple):
@@ -575,16 +579,11 @@ class TransitionTable:
         """The rows of the states ``ranks`` (ascending, with ``counts``): the
         :func:`_structure` of every state and label, and each ``r_h`` formed
         as the scalar rule forms it, ``(K n_i) n_j`` or ``(K n)(n - 1) / 2``
-        (``//`` on an ``int``), then ``* dt``; as in the rule, no edge where
-        ``r_h`` is zero, those filtered from the pass and its reach recounted."""
-        same, half = _ranking(self.num_bins)[4:6]
+        (:func:`_halve` through one ``same`` mask), then ``* dt``; as in the
+        rule, no edge where ``r_h`` is zero, those filtered out, reach recounted."""
         src, col, held, other, targets, *reach = _structure(self.num_bins, ranks, counts)
-        pair = self._kernels[col] * held * other
-        if self._number is float:  # times 1/2 where i = j
-            pair = pair * half[col]
-        else:
-            halved = same[col]
-            pair[halved] = _halve(pair[halved])
+        pair, halved = self._kernels[col] * held * other, _ranking(self.num_bins)[4][col]
+        pair[halved] = _halve(pair[halved])
         rates = pair * self._dt
         keep = rates != 0
         if not keep.all():
@@ -593,7 +592,7 @@ class TransitionTable:
         start, firsts, reach_counts = reach
         totals = np.full(len(ranks), 0 * self._dt, dtype=self._number)
         np.add.at(totals, src, rates)  # in index order: each a left fold from zero
-        return _Level(ranks, start, col + 1, targets, pair if self.is_float else pair * self._up,
+        return _Level(ranks, start, col + 1, targets, np.multiply(pair, self._up, out=pair),
                       rates, totals, firsts, targets[firsts], reach_counts)
 
     def _level(self, ranks: np.ndarray, counts: np.ndarray) -> _Level:

@@ -913,6 +913,21 @@ def test_ssa_event_on_a_tied_draw_takes_the_searchsorted_target():
                      "steps must be an int, got 0.0", id="float-zero-steps"),
         pytest.param(lambda: evolve(*_mono_table(4)[::-1], False),
                      "steps must be an int, got False", id="false-steps"),
+        # program is the one steps check, for every run that steps on it
+        pytest.param(lambda: evolve(*_mono_table(4)[::-1], -1),
+                     "need steps >= 0, got -1", id="negative-steps"),
+        pytest.param(lambda: evolve_series(*_mono_table(4)[::-1], 0.0),
+                     "steps must be an int, got 0.0", id="series-float-zero-steps"),
+        pytest.param(lambda: evolve_series(*_mono_table(4)[::-1], False),
+                     "steps must be an int, got False", id="series-false-steps"),
+        pytest.param(lambda: evolve_series(*_mono_table(4)[::-1], -1),
+                     "need steps >= 0, got -1", id="series-negative-steps"),
+        pytest.param(lambda: run_merged(_mono_table(4)[0], 0.0),
+                     "steps must be an int, got 0.0", id="merged-float-zero-steps"),
+        pytest.param(lambda: run_merged(_mono_table(4)[0], False),
+                     "steps must be an int, got False", id="merged-false-steps"),
+        pytest.param(lambda: run_merged(_mono_table(4)[0], -1),
+                     "need steps >= 0, got -1", id="merged-negative-steps"),
     ],
 )
 def test_master_refusals_keep_their_messages(make, message):
