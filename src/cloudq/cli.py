@@ -404,35 +404,30 @@ _COMMANDS = {
 }
 
 
+def _refused(exc: Exception) -> int:
+    """Print a refusal; its exit status is 3 for a step size, 4 for a cap, else 2."""
+    print(f"error: {exc}", file=sys.stderr)
+    if isinstance(exc, states.StepSizeError):
+        return EXIT_STEP_SIZE
+    return EXIT_RESOURCE_LIMIT if isinstance(exc, states.ResourceLimitError) else EXIT_CONFIG
+
+
 def run(config: RunConfig) -> int:
     """Dispatch a validated configuration; returns the exit status."""
     try:
         return _COMMANDS[config.command].run(config)
-    except (
-        ConfigError, resources.ResourceModelError, arcsine.FitError, fixedpoint.FixedPointError
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except states.StepSizeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_STEP_SIZE
-    except (states.ResourceLimitError, division.BranchCapError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE_LIMIT
-    except states.StateSpaceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    except (ConfigError, resources.ResourceModelError, arcsine.FitError,
+            fixedpoint.FixedPointError, states.StateSpaceError) as exc:
+        return _refused(exc)
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        config = parse_config(argv)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return run(parse_config(argv))
+    except ConfigError as exc:  # parse_config's: run reports its own
+        return _refused(exc)
     except SystemExit as exc:  # argparse: 2 on a bad flag or choice, 0 on --help
         return exc.code
-    return run(config)
 
 
 if __name__ == "__main__":

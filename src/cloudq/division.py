@@ -20,6 +20,7 @@ import numpy as np
 from .master import ProbabilityTable, _require_bin
 from .states import (
     MassDistribution,
+    ResourceLimitError,
     StateSpaceError,
     TransitionTable,
     apply_pair,
@@ -29,7 +30,7 @@ from .states import (
 )
 
 
-class BranchCapError(StateSpaceError):
+class BranchCapError(ResourceLimitError):
     """Tree mode would exceed the branch cap; use merged mode instead."""
 
 

@@ -4,8 +4,9 @@ Composes closed-form T-gate counts of the fixed-point arithmetic
 primitives into the per-label division gates, one full time step, the
 ``M``-step evolution, and the amplitude-estimation schedule, together
 with the logical-register tally and the error budget.  All compositions
-run in exact integer arithmetic; the two formulas involving logarithms
-are evaluated in floats and ceiled.
+run in exact integer arithmetic, and the state and history register
+widths are integer bit lengths; U_sin, U_c, the oracle bound and ARCSIN's
+piece select take float logarithms, ceiled.
 """
 
 from __future__ import annotations
@@ -165,7 +166,8 @@ class EstimationCase:
 
 
 def history_label_qubits(n_bins: int) -> int:
-    return math.ceil(math.log2(label_pair_count(n_bins) + 1))
+    """History-register width ``ceil(log2(H + 1))``: the bit length of ``H``."""
+    return label_pair_count(n_bins).bit_length()
 
 
 @dataclass(frozen=True)

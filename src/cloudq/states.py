@@ -29,7 +29,7 @@ class StateSpaceError(ValueError):
 
 
 class ResourceLimitError(StateSpaceError):
-    """Enumeration would exceed the configured size cap."""
+    """A run would pass a size cap: the enumeration cap or the tree's branch cap."""
 
 
 class LabelError(StateSpaceError):
@@ -142,10 +142,8 @@ class KernelSpec:
 
 
 def label_pair_count(n_bins: int) -> int:
-    """Closed-form pair count: ``N^2/4`` for even ``N``, ``(N^2-1)/4`` odd."""
-    if n_bins % 2 == 0:
-        return n_bins * n_bins // 4
-    return (n_bins * n_bins - 1) // 4
+    """Closed-form pair count ``floor(N^2/4)``: ``(N^2-1)/4`` for odd ``N``."""
+    return n_bins * n_bins // 4
 
 
 def label_pairs(n_bins: int) -> tuple[tuple[int, int], ...]:
@@ -159,8 +157,10 @@ def label_pairs(n_bins: int) -> tuple[tuple[int, int], ...]:
 
 
 def qubits_for_bin(n_bins: int, bin_index: int) -> int:
-    """Register width for bin ``bin_index``: ``ceil(log2(floor(N/i) + 1))``."""
-    return math.ceil(math.log2(n_bins // bin_index + 1))
+    """Width of bin ``i``'s register, ``ceil(log2(N // i + 1))``: ``N // i``'s bit length."""
+    require_count("N", n_bins, 0, StateSpaceError)
+    require_count("bin", bin_index, 1, StateSpaceError)
+    return (n_bins // bin_index).bit_length()
 
 
 def _table_pairs(n_bins: int) -> tuple[tuple[int, int], ...]:

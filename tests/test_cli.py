@@ -1,6 +1,8 @@
 import dataclasses
 import json
+import math
 import re
+import sys
 
 import pytest
 
@@ -17,7 +19,7 @@ from cloudq.cli import (
     parse_config,
     run,
 )
-from cloudq.presets import PRESET_CASES
+from cloudq.presets import EXPECTED_RESOURCES, PRESET_CASES, RESOURCE_BANDS
 from cloudq.resources import EstimationCase
 
 
@@ -57,6 +59,14 @@ def test_unknown_config_key_rejected(tmp_path):
     with pytest.raises(ConfigError) as err:
         parse_config(["solve", "--config", str(path)])
     assert "bogus" in str(err.value)
+
+
+def test_config_integer_at_the_float_limit_is_taken_for_a_float(tmp_path):
+    # one past it is refused (test_bad_inputs_exit_config)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"k0": int(sys.float_info.max)}))
+    config = parse_config(["solve", "--N", "3", "--M", "2", "--config", str(path)])
+    assert config.k0 == sys.float_info.max and type(config.k0) is float
 
 
 def test_config_file_with_flag_overrides(tmp_path):
@@ -101,6 +111,24 @@ def test_simulate_check_master(tmp_path):
          "--check-master", "--out", str(tmp_path)]
     )
     assert code == EXIT_OK
+
+
+@pytest.mark.parametrize("below, status", [(False, EXIT_OK), (True, EXIT_MISMATCH)])
+def test_simulate_check_master_passes_at_the_tolerance(tmp_path, capsys, monkeypatch, below,
+                                                        status):
+    # the tolerance set to the run's own worst difference passes, one ulp below fails
+    table = states.build_transition_table(3, states.KernelSpec(), 0.02)
+    merged = division.run_merged(table, 5)
+    reference = master.evolve(
+        master.ProbabilityTable.point_mass(states.MassDistribution.monodisperse(3)), table, 5
+    )
+    worst = max(abs(merged.entries.get(state, 0.0) - reference.entries.get(state, 0.0))
+                for state in set(merged.entries) | set(reference.entries))
+    assert worst > 0
+    monkeypatch.setattr(master, "MERGED_TOL", math.nextafter(worst, 0) if below else worst)
+    assert main(["simulate", "--N", "3", "--M", "5", "--dt", "0.02", "--check-master",
+                 "--out", str(tmp_path)]) == status
+    assert capsys.readouterr().out == f"max |division - solver| = {worst:.3e}\n"
 
 
 def test_simulate_step_size_exit_code(tmp_path):
@@ -228,6 +256,21 @@ def test_reproduce_tables(tmp_path, capsys):
     assert (tmp_path / "table_diff.txt").exists()
 
 
+@pytest.mark.parametrize("below, status", [(False, EXIT_OK), (True, EXIT_MISMATCH)])
+def test_reproduce_tables_band_holds_at_its_edge(capsys, monkeypatch, below, status):
+    # the t_count band set to the presets' largest deviation passes, one ulp
+    # below fails; one cheap arcsine row keeps the run short
+    monkeypatch.setattr(cli, "PIECEWISE_ARCSINE_TABLE", ((1e-12, 5, 15),))
+    monkeypatch.setattr(cli, "ARCSINE_EXACT_MINIMUM", 1)
+    worst = max(abs(resources.estimate_case(case).total.t_count / EXPECTED_RESOURCES[name][1] - 1)
+                for name, case in PRESET_CASES.items())
+    band = math.nextafter(worst, 0) if below else worst
+    monkeypatch.setattr(cli, "RESOURCE_BANDS", {**RESOURCE_BANDS, "t_count": band})
+    assert main(["reproduce-tables"]) == status
+    fails = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+    assert len(fails) == below and all(" t_count: " in line for line in fails)
+
+
 def test_estimate_explicit_parameters(tmp_path):
     out = tmp_path / "custom.json"
     code = main(
@@ -292,6 +335,8 @@ BAD_INPUT_ERRORS = {"dt-inf": "time step must be positive and finite, got inf"}
             )
         ),
         pytest.param(["solve"], {"n_bins": 3, "steps": 2, "dt": 10**400}, id="file-dt-past-float"),
+        pytest.param(["solve"], {"n_bins": 3, "steps": 2, "dt": int(sys.float_info.max) + 1},
+                     id="file-dt-one-past-float"),
     ],
 )
 def test_bad_inputs_exit_config(tmp_path, capsys, request, argv, config):

@@ -35,6 +35,7 @@ from cloudq.states import (
     KernelSpec,
     LabelError,
     MassDistribution,
+    ResourceLimitError,
     StateSpaceError,
     StepSizeError,
     apply_pair,
@@ -258,6 +259,7 @@ def test_branch_cap(monkeypatch):
     with pytest.raises(BranchCapError) as err:
         run_tree(table, 4)
     assert "merged" in str(err.value)
+    assert issubclass(BranchCapError, ResourceLimitError)  # the CLI's exit 4 family
 
 
 def test_amplitude_expectation_monodisperse():

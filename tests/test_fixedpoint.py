@@ -216,6 +216,15 @@ def test_pipeline_branch_boundary(arcsine_table):
     assert low.z != high.z
 
 
+def test_pipeline_at_the_step_size_limit(arcsine_table):
+    # r = s: the complement branch takes all of the remainder, w = 0
+    result = emulate_up_pipeline(1, 1, 0.5, 0.5, WIDTH, arcsine_table)
+    assert result.r == result.s_next
+    assert result.z
+    assert result.w == 0
+    assert result.error <= _pipeline_bound(arcsine_table.source_eps)
+
+
 def test_pipeline_trace_replay(arcsine_table):
     trace = emulate_up_pipeline(6, 5, 0.001, 0.93, WIDTH, arcsine_table)
     assert trace.product == 30

@@ -23,7 +23,7 @@ from cloudq.resources import (
     register_counts,
     scaling_report,
 )
-from cloudq.states import label_pairs, qubits_for_bin
+from cloudq.states import StateSpaceError, label_pairs, qubits_for_bin
 
 CASE1 = PRESET_CASES["paper-case-1"]
 
@@ -79,6 +79,21 @@ def test_unknown_primitive():
 def test_register_widths_case1():
     assert qubits_for_bin(40, 1) == 6
     assert history_label_qubits(40) == 9
+    # past 2**49 a float log2 rounds floor(N/i) + 1 down to a power of two
+    assert qubits_for_bin(2**49, 1) == 50
+    assert history_label_qubits(2**26) == 51
+
+
+@pytest.mark.parametrize("n_bins, bin_index, message", [
+    (40, 0, "need bin >= 1, got 0"),
+    (40, -1, "need bin >= 1, got -1"),  # a bit length would be a width for -40
+    (-1, 1, "need N >= 0, got -1"),
+    (40, 1.5, "bin must be an int, got 1.5"),
+])
+def test_register_width_of_no_bin_is_refused(n_bins, bin_index, message):
+    with pytest.raises(StateSpaceError) as err:
+        qubits_for_bin(n_bins, bin_index)
+    assert str(err.value) == message
 
 
 def test_usin_case1():

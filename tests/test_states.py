@@ -316,6 +316,9 @@ def test_apply_transition_examples():
     assert apply_pair(MassDistribution((1, 1, 0)), 1, 2).counts == (0, 0, 1)
     with pytest.raises(InfeasibleTransitionError):
         apply_pair(MassDistribution((0, 1)), 1, 1)
+    with pytest.raises(InfeasibleTransitionError) as err:
+        apply_pair(MassDistribution((3, 0, 1, 0, 0, 0)), 1, 2)
+    assert str(err.value) == "bins (1,2) hold (3,0), need one each"
 
 
 def test_apply_transition_preserves_mass_exhaustively():
