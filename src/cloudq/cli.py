@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple, get_args, get_type_hints
 
-from . import arcsine, division, fixedpoint, master, resources, states
+from . import resources, states
 from .presets import (
     ARCSINE_EXACT_MINIMUM,
     ARCSINE_NOISE_ROW,
@@ -202,6 +202,8 @@ def _made(paths: list[str]) -> list[str]:
 
 
 def _cmd_solve(config: RunConfig) -> int:
+    from . import master
+
     table = _table_from_config(config)
     start = master.ProbabilityTable.point_mass(
         states.MassDistribution.monodisperse(config.n_bins)
@@ -231,6 +233,8 @@ def _cmd_solve(config: RunConfig) -> int:
 
 
 def _cmd_simulate(config: RunConfig) -> int:
+    from . import division, master
+
     table = _table_from_config(config)
     if config.mode == "tree":
         paths = _out_paths(config, "division_probabilities.csv", "branches.csv")
@@ -239,7 +243,7 @@ def _cmd_simulate(config: RunConfig) -> int:
         _made(paths)
         master.write_csv(paths[1], ["history", "state_id", "probability"], [[
             ["|".join(map(str, branch.history)) for branch in branches],
-            [master.state_id(branch.state) for branch in branches],
+            master.state_ids([branch.state.counts for branch in branches]),
             [branch.prob for branch in branches],
         ]])
     else:
@@ -265,6 +269,8 @@ def _cmd_simulate(config: RunConfig) -> int:
 
 
 def _cmd_emulate(config: RunConfig) -> int:
+    from . import fixedpoint, master
+
     # before the fits
     states.require_count("samples", config.samples, 1, fixedpoint.FixedPointError)
     table = fixedpoint.build_quantized_arcsine(config.degree, config.eps, config.n_eps)
@@ -286,6 +292,8 @@ def _cmd_emulate(config: RunConfig) -> int:
 
 
 def _cmd_arcsine_fit(config: RunConfig) -> int:
+    from . import arcsine, fixedpoint, master
+
     paths = _out_paths(config, "arcsine_table.csv",
                        *([] if config.n_eps is None else ["arcsine_coefficients.json"]))
     if config.n_eps is not None:
@@ -314,6 +322,8 @@ def _cmd_estimate(config: RunConfig) -> int:
     report = resources.estimate_case(_case_from_config(config), bin_index=config.bin_index)
     [path] = _made(_out_paths(config, f"resources.{config.format}"))
     if config.format == "csv":
+        from . import master
+
         master.write_csv(
             path,
             ["case", "eps_max", "t_count", "t_depth", "logical_qubits"],
@@ -326,6 +336,8 @@ def _cmd_estimate(config: RunConfig) -> int:
 
 
 def _cmd_reproduce_tables(config: RunConfig) -> int:
+    from . import arcsine, master
+
     paths = _out_paths(config, "arcsine_table.csv", "table_diff.txt")
     failures = 0
     lines = []
@@ -412,12 +424,21 @@ def _refused(exc: Exception) -> int:
     return EXIT_RESOURCE_LIMIT if isinstance(exc, states.ResourceLimitError) else EXIT_CONFIG
 
 
+def _refusals() -> tuple[type[Exception], ...]:
+    """The errors :func:`run` reports as refusals.  An except clause calls
+    it only once a command has raised, so importing the CLI loads neither
+    the fit nor the width module."""
+    from . import arcsine, fixedpoint
+
+    return (ConfigError, resources.ResourceModelError, arcsine.FitError,
+            fixedpoint.FixedPointError, states.StateSpaceError)
+
+
 def run(config: RunConfig) -> int:
     """Dispatch a validated configuration; returns the exit status."""
     try:
         return _COMMANDS[config.command].run(config)
-    except (ConfigError, resources.ResourceModelError, arcsine.FitError,
-            fixedpoint.FixedPointError, states.StateSpaceError) as exc:
+    except _refusals() as exc:
         return _refused(exc)
 
 

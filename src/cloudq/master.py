@@ -16,6 +16,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from itertools import chain
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -144,15 +145,14 @@ def evolve_series(
 
 def _expected(counts: np.ndarray, values: np.ndarray) -> list:
     """``sum count * P`` down each column of ``counts``, state by state in
-    entry order from ``0.0`` (a ``-0.0`` sum reads ``0.0``): on float64,
-    one sequential ``cumsum`` under a first row ``0 * 0.0``; on an object
-    array, a loop (``sum()`` compensates floats from Python 3.12) that adds
-    as Python does, where ``total + count * Fraction`` is ``float(total)``
-    plus the one correctly rounded division ``count * num / den``."""
+    entry order from ``0.0``: on float64, one sequential ``cumsum`` (not
+    ``add.reduce``, which may sum pairwise) plus ``0.0`` (a ``-0.0`` sum
+    reads ``0.0``); on an object array, a loop (``sum()`` compensates from
+    Python 3.12) that adds as Python does, where ``total + count *
+    Fraction`` is ``float(total)`` plus the one division ``count * num /
+    den``."""
     if values.dtype != object:
-        rows = np.vstack([np.zeros_like(counts[:1]), counts[:len(values)]]).astype(values.dtype)
-        probs = np.concatenate([[0.0], values]).astype(values.dtype)
-        return np.cumsum(rows * probs[:, None], axis=0)[-1].tolist()
+        return (np.cumsum(counts[:len(values)] * values[:, None], axis=0)[-1] + 0.0).tolist()
     terms = [v.as_integer_ratio() if type(v) is Fraction else v for v in values.tolist()]
     totals = []
     for column in counts[:len(values)].T.tolist():  # Python ints: numerators pass 2**63
@@ -236,84 +236,95 @@ def ssa_population_estimate(
     return [(float(m), float(s)) for m, s in zip(means, stderrs)]
 
 
-_CSV_QUOTED = (",", '"', "\n", "\r")  # csv may quote a cell holding one
+def _cells(column: Sequence) -> tuple[list[str], bool]:
+    """``column`` as its written cells, and whether ``csv`` may quote one:
+    a ``str`` cell as it is, an ``int`` as its ``str`` (rendered once for
+    a column of one ``int``), anything else as its ``repr``.  No ``int``
+    or ``float`` repr holds a character ``csv`` quotes."""
+    kinds = set(map(type, column))
+    if kinds == {int} and column.count(column[0]) == len(column):
+        return [str(column[0])] * len(column), False
+    if kinds <= {int, float}:
+        return list(map(repr, column)), False
+    cells = list(column) if kinds == {str} else [
+        c if isinstance(c, str) else str(c) if isinstance(c, int) else repr(c) for c in column]
+    text = "".join(cells)
+    return cells, any(map(text.__contains__, ',"\n\r'))
 
 
 def write_csv(path: str, header: Sequence[str], blocks: Iterable[Sequence[Sequence]]) -> None:
     """Write ``header``, then ``blocks`` (each a list of equal-length
-    columns) as CSV with LF line endings.
-
-    Each column is rendered once: ``int`` and ``str`` cells as they are
-    written, every other cell (floats, Fractions, numpy scalars) as its
-    ``repr``, so floats round-trip exactly.  A block is joined directly
-    unless ``csv`` would quote one of its cells, and otherwise goes
-    through ``csv.writer`` as the rendered strings: the same bytes.
-    """
+    columns) as CSV with LF line endings.  Each column is rendered once by
+    :func:`_cells`, so floats round-trip exactly; a block is joined
+    directly unless ``csv`` would quote one of its cells, and otherwise
+    goes through ``csv.writer`` as those strings: the same bytes."""
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
         for block in blocks:
             if not len(block[0]):
                 continue
-            columns, plain = [], True
-            for column in block:
-                if set(map(type, column)) <= {int, float}:
-                    # a list's repr is its items' reprs joined by ", ", and no int
-                    # or float repr holds ", " or a quoted character
-                    columns.append(repr(list(column))[1:-1].split(", "))
-                    continue
-                cells = [c if isinstance(c, str) else str(c) if isinstance(c, int) else repr(c)
-                         for c in column]
-                text = "".join(cells)
-                plain = plain and not any(char in text for char in _CSV_QUOTED)
-                columns.append(cells)
-            if plain and (len(columns) > 1 or all(columns[0])):  # csv quotes a lone ""
+            columns, quoted = zip(*map(_cells, block))
+            if not any(quoted) and (len(columns) > 1 or all(columns[0])):  # csv quotes a lone ""
                 handle.write("\n".join(map(",".join, zip(*columns))) + "\n")
             else:
                 writer.writerows(zip(*columns))
 
 
+def state_ids(counts) -> list[str]:
+    """The :func:`state_id` of each counts row (of a matrix or a list of
+    tuples): its counts' decimal digits, from one table, joined by ``|``."""
+    counts = np.asarray(counts, dtype=np.int64)
+    digits = np.array([str(c) for c in range(counts.max(initial=0) + 1)], dtype=object)
+    return list(map("|".join, digits[counts].tolist()))
+
+
 def state_id(state: MassDistribution) -> str:
     """Stable textual key for CSV output, e.g. ``2|0|1``."""
-    return "|".join(["%d"] * len(state.counts)) % state.counts
+    return state_ids([state.counts])[0]
 
 
 def _series(series: Sequence[ProbabilityTable]) -> tuple[list, np.ndarray, list[tuple]]:
     """The states of every listing in ``series``, once per listing; their
     counts matrix; and each table as ``(step, first, values)``, its states
-    in entry order starting at ``states[first]``."""
+    in entry order starting at ``states[first]``.  States of two bin counts
+    are refused."""
     first, states = {}, []
     for table in series:
         if id(table.listing) not in first:
             first[id(table.listing)] = len(states)
             states.extend(table.listing)
-    counts = np.array([s.counts for s in states], dtype=np.int64, ndmin=2)
-    return states, counts, [(t.step, first[id(t.listing)], t.values) for t in series]
+    rows = [s.counts for s in states]
+    widths = sorted(set(map(len, rows))) or [0]
+    if len(widths) > 1:
+        raise StateSpaceError(f"series mixes {widths[0]}-bin and {widths[-1]}-bin states")
+    counts = np.fromiter(chain.from_iterable(rows), np.int64, len(rows) * widths[0])
+    return states, counts.reshape(len(rows), widths[0]), [
+        (t.step, first[id(t.listing)], t.values) for t in series]
 
 
 def write_expected_series(series: Sequence[ProbabilityTable], path: str) -> None:
-    """CSV export with columns (step, bin, expected_count)."""
+    """CSV export with columns (step, bin, expected_count), as one block."""
     _, counts, tables = _series(series)
     if not all(len(values) for _, _, values in tables):
         raise StateSpaceError("empty distribution")
-    blocks = (
-        [[step] * len(expected), list(range(1, len(expected) + 1)), expected]
-        for step, first, values in tables
-        for expected in [_expected(counts[first:], values)]
-    )
-    write_csv(path, ["step", "bin", "expected_count"], blocks)
+    bins = range(1, counts.shape[1] + 1)
+    write_csv(path, ["step", "bin", "expected_count"], [[
+        [step for step, _, _ in tables for _ in bins],
+        list(bins) * len(tables),
+        list(chain.from_iterable(_expected(counts[first:], values) for _, first, values in tables)),
+    ]])
 
 
 def write_probability_series(series: Sequence[ProbabilityTable], path: str) -> None:
     """CSV export with columns (step, state_id, probability); each table's
-    states in ascending counts order."""
+    states in ascending counts order, one block per table."""
     states, counts, tables = _series(series)
-    rank = np.empty(len(states), dtype=np.intp)
-    rank[np.lexsort(counts.T[::-1]) if states else []] = np.arange(len(states))
-    ids = np.array(list(map(state_id, states)), dtype=object)
+    ranked = np.lexsort(counts.T[::-1]) if states else np.empty(0, np.intp)
+    ids = np.array(state_ids(counts), dtype=object)
     blocks = (
-        [[step] * len(order), ids[first + order].tolist(), values[order].tolist()]
+        [[step] * len(at), ids[at].tolist(), values[at - first].tolist()]
         for step, first, values in tables
-        for order in [np.argsort(rank[first:first + len(values)])]
+        for at in [ranked[(first <= ranked) & (ranked < first + len(values))]]
     )
     write_csv(path, ["step", "state_id", "probability"], blocks)

@@ -1,7 +1,9 @@
 import dataclasses
 import json
 import math
+import os
 import re
+import subprocess
 import sys
 
 import pytest
@@ -534,6 +536,29 @@ def test_refused_run_creates_no_out(tmp_path, capsys, argv, code, message):
     assert main(argv + ["--out", str(tmp_path / "d")]) == code
     assert capsys.readouterr().err == f"error: {message}\n"
     assert list(tmp_path.iterdir()) == []
+
+
+def test_commands_load_their_modules_where_they_run(tmp_path):
+    # in a fresh interpreter, importing the CLI and running estimate load no
+    # solver, division, fit or width module; a refusal raised before its
+    # command loaded the fit and width modules still exits 2 with its line
+    probe = """
+import sys
+from cloudq import cli
+modules = {"cloudq.arcsine", "cloudq.division", "cloudq.fixedpoint", "cloudq.master"}
+print(sorted(modules & set(sys.modules)))
+assert cli.main(["estimate", "--preset", "paper-case-1", "--out", sys.argv[1] + "/est/"]) == 0
+print(sorted(modules & set(sys.modules)))
+print(cli.main(["estimate", "--preset", "paper-case-1", "--n-eps", "0"]))
+print(cli.main(["arcsine-fit", "--d", "5", "--eps", "nan"]))
+print(cli.main(["emulate", "--n-eps", "0"]))
+"""
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+    done = subprocess.run([sys.executable, "-c", probe, str(tmp_path)], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n[]\n2\n2\n2\n"
+    assert done.stderr == ("error: need n_eps >= 1, got 0\nerror: need eps > 0, got nan\n"
+                           "error: need width >= 1, got 0\n")
 
 
 @pytest.mark.parametrize(

@@ -508,6 +508,41 @@ def test_expected_series_needs_a_state(tmp_path):
         write_expected_series([p0, ProbabilityTable({})], str(tmp_path / "e.csv"))
 
 
+@pytest.mark.parametrize("width", [1, 2, 3, 20])
+@pytest.mark.parametrize("n_states", [8, 9, 100, 3000])
+def test_float_expected_counts_add_state_by_state(n_states, width):
+    # numpy sums 8 or more values pairwise in add.reduce, so a float64 table
+    # of that many states tells an in-order sum from a reordered one; the
+    # values span four decades in both signs, a fifth are -0.0, and bin 27
+    # holds no droplet in any state (a column of signed zero terms)
+    rng = np.random.default_rng([n_states, width])
+    every = [s for s in enumerate_states(27) if not s.counts[-1]]
+    states = [every[i] for i in rng.permutation(len(every))[:n_states].tolist()]
+    values = rng.uniform(-1, 1, n_states) * 10.0 ** rng.integers(-3, 1, n_states)
+    values[rng.random(n_states) < 0.2] = -0.0
+    p = ProbabilityTable.listed(states, values, step=0)
+    bins = [1] + sorted((rng.permutation(25)[:width - 1] + 2).tolist())
+    want = [_loop_expected(p, b) for b in range(1, 28)]
+    assert list(map(repr, expected_counts(p))) == list(map(repr, want))
+    assert list(map(repr, expected_counts(p, bins))) == [repr(want[b - 1]) for b in bins]
+    assert [repr(expected_count(p, b)) for b in bins] == [repr(want[b - 1]) for b in bins]
+    assert repr(want[26]) == repr(expected_count(p, 27)) == "0.0"
+
+
+@pytest.mark.parametrize("writer", [write_probability_series, write_expected_series],
+                         ids=["probability", "expected"])
+def test_a_series_of_two_bin_counts_is_refused(writer, tmp_path):
+    a, b = (ProbabilityTable.point_mass(MassDistribution.monodisperse(n)) for n in (3, 4))
+    mixed = ProbabilityTable({**a.entries, **b.entries})
+    path = tmp_path / "series.csv"
+    for series in ([a, b], [b, a], [mixed]):
+        with pytest.raises(StateSpaceError, match="^series mixes 3-bin and 4-bin states$"):
+            writer(series, str(path))
+        assert not path.exists()
+    with pytest.raises(StateSpaceError, match="^series mixes 3-bin and 4-bin states$"):
+        expected_counts(mixed)
+
+
 def _cumsum_expected(counts, values):
     # _expected as one cumsum for every number type: on an object array,
     # Python's own int * Fraction and float + Fraction, term by term
@@ -765,6 +800,30 @@ def test_run_series_csv_matches_the_per_cell_writer(kind, number, tmp_path):
     series = evolve_series(p0, table, 5)
     _same_series_bytes(series, tmp_path)
     _same_series_bytes(series[2:4] + [run_merged(table, 3), evolve(p0, table, 2)], tmp_path)
+
+
+@pytest.mark.parametrize("number", [float, Fraction], ids=["float", "fraction"])
+def test_two_digit_series_csv_matches_the_per_cell_writer(number, tmp_path):
+    # at N = 12 the start state's id is 12|0|...|0: a count of two digits
+    n = 12
+    table = build_transition_table(n, KernelSpec("sum", number(1)), number(1) / 400)
+    p0 = ProbabilityTable({MassDistribution.monodisperse(n): number(1), _absorbed(n): number(0)})
+    series = evolve_series(p0, table, 4)
+    assert master.state_id(MassDistribution.monodisperse(n)) == "12" + "|0" * 11
+    _same_series_bytes(series, tmp_path)
+    _same_series_bytes([run_merged(table, 4), series[2]], tmp_path)
+
+
+def test_mixed_block_series_csv_matches_the_per_cell_writer(tmp_path):
+    # a run's float64 tables and its merged table, joined directly, meet a
+    # hand-built table of numpy scalars and a Fraction that csv.writer quotes
+    n = 12
+    table = build_transition_table(n, KernelSpec("product", 1.0), 0.002)
+    series = evolve_series(ProbabilityTable.point_mass(MassDistribution.monodisperse(n)), table, 3)
+    keys = series[-1].states()[1:]
+    cells = [np.float64(0.25), np.float64(-0.0), Fraction(1, 3), 0.125, np.float64(5e-324), 2]
+    hand = ProbabilityTable(dict(zip(keys, cells)), step=7)
+    _same_series_bytes(series[1:] + [run_merged(table, 3), hand] + series[:2], tmp_path)
 
 
 def test_hand_built_series_csv_matches_the_per_cell_writer(tmp_path):
