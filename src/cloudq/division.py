@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -139,8 +140,9 @@ def run_merged(table: TransitionTable, steps: int) -> ProbabilityTable:
             final, present = np.array_equal(reached, present), reached
     kept = np.flatnonzero(present)
     kept = kept[np.argsort(prog.ranks[kept])]  # ascending counts
-    return ProbabilityTable.listed(table.states.listing(prog.ranks[kept], prog.counts[kept]),
-                                   read(kept), steps)
+    rows = np.take(prog.counts, kept, axis=0)
+    return ProbabilityTable.listed(table.states.listing(prog.ranks[kept], rows),
+                                   read(kept), steps, rows)
 
 
 def amplitude_expectation(distribution: ProbabilityTable, bin_index: int):
@@ -151,17 +153,17 @@ def amplitude_expectation(distribution: ProbabilityTable, bin_index: int):
     expectation is ``d`` times that.  Algebraically equal to an ordinary
     expectation; kept separate to exercise the readout path.
     """
-    entries = distribution.entries
-    if not entries:
+    rows, terms = distribution._read()
+    values = distribution.values
+    if not len(values):
         raise StateSpaceError("empty distribution")
-    n_bins = next(iter(entries)).num_bins
-    _require_bin(bin_index, n_bins)
-    d = 2 ** qubits_for_bin(n_bins, bin_index)
+    _require_bin(bin_index, rows.shape[1])
+    d = 2 ** qubits_for_bin(rows.shape[1], bin_index)
     total = 0.0
-    for state, prob in entries.items():
-        if type(prob) is Fraction:  # as float * Fraction takes it: float(prob), num / den
-            prob = prob.numerator / prob.denominator
-        total += (state.counts[bin_index - 1] / d) * prob
+    for count, prob in zip(rows[:len(values), bin_index - 1].tolist(), terms or values.tolist()):
+        if type(prob) is tuple:  # as float * Fraction takes it: float(prob), num / den
+            prob = prob[0] / prob[1]
+        total += (count / d) * prob
     return d * total
 
 
@@ -188,6 +190,12 @@ def _history_register(n_labels: int, fired: int) -> int:
     return register
 
 
+@cache
+def _history_registers(n_labels: int) -> tuple[int, ...]:
+    """:func:`_history_register` of each label ``0..H``."""
+    return tuple(_history_register(n_labels, fired) for fired in range(n_labels + 1))
+
+
 def history_label_semantics_check(
     table: TransitionTable,
     steps: int,
@@ -205,11 +213,11 @@ def history_label_semantics_check(
     state.  The table's rows are walked level by level, one entry per
     (state, replay) counting the histories that reach it: they share their
     future, so each entry is replayed once and counted with that
-    multiplicity.
+    multiplicity, and each (replay, label) is applied once.
     """
     require_count("steps", steps, 0, StateSpaceError)
     start = initial or MassDistribution.monodisperse(table.num_bins)
-    registers = [_history_register(table.num_labels, h) for h in range(table.num_labels + 1)]
+    registers, replays = _history_registers(table.num_labels), {}
     # (state rank, replay) -> histories, in run_tree's order
     level = {(table.index(start), start): 1} if steps else {}
     checked = mismatches = 0
@@ -218,7 +226,9 @@ def history_label_semantics_check(
         nxt = {}
         for (k, replay), count in level.items():
             for label, target, _ in table.children(k):
-                after = apply_pair(replay, *table.pair_of(label)) if label else replay
+                after = replays.get((replay, label)) if label else replay
+                if after is None:
+                    after = replays[replay, label] = apply_pair(replay, *table.pair_of(label))
                 nxt[target, after] = nxt.get((target, after), 0) + count
                 checked += count
                 mismatches += count * (registers[label] != label)

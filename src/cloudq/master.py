@@ -38,16 +38,30 @@ class ProbabilityTable:
     conservation checks stay exact.  ``ProbabilityTable(dict, step)``
     snapshots the dict into an object array; ``entries`` is built on first
     read, read-only, in listing order and with the same value objects.
+
+    Every reader (``expected_counts``, ``mass_expectation``,
+    ``amplitude_expectation``, the series writers) reads one private view,
+    built on its first read and kept: the counts rows of the listing and,
+    on an object table, each value as its integer ratio (a ``Fraction``'s;
+    any other value as it is).  A run's tables share one rows array, taken
+    from the step program's and handed to :meth:`listed`; a hand-built
+    table builds its rows from its states.  Every reader refuses a table
+    of two bin counts.  A table is not to be mutated once built: its view
+    would not follow.
     """
 
     def __init__(self, entries: Mapping[MassDistribution, float], step: int = 0) -> None:
         self.listing, self.step, self._entries = list(entries), step, None
         self.values = np.fromiter(entries.values(), object, len(self.listing))
+        self._rows = self._view = None
 
     @classmethod
-    def listed(cls, listing: list[MassDistribution], values: np.ndarray, step: int):
+    def listed(cls, listing: list[MassDistribution], values: np.ndarray, step: int,
+               rows: np.ndarray | None = None):
+        """A table over ``listing``, whose counts rows are ``rows`` when
+        the caller holds them."""
         table = cls({}, step)
-        table.listing, table.values = listing, values
+        table.listing, table.values, table._rows = listing, values, rows
         return table
 
     @property
@@ -55,6 +69,16 @@ class ProbabilityTable:
         if self._entries is None:
             self._entries = MappingProxyType(dict(zip(self.listing, self.values.tolist())))
         return self._entries
+
+    def _read(self) -> tuple[np.ndarray, list | None]:
+        """The read view: the listing's counts rows, and on an object table
+        each value as its integer ratio (``None`` on float64)."""
+        if self._view is None:
+            rows = _rows(self.listing) if self._rows is None else self._rows
+            terms = None if self.values.dtype != object else [
+                v.as_integer_ratio() if type(v) is Fraction else v for v in self.values.tolist()]
+            self._view = rows, terms
+        return self._view
 
     def __eq__(self, other):
         if type(other) is not ProbabilityTable:
@@ -114,13 +138,17 @@ def _steps(
     for level in prog.levels:
         order.extend(k for k in level if k not in start)  # an empty key may be reached
         ends.append(len(order))
-    listing = list(p0.entries) + table.states.listing(
-        prog.ranks[order[len(keys):]], prog.counts[order[len(keys):]])
     order, prob = np.array(order, dtype=np.intp), prog.vector(size + len(keys), keys, values)
-    out = [p0 if table.is_float else ProbabilityTable.listed(listing, prob[keys], p0.step)]
+    rows = np.empty((len(order), table.num_bins), prog.counts.dtype)  # the listing's counts
+    if keys:
+        rows[:len(keys)] = p0._read()[0][:len(keys)]
+    np.take(prog.counts, order[len(keys):], axis=0, out=rows[len(keys):])
+    listing = list(p0.entries) + table.states.listing(prog.ranks[order[len(keys):]],
+                                                      rows[len(keys):])
+    out = [p0 if table.is_float else ProbabilityTable.listed(listing, prob[keys], p0.step, rows)]
     for (step, end), read in zip(enumerate(ends, start=p0.step + 1), prog.run(prob, steps)):
         if keep_all or step == p0.step + steps:
-            out.append(ProbabilityTable.listed(listing, read(order[:end]), step))
+            out.append(ProbabilityTable.listed(listing, read(order[:end]), step, rows))
     return out
 
 
@@ -143,17 +171,18 @@ def evolve_series(
     return _steps(p0, table, steps, keep_all=True)
 
 
-def _expected(counts: np.ndarray, values: np.ndarray) -> list:
+def _expected(counts: np.ndarray, values: np.ndarray, terms: list | None = None) -> list:
     """``sum count * P`` down each column of ``counts``, state by state in
     entry order from ``0.0``: on float64, one sequential ``cumsum`` (not
     ``add.reduce``, which may sum pairwise) plus ``0.0`` (a ``-0.0`` sum
     reads ``0.0``); on an object array, a loop (``sum()`` compensates from
     Python 3.12) that adds as Python does, where ``total + count *
     Fraction`` is ``float(total)`` plus the one division ``count * num /
-    den``."""
+    den``.  ``terms`` are the values as a table's view holds them."""
     if values.dtype != object:
         return (np.cumsum(counts[:len(values)] * values[:, None], axis=0)[-1] + 0.0).tolist()
-    terms = [v.as_integer_ratio() if type(v) is Fraction else v for v in values.tolist()]
+    if terms is None:
+        terms = [v.as_integer_ratio() if type(v) is Fraction else v for v in values.tolist()]
     totals = []
     for column in counts[:len(values)].T.tolist():  # Python ints: numerators pass 2**63
         total = 0.0
@@ -173,12 +202,13 @@ def _require_bin(bin_index, n_bins: int) -> None:
 def expected_counts(p: ProbabilityTable, bins: Sequence[int] | None = None) -> list:
     """Expected droplet count of each bin in ``bins`` (every bin by
     default), as :func:`_expected` sums it."""
-    _, counts, [(_, _, values)] = _series([p])
-    if not len(values):
+    rows, terms = p._read()
+    if not len(p.values):
         raise StateSpaceError("empty distribution")
     for bin_index in bins or ():
-        _require_bin(bin_index, counts.shape[1])
-    return _expected(counts if bins is None else counts[:, [b - 1 for b in bins]], values)
+        _require_bin(bin_index, rows.shape[1])
+    rows = rows[:len(p.values)]
+    return _expected(rows if bins is None else rows[:, [b - 1 for b in bins]], p.values, terms)
 
 
 def expected_count(p: ProbabilityTable, bin_index: int):
@@ -187,8 +217,10 @@ def expected_count(p: ProbabilityTable, bin_index: int):
 
 
 def mass_expectation(p: ProbabilityTable):
-    """``sum_i i * <n_i>``; conserved by every update."""
-    return reduce(operator.add, (state.mass() * prob for state, prob in p.entries.items()), 0)
+    """``sum_i i * <n_i>``; conserved by every update.  Every state's mass
+    is ``N``, so this folds ``N * P`` in entry order from ``0``."""
+    n_bins = p._read()[0].shape[1]
+    return reduce(operator.add, (n_bins * prob for prob in p.values.tolist()), 0)
 
 
 def ssa_trajectory(
@@ -274,8 +306,9 @@ def write_csv(path: str, header: Sequence[str], blocks: Iterable[Sequence[Sequen
 def state_ids(counts) -> list[str]:
     """The :func:`state_id` of each counts row (of a matrix or a list of
     tuples): its counts' decimal digits, from one table, joined by ``|``."""
-    counts = np.asarray(counts, dtype=np.int64)
-    digits = np.array([str(c) for c in range(counts.max(initial=0) + 1)], dtype=object)
+    if not isinstance(counts, np.ndarray):
+        counts = np.array(counts, dtype=np.int64)
+    digits = np.array([str(c) for c in range(int(counts.max(initial=0)) + 1)], dtype=object)
     return list(map("|".join, digits[counts].tolist()))
 
 
@@ -284,47 +317,61 @@ def state_id(state: MassDistribution) -> str:
     return state_ids([state.counts])[0]
 
 
-def _series(series: Sequence[ProbabilityTable]) -> tuple[list, np.ndarray, list[tuple]]:
-    """The states of every listing in ``series``, once per listing; their
-    counts matrix; and each table as ``(step, first, values)``, its states
-    in entry order starting at ``states[first]``.  States of two bin counts
-    are refused."""
-    first, states = {}, []
-    for table in series:
-        if id(table.listing) not in first:
-            first[id(table.listing)] = len(states)
-            states.extend(table.listing)
-    rows = [s.counts for s in states]
-    widths = sorted(set(map(len, rows))) or [0]
+def _mixed(widths: Sequence[int]) -> None:
+    """Refuse states of two bin counts, given their sorted bin counts."""
     if len(widths) > 1:
         raise StateSpaceError(f"series mixes {widths[0]}-bin and {widths[-1]}-bin states")
+
+
+def _rows(states: Sequence[MassDistribution]) -> np.ndarray:
+    """The counts matrix of ``states``, which share one bin count."""
+    rows = [s.counts for s in states]
+    widths = sorted(set(map(len, rows))) or [0]
+    _mixed(widths)
     counts = np.fromiter(chain.from_iterable(rows), np.int64, len(rows) * widths[0])
-    return states, counts.reshape(len(rows), widths[0]), [
-        (t.step, first[id(t.listing)], t.values) for t in series]
+    return counts.reshape(len(rows), widths[0])
+
+
+def _series(series: Sequence[ProbabilityTable]) -> tuple[np.ndarray, list[int]]:
+    """The counts rows of every listing in ``series``, once per listing
+    (one listing's as its view holds them), and where each table's states
+    start in them.  States of two bin counts are refused."""
+    first, blocks, size = {}, [], 0
+    for table in series:
+        if id(table.listing) not in first:
+            first[id(table.listing)], size = size, size + len(table.listing)
+            blocks.append(table._read()[0])
+    blocks = [rows for rows in blocks if len(rows)]
+    _mixed(sorted({rows.shape[1] for rows in blocks}))
+    narrow = min((rows.dtype for rows in blocks), key=lambda t: t.itemsize, default=None)
+    counts = blocks[0] if len(blocks) == 1 else np.concatenate(  # every count fits: it is <= N
+        blocks or [np.zeros((0, 0), int)], dtype=narrow)
+    return counts, [first[id(t.listing)] for t in series]
 
 
 def write_expected_series(series: Sequence[ProbabilityTable], path: str) -> None:
     """CSV export with columns (step, bin, expected_count), as one block."""
-    _, counts, tables = _series(series)
-    if not all(len(values) for _, _, values in tables):
+    counts, firsts = _series(series)
+    if not all(len(t.values) for t in series):
         raise StateSpaceError("empty distribution")
     bins = range(1, counts.shape[1] + 1)
     write_csv(path, ["step", "bin", "expected_count"], [[
-        [step for step, _, _ in tables for _ in bins],
-        list(bins) * len(tables),
-        list(chain.from_iterable(_expected(counts[first:], values) for _, first, values in tables)),
+        [t.step for t in series for _ in bins],
+        list(bins) * len(series),
+        list(chain.from_iterable(_expected(counts[first:], t.values)
+                                 for t, first in zip(series, firsts))),
     ]])
 
 
 def write_probability_series(series: Sequence[ProbabilityTable], path: str) -> None:
     """CSV export with columns (step, state_id, probability); each table's
     states in ascending counts order, one block per table."""
-    states, counts, tables = _series(series)
-    ranked = np.lexsort(counts.T[::-1]) if states else np.empty(0, np.intp)
+    counts, firsts = _series(series)
+    ranked = np.lexsort(counts.T[::-1]) if len(counts) else np.empty(0, np.intp)
     ids = np.array(state_ids(counts), dtype=object)
     blocks = (
-        [[step] * len(at), ids[at].tolist(), values[at - first].tolist()]
-        for step, first, values in tables
-        for at in [ranked[(first <= ranked) & (ranked < first + len(values))]]
+        [[t.step] * len(at), ids[at].tolist(), t.values[at - first].tolist()]
+        for t, first in zip(series, firsts)
+        for at in [ranked[(first <= ranked) & (ranked < first + len(t.values))]]
     )
     write_csv(path, ["step", "state_id", "probability"], blocks)

@@ -146,8 +146,10 @@ def label_pair_count(n_bins: int) -> int:
     return n_bins * n_bins // 4
 
 
+@cache
 def label_pairs(n_bins: int) -> tuple[tuple[int, int], ...]:
-    """Collision pairs ``(i, j)``, ``i <= j``, ``i + j <= N``, in label order."""
+    """Collision pairs ``(i, j)``, ``i <= j``, ``i + j <= N``, in label order
+    (built once per ``N``)."""
     return tuple(
         (i, j)
         for i in range(1, n_bins + 1)
@@ -370,8 +372,10 @@ def common_numerators(numbers: Sequence) -> tuple[list[int], int]:
     """``numbers``, each an ``int`` or a ``Fraction``, as integer
     numerators over their least common denominator."""
     ratios = [x.as_integer_ratio() for x in numbers]
-    common = math.lcm(*{den for _, den in ratios})
-    return [num * (common // den) for num, den in ratios], common
+    dens = {den for _, den in ratios}
+    common = math.lcm(*dens)
+    factor = {den: common // den for den in dens}  # a few denominators among many numbers
+    return [num * factor[den] for num, den in ratios], common
 
 
 def _read_scaled(num: np.ndarray, scale: int, at) -> np.ndarray:

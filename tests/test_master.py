@@ -2,9 +2,11 @@ import bisect
 import csv
 import hashlib
 import math
+import operator
 import os
 import tempfile
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -529,17 +531,33 @@ def test_float_expected_counts_add_state_by_state(n_states, width):
     assert repr(want[26]) == repr(expected_count(p, 27)) == "0.0"
 
 
-@pytest.mark.parametrize("writer", [write_probability_series, write_expected_series],
-                         ids=["probability", "expected"])
-def test_a_series_of_two_bin_counts_is_refused(writer, tmp_path):
+_WRITERS = {"probability": write_probability_series, "expected": write_expected_series}
+_READERS = {"expected_count": expected_count, "amplitude": amplitude_expectation,
+            "mass": lambda p, bin_index: mass_expectation(p)}
+
+
+@pytest.mark.parametrize("read", [*_WRITERS.values(), *_READERS.values()],
+                         ids=[*_WRITERS, *_READERS])
+def test_a_series_of_two_bin_counts_is_refused(read, tmp_path):
+    # a writer refuses a series of 3-bin and 4-bin states before it opens
+    # its file; a reader refuses one table of both, in either order, at any bin
+    def refused():
+        return pytest.raises(StateSpaceError, match="^series mixes 3-bin and 4-bin states$")
+
     a, b = (ProbabilityTable.point_mass(MassDistribution.monodisperse(n)) for n in (3, 4))
     mixed = ProbabilityTable({**a.entries, **b.entries})
+    flipped = ProbabilityTable({**b.entries, **a.entries})
     path = tmp_path / "series.csv"
-    for series in ([a, b], [b, a], [mixed]):
-        with pytest.raises(StateSpaceError, match="^series mixes 3-bin and 4-bin states$"):
-            writer(series, str(path))
-        assert not path.exists()
-    with pytest.raises(StateSpaceError, match="^series mixes 3-bin and 4-bin states$"):
+    if read in _WRITERS.values():
+        for series in ([a, b], [b, a], [mixed], [flipped]):
+            with refused():
+                read(series, str(path))
+            assert not path.exists()
+    else:
+        for p, bin_index in [(mixed, 1), (mixed, 4), (flipped, 1), (flipped, 4)]:
+            with refused():
+                read(p, bin_index)
+    with refused():
         expected_counts(mixed)
 
 
@@ -561,13 +579,22 @@ def _product_amplitude(p, bin_index):
 
 
 def _same_readout(p):
+    # every reader, twice, in two orders: the view the first read builds
+    # gives every later read the bits of the per-entry loops and folds
     counts = np.array([s.counts for s in p.listing], dtype=np.int64)
     bins = range(1, counts.shape[1] + 1)
-    want = _cumsum_expected(counts, p.values)
-    assert list(map(repr, expected_counts(p))) == list(map(repr, want))
-    assert [repr(expected_count(p, b)) for b in bins] == list(map(repr, want))
-    got = [amplitude_expectation(p, b) for b in bins]
-    assert list(map(repr, got)) == [repr(_product_amplitude(p, b)) for b in bins]
+    want = list(map(repr, _cumsum_expected(counts, p.values)))
+    amplitudes = [repr(_product_amplitude(p, b)) for b in bins]
+    mass = reduce(operator.add, (s.mass() * v for s, v in p.entries.items()), 0)
+    reads = [
+        lambda: (list(map(repr, expected_counts(p))), want),
+        lambda: ([repr(expected_count(p, b)) for b in bins], want),
+        lambda: ([repr(amplitude_expectation(p, b)) for b in bins], amplitudes),
+        lambda: ((repr(mass_expectation(p)), type(mass_expectation(p))), (repr(mass), type(mass))),
+    ]
+    for read in reads + reads[::-1]:
+        got, expected = read()
+        assert got == expected
 
 
 def _exact_runs(kind, k0, n, steps):
@@ -610,6 +637,21 @@ def test_object_readout_of_floats_and_ints_keeps_its_bits():
         _same_readout(ints)
         mixed = [Fraction(int(v), 7) if v % 3 else float(v) / 7 for v in rng.integers(0, 9, 99)]
         _same_readout(ProbabilityTable(dict(zip(p.entries, mixed))))
+
+
+@pytest.mark.parametrize("n", [12, 20])
+def test_float_run_readout_keeps_its_bits(n):
+    # a float run's tables share one listing that runs past their values,
+    # and one rows array of the step program's; each reads as its entries
+    unit = build_transition_table(n, KernelSpec("sum", 0.7), 1.0)
+    dt = 0.9 / max(total_transition_rate(unit, s) for s in enumerate_states(n))
+    table = build_transition_table(n, KernelSpec("sum", 0.7), dt)
+    series = evolve_series(ProbabilityTable.point_mass(MassDistribution.monodisperse(n)), table, 20)
+    assert len(series[1].listing) > len(series[1].values)
+    merged = run_merged(table, 20)
+    assert {p.values.dtype for p in series[1:] + [merged]} == {np.dtype(float)}
+    for p in series + [merged]:
+        _same_readout(p)
 
 
 # The accumulation as it stood before both executors took one np.add.at
