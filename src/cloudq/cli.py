@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -181,17 +182,19 @@ def _emit_json(payload: dict, out: str | None) -> None:
 
 def _out_paths(config: RunConfig, *names: str) -> list[str]:
     """Where each output goes: into the ``--out`` directory, or to ``--out``
-    itself if it has a suffix and there is one output.  Creates nothing, so
-    call it before the run; :func:`_made` creates the directories after it."""
+    itself if it has a suffix, no trailing separator, and there is one
+    output.  Creates nothing, so call it before the run; :func:`_made`
+    creates the directories after it."""
     if config.out is None:
         return list(names)
     path = Path(config.out)
-    if path.suffix and len(names) > 1:
+    one_file = bool(path.suffix) and not config.out.endswith(("/", os.sep))
+    if one_file and len(names) > 1:
         raise ConfigError(
             f"--out {config.out} names one file, but {config.command} writes "
             f"{len(names)} ({', '.join(names)}); give a directory"
         )
-    return [str(path)] if path.suffix else [str(path / name) for name in names]
+    return [str(path)] if one_file else [str(path / name) for name in names]
 
 
 def _made(paths: list[str]) -> list[str]:

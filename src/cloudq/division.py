@@ -87,26 +87,24 @@ def run_tree(
 
     A float table multiplies each branch's probability out from ``1.0``.
     An exact table multiplies out the weights' integer numerators from
-    ``1``, over ``scale ** steps``, and builds each ``Fraction`` once, at
-    the end: the values of multiplying out from ``Fraction(1)``.
+    ``1``, over ``scale ** steps``, and builds one ``Fraction`` per distinct
+    product, at the end: the values of multiplying out from ``Fraction(1)``.
     """
     require_count("steps", steps, 0, StateSpaceError)
     start = initial or MassDistribution.monodisperse(table.num_bins)
-    histories, at, probs = [()], [start], [1.0 if table.is_float else 1]
+    histories, at, probs = [()], [table.index(start)], [1.0 if table.is_float else 1]
     for step in range(1, steps + 1):
         _check_cap(len(histories), table, step)
-        if step == 1:
-            at = [table.index(start)]
         kids = list(map(table.children, at))  # a failing state raises, in branch order
         histories, at, probs = (
             [history + (label,) for history, row in zip(histories, kids) for label, _, _ in row],
             [target for row in kids for _, target, _ in row],
             [p * weight for p, row in zip(probs, kids) for _, _, weight in row])
-    if steps:
-        at = list(map(table.states.__getitem__, at))
+    at = list(map(table.states.__getitem__, at))
     if not table.is_float:
         scale = table.scale ** steps
-        probs = [Fraction(p, scale) for p in probs]
+        shared = {p: Fraction(p, scale) for p in set(probs)}
+        probs = list(map(shared.__getitem__, probs))
     new = tuple.__new__  # HistoryBranch's own __new__ is a Python call per branch
     return [new(HistoryBranch, branch) for branch in zip(histories, at, probs)]
 
@@ -219,7 +217,7 @@ def history_label_semantics_check(
     start = initial or MassDistribution.monodisperse(table.num_bins)
     registers, replays = _history_registers(table.num_labels), {}
     # (state rank, replay) -> histories, in run_tree's order
-    level = {(table.index(start), start): 1} if steps else {}
+    level = {(table.index(start), start): 1}
     checked = mismatches = 0
     for step in range(1, steps + 1):
         _check_cap(sum(level.values()), table, step)

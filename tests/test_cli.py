@@ -484,6 +484,29 @@ def test_out_file_creates_missing_directories(tmp_path, argv, name):
     assert [p.name for p in out.parent.iterdir()] == [name]
 
 
+@pytest.mark.parametrize("exists", [False, True], ids=["new", "existing"])
+def test_out_with_a_trailing_separator_is_a_directory(tmp_path, capsys, exists):
+    # a suffix names one file only when no separator follows it
+    merged, tree = ["simulate", "--N", "3", "--M", "2"], ["--mode", "tree"]
+    out = tmp_path / "x.y"
+    if exists:
+        out.mkdir()
+    assert main(merged + ["--out", f"{out}{os.sep}"]) == EXIT_OK
+    assert [p.name for p in out.iterdir()] == ["division_probabilities.csv"]
+    one = tmp_path / "a.b"
+    assert main(merged + ["--out", str(one)]) == EXIT_OK
+    assert one.read_text() == (out / "division_probabilities.csv").read_text()
+    assert main(merged + tree + ["--out", f"{out}{os.sep}"]) == EXIT_OK
+    assert sorted(p.name for p in out.iterdir()) == ["branches.csv", "division_probabilities.csv"]
+    capsys.readouterr()
+    file = tmp_path / "t.y"
+    assert main(merged + tree + ["--out", str(file)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"error: --out {file} names one file, but simulate writes 2 "
+        "(division_probabilities.csv, branches.csv); give a directory\n")
+    assert not file.exists()
+
+
 def _setting(option):
     """One non-default setting of ``option``: flag arguments, JSON value, parsed value."""
     flag = option.metadata["flag"]

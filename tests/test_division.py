@@ -173,23 +173,49 @@ def _mixed_from_step_2():
     return table, MassDistribution((2, 0, 0, 1, 0, 0))
 
 
+def _table_at_its_limit():
+    # an exact table kernel with a zero entry, K(2, 3) = 0, at the step-size
+    # limit of the states its 4-step tree reaches: a small dt reaches them
+    # all, since every hold child keeps its state
+    kernel = KernelSpec("table", table=tuple(tuple(
+        Fraction(0) if {i, j} == {2, 3} else Fraction(1, 4) if i == j == 1 else Fraction(i * j, 2)
+        for j in range(1, 8)) for i in range(1, 8)))
+    reached = {b.state for b in run_tree(build_transition_table(7, kernel, Fraction(1, 1000)), 4)}
+    unit = build_transition_table(7, kernel, Fraction(1))
+    table = build_transition_table(7, kernel, 1 / max(total_transition_rate(unit, s)
+                                                      for s in reached))
+    # a state the tree steps sits at the limit: its hold child vanishes, and
+    # its last division claims all that is left (r == s); and the branches
+    # share their products
+    stepped = {b.state for b in run_tree(table, 3)}
+    at_limit = [s for s in stepped if total_transition_rate(table, s) == 1]
+    assert at_limit
+    assert all(label for s in at_limit for label, _, _ in table.children(table.index(s)))
+    branches = run_tree(table, 4)
+    assert len({b.prob for b in branches}) < len(branches)
+    return table
+
+
 _TREE_INPUTS = {
     "fraction": (Fraction(3, 2), Fraction(1, 90)), "float": (1.5, 1 / 90),
     "float-kernel": (1.5, Fraction(1, 90)), "float-dt": (Fraction(3, 2), 1 / 90),
 }
+_EXACT_TREE_CASES = ("fraction", "table-limit")
 
 
 def _typed_branches(branches):
     return [(b.history, b.state, type(b.prob), repr(b.prob)) for b in branches]
 
 
-@pytest.mark.parametrize("case", sorted(_TREE_INPUTS) + ["late-float"])
+@pytest.mark.parametrize("case", sorted(_TREE_INPUTS) + ["late-float", "table-limit"])
 def test_tree_is_divide_step_repeated(case):
     # the branches of one step multiplied out over children, repeated: the
     # same ones, in the same order, with the same value types, all Fraction
     # on an exact table and all float on any other
     if case == "late-float":
         table, start = _mixed_from_step_2()
+    elif case == "table-limit":
+        table, start = _table_at_its_limit(), None
     else:
         k0, dt = _TREE_INPUTS[case]
         table, start = build_transition_table(7, KernelSpec("sum", k0), dt), None
@@ -201,8 +227,8 @@ def test_tree_is_divide_step_repeated(case):
         want = _typed_branches(branches)
         assert _typed_branches(run_tree(table, step, start)) == want
         types |= {t for _, _, t, _ in want}
-    assert types == {Fraction if case == "fraction" else float}
-    assert table.is_float is (case != "fraction")
+    assert types == {Fraction if case in _EXACT_TREE_CASES else float}
+    assert table.is_float is (case not in _EXACT_TREE_CASES)
 
 
 def _sorted_merge(branches):

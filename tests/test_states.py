@@ -504,6 +504,13 @@ def test_table_kernel_smaller_than_n_names_the_missing_entry():
                                           MassDistribution((2, 1, 0, 0))),
             "state (2, 1, 0, 0) does not have 3 bins", id="total-rate-wrong-n",
         ),
+        *[pytest.param(
+            lambda run=run, steps=steps: run(build_transition_table(4, KernelSpec(), 0.01), steps,
+                                             MassDistribution((3, 1, 0, 0, 0))),
+            "state (3, 1, 0, 0, 0) does not have 4 bins", id=f"{name}-wrong-n-{steps}-steps")
+          for name, run in [("tree", division.run_tree),
+                            ("semantics", division.history_label_semantics_check)]
+          for steps in (0, 1)],
         pytest.param(lambda: partition_count_exact(0), "need n >= 1, got 0", id="exact-zero"),
         pytest.param(lambda: partition_count_asymptotic(0), "need n >= 1, got 0",
                      id="asymptotic-zero"),
@@ -763,7 +770,7 @@ def test_exact_tables_hold_ints_over_one_scale(monkeypatch, kind, k0, int_dt):
         with monkeypatch.context() as patch:
             _counting_fractions(patch, built)
             branches = division.run_tree(table, 3)
-        assert len(built) == len(branches)
+        assert len(built) == len({b.prob for b in branches})
         assert {type(b.prob) for b in branches} == {Fraction}
     # at k0 = dt = 1 the sum kernel's N = 2 row, r = 2, is past the limit
     assert ran or (kind == "sum" and type(k0) is type(dt) is int)
