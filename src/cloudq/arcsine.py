@@ -13,9 +13,10 @@ bound already dooms is halved without a fit.  A separate verification
 pass re-measures every assembled piece against an extended-precision
 arcsine (difference of Chebyshev series), so construction speed never
 compromises the certified error; it runs the extended-precision series
-and the dense grid only for the pieces whose float upper bound can still
-raise the maximum.  mpmath is imported by the functions that call it, so
-importing this module does not load it.
+and the dense grid only for the pieces whose certified bounds let them
+hold the maximum, and each grid only where its maximum can lie.  mpmath
+is imported by the functions that call it, so importing this module
+does not load it.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ VERIFY_EXTRA_ORDER = 40  # reference series terms beyond the fit's degree
 _SHARED_DEGREE = 9  # fits up to this degree share one reference order
 _UNIT = 2.0**-53  # unit roundoff of float64
 _FIXED_BITS = 200  # fraction bits of the Taylor terms in _prebound
+_STRIDE = 32  # _grid_max evaluates every 32nd point first
 
 
 class FitError(ValueError):
@@ -420,9 +422,29 @@ def _grid_max(diff: np.ndarray, grid: int) -> float:
     """Grid max of ``|poly - arcsin|`` from their :func:`_diff_series`: a
     short series with tiny coefficients, which double precision evaluates
     to ~1e-18 absolute accuracy; the reference series' tail is negligible
-    because the nearest arcsine singularity is far outside the piece."""
+    because the nearest arcsine singularity is far outside the piece.
+
+    Every :data:`_STRIDE`-th point and the last go first; the points
+    between two of them are evaluated only if Markov's ``|T_j'| <= j^2``
+    and two Clenshaw terms let them reach the maximum so far (README).
+    Each point's value takes the same elementwise float operations as on
+    the whole grid, so the bits are the same; a non-finite series takes
+    the whole grid, so ``nan`` stays ``nan``.
+    """
     u = np.linspace(-1.0, 1.0, grid)
-    return float(np.max(np.abs(_chebval(u, diff))))
+    size = np.abs(diff).tolist()
+    total = sum(size)
+    if not len(size) * total < 2.0**1000:  # nan, inf, or near overflow in Clenshaw
+        return float(np.max(np.abs(_chebval(u, diff))))
+    values = np.abs(_chebval(u[np.append(np.arange(0, grid - 1, _STRIDE), grid - 1)], diff))
+    slope = sum(j * j * s for j, s in enumerate(size))  # Markov: |T_j'| <= j^2
+    reach = (_STRIDE + 2) / max(grid - 1, 1) * slope + 16 * len(size) ** 2 * _UNIT * total
+    top = values.max()
+    cells = (values[:-1] + values[1:]) / 2 + reach > top
+    fine = np.repeat(np.append(cells, False), _STRIDE)[:grid]
+    if fine.any():
+        top = max(top, np.abs(_chebval(u[fine], diff)).max())
+    return float(top)
 
 
 def _series_bound(diff: np.ndarray) -> float:
@@ -466,18 +488,17 @@ def _taylor_terms(mid: int, rad: int, b: float, last: int) -> tuple[list[int], i
     return d, tail
 
 
-def _prebound(coefficients: Sequence[float], a: float, b: float) -> float:
-    """An upper bound on ``_series_bound(_diff_series(coefficients, a,
-    b))`` without the 45-digit series: ``sum_j |c_j - g_j| + 2 N tail``
-    and the 45-digit slack, for the exact Chebyshev coefficients ``g_j``
-    of the :func:`_taylor_terms` polynomial (``u**m = 2**(1-m) sum_i C(m,
-    i) T_(m-2i)``, ``T_0`` halved).  ``inf`` for a non-finite piece, one
-    too large to bound, ``b = 1``, a midpoint or radius not exact at
-    ``2**-F``, or a series that has not settled below ``2 n - order``
-    terms.  The README derives it.
+def _taylor_gaps(coefficients: Sequence[float], a: float, b: float):
+    """The exact gaps ``c_j - g_j`` (``j <= order``) between the fit and the
+    Chebyshev coefficients ``g_j`` of the :func:`_taylor_terms` polynomial
+    (``u**m = 2**(1-m) sum_i C(m, i) T_(m-2i)``, ``T_0`` halved) and ``2 N
+    tail``, as integers over ``2**shift``, with the 45-digit slack ``R``:
+    ``(gaps, spread, shift, R)``.  ``None`` for a non-finite piece, one too
+    large to bound, ``b = 1``, a midpoint or radius not exact at ``2**-F``,
+    or a series that has not settled below ``2 n - order`` terms (README).
     """
     if not (0 <= a <= b < 1 and sum(map(abs, coefficients)) < 2.0**1000):
-        return math.inf
+        return None
     scale = 1 << (_FIXED_BITS - 1)
     mid, rad = (Fraction(b) + Fraction(a)) * scale, (Fraction(b) - Fraction(a)) * scale
     order = _reference_order(coefficients)
@@ -487,44 +508,87 @@ def _prebound(coefficients: Sequence[float], a: float, b: float) -> float:
         and _taylor_terms(mid.numerator, rad.numerator, b, 3 * order + 15)
     )
     if not series:
-        return math.inf
+        return None
     d, tail = series
     top = len(d) - 1  # g_j and c_j as integers over 2**(F + top)
-    total = 2 * terms * tail << top
+    gaps = []
     for j in range(terms):
-        g = sum(
+        gap = -sum(
             d[m] * math.comb(m, (m - j) // 2) << (top + 1 - m - (j == 0))
             for m in range(j, top + 1, 2)
         )
         if j < len(coefficients):
             num, den = coefficients[j].as_integer_ratio()
-            g -= _scaled(num, _FIXED_BITS + top + 1 - den.bit_length())
-        total += abs(g)
+            gap += _scaled(num, _FIXED_BITS + top + 1 - den.bit_length())
+        gaps.append(gap)
     slack = 2.0**-140 * terms * (terms + 1 / math.sqrt(1 - b * b))  # 45-digit roundings
-    bound = total / (1 << (_FIXED_BITS + top)) + slack
+    return gaps, 2 * terms * tail << top, _FIXED_BITS + top, slack
+
+
+def _prebound(coefficients: Sequence[float], a: float, b: float) -> float:
+    """An upper bound on ``_series_bound(_diff_series(coefficients, a,
+    b))`` without the 45-digit series: :func:`_gap_bound` of the
+    :func:`_taylor_gaps`.  The README derives it."""
+    return _gap_bound(_taylor_gaps(coefficients, a, b))
+
+
+def _gap_bound(found) -> float:
+    """``sum_j |c_j - g_j| + 2 N tail + R`` from :func:`_taylor_gaps`,
+    rounded up past ``_series_bound``'s own factor; ``inf`` for ``None``."""
+    if found is None:
+        return math.inf
+    gaps, spread, shift, slack = found
+    terms = len(gaps)
+    bound = (sum(map(abs, gaps)) + spread) / (1 << shift) + slack
     return bound * (1 + 8 * _UNIT) * (1 + 8 * terms * terms * _UNIT)
+
+
+def _grid_bounds(found, grid: int) -> tuple[float, float]:
+    """``[L, U]`` around ``_grid_max(_diff_series(...), grid)`` from the
+    piece's :func:`_taylor_gaps`, without a node value: :func:`_grid_max`
+    of the float gaps, widened by both series' Clenshaw terms, ``2 N tail
+    + R`` and the conversions (README).  ``U`` is at most
+    :func:`_gap_bound`; ``(-inf, inf)`` for ``None``."""
+    if found is None:
+        return -math.inf, math.inf
+    gaps, spread, shift, slack = found
+    n, unit, bound = len(gaps), 1 << shift, _gap_bound(found)
+    middle = _grid_max(np.array([gap / unit for gap in gaps]), grid)
+    width = (spread / unit + slack + (16 * n * n + 3) * _UNIT * bound) * (1 + 8 * _UNIT)
+    return middle - width, min(middle + width, bound)
 
 
 def verify(pp: PiecewisePolynomial, grid_factor: int = 10) -> float:
     """Worst per-piece error on a ``grid_factor`` x denser verified grid
     (``-inf`` for no pieces).
 
-    The 45-digit series and dense grids run in descending order of
-    :func:`_prebound` and stop at the first finite bound no larger than
-    the maximum so far.  A piece outside ``[0, 1]``, or whose reference
+    In descending order of :func:`_prebound`, pieces take a
+    :func:`_grid_bounds` interval ``[L, U]`` while the pre-bound exceeds
+    the largest ``L`` so far; the others cannot hold the maximum.  The
+    45-digit series and grids then run in descending ``U``, infinite
+    first, and stop at the first finite ``U`` no larger than the maximum
+    so far (README).  A piece outside ``[0, 1]``, or whose reference
     error is ``nan``, raises :class:`FitError`, as does a ``grid_factor``
     that is not an int of at least one, before any piece is read.
     """
     require_count("grid_factor", grid_factor, 1, FitError)
     grid = grid_factor * DEFAULT_ERROR_GRID
-    bounds = []
+    found = []
     for index, piece in enumerate(pp.pieces):
         if not 0 <= piece.lower <= piece.upper <= 1:
             raise FitError(f"piece {index} on [{piece.lower}, {piece.upper}] is outside [0, 1]")
-        bounds.append((_prebound(piece.coefficients, piece.lower, piece.upper), index))
+        found.append(_taylor_gaps(piece.coefficients, piece.lower, piece.upper))
+    bounds = sorted(((_gap_bound(f), i) for i, f in enumerate(found)), key=lambda e: -e[0])
+    floor, uppers = -math.inf, []
+    for bound, index in bounds:
+        if bound <= floor:
+            break
+        lower, upper = _grid_bounds(found[index], grid)
+        floor = max(floor, lower)
+        uppers.append((upper, index))
     worst = -math.inf
-    for bound, index in sorted(bounds, key=lambda entry: -entry[0]):
-        if bound <= worst < math.inf:
+    for bound, index in sorted(uppers, key=lambda e: -e[0]):
+        if bound <= worst and bound < math.inf:
             break
         piece = pp.pieces[index]
         error = _grid_max(_diff_series(piece.coefficients, piece.lower, piece.upper), grid)

@@ -222,6 +222,70 @@ def test_verify_keeps_its_answer_on_non_finite_pieces(fit_d5, position, where, v
         assert verify(pp, grid_factor=1) == expected
 
 
+def _with_coefficient(pp, position, value):
+    piece = pp.pieces[position]
+    broken = dataclasses.replace(piece, coefficients=(value,) + piece.coefficients[1:])
+    pieces = pp.pieces[:position] + (broken,) + pp.pieces[position + 1:]
+    return dataclasses.replace(pp, pieces=pieces)
+
+
+def test_verify_stops_once_the_maximum_is_infinite(fit_d5, monkeypatch):
+    # an infinite reference error is the maximum: no finite bound can raise it
+    truth_series, runs = arcsine._truth_series, []
+    monkeypatch.setattr(
+        arcsine, "_truth_series", lambda *args: runs.append(args) or truth_series(*args)
+    )
+    assert verify(_with_coefficient(fit_d5, 0, math.inf), grid_factor=1) == math.inf
+    assert len(runs) == 1
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("nan_at", [0, 2], ids=["before", "after"])
+def test_a_nan_piece_raises_beside_an_infinite_one(fit_d5, nan_at):
+    pp = _with_coefficient(_with_coefficient(fit_d5, 1, math.inf), nan_at, math.nan)
+    piece = pp.pieces[nan_at]
+    message = rf"piece {nan_at} on \[{piece.lower}, {piece.upper}\] has a nan reference error"
+    with pytest.raises(FitError, match=message):
+        verify(pp, grid_factor=1)
+
+
+def _peak_between_coarse_points(center):
+    # 1 - (u - center)^2 in the Chebyshev basis: (u^2 = (T_0 + T_2) / 2)
+    return np.array([0.5 - center * center, 2 * center, -0.5])
+
+
+GRID_MAX_SERIES = {
+    "max-at-plus-one": np.array([1e-13, 1e-13]),
+    "max-at-minus-one": np.array([1e-13, -1e-13, 2e-15]),
+    "max-between-coarse-points": _peak_between_coarse_points(0.1),
+    "all-zero": np.zeros(50),
+    "constant-only": np.array([-2.5e-13]),
+    "large-top-coefficient": np.r_[np.full(49, 1e-17), 1e-9],
+    **{f"random-{seed}": np.random.default_rng(seed).normal(size=50) * 0.7 ** np.arange(50) * 1e-13
+       for seed in range(4)},
+}
+GRID_MAX_AT = {"max-at-plus-one": -1, "max-at-minus-one": 0}  # grid index of the maximum
+
+
+@pytest.mark.parametrize("grid", [257, 4096, 40960])
+@pytest.mark.parametrize("name", list(GRID_MAX_SERIES))
+def test_pruned_grid_max_is_the_whole_grid(name, grid):
+    series = GRID_MAX_SERIES[name]
+    u = np.linspace(-1.0, 1.0, grid)
+    values = np.abs(arcsine._chebval(u, series))
+    if name in GRID_MAX_AT:
+        assert values.argmax() == range(grid)[GRID_MAX_AT[name]]
+    if name == "max-between-coarse-points":  # the case the cells exist for
+        assert values[::arcsine._STRIDE].max() < values.max()
+    assert arcsine._grid_max(series, grid) == np.max(values)
+
+
+@pytest.mark.parametrize("grid", [257, 4096, 40960])
+def test_pruned_grid_max_keeps_a_nan(grid):
+    series = np.r_[1e-13, math.nan, np.zeros(10)]
+    assert math.isnan(arcsine._grid_max(series, grid))
+
+
 def test_verification_pass_meets_eps():
     pp = min_pieces(6, 1e-13)
     assert verify(pp, grid_factor=2) <= 1.05 * pp.eps

@@ -723,6 +723,16 @@ def test_verify_skips_only_bounded_pieces(a, width, degree, eps_exponent, noise)
     assert verify(pp, grid_factor=1) == max(errors)
 
 
+VERIFY_GRID = 10 * arcsine.DEFAULT_ERROR_GRID  # the grid of verify(pp, 10)
+
+
+def _assert_grid_bounds_hold(piece, diff, bound):
+    # [L, U] from the Taylor gaps alone brackets the reference error
+    gaps = arcsine._taylor_gaps(piece.coefficients, piece.lower, piece.upper)
+    lower, upper = arcsine._grid_bounds(gaps, VERIFY_GRID)
+    assert lower <= arcsine._grid_max(diff, VERIFY_GRID) <= upper <= bound
+
+
 @pytest.mark.parametrize("row, pieces", [((1e-12, 4), 43), ((1e-15, 8), 12)])
 def test_prebound_covers_the_series_bound_of_every_piece(arcsine_fits, row, pieces):
     core = arcsine_fits[row][0]
@@ -731,6 +741,7 @@ def test_prebound_covers_the_series_bound_of_every_piece(arcsine_fits, row, piec
         diff = arcsine._diff_series(piece.coefficients, piece.lower, piece.upper)
         bound = arcsine._prebound(piece.coefficients, piece.lower, piece.upper)
         assert arcsine._series_bound(diff) <= bound <= arcsine._series_bound(diff) * (1 + 1e-11)
+        _assert_grid_bounds_hold(piece, diff, bound)
 
 
 @pytest.mark.parametrize("row", [(1e-12, 4), (1e-15, 8)])
@@ -742,6 +753,7 @@ def test_prebound_covers_the_series_bound_of_every_extension_piece(arcsine_fits,
         diff = arcsine._diff_series(piece.coefficients, piece.lower, piece.upper)
         bound = arcsine._prebound(piece.coefficients, piece.lower, piece.upper)
         assert arcsine._series_bound(diff) <= bound <= arcsine._series_bound(diff) * (1 + 1e-11)
+        _assert_grid_bounds_hold(piece, diff, bound)
 
 
 def _pushed_taylor_terms(taylor_terms, push):
@@ -771,10 +783,8 @@ def test_prebound_survives_the_worst_floors(arcsine_fits, monkeypatch, row, push
     # a push of one unit is each floor at its worst; 2**100 units (2**-100)
     # is far past it, and shows in the float bound, through the tail alone
     pieces = arcsine_fits[row][0].pieces
-    series = [
-        arcsine._series_bound(arcsine._diff_series(p.coefficients, p.lower, p.upper))
-        for p in pieces
-    ]
+    diffs = [arcsine._diff_series(p.coefficients, p.lower, p.upper) for p in pieces]
+    series = [arcsine._series_bound(diff) for diff in diffs]
     bounds = [arcsine._prebound(p.coefficients, p.lower, p.upper) for p in pieces]
     monkeypatch.setattr(
         arcsine, "_taylor_terms", _pushed_taylor_terms(arcsine._taylor_terms, push)
@@ -783,6 +793,9 @@ def test_prebound_survives_the_worst_floors(arcsine_fits, monkeypatch, row, push
     assert all(s <= b <= p < math.inf for s, b, p in zip(series, bounds, pushed))
     if push > 1:
         assert all(b < p for b, p in zip(bounds, pushed))
+    # the interval's U side: the pushed floors still bracket every reference error
+    for piece, diff, bound in zip(pieces, diffs, pushed):
+        _assert_grid_bounds_hold(piece, diff, bound)
 
 
 @pytest.mark.parametrize(
@@ -811,4 +824,32 @@ def test_verify_runs_the_series_only_where_the_maximum_can_move(arcsine_fits, mo
     monkeypatch.setattr(arcsine, "_truth_series", counted)
     for row in rows:
         assert verify(arcsine_fits[row][0], 10) == VERIFY_PINNED[row]
-    assert (len(runs), sum(arcsine_fits[row][0].piece_count for row in rows)) == (22, 230)
+    assert (len(runs), sum(arcsine_fits[row][0].piece_count for row in rows)) == (13, 230)
+
+
+def test_pruned_grid_max_is_the_whole_grid_on_every_verify_series(arcsine_fits, monkeypatch):
+    # the 13 series verify runs over the circuit benchmark's rows, on three grids
+    rows = [row for row in ARCSINE_ROWS if not isinstance(arcsine_fits[row][1], DegreeTooLowError)]
+    diff_series, ran = arcsine._diff_series, []
+
+    def kept(*args):
+        ran.append(diff_series(*args))
+        return ran[-1]
+
+    monkeypatch.setattr(arcsine, "_diff_series", kept)
+    for row in rows:
+        verify(arcsine_fits[row][0], 10)
+    assert len(ran) == len(rows)
+    for diff in ran:
+        for grid in (257, 4096, VERIFY_GRID):
+            whole = np.max(np.abs(arcsine._chebval(np.linspace(-1, 1, grid), diff)))
+            assert arcsine._grid_max(diff, grid) == whole
+
+
+@pytest.mark.parametrize("row", [(1e-12, 4), (1e-15, 8)])
+def test_verify_keeps_its_value_in_any_piece_order(arcsine_fits, row):
+    core, rng = arcsine_fits[row][0], np.random.default_rng(17)
+    for _ in range(3):
+        pieces = tuple(core.pieces[i] for i in rng.permutation(core.piece_count))
+        shuffled = arcsine.PiecewisePolynomial(pieces, core.degree, core.eps, core.domain)
+        assert verify(shuffled, 10) == VERIFY_PINNED[row]
